@@ -22,7 +22,17 @@ from typing import Dict, Mapping, Optional, Tuple
 
 import numpy as np
 
-from .invariants import InvariantReport, invariant_report, pair_blocks
+from .invariants import (
+    _CUT_A_BC,
+    _CUT_B_AC,
+    _CUT_C_AB,
+    InvariantReport,
+    _amplitude_list,
+    _cross_minors,
+    invariant_report,
+    pair_blocks,
+    _invariant_polynomials,
+)
 from .operators import GroupElement, apply, element_from_matrices
 from .states import (
     NORM_TOL,
@@ -213,32 +223,22 @@ class BellProfile:
     tri_local: bool
 
 
-def _det2(m: np.ndarray) -> complex:
-    return complex(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0])
-
-
-def _stack_entangled(x: np.ndarray, y: np.ndarray, tol: float) -> bool:
-    m = np.hstack([x, y])
-    for i in range(4):
-        for j in range(i + 1, 4):
-            if abs(m[0, i] * m[1, j] - m[0, j] * m[1, i]) > tol:
-                return True
-    return False
-
-
 def bell_profile(state: StateVector, tol: float = 1e-10) -> BellProfile:
     """Locality pattern of a state; tolerances assume unit normalization."""
-    blocks = pair_blocks(state)
-    nl_ab = abs(_det2(blocks.M_AB)) > tol
-    nl_bc = abs(_det2(blocks.M_BC)) > tol
-    nl_ac = abs(_det2(blocks.M_AC)) > tol
+    v = _amplitude_list(state)
+    d_ab, d_bc, d_ac, _, _ = _invariant_polynomials(v)
+    nl_ab, nl_bc, nl_ac = (abs(d) > tol for d in (d_ab, d_bc, d_ac))
+
+    def cut_entangled(cut, dets) -> bool:
+        return any(abs(m) > tol for m in (*dets, *_cross_minors(v, cut)))
+
     return BellProfile(
         nonlocal_AB=nl_ab,
         nonlocal_BC=nl_bc,
         nonlocal_AC=nl_ac,
-        nonlocal_A_BC=_stack_entangled(blocks.M_AB, blocks.M_AC, tol),
-        nonlocal_B_AC=_stack_entangled(blocks.M_AB.T, blocks.M_BC, tol),
-        nonlocal_C_AB=_stack_entangled(blocks.M_AC.T, blocks.M_BC.T, tol),
+        nonlocal_A_BC=cut_entangled(_CUT_A_BC, (d_ab, d_ac)),
+        nonlocal_B_AC=cut_entangled(_CUT_B_AC, (d_ab, d_bc)),
+        nonlocal_C_AB=cut_entangled(_CUT_C_AB, (d_ac, d_bc)),
         tri_local=not (nl_ab or nl_bc or nl_ac),
     )
 

@@ -14,13 +14,12 @@ violations in a Monte-Carlo run).
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from dataclasses import asdict
 from typing import Dict, List, Optional, Union
 
 from .classify import (
-    bell_profile,
+    _FAMILY_NAMES,
     canonical_form,
     chsh_value,
     family,
@@ -48,8 +47,6 @@ from .stabilizers import (
 )
 from .operators import apply
 from .states import StateVector
-
-_FAMILY_CHOICES = ("Eq14", "Eq15", "Eq16", "Eq18", "S1", "S2", "psi1", "psi2")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -111,21 +108,6 @@ def _parse_range(text: str) -> range:
     if stop < start:
         raise ValueError(f"range {text!r} is empty")
     return range(start, stop + 1)
-
-
-def _thread_count(requested: int) -> int:
-    cap_text = os.environ.get("MODAL_ENT_THREADS")
-    cap = 0
-    if cap_text:
-        try:
-            cap = int(cap_text)
-        except ValueError:
-            raise ValueError(f"MODAL_ENT_THREADS must be an integer, got {cap_text!r}") from None
-    if requested < 1:
-        requested = cap if cap > 0 else 1
-    if cap > 0:
-        requested = min(requested, cap)
-    return max(1, requested)
 
 
 def _cmd_invariants(args: argparse.Namespace) -> int:
@@ -254,7 +236,6 @@ def _cmd_monotone_mc(args: argparse.Namespace) -> int:
         master_seed=args.seed,
         strength=args.strength,
         state=state,
-        threads=_thread_count(args.threads),
     )
     if args.records:
         text = format_csv(
@@ -338,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("family", help="build a named family member")
     _add_out(p)
-    p.add_argument("--name", required=True, choices=_FAMILY_CHOICES)
+    p.add_argument("--name", required=True, choices=_FAMILY_NAMES)
     p.add_argument("--params", metavar="K=V,K=V", default="",
                    help="family parameters, e.g. r1=0.6,r2=0.8")
     p.add_argument("--symbols", action="store_true",
@@ -371,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="draw a fresh random state per trial (the default)")
     p.add_argument("--records", metavar="FILE", help="also write per-trial records as CSV")
     p.add_argument("--threads", type=int, default=0,
-                   help="worker threads; 0 means auto, capped by MODAL_ENT_THREADS")
+                   help="accepted for compatibility and ignored; trials run serially")
     p.set_defaults(func=_cmd_monotone_mc)
 
     p = sub.add_parser("chsh", help="CHSH values of the pair projections")

@@ -7,36 +7,68 @@ polynomials), their product I1, the degree-3 alternating polynomial I2, the
 three non-negative cross-minor sums attached to the bipartitions, and the
 sigma_y-sandwiched word matrix W whose traces generate the same ring.
 
+Each of these formulas has one implementation, written over an indexable
+vector of the twelve amplitudes in :func:`enumerate_basis` order: a list of
+Python complex numbers for one state, or a ``(12, k)`` array for a batch.
 I2 is evaluated from its explicit degree-3 polynomial; the equivalent trace
-form satisfies trace(W) = i * I2 with the conventions fixed below. Both
-routes are kept and cross-checked rather than collapsed into one.
+form satisfies trace(W) = i * I2 with the conventions fixed below, which the
+test suite checks on random states.
 """
 
 from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
-from typing import Dict, Tuple, Union
+from typing import Dict, List, Sequence, Tuple, Union
 
 import numpy as np
-from scipy.linalg import expm
 
-from .operators import GroupElement, apply, element_from_matrices
+from .operators import apply, make_slocc_element
 from .states import SHAPE_321, StateVector, basis_index
 
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 
 _U, _D = 1, 2
-_IDX = dict(basis_index(SHAPE_321))
+_IDX = basis_index(SHAPE_321)
+
+# Basis positions of the AB, BC and AC pair blocks, each read row-major as
+# (uu, ud, du, dd): the row is the level of the block's first mode, the
+# column the level of its second.
+_AB, _BC, _AC = (
+    tuple(_IDX[occ] for occ in block)
+    for block in (
+        ((_U, _U, 0), (_U, _D, 0), (_D, _U, 0), (_D, _D, 0)),
+        ((0, _U, _U), (0, _U, _D), (0, _D, _U), (0, _D, _D)),
+        ((_U, 0, _U), (_U, 0, _D), (_D, 0, _U), (_D, 0, _D)),
+    )
+)
 
 
-def _slot(state: StateVector, a: int, b: int, c: int) -> complex:
-    return state.amplitudes.get((a, b, c), 0j)
+def _columns(block: Tuple[int, ...], transpose: bool = False) -> Tuple[Tuple[int, int], ...]:
+    uu, ud, du, dd = block
+    return ((uu, ud), (du, dd)) if transpose else ((uu, du), (ud, dd))
+
+
+# For each single-mode cut, the two blocks that hold that mode, oriented with
+# the cut mode on rows and given by their (top, bottom) column positions.
+_CUT_A_BC = (_columns(_AB), _columns(_AC))
+_CUT_B_AC = (_columns(_AB, transpose=True), _columns(_BC))
+_CUT_C_AB = (_columns(_AC, transpose=True), _columns(_BC, transpose=True))
 
 
 def _require_321(state: StateVector) -> None:
     if state.shape != SHAPE_321:
         raise ValueError(f"pair-block invariants need shape (3, 2, 1), got {state.shape}")
+
+
+def _amplitude_list(state: StateVector) -> List[complex]:
+    """The twelve amplitudes as Python complex numbers, in basis order.
+
+    Scalar Python arithmetic keeps single-state results bitwise stable;
+    numpy's vectorised complex products may round differently.
+    """
+    _require_321(state)
+    return state.dense().tolist()
 
 
 @dataclass(frozen=True, eq=False)
@@ -49,58 +81,63 @@ class PairBlocks:
     M_AC: np.ndarray
 
 
-def pair_blocks(state: StateVector) -> PairBlocks:
-    """Arrange the twelve amplitudes into the three pair-block matrices."""
-    _require_321(state)
-    m = state.amplitudes.get
-    ab = np.array(
-        [
-            [m((_U, _U, 0), 0j), m((_U, _D, 0), 0j)],
-            [m((_D, _U, 0), 0j), m((_D, _D, 0), 0j)],
-        ]
-    )
-    bc = np.array(
-        [
-            [m((0, _U, _U), 0j), m((0, _U, _D), 0j)],
-            [m((0, _D, _U), 0j), m((0, _D, _D), 0j)],
-        ]
-    )
-    ac = np.array(
-        [
-            [m((_U, 0, _U), 0j), m((_U, 0, _D), 0j)],
-            [m((_D, 0, _U), 0j), m((_D, 0, _D), 0j)],
-        ]
+def _blocks(v: Sequence[complex]) -> PairBlocks:
+    ab, bc, ac = (
+        np.array([[v[uu], v[ud]], [v[du], v[dd]]], dtype=complex)
+        for uu, ud, du, dd in (_AB, _BC, _AC)
     )
     return PairBlocks(M_AB=ab, M_BC=bc, M_AC=ac)
 
 
-def _det2(m: np.ndarray) -> complex:
-    return complex(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0])
+def pair_blocks(state: StateVector) -> PairBlocks:
+    """Arrange the twelve amplitudes into the three pair-block matrices."""
+    return _blocks(_amplitude_list(state))
 
 
-def _cross_minor_sum(x: np.ndarray, y: np.ndarray) -> float:
-    """Sum of squared moduli of the 2x2 minors mixing a column of x with one of y."""
-    total = 0.0
-    for i in range(2):
-        for j in range(2):
-            total += abs(x[0, i] * y[1, j] - x[1, i] * y[0, j]) ** 2
-    return total
+def _det2(v, block: Tuple[int, ...]):
+    uu, ud, du, dd = block
+    return v[uu] * v[dd] - v[ud] * v[du]
+
+
+def _invariant_polynomials(v):
+    """``(I_AB, I_BC, I_AC, I1, I2)`` of amplitudes ``v`` in basis order.
+
+    ``v`` is anything indexable by basis position: one state's twelve
+    amplitudes, or a ``(12, k)`` array of state columns, which gives
+    length-``k`` arrays.
+    """
+    det_ab, det_bc, det_ac = _det2(v, _AB), _det2(v, _BC), _det2(v, _AC)
+    uu0, ud0, du0, dd0 = (v[k] for k in _AB)
+    ouu, oud, odu, odd = (v[k] for k in _BC)
+    u0u, u0d, d0u, d0d = (v[k] for k in _AC)
+    i2 = (
+        uu0 * (odd * d0u - odu * d0d)
+        + ud0 * (ouu * d0d - oud * d0u)
+        + du0 * (odu * u0d - odd * u0u)
+        + dd0 * (oud * u0u - ouu * u0d)
+    )
+    return det_ab, det_bc, det_ac, det_ab * det_bc * det_ac, i2
+
+
+def dense_invariant_pair(v: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(I1, I2) for a dense column batch, shape (12,) or (12, k)."""
+    return _invariant_polynomials(v)[3:]
+
+
+def _cross_minors(v, cut) -> List[complex]:
+    """The four 2x2 minors pairing a column of one block of ``cut`` with one of the other."""
+    xs, ys = cut
+    return [v[xt] * v[yb] - v[xb] * v[yt] for xt, xb in xs for yt, yb in ys]
+
+
+def _cross_minor_sum(v, cut) -> float:
+    """Sum of squared moduli of the four cross minors of ``cut``."""
+    return sum(abs(m) ** 2 for m in _cross_minors(v, cut))
 
 
 def word_matrix(blocks: PairBlocks) -> np.ndarray:
     """The 2x2 word W = M_AB sy M_BC sy M_AC^T sy generating the trace invariants."""
     return blocks.M_AB @ SIGMA_Y @ blocks.M_BC @ SIGMA_Y @ blocks.M_AC.T @ SIGMA_Y
-
-
-def _i2_polynomial(state: StateVector) -> complex:
-    m = state.amplitudes.get
-    z = 0j
-    return complex(
-        m((_U, _U, 0), z) * (m((0, _D, _D), z) * m((_D, 0, _U), z) - m((0, _D, _U), z) * m((_D, 0, _D), z))
-        + m((_U, _D, 0), z) * (m((0, _U, _U), z) * m((_D, 0, _D), z) - m((0, _U, _D), z) * m((_D, 0, _U), z))
-        + m((_D, _U, 0), z) * (m((0, _D, _U), z) * m((_U, 0, _D), z) - m((0, _D, _D), z) * m((_U, 0, _U), z))
-        + m((_D, _D, 0), z) * (m((0, _U, _D), z) * m((_U, 0, _U), z) - m((0, _U, _U), z) * m((_U, 0, _D), z))
-    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -128,13 +165,8 @@ def invariant_report(state: StateVector) -> InvariantReport:
     the cross-minor sums, which vanish exactly when the conditional states
     seen from one mode are proportional.
     """
-    _require_321(state)
-    blocks = pair_blocks(state)
-    i_ab = _det2(blocks.M_AB)
-    i_bc = _det2(blocks.M_BC)
-    i_ac = _det2(blocks.M_AC)
-    i1 = i_ab * i_bc * i_ac
-    i2 = _i2_polynomial(state)
+    v = _amplitude_list(state)
+    i_ab, i_bc, i_ac, i1, i2 = _invariant_polynomials(v)
     return InvariantReport(
         I_AB=i_ab,
         I_BC=i_bc,
@@ -143,10 +175,10 @@ def invariant_report(state: StateVector) -> InvariantReport:
         I2=i2,
         monotone1=abs(i1) ** (1.0 / 3.0),
         monotone2=abs(i2) ** (2.0 / 3.0),
-        I_A_BC=_cross_minor_sum(blocks.M_AB, blocks.M_AC),
-        I_B_AC=_cross_minor_sum(blocks.M_AB.T, blocks.M_BC),
-        I_C_AB=_cross_minor_sum(blocks.M_AC.T, blocks.M_BC.T),
-        W=word_matrix(blocks),
+        I_A_BC=_cross_minor_sum(v, _CUT_A_BC),
+        I_B_AC=_cross_minor_sum(v, _CUT_B_AC),
+        I_C_AB=_cross_minor_sum(v, _CUT_C_AB),
+        W=word_matrix(_blocks(v)),
     )
 
 
@@ -242,7 +274,7 @@ def generator_relation_check(state: StateVector, n: int) -> float:
     w = rep.W
     f1, g1 = w[0, 0], w[0, 1]
     k1, l1 = w[1, 0], w[1, 1]
-    residual = abs(g1 * k1 - (rep.I_AB * rep.I_BC * rep.I_AC + f1 * l1))
+    residual = abs(g1 * k1 - (rep.I1 + f1 * l1))
     e1 = complex(np.trace(w))
     e2 = complex(np.linalg.det(w))
     p_prev, p_cur = 2.0 + 0j, e1
@@ -264,47 +296,10 @@ def localized_scenario_check(
     both equal ``e^{-2 alpha}``, witnessing that no invariant of the pinned
     scenario exists. Factors are NaN where the input determinant vanishes.
     """
-    _require_321(state)
-    l8 = np.diag([1.0, 1.0, -2.0]).astype(complex)
-    scaled = expm(alpha * l8)
-    element: GroupElement = element_from_matrices([np.eye(3, dtype=complex), scaled, scaled])
-    moved = apply(element, state)
-    before = pair_blocks(state)
-    after = pair_blocks(moved)
-    out = []
-    for pre, post in ((before.M_AB, after.M_AB), (before.M_AC, after.M_AC)):
-        d0 = _det2(pre)
-        out.append(_det2(post) / d0 if abs(d0) > 0 else complex(cmath.nan))
-    return out[0], out[1]
-
-
-# Dense-batch mirrors of I1 and I2, used by the Monte-Carlo sweeps. V holds
-# dense state columns in enumerate_basis order, shape (12,) or (12, k).
-
-_IUU0 = _IDX[(_U, _U, 0)]
-_IUD0 = _IDX[(_U, _D, 0)]
-_IDU0 = _IDX[(_D, _U, 0)]
-_IDD0 = _IDX[(_D, _D, 0)]
-_IU0U = _IDX[(_U, 0, _U)]
-_IU0D = _IDX[(_U, 0, _D)]
-_ID0U = _IDX[(_D, 0, _U)]
-_ID0D = _IDX[(_D, 0, _D)]
-_I0UU = _IDX[(0, _U, _U)]
-_I0UD = _IDX[(0, _U, _D)]
-_I0DU = _IDX[(0, _D, _U)]
-_I0DD = _IDX[(0, _D, _D)]
-
-
-def dense_invariant_pair(v: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """(I1, I2) for a dense column batch; mirrors :func:`invariant_report`."""
-    det_ab = v[_IUU0] * v[_IDD0] - v[_IUD0] * v[_IDU0]
-    det_bc = v[_I0UU] * v[_I0DD] - v[_I0UD] * v[_I0DU]
-    det_ac = v[_IU0U] * v[_ID0D] - v[_IU0D] * v[_ID0U]
-    i1 = det_ab * det_bc * det_ac
-    i2 = (
-        v[_IUU0] * (v[_I0DD] * v[_ID0U] - v[_I0DU] * v[_ID0D])
-        + v[_IUD0] * (v[_I0UU] * v[_ID0D] - v[_I0UD] * v[_ID0U])
-        + v[_IDU0] * (v[_I0DU] * v[_IU0D] - v[_I0DD] * v[_IU0U])
-        + v[_IDD0] * (v[_I0UD] * v[_IU0U] - v[_I0UU] * v[_IU0D])
+    before = _invariant_polynomials(_amplitude_list(state))
+    pinned = make_slocc_element([(0, 0, 0, 0), (0, 0, 0, alpha), (0, 0, 0, alpha)])
+    after = _invariant_polynomials(_amplitude_list(apply(pinned, state)))
+    f_ab, f_ac = (
+        after[k] / before[k] if abs(before[k]) > 0 else complex(cmath.nan) for k in (0, 2)
     )
-    return i1, i2
+    return f_ab, f_ac

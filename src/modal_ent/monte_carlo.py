@@ -16,7 +16,6 @@ strongly non-unitary elements. Ratios of renormalized values stay order one.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
@@ -169,13 +168,12 @@ def run_monotone_trials(
     master_seed: int,
     strength: float = 0.5,
     state: Optional[StateVector] = None,
-    threads: int = 1,
 ) -> MonteCarloSummary:
     """Monotonicity margins over a tree of seeded random trials.
 
     Per trial, the child seed fans out into a state seed (ignored when a
     fixed state is supplied), an instrument seed and a mode choice. Records
-    come back sorted by index whatever the thread interleaving was.
+    come back in index order.
     """
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
@@ -201,11 +199,7 @@ def run_monotone_trials(
             passed=margin <= MARGIN_TOL,
         )
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            records = sorted(pool.map(one, range(trials)), key=lambda r: r.index)
-    else:
-        records = [one(i) for i in range(trials)]
+    records = [one(i) for i in range(trials)]
     failures = sum(1 for r in records if not r.passed)
     return MonteCarloSummary(
         trials=trials,

@@ -10,12 +10,12 @@ restricted to the fixed-particle-number sector.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, Sequence, Tuple
 
 import numpy as np
-from scipy.linalg import expm
 
 from .states import (
     StateVector,
@@ -96,10 +96,42 @@ def gell_mann(index: int) -> LocalOperator:
 
 
 def matrix_exp(op: LocalOperator) -> LocalOperator:
-    """Matrix exponential via scaling-and-squaring (scipy's Pade implementation)."""
-    if not np.all(np.isfinite(op.entries)):
+    """Matrix exponential of a compliant spin-1/2 operator, in closed form.
+
+    The 2x2 level block ``A`` exponentiates as
+    ``e^t (cosh s I + (sinh s / s) (A - t I))`` with ``t = tr(A) / 2`` and
+    ``s^2 = -det(A - t I)``, taking ``sinh s / s = 1`` at ``s = 0``; the
+    vacancy entry exponentiates as a scalar. For ``|s| > 1`` the same matrix
+    is evaluated from the eigenvalues ``t +- s``, since ``cosh s - sinh s``
+    would cancel. Any other operator, including a 3x3 one with nonzero
+    entries mixing levels and vacancy, raises ValueError.
+    """
+    if op.dim != 3:
+        raise ValueError(f"closed-form exponential needs a 3x3 operator, got dim {op.dim}")
+    (a, b, x), (c, d, y), (p, q, v) = op.entries.tolist()
+    if not all(cmath.isfinite(z) for z in (a, b, c, d, v, x, y, p, q)):
         raise ValueError("matrix exponential of a non-finite matrix")
-    return LocalOperator(op.dim, expm(op.entries))
+    if x or y or p or q:
+        raise ValueError("closed-form exponential needs levels and vacancy kept apart")
+    t, h = (a + d) / 2, (a - d) / 2
+    s = cmath.sqrt(h * h + b * c)
+    if abs(s) <= 1.0:
+        et, ch = cmath.exp(t), cmath.cosh(s)
+        sh = et * (cmath.sinh(s) / s if s else 1.0)
+        top, bottom = et * ch + sh * h, et * ch - sh * h
+    else:
+        # s + h and s - h multiply to bc; the smaller one is derived from the
+        # larger so that neither is formed by cancellation.
+        up, down = cmath.exp(t + s), cmath.exp(t - s)
+        plus, minus = s + h, s - h
+        if abs(plus) < abs(minus):
+            plus = b * c / minus
+        else:
+            minus = b * c / plus
+        top, bottom = (up * plus + down * minus) / (2 * s), (up * minus + down * plus) / (2 * s)
+        sh = (up - down) / (2 * s)
+    out = [[top, sh * b, 0], [sh * c, bottom, 0], [0, 0, cmath.exp(v)]]
+    return LocalOperator(3, np.array(out, dtype=complex))
 
 
 def element_from_matrices(mats: Sequence[np.ndarray]) -> GroupElement:
@@ -117,13 +149,13 @@ def make_slocc_element(coefficients: Sequence[Sequence[complex]]) -> GroupElemen
     contributes ``exp(c1 L1 + c2 L2 + c3 L3 + c8 L8)``. The exponents are
     traceless, so every factor has determinant one (verified).
     """
-    mats = []
+    ops = []
     for k, coeffs in enumerate(coefficients):
         c1, c2, c3, c8 = (complex(c) for c in coeffs)
         if not all(np.isfinite([c.real, c.imag]).all() for c in (c1, c2, c3, c8)):
             raise ValueError(f"non-finite exponent coefficients on mode {k}")
-        mats.append(expm(c1 * _L1 + c2 * _L2 + c3 * _L3 + c8 * _L8))
-    element = element_from_matrices(mats)
+        ops.append(matrix_exp(LocalOperator(3, c1 * _L1 + c2 * _L2 + c3 * _L3 + c8 * _L8)))
+    element = GroupElement(tuple(ops))
     for k, op in enumerate(element.per_mode):
         if abs(op.det() - 1.0) > 1e-9:
             raise ArithmeticError(f"factor on mode {k} drifted off determinant one")

@@ -25,7 +25,7 @@ from typing import Any, Dict, Iterable, List, Mapping, Sequence, Tuple
 import numpy as np
 
 from .operators import GroupElement, element_from_matrices
-from .states import Occupation, StateVector, SystemShape, enumerate_basis
+from .states import Occupation, StateVector, SystemShape, _check_admissible, enumerate_basis
 
 #: version stamp carried by CSV tables and report JSON
 SCHEMA_VERSION = 1
@@ -155,19 +155,21 @@ def _parse_occ(doc: Any, shape: SystemShape) -> Occupation:
         occ = tuple(doc)
     else:
         raise ValueError(f"occupation must be a list or symbol string, got {doc!r}")
-    if len(occ) != shape.modes:
-        raise ValueError(f"occupation {occ} has {len(occ)} modes, expected {shape.modes}")
-    occupied = 0
-    for s in occ:
-        if not 0 <= s <= shape.levels:
-            raise ValueError(f"occupation {occ} carries symbol {s} outside 0..{shape.levels}")
-        if s:
-            occupied += 1
-    if occupied != shape.particles:
-        raise ValueError(
-            f"occupation {occ} holds {occupied} particles, expected {shape.particles}"
-        )
+    _check_admissible(shape, occ)
     return occ
+
+
+def _parse_number(doc: Any) -> float:
+    """A finite float from a JSON number; booleans and strings are rejected."""
+    if isinstance(doc, bool) or not isinstance(doc, (int, float)):
+        raise ValueError(f"expected a JSON number, got {doc!r}")
+    try:
+        value = float(doc)
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise ValueError("number is not finite")
+    return value
 
 
 def state_from_json(text: str) -> StateVector:
@@ -187,10 +189,8 @@ def state_from_json(text: str) -> StateVector:
             if not isinstance(rec, dict) or set(rec) != {"occ", "re", "im"}:
                 raise ValueError('record must hold exactly the keys "occ", "re", "im"')
             occ = _parse_occ(rec["occ"], shape)
-            re = float(rec["re"])
-            im = float(rec["im"])
-            if not (math.isfinite(re) and math.isfinite(im)):
-                raise ValueError("amplitude is not finite")
+            re = _parse_number(rec["re"])
+            im = _parse_number(rec["im"])
             if occ in amps:
                 raise ValueError(f"occupation {occ} appears twice")
         except (TypeError, ValueError) as exc:
@@ -228,10 +228,7 @@ def element_to_json(element: GroupElement) -> str:
 def _parse_entry(doc: Any) -> complex:
     if not isinstance(doc, dict) or set(doc) != {"re", "im"}:
         raise ValueError('matrix entries must be objects with keys "re" and "im"')
-    re, im = float(doc["re"]), float(doc["im"])
-    if not (math.isfinite(re) and math.isfinite(im)):
-        raise ValueError("matrix entry is not finite")
-    return complex(re, im)
+    return complex(_parse_number(doc["re"]), _parse_number(doc["im"]))
 
 
 def element_from_json(text: str) -> GroupElement:

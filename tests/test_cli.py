@@ -1,10 +1,14 @@
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import modal_ent
 from modal_ent.cli import main
 from modal_ent.classify import family
 from modal_ent.serialize import element_from_json, state_from_json, state_to_json
@@ -170,10 +174,21 @@ def test_monotone_mc_fixed_state(tmp_path, capsys):
 def test_thread_cap_from_environment(monkeypatch, capsys):
     monkeypatch.setenv("MODAL_ENT_THREADS", "2")
     assert main(["monotone-mc", "--trials", "8", "--seed", "1", "--threads", "16"]) == 0
-    capsys.readouterr()
-    monkeypatch.setenv("MODAL_ENT_THREADS", "soon")
-    assert main(["monotone-mc", "--trials", "8", "--seed", "1"]) == 1
-    assert "MODAL_ENT_THREADS" in capsys.readouterr().err
+
+
+def test_cli_import_loads_no_scipy():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(modal_ent.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    probe = (
+        "import sys, modal_ent.cli; "
+        "print([m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')])"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=env, capture_output=True, text=True, check=True, timeout=60,
+    )
+    assert out.stdout.strip() == "[]"
 
 
 def test_chsh_command(tmp_path, capsys):
@@ -223,3 +238,67 @@ def test_malformed_stdin_exits_one(monkeypatch, capsys):
     monkeypatch.setattr("sys.stdin", io.StringIO("{bad json"))
     assert main(["invariants"]) == 1
     assert "invalid JSON" in capsys.readouterr().err
+
+
+# A dense state with every slot populated, written as 17-digit amplitudes,
+# and its CSV reports pinned byte for byte.
+_GOLDEN_AMPLITUDES = {
+    (0, 1, 1): complex(-0.23553757473980497, -0.019044395923011385),
+    (0, 1, 2): complex(0.071443665324660399, -0.025384405335233305),
+    (0, 2, 1): complex(-0.56316158385352622, 0.047788130539571615),
+    (0, 2, 2): complex(0.41450935232163388, -0.18234813414134957),
+    (1, 0, 1): complex(0.18955760296349308, -0.11990374893708712),
+    (1, 0, 2): complex(-0.08673081211540902, 0.16281958615095238),
+    (1, 1, 0): complex(-0.092641162626235632, -0.038750132046826792),
+    (1, 2, 0): complex(0.090231518949895687, -0.4081702614887453),
+    (2, 0, 1): complex(-0.079488427588415358, -0.14173986441998668),
+    (2, 0, 2): complex(-0.067089291928111486, 0.19500022414798798),
+    (2, 1, 0): complex(0.21384216597740394, -0.068982184346045597),
+    (2, 2, 0): complex(0.15285459644775595, -0.044169931510672236),
+}
+
+_GOLDEN_CSV = {
+    "invariants": (
+        "schema_version,quantity,re,im\n"
+        "1,I_AB,-0.0070110454353086195,0.091677198090296952\n"
+        "1,I_BC,-0.06208398317050777,0.017346075936047665\n"
+        "1,I_AC,-0.019308149387969251,0.045657092016014006\n"
+        "1,I1,0.00028771861791087623,5.9511670482773163e-05\n"
+        "1,I2,-0.0066754569896755184,-0.015293911395622004\n"
+        "1,monotone1,0.066479583900267494,0\n"
+        "1,monotone2,0.065301592704125194,0\n"
+        "1,I_A_BC,0.024170103899758443,0\n"
+        "1,I_B_AC,0.031830500809892276,0\n"
+        "1,I_C_AB,0.015599357550621095,0\n"
+    ),
+    "classify": (
+        "schema_version,field,value\n"
+        "1,profile.nonlocal_AB,true\n"
+        "1,profile.nonlocal_BC,true\n"
+        "1,profile.nonlocal_AC,true\n"
+        "1,profile.nonlocal_A_BC,true\n"
+        "1,profile.nonlocal_B_AC,true\n"
+        "1,profile.nonlocal_C_AB,true\n"
+        "1,profile.tri_local,false\n"
+        "1,families,\n"
+        "1,maximally_entangled,false\n"
+        "1,psi1_signature,false\n"
+        "1,psi2_signature,false\n"
+        "1,abs_I1,0.00029380885285538105\n"
+        "1,abs_I2,0.0166872841348778\n"
+    ),
+    "chsh": (
+        "schema_version,pair,weight,chsh\n"
+        "1,AB,0.26063117133410646,2.4476999221975331\n"
+        "1,BC,0.58609272361543852,2.0478156155115164\n"
+        "1,AC,0.15327610505045497,2.3819245336345141\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_GOLDEN_CSV))
+def test_csv_reports_are_byte_stable(tmp_path, capsys, command):
+    path = write_state(tmp_path, "dense.json", StateVector(SHAPE_321, dict(_GOLDEN_AMPLITUDES)))
+    capsys.readouterr()
+    assert main([command, "--in", path, "--format", "csv"]) == 0
+    assert capsys.readouterr().out == _GOLDEN_CSV[command]

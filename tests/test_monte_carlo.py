@@ -87,13 +87,6 @@ def test_runs_are_reproducible():
     assert any(x.seed != y.seed for x, y in zip(a.records, c.records))
 
 
-def test_threaded_run_matches_serial():
-    serial = run_monotone_trials(trials=60, master_seed=77, threads=1)
-    threaded = run_monotone_trials(trials=60, master_seed=77, threads=4)
-    assert serial.records == threaded.records
-    assert serial.max_margin == threaded.max_margin
-
-
 def test_fixed_state_run():
     summary = run_monotone_trials(trials=50, master_seed=5, state=family("psi1"))
     assert summary.failures == 0

@@ -73,10 +73,38 @@ def test_make_slocc_element_is_special():
 
 def test_matrix_exp_matches_scipy():
     m = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    m[:2, 2] = 0
+    m[2, :2] = 0
     got = matrix_exp(LocalOperator(3, m)).entries
     assert np.abs(got - scipy.linalg.expm(m)).max() < 1e-12
     with pytest.raises(ValueError):
         matrix_exp(LocalOperator(3, m * np.nan))
+
+
+def test_matrix_exp_closed_form_edge_cases():
+    # nilpotent level block: s = 0, where sinh(s)/s takes its limit 1
+    nil = np.array([[2.0, 1.5, 0], [0, 2.0, 0], [0, 0, -4.0]], dtype=complex)
+    want = np.exp(2.0) * np.array([[1.0, 1.5], [0.0, 1.0]])
+    got = matrix_exp(LocalOperator(3, nil)).entries
+    assert np.abs(got[:2, :2] - want).max() < 1e-12
+    assert abs(got[2, 2] - np.exp(-4.0)) < 1e-15
+    assert np.abs(got - scipy.linalg.expm(nil)).max() < 1e-12
+    # purely imaginary s, the stabilizer case exp(i pi m L3)
+    for m in (0.25, 0.5, 1, 2):
+        gen = 1j * np.pi * m * gell_mann(3).entries
+        got = matrix_exp(LocalOperator(3, gen)).entries
+        assert np.abs(got - scipy.linalg.expm(gen)).max() < 1e-12
+    # large real s: the small diagonal entry keeps its relative accuracy
+    got = matrix_exp(LocalOperator(3, np.diag([12.0, -12.0, 0.0]).astype(complex))).entries
+    assert abs(got[1, 1] / np.exp(-12.0) - 1.0) < 1e-14
+    assert abs(make_slocc_element([(0, 0, 12.0, 0)] * 3).per_mode[0].det() - 1.0) < 1e-12
+    # operators that mix levels with the vacancy, or are not 3x3, are refused
+    leaky = np.zeros((3, 3), dtype=complex)
+    leaky[0, 2] = 1e-3
+    with pytest.raises(ValueError):
+        matrix_exp(LocalOperator(3, leaky))
+    with pytest.raises(ValueError):
+        matrix_exp(LocalOperator(2, np.eye(2, dtype=complex)))
 
 
 def test_apply_matches_sector_matrix():

@@ -66,6 +66,8 @@ def test_state_json_malformed_records():
         '[{"occ": [9, 2, 0], "re": 1.0, "im": 0.0}]',
         '[{"occ": "uq0", "re": 1.0, "im": 0.0}]',
         '[{"occ": [1, 2, 0], "re": "much", "im": 0.0}]',
+        '[{"occ": [1, 2, 0], "re": 1.0, "im": true}]',
+        '[{"occ": [1, 2, 0], "re": 1' + "0" * 400 + ', "im": 0.0}]',
     ]
     for body in cases:
         with pytest.raises(ValueError, match="amplitude record 0 is malformed"):
@@ -115,6 +117,8 @@ def test_element_json_errors():
     )
     with pytest.raises(ValueError, match="row 0, entry 0 is malformed"):
         element_from_json(bad_cell)
+    with pytest.raises(ValueError, match="row 0, entry 0 is malformed"):
+        element_from_json('[{"dim": 1, "rows": [[{"re": "1e-3", "im": 0}]]}]')
 
 
 def test_dumps_json_scalars():
