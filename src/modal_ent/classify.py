@@ -35,10 +35,10 @@ from .invariants import (
 )
 from .operators import GroupElement, apply, element_from_matrices
 from .states import (
-    NORM_TOL,
     SHAPE_321,
     StateVector,
     is_maximally_entangled,
+    require_normalized,
 )
 
 CANONICAL_SLOTS: Tuple[Tuple[int, int, int], ...] = (
@@ -102,14 +102,12 @@ def _embed_levels(block: np.ndarray) -> np.ndarray:
 def canonical_form(state: StateVector) -> CanonicalParams:
     """Reduce a normalized state to its canonical slot pattern.
 
-    Raises ValueError when the input is not normalized and ArithmeticError
-    if the reduction fails to clear the structural zero slots, which would
-    indicate a numerical breakdown rather than a property of the input.
+    Raises ValueError when the input is not normalized or not of shape
+    (3, 2, 1), and ArithmeticError if the reduction fails to clear the
+    structural zero slots, which would indicate a numerical breakdown rather
+    than a property of the input.
     """
-    if state.shape != SHAPE_321:
-        raise ValueError(f"canonical form needs shape (3, 2, 1), got {state.shape}")
-    if abs(state.norm() - 1.0) > NORM_TOL:
-        raise ValueError("canonical form expects a normalized state")
+    require_normalized(state, "canonical form")
 
     eye = np.eye(3, dtype=complex)
     total = [eye.copy(), eye.copy(), eye.copy()]

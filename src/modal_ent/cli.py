@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from typing import Dict, List, Optional, Union
 
 from .classify import (
@@ -26,7 +26,7 @@ from .classify import (
     membership_report,
     pair_projection,
 )
-from .invariants import invariant_report
+from .invariants import InvariantReport, invariant_report
 from .maxent import pattern_scan
 from .monte_carlo import run_monotone_trials
 from .serialize import (
@@ -39,14 +39,11 @@ from .serialize import (
     state_to_json,
     write_text,
 )
-from .stabilizers import (
-    STABILIZER_NAMES,
-    phase_fit,
-    stabilizer,
-    verify_stabilizes,
-)
-from .operators import apply
+from .stabilizers import STABILIZER_NAMES, _verdict, stabilizer
 from .states import StateVector
+
+#: the scalar fields of an invariant report, in report order; W is left out
+_INVARIANT_FIELDS = tuple(f.name for f in fields(InvariantReport) if f.name != "W")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -112,64 +109,37 @@ def _parse_range(text: str) -> range:
 
 def _cmd_invariants(args: argparse.Namespace) -> int:
     rep = invariant_report(_load_state(args.infile))
+    values = {name: getattr(rep, name) for name in _INVARIANT_FIELDS}
     if args.format == "json":
-        doc = {
-            "schema_version": SCHEMA_VERSION,
-            "I_AB": rep.I_AB,
-            "I_BC": rep.I_BC,
-            "I_AC": rep.I_AC,
-            "I1": rep.I1,
-            "I2": rep.I2,
-            "monotone1": rep.monotone1,
-            "monotone2": rep.monotone2,
-            "I_A_BC": rep.I_A_BC,
-            "I_B_AC": rep.I_B_AC,
-            "I_C_AB": rep.I_C_AB,
-        }
+        doc = {"schema_version": SCHEMA_VERSION, **values}
         _write_output(args.out, dumps_json(doc) + "\n")
     else:
         rows = []
-        for name in ("I_AB", "I_BC", "I_AC", "I1", "I2"):
-            z = getattr(rep, name)
+        for name, value in values.items():
+            z = complex(value)
             rows.append({"quantity": name, "re": z.real, "im": z.imag})
-        for name in ("monotone1", "monotone2", "I_A_BC", "I_B_AC", "I_C_AB"):
-            rows.append({"quantity": name, "re": getattr(rep, name), "im": 0.0})
         _write_output(args.out, format_csv(("quantity", "re", "im"), rows))
     return 0
 
 
 def _cmd_classify(args: argparse.Namespace) -> int:
-    state = _load_state(args.infile)
-    rep = membership_report(state)
-    profile = {
-        "nonlocal_AB": rep.profile.nonlocal_AB,
-        "nonlocal_BC": rep.profile.nonlocal_BC,
-        "nonlocal_AC": rep.profile.nonlocal_AC,
-        "nonlocal_A_BC": rep.profile.nonlocal_A_BC,
-        "nonlocal_B_AC": rep.profile.nonlocal_B_AC,
-        "nonlocal_C_AB": rep.profile.nonlocal_C_AB,
-        "tri_local": rep.profile.tri_local,
+    rep = membership_report(_load_state(args.infile))
+    summary = {
+        "families": list(rep.families),
+        "maximally_entangled": rep.maximally_entangled,
+        "psi1_signature": rep.psi1_signature,
+        "psi2_signature": rep.psi2_signature,
+        "abs_I1": abs(rep.invariants.I1),
+        "abs_I2": abs(rep.invariants.I2),
     }
+    profile = asdict(rep.profile)
     if args.format == "json":
-        doc = {
-            "schema_version": SCHEMA_VERSION,
-            "profile": profile,
-            "families": list(rep.families),
-            "maximally_entangled": rep.maximally_entangled,
-            "psi1_signature": rep.psi1_signature,
-            "psi2_signature": rep.psi2_signature,
-            "abs_I1": abs(rep.invariants.I1),
-            "abs_I2": abs(rep.invariants.I2),
-        }
+        doc = {"schema_version": SCHEMA_VERSION, "profile": profile, **summary}
         _write_output(args.out, dumps_json(doc) + "\n")
     else:
+        summary["families"] = ";".join(rep.families)
         rows = [{"field": f"profile.{k}", "value": v} for k, v in profile.items()]
-        rows.append({"field": "families", "value": ";".join(rep.families)})
-        rows.append({"field": "maximally_entangled", "value": rep.maximally_entangled})
-        rows.append({"field": "psi1_signature", "value": rep.psi1_signature})
-        rows.append({"field": "psi2_signature", "value": rep.psi2_signature})
-        rows.append({"field": "abs_I1", "value": abs(rep.invariants.I1)})
-        rows.append({"field": "abs_I2", "value": abs(rep.invariants.I2)})
+        rows += [{"field": k, "value": v} for k, v in summary.items()]
         _write_output(args.out, format_csv(("field", "value"), rows))
     return 0
 
@@ -201,8 +171,7 @@ def _cmd_family(args: argparse.Namespace) -> int:
 def _cmd_verify_stabilizer(args: argparse.Namespace) -> int:
     stab = stabilizer(args.name, _parse_params(args.params))
     state = _load_state(args.infile)
-    ok, bare = verify_stabilizes(stab, state)
-    ray_ok, _ = phase_fit(state, apply(stab.element, state), tol=1e-9)
+    ok, ray_ok, bare = _verdict(stab, state, tol=1e-9)
     doc = {
         "schema_version": SCHEMA_VERSION,
         "name": args.name,
@@ -367,10 +336,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, ArithmeticError) as exc:
-        print(f"modal-ent: error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (ValueError, ArithmeticError, OSError) as exc:
         print(f"modal-ent: error: {exc}", file=sys.stderr)
         return 1
 

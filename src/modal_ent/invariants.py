@@ -12,7 +12,9 @@ vector of the twelve amplitudes in :func:`enumerate_basis` order: a list of
 Python complex numbers for one state, or a ``(12, k)`` array for a batch.
 I2 is evaluated from its explicit degree-3 polynomial; the equivalent trace
 form satisfies trace(W) = i * I2 with the conventions fixed below, which the
-test suite checks on random states.
+test suite checks on random states. A :class:`StateVector` enters through
+``_amplitude_list``, the package's one check that a state has shape
+(3, 2, 1); the canonical form and the Monte-Carlo trials rely on it too.
 """
 
 from __future__ import annotations
@@ -56,18 +58,16 @@ _CUT_B_AC = (_columns(_AB, transpose=True), _columns(_BC))
 _CUT_C_AB = (_columns(_AC, transpose=True), _columns(_BC, transpose=True))
 
 
-def _require_321(state: StateVector) -> None:
-    if state.shape != SHAPE_321:
-        raise ValueError(f"pair-block invariants need shape (3, 2, 1), got {state.shape}")
-
-
 def _amplitude_list(state: StateVector) -> List[complex]:
     """The twelve amplitudes as Python complex numbers, in basis order.
 
-    Scalar Python arithmetic keeps single-state results bitwise stable;
-    numpy's vectorised complex products may round differently.
+    This is the one check that a state has shape (3, 2, 1): every pair-block
+    quantity of a :class:`StateVector` starts here. Scalar Python arithmetic
+    keeps single-state results bitwise stable; numpy's vectorised complex
+    products may round differently.
     """
-    _require_321(state)
+    if state.shape != SHAPE_321:
+        raise ValueError(f"pair-block invariants need shape (3, 2, 1), got {state.shape}")
     return state.dense().tolist()
 
 
@@ -252,13 +252,16 @@ def transvect_single(a: BilinearForm, b: BilinearForm, variable: str) -> Bilinea
     return BilinearForm(out)
 
 
-def trace_word(state: StateVector, n: int) -> Tuple[complex, np.ndarray]:
-    """Trace of the n-th power of the word matrix, together with W itself."""
-    _require_321(state)
+def _trace_power(w: np.ndarray, n: int) -> complex:
     if not 1 <= n <= 8:
         raise ValueError(f"word power must lie in 1..8, got {n}")
+    return complex(np.trace(np.linalg.matrix_power(w, n)))
+
+
+def trace_word(state: StateVector, n: int) -> Tuple[complex, np.ndarray]:
+    """Trace of the n-th power of the word matrix, together with W itself."""
     w = word_matrix(pair_blocks(state))
-    return complex(np.trace(np.linalg.matrix_power(w, n))), w
+    return _trace_power(w, n), w
 
 
 def generator_relation_check(state: StateVector, n: int) -> float:
@@ -269,7 +272,6 @@ def generator_relation_check(state: StateVector, n: int) -> float:
     recursion for ``trace(W^k)``, ``k <= n``, seeded by ``trace(W)`` and
     ``det(W)``. Both hold identically, so the residual is pure roundoff.
     """
-    _require_321(state)
     rep = invariant_report(state)
     w = rep.W
     f1, g1 = w[0, 0], w[0, 1]
@@ -278,10 +280,10 @@ def generator_relation_check(state: StateVector, n: int) -> float:
     e1 = complex(np.trace(w))
     e2 = complex(np.linalg.det(w))
     p_prev, p_cur = 2.0 + 0j, e1
-    residual = max(residual, abs(trace_word(state, 1)[0] - p_cur))
+    residual = max(residual, abs(_trace_power(w, 1) - p_cur))
     for k in range(2, max(n, 1) + 1):
         p_prev, p_cur = p_cur, e1 * p_cur - e2 * p_prev
-        residual = max(residual, abs(trace_word(state, k)[0] - p_cur))
+        residual = max(residual, abs(_trace_power(w, k) - p_cur))
     return residual
 
 

@@ -17,16 +17,18 @@ across a product cut.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional
 
 import numpy as np
 
-from .operators import apply, element_from_matrices, level_contraction
+from .operators import apply_on_mode, level_contraction
 from .states import (
     Occupation,
     StateVector,
     SystemShape,
     is_maximally_entangled,
+    mode_matrix,
+    phase_fit,
 )
 
 #: sector dimension past which explicit construction is refused
@@ -39,9 +41,12 @@ def _check_counts(n: int, m: int, p: int) -> None:
 
 
 def feasible(n: int, m: int, p: int) -> bool:
-    """Whether (n, m, p) admits a state with all reductions maximally mixed."""
+    """Whether (n, m, p) admits a state with all reductions maximally mixed.
+
+    The count identity alone decides it; it already forces ``m < n``.
+    """
     _check_counts(n, m, p)
-    return m <= n and m * (p + 2) == n * (p + 1)
+    return m * (p + 2) == n * (p + 1)
 
 
 def build_psi_sigma(r: int, p: int) -> StateVector:
@@ -71,27 +76,10 @@ def single_mode_bipartition_local(
 ) -> bool:
     """True when the cut between one mode and the rest carries no entanglement.
 
-    The amplitudes form a matrix indexed by the mode symbol and the
-    occupation of the remaining modes; the cut is product exactly when that
-    matrix has rank one.
+    The cut is product exactly when the :func:`mode_matrix` of the state has
+    rank at most one.
     """
-    shape = state.shape
-    if not 0 <= mode < shape.modes:
-        raise ValueError(f"mode {mode} out of range for {shape.modes} modes")
-    if not state.amplitudes:
-        return True
-    columns: Dict[Occupation, int] = {}
-    triples = []
-    for occ, amp in state.amplitudes.items():
-        rest = occ[:mode] + occ[mode + 1 :]
-        col = columns.setdefault(rest, len(columns))
-        triples.append((occ[mode], col, amp))
-    mat = np.zeros((shape.local_dim, len(columns)), dtype=complex)
-    vac = shape.local_dim - 1
-    for sym, col, amp in triples:
-        row = vac if sym == 0 else sym - 1
-        mat[row, col] = amp
-    return int(np.linalg.matrix_rank(mat, tol=tol)) <= 1
+    return int(np.linalg.matrix_rank(mode_matrix(state, mode), tol=tol)) <= 1
 
 
 @dataclass(frozen=True)
@@ -122,7 +110,8 @@ def pattern_scan(
                 ok = feasible(n, m, p)
                 constructed = False
                 verified = False
-                if ok and n % (p + 2) == 0:
+                if ok:
+                    # m (p + 2) = n (p + 1) and gcd(p + 1, p + 2) = 1, so p + 2 divides n
                     r = n // (p + 2)
                     shape = SystemShape(n, m, p)
                     if shape.dimension <= DIMENSION_CAP:
@@ -168,24 +157,18 @@ def contraction_witnesses(
     ``e^{-(p+1) alpha}`` and the witness compares the measured norm ratio
     and phase against that prediction.
     """
-    shape = state.shape
-    if not 0 <= mode < shape.modes:
-        raise ValueError(f"mode {mode} out of range for {shape.modes} modes")
     if not state.amplitudes:
         raise ValueError("contraction witness needs a nonzero state")
+    if not single_mode_bipartition_local(state, mode):
+        raise ValueError(f"mode {mode} does not factor out as a product cut")
     for occ in state.amplitudes:
         if occ[mode] not in (0, 1):
             raise ValueError(
                 f"mode {mode} holds symbol {occ[mode]}; only level one and vacancy allowed"
             )
-    if not single_mode_bipartition_local(state, mode):
-        raise ValueError(f"mode {mode} does not factor out as a product cut")
     a = complex(alpha)
-    p = shape.spin_numerator
-    d = shape.local_dim
-    mats = [np.eye(d, dtype=complex) for _ in range(shape.modes)]
-    mats[mode] = level_contraction(a, p=p).entries
-    moved = apply(element_from_matrices(mats), state)
+    p = state.shape.spin_numerator
+    moved = apply_on_mode(level_contraction(a, p=p), mode, state)
 
     before = state.norm()
     ratio = moved.norm() / before
@@ -195,8 +178,7 @@ def contraction_witnesses(
     phase: Optional[complex] = None
     ok = abs(ratio - predicted_ratio) <= tol * max(predicted_ratio, 1.0)
     if abs(a.real) <= 1e-12:
-        anchor = max(state.amplitudes, key=lambda occ: abs(state.amplitudes[occ]))
-        phase = moved.amplitude(anchor) / state.amplitudes[anchor]
+        _, phase = phase_fit(state, moved, tol)
         ok = ok and abs(phase - predicted_scalar) <= tol
     return ContractionWitness(
         norm_ratio=float(ratio),

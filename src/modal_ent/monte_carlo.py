@@ -17,19 +17,13 @@ strongly non-unitary elements. Ratios of renormalized values stay order one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Iterable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .invariants import dense_invariant_pair, invariant_report
-from .operators import (
-    GroupElement,
-    LocalOperator,
-    apply,
-    element_from_matrices,
-    sector_matrix,
-)
-from .states import NORM_TOL, SHAPE_321, StateVector, random_state
+from .operators import GroupElement, LocalOperator, apply_on_mode, sector_matrix
+from .states import SHAPE_321, StateVector, random_state, require_normalized
 
 #: margins above this are counted as monotonicity violations
 MARGIN_TOL = 1e-9
@@ -112,22 +106,14 @@ def monotonicity_trial(
     Returns the margins for the two monotones ``|I1|^(1/3)`` and
     ``|I2|^(2/3)``; non-positive margins (within tolerance) are what the
     monotone property demands. Outcomes with negligible probability are
-    skipped. The state must be normalized.
+    skipped. The state must be normalized and of shape (3, 2, 1).
     """
-    if state.shape != SHAPE_321:
-        raise ValueError(f"monotones are defined on shape (3, 2, 1), got {state.shape}")
-    if abs(state.norm() - 1.0) > NORM_TOL:
-        raise ValueError("monotonicity trial expects a normalized state")
-    if not 0 <= instrument.mode < 3:
-        raise ValueError(f"instrument mode {instrument.mode} out of range")
+    require_normalized(state, "monotonicity trial")
     rep0 = invariant_report(state)
-    eye = np.eye(3, dtype=complex)
     avg1 = 0.0
     avg2 = 0.0
     for op in instrument.outcomes:
-        mats = [eye, eye, eye]
-        mats[instrument.mode] = op.entries
-        out = apply(element_from_matrices(mats), state)
+        out = apply_on_mode(op, instrument.mode, state)
         prob = out.norm() ** 2
         if prob < 1e-14:
             continue
@@ -173,12 +159,11 @@ def run_monotone_trials(
 
     Per trial, the child seed fans out into a state seed (ignored when a
     fixed state is supplied), an instrument seed and a mode choice. Records
-    come back in index order.
+    come back in index order. A fixed state must meet the preconditions of
+    :func:`monotonicity_trial`; the first trial raises if it does not.
     """
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
-    if state is not None and abs(state.norm() - 1.0) > NORM_TOL:
-        raise ValueError("fixed input state must be normalized")
 
     def one(i: int) -> TrialRecord:
         s_i = derive_seed(master_seed, i)

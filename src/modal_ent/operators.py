@@ -6,11 +6,16 @@ occupied levels with the vacancy, which makes it block diagonal: a
 ``(p+1) x (p+1)`` block on the levels and a scalar on the vacancy. Group
 elements are per-mode tuples of such operators, applied as a tensor product
 restricted to the fixed-particle-number sector.
+
+:func:`apply` is the one action of an element on a sparse state, and
+:func:`apply_on_mode` the one way to act on a single mode with the identity
+on every other mode.
 """
 
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, Sequence, Tuple
@@ -147,7 +152,9 @@ def make_slocc_element(coefficients: Sequence[Sequence[complex]]) -> GroupElemen
 
     ``coefficients`` holds one ``(c1, c2, c3, c8)`` tuple per mode; each mode
     contributes ``exp(c1 L1 + c2 L2 + c3 L3 + c8 L8)``. The exponents are
-    traceless, so every factor has determinant one (verified).
+    traceless, so every factor has determinant one. That is verified to
+    ``1e-9`` relative to the product of the factor's row norms, which bounds
+    both the determinant (Hadamard) and its rounding error.
     """
     ops = []
     for k, coeffs in enumerate(coefficients):
@@ -157,7 +164,8 @@ def make_slocc_element(coefficients: Sequence[Sequence[complex]]) -> GroupElemen
         ops.append(matrix_exp(LocalOperator(3, c1 * _L1 + c2 * _L2 + c3 * _L3 + c8 * _L8)))
     element = GroupElement(tuple(ops))
     for k, op in enumerate(element.per_mode):
-        if abs(op.det() - 1.0) > 1e-9:
+        row_norms = (math.hypot(*map(abs, row)) for row in op.entries.tolist())
+        if abs(op.det() - 1.0) > 1e-9 * math.prod(row_norms):
             raise ArithmeticError(f"factor on mode {k} drifted off determinant one")
     return element
 
@@ -213,6 +221,16 @@ def apply(element: GroupElement, state: StateVector) -> StateVector:
         for new_occ, val in partial:
             out[new_occ] = out.get(new_occ, 0j) + val
     return StateVector(shape, out)
+
+
+def apply_on_mode(op: LocalOperator, mode: int, state: StateVector) -> StateVector:
+    """Act with ``op`` on one mode and the identity on the others; not renormalized."""
+    modes = state.shape.modes
+    if not 0 <= mode < modes:
+        raise ValueError(f"mode {mode} out of range for {modes} modes")
+    mats = [np.eye(op.dim, dtype=complex)] * modes
+    mats[mode] = op.entries
+    return apply(element_from_matrices(mats), state)
 
 
 @lru_cache(maxsize=None)

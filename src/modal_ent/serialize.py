@@ -20,7 +20,7 @@ import json
 import math
 import os
 import tempfile
-from typing import Any, Dict, Iterable, List, Mapping, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Mapping, Sequence
 
 import numpy as np
 

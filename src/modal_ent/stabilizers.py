@@ -7,6 +7,11 @@ to a phase c and the declared prefactor cancels that phase, c * prefactor
 = 1. Keeping the two factors separate is what lets the bare phase be read
 out as a topological datum of the state.
 
+The ray comparison is :func:`states.phase_fit`, re-exported here, and
+:func:`_verdict` is the one place that applies a bare element and judges
+the result; :func:`verify_stabilizes`, :func:`topological_phases` and the
+command line read their answers from it.
+
 Constructor names are treated as opaque identifiers by the command line
 interface and the test harness; parameters are plain floats, with the
 integer-valued ones validated to be integral.
@@ -20,8 +25,8 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .operators import GroupElement, apply, element_from_matrices, make_slocc_element
-from .states import StateVector
+from .operators import GroupElement, LocalOperator, apply, apply_on_mode, make_slocc_element
+from .states import StateVector, phase_fit
 
 STABILIZER_NAMES = ("generic_eq13", "family16_eq20", "psi1_eq23", "psi2_eq26")
 
@@ -146,20 +151,12 @@ def stabilizer(name: str, params: Optional[Mapping[str, float]] = None) -> Stabi
     )
 
 
-def phase_fit(
-    state: StateVector, moved: StateVector, tol: float
-) -> Tuple[bool, complex]:
-    """Phase c with moved ~= c * state, and whether the residual passes tol."""
-    if not state.amplitudes:
-        raise ValueError("cannot compare against the zero state")
-    anchor = max(state.amplitudes, key=lambda occ: abs(state.amplitudes[occ]))
-    c = moved.amplitude(anchor) / state.amplitudes[anchor]
-    keys = set(state.amplitudes) | set(moved.amplitudes)
-    resid_sq = 0.0
-    for occ in keys:
-        resid_sq += abs(moved.amplitude(occ) - c * state.amplitude(occ)) ** 2
-    ok = math.sqrt(resid_sq) <= tol * state.norm()
-    return ok, c
+def _verdict(
+    stab: StabilizerElement, state: StateVector, tol: float
+) -> Tuple[bool, bool, complex]:
+    """(stabilizes, ray preserved, bare phase) of one candidate on one state."""
+    preserved, c = phase_fit(state, apply(stab.element, state), tol)
+    return preserved and abs(c * stab.declared_prefactor - 1.0) <= tol, preserved, c
 
 
 def verify_stabilizes(
@@ -173,9 +170,7 @@ def verify_stabilizes(
     declared prefactor is 1 within tol. The phase c is returned even on
     failure, as the diagnostic of what the element actually did.
     """
-    moved = apply(stab.element, state)
-    proportional, c = phase_fit(state, moved, tol)
-    ok = proportional and abs(c * stab.declared_prefactor - 1.0) <= tol
+    ok, _, c = _verdict(stab, state, tol)
     return ok, c
 
 
@@ -194,14 +189,10 @@ def topological_phases(
     """
     phases: List[complex] = []
     for stab in probes:
-        moved = apply(stab.element, state)
-        proportional, c = phase_fit(state, moved, tol)
-        if proportional:
+        _, preserved, c = _verdict(stab, state, tol)
+        if preserved:
             phases.append(c)
-    root = np.exp(2j * np.pi / 3.0)
-    eye = np.eye(3, dtype=complex)
-    probe = element_from_matrices([root * eye, eye, eye])
-    moved = apply(probe, state)
-    _, c = phase_fit(state, moved, tol)
+    root = LocalOperator(3, np.exp(2j * np.pi / 3.0) * np.eye(3, dtype=complex))
+    _, c = phase_fit(state, apply_on_mode(root, 0, state), tol)
     phases.append(c)
     return tuple(phases)

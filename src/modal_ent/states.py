@@ -10,6 +10,17 @@ For ``p = 1`` the two levels are spin-up (``1``) and spin-down (``2``).
 
 Local matrices act on a mode in level-major order: matrix index ``0 .. p``
 is level ``1 .. p + 1`` and the last index is the vacancy.
+
+This module owns three decisions that the other modules share:
+
+* the ray fit, :func:`phase_fit`, which reads the ratio of two states at the
+  reference state's largest amplitude and checks the residual against it;
+  the global phase, the stabilizer verdicts, the topological phases and the
+  contraction witnesses all go through it;
+* the split of a state into one mode against the rest, :func:`mode_matrix`,
+  from which the single-mode reduction and the single-mode product test are
+  read;
+* the normalised-input precondition, :func:`require_normalized`.
 """
 
 from __future__ import annotations
@@ -24,7 +35,7 @@ import numpy as np
 #: amplitudes below this modulus are treated as structurally zero
 ZERO_TOL = 1e-12
 
-#: tolerance on norm**2 == 1 for preconditions that require normalized input
+#: tolerance on norm == 1 for preconditions that require normalized input
 NORM_TOL = 1e-9
 
 Occupation = Tuple[int, ...]
@@ -173,30 +184,45 @@ class DensityMatrix:
         return float(np.real(np.trace(self.entries @ self.entries)))
 
 
-def reduced_density_matrix(state: StateVector, mode: int) -> DensityMatrix:
-    """Partial trace of ``|state><state|`` onto one mode, level-major indexed.
+def require_normalized(state: StateVector, what: str) -> None:
+    """Raise ValueError, naming ``what``, unless the state has unit norm."""
+    if abs(state.norm() - 1.0) > NORM_TOL:
+        raise ValueError(f"{what} expects a normalized state")
 
-    Amplitudes are grouped by the rest-of-system occupation, so the cost is
-    quadratic in the group sizes rather than in the sector dimension. The
-    state must be normalized.
+
+def mode_matrix(state: StateVector, mode: int) -> np.ndarray:
+    """The amplitudes as a matrix M of one mode against the rest of the system.
+
+    Rows follow the mode's local index, levels first and vacancy last;
+    columns are the occupations of the other modes, in order of first
+    appearance. The single-mode reduction is ``M M^H``, and the mode factors
+    out of the state exactly when M has rank at most one.
     """
     shape = state.shape
     if not 0 <= mode < shape.modes:
         raise ValueError(f"mode {mode} out of range for {shape.modes} modes")
-    if abs(state.norm() - 1.0) > NORM_TOL:
-        raise ValueError("reduced_density_matrix requires a normalized state")
     p = shape.spin_numerator
-    d = shape.local_dim
-    groups: Dict[Occupation, list] = {}
+    columns: Dict[Occupation, int] = {}
+    entries = []
     for occ, amp in state.amplitudes.items():
-        rest = occ[:mode] + occ[mode + 1 :]
-        groups.setdefault(rest, []).append((local_index(occ[mode], p), amp))
-    rho = np.zeros((d, d), dtype=complex)
-    for entries in groups.values():
-        for a, za in entries:
-            for b, zb in entries:
-                rho[a, b] += za * np.conj(zb)
-    return DensityMatrix(d, rho)
+        col = columns.setdefault(occ[:mode] + occ[mode + 1 :], len(columns))
+        entries.append((local_index(occ[mode], p), col, amp))
+    mat = np.zeros((shape.local_dim, len(columns)), dtype=complex)
+    for row, col, amp in entries:
+        mat[row, col] = amp
+    return mat
+
+
+def reduced_density_matrix(state: StateVector, mode: int) -> DensityMatrix:
+    """Partial trace of ``|state><state|`` onto one mode, level-major indexed.
+
+    This is ``M M^H`` for the :func:`mode_matrix` M, so the cost follows the
+    sparse support rather than the sector dimension. The state must be
+    normalized.
+    """
+    m = mode_matrix(state, mode)
+    require_normalized(state, "reduced_density_matrix")
+    return DensityMatrix(state.shape.local_dim, m @ m.conj().T)
 
 
 def is_maximally_entangled(state: StateVector, tol: float = 1e-12) -> bool:
@@ -226,28 +252,37 @@ def normalize(state: StateVector) -> StateVector:
     return StateVector(state.shape, {occ: amp / nrm for occ, amp in state.amplitudes.items()})
 
 
+def phase_fit(state: StateVector, moved: StateVector, tol: float) -> Tuple[bool, complex]:
+    """Ratio c with ``moved ~= c * state``, and whether that fit holds within tol.
+
+    c is read off the largest-modulus amplitude of ``state`` and is not
+    rescaled to unit modulus. The fit holds when the residual
+    ``||moved - c state||`` is at most ``tol * ||state||``. A zero reference
+    state raises ValueError.
+    """
+    if state.shape != moved.shape:
+        raise ValueError(f"shape mismatch: {state.shape} vs {moved.shape}")
+    norm = state.norm()
+    if norm < ZERO_TOL:
+        raise ValueError("cannot compare against the zero state")
+    anchor = max(state.amplitudes, key=lambda occ: abs(state.amplitudes[occ]))
+    c = moved.amplitude(anchor) / state.amplitudes[anchor]
+    keys = set(state.amplitudes) | set(moved.amplitudes)
+    residual = math.sqrt(sum(abs(moved.amplitude(k) - c * state.amplitude(k)) ** 2 for k in keys))
+    return residual <= tol * norm, c
+
+
 def global_phase_between(a: StateVector, b: StateVector, tol: float = 1e-9) -> complex:
     """The unit complex ``c`` with ``b = c * a``, for phase-equal states.
 
-    The phase is read off the largest-modulus amplitude of ``a`` and then
-    validated against the full residual ``||b - c a||``; inputs that are not
-    equal up to a global phase raise ``ValueError``.
+    The pair must pass :func:`phase_fit` with a ratio of unit modulus within
+    ``tol``; inputs that are not equal up to a global phase raise
+    ``ValueError``.
     """
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    norm_a = a.norm()
-    if norm_a < ZERO_TOL:
-        raise ValueError("phase between states is undefined for a zero reference state")
-    ref = max(a.amplitudes, key=lambda occ: abs(a.amplitudes[occ]))
-    ratio = b.amplitude(ref) / a.amplitudes[ref]
-    if abs(ratio) < ZERO_TOL:
+    ok, c = phase_fit(a, b, tol)
+    if not ok or abs(abs(c) - 1.0) > tol:
         raise ValueError("states are not equal up to a global phase")
-    c = ratio / abs(ratio)
-    keys = set(a.amplitudes) | set(b.amplitudes)
-    residual = math.sqrt(sum(abs(b.amplitude(k) - c * a.amplitude(k)) ** 2 for k in keys))
-    if residual > tol * max(norm_a, 1.0):
-        raise ValueError(f"states are not equal up to a global phase (residual {residual:.3e})")
-    return c
+    return c / abs(c)
 
 
 def relabel_modes(state: StateVector, perm: Tuple[int, ...]) -> StateVector:

@@ -302,3 +302,22 @@ def test_csv_reports_are_byte_stable(tmp_path, capsys, command):
     capsys.readouterr()
     assert main([command, "--in", path, "--format", "csv"]) == 0
     assert capsys.readouterr().out == _GOLDEN_CSV[command]
+
+
+def test_verify_stabilizer_applies_its_element_once(tmp_path, monkeypatch, capsys):
+    path = write_state(tmp_path, "psi1.json", family("psi1"))
+    original = modal_ent.operators.apply
+    calls = []
+
+    def counting(element, state):
+        calls.append(element)
+        return original(element, state)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "modal_ent" and getattr(module, "apply", None) is original:
+            monkeypatch.setattr(module, "apply", counting)
+    argv = ["verify-stabilizer", "--name", "psi1_eq23", "--params", "variant=a,q=1", "--in", path]
+    assert main(argv) == 2
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["ray_preserved"] is False
+    assert len(calls) == 1

@@ -6,6 +6,7 @@ from modal_ent.operators import (
     GroupElement,
     LocalOperator,
     apply,
+    apply_on_mode,
     compose,
     element_from_matrices,
     gell_mann,
@@ -207,3 +208,26 @@ def test_random_element_reproducible():
         random_element("unitary", seed=1)
     with pytest.raises(ValueError):
         random_element("SU", seed=1, spread=0.0)
+
+
+def test_slocc_determinant_check_scales_with_the_factor():
+    # spread-3 factors have entries of order e^|Re s| with |Re s| of several
+    # units, so their determinants round far above an absolute 1e-9 while
+    # the error stays tiny next to the product of the row norms
+    for seed in range(300):
+        element = random_element("SLOCC", seed, spread=3.0)
+        for op in element.per_mode:
+            scale = np.prod(np.linalg.norm(op.entries, axis=1))
+            assert abs(op.det() - 1.0) <= 1e-12 * scale
+
+
+def test_apply_on_mode_matches_the_full_element():
+    psi = random_state(SHAPE_321, rng)
+    op = random_element("SLOCC", 11).per_mode[0]
+    for mode in range(3):
+        mats = [np.eye(3, dtype=complex)] * 3
+        mats[mode] = op.entries
+        assert apply_on_mode(op, mode, psi).amplitudes == apply(element_from_matrices(mats), psi).amplitudes
+    for bad in (-1, 3):
+        with pytest.raises(ValueError):
+            apply_on_mode(op, bad, psi)

@@ -16,6 +16,7 @@ from modal_ent.states import (
     is_maximally_entangled,
     local_index,
     normalize,
+    phase_fit,
     random_state,
     reduced_density_matrix,
     relabel_modes,
@@ -185,3 +186,23 @@ def test_relabel_preserves_norm_and_inverts(seed, perm):
     inverse = tuple(np.argsort(perm))
     back = relabel_modes(moved, inverse)
     assert max(abs(back.amplitude(o) - psi.amplitude(o)) for o in enumerate_basis(SHAPE_321)) < 1e-14
+
+
+def test_phase_fit_rule_on_a_subnormalised_pair():
+    # the reference has norm 0.5, so both functions accept a residual up to
+    # tol * 0.5 and reject anything above it
+    a = StateVector(SHAPE_321, {(1, 1, 0): 0.3, (0, 1, 2): 0.4j})
+    phase = np.exp(0.7j)
+    tol = 1e-9
+    for delta in (0.2e-9, 0.45e-9, 0.55e-9, 0.8e-9, 1.5e-9):
+        amps = {occ: phase * v for occ, v in a.amplitudes.items()}
+        amps[(2, 2, 0)] = delta
+        b = StateVector(SHAPE_321, amps)
+        fits, c = phase_fit(a, b, tol)
+        assert fits == (delta <= 0.5 * tol)
+        assert abs(c - phase) < 1e-15
+        if fits:
+            assert abs(global_phase_between(a, b, tol) - phase) < 1e-15
+        else:
+            with pytest.raises(ValueError):
+                global_phase_between(a, b, tol)
