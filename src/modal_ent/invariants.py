@@ -119,9 +119,18 @@ def _invariant_polynomials(v):
     return det_ab, det_bc, det_ac, det_ab * det_bc * det_ac, i2
 
 
-def dense_invariant_pair(v: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """(I1, I2) for a dense column batch, shape (12,) or (12, k)."""
+def dense_invariant_pair(v):
+    """(I1, I2) for a dense column batch, shape (12,) or (12, k).
+
+    A :class:`~modal_ent.operators.SplitComplex` batch gives the values that
+    :func:`invariant_report` computes for each column, bit for bit.
+    """
     return _invariant_polynomials(v)[3:]
+
+
+def monotones(i1, i2):
+    """The entanglement monotones ``(|I1|^(1/3), |I2|^(2/3))`` of scalar or array invariants."""
+    return abs(i1) ** (1.0 / 3.0), abs(i2) ** (2.0 / 3.0)
 
 
 def _cross_minors(v, cut) -> List[complex]:
@@ -167,14 +176,15 @@ def invariant_report(state: StateVector) -> InvariantReport:
     """
     v = _amplitude_list(state)
     i_ab, i_bc, i_ac, i1, i2 = _invariant_polynomials(v)
+    monotone1, monotone2 = monotones(i1, i2)
     return InvariantReport(
         I_AB=i_ab,
         I_BC=i_bc,
         I_AC=i_ac,
         I1=i1,
         I2=i2,
-        monotone1=abs(i1) ** (1.0 / 3.0),
-        monotone2=abs(i2) ** (2.0 / 3.0),
+        monotone1=monotone1,
+        monotone2=monotone2,
         I_A_BC=_cross_minor_sum(v, _CUT_A_BC),
         I_B_AC=_cross_minor_sum(v, _CUT_B_AC),
         I_C_AB=_cross_minor_sum(v, _CUT_C_AB),

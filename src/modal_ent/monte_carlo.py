@@ -6,6 +6,15 @@ whether the outcome-averaged entanglement monotones ever exceed their input
 value. Seeds form a splitmix64 tree so that any trial can be replayed in
 isolation from the master seed and its index.
 
+Each trial draws its state, instrument and mode from its own generators, one
+trial after another; everything after the draws runs once over the whole run
+as a ``(12, k)`` column batch in :func:`_margins`. That kernel completes the
+instruments as a stack, acts through the index gather of
+:func:`~modal_ent.operators.apply_on_mode_columns` and evaluates the
+invariants with :func:`~modal_ent.invariants.dense_invariant_pair`.
+:func:`monotonicity_trial` is its one-column call, so replaying a trial
+from its seeds reproduces the record's margins bit for bit.
+
 The invariance sweep batches states as dense columns and verifies that
 determinant-one elements leave the polynomial invariants unchanged. The
 comparison renormalizes the moved states first: the invariants are degree 6
@@ -21,9 +30,17 @@ from typing import Iterable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .invariants import dense_invariant_pair, invariant_report
-from .operators import GroupElement, LocalOperator, apply_on_mode, sector_matrix
-from .states import SHAPE_321, StateVector, random_state, require_normalized
+from .invariants import _amplitude_list, dense_invariant_pair, monotones
+from .operators import (
+    MEMBER_TOL,
+    GroupElement,
+    LocalOperator,
+    SplitComplex,
+    apply_on_mode_columns,
+    sector_matrix,
+    superselection_leak,
+)
+from .states import SHAPE_321, StateVector, random_amplitudes, require_normalized
 
 #: margins above this are counted as monotonicity violations
 MARGIN_TOL = 1e-9
@@ -43,6 +60,22 @@ def derive_seed(master: int, index: int) -> int:
     return z ^ (z >> 31)
 
 
+def _check_instruments(kraus: np.ndarray) -> None:
+    """Raise ValueError unless every instrument of a ``(k, outcomes, d, d)``
+    Kraus stack is trace preserving and superselection compliant.
+
+    Both tests are written so that NaN entries fail them.
+    """
+    d = kraus.shape[-1]
+    total = (kraus.conj().swapaxes(-1, -2) @ kraus).sum(axis=1)
+    defect = np.abs(total - np.eye(d)).max()
+    if not defect <= 1e-9:
+        raise ValueError(f"instrument is not trace preserving (defect {defect:.3e})")
+    compliant = (superselection_leak(kraus) <= MEMBER_TOL).all(axis=0)
+    if not compliant.all():
+        raise ValueError(f"outcome {np.argmin(compliant)} violates the superselection rule")
+
+
 @dataclass(frozen=True, eq=False)
 class LocalInstrument:
     """A two-outcome instrument on one mode with compliant Kraus operators."""
@@ -52,15 +85,35 @@ class LocalInstrument:
     seed: int
 
     def __post_init__(self) -> None:
-        total = sum(
-            op.entries.conj().T @ op.entries for op in self.outcomes
-        )
-        defect = np.max(np.abs(total - np.eye(self.outcomes[0].dim)))
-        if defect > 1e-9:
-            raise ValueError(f"instrument is not trace preserving (defect {defect:.3e})")
-        for k, op in enumerate(self.outcomes):
-            if not op.is_superselection_compliant():
-                raise ValueError(f"outcome {k} violates the superselection rule")
+        _check_instruments(np.stack([op.entries for op in self.outcomes])[None])
+
+
+def _instrument_kraus(seeds: Sequence[int], strength: float, p: int = 1) -> np.ndarray:
+    """Kraus pairs of the random instruments with the given seeds, ``(k, 2, d, d)``.
+
+    Each seed's generator draws the real and imaginary parts of the level
+    block, then of the vacancy entry; everything after the draws runs once
+    over the whole stack. See :func:`random_instrument` for the construction.
+    """
+    if not 0 <= strength < np.inf:
+        raise ValueError(f"strength must be finite and non-negative, got {strength}")
+    lv = p + 1
+    d = p + 2
+    z = np.array([np.random.default_rng(s).standard_normal(2 * lv * lv + 2) for s in seeds])
+    k = np.zeros((len(seeds), d, d), dtype=complex)
+    blocks = z[:, : 2 * lv * lv].reshape(-1, 2, lv, lv)
+    k[:, :lv, :lv] = strength * (blocks[:, 0] + 1j * blocks[:, 1])
+    k[:, lv, lv] = strength * (z[:, -2] + 1j * z[:, -1])
+    k += np.eye(d)
+    a0 = k / (np.sqrt(2.0) * np.linalg.norm(k, 2, axis=(1, 2)))[:, None, None]
+    m = np.eye(d) - a0.conj().swapaxes(1, 2) @ a0
+    w, u = np.linalg.eigh(m[:, :lv, :lv])
+    a1 = np.zeros_like(a0)
+    a1[:, :lv, :lv] = (u * np.sqrt(np.clip(w, 0.0, None))[:, None, :]) @ u.conj().swapaxes(1, 2)
+    a1[:, lv, lv] = np.sqrt(np.maximum(m[:, lv, lv].real, 0.0))
+    kraus = np.stack([a0, a1], axis=1)
+    _check_instruments(kraus)
+    return kraus
 
 
 def random_instrument(
@@ -72,30 +125,46 @@ def random_instrument(
     with G block Ginibre, spectral norm in the denominator; outcome one is
     the Hermitian square root completing the pair to a trace-preserving
     instrument. The root is taken block by block so compliance is exact. At
-    strength zero both outcomes collapse to ``I / sqrt(2)``.
+    strength zero both outcomes collapse to ``I / sqrt(2)``. A strength that
+    is negative or not finite raises ValueError.
     """
-    if strength < 0:
-        raise ValueError(f"strength must be non-negative, got {strength}")
-    rng = np.random.default_rng(seed)
-    lv = p + 1
-    d = p + 2
-    g = np.zeros((d, d), dtype=complex)
-    g[:lv, :lv] = strength * (
-        rng.standard_normal((lv, lv)) + 1j * rng.standard_normal((lv, lv))
-    )
-    g[lv, lv] = strength * complex(rng.standard_normal() + 1j * rng.standard_normal())
-    k = np.eye(d, dtype=complex) + g
-    a0 = k / (np.sqrt(2.0) * np.linalg.norm(k, 2))
-    m = np.eye(d, dtype=complex) - a0.conj().T @ a0
-    w, u = np.linalg.eigh(m[:lv, :lv])
-    a1 = np.zeros((d, d), dtype=complex)
-    a1[:lv, :lv] = (u * np.sqrt(np.clip(w, 0.0, None))) @ u.conj().T
-    a1[lv, lv] = np.sqrt(max(m[lv, lv].real, 0.0))
+    a0, a1 = _instrument_kraus([seed], strength, p)[0]
     return LocalInstrument(
         mode=mode,
-        outcomes=(LocalOperator(d, a0), LocalOperator(d, a1)),
+        outcomes=(LocalOperator(p + 2, a0), LocalOperator(p + 2, a1)),
         seed=seed,
     )
+
+
+def _state_column(state: StateVector) -> np.ndarray:
+    """A normalized (3, 2, 1) state as a ``(12, 1)`` dense column."""
+    require_normalized(state, "monotonicity trial")
+    return np.array(_amplitude_list(state))[:, None]
+
+
+def _margins(psi: np.ndarray, kraus: np.ndarray, modes: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Monotone margins of a batch: column ``t`` of ``psi`` meets ``kraus[t]`` on ``modes[t]``.
+
+    The columns are evaluated in :class:`SplitComplex` arithmetic, which
+    rounds as the scalar path does, and every step acts column by column, so
+    a one-column call reproduces its column of a larger batch bit for bit.
+    An outcome is renormalized by the square root of its probability, the
+    sum of squared moduli taken in basis order.
+    """
+    psi = SplitComplex(psi.real, psi.imag)
+    before1, before2 = monotones(*dense_invariant_pair(psi))
+    avg1 = avg2 = 0.0
+    for ops in kraus.swapaxes(0, 1):
+        out = apply_on_mode_columns(ops, modes, psi, SHAPE_321)
+        # Python's sum adds the rows in basis order whatever the batch size;
+        # np.sum may pair the terms of a single column differently.
+        prob = sum(out.re * out.re + out.im * out.im)
+        skip = prob < 1e-14
+        norm = np.sqrt(np.where(skip, 1.0, prob))
+        mono1, mono2 = monotones(*dense_invariant_pair(SplitComplex(out.re / norm, out.im / norm)))
+        avg1 = avg1 + np.where(skip, 0.0, prob * mono1)
+        avg2 = avg2 + np.where(skip, 0.0, prob * mono2)
+    return avg1 - before1, avg2 - before2
 
 
 def monotonicity_trial(
@@ -106,24 +175,13 @@ def monotonicity_trial(
     Returns the margins for the two monotones ``|I1|^(1/3)`` and
     ``|I2|^(2/3)``; non-positive margins (within tolerance) are what the
     monotone property demands. Outcomes with negligible probability are
-    skipped. The state must be normalized and of shape (3, 2, 1).
+    skipped. The state must be normalized and of shape (3, 2, 1). This is
+    the one-trial call of the kernel behind :func:`run_monotone_trials`, so
+    it replays a recorded trial bit for bit.
     """
-    require_normalized(state, "monotonicity trial")
-    rep0 = invariant_report(state)
-    avg1 = 0.0
-    avg2 = 0.0
-    for op in instrument.outcomes:
-        out = apply_on_mode(op, instrument.mode, state)
-        prob = out.norm() ** 2
-        if prob < 1e-14:
-            continue
-        unit = StateVector(
-            state.shape, {occ: a / np.sqrt(prob) for occ, a in out.amplitudes.items()}
-        )
-        rep = invariant_report(unit)
-        avg1 += prob * rep.monotone1
-        avg2 += prob * rep.monotone2
-    return avg1 - rep0.monotone1, avg2 - rep0.monotone2
+    kraus = np.stack([op.entries for op in instrument.outcomes])[None]
+    m1, m2 = _margins(_state_column(state), kraus, np.array([instrument.mode]))
+    return float(m1[0]), float(m2[0])
 
 
 @dataclass(frozen=True)
@@ -158,39 +216,34 @@ def run_monotone_trials(
     """Monotonicity margins over a tree of seeded random trials.
 
     Per trial, the child seed fans out into a state seed (ignored when a
-    fixed state is supplied), an instrument seed and a mode choice. Records
-    come back in index order. A fixed state must meet the preconditions of
-    :func:`monotonicity_trial`; the first trial raises if it does not.
+    fixed state is supplied), an instrument seed and a mode choice. Trials
+    are drawn one by one and evaluated as one batch; records come back in
+    index order. A fixed state must meet the preconditions of
+    :func:`monotonicity_trial` and is checked before anything is drawn.
     """
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
-
-    def one(i: int) -> TrialRecord:
-        s_i = derive_seed(master_seed, i)
-        psi = state
-        if psi is None:
-            psi = random_state(SHAPE_321, np.random.default_rng(derive_seed(s_i, 0)))
-        mode = derive_seed(s_i, 2) % 3
-        inst = random_instrument(derive_seed(s_i, 1), mode, strength)
-        m1, m2 = monotonicity_trial(psi, inst)
-        margin = max(m1, m2)
-        return TrialRecord(
-            index=i,
-            seed=s_i,
-            mode=mode,
-            margin1=m1,
-            margin2=m2,
-            margin=margin,
-            passed=margin <= MARGIN_TOL,
+    seeds = [derive_seed(master_seed, i) for i in range(trials)]
+    if state is None:
+        rngs = (np.random.default_rng(derive_seed(s, 0)) for s in seeds)
+        psi = random_amplitudes(SHAPE_321.dimension, rngs).T
+    else:
+        psi = np.repeat(_state_column(state), trials, axis=1)
+    kraus = _instrument_kraus([derive_seed(s, 1) for s in seeds], strength)
+    modes = [derive_seed(s, 2) % 3 for s in seeds]
+    m1, m2 = _margins(psi, kraus, np.array(modes))
+    margins = np.maximum(m1, m2)
+    records = tuple(
+        TrialRecord(index=i, seed=s, mode=mode, margin1=a, margin2=b, margin=m, passed=m <= MARGIN_TOL)
+        for i, (s, mode, a, b, m) in enumerate(
+            zip(seeds, modes, m1.tolist(), m2.tolist(), margins.tolist())
         )
-
-    records = [one(i) for i in range(trials)]
-    failures = sum(1 for r in records if not r.passed)
+    )
     return MonteCarloSummary(
         trials=trials,
-        failures=failures,
-        max_margin=max(r.margin for r in records),
-        records=tuple(records),
+        failures=sum(1 for r in records if not r.passed),
+        max_margin=max(margins.tolist()),
+        records=records,
     )
 
 

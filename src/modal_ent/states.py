@@ -185,8 +185,11 @@ class DensityMatrix:
 
 
 def require_normalized(state: StateVector, what: str) -> None:
-    """Raise ValueError, naming ``what``, unless the state has unit norm."""
-    if abs(state.norm() - 1.0) > NORM_TOL:
+    """Raise ValueError, naming ``what``, unless the state has unit norm.
+
+    The test is written so that a NaN amplitude fails it.
+    """
+    if not abs(state.norm() - 1.0) <= NORM_TOL:
         raise ValueError(f"{what} expects a normalized state")
 
 
@@ -296,9 +299,17 @@ def relabel_modes(state: StateVector, perm: Tuple[int, ...]) -> StateVector:
     return StateVector(state.shape, moved)
 
 
+def random_amplitudes(dim: int, rngs: Iterable[np.random.Generator]) -> np.ndarray:
+    """Unit vectors of i.i.d. complex Gaussian amplitudes, one row per generator.
+
+    Each generator draws the real parts, then the imaginary parts, of its
+    row. The squared norm is summed along the row, so a row does not depend
+    on how many others are drawn with it.
+    """
+    z = np.array([rng.standard_normal(2 * dim) for rng in rngs])
+    return (z[:, :dim] + 1j * z[:, dim:]) / np.sqrt((z * z).sum(axis=1))[:, None]
+
+
 def random_state(shape: SystemShape, rng: np.random.Generator) -> StateVector:
     """Normalized state with i.i.d. complex Gaussian amplitudes on every slot."""
-    dim = shape.dimension
-    vec = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-    vec /= np.linalg.norm(vec)
-    return StateVector.from_dense(shape, vec)
+    return StateVector.from_dense(shape, random_amplitudes(shape.dimension, [rng])[0])

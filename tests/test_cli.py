@@ -171,6 +171,15 @@ def test_monotone_mc_fixed_state(tmp_path, capsys):
     assert "mutually exclusive" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("strength", ["nan", "inf", "-0.5"])
+def test_monotone_mc_rejects_bad_strength(strength, capfd):
+    code = main(["monotone-mc", "--trials", "5", "--seed", "1", "--strength", strength])
+    assert code == 1
+    err = capfd.readouterr().err
+    assert "strength must be finite and non-negative" in err
+    assert "DLASCL" not in err and "LinAlgError" not in err
+
+
 def test_thread_cap_from_environment(monkeypatch, capsys):
     monkeypatch.setenv("MODAL_ENT_THREADS", "2")
     assert main(["monotone-mc", "--trials", "8", "--seed", "1", "--threads", "16"]) == 0

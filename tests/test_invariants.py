@@ -17,7 +17,7 @@ from modal_ent.invariants import (
     transvect_single,
     word_matrix,
 )
-from modal_ent.operators import apply, random_element
+from modal_ent.operators import SplitComplex, apply, random_element
 from modal_ent.states import SHAPE_321, StateVector, SystemShape, random_state
 
 rng = np.random.default_rng(7)
@@ -195,6 +195,13 @@ def test_dense_batch_matches_reports():
         rep = invariant_report(StateVector.from_dense(SHAPE_321, cols[:, k]))
         assert abs(i1[k] - rep.I1) < 1e-14
         assert abs(i2[k] - rep.I2) < 1e-14
+    eq16 = family("Eq16", {"r1": 0.5, "r2": 0.5, "r3": 0.5, "r4": 0.5})
+    cols = np.column_stack([cols, family("psi1").dense(), eq16.dense()])
+    split1, split2 = dense_invariant_pair(SplitComplex(cols.real, cols.imag))
+    for k in range(cols.shape[1]):
+        rep = invariant_report(StateVector.from_dense(SHAPE_321, cols[:, k]))
+        assert complex(split1.re[k], split1.im[k]) == rep.I1
+        assert complex(split2.re[k], split2.im[k]) == rep.I2
     one = random_state(SHAPE_321, rng)
     s1, s2 = dense_invariant_pair(one.dense())
     rep = invariant_report(one)
