@@ -388,26 +388,28 @@ _PAULI = (
     np.array([[1, 0], [0, -1]], dtype=complex),
 )
 
+# The nine products sigma_i (x) sigma_j as one (9, 4, 4) stack, i-major.
+# Their entries are exact products of 0, +-1 and +-i.
+_PAULI_PAIRS = np.array([np.kron(a, b) for a in _PAULI for b in _PAULI])
+
 
 def chsh_value(two_qubit: np.ndarray) -> float:
-    """Maximal CHSH expectation of a two-qubit state.
+    """Maximal CHSH expectation of a two-qubit state (Horodecki criterion).
 
-    Accepts a 4-vector or a 4x4 density matrix. The value is twice the
-    square root of the two largest eigenvalues of T^T T, where T is the
-    correlation matrix in the Pauli basis; 2 for product states, 2*sqrt(2)
-    at the Tsirelson bound.
+    Accepts a 4-vector or a 4x4 density matrix; entries that are not finite
+    raise ValueError. The value is twice the square root of the two largest
+    eigenvalues of T^T T, where T is the correlation matrix in the Pauli
+    basis, ``T_ij = tr(rho sigma_i (x) sigma_j)``, all nine entries taken in
+    one stacked product; 2 for product states, 2*sqrt(2) at the Tsirelson
+    bound.
     """
     q = np.asarray(two_qubit, dtype=complex)
-    if q.shape == (4,):
-        rho = np.outer(q, q.conj())
-    elif q.shape == (4, 4):
-        rho = q
-    else:
+    if q.shape not in ((4,), (4, 4)):
         raise ValueError("expected a 4-vector or a 4x4 density matrix")
-    t = np.empty((3, 3))
-    for i in range(3):
-        for j in range(3):
-            t[i, j] = np.trace(rho @ np.kron(_PAULI[i], _PAULI[j])).real
+    if not np.isfinite(q).all():
+        raise ValueError("CHSH value of a state with non-finite entries")
+    rho = np.outer(q, q.conj()) if q.shape == (4,) else q
+    t = np.trace(rho @ _PAULI_PAIRS, axis1=1, axis2=2).real.reshape(3, 3)
     ev = np.linalg.eigvalsh(t.T @ t)
     return 2.0 * math.sqrt(max(ev[-1] + ev[-2], 0.0))
 

@@ -102,10 +102,17 @@ def _instrument_kraus(seeds: Sequence[int], strength: float, p: int = 1) -> np.n
     z = np.array([np.random.default_rng(s).standard_normal(2 * lv * lv + 2) for s in seeds])
     k = np.zeros((len(seeds), d, d), dtype=complex)
     blocks = z[:, : 2 * lv * lv].reshape(-1, 2, lv, lv)
-    k[:, :lv, :lv] = strength * (blocks[:, 0] + 1j * blocks[:, 1])
-    k[:, lv, lv] = strength * (z[:, -2] + 1j * z[:, -1])
-    k += np.eye(d)
-    a0 = k / (np.sqrt(2.0) * np.linalg.norm(k, 2, axis=(1, 2)))[:, None, None]
+    with np.errstate(over="ignore"):
+        k[:, :lv, :lv] = strength * (blocks[:, 0] + 1j * blocks[:, 1])
+        k[:, lv, lv] = strength * (z[:, -2] + 1j * z[:, -1])
+        k += np.eye(d)
+        # LAPACK is handed finite entries only, and an overflowing norm would
+        # silently zero the first outcome.
+        finite = np.isfinite(k).all()
+        scale = np.sqrt(2.0) * np.linalg.norm(k, 2, axis=(1, 2)) if finite else np.inf
+    if not np.isfinite(scale).all():
+        raise ValueError(f"strength {strength} overflows the instrument entries")
+    a0 = k / scale[:, None, None]
     m = np.eye(d) - a0.conj().swapaxes(1, 2) @ a0
     w, u = np.linalg.eigh(m[:, :lv, :lv])
     a1 = np.zeros_like(a0)
@@ -126,7 +133,9 @@ def random_instrument(
     the Hermitian square root completing the pair to a trace-preserving
     instrument. The root is taken block by block so compliance is exact. At
     strength zero both outcomes collapse to ``I / sqrt(2)``. A strength that
-    is negative or not finite raises ValueError.
+    is negative or not finite raises ValueError, and so does a finite one so
+    large that the entries of ``I + strength * G`` or their scaled spectral
+    norm overflow.
     """
     a0, a1 = _instrument_kraus([seed], strength, p)[0]
     return LocalInstrument(

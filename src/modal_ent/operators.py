@@ -12,6 +12,12 @@ restricted to the fixed-particle-number sector.
 with the identity on every other mode. :func:`apply_on_mode_columns` does
 the same for a batch of dense state columns, each with its own operator and
 mode, as an index gather rather than a sector matrix.
+
+The entries that the superselection rule requires to vanish are listed
+once, by ``_leak_positions``. :func:`superselection_leak` reads them from
+stacks of matrices; single operators, which :func:`apply` and
+:meth:`LocalOperator.is_superselection_compliant` test, read them from rows
+of scalars, without the numpy call overhead of a stacked call.
 """
 
 from __future__ import annotations
@@ -58,7 +64,7 @@ class LocalOperator:
         return complex(np.linalg.det(self.entries))
 
     def is_superselection_compliant(self, tol: float = MEMBER_TOL) -> bool:
-        return bool(superselection_leak(self.entries) <= tol)
+        return _compliant_rows(_scalar_rows(self.entries), tol)
 
     def is_unitary(self, tol: float = MEMBER_TOL) -> bool:
         defect = self.entries @ self.entries.conj().T - np.eye(self.dim)
@@ -100,15 +106,36 @@ class SplitComplex:
         return np.hypot(self.re, self.im)
 
 
+@lru_cache(maxsize=None)
+def _leak_positions(d: int) -> Tuple[Tuple[int, int], ...]:
+    """The ``(row, column)`` entries of a ``d x d`` local matrix that mix the
+    levels with the vacancy; the superselection rule is that they vanish."""
+    v = d - 1
+    return tuple((i, v) for i in range(v)) + tuple((v, j) for j in range(v))
+
+
 def superselection_leak(entries: np.ndarray) -> np.ndarray:
     """Largest modulus mixing levels and vacancy, per matrix of a ``(..., d, d)`` stack.
 
     NaN entries give NaN, which no tolerance accepts.
     """
-    v = entries.shape[-1] - 1
-    return np.maximum(
-        np.abs(entries[..., :v, v]).max(axis=-1), np.abs(entries[..., v, :v]).max(axis=-1)
-    )
+    rows, cols = zip(*_leak_positions(entries.shape[-1]))
+    return np.abs(entries[..., rows, cols]).max(axis=-1)
+
+
+def _scalar_rows(entries: np.ndarray) -> list:
+    """The rows of a square matrix as tuples of numpy scalars, read in one pass."""
+    return list(zip(*[entries.flat] * len(entries)))
+
+
+def _compliant_rows(rows: Sequence[Sequence[complex]], tol: float = MEMBER_TOL) -> bool:
+    """The superselection test of one local matrix given as a list of rows.
+
+    This is :func:`superselection_leak` at most ``tol`` without the numpy
+    calls; each leak entry is compared on its own, so a NaN in any of them
+    fails the test.
+    """
+    return all(abs(rows[i][j]) <= tol for i, j in _leak_positions(len(rows)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -204,7 +231,7 @@ def make_slocc_element(coefficients: Sequence[Sequence[complex]]) -> GroupElemen
     ops = []
     for k, coeffs in enumerate(coefficients):
         c1, c2, c3, c8 = (complex(c) for c in coeffs)
-        if not all(np.isfinite([c.real, c.imag]).all() for c in (c1, c2, c3, c8)):
+        if not all(cmath.isfinite(c) for c in (c1, c2, c3, c8)):
             raise ValueError(f"non-finite exponent coefficients on mode {k}")
         ops.append(matrix_exp(LocalOperator(3, c1 * _L1 + c2 * _L2 + c3 * _L3 + c8 * _L8)))
     element = GroupElement(tuple(ops))
@@ -230,39 +257,37 @@ def apply(element: GroupElement, state: StateVector) -> StateVector:
     Compliance keeps the occupation pattern of every basis vector intact, so
     each amplitude fans out only over the level assignments of its occupied
     modes. That keeps the cost proportional to the sparse support.
+
+    Each operator is read once into rows of numpy complex scalars. The
+    compliance test reads those rows, and so does the per-mode table of
+    where each symbol moves: the vacancy to itself, level ``j`` to every
+    level ``i`` with a nonzero entry ``(i, j)``. The amplitudes stay
+    ``np.complex128`` and round exactly as products of array entries would.
     """
     shape = state.shape
     if len(element.per_mode) != shape.modes:
         raise ValueError(
             f"element spans {len(element.per_mode)} modes, state has {shape.modes}"
         )
+    levels = range(1, shape.levels + 1)
+    # moves[k][sym]: the (new symbol, weight) pairs of symbol sym on mode k
+    moves = []
     for k, op in enumerate(element.per_mode):
         if op.dim != shape.local_dim:
             raise ValueError(f"operator on mode {k} has dim {op.dim}, expected {shape.local_dim}")
-        if not op.is_superselection_compliant():
+        rows = _scalar_rows(op.entries)
+        if not _compliant_rows(rows):
             raise ValueError(f"operator on mode {k} violates the superselection rule")
-    p = shape.spin_numerator
-    vac = p + 1
-    levels = range(1, p + 2)
+        vacancy = rows[-1][-1]
+        moves.append(
+            [[(0, vacancy)] if vacancy != 0 else []]
+            + [[(i, rows[i - 1][j - 1]) for i in levels if rows[i - 1][j - 1] != 0] for j in levels]
+        )
     out: Dict[Tuple[int, ...], complex] = {}
     for occ, amp in state.amplitudes.items():
         partial = [((), amp)]
-        for k, sym in enumerate(occ):
-            mat = element.per_mode[k].entries
-            grown = []
-            if sym == 0:
-                w = mat[vac, vac]
-                if w != 0:
-                    grown = [(pre + (0,), val * w) for pre, val in partial]
-            else:
-                col = sym - 1
-                for lev in levels:
-                    w = mat[lev - 1, col]
-                    if w != 0:
-                        grown.extend((pre + (lev,), val * w) for pre, val in partial)
-            partial = grown
-            if not partial:
-                break
+        for move, sym in zip(moves, occ):
+            partial = [(pre + (new,), val * w) for new, w in move[sym] for pre, val in partial]
         for new_occ, val in partial:
             out[new_occ] = out.get(new_occ, 0j) + val
     return StateVector(shape, out)

@@ -38,6 +38,9 @@ ZERO_TOL = 1e-12
 #: tolerance on norm == 1 for preconditions that require normalized input
 NORM_TOL = 1e-9
 
+#: sectors up to this dimension check state keys against the listed basis
+LISTED_DIMENSION = 4096
+
 Occupation = Tuple[int, ...]
 
 
@@ -135,15 +138,23 @@ class StateVector:
     """Sparse complex amplitudes over the admissible occupation sequences.
 
     The amplitude map is owned by the instance after construction and must
-    not be mutated by the caller.
+    not be mutated by the caller. Every key must be an admissible occupation
+    sequence of ``shape``: the right mode count, symbols in ``0 .. p + 1``
+    and the right particle count, else ValueError names what is wrong. In
+    sectors of at most LISTED_DIMENSION a key is accepted by one lookup in
+    the cached :func:`basis_index`, which equal numpy integers also pass;
+    only a miss, and every key of a larger sector, is checked field by field.
     """
 
     shape: SystemShape
     amplitudes: Dict[Occupation, complex]
 
     def __post_init__(self) -> None:
+        shape = self.shape
+        listed = basis_index(shape) if shape.dimension <= LISTED_DIMENSION else {}
         for occ in self.amplitudes:
-            _check_admissible(self.shape, occ)
+            if occ not in listed:
+                _check_admissible(shape, occ)
 
     def amplitude(self, occ: Iterable[int]) -> complex:
         return self.amplitudes.get(tuple(occ), 0j)

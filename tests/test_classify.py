@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -224,3 +225,49 @@ def test_membership_reports():
     generic = membership_report(random_state(SHAPE_321, rng))
     assert generic.families == ()
     assert not generic.maximally_entangled
+
+
+def _chsh_kron_loop(two_qubit):
+    """chsh_value restated with one kron product, matmul and trace per entry of T."""
+    paulis = (
+        np.array([[0, 1], [1, 0]], dtype=complex),
+        np.array([[0, -1j], [1j, 0]], dtype=complex),
+        np.array([[1, 0], [0, -1]], dtype=complex),
+    )
+    q = np.asarray(two_qubit, dtype=complex)
+    rho = np.outer(q, q.conj()) if q.shape == (4,) else q
+    t = np.empty((3, 3))
+    for i in range(3):
+        for j in range(3):
+            t[i, j] = np.trace(rho @ np.kron(paulis[i], paulis[j])).real
+    ev = np.linalg.eigvalsh(t.T @ t)
+    return 2.0 * math.sqrt(max(ev[-1] + ev[-2], 0.0))
+
+
+def test_chsh_equals_the_nine_kron_loop():
+    local = np.random.default_rng(5150)
+    inputs = [family("psi2"), family("S1", {"r": 0.3}), normalized_eq16(3, phi=1.1)]
+    inputs += [random_state(SHAPE_321, local) for _ in range(1000)]
+    checked = 0
+    for psi in inputs:
+        for pair in ("AB", "BC", "AC"):
+            vec, _ = pair_projection(psi, pair)
+            if vec is None:
+                continue
+            rho = np.outer(vec, vec.conj())
+            assert chsh_value(vec) == _chsh_kron_loop(vec)
+            assert chsh_value(rho) == _chsh_kron_loop(rho)
+            checked += 1
+    assert checked >= 3000
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0.0, math.nan)])
+@pytest.mark.parametrize("form", ["vector", "matrix"])
+def test_chsh_rejects_non_finite_entries(bad, form):
+    vec = np.array([0.0, 1.0, -1.0, 0.0], dtype=complex) / ROOT2
+    q = vec if form == "vector" else np.outer(vec, vec.conj())
+    q[(1,) if form == "vector" else (1, 2)] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="non-finite"):
+            chsh_value(q)

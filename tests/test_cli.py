@@ -330,3 +330,12 @@ def test_verify_stabilizer_applies_its_element_once(tmp_path, monkeypatch, capsy
     doc = json.loads(capsys.readouterr().out)
     assert doc["ray_preserved"] is False
     assert len(calls) == 1
+
+
+def test_monotone_mc_refuses_an_overflowing_strength(capfd):
+    code = main(["monotone-mc", "--trials", "5", "--seed", "1", "--strength", "1.7e308"])
+    assert code == 1
+    err = capfd.readouterr().err
+    assert "overflows the instrument entries" in err
+    assert "DLASCL" not in err and "RuntimeWarning" not in err
+    assert main(["monotone-mc", "--trials", "5", "--seed", "1", "--strength", "1e307"]) == 0

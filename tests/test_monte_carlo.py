@@ -226,3 +226,18 @@ def test_invariance_sweep_input_validation():
     doomed = StateVector(SHAPE_321, {(1, 1, 0): 1.0})
     with pytest.raises(ArithmeticError):
         invariance_sweep([doomed], [killer])
+
+
+def test_overflowing_strength_is_refused(capfd):
+    # with these seeds, 1.7e308 overflows the entries and 6e307 the scaled
+    # spectral norm, which used to zero the first outcome without an error
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for strength in (6e307, 1.7e308):
+            with pytest.raises(ValueError, match="overflows the instrument entries"):
+                run_monotone_trials(5, 1, strength=strength)
+        with pytest.raises(ValueError, match="overflows the instrument entries"):
+            random_instrument(0, mode=0, strength=1.7e308)
+    assert "DLASCL" not in capfd.readouterr().err
+    summary = run_monotone_trials(5, 1, strength=1e307)
+    assert summary.trials == 5 and math.isfinite(summary.max_margin)

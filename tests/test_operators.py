@@ -1,6 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg
+
+from modal_ent.classify import family
 
 from modal_ent.operators import (
     GroupElement,
@@ -18,6 +22,7 @@ from modal_ent.operators import (
     random_element,
     sector_matrix,
 )
+from modal_ent.stabilizers import stabilizer
 from modal_ent.states import SHAPE_321, StateVector, SystemShape, random_state
 
 rng = np.random.default_rng(20240817)
@@ -231,3 +236,67 @@ def test_apply_on_mode_matches_the_full_element():
     for bad in (-1, 3):
         with pytest.raises(ValueError):
             apply_on_mode(op, bad, psi)
+
+
+def _apply_by_array_indexing(element, state):
+    """apply restated with one array index per weight, its earlier formulation."""
+    p = state.shape.spin_numerator
+    vac = p + 1
+    out = {}
+    for occ, amp in state.amplitudes.items():
+        partial = [((), amp)]
+        for k, sym in enumerate(occ):
+            mat = element.per_mode[k].entries
+            grown = []
+            if sym == 0:
+                w = mat[vac, vac]
+                if w != 0:
+                    grown = [(pre + (0,), val * w) for pre, val in partial]
+            else:
+                for lev in range(1, p + 2):
+                    w = mat[lev - 1, sym - 1]
+                    if w != 0:
+                        grown.extend((pre + (lev,), val * w) for pre, val in partial)
+            partial = grown
+        for new_occ, val in partial:
+            out[new_occ] = out.get(new_occ, 0j) + val
+    return out
+
+
+def test_apply_equals_array_indexing_oracle():
+    local = np.random.default_rng(8086)
+    states = [random_state(SHAPE_321, local) for _ in range(30)]
+    states += [family("psi1"), family("psi2"), family("S1", {"r": 0.2}), family("S2", {"r": 0.4, "theta": 0.9})]
+    states += [family("Eq15", {"r1": 0.6, "r2": 0.48, "r3": 0.64})]
+    elements = [random_element("SU", s) for s in range(6)]
+    elements += [random_element("SLOCC", s, spread=1.5) for s in range(6)]
+    elements += [
+        stabilizer("generic_eq13", {"m": 1, "alpha": 0.4}).element,
+        stabilizer("family16_eq20", {"alpha": 0.3, "beta": -1.2, "gamma": 0.5}).element,
+        stabilizer("psi1_eq23", {"variant": "c", "beta": 0.7}).element,
+        stabilizer("psi2_eq26", {"alpha": 0.2, "beta": 0.1, "gamma": -0.3, "delta": 0.8}).element,
+    ]
+    for psi in states:
+        # a second pass feeds np.complex128 amplitudes back in
+        for start in (psi, apply(elements[0], psi)):
+            for element in elements:
+                got = apply(element, start).amplitudes
+                want = _apply_by_array_indexing(element, start)
+                assert list(got) == list(want)
+                for occ, val in want.items():
+                    assert got[occ] == val
+                    assert type(got[occ]) is np.complex128
+
+
+@pytest.mark.parametrize("mode", [0, 1, 2])
+@pytest.mark.parametrize("entry", [(0, 2), (1, 2), (2, 0), (2, 1)])
+def test_nan_in_any_leak_entry_is_refused(mode, entry):
+    mats = [np.eye(3, dtype=complex) for _ in range(3)]
+    # the other leak entries hold small finite values that pass on their own
+    for pos in ((0, 2), (1, 2), (2, 0), (2, 1)):
+        mats[mode][pos] = 1e-12
+    mats[mode][entry] = math.nan
+    element = element_from_matrices(mats)
+    assert not element.per_mode[mode].is_superselection_compliant()
+    with pytest.raises(ValueError, match=f"operator on mode {mode} violates the superselection rule"):
+        apply(element, random_state(SHAPE_321, rng))

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from modal_ent.states import (
     SHAPE_321,
+    LISTED_DIMENSION,
     DensityMatrix,
     StateVector,
     SystemShape,
@@ -206,3 +208,39 @@ def test_phase_fit_rule_on_a_subnormalised_pair():
         else:
             with pytest.raises(ValueError):
                 global_phase_between(a, b, tol)
+
+
+@pytest.mark.parametrize(
+    "occ, message",
+    [
+        ((1, 1), "has 2 modes, expected 3"),
+        ((1, 1, 0, 0), "has 4 modes, expected 3"),
+        ((3, 1, 0), "carries symbol 3 outside 0..2"),
+        ((1, -1, 0), "carries symbol -1 outside 0..2"),
+        ((np.int64(1), np.int64(3), 0), "carries symbol 3 outside 0..2"),
+        ((1, 1, 1), "holds 3 particles, expected 2"),
+        ((0, 0, 1), "holds 1 particles, expected 2"),
+    ],
+)
+def test_state_rejection_messages(occ, message):
+    with pytest.raises(ValueError, match=re.escape(f"occupation {occ!r} {message}")):
+        StateVector(SHAPE_321, {(1, 1, 0): 0.6, occ: 0.8})
+
+
+def test_state_accepts_numpy_integer_keys():
+    keys = [(np.int64(1), np.int64(1), np.int64(0)), (np.int8(0), np.uint16(2), np.int32(1))]
+    psi = StateVector(SHAPE_321, {keys[0]: 0.6, keys[1]: 0.8})
+    assert psi.amplitude((1, 1, 0)) == 0.6 and psi.amplitude((0, 2, 1)) == 0.8
+    assert np.array_equal(psi.dense(), StateVector(SHAPE_321, {(1, 1, 0): 0.6, (0, 2, 1): 0.8}).dense())
+
+
+def test_large_sector_keys_are_checked_without_listing_the_basis():
+    shape = SystemShape(11, 5, 1)
+    assert shape.dimension > LISTED_DIMENSION
+    listed = enumerate_basis.cache_info().currsize
+    StateVector(shape, {(1, 2, 0, 1, 0, 2, 0, 1, 0, 0, 0): 1.0})
+    with pytest.raises(ValueError, match="holds 4 particles, expected 5"):
+        StateVector(shape, {(1, 2, 0, 1, 0, 2, 0, 0, 0, 0, 0): 1.0})
+    with pytest.raises(ValueError, match="carries symbol 3 outside 0..2"):
+        StateVector(shape, {(1, 2, 0, 1, 0, 3, 0, 1, 0, 0, 0): 1.0})
+    assert enumerate_basis.cache_info().currsize == listed
