@@ -6,8 +6,9 @@ on six of them and free phases on the remaining three. The reduction runs
 in four stages: a singular value decomposition diagonalizes the AB block, a
 Givens rotation on mode C clears one AC entry, a least-squares phase fit
 over the diagonal subgroup strips the removable phases, and a residual
-common phase is absorbed as a scalar on mode A. Each stage is a legal
-superselection-compliant unitary, so every invariant is preserved exactly.
+common phase is absorbed as a scalar on mode A. That last stage is unitary
+but not special, so the canonical state keeps |I1|, |I2| and the three cut
+sums of the input, to roundoff, but not I1 and I2 themselves.
 
 The named families cover the states used throughout the test harness, and
 the locality helpers reduce a state to its pattern of pair and bipartition
@@ -23,17 +24,20 @@ from typing import Dict, Mapping, Optional, Tuple
 import numpy as np
 
 from .invariants import (
+    _AB,
+    _AC,
+    _BC,
     _CUT_A_BC,
     _CUT_B_AC,
     _CUT_C_AB,
     InvariantReport,
     _amplitude_list,
+    _block,
     _cross_minors,
-    invariant_report,
-    pair_blocks,
     _invariant_polynomials,
+    _report,
 )
-from .operators import GroupElement, apply, element_from_matrices
+from .operators import GroupElement, _scalar_rows, _symbol_moves, element_from_matrices
 from .states import (
     SHAPE_321,
     StateVector,
@@ -52,6 +56,8 @@ CANONICAL_SLOTS: Tuple[Tuple[int, int, int], ...] = (
     (0, 2, 1),
     (0, 1, 2),
 )
+
+_U, _D = 1, 2
 
 STRUCTURAL_ZEROS: Tuple[Tuple[int, int, int], ...] = ((1, 2, 0), (2, 1, 0), (2, 0, 1))
 
@@ -79,7 +85,8 @@ class CanonicalParams:
 
     ``r`` holds the nine slot moduli in CANONICAL_SLOTS order; ``phi``,
     ``phi_prime`` and ``theta`` are the surviving phases on slots 5, 8 and
-    9. ``element`` maps the input state to ``state``.
+    9. ``element`` maps the input state to ``state``; it is unitary but not
+    special, so ``state`` keeps |I1|, |I2| and the cut sums, to roundoff.
     """
 
     r: Tuple[float, ...]
@@ -99,6 +106,33 @@ def _embed_levels(block: np.ndarray) -> np.ndarray:
     return out
 
 
+# The canonical stages act on the amplitude map directly. Both actions below
+# compute what :func:`apply` does, operation for operation: each term is
+# ((amp * w_A) * w_B) * w_C in numpy complex scalars, terms are summed from
+# 0j in the order of the input map, and keys appear in that order. The
+# canonical form is roundoff-chaotic, so one changed rounding can change the
+# representative it picks.
+
+
+def _rotate(mats, amps: Dict[Tuple[int, int, int], complex]) -> Dict[Tuple[int, int, int], complex]:
+    """The action of three compliant level rotations on an amplitude map."""
+    move_a, move_b, move_c = (_symbol_moves(_scalar_rows(m)) for m in mats)
+    out: Dict[Tuple[int, int, int], complex] = {}
+    for (a, b, c), amp in amps.items():
+        for c2, w_c in move_c[c]:
+            for b2, w_b in move_b[b]:
+                for a2, w_a in move_a[a]:
+                    key = (a2, b2, c2)
+                    out[key] = out.get(key, 0j) + amp * w_a * w_b * w_c
+    return out
+
+
+def _scale(mats, amps: Dict[Tuple[int, int, int], complex]) -> Dict[Tuple[int, int, int], complex]:
+    """The action of three diagonal matrices: one product per slot, keys kept in order."""
+    d_a, d_b, d_c = ((m[2, 2], m[0, 0], m[1, 1]) for m in mats)
+    return {occ: 0j + amp * d_a[occ[0]] * d_b[occ[1]] * d_c[occ[2]] for occ, amp in amps.items()}
+
+
 def canonical_form(state: StateVector) -> CanonicalParams:
     """Reduce a normalized state to its canonical slot pattern.
 
@@ -108,34 +142,36 @@ def canonical_form(state: StateVector) -> CanonicalParams:
     than a property of the input.
     """
     require_normalized(state, "canonical form")
+    v = _amplitude_list(state)
 
     eye = np.eye(3, dtype=complex)
-    total = [eye.copy(), eye.copy(), eye.copy()]
-    work = state
+    total = [eye, eye, eye]
 
-    def push(mats) -> None:
-        nonlocal work
+    def accumulate(mats) -> None:
         for k in range(3):
-            total[k] = np.asarray(mats[k], dtype=complex) @ total[k]
-        work = apply(element_from_matrices(mats), work)
+            total[k] = mats[k] @ total[k]
 
     # Stage 1: singular value decomposition of the AB block. Left and right
     # factors become mode A and mode B rotations; singular values land on
     # the diagonal in decreasing order.
-    blocks = pair_blocks(work)
-    u, _, vh = np.linalg.svd(blocks.M_AB)
-    push([_embed_levels(u.conj().T), _embed_levels(vh.conj()), eye])
+    u, _, vh = np.linalg.svd(_block(v, _AB))
+    mats = [_embed_levels(u.conj().T), _embed_levels(vh.conj()), eye]
+    accumulate(mats)
+    amps = _rotate(mats, state.amplitudes)
 
     # Stage 2: a Givens rotation on mode C zeroes the lower-left AC entry.
-    blocks = pair_blocks(work)
-    x = blocks.M_AC[1, 0]
-    y = blocks.M_AC[1, 1]
+    # The entries are numpy scalars, whose division rounds differently from
+    # Python's complex type.
+    x = np.complex128(amps.get((_D, 0, _U), 0j))
+    y = np.complex128(amps.get((_D, 0, _D), 0j))
     t = np.hypot(abs(x), abs(y))
     if t > 1e-14 and abs(x) > 1e-14:
         rct = np.array(
             [[-y / t, np.conj(x) / t], [x / t, np.conj(y) / t]], dtype=complex
         )
-        push([eye, eye, _embed_levels(rct.T)])
+        mats = [eye, eye, _embed_levels(rct.T)]
+        accumulate(mats)
+        amps = _rotate(mats, amps)
 
     # Stage 3: strip phases from the six no-phase slots with the diagonal
     # subgroup. The linear system relates the six generator angles to the
@@ -144,7 +180,7 @@ def canonical_form(state: StateVector) -> CanonicalParams:
     rows = []
     rhs = []
     for occ in _NO_PHASE_SLOTS:
-        amp = work.amplitude(occ)
+        amp = amps.get(occ, 0j)
         if abs(amp) > 1e-12:
             row = []
             for sym in occ:
@@ -155,10 +191,10 @@ def canonical_form(state: StateVector) -> CanonicalParams:
         sol, _, _, _ = np.linalg.lstsq(np.array(rows), np.array(rhs), rcond=None)
     else:
         sol = np.zeros(6)
-    phase_mats = []
+    mats = []
     for k in range(3):
         x3, x8 = sol[2 * k], sol[2 * k + 1]
-        phase_mats.append(
+        mats.append(
             np.diag(
                 [
                     np.exp(1j * (x3 + x8)),
@@ -167,18 +203,22 @@ def canonical_form(state: StateVector) -> CanonicalParams:
                 ]
             )
         )
-    push(phase_mats)
+    accumulate(mats)
+    amps = _scale(mats, amps)
 
     # Stage 4: the diagonal subgroup cannot shift all slots by a common
     # phase, so whatever uniform phase remains is absorbed as a scalar on
     # mode A. The result stays unitary, though no longer special.
-    anchor = max(_NO_PHASE_SLOTS, key=lambda occ: abs(work.amplitude(occ)))
-    amp = work.amplitude(anchor)
+    anchor = max(_NO_PHASE_SLOTS, key=lambda occ: abs(amps.get(occ, 0j)))
+    amp = amps.get(anchor, 0j)
     if abs(amp) > 1e-12:
         delta = float(np.angle(amp))
         if abs(delta) > 0.0:
-            push([np.exp(-1j * delta) * eye, eye, eye])
+            mats = [np.exp(-1j * delta) * eye, eye, eye]
+            accumulate(mats)
+            amps = _scale(mats, amps)
 
+    work = StateVector(SHAPE_321, amps)
     for occ in STRUCTURAL_ZEROS:
         if abs(work.amplitude(occ)) > 1e-8:
             raise ArithmeticError(
@@ -224,7 +264,12 @@ class BellProfile:
 def bell_profile(state: StateVector, tol: float = 1e-10) -> BellProfile:
     """Locality pattern of a state; tolerances assume unit normalization."""
     v = _amplitude_list(state)
-    d_ab, d_bc, d_ac, _, _ = _invariant_polynomials(v)
+    return _profile(v, _invariant_polynomials(v), tol)
+
+
+def _profile(v, polynomials, tol: float) -> BellProfile:
+    """The locality pattern of amplitudes ``v`` whose five polynomials are given."""
+    d_ab, d_bc, d_ac, _, _ = polynomials
     nl_ab, nl_bc, nl_ac = (abs(d) > tol for d in (d_ab, d_bc, d_ac))
 
     def cut_entangled(cut, dets) -> bool:
@@ -241,7 +286,6 @@ def bell_profile(state: StateVector, tol: float = 1e-10) -> BellProfile:
     )
 
 
-_U, _D = 1, 2
 _FAMILY_NAMES = ("Eq14", "Eq15", "Eq16", "Eq18", "S1", "S2", "psi1", "psi2")
 
 
@@ -371,9 +415,9 @@ def pair_projection(
     with the projection weight; the vector is None when the weight is
     numerically zero.
     """
-    blocks = pair_blocks(state)
+    v = _amplitude_list(state)
     try:
-        m = {"AB": blocks.M_AB, "BC": blocks.M_BC, "AC": blocks.M_AC}[pair]
+        m = _block(v, {"AB": _AB, "BC": _BC, "AC": _AC}[pair])
     except KeyError:
         raise ValueError(f"pair must be one of AB, BC, AC, got {pair!r}") from None
     weight = float(np.sum(np.abs(m) ** 2))
@@ -436,8 +480,10 @@ def membership_report(state: StateVector, tol: float = 1e-10) -> MembershipRepor
     maximal entanglement with vanishing I2, the psi2 signature maximal
     entanglement with vanishing I1 on a tri-local state.
     """
-    profile = bell_profile(state, tol=tol)
-    rep = invariant_report(state)
+    v = _amplitude_list(state)
+    polynomials = _invariant_polynomials(v)
+    profile = _profile(v, polynomials, tol)
+    rep = _report(v, polynomials)
     max_ent = is_maximally_entangled(state)
     pairs_local = profile.tri_local
     families = []

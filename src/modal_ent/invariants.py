@@ -81,12 +81,14 @@ class PairBlocks:
     M_AC: np.ndarray
 
 
+def _block(v: Sequence[complex], block: Tuple[int, ...]) -> np.ndarray:
+    """One pair block of amplitudes ``v`` as a 2x2 matrix, given its basis positions."""
+    uu, ud, du, dd = block
+    return np.array([[v[uu], v[ud]], [v[du], v[dd]]], dtype=complex)
+
+
 def _blocks(v: Sequence[complex]) -> PairBlocks:
-    ab, bc, ac = (
-        np.array([[v[uu], v[ud]], [v[du], v[dd]]], dtype=complex)
-        for uu, ud, du, dd in (_AB, _BC, _AC)
-    )
-    return PairBlocks(M_AB=ab, M_BC=bc, M_AC=ac)
+    return PairBlocks(M_AB=_block(v, _AB), M_BC=_block(v, _BC), M_AC=_block(v, _AC))
 
 
 def pair_blocks(state: StateVector) -> PairBlocks:
@@ -175,7 +177,12 @@ def invariant_report(state: StateVector) -> InvariantReport:
     seen from one mode are proportional.
     """
     v = _amplitude_list(state)
-    i_ab, i_bc, i_ac, i1, i2 = _invariant_polynomials(v)
+    return _report(v, _invariant_polynomials(v))
+
+
+def _report(v: Sequence[complex], polynomials) -> InvariantReport:
+    """The invariant report of amplitudes ``v`` whose five polynomials are given."""
+    i_ab, i_bc, i_ac, i1, i2 = polynomials
     monotone1, monotone2 = monotones(i1, i2)
     return InvariantReport(
         I_AB=i_ab,

@@ -7,11 +7,12 @@ occupied levels with the vacancy, which makes it block diagonal: a
 elements are per-mode tuples of such operators, applied as a tensor product
 restricted to the fixed-particle-number sector.
 
-:func:`apply` is the one action of an element on a sparse state, and
-:func:`apply_on_mode` the one way to act on a single mode of a sparse state
-with the identity on every other mode. :func:`apply_on_mode_columns` does
-the same for a batch of dense state columns, each with its own operator and
-mode, as an index gather rather than a sector matrix.
+:func:`apply` is the one generic action of an element on a sparse state of
+any shape (the canonical form's stages restate it for their own matrices),
+and :func:`apply_on_mode` the one way to act on a single mode of a sparse
+state with the identity on every other mode. :func:`apply_on_mode_columns`
+does the same for a batch of dense state columns, each with its own operator
+and mode, as an index gather rather than a sector matrix.
 
 The entries that the superselection rule requires to vanish are listed
 once, by ``_leak_positions``. :func:`superselection_leak` reads them from
@@ -47,6 +48,14 @@ _L3 = np.diag([1.0, -1.0, 0.0]).astype(complex)
 _L8 = np.diag([1.0, 1.0, -2.0]).astype(complex)
 
 _GELL_MANN = {1: _L1, 2: _L2, 3: _L3, 8: _L8}
+
+# The weights of (c1, c2, c3, c8) in the five entries of
+# c1 L1 + c2 L2 + c3 L3 + c8 L8 that compliance lets be nonzero: the level
+# block, row by row, then the vacancy.
+_EXPONENT_WEIGHTS = tuple(
+    tuple(complex(m[i, j]) for m in (_L1, _L2, _L3, _L8))
+    for i, j in ((0, 0), (0, 1), (1, 0), (1, 1), (2, 2))
+)
 
 
 @dataclass(frozen=True, eq=False)
@@ -138,6 +147,20 @@ def _compliant_rows(rows: Sequence[Sequence[complex]], tol: float = MEMBER_TOL) 
     return all(abs(rows[i][j]) <= tol for i, j in _leak_positions(len(rows)))
 
 
+def _symbol_moves(rows: Sequence[Sequence[complex]]) -> list:
+    """Where a compliant local matrix, given as rows, sends each symbol.
+
+    Entry ``sym`` lists the (new symbol, weight) pairs with nonzero weight:
+    the vacancy, symbol 0, goes to itself, and level ``j`` to every level
+    ``i`` with a nonzero entry ``(i, j)``.
+    """
+    vacancy = rows[-1][-1]
+    levels = range(1, len(rows))
+    return [[(0, vacancy)] if vacancy != 0 else []] + [
+        [(i, rows[i - 1][j - 1]) for i in levels if rows[i - 1][j - 1] != 0] for j in levels
+    ]
+
+
 @dataclass(frozen=True, eq=False)
 class GroupElement:
     """One local operator per mode; the exponent parameters used to build an
@@ -190,6 +213,12 @@ def matrix_exp(op: LocalOperator) -> LocalOperator:
         raise ValueError("matrix exponential of a non-finite matrix")
     if x or y or p or q:
         raise ValueError("closed-form exponential needs levels and vacancy kept apart")
+    return LocalOperator(3, np.array(_exp_entries(a, b, c, d, v), dtype=complex))
+
+
+def _exp_entries(a: complex, b: complex, c: complex, d: complex, v: complex) -> list:
+    """The rows of ``exp`` of the compliant matrix with level block
+    ``[[a, b], [c, d]]`` and vacancy entry ``v``, as :func:`matrix_exp` forms it."""
     t, h = (a + d) / 2, (a - d) / 2
     s = cmath.sqrt(h * h + b * c)
     if abs(s) <= 1.0:
@@ -207,8 +236,7 @@ def matrix_exp(op: LocalOperator) -> LocalOperator:
             minus = b * c / plus
         top, bottom = (up * plus + down * minus) / (2 * s), (up * minus + down * plus) / (2 * s)
         sh = (up - down) / (2 * s)
-    out = [[top, sh * b, 0], [sh * c, bottom, 0], [0, 0, cmath.exp(v)]]
-    return LocalOperator(3, np.array(out, dtype=complex))
+    return [[top, sh * b, 0], [sh * c, bottom, 0], [0, 0, cmath.exp(v)]]
 
 
 def element_from_matrices(mats: Sequence[np.ndarray]) -> GroupElement:
@@ -223,23 +251,33 @@ def make_slocc_element(coefficients: Sequence[Sequence[complex]]) -> GroupElemen
     """Exponentiate per-mode combinations of the four generators.
 
     ``coefficients`` holds one ``(c1, c2, c3, c8)`` tuple per mode; each mode
-    contributes ``exp(c1 L1 + c2 L2 + c3 L3 + c8 L8)``. The exponents are
+    contributes ``exp(c1 L1 + c2 L2 + c3 L3 + c8 L8)``. The exponent has
+    level block ``[[c3 + c8, c1 - i c2], [c1 + i c2, c8 - c3]]`` and vacancy
+    entry ``-2 c8``; each of these five entries is taken as the four-term
+    sum the matrix algebra forms, one scalar product per generator, so that
+    even the signs of its zero parts, which the exponential can carry into
+    its output, are those of the matrices summed. The exponents are
     traceless, so every factor has determinant one. That is verified to
     ``1e-9`` relative to the product of the factor's row norms, which bounds
-    both the determinant (Hadamard) and its rounding error.
+    both the determinant (Hadamard) and its rounding error; the determinant
+    is ``(ad - bc) v`` for the factor's level block ``[[a, b], [c, d]]`` and
+    vacancy entry ``v``.
     """
-    ops = []
+    factors = []
     for k, coeffs in enumerate(coefficients):
         c1, c2, c3, c8 = (complex(c) for c in coeffs)
         if not all(cmath.isfinite(c) for c in (c1, c2, c3, c8)):
             raise ValueError(f"non-finite exponent coefficients on mode {k}")
-        ops.append(matrix_exp(LocalOperator(3, c1 * _L1 + c2 * _L2 + c3 * _L3 + c8 * _L8)))
-    element = GroupElement(tuple(ops))
-    for k, op in enumerate(element.per_mode):
-        row_norms = (math.hypot(*map(abs, row)) for row in op.entries.tolist())
-        if abs(op.det() - 1.0) > 1e-9 * math.prod(row_norms):
+        generator = [c1 * w1 + c2 * w2 + c3 * w3 + c8 * w8 for w1, w2, w3, w8 in _EXPONENT_WEIGHTS]
+        if not all(cmath.isfinite(z) for z in generator):
+            raise ValueError("matrix exponential of a non-finite matrix")
+        factors.append(_exp_entries(*generator))
+    for k, rows in enumerate(factors):
+        (a, b, _), (c, d, _), (_, _, v) = rows
+        row_norms = (math.hypot(*map(abs, row)) for row in rows)
+        if abs((a * d - b * c) * v - 1.0) > 1e-9 * math.prod(row_norms):
             raise ArithmeticError(f"factor on mode {k} drifted off determinant one")
-    return element
+    return GroupElement(tuple(LocalOperator(3, np.array(rows, dtype=complex)) for rows in factors))
 
 
 def compose(g: GroupElement, h: GroupElement) -> GroupElement:
@@ -269,7 +307,6 @@ def apply(element: GroupElement, state: StateVector) -> StateVector:
         raise ValueError(
             f"element spans {len(element.per_mode)} modes, state has {shape.modes}"
         )
-    levels = range(1, shape.levels + 1)
     # moves[k][sym]: the (new symbol, weight) pairs of symbol sym on mode k
     moves = []
     for k, op in enumerate(element.per_mode):
@@ -278,11 +315,7 @@ def apply(element: GroupElement, state: StateVector) -> StateVector:
         rows = _scalar_rows(op.entries)
         if not _compliant_rows(rows):
             raise ValueError(f"operator on mode {k} violates the superselection rule")
-        vacancy = rows[-1][-1]
-        moves.append(
-            [[(0, vacancy)] if vacancy != 0 else []]
-            + [[(i, rows[i - 1][j - 1]) for i in levels if rows[i - 1][j - 1] != 0] for j in levels]
-        )
+        moves.append(_symbol_moves(rows))
     out: Dict[Tuple[int, ...], complex] = {}
     for occ, amp in state.amplitudes.items():
         partial = [((), amp)]

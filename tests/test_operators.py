@@ -300,3 +300,50 @@ def test_nan_in_any_leak_entry_is_refused(mode, entry):
     assert not element.per_mode[mode].is_superselection_compliant()
     with pytest.raises(ValueError, match=f"operator on mode {mode} violates the superselection rule"):
         apply(element, random_state(SHAPE_321, rng))
+
+
+def _slocc_coefficient_sets():
+    """Seeded (c1, c2, c3, c8) sets of the kinds the package exponentiates."""
+    local = np.random.default_rng(7150)
+    zeros = (0.0, -0.0, complex(0.0, -0.0), complex(-0.0, -0.0), 0j, 0)
+    for spread in (0.3, 1.0, 3.0):
+        for _ in range(500):
+            yield tuple(local.normal(scale=spread, size=4) + 1j * local.normal(scale=spread, size=4))
+    for spread in (0.5, 1.0, 2.0):
+        for _ in range(500):
+            yield tuple(1j * local.normal(scale=spread, size=4))
+    for _ in range(500):
+        x3, x8 = local.uniform(-4.0, 4.0, size=2)
+        yield (0, 0, 1j * x3, 1j * x8)
+    for _ in range(500):
+        x3, x8 = local.normal(size=2)
+        yield (0, 0, x3, x8)
+    for _ in range(1000):
+        m = local.integers(-6, 7, size=4)
+        scale = local.choice([1j * math.pi, 1j * math.pi / 2, 1j * math.pi / 3, math.pi / 4])
+        yield tuple(scale * int(k) for k in m)
+    for _ in range(1000):
+        pick = local.integers(0, 2 * len(zeros), size=4)
+        draw = local.normal(size=4) + 1j * local.normal(size=4)
+        yield tuple(zeros[p] if p < len(zeros) else draw[j] for j, p in enumerate(pick))
+    negative_zero = complex(-0.0, -0.0)
+    for c8 in (-0.0, -1.5, complex(-1.5, 0.0), complex(-0.0, 0.7), negative_zero, 0, 2.0):
+        yield (negative_zero, negative_zero, negative_zero, c8)
+        yield (negative_zero, 0.0, negative_zero, c8)
+        yield (-0.0, -0.0, -0.0, c8)
+
+
+def test_slocc_closed_form_generator_equals_the_matrix_algebra():
+    """The written-down generator exponentiates to the same bits as the sum
+    of the four Gell-Mann matrices did, signs of zeros included."""
+    gens = [gell_mann(i).entries for i in (1, 2, 3, 8)]
+    count = 0
+    for coeffs in _slocc_coefficient_sets():
+        c1, c2, c3, c8 = (complex(c) for c in coeffs)
+        want = matrix_exp(LocalOperator(3, c1 * gens[0] + c2 * gens[1] + c3 * gens[2] + c8 * gens[3]))
+        got = make_slocc_element([coeffs]).per_mode[0]
+        a, b = got.entries.view(np.float64), want.entries.view(np.float64)
+        assert np.array_equal(a, b), coeffs
+        assert np.array_equal(np.signbit(a), np.signbit(b)), coeffs
+        count += 1
+    assert count >= 5000
