@@ -9,60 +9,34 @@ their locality profiles, verifies stabilizer elements and their phases,
 constructs maximally entangled sequence states for general counts, and
 runs seeded Monte-Carlo monotonicity checks. The ``modal-ent`` console
 script exposes the same functionality on the command line.
+
+The package root exports the names that the command line, the acceptance
+tests and the README example use; everything else is imported from its
+own module.
 """
 
 from .states import (
-    NORM_TOL,
     SHAPE_321,
-    ZERO_TOL,
-    DensityMatrix,
-    Occupation,
     StateVector,
     SystemShape,
-    basis_index,
-    enumerate_basis,
-    global_phase_between,
-    inner_product,
     is_maximally_entangled,
-    local_index,
-    normalize,
     random_state,
-    reduced_density_matrix,
-    relabel_modes,
 )
 from .operators import (
     GroupElement,
-    LocalOperator,
     apply,
-    compose,
     element_from_matrices,
-    gell_mann,
-    identity_element,
-    level_contraction,
-    make_slocc_element,
-    matrix_exp,
     occupation_scaling,
     random_element,
-    sector_matrix,
 )
 from .invariants import (
-    BilinearForm,
     InvariantReport,
-    PairBlocks,
-    dense_invariant_pair,
     generator_relation_check,
     invariant_report,
     localized_scenario_check,
-    pair_blocks,
     trace_word,
-    transvect_double,
-    transvect_single,
-    word_matrix,
 )
 from .classify import (
-    BellProfile,
-    CanonicalParams,
-    MembershipReport,
     bell_profile,
     canonical_form,
     chsh_value,
@@ -72,80 +46,37 @@ from .classify import (
 )
 from .stabilizers import (
     STABILIZER_NAMES,
-    StabilizerElement,
-    phase_fit,
     stabilizer,
     topological_phases,
     verify_stabilizes,
 )
 from .maxent import (
-    ContractionWitness,
-    SequencePattern,
     build_psi_sigma,
-    contraction_witnesses,
-    feasible,
     pattern_scan,
-    single_mode_bipartition_local,
 )
 from .monte_carlo import (
-    LocalInstrument,
-    MonteCarloSummary,
-    TrialRecord,
-    derive_seed,
     invariance_sweep,
-    monotonicity_trial,
-    random_instrument,
     run_monotone_trials,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "NORM_TOL",
     "SHAPE_321",
-    "ZERO_TOL",
-    "DensityMatrix",
-    "Occupation",
     "StateVector",
     "SystemShape",
-    "basis_index",
-    "enumerate_basis",
-    "global_phase_between",
-    "inner_product",
     "is_maximally_entangled",
-    "local_index",
-    "normalize",
     "random_state",
-    "reduced_density_matrix",
-    "relabel_modes",
     "GroupElement",
-    "LocalOperator",
     "apply",
-    "compose",
     "element_from_matrices",
-    "gell_mann",
-    "identity_element",
-    "level_contraction",
-    "make_slocc_element",
-    "matrix_exp",
     "occupation_scaling",
     "random_element",
-    "sector_matrix",
-    "BilinearForm",
     "InvariantReport",
-    "PairBlocks",
-    "dense_invariant_pair",
     "generator_relation_check",
     "invariant_report",
     "localized_scenario_check",
-    "pair_blocks",
     "trace_word",
-    "transvect_double",
-    "transvect_single",
-    "word_matrix",
-    "BellProfile",
-    "CanonicalParams",
-    "MembershipReport",
     "bell_profile",
     "canonical_form",
     "chsh_value",
@@ -153,24 +84,11 @@ __all__ = [
     "membership_report",
     "pair_projection",
     "STABILIZER_NAMES",
-    "StabilizerElement",
-    "phase_fit",
     "stabilizer",
     "topological_phases",
     "verify_stabilizes",
-    "ContractionWitness",
-    "SequencePattern",
     "build_psi_sigma",
-    "contraction_witnesses",
-    "feasible",
     "pattern_scan",
-    "single_mode_bipartition_local",
-    "LocalInstrument",
-    "MonteCarloSummary",
-    "TrialRecord",
-    "derive_seed",
     "invariance_sweep",
-    "monotonicity_trial",
-    "random_instrument",
     "run_monotone_trials",
 ]

@@ -291,7 +291,10 @@ _FAMILY_NAMES = ("Eq14", "Eq15", "Eq16", "Eq18", "S1", "S2", "psi1", "psi2")
 
 def _take(params: Dict[str, float], key: str, default: Optional[float] = None) -> float:
     if key in params:
-        return float(params.pop(key))
+        value = float(params.pop(key))
+        if not math.isfinite(value):
+            raise ValueError(f"family parameter {key!r} must be finite, got {value}")
+        return value
     if default is None:
         raise ValueError(f"missing family parameter {key!r}")
     return default
@@ -399,7 +402,7 @@ def family(name: str, params: Optional[Mapping[str, float]] = None) -> StateVect
         raise ValueError(f"unexpected parameters for {name}: {sorted(p)}")
     if check_norm:
         total = sum(abs(v) ** 2 for v in amps.values())
-        if abs(total - 1.0) > 1e-10:
+        if not abs(total - 1.0) <= 1e-10:
             raise ValueError(
                 f"{name} parameters give squared norm {total:.12f}, expected 1"
             )

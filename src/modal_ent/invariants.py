@@ -10,18 +10,22 @@ sigma_y-sandwiched word matrix W whose traces generate the same ring.
 Each of these formulas has one implementation, written over an indexable
 vector of the twelve amplitudes in :func:`enumerate_basis` order: a list of
 Python complex numbers for one state, or a ``(12, k)`` array for a batch.
-I2 is evaluated from its explicit degree-3 polynomial; the equivalent trace
-form satisfies trace(W) = i * I2 with the conventions fixed below, which the
-test suite checks on random states. A :class:`StateVector` enters through
-``_amplitude_list``, the package's one check that a state has shape
-(3, 2, 1); the canonical form and the Monte-Carlo trials rely on it too.
+I2 is evaluated from its explicit degree-3 polynomial. The word matrix W is
+the paper's transvectant contraction in matrix form: contracting two
+copies of the state form over mode A, and the result with a third copy
+over modes B and C, gives -trace(W), and trace(W) = i * I2 with the
+conventions fixed below, which the test suite checks on random states.
+That is why no separate transvection code is kept. A :class:`StateVector`
+enters through ``_amplitude_list``, the package's one check that a state
+has shape (3, 2, 1); the canonical form and the Monte-Carlo trials rely on
+it too.
 """
 
 from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple, Union
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -147,7 +151,12 @@ def _cross_minor_sum(v, cut) -> float:
 
 
 def word_matrix(blocks: PairBlocks) -> np.ndarray:
-    """The 2x2 word W = M_AB sy M_BC sy M_AC^T sy generating the trace invariants."""
+    """The 2x2 word W = M_AB sy M_BC sy M_AC^T sy generating the trace invariants.
+
+    W is the paper's transvectant contraction in matrix form: contracting
+    two copies of the state form over mode A, and the result with a third
+    copy over modes B and C, gives -trace(W); and trace(W) = i * I2.
+    """
     return blocks.M_AB @ SIGMA_Y @ blocks.M_BC @ SIGMA_Y @ blocks.M_AC.T @ SIGMA_Y
 
 
@@ -197,76 +206,6 @@ def _report(v: Sequence[complex], polynomials) -> InvariantReport:
         I_C_AB=_cross_minor_sum(v, _CUT_C_AB),
         W=word_matrix(_blocks(v)),
     )
-
-
-@dataclass(frozen=True, eq=False)
-class BilinearForm:
-    """A form in the three mode variables, stored as oriented blocks.
-
-    Keys are ordered variable pairs; the block for ``(a, b)`` carries the
-    ``a`` index on rows and the ``b`` index on columns. A sector state gives
-    the three blocks ``(x, y)``, ``(y, z)``, ``(x, z)``; transvection results
-    carry whatever pairs survive.
-    """
-
-    blocks: Dict[Tuple[str, str], np.ndarray]
-
-    @classmethod
-    def from_state(cls, state: StateVector) -> "BilinearForm":
-        b = pair_blocks(state)
-        return cls({("x", "y"): b.M_AB, ("y", "z"): b.M_BC, ("x", "z"): b.M_AC})
-
-
-_VARS = ("x", "y", "z")
-
-
-def _as_pair(pair: Union[str, Tuple[str, str]]) -> Tuple[str, str]:
-    a, b = tuple(pair)
-    if a not in _VARS or b not in _VARS or a == b:
-        raise ValueError(f"invalid variable pair {pair!r}")
-    return a, b
-
-
-def _oriented(form: BilinearForm, a: str, b: str) -> np.ndarray:
-    if (a, b) in form.blocks:
-        return form.blocks[(a, b)]
-    if (b, a) in form.blocks:
-        return form.blocks[(b, a)].T
-    raise ValueError(f"form has no block for variable pair ({a}, {b})")
-
-
-def transvect_double(
-    a: BilinearForm, b: BilinearForm, pair: Union[str, Tuple[str, str]]
-) -> complex:
-    """Fully contract two forms over one variable pair.
-
-    The value is ``trace(A^T sy B sy)`` on the oriented blocks of the pair.
-    Contracting a state form with itself over ``(x, y)`` yields twice the
-    determinant of the corresponding pair block.
-    """
-    u, v = _as_pair(pair)
-    blk_a = _oriented(a, u, v)
-    blk_b = _oriented(b, u, v)
-    return complex(np.trace(blk_a.T @ SIGMA_Y @ blk_b @ SIGMA_Y))
-
-
-def transvect_single(a: BilinearForm, b: BilinearForm, variable: str) -> BilinearForm:
-    """Contract two forms over a single variable, leaving a new bilinear form.
-
-    With ``u, w`` the surviving variables (first index from ``a``, second
-    from ``b``), the four result blocks are ``A_u^T sy B_w`` where ``A_u`` is
-    ``a``'s block oriented with the contracted variable on rows.
-    """
-    if variable not in _VARS:
-        raise ValueError(f"invalid variable {variable!r}")
-    rest = tuple(v for v in _VARS if v != variable)
-    out: Dict[Tuple[str, str], np.ndarray] = {}
-    for u in rest:
-        blk_a = _oriented(a, variable, u)
-        for w in rest:
-            blk_b = _oriented(b, variable, w)
-            out[(u, w)] = blk_a.T @ SIGMA_Y @ blk_b
-    return BilinearForm(out)
 
 
 def _trace_power(w: np.ndarray, n: int) -> complex:

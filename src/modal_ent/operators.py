@@ -243,10 +243,6 @@ def element_from_matrices(mats: Sequence[np.ndarray]) -> GroupElement:
     return GroupElement(tuple(LocalOperator(m.shape[0], np.asarray(m, dtype=complex)) for m in mats))
 
 
-def identity_element(modes: int, dim: int) -> GroupElement:
-    return element_from_matrices([np.eye(dim, dtype=complex)] * modes)
-
-
 def make_slocc_element(coefficients: Sequence[Sequence[complex]]) -> GroupElement:
     """Exponentiate per-mode combinations of the four generators.
 

@@ -48,7 +48,7 @@ def _pop_float(params: Dict[str, float], key: str, default: float = 0.0) -> floa
 def _pop_int(params: Dict[str, float], key: str, default: int = 0) -> int:
     raw = params.pop(key, default)
     val = float(raw)
-    if abs(val - round(val)) > 1e-9:
+    if not math.isfinite(val) or abs(val - round(val)) > 1e-9:
         raise ValueError(f"parameter {key!r} must be an integer, got {raw}")
     return int(round(val))
 

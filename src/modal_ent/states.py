@@ -15,8 +15,8 @@ This module owns three decisions that the other modules share:
 
 * the ray fit, :func:`phase_fit`, which reads the ratio of two states at the
   reference state's largest amplitude and checks the residual against it;
-  the global phase, the stabilizer verdicts, the topological phases and the
-  contraction witnesses all go through it;
+  the stabilizer verdicts, the topological phases and the contraction
+  witnesses all go through it;
 * the split of a state into one mode against the rest, :func:`mode_matrix`,
   from which the single-mode reduction and the single-mode product test are
   read;
@@ -178,23 +178,6 @@ class StateVector:
         return cls(shape, {occ: complex(v) for occ, v in zip(basis, vec) if v != 0})
 
 
-@dataclass(frozen=True, eq=False)
-class DensityMatrix:
-    """A dim x dim complex matrix with the usual state-operator reading."""
-
-    dim: int
-    entries: np.ndarray
-
-    def trace(self) -> complex:
-        return complex(np.trace(self.entries))
-
-    def hermiticity_defect(self) -> float:
-        return float(np.max(np.abs(self.entries - self.entries.conj().T)))
-
-    def purity(self) -> float:
-        return float(np.real(np.trace(self.entries @ self.entries)))
-
-
 def require_normalized(state: StateVector, what: str) -> None:
     """Raise ValueError, naming ``what``, unless the state has unit norm.
 
@@ -227,16 +210,16 @@ def mode_matrix(state: StateVector, mode: int) -> np.ndarray:
     return mat
 
 
-def reduced_density_matrix(state: StateVector, mode: int) -> DensityMatrix:
+def reduced_density_matrix(state: StateVector, mode: int) -> np.ndarray:
     """Partial trace of ``|state><state|`` onto one mode, level-major indexed.
 
-    This is ``M M^H`` for the :func:`mode_matrix` M, so the cost follows the
-    sparse support rather than the sector dimension. The state must be
-    normalized.
+    Returns the ``d x d`` ndarray ``M M^H`` for the :func:`mode_matrix` M,
+    with ``d = p + 2``, so the cost follows the sparse support rather than
+    the sector dimension. The state must be normalized.
     """
     m = mode_matrix(state, mode)
     require_normalized(state, "reduced_density_matrix")
-    return DensityMatrix(state.shape.local_dim, m @ m.conj().T)
+    return m @ m.conj().T
 
 
 def is_maximally_entangled(state: StateVector, tol: float = 1e-12) -> bool:
@@ -245,18 +228,9 @@ def is_maximally_entangled(state: StateVector, tol: float = 1e-12) -> bool:
     target = np.eye(d) / d
     for mode in range(state.shape.modes):
         rho = reduced_density_matrix(state, mode)
-        if np.max(np.abs(rho.entries - target)) > tol:
+        if np.max(np.abs(rho - target)) > tol:
             return False
     return True
-
-
-def inner_product(a: StateVector, b: StateVector) -> complex:
-    """Sesquilinear inner product, conjugate-linear in the first argument."""
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    if len(b.amplitudes) < len(a.amplitudes):
-        return complex(np.conj(inner_product(b, a)))
-    return sum(np.conj(amp) * b.amplitudes[occ] for occ, amp in a.amplitudes.items() if occ in b.amplitudes) + 0j
 
 
 def normalize(state: StateVector) -> StateVector:
@@ -284,30 +258,6 @@ def phase_fit(state: StateVector, moved: StateVector, tol: float) -> Tuple[bool,
     keys = set(state.amplitudes) | set(moved.amplitudes)
     residual = math.sqrt(sum(abs(moved.amplitude(k) - c * state.amplitude(k)) ** 2 for k in keys))
     return residual <= tol * norm, c
-
-
-def global_phase_between(a: StateVector, b: StateVector, tol: float = 1e-9) -> complex:
-    """The unit complex ``c`` with ``b = c * a``, for phase-equal states.
-
-    The pair must pass :func:`phase_fit` with a ratio of unit modulus within
-    ``tol``; inputs that are not equal up to a global phase raise
-    ``ValueError``.
-    """
-    ok, c = phase_fit(a, b, tol)
-    if not ok or abs(abs(c) - 1.0) > tol:
-        raise ValueError("states are not equal up to a global phase")
-    return c / abs(c)
-
-
-def relabel_modes(state: StateVector, perm: Tuple[int, ...]) -> StateVector:
-    """Permute mode labels: new mode ``k`` holds what old mode ``perm[k]`` held."""
-    n = state.shape.modes
-    if sorted(perm) != list(range(n)):
-        raise ValueError(f"{perm!r} is not a permutation of 0..{n - 1}")
-    moved = {
-        tuple(occ[perm[k]] for k in range(n)): amp for occ, amp in state.amplitudes.items()
-    }
-    return StateVector(state.shape, moved)
 
 
 def random_amplitudes(dim: int, rngs: Iterable[np.random.Generator]) -> np.ndarray:

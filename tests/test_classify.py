@@ -119,6 +119,25 @@ def test_family_validation():
         family("S1", {"r": 0.1, "extra": 1.0})
 
 
+# r3 = r4 = r5 = 0.4 make the dependent amplitude 0.4 too, so the squared norm is 1
+EQ18_NORMALIZED = {"r1": math.sqrt(0.18), "r2": math.sqrt(0.18), "r3": 0.4, "r4": 0.4, "r5": 0.4}
+
+
+@pytest.mark.parametrize(
+    "name, params, key",
+    [
+        ("Eq14", {"r1": math.nan, "r2": 0.0, "r3": 0.0}, "r1"),
+        ("Eq15", {"r1": math.nan, "r2": 0.6, "r3": 0.8}, "r1"),
+        ("S2", {"r": 0.3, "theta": math.nan}, "theta"),
+        ("Eq16", {"r1": 0.5, "r2": 0.5, "r3": 0.5, "r4": 0.5, "phi": math.nan}, "phi"),
+        ("Eq18", {**EQ18_NORMALIZED, "theta": math.inf}, "theta"),
+    ],
+)
+def test_family_refuses_non_finite_parameters(name, params, key):
+    with pytest.raises(ValueError, match=f"family parameter '{key}' must be finite"):
+        family(name, params)
+
+
 def test_family_eq18_dependent_amplitude():
     r1, r2, r3, r4, r5 = 0.4, 0.5, 0.35, 0.25, 0.3
     cross = r3 * r4 / r5

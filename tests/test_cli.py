@@ -97,6 +97,10 @@ def test_family_parameter_errors(capsys):
     assert "given twice" in capsys.readouterr().err
     assert main(["family", "--name", "S1", "--params", "nonsense"]) == 1
     capsys.readouterr()
+    assert main(["family", "--name", "S2", "--params", "r=0.3,theta=nan"]) == 1
+    assert "family parameter 'theta' must be finite, got nan" in capsys.readouterr().err
+    assert main(["family", "--name", "Eq14", "--params", "r1=inf,r2=0,r3=0"]) == 1
+    assert "family parameter 'r1' must be finite, got inf" in capsys.readouterr().err
 
 
 def test_verify_stabilizer_exit_codes(tmp_path, capsys):

@@ -6,15 +6,12 @@ from hypothesis import given, settings, strategies as st
 
 from modal_ent.classify import family
 from modal_ent.invariants import (
-    BilinearForm,
     dense_invariant_pair,
     generator_relation_check,
     invariant_report,
     localized_scenario_check,
     pair_blocks,
     trace_word,
-    transvect_double,
-    transvect_single,
     word_matrix,
 )
 from modal_ent.operators import SplitComplex, apply, random_element
@@ -102,32 +99,6 @@ def test_generator_relation_residuals():
         psi = random_state(SHAPE_321, rng)
         assert generator_relation_check(psi, 4) < 1e-12
     assert generator_relation_check(family("psi1"), 8) < 1e-12
-
-
-def test_transvection_doubles_are_pair_determinants():
-    psi = random_state(SHAPE_321, rng)
-    form = BilinearForm.from_state(psi)
-    rep = invariant_report(psi)
-    assert abs(transvect_double(form, form, "xy") - 2.0 * rep.I_AB) < 1e-12
-    assert abs(transvect_double(form, form, "yz") - 2.0 * rep.I_BC) < 1e-12
-    assert abs(transvect_double(form, form, "xz") - 2.0 * rep.I_AC) < 1e-12
-    assert abs(transvect_double(form, form, ("y", "x")) - 2.0 * rep.I_AB) < 1e-12
-    with pytest.raises(ValueError):
-        transvect_double(form, form, "xx")
-    with pytest.raises(ValueError):
-        transvect_double(form, form, "xw")
-
-
-def test_transvection_pipeline_gives_i2():
-    for _ in range(10):
-        psi = random_state(SHAPE_321, rng)
-        form = BilinearForm.from_state(psi)
-        partial = transvect_single(form, form, "x")
-        value = transvect_double(partial, form, "yz")
-        rep = invariant_report(psi)
-        assert abs(value - (-1j) * rep.I2) < 1e-12
-    with pytest.raises(ValueError):
-        transvect_single(form, form, "q")
 
 
 def test_family_closed_forms():

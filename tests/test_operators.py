@@ -14,7 +14,6 @@ from modal_ent.operators import (
     compose,
     element_from_matrices,
     gell_mann,
-    identity_element,
     level_contraction,
     make_slocc_element,
     matrix_exp,
@@ -124,7 +123,7 @@ def test_apply_matches_sector_matrix():
 
 def test_apply_identity_and_scaling():
     psi = random_state(SHAPE_321, rng)
-    same = apply(identity_element(3, 3), psi)
+    same = apply(element_from_matrices([np.eye(3)] * 3), psi)
     assert np.abs(same.dense() - psi.dense()).max() == 0
     doubled = element_from_matrices([2 * np.eye(3), np.eye(3), np.eye(3)])
     grown = apply(doubled, psi)
@@ -136,9 +135,9 @@ def test_apply_identity_and_scaling():
 def test_apply_rejects_bad_elements():
     psi = random_state(SHAPE_321, rng)
     with pytest.raises(ValueError):
-        apply(identity_element(2, 3), psi)
+        apply(element_from_matrices([np.eye(3)] * 2), psi)
     with pytest.raises(ValueError):
-        apply(identity_element(3, 4), psi)
+        apply(element_from_matrices([np.eye(4)] * 3), psi)
     mix = np.eye(3, dtype=complex)
     mix[0, 2] = 0.5
     with pytest.raises(ValueError):
@@ -199,7 +198,7 @@ def test_sector_matrix_refuses_large_sectors():
     shape = SystemShape(8, 6, 2)
     assert shape.dimension > 4096
     with pytest.raises(ValueError):
-        sector_matrix(identity_element(8, 4), shape)
+        sector_matrix(element_from_matrices([np.eye(4)] * 8), shape)
 
 
 def test_random_element_reproducible():

@@ -143,6 +143,9 @@ def test_parameter_validation():
         stabilizer("unknown", {})
     with pytest.raises(ValueError):
         stabilizer("generic_eq13", {"m": 0.5})
+    for bad in ("inf", "nan"):
+        with pytest.raises(ValueError, match=f"parameter 'm' must be an integer, got {bad}"):
+            stabilizer("generic_eq13", {"m": float(bad)})
     with pytest.raises(ValueError):
         stabilizer("generic_eq13", {"m": 1, "alpha": 0.0, "junk": 2.0})
     with pytest.raises(ValueError):

@@ -8,20 +8,16 @@ from hypothesis import given, settings, strategies as st
 from modal_ent.states import (
     SHAPE_321,
     LISTED_DIMENSION,
-    DensityMatrix,
     StateVector,
     SystemShape,
     basis_index,
     enumerate_basis,
-    global_phase_between,
-    inner_product,
     is_maximally_entangled,
     local_index,
     normalize,
     phase_fit,
     random_state,
     reduced_density_matrix,
-    relabel_modes,
 )
 
 # the frozen basis order of the working sector, two particles over three modes
@@ -97,11 +93,12 @@ def test_reduced_density_of_product_like_state():
     # both particles pinned to modes A and B, mode C always empty
     psi = StateVector(SHAPE_321, {(1, 1, 0): 0.6, (2, 2, 0): 0.8})
     rho_c = reduced_density_matrix(psi, 2)
-    assert np.allclose(rho_c.entries, np.diag([0.0, 0.0, 1.0]), atol=1e-14)
+    assert isinstance(rho_c, np.ndarray) and rho_c.shape == (3, 3)
+    assert np.allclose(rho_c, np.diag([0.0, 0.0, 1.0]), atol=1e-14)
     rho_a = reduced_density_matrix(psi, 0)
-    assert np.allclose(rho_a.entries, np.diag([0.36, 0.64, 0.0]), atol=1e-14)
-    assert abs(rho_a.trace() - 1.0) < 1e-14
-    assert rho_a.hermiticity_defect() < 1e-14
+    assert np.allclose(rho_a, np.diag([0.36, 0.64, 0.0]), atol=1e-14)
+    assert abs(np.trace(rho_a) - 1.0) < 1e-14
+    assert np.max(np.abs(rho_a - rho_a.conj().T)) < 1e-14
 
 
 def test_reduced_density_off_diagonals():
@@ -109,9 +106,9 @@ def test_reduced_density_off_diagonals():
     a, b = 0.6, 0.8j
     psi = StateVector(SHAPE_321, {(1, 0, 1): a, (2, 0, 1): b})
     rho = reduced_density_matrix(psi, 0)
-    assert abs(rho.entries[0, 1] - a * np.conj(b)) < 1e-14
-    assert abs(rho.entries[1, 0] - b * np.conj(a)) < 1e-14
-    assert abs(rho.purity() - 1.0) < 1e-12
+    assert abs(rho[0, 1] - a * np.conj(b)) < 1e-14
+    assert abs(rho[1, 0] - b * np.conj(a)) < 1e-14
+    assert abs(np.real(np.trace(rho @ rho)) - 1.0) < 1e-12
 
 
 def test_reduced_density_requires_normalization():
@@ -129,31 +126,7 @@ def test_maximally_mixed_reductions():
     assert is_maximally_entangled(psi, tol=1e-12)
     for mode in range(3):
         rho = reduced_density_matrix(psi, mode)
-        assert np.max(np.abs(rho.entries - np.eye(3) / 3)) < 1e-15
-
-
-def test_inner_product_and_phase():
-    rng = np.random.default_rng(1)
-    a = random_state(SHAPE_321, rng)
-    b = random_state(SHAPE_321, rng)
-    assert abs(inner_product(a, b) - np.conj(inner_product(b, a))) < 1e-14
-    assert abs(inner_product(a, a) - 1.0) < 1e-12
-    phase = np.exp(0.3j)
-    rotated = StateVector(SHAPE_321, {k: phase * v for k, v in a.amplitudes.items()})
-    c = global_phase_between(a, rotated)
-    assert abs(c - phase) < 1e-12
-    with pytest.raises(ValueError):
-        global_phase_between(a, b)
-
-
-def test_relabel_modes():
-    psi = StateVector(SHAPE_321, {(1, 2, 0): 1.0})
-    swapped = relabel_modes(psi, (1, 0, 2))
-    assert swapped.amplitude((2, 1, 0)) == 1.0
-    back = relabel_modes(swapped, (1, 0, 2))
-    assert back.amplitude((1, 2, 0)) == 1.0
-    with pytest.raises(ValueError):
-        relabel_modes(psi, (0, 0, 2))
+        assert np.max(np.abs(rho - np.eye(3) / 3)) < 1e-15
 
 
 def test_normalize():
@@ -174,25 +147,9 @@ def test_norm_matches_dense_norm(seed):
     assert abs(psi.norm() - np.linalg.norm(vec)) < 1e-12 * max(1.0, np.linalg.norm(vec))
 
 
-@settings(max_examples=40, deadline=None)
-@given(
-    st.integers(min_value=0, max_value=2**31 - 1),
-    st.permutations([0, 1, 2]),
-)
-def test_relabel_preserves_norm_and_inverts(seed, perm):
-    rng = np.random.default_rng(seed)
-    psi = random_state(SHAPE_321, rng)
-    perm = tuple(perm)
-    moved = relabel_modes(psi, perm)
-    assert abs(moved.norm() - psi.norm()) < 1e-12
-    inverse = tuple(np.argsort(perm))
-    back = relabel_modes(moved, inverse)
-    assert max(abs(back.amplitude(o) - psi.amplitude(o)) for o in enumerate_basis(SHAPE_321)) < 1e-14
-
-
 def test_phase_fit_rule_on_a_subnormalised_pair():
-    # the reference has norm 0.5, so both functions accept a residual up to
-    # tol * 0.5 and reject anything above it
+    # the reference has norm 0.5, so the fit accepts a residual up to
+    # tol * 0.5 and rejects anything above it
     a = StateVector(SHAPE_321, {(1, 1, 0): 0.3, (0, 1, 2): 0.4j})
     phase = np.exp(0.7j)
     tol = 1e-9
@@ -203,11 +160,6 @@ def test_phase_fit_rule_on_a_subnormalised_pair():
         fits, c = phase_fit(a, b, tol)
         assert fits == (delta <= 0.5 * tol)
         assert abs(c - phase) < 1e-15
-        if fits:
-            assert abs(global_phase_between(a, b, tol) - phase) < 1e-15
-        else:
-            with pytest.raises(ValueError):
-                global_phase_between(a, b, tol)
 
 
 @pytest.mark.parametrize(

@@ -1,16 +1,22 @@
-"""Every name a package module imports is used in that module.
+"""Every name a package module imports is used, and the root exports only what its callers need.
 
-No linter ships with the test dependencies, so the check walks the syntax
+No linter ships with the test dependencies, so the checks walk the syntax
 tree with the standard library. Names listed in ``__all__`` count as used,
-since the package root imports them only to re-export them.
+since the package root imports them only to re-export them. The root may
+export a name only if the command line, the acceptance tests or the README
+example imports it; everything else is imported from its own module.
 """
 
 import ast
 import pathlib
+import re
 
 import pytest
 
-PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "modal_ent"
+import modal_ent
+
+REPO = pathlib.Path(__file__).resolve().parents[1]
+PACKAGE = REPO / "src" / "modal_ent"
 
 
 def unused_imports(source: str):
@@ -33,6 +39,21 @@ def unused_imports(source: str):
     return sorted((line, name) for name, line in imported.items() if name not in used)
 
 
+def package_imports(source: str):
+    """Names imported from the package or, in a package module, relatively."""
+    return {
+        alias.name
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom)
+        and (node.level > 0 or (node.module or "").split(".")[0] == "modal_ent")
+        for alias in node.names
+    }
+
+
+def readme_example() -> str:
+    return re.search(r"```python\n(.*?)```", (REPO / "README.md").read_text(), re.S).group(1)
+
+
 def test_detector_finds_an_unused_name():
     source = "from typing import List, Tuple\nimport numpy as np\nx: List[int] = np.zeros(1)\n"
     assert unused_imports(source) == [(1, "Tuple")]
@@ -41,3 +62,18 @@ def test_detector_finds_an_unused_name():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_root_exports_only_what_its_callers_import():
+    exported = modal_ent.__all__
+    assert len(set(exported)) == len(exported)
+    assert set(exported) == package_imports((PACKAGE / "__init__.py").read_text())
+    needed = package_imports(readme_example())
+    for caller in (PACKAGE / "cli.py", REPO / "tests" / "test_acceptance.py"):
+        needed |= package_imports(caller.read_text())
+    assert sorted(set(exported) - needed) == []
+
+
+def test_readme_example_runs(capsys):
+    exec(compile(readme_example(), "README.md", "exec"), {})
+    assert len(capsys.readouterr().out.splitlines()) == 2
