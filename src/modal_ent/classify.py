@@ -37,7 +37,7 @@ from .invariants import (
     _invariant_polynomials,
     _report,
 )
-from .operators import GroupElement, _scalar_rows, _symbol_moves, element_from_matrices
+from .operators import GroupElement, _scalar_rows, _symbol_moves
 from .states import (
     SHAPE_321,
     StateVector,
@@ -237,7 +237,7 @@ def canonical_form(state: StateVector) -> CanonicalParams:
         phi=slot_phase((1, 0, 2)),
         phi_prime=slot_phase((0, 2, 1)),
         theta=slot_phase((0, 1, 2)),
-        element=element_from_matrices(total),
+        element=GroupElement(total),
         state=work,
     )
 

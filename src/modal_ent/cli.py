@@ -197,8 +197,6 @@ def _cmd_theorem3_scan(args: argparse.Namespace) -> int:
 
 
 def _cmd_monotone_mc(args: argparse.Namespace) -> int:
-    if args.state and args.random:
-        raise ValueError("--state and --random are mutually exclusive")
     state = _load_state(args.state) if args.state else None
     summary = run_monotone_trials(
         trials=args.trials,
@@ -316,12 +314,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strength", type=float, default=0.5,
                    help="instrument perturbation strength (default 0.5)")
     p.add_argument("--state", metavar="FILE",
-                   help="fixed input state; with no --state, --random is implied")
-    p.add_argument("--random", action="store_true",
-                   help="draw a fresh random state per trial (the default)")
+                   help="fixed input state (default: a fresh random state per trial)")
     p.add_argument("--records", metavar="FILE", help="also write per-trial records as CSV")
-    p.add_argument("--threads", type=int, default=0,
-                   help="accepted for compatibility and ignored; trials run serially")
     p.set_defaults(func=_cmd_monotone_mc)
 
     p = sub.add_parser("chsh", help="CHSH values of the pair projections")

@@ -34,7 +34,6 @@ from .invariants import _amplitude_list, dense_invariant_pair, monotones
 from .operators import (
     MEMBER_TOL,
     GroupElement,
-    LocalOperator,
     SplitComplex,
     apply_on_mode_columns,
     sector_matrix,
@@ -78,14 +77,15 @@ def _check_instruments(kraus: np.ndarray) -> None:
 
 @dataclass(frozen=True, eq=False)
 class LocalInstrument:
-    """A two-outcome instrument on one mode with compliant Kraus operators."""
+    """A two-outcome instrument on one mode, its compliant Kraus operators
+    held as one ``(2, d, d)`` array, the layout :func:`_margins` reads."""
 
     mode: int
-    outcomes: Tuple[LocalOperator, LocalOperator]
+    kraus: np.ndarray
     seed: int
 
     def __post_init__(self) -> None:
-        _check_instruments(np.stack([op.entries for op in self.outcomes])[None])
+        _check_instruments(self.kraus[None])
 
 
 def _instrument_kraus(seeds: Sequence[int], strength: float, p: int = 1) -> np.ndarray:
@@ -137,12 +137,7 @@ def random_instrument(
     large that the entries of ``I + strength * G`` or their scaled spectral
     norm overflow.
     """
-    a0, a1 = _instrument_kraus([seed], strength, p)[0]
-    return LocalInstrument(
-        mode=mode,
-        outcomes=(LocalOperator(p + 2, a0), LocalOperator(p + 2, a1)),
-        seed=seed,
-    )
+    return LocalInstrument(mode=mode, kraus=_instrument_kraus([seed], strength, p)[0], seed=seed)
 
 
 def _state_column(state: StateVector) -> np.ndarray:
@@ -188,8 +183,7 @@ def monotonicity_trial(
     the one-trial call of the kernel behind :func:`run_monotone_trials`, so
     it replays a recorded trial bit for bit.
     """
-    kraus = np.stack([op.entries for op in instrument.outcomes])[None]
-    m1, m2 = _margins(_state_column(state), kraus, np.array([instrument.mode]))
+    m1, m2 = _margins(_state_column(state), instrument.kraus[None], np.array([instrument.mode]))
     return float(m1[0]), float(m2[0])
 
 

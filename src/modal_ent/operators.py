@@ -1,11 +1,12 @@
 """Number-conserving local operators and their action on sector states.
 
-Every operator here acts on a single mode in level-major order (levels first,
-vacancy last). An operator is superselection compliant when it never mixes
-occupied levels with the vacancy, which makes it block diagonal: a
-``(p+1) x (p+1)`` block on the levels and a scalar on the vacancy. Group
-elements are per-mode tuples of such operators, applied as a tensor product
-restricted to the fixed-particle-number sector.
+A local operator is a plain ``d x d`` complex ndarray acting on a single
+mode in level-major order (levels first, vacancy last). It is
+superselection compliant when it never mixes occupied levels with the
+vacancy, which makes it block diagonal: a ``(p+1) x (p+1)`` block on the
+levels and a scalar on the vacancy. A :class:`GroupElement` holds one such
+operator per mode as a single ``(modes, d, d)`` stack, applied as a tensor
+product restricted to the fixed-particle-number sector.
 
 :func:`apply` is the one generic action of an element on a sparse state of
 any shape (the canonical form's stages restate it for their own matrices),
@@ -16,9 +17,9 @@ and mode, as an index gather rather than a sector matrix.
 
 The entries that the superselection rule requires to vanish are listed
 once, by ``_leak_positions``. :func:`superselection_leak` reads them from
-stacks of matrices; single operators, which :func:`apply` and
-:meth:`LocalOperator.is_superselection_compliant` test, read them from rows
-of scalars, without the numpy call overhead of a stacked call.
+stacks of matrices, which is how elements and instruments are tested;
+:func:`apply` reads them from the rows of scalars it builds anyway, without
+the numpy call overhead of a stacked call.
 """
 
 from __future__ import annotations
@@ -56,28 +57,6 @@ _EXPONENT_WEIGHTS = tuple(
     tuple(complex(m[i, j]) for m in (_L1, _L2, _L3, _L8))
     for i, j in ((0, 0), (0, 1), (1, 0), (1, 1), (2, 2))
 )
-
-
-@dataclass(frozen=True, eq=False)
-class LocalOperator:
-    """A complex matrix on one mode, vacancy indexed last."""
-
-    dim: int
-    entries: np.ndarray
-
-    def __post_init__(self) -> None:
-        if self.entries.shape != (self.dim, self.dim):
-            raise ValueError(f"entries must be {self.dim}x{self.dim}, got {self.entries.shape}")
-
-    def det(self) -> complex:
-        return complex(np.linalg.det(self.entries))
-
-    def is_superselection_compliant(self, tol: float = MEMBER_TOL) -> bool:
-        return _compliant_rows(_scalar_rows(self.entries), tol)
-
-    def is_unitary(self, tol: float = MEMBER_TOL) -> bool:
-        defect = self.entries @ self.entries.conj().T - np.eye(self.dim)
-        return bool(np.max(np.abs(defect)) <= tol)
 
 
 class SplitComplex:
@@ -163,19 +142,32 @@ def _symbol_moves(rows: Sequence[Sequence[complex]]) -> list:
 
 @dataclass(frozen=True, eq=False)
 class GroupElement:
-    """One local operator per mode; the exponent parameters used to build an
-    element are construction inputs only and are not retained."""
+    """One local operator per mode, stacked from any sequence of equally sized
+    square matrices into the ``(modes, d, d)`` complex array ``matrices``.
 
-    per_mode: Tuple[LocalOperator, ...]
+    The membership tests run once on the whole stack; NaN entries fail them.
+    """
+
+    matrices: np.ndarray
+
+    def __post_init__(self) -> None:
+        try:
+            mats = np.asarray(self.matrices, dtype=complex)
+        except ValueError:
+            raise ValueError("the operators of a group element must share one dimension") from None
+        if mats.ndim != 3 or mats.shape[1] != mats.shape[2] or mats.shape[2] < 2:
+            raise ValueError(f"expected a (modes, d, d) stack with d >= 2, got shape {mats.shape}")
+        object.__setattr__(self, "matrices", mats)
 
     def is_superselection_compliant(self, tol: float = MEMBER_TOL) -> bool:
-        return all(op.is_superselection_compliant(tol) for op in self.per_mode)
+        return bool((superselection_leak(self.matrices) <= tol).all())
 
     def is_unitary(self, tol: float = MEMBER_TOL) -> bool:
-        return all(op.is_unitary(tol) for op in self.per_mode)
+        defect = self.matrices @ self.matrices.conj().swapaxes(-1, -2) - np.eye(self.matrices.shape[-1])
+        return bool(np.abs(defect).max() <= tol)
 
     def is_special(self, tol: float = MEMBER_TOL) -> bool:
-        return all(abs(op.det() - 1.0) <= tol for op in self.per_mode)
+        return bool((np.abs(np.linalg.det(self.matrices) - 1.0) <= tol).all())
 
     def membership(self, tol: float = MEMBER_TOL) -> str:
         """Coarse tag: ``"SU"``, ``"SLOCC"`` or ``"neither"``."""
@@ -184,7 +176,7 @@ class GroupElement:
         return "SU" if self.is_unitary(tol) else "SLOCC"
 
 
-def gell_mann(index: int) -> LocalOperator:
+def gell_mann(index: int) -> np.ndarray:
     """One of the four diagonal-block generators on a three-level mode.
 
     Indices 1, 2, 3 act on the two occupied levels in the Pauli pattern and
@@ -192,10 +184,10 @@ def gell_mann(index: int) -> LocalOperator:
     """
     if index not in _GELL_MANN:
         raise ValueError(f"unsupported generator index {index}; valid indices are 1, 2, 3, 8")
-    return LocalOperator(3, _GELL_MANN[index].copy())
+    return _GELL_MANN[index].copy()
 
 
-def matrix_exp(op: LocalOperator) -> LocalOperator:
+def matrix_exp(op: np.ndarray) -> np.ndarray:
     """Matrix exponential of a compliant spin-1/2 operator, in closed form.
 
     The 2x2 level block ``A`` exponentiates as
@@ -206,14 +198,14 @@ def matrix_exp(op: LocalOperator) -> LocalOperator:
     would cancel. Any other operator, including a 3x3 one with nonzero
     entries mixing levels and vacancy, raises ValueError.
     """
-    if op.dim != 3:
-        raise ValueError(f"closed-form exponential needs a 3x3 operator, got dim {op.dim}")
-    (a, b, x), (c, d, y), (p, q, v) = op.entries.tolist()
+    if op.shape != (3, 3):
+        raise ValueError(f"closed-form exponential needs a 3x3 operator, got shape {op.shape}")
+    (a, b, x), (c, d, y), (p, q, v) = op.tolist()
     if not all(cmath.isfinite(z) for z in (a, b, c, d, v, x, y, p, q)):
         raise ValueError("matrix exponential of a non-finite matrix")
     if x or y or p or q:
         raise ValueError("closed-form exponential needs levels and vacancy kept apart")
-    return LocalOperator(3, np.array(_exp_entries(a, b, c, d, v), dtype=complex))
+    return np.array(_exp_entries(a, b, c, d, v), dtype=complex)
 
 
 def _exp_entries(a: complex, b: complex, c: complex, d: complex, v: complex) -> list:
@@ -240,7 +232,7 @@ def _exp_entries(a: complex, b: complex, c: complex, d: complex, v: complex) -> 
 
 
 def element_from_matrices(mats: Sequence[np.ndarray]) -> GroupElement:
-    return GroupElement(tuple(LocalOperator(m.shape[0], np.asarray(m, dtype=complex)) for m in mats))
+    return GroupElement(mats)
 
 
 def make_slocc_element(coefficients: Sequence[Sequence[complex]]) -> GroupElement:
@@ -257,7 +249,8 @@ def make_slocc_element(coefficients: Sequence[Sequence[complex]]) -> GroupElemen
     ``1e-9`` relative to the product of the factor's row norms, which bounds
     both the determinant (Hadamard) and its rounding error; the determinant
     is ``(ad - bc) v`` for the factor's level block ``[[a, b], [c, d]]`` and
-    vacancy entry ``v``.
+    vacancy entry ``v``. A factor whose exponent or exponential leaves the
+    floating-point range raises ValueError naming its mode.
     """
     factors = []
     for k, coeffs in enumerate(coefficients):
@@ -265,24 +258,25 @@ def make_slocc_element(coefficients: Sequence[Sequence[complex]]) -> GroupElemen
         if not all(cmath.isfinite(c) for c in (c1, c2, c3, c8)):
             raise ValueError(f"non-finite exponent coefficients on mode {k}")
         generator = [c1 * w1 + c2 * w2 + c3 * w3 + c8 * w8 for w1, w2, w3, w8 in _EXPONENT_WEIGHTS]
-        if not all(cmath.isfinite(z) for z in generator):
-            raise ValueError("matrix exponential of a non-finite matrix")
-        factors.append(_exp_entries(*generator))
-    for k, rows in enumerate(factors):
+        try:
+            rows = _exp_entries(*generator) if all(map(cmath.isfinite, generator)) else None
+        except (OverflowError, ValueError):
+            rows = None
+        if rows is None or not all(cmath.isfinite(z) for row in rows for z in row):
+            raise ValueError(f"the exponential on mode {k} overflows")
         (a, b, _), (c, d, _), (_, _, v) = rows
         row_norms = (math.hypot(*map(abs, row)) for row in rows)
-        if abs((a * d - b * c) * v - 1.0) > 1e-9 * math.prod(row_norms):
+        if not abs((a * d - b * c) * v - 1.0) <= 1e-9 * math.prod(row_norms):
             raise ArithmeticError(f"factor on mode {k} drifted off determinant one")
-    return GroupElement(tuple(LocalOperator(3, np.array(rows, dtype=complex)) for rows in factors))
+        factors.append(rows)
+    return GroupElement(factors)
 
 
 def compose(g: GroupElement, h: GroupElement) -> GroupElement:
     """The element acting as h first, then g."""
-    if len(g.per_mode) != len(h.per_mode):
-        raise ValueError("cannot compose elements over different mode counts")
-    return element_from_matrices(
-        [a.entries @ b.entries for a, b in zip(g.per_mode, h.per_mode)]
-    )
+    if g.matrices.shape != h.matrices.shape:
+        raise ValueError(f"cannot compose elements of shapes {g.matrices.shape} and {h.matrices.shape}")
+    return GroupElement(g.matrices @ h.matrices)
 
 
 def apply(element: GroupElement, state: StateVector) -> StateVector:
@@ -292,23 +286,20 @@ def apply(element: GroupElement, state: StateVector) -> StateVector:
     each amplitude fans out only over the level assignments of its occupied
     modes. That keeps the cost proportional to the sparse support.
 
-    Each operator is read once into rows of numpy complex scalars. The
-    compliance test reads those rows, and so does the per-mode table of
-    where each symbol moves: the vacancy to itself, level ``j`` to every
-    level ``i`` with a nonzero entry ``(i, j)``. The amplitudes stay
+    Each matrix of the stack is read once into rows of numpy complex
+    scalars. The compliance test reads those rows, and so does the per-mode
+    table of where each symbol moves: the vacancy to itself, level ``j`` to
+    every level ``i`` with a nonzero entry ``(i, j)``. The amplitudes stay
     ``np.complex128`` and round exactly as products of array entries would.
     """
     shape = state.shape
-    if len(element.per_mode) != shape.modes:
-        raise ValueError(
-            f"element spans {len(element.per_mode)} modes, state has {shape.modes}"
-        )
+    want = (shape.modes, shape.local_dim, shape.local_dim)
+    if element.matrices.shape != want:
+        raise ValueError(f"element has shape {element.matrices.shape}, expected {want}")
     # moves[k][sym]: the (new symbol, weight) pairs of symbol sym on mode k
     moves = []
-    for k, op in enumerate(element.per_mode):
-        if op.dim != shape.local_dim:
-            raise ValueError(f"operator on mode {k} has dim {op.dim}, expected {shape.local_dim}")
-        rows = _scalar_rows(op.entries)
+    for k, op in enumerate(element.matrices):
+        rows = _scalar_rows(op)
         if not _compliant_rows(rows):
             raise ValueError(f"operator on mode {k} violates the superselection rule")
         moves.append(_symbol_moves(rows))
@@ -322,14 +313,14 @@ def apply(element: GroupElement, state: StateVector) -> StateVector:
     return StateVector(shape, out)
 
 
-def apply_on_mode(op: LocalOperator, mode: int, state: StateVector) -> StateVector:
-    """Act with ``op`` on one mode and the identity on the others; not renormalized."""
+def apply_on_mode(op: np.ndarray, mode: int, state: StateVector) -> StateVector:
+    """Act with the matrix ``op`` on one mode and the identity on the others; not renormalized."""
     modes = state.shape.modes
     if not 0 <= mode < modes:
         raise ValueError(f"mode {mode} out of range for {modes} modes")
-    mats = [np.eye(op.dim, dtype=complex)] * modes
-    mats[mode] = op.entries
-    return apply(element_from_matrices(mats), state)
+    mats = [np.eye(len(op), dtype=complex)] * modes
+    mats[mode] = op
+    return apply(GroupElement(mats), state)
 
 
 @lru_cache(maxsize=None)
@@ -399,19 +390,19 @@ def sector_matrix(element: GroupElement, shape: SystemShape) -> np.ndarray:
     dim = shape.dimension
     if dim > 4096:
         raise ValueError(f"sector dimension {dim} too large for a dense matrix")
-    if len(element.per_mode) != shape.modes:
-        raise ValueError("element mode count does not match the shape")
-    for k, op in enumerate(element.per_mode):
-        if not op.is_superselection_compliant():
-            raise ValueError(f"operator on mode {k} violates the superselection rule")
+    want = (shape.modes, shape.local_dim, shape.local_dim)
+    if element.matrices.shape != want:
+        raise ValueError(f"element has shape {element.matrices.shape}, expected {want}")
+    if not element.is_superselection_compliant():
+        raise ValueError("element violates the superselection rule")
     cols = _index_columns(shape)
     mat = np.ones((dim, dim), dtype=complex)
-    for op, lk in zip(element.per_mode, cols):
-        mat *= op.entries[np.ix_(lk, lk)]
+    for op, lk in zip(element.matrices, cols):
+        mat *= op[np.ix_(lk, lk)]
     return mat
 
 
-def occupation_scaling(r: float, phi: float = 0.0, p: int = 1) -> LocalOperator:
+def occupation_scaling(r: float, phi: float = 0.0, p: int = 1) -> np.ndarray:
     """Diagonal determinant-one matrix scaling occupied levels against vacancy.
 
     Every occupied level is multiplied by ``r e^{i phi}`` and the vacancy by
@@ -423,10 +414,10 @@ def occupation_scaling(r: float, phi: float = 0.0, p: int = 1) -> LocalOperator:
         raise ValueError(f"scale must be positive, got {r}")
     head = [r * np.exp(1j * phi)] * (p + 1)
     diag = head + [r ** (-(p + 1)) * np.exp(-1j * (p + 1) * phi)]
-    return LocalOperator(p + 2, np.diag(diag).astype(complex))
+    return np.diag(diag).astype(complex)
 
 
-def level_contraction(alpha: complex, p: int = 1) -> LocalOperator:
+def level_contraction(alpha: complex, p: int = 1) -> np.ndarray:
     """Diagonal determinant-one matrix that damps level one and the vacancy.
 
     The diagonal reads ``e^{-(p+1)a}`` on level one, ``e^{(p+3)a}`` on level
@@ -441,7 +432,7 @@ def level_contraction(alpha: complex, p: int = 1) -> LocalOperator:
         + [np.exp(a)] * (p - 1)
         + [np.exp(-(p + 1) * a)]
     )
-    return LocalOperator(p + 2, np.diag(diag).astype(complex))
+    return np.diag(diag).astype(complex)
 
 
 def random_element(
@@ -457,8 +448,8 @@ def random_element(
     imaginary for ``"SU"`` (anti-Hermitian exponents give unitaries). The
     distribution is an implementation choice, not a canonical measure.
     """
-    if spread <= 0:
-        raise ValueError(f"spread must be positive, got {spread}")
+    if not 0 < spread < math.inf:
+        raise ValueError(f"spread must be finite and positive, got {spread}")
     if kind not in ("SLOCC", "SU"):
         raise ValueError(f"unknown element kind {kind!r}")
     rng = np.random.default_rng(seed)

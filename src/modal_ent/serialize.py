@@ -24,7 +24,7 @@ from typing import Any, Dict, Iterable, List, Mapping, Sequence
 
 import numpy as np
 
-from .operators import GroupElement, element_from_matrices
+from .operators import GroupElement
 from .states import Occupation, StateVector, SystemShape, _check_admissible, enumerate_basis
 
 #: version stamp carried by CSV tables and report JSON
@@ -214,9 +214,9 @@ def element_to_json(element: GroupElement) -> str:
     """Serialize a group element as an array of per-mode operators."""
     out = ["["]
     blocks = []
-    for op in element.per_mode:
-        body = ['  {', f'    "dim": {op.dim},', '    "rows": [']
-        body.append(",\n".join(_matrix_to_lines(op.entries, "      ")))
+    for mat in element.matrices:
+        body = ['  {', f'    "dim": {len(mat)},', '    "rows": [']
+        body.append(",\n".join(_matrix_to_lines(mat, "      ")))
         body.append("    ]")
         body.append("  }")
         blocks.append("\n".join(body))
@@ -232,7 +232,7 @@ def _parse_entry(doc: Any) -> complex:
 
 
 def element_from_json(text: str) -> GroupElement:
-    """Parse a group element; malformed rows are reported by position."""
+    """Parse a group element of equally sized operators; malformed rows are reported by position."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -247,6 +247,8 @@ def element_from_json(text: str) -> GroupElement:
         rows = op["rows"]
         if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
             raise ValueError(f"operator {k} has invalid dim {dim!r}")
+        if mats and dim != len(mats[0]):
+            raise ValueError(f"operator {k} has dim {dim}, but operator 0 has dim {len(mats[0])}")
         if not isinstance(rows, list) or len(rows) != dim:
             raise ValueError(f"operator {k} must have {dim} rows")
         mat = np.zeros((dim, dim), dtype=complex)
@@ -261,7 +263,7 @@ def element_from_json(text: str) -> GroupElement:
                         f"operator {k}, row {i}, entry {j} is malformed: {exc}"
                     ) from None
         mats.append(mat)
-    return element_from_matrices(mats)
+    return GroupElement(mats)
 
 
 def _csv_cell(value: Any) -> str:

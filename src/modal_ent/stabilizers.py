@@ -13,8 +13,8 @@ the result; :func:`verify_stabilizes`, :func:`topological_phases` and the
 command line read their answers from it.
 
 Constructor names are treated as opaque identifiers by the command line
-interface and the test harness; parameters are plain floats, with the
-integer-valued ones validated to be integral.
+interface and the test harness; parameters are plain finite floats, with
+the integer-valued ones validated to be integral.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .operators import GroupElement, LocalOperator, apply, apply_on_mode, make_slocc_element
+from .operators import GroupElement, apply, apply_on_mode, make_slocc_element
 from .states import StateVector, phase_fit
 
 STABILIZER_NAMES = ("generic_eq13", "family16_eq20", "psi1_eq23", "psi2_eq26")
@@ -42,7 +42,10 @@ class StabilizerElement:
 
 
 def _pop_float(params: Dict[str, float], key: str, default: float = 0.0) -> float:
-    return float(params.pop(key, default))
+    val = float(params.pop(key, default))
+    if not math.isfinite(val):
+        raise ValueError(f"parameter {key!r} must be finite, got {val}")
+    return val
 
 
 def _pop_int(params: Dict[str, float], key: str, default: int = 0) -> int:
@@ -192,7 +195,7 @@ def topological_phases(
         _, preserved, c = _verdict(stab, state, tol)
         if preserved:
             phases.append(c)
-    root = LocalOperator(3, np.exp(2j * np.pi / 3.0) * np.eye(3, dtype=complex))
+    root = np.exp(2j * np.pi / 3.0) * np.eye(3, dtype=complex)
     _, c = phase_fit(state, apply_on_mode(root, 0, state), tol)
     phases.append(c)
     return tuple(phases)

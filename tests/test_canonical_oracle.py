@@ -129,8 +129,8 @@ def assert_matches_reference(state) -> None:
     r, phi, phi_prime, theta, element, work = reference_canonical_form(state)
     assert_same_bits(got.r, r)
     assert_same_bits((got.phi, got.phi_prime, got.theta), (phi, phi_prime, theta))
-    for mine, theirs in zip(got.element.per_mode, element.per_mode, strict=True):
-        assert_same_bits(mine.entries, theirs.entries)
+    for mine, theirs in zip(got.element.matrices, element.matrices, strict=True):
+        assert_same_bits(mine, theirs)
     assert list(got.state.amplitudes) == list(work.amplitudes)
     assert_same_bits(list(got.state.amplitudes.values()), list(work.amplitudes.values()))
     assert [type(a) for a in got.state.amplitudes.values()] == [

@@ -48,8 +48,7 @@ def test_canonical_form_of_random_states():
         # the recorded element actually performs the reduction
         replay = apply(params.element, psi)
         assert np.abs(replay.dense() - out.dense()).max() < 1e-10
-        for op in params.element.per_mode:
-            assert op.is_unitary(1e-9)
+        assert params.element.is_unitary(1e-9)
         rep_in = invariant_report(psi)
         rep_out = invariant_report(out)
         assert abs(abs(rep_out.I1) - abs(rep_in.I1)) < 1e-10

@@ -72,7 +72,7 @@ def test_canonical_outputs(tmp_path, capsys):
     assert len(doc["r"]) == 9
     assert all(isinstance(v, float) for v in doc["r"])
     element = element_from_json(el_path.read_text())
-    assert len(element.per_mode) == 3
+    assert element.matrices.shape == (3, 3, 3)
 
     out_path = tmp_path / "canon.json"
     assert main(["canonical", "--in", path, "--out", str(out_path)]) == 0
@@ -126,6 +126,15 @@ def test_verify_stabilizer_exit_codes(tmp_path, capsys):
     assert doc["stabilizes"] is False
     assert "bare_phase" in doc
 
+    for name, params, message in [
+        ("generic_eq13", "alpha=nan", "parameter 'alpha' must be finite, got nan"),
+        ("family16_eq20", "gamma=-inf", "parameter 'gamma' must be finite, got -inf"),
+        ("psi2_eq26", "alpha=1e300", "the exponential on mode 0 overflows"),
+        ("psi1_eq23", "variant=c,beta=1e155", "the exponential on mode 0 overflows"),
+    ]:
+        assert main(["verify-stabilizer", "--name", name, "--params", params, "--in", psi2_path]) == 1
+        assert capsys.readouterr().err == f"modal-ent: error: {message}\n"
+
 
 def test_scan_table(capsys):
     assert main(["theorem3-scan"]) == 0
@@ -171,8 +180,10 @@ def test_monotone_mc_fixed_state(tmp_path, capsys):
     path = write_state(tmp_path, "s1.json", family("S1", {"r": 0.2}))
     assert main(["monotone-mc", "--trials", "10", "--seed", "3", "--state", path]) == 0
     capsys.readouterr()
-    assert main(["monotone-mc", "--trials", "10", "--state", path, "--random"]) == 1
-    assert "mutually exclusive" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["monotone-mc", "--trials", "10", "--state", path, "--random"])
+    assert exc.value.code == 1
+    assert "unrecognized arguments: --random" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("strength", ["nan", "inf", "-0.5"])
@@ -182,11 +193,6 @@ def test_monotone_mc_rejects_bad_strength(strength, capfd):
     err = capfd.readouterr().err
     assert "strength must be finite and non-negative" in err
     assert "DLASCL" not in err and "LinAlgError" not in err
-
-
-def test_thread_cap_from_environment(monkeypatch, capsys):
-    monkeypatch.setenv("MODAL_ENT_THREADS", "2")
-    assert main(["monotone-mc", "--trials", "8", "--seed", "1", "--threads", "16"]) == 0
 
 
 def test_cli_import_loads_no_scipy():
@@ -240,6 +246,10 @@ def test_usage_errors_exit_one(capsys):
         main([])
     assert exc.value.code == 1
     capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["monotone-mc", "--trials", "8", "--threads", "16"])
+    assert exc.value.code == 1
+    assert "unrecognized arguments: --threads 16" in capsys.readouterr().err
 
 
 def test_missing_input_file_exits_one(capsys):

@@ -19,7 +19,6 @@ from modal_ent.states import (
     SystemShape,
     is_maximally_entangled,
     normalize,
-    random_state,
 )
 
 rng = np.random.default_rng(55)

@@ -17,7 +17,7 @@ from modal_ent.monte_carlo import (
     run_monotone_trials,
 )
 from modal_ent.operators import (
-    LocalOperator,
+    GroupElement,
     apply_on_mode,
     element_from_matrices,
     random_element,
@@ -39,11 +39,10 @@ def test_derive_seed_is_deterministic_and_wide():
 def test_random_instrument_is_complete_and_compliant():
     for seed in range(8):
         inst = random_instrument(seed, mode=seed % 3, strength=0.7)
-        a0, a1 = (op.entries for op in inst.outcomes)
+        a0, a1 = inst.kraus
         total = a0.conj().T @ a0 + a1.conj().T @ a1
         assert np.abs(total - np.eye(3)).max() < 1e-9
-        for op in inst.outcomes:
-            assert op.is_superselection_compliant()
+        assert GroupElement(inst.kraus).is_superselection_compliant()
     for bad in (-0.1, math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="strength must be finite and non-negative"):
             random_instrument(0, mode=0, strength=bad)
@@ -54,8 +53,7 @@ def test_random_instrument_is_complete_and_compliant():
 def test_zero_strength_instrument_is_trivial():
     inst = random_instrument(3, mode=1, strength=0.0)
     target = np.eye(3) / np.sqrt(2.0)
-    for op in inst.outcomes:
-        assert np.abs(op.entries - target).max() < 1e-12
+    assert np.abs(inst.kraus - target).max() < 1e-12
     m1, m2 = monotonicity_trial(random_state(SHAPE_321, rng), inst)
     assert abs(m1) < 1e-12
     assert abs(m2) < 1e-12
@@ -64,16 +62,16 @@ def test_zero_strength_instrument_is_trivial():
 def test_instrument_validation():
     eye = np.eye(3, dtype=complex)
     with pytest.raises(ValueError):
-        LocalInstrument(0, (LocalOperator(3, eye), LocalOperator(3, eye)), seed=0)
+        LocalInstrument(0, np.array([eye, eye]), seed=0)
     ok = eye / np.sqrt(2.0)
     leaky = ok.copy()
     leaky[0, 2] = 1e-3
     with pytest.raises(ValueError):
-        LocalInstrument(0, (LocalOperator(3, ok), LocalOperator(3, leaky)), seed=0)
+        LocalInstrument(0, np.array([ok, leaky]), seed=0)
     poisoned = ok.copy()
     poisoned[0, 1] = np.nan
     with pytest.raises(ValueError, match="not trace preserving"):
-        LocalInstrument(0, (LocalOperator(3, ok), LocalOperator(3, poisoned)), seed=0)
+        LocalInstrument(0, np.array([ok, poisoned]), seed=0)
 
 
 def test_monotonicity_trial_preconditions():
@@ -85,7 +83,7 @@ def test_monotonicity_trial_preconditions():
     with pytest.raises(ValueError):
         monotonicity_trial(random_state(SHAPE_321, rng), random_instrument(0, mode=0, strength=0.5, p=2))
     for mode in (-1, 3):
-        stray = LocalInstrument(mode, inst.outcomes, seed=0)
+        stray = LocalInstrument(mode, inst.kraus, seed=0)
         with pytest.raises(ValueError, match="out of range for 3 modes"):
             monotonicity_trial(random_state(SHAPE_321, rng), stray)
 
@@ -134,7 +132,7 @@ def _scalar_margins(state, inst):
     """
     rep0 = invariant_report(state)
     avg1 = avg2 = 0.0
-    for op in inst.outcomes:
+    for op in inst.kraus:
         out = apply_on_mode(op, inst.mode, state)
         prob = sum(a.real * a.real + a.imag * a.imag for a in out.dense().tolist())
         if prob < 1e-14:
@@ -175,9 +173,9 @@ def test_replayed_trials_equal_their_records(master):
 
 
 def test_zero_probability_outcome_is_skipped():
-    keep = LocalOperator(3, np.diag([1.0, 0.0, 1.0]).astype(complex))
-    drop = LocalOperator(3, np.diag([0.0, 1.0, 0.0]).astype(complex))
-    inst = LocalInstrument(0, (keep, drop), seed=0)
+    keep = np.diag([1.0, 0.0, 1.0]).astype(complex)
+    drop = np.diag([0.0, 1.0, 0.0]).astype(complex)
+    inst = LocalInstrument(0, np.array([keep, drop]), seed=0)
     # Mode 0 never holds level 2, so the second outcome has probability zero
     # and the first leaves the state as it is.
     state = StateVector(SHAPE_321, {(1, 1, 0): 1.0})
@@ -185,7 +183,7 @@ def test_zero_probability_outcome_is_skipped():
     with np.errstate(all="raise"):
         single = monotonicity_trial(state, inst)
         psi = np.column_stack([s.dense() for s in [state] + others])
-        kraus = np.stack([np.stack([keep.entries, drop.entries])] * psi.shape[1])
+        kraus = np.stack([inst.kraus] * psi.shape[1])
         batch1, batch2 = _margins(psi, kraus, np.zeros(psi.shape[1], dtype=int))
         rest = [monotonicity_trial(s, inst) for s in others]
     assert single == (0.0, 0.0)

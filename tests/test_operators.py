@@ -8,7 +8,6 @@ from modal_ent.classify import family
 
 from modal_ent.operators import (
     GroupElement,
-    LocalOperator,
     apply,
     apply_on_mode,
     compose,
@@ -22,30 +21,43 @@ from modal_ent.operators import (
     sector_matrix,
 )
 from modal_ent.stabilizers import stabilizer
-from modal_ent.states import SHAPE_321, StateVector, SystemShape, random_state
+from modal_ent.states import SHAPE_321, SystemShape, random_state
 
 rng = np.random.default_rng(20240817)
 
 
 def test_generator_matrices():
-    assert np.array_equal(gell_mann(1).entries, [[0, 1, 0], [1, 0, 0], [0, 0, 0]])
-    assert np.array_equal(gell_mann(2).entries, [[0, -1j, 0], [1j, 0, 0], [0, 0, 0]])
-    assert np.array_equal(gell_mann(3).entries, np.diag([1, -1, 0]))
-    assert np.array_equal(gell_mann(8).entries, np.diag([1, 1, -2]))
+    assert np.array_equal(gell_mann(1), [[0, 1, 0], [1, 0, 0], [0, 0, 0]])
+    assert np.array_equal(gell_mann(2), [[0, -1j, 0], [1j, 0, 0], [0, 0, 0]])
+    assert np.array_equal(gell_mann(3), np.diag([1, -1, 0]))
+    assert np.array_equal(gell_mann(8), np.diag([1, 1, -2]))
     for bad in (0, 4, 5, 6, 7, 9):
         with pytest.raises(ValueError):
             gell_mann(bad)
 
 
 def test_superselection_compliance():
-    ok = LocalOperator(3, np.diag([2.0, 0.5, 1.0]).astype(complex))
-    assert ok.is_superselection_compliant()
+    ok = np.diag([2.0, 0.5, 1.0]).astype(complex)
+    assert GroupElement([ok]).is_superselection_compliant()
     mixing = np.eye(3, dtype=complex)
     mixing[0, 2] = 1e-3
-    assert not LocalOperator(3, mixing).is_superselection_compliant()
+    assert not GroupElement([ok, mixing]).is_superselection_compliant()
     mixing2 = np.eye(3, dtype=complex)
     mixing2[2, 1] = 1e-3
-    assert not LocalOperator(3, mixing2).is_superselection_compliant()
+    assert not GroupElement([mixing2, ok]).is_superselection_compliant()
+
+
+def test_group_element_holds_one_validated_stack():
+    el = GroupElement([np.eye(3), np.diag([1, 1j, -1j])])
+    assert el.matrices.shape == (2, 3, 3) and el.matrices.dtype == complex
+    assert np.array_equal(element_from_matrices(el.matrices).matrices, el.matrices)
+    with pytest.raises(ValueError, match="must share one dimension"):
+        GroupElement([np.eye(3), np.eye(4)])
+    for bad in ([], np.eye(3), np.zeros((3, 3, 2)), np.ones((2, 1, 1)), np.zeros((1, 2, 3, 3))):
+        with pytest.raises(ValueError, match=r"expected a \(modes, d, d\) stack"):
+            GroupElement(bad)
+    with pytest.raises(ValueError, match="cannot compose elements of shapes"):
+        compose(el, GroupElement([np.eye(3)] * 3))
 
 
 def test_membership_tags():
@@ -62,6 +74,16 @@ def test_membership_tags():
     mix[2, 0] = -0.1
     leaky = element_from_matrices([mix, np.eye(3), np.eye(3)])
     assert leaky.membership() == "neither"
+    # a NaN anywhere fails the stacked tests it reaches
+    for entry in ((0, 0), (0, 1), (2, 2), (0, 2)):
+        mats = [np.eye(3, dtype=complex) for _ in range(3)]
+        mats[1][entry] = math.nan
+        poisoned = GroupElement(mats)
+        with np.errstate(invalid="ignore"):
+            assert not poisoned.is_special()
+            assert poisoned.membership() == "neither"
+        assert not poisoned.is_unitary()
+        assert poisoned.is_superselection_compliant() == (entry != (0, 2))
 
 
 def test_make_slocc_element_is_special():
@@ -69,47 +91,53 @@ def test_make_slocc_element_is_special():
         local = np.random.default_rng(seed)
         coeffs = [local.normal(size=4) + 1j * local.normal(size=4) for _ in range(3)]
         el = make_slocc_element(coeffs)
-        for op in el.per_mode:
-            assert abs(op.det() - 1.0) < 1e-9
-            assert op.is_superselection_compliant()
-    with pytest.raises(ValueError):
+        assert np.abs(np.linalg.det(el.matrices) - 1.0).max() < 1e-9
+        assert el.is_superselection_compliant()
+    with pytest.raises(ValueError, match="non-finite exponent coefficients on mode 0"):
         make_slocc_element([(np.inf, 0, 0, 0)] * 3)
+    # finite exponents whose entries or exponentials leave the float range
+    for bad in [(800, 0, 0, 0), (0, 0, 800, 0), (1e200j, 0, 0, 0), (1e308, 1e308, 0, 0), (0, 0, 0, 1e308j)]:
+        with pytest.raises(ValueError, match="the exponential on mode 1 overflows"):
+            make_slocc_element([(0, 0, 0, 0), bad, (0, 0, 0, 0)])
+    # the vacancy entry underflows to zero, so the factor is singular
+    with pytest.raises(ArithmeticError, match="factor on mode 0 drifted off determinant one"):
+        make_slocc_element([(0, 0, 0, 400)])
 
 
 def test_matrix_exp_matches_scipy():
     m = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
     m[:2, 2] = 0
     m[2, :2] = 0
-    got = matrix_exp(LocalOperator(3, m)).entries
+    got = matrix_exp(m)
     assert np.abs(got - scipy.linalg.expm(m)).max() < 1e-12
     with pytest.raises(ValueError):
-        matrix_exp(LocalOperator(3, m * np.nan))
+        matrix_exp(m * np.nan)
 
 
 def test_matrix_exp_closed_form_edge_cases():
     # nilpotent level block: s = 0, where sinh(s)/s takes its limit 1
     nil = np.array([[2.0, 1.5, 0], [0, 2.0, 0], [0, 0, -4.0]], dtype=complex)
     want = np.exp(2.0) * np.array([[1.0, 1.5], [0.0, 1.0]])
-    got = matrix_exp(LocalOperator(3, nil)).entries
+    got = matrix_exp(nil)
     assert np.abs(got[:2, :2] - want).max() < 1e-12
     assert abs(got[2, 2] - np.exp(-4.0)) < 1e-15
     assert np.abs(got - scipy.linalg.expm(nil)).max() < 1e-12
     # purely imaginary s, the stabilizer case exp(i pi m L3)
     for m in (0.25, 0.5, 1, 2):
-        gen = 1j * np.pi * m * gell_mann(3).entries
-        got = matrix_exp(LocalOperator(3, gen)).entries
+        gen = 1j * np.pi * m * gell_mann(3)
+        got = matrix_exp(gen)
         assert np.abs(got - scipy.linalg.expm(gen)).max() < 1e-12
     # large real s: the small diagonal entry keeps its relative accuracy
-    got = matrix_exp(LocalOperator(3, np.diag([12.0, -12.0, 0.0]).astype(complex))).entries
+    got = matrix_exp(np.diag([12.0, -12.0, 0.0]).astype(complex))
     assert abs(got[1, 1] / np.exp(-12.0) - 1.0) < 1e-14
-    assert abs(make_slocc_element([(0, 0, 12.0, 0)] * 3).per_mode[0].det() - 1.0) < 1e-12
+    assert abs(np.linalg.det(make_slocc_element([(0, 0, 12.0, 0)] * 3).matrices[0]) - 1.0) < 1e-12
     # operators that mix levels with the vacancy, or are not 3x3, are refused
     leaky = np.zeros((3, 3), dtype=complex)
     leaky[0, 2] = 1e-3
     with pytest.raises(ValueError):
-        matrix_exp(LocalOperator(3, leaky))
+        matrix_exp(leaky)
     with pytest.raises(ValueError):
-        matrix_exp(LocalOperator(2, np.eye(2, dtype=complex)))
+        matrix_exp(np.eye(2, dtype=complex))
 
 
 def test_apply_matches_sector_matrix():
@@ -134,9 +162,9 @@ def test_apply_identity_and_scaling():
 
 def test_apply_rejects_bad_elements():
     psi = random_state(SHAPE_321, rng)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"element has shape \(2, 3, 3\), expected \(3, 3, 3\)"):
         apply(element_from_matrices([np.eye(3)] * 2), psi)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"element has shape \(3, 4, 4\), expected \(3, 3, 3\)"):
         apply(element_from_matrices([np.eye(4)] * 3), psi)
     mix = np.eye(3, dtype=complex)
     mix[0, 2] = 0.5
@@ -153,13 +181,13 @@ def test_compose_order():
     assert np.abs(lhs - rhs).max() < 1e-10
     gh = compose(g, h)
     hg = compose(h, g)
-    assert np.abs(gh.per_mode[0].entries - hg.per_mode[0].entries).max() > 1e-6
+    assert np.abs(gh.matrices[0] - hg.matrices[0]).max() > 1e-6
 
 
 def test_occupation_scaling_net_factor():
     # on the working sector the exponents cancel and nothing happens
     r, phi = 1.7, 0.4
-    el = GroupElement(tuple(occupation_scaling(r, phi) for _ in range(3)))
+    el = GroupElement([occupation_scaling(r, phi)] * 3)
     assert el.is_special()
     psi = random_state(SHAPE_321, rng)
     moved = apply(el, psi)
@@ -174,7 +202,7 @@ def test_occupation_scaling_unbalanced_sector():
     # four modes, two particles: every basis amplitude scales by r^-2 e^{-2 i phi}
     shape = SystemShape(4, 2, 1)
     r, phi = 1.3, 0.25
-    el = GroupElement(tuple(occupation_scaling(r, phi) for _ in range(4)))
+    el = GroupElement([occupation_scaling(r, phi)] * 4)
     psi = random_state(shape, rng)
     moved = apply(el, psi)
     factor = r**-2 * np.exp(-2j * phi)
@@ -185,13 +213,13 @@ def test_level_contraction_diagonal():
     a = 0.37
     for p in (1, 2, 3):
         op = level_contraction(a, p=p)
-        diag = np.diag(op.entries)
+        diag = np.diag(op)
         assert abs(diag[0] - np.exp(-(p + 1) * a)) < 1e-14
         assert abs(diag[1] - np.exp((p + 3) * a)) < 1e-14
         assert abs(diag[-1] - np.exp(-(p + 1) * a)) < 1e-14
         for mid in diag[2:-1]:
             assert abs(mid - np.exp(a)) < 1e-14
-        assert abs(op.det() - 1.0) < 1e-12
+        assert abs(np.linalg.det(op) - 1.0) < 1e-12
 
 
 def test_sector_matrix_refuses_large_sectors():
@@ -205,13 +233,13 @@ def test_random_element_reproducible():
     a = random_element("SU", seed=123)
     b = random_element("SU", seed=123)
     c = random_element("SU", seed=124)
-    for x, y in zip(a.per_mode, b.per_mode):
-        assert np.array_equal(x.entries, y.entries)
-    assert np.abs(a.per_mode[0].entries - c.per_mode[0].entries).max() > 1e-8
+    assert np.array_equal(a.matrices, b.matrices)
+    assert np.abs(a.matrices[0] - c.matrices[0]).max() > 1e-8
     with pytest.raises(ValueError):
         random_element("unitary", seed=1)
-    with pytest.raises(ValueError):
-        random_element("SU", seed=1, spread=0.0)
+    for bad in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match=f"spread must be finite and positive, got {bad}"):
+            random_element("SU", seed=1, spread=bad)
 
 
 def test_slocc_determinant_check_scales_with_the_factor():
@@ -220,17 +248,17 @@ def test_slocc_determinant_check_scales_with_the_factor():
     # the error stays tiny next to the product of the row norms
     for seed in range(300):
         element = random_element("SLOCC", seed, spread=3.0)
-        for op in element.per_mode:
-            scale = np.prod(np.linalg.norm(op.entries, axis=1))
-            assert abs(op.det() - 1.0) <= 1e-12 * scale
+        for op in element.matrices:
+            scale = np.prod(np.linalg.norm(op, axis=1))
+            assert abs(np.linalg.det(op) - 1.0) <= 1e-12 * scale
 
 
 def test_apply_on_mode_matches_the_full_element():
     psi = random_state(SHAPE_321, rng)
-    op = random_element("SLOCC", 11).per_mode[0]
+    op = random_element("SLOCC", 11).matrices[0]
     for mode in range(3):
         mats = [np.eye(3, dtype=complex)] * 3
-        mats[mode] = op.entries
+        mats[mode] = op
         assert apply_on_mode(op, mode, psi).amplitudes == apply(element_from_matrices(mats), psi).amplitudes
     for bad in (-1, 3):
         with pytest.raises(ValueError):
@@ -245,7 +273,7 @@ def _apply_by_array_indexing(element, state):
     for occ, amp in state.amplitudes.items():
         partial = [((), amp)]
         for k, sym in enumerate(occ):
-            mat = element.per_mode[k].entries
+            mat = element.matrices[k]
             grown = []
             if sym == 0:
                 w = mat[vac, vac]
@@ -296,7 +324,7 @@ def test_nan_in_any_leak_entry_is_refused(mode, entry):
         mats[mode][pos] = 1e-12
     mats[mode][entry] = math.nan
     element = element_from_matrices(mats)
-    assert not element.per_mode[mode].is_superselection_compliant()
+    assert not GroupElement([mats[mode]]).is_superselection_compliant()
     with pytest.raises(ValueError, match=f"operator on mode {mode} violates the superselection rule"):
         apply(element, random_state(SHAPE_321, rng))
 
@@ -335,13 +363,13 @@ def _slocc_coefficient_sets():
 def test_slocc_closed_form_generator_equals_the_matrix_algebra():
     """The written-down generator exponentiates to the same bits as the sum
     of the four Gell-Mann matrices did, signs of zeros included."""
-    gens = [gell_mann(i).entries for i in (1, 2, 3, 8)]
+    gens = [gell_mann(i) for i in (1, 2, 3, 8)]
     count = 0
     for coeffs in _slocc_coefficient_sets():
         c1, c2, c3, c8 = (complex(c) for c in coeffs)
-        want = matrix_exp(LocalOperator(3, c1 * gens[0] + c2 * gens[1] + c3 * gens[2] + c8 * gens[3]))
-        got = make_slocc_element([coeffs]).per_mode[0]
-        a, b = got.entries.view(np.float64), want.entries.view(np.float64)
+        want = matrix_exp(c1 * gens[0] + c2 * gens[1] + c3 * gens[2] + c8 * gens[3])
+        got = make_slocc_element([coeffs]).matrices[0]
+        a, b = got.view(np.float64), want.view(np.float64)
         assert np.array_equal(a, b), coeffs
         assert np.array_equal(np.signbit(a), np.signbit(b)), coeffs
         count += 1

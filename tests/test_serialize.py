@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from modal_ent.operators import random_element
+from modal_ent.operators import element_from_matrices, random_element
 from modal_ent.serialize import (
     SCHEMA_VERSION,
     dumps_json,
@@ -98,8 +98,8 @@ def test_element_roundtrip():
     el = random_element("SLOCC", seed=21)
     text = element_to_json(el)
     back = element_from_json(text)
-    for a, b in zip(el.per_mode, back.per_mode):
-        assert np.array_equal(a.entries, b.entries)
+    for a, b in zip(el.matrices, back.matrices):
+        assert np.array_equal(a, b)
     assert element_to_json(back) == text
 
 
@@ -119,6 +119,9 @@ def test_element_json_errors():
         element_from_json(bad_cell)
     with pytest.raises(ValueError, match="row 0, entry 0 is malformed"):
         element_from_json('[{"dim": 1, "rows": [[{"re": "1e-3", "im": 0}]]}]')
+    three, four = (json.loads(element_to_json(element_from_matrices([np.eye(d)]))) for d in (3, 4))
+    with pytest.raises(ValueError, match="operator 2 has dim 4, but operator 0 has dim 3"):
+        element_from_json(json.dumps(three + three + four))
 
 
 def test_dumps_json_scalars():

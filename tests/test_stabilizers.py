@@ -146,6 +146,18 @@ def test_parameter_validation():
     for bad in ("inf", "nan"):
         with pytest.raises(ValueError, match=f"parameter 'm' must be an integer, got {bad}"):
             stabilizer("generic_eq13", {"m": float(bad)})
+    for name, key in (("generic_eq13", "alpha"), ("family16_eq20", "beta"), ("psi2_eq26", "delta")):
+        for bad in ("inf", "-inf", "nan"):
+            with pytest.raises(ValueError, match=f"parameter '{key}' must be finite, got {bad}"):
+                stabilizer(name, {key: float(bad)})
+    with pytest.raises(ValueError, match="parameter 'beta' must be finite, got nan"):
+        stabilizer("psi1_eq23", {"variant": "c", "beta": math.nan})
+    with pytest.raises(ValueError, match="the exponential on mode 0 overflows"):
+        stabilizer("psi2_eq26", {"alpha": 1e300})
+    with pytest.raises(ValueError, match="the exponential on mode 1 overflows"):
+        stabilizer("psi2_eq26", {"gamma": 1e300})
+    with pytest.raises(ValueError, match="the exponential on mode 0 overflows"):
+        stabilizer("psi1_eq23", {"variant": "c", "beta": 1e155})
     with pytest.raises(ValueError):
         stabilizer("generic_eq13", {"m": 1, "alpha": 0.0, "junk": 2.0})
     with pytest.raises(ValueError):

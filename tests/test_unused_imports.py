@@ -1,4 +1,4 @@
-"""Every name a package module imports is used, and the root exports only what its callers need.
+"""Every name a package or test module imports is used, and the root exports only what its callers need.
 
 No linter ships with the test dependencies, so the checks walk the syntax
 tree with the standard library. Names listed in ``__all__`` count as used,
@@ -59,7 +59,9 @@ def test_detector_finds_an_unused_name():
     assert unused_imports(source) == [(1, "Tuple")]
 
 
-@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+@pytest.mark.parametrize(
+    "path", sorted(PACKAGE.glob("*.py")) + sorted((REPO / "tests").glob("*.py")), ids=lambda p: p.name
+)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
