@@ -207,7 +207,7 @@ def _cmd_monotone_mc(args: argparse.Namespace) -> int:
     if args.records:
         text = format_csv(
             ("index", "seed", "mode", "margin1", "margin2", "margin", "passed"),
-            [asdict(r) for r in summary.records],
+            [r._asdict() for r in summary.records],
         )
         _write_output(args.records, text)
     doc = {

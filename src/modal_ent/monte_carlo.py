@@ -6,10 +6,14 @@ whether the outcome-averaged entanglement monotones ever exceed their input
 value. Seeds form a splitmix64 tree so that any trial can be replayed in
 isolation from the master seed and its index.
 
-Each trial draws its state, instrument and mode from its own generators, one
-trial after another; everything after the draws runs once over the whole run
-as a ``(12, k)`` column batch in :func:`_margins`. That kernel completes the
-instruments as a stack, acts through the index gather of
+Each trial's state and instrument are drawn from their own streams, those of
+``np.random.default_rng(seed)`` for the trial's seeds, but the streams are
+seeded as one batch: :func:`_seeded_normals` runs numpy's SeedSequence hash
+for all seeds at once and hands each result to one reused PCG64, so every
+draw is bit for bit the one ``default_rng`` gives. The seed tree, too, runs
+as one uint64 batch, and everything after the draws runs once over the whole
+run as a ``(12, k)`` column batch in :func:`_margins`. That kernel completes
+the instruments as a stack, acts through the index gather of
 :func:`~modal_ent.operators.apply_on_mode_columns` and evaluates the
 invariants with :func:`~modal_ent.invariants.dense_invariant_pair`.
 :func:`monotonicity_trial` is its one-column call, so replaying a trial
@@ -26,7 +30,7 @@ strongly non-unitary elements. Ratios of renormalized values stay order one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Tuple, Union
+from typing import Iterable, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -39,24 +43,124 @@ from .operators import (
     sector_matrix,
     superselection_leak,
 )
-from .states import SHAPE_321, StateVector, random_amplitudes, require_normalized
+from .states import SHAPE_321, StateVector, require_normalized, unit_amplitudes
 
 #: margins above this are counted as monotonicity violations
 MARGIN_TOL = 1e-9
 
 _MASK64 = (1 << 64) - 1
+_MASK128 = (1 << 128) - 1
 
 
-def derive_seed(master: int, index: int) -> int:
+def _wrapping(x: Union[int, np.ndarray]) -> Union[int, np.ndarray]:
+    """x as a uint64 array if it is a non-scalar array, else as a Python int.
+
+    numpy warns when a scalar wraps around but never when an array does, so
+    the seed arithmetic runs on arrays or on Python ints, never on numpy
+    scalars.
+    """
+    if isinstance(x, np.ndarray) and x.ndim:
+        return x.astype(np.uint64, copy=False)
+    return int(x)
+
+
+def derive_seed(
+    master: Union[int, np.ndarray], index: Union[int, np.ndarray]
+) -> Union[int, np.ndarray]:
     """Child seed from a master seed and an index, splitmix64 style.
 
     The stream for index i is independent of how many other indices are in
-    use, so trials can be replayed individually.
+    use, so trials can be replayed individually. Either argument may be a
+    uint64 array, which gives the broadcast uint64 array of children; two
+    ints give a Python int. Ints of any size and sign are reduced mod 2^64.
+    The masks keep Python ints in 64 bits and leave uint64 arrays unchanged.
     """
-    z = (int(master) + (int(index) + 1) * 0x9E3779B97F4A7C15) & _MASK64
+    master, index = _wrapping(master), _wrapping(index)
+    z = ((master & _MASK64) + ((index + 1) * 0x9E3779B97F4A7C15 & _MASK64)) & _MASK64
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
     return z ^ (z >> 31)
+
+
+def _hash_constants(init: int, mult: int, count: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The xor and multiply constants of ``count`` SeedSequence hash steps,
+    as two ``(count, 1)`` uint32 columns.
+
+    A step xors its word with the running constant, advances the constant by
+    ``mult`` and multiplies by the advanced value; the constants do not
+    depend on the data, so the whole sequence is fixed.
+    """
+    seq = [init]
+    for _ in range(count):
+        seq.append(seq[-1] * mult & 0xFFFFFFFF)
+    col = np.array(seq, dtype=np.uint32)[:, None]
+    return col[:-1], col[1:]
+
+
+# numpy's SeedSequence with a pool of four uint32 words hashes sixteen times
+# while mixing: four steps fill the pool, then each source word is hashed
+# once for each of the other three, which it mixes into. Eight output
+# hashes, cycling the pool twice, make the four uint64 words of a PCG64 seed.
+_MIX_XOR, _MIX_MULT = _hash_constants(0x43B0D7E5, 0x931E8875, 16)
+_OUT_XOR, _OUT_MULT = _hash_constants(0x8B51F9DD, 0x58F38DED, 8)
+_MIX_L = np.uint32(0xCA01F9DD)
+_MIX_R = np.uint32(0x4973F715)
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _hashmix(words: np.ndarray, xor: np.ndarray, mult: np.ndarray) -> np.ndarray:
+    """SeedSequence hash steps, one per row of the ``(n, 1)`` constant
+    columns, broadcast against ``words``."""
+    words = (words ^ xor) * mult
+    return words ^ (words >> np.uint32(16))
+
+
+def _pcg64_seed_words(seeds: np.ndarray) -> np.ndarray:
+    """``SeedSequence(s).generate_state(4, np.uint64)`` for each uint64 seed, ``(k, 4)``.
+
+    The pool is a ``(4, k)`` array, one column per seed, so each hash step
+    runs once for the batch. A seed enters as its low and high uint32
+    words; one below 2^32 is entropy ``[lo]``, which hashes like ``[lo, 0]``
+    because the pool is padded with zero words.
+    """
+    entropy = np.zeros((4, len(seeds)), dtype=np.uint32)
+    entropy[0] = seeds & np.uint64(0xFFFFFFFF)
+    entropy[1] = seeds >> np.uint64(32)
+    pool = _hashmix(entropy, _MIX_XOR[:4], _MIX_MULT[:4])
+    for src in range(4):
+        dst = [i for i in range(4) if i != src]
+        steps = slice(4 + 3 * src, 7 + 3 * src)
+        mixed = _MIX_L * pool[dst] - _MIX_R * _hashmix(pool[src], _MIX_XOR[steps], _MIX_MULT[steps])
+        pool[dst] = mixed ^ (mixed >> np.uint32(16))
+    out = _hashmix(np.vstack([pool, pool]), _OUT_XOR, _OUT_MULT)
+    return np.ascontiguousarray(out.T, dtype="<u4").view("<u8").astype(np.uint64)
+
+
+def _seeded_normals(seeds: Union[Sequence[int], np.ndarray], width: int) -> np.ndarray:
+    """Standard normal draws, ``(k, width)``: row t is bit for bit
+    ``np.random.default_rng(seeds[t]).standard_normal(width)``.
+
+    The SeedSequence hashes of all seeds run as one uint32 batch. Each seed's
+    four output words become PCG64's ``(state, inc)`` by the two steps of
+    its seeding, in 128-bit Python ints; one reused PCG64 takes that state
+    through its ``state`` setter and draws the row. Seeds must lie in
+    ``0 .. 2^64 - 1``.
+    """
+    words = _pcg64_seed_words(np.asarray(seeds, dtype=np.uint64))
+    bitgen = np.random.PCG64(0)
+    gen = np.random.Generator(bitgen)
+    z = np.empty((len(words), width))
+    for row, (s_hi, s_lo, i_hi, i_lo) in zip(z, words.tolist()):
+        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
+        state = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128
+        bitgen.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": state, "inc": inc},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        gen.standard_normal(out=row)
+    return z
 
 
 def _check_instruments(kraus: np.ndarray) -> None:
@@ -78,20 +182,30 @@ def _check_instruments(kraus: np.ndarray) -> None:
 @dataclass(frozen=True, eq=False)
 class LocalInstrument:
     """A two-outcome instrument on one mode, its compliant Kraus operators
-    held as one ``(2, d, d)`` array, the layout :func:`_margins` reads."""
+    stacked from any pair of equally sized square matrices into the
+    ``(2, d, d)`` complex array ``kraus``, the layout :func:`_margins` reads."""
 
     mode: int
     kraus: np.ndarray
     seed: int
 
     def __post_init__(self) -> None:
-        _check_instruments(self.kraus[None])
+        try:
+            kraus = np.asarray(self.kraus, dtype=complex)
+        except ValueError:
+            raise ValueError("the Kraus operators of an instrument must share one dimension") from None
+        if kraus.ndim != 3 or kraus.shape[0] != 2 or kraus.shape[1] != kraus.shape[2] or kraus.shape[2] < 2:
+            raise ValueError(f"expected a (2, d, d) Kraus stack with d >= 2, got shape {kraus.shape}")
+        object.__setattr__(self, "kraus", kraus)
+        _check_instruments(kraus[None])
 
 
-def _instrument_kraus(seeds: Sequence[int], strength: float, p: int = 1) -> np.ndarray:
+def _instrument_kraus(
+    seeds: Union[Sequence[int], np.ndarray], strength: float, p: int = 1
+) -> np.ndarray:
     """Kraus pairs of the random instruments with the given seeds, ``(k, 2, d, d)``.
 
-    Each seed's generator draws the real and imaginary parts of the level
+    Each seed's stream draws the real and imaginary parts of the level
     block, then of the vacancy entry; everything after the draws runs once
     over the whole stack. See :func:`random_instrument` for the construction.
     """
@@ -99,7 +213,7 @@ def _instrument_kraus(seeds: Sequence[int], strength: float, p: int = 1) -> np.n
         raise ValueError(f"strength must be finite and non-negative, got {strength}")
     lv = p + 1
     d = p + 2
-    z = np.array([np.random.default_rng(s).standard_normal(2 * lv * lv + 2) for s in seeds])
+    z = _seeded_normals(seeds, 2 * lv * lv + 2)
     k = np.zeros((len(seeds), d, d), dtype=complex)
     blocks = z[:, : 2 * lv * lv].reshape(-1, 2, lv, lv)
     with np.errstate(over="ignore"):
@@ -135,8 +249,11 @@ def random_instrument(
     strength zero both outcomes collapse to ``I / sqrt(2)``. A strength that
     is negative or not finite raises ValueError, and so does a finite one so
     large that the entries of ``I + strength * G`` or their scaled spectral
-    norm overflow.
+    norm overflow. The seed seeds ``np.random.default_rng`` and must lie in
+    ``0 .. 2^64 - 1``.
     """
+    if not 0 <= seed <= _MASK64:
+        raise ValueError(f"instrument seed must lie in 0..2^64-1, got {seed}")
     return LocalInstrument(mode=mode, kraus=_instrument_kraus([seed], strength, p)[0], seed=seed)
 
 
@@ -187,8 +304,7 @@ def monotonicity_trial(
     return float(m1[0]), float(m2[0])
 
 
-@dataclass(frozen=True)
-class TrialRecord:
+class TrialRecord(NamedTuple):
     """One monotonicity trial: seeds, margins, verdict."""
 
     index: int
@@ -219,34 +335,31 @@ def run_monotone_trials(
     """Monotonicity margins over a tree of seeded random trials.
 
     Per trial, the child seed fans out into a state seed (ignored when a
-    fixed state is supplied), an instrument seed and a mode choice. Trials
-    are drawn one by one and evaluated as one batch; records come back in
-    index order. A fixed state must meet the preconditions of
-    :func:`monotonicity_trial` and is checked before anything is drawn.
+    fixed state is supplied), an instrument seed and a mode choice. The
+    seed tree, the streams and the evaluation each run as one batch;
+    records come back in index order. A fixed state must meet the
+    preconditions of :func:`monotonicity_trial` and is checked before
+    anything is drawn.
     """
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
-    seeds = [derive_seed(master_seed, i) for i in range(trials)]
+    seeds = derive_seed(master_seed, np.arange(trials, dtype=np.uint64))
     if state is None:
-        rngs = (np.random.default_rng(derive_seed(s, 0)) for s in seeds)
-        psi = random_amplitudes(SHAPE_321.dimension, rngs).T
+        psi = unit_amplitudes(_seeded_normals(derive_seed(seeds, 0), 2 * SHAPE_321.dimension)).T
     else:
         psi = np.repeat(_state_column(state), trials, axis=1)
-    kraus = _instrument_kraus([derive_seed(s, 1) for s in seeds], strength)
-    modes = [derive_seed(s, 2) % 3 for s in seeds]
-    m1, m2 = _margins(psi, kraus, np.array(modes))
+    kraus = _instrument_kraus(derive_seed(seeds, 1), strength)
+    modes = (derive_seed(seeds, 2) % np.uint64(3)).astype(np.intp)
+    m1, m2 = _margins(psi, kraus, modes)
     margins = np.maximum(m1, m2)
-    records = tuple(
-        TrialRecord(index=i, seed=s, mode=mode, margin1=a, margin2=b, margin=m, passed=m <= MARGIN_TOL)
-        for i, (s, mode, a, b, m) in enumerate(
-            zip(seeds, modes, m1.tolist(), m2.tolist(), margins.tolist())
-        )
-    )
+    worst = margins.tolist()
+    passed = (margins <= MARGIN_TOL).tolist()
+    records = zip(range(trials), seeds.tolist(), modes.tolist(), m1.tolist(), m2.tolist(), worst, passed)
     return MonteCarloSummary(
         trials=trials,
-        failures=sum(1 for r in records if not r.passed),
-        max_margin=max(margins.tolist()),
-        records=records,
+        failures=passed.count(False),
+        max_margin=max(worst),
+        records=tuple(map(TrialRecord._make, records)),
     )
 
 

@@ -260,17 +260,18 @@ def phase_fit(state: StateVector, moved: StateVector, tol: float) -> Tuple[bool,
     return residual <= tol * norm, c
 
 
-def random_amplitudes(dim: int, rngs: Iterable[np.random.Generator]) -> np.ndarray:
-    """Unit vectors of i.i.d. complex Gaussian amplitudes, one row per generator.
+def unit_amplitudes(z: np.ndarray) -> np.ndarray:
+    """Unit complex rows from a ``(k, 2 * dim)`` array of normal draws.
 
-    Each generator draws the real parts, then the imaginary parts, of its
-    row. The squared norm is summed along the row, so a row does not depend
-    on how many others are drawn with it.
+    Each row holds the real parts, then the imaginary parts, of its
+    amplitudes. The squared norm is summed along the row, so a row does not
+    depend on how many others are turned with it.
     """
-    z = np.array([rng.standard_normal(2 * dim) for rng in rngs])
+    dim = z.shape[1] // 2
     return (z[:, :dim] + 1j * z[:, dim:]) / np.sqrt((z * z).sum(axis=1))[:, None]
 
 
 def random_state(shape: SystemShape, rng: np.random.Generator) -> StateVector:
     """Normalized state with i.i.d. complex Gaussian amplitudes on every slot."""
-    return StateVector.from_dense(shape, random_amplitudes(shape.dimension, [rng])[0])
+    z = rng.standard_normal(2 * shape.dimension)[None]
+    return StateVector.from_dense(shape, unit_amplitudes(z)[0])

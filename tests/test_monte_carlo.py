@@ -4,12 +4,16 @@ import warnings
 import numpy as np
 import pytest
 
+from modal_ent import monte_carlo
 from modal_ent.classify import family
 from modal_ent.invariants import invariant_report
 from modal_ent.monte_carlo import (
     MARGIN_TOL,
     LocalInstrument,
+    _instrument_kraus,
     _margins,
+    _seeded_normals,
+    _state_column,
     derive_seed,
     invariance_sweep,
     monotonicity_trial,
@@ -22,7 +26,7 @@ from modal_ent.operators import (
     element_from_matrices,
     random_element,
 )
-from modal_ent.states import SHAPE_321, StateVector, SystemShape, random_state
+from modal_ent.states import SHAPE_321, StateVector, SystemShape, random_state, unit_amplitudes
 
 rng = np.random.default_rng(2718)
 
@@ -34,6 +38,93 @@ def test_derive_seed_is_deterministic_and_wide():
     for s in list(seen)[:50]:
         assert 0 <= s < 2**64
     assert derive_seed(1, 7) != derive_seed(2, 7)
+
+
+def _splitmix_reference(master, index):
+    """The splitmix64 seed tree in Python ints, the oracle for derive_seed."""
+    mask = (1 << 64) - 1
+    z = (int(master) + (int(index) + 1) * 0x9E3779B97F4A7C15) & mask
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+    return z ^ (z >> 31)
+
+
+def test_vectorised_seed_tree_equals_the_scalar_one():
+    masters = [0, 1, 7, -1, -5, -(2**63), -(2**64) - 3, 2**63, 2**64 - 1, 2**64, 2**64 + 9, 2**130 + 17]
+    masters += [int(m) for m in np.random.default_rng(4040).integers(0, 2**64, size=20, dtype=np.uint64)]
+    index = np.arange(60, dtype=np.uint64)
+    for master in masters:
+        want = [_splitmix_reference(master, i) for i in range(60)]
+        scalar = [derive_seed(master, i) for i in range(60)]
+        assert all(type(s) is int for s in scalar)
+        assert scalar == want
+        batch = derive_seed(master, index)
+        assert batch.dtype == np.uint64 and batch.tolist() == want
+    children = np.array(want, dtype=np.uint64)
+    for i in (0, 1, 2, 2**64 - 1):
+        assert derive_seed(children, i).tolist() == [_splitmix_reference(c, i) for c in want]
+    assert derive_seed(np.uint64(5), np.int64(3)) == _splitmix_reference(5, 3)
+
+
+def test_batched_draws_equal_default_rng():
+    seeds = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
+    seeds += [int(s) for s in np.random.default_rng(8080).integers(0, 2**64, size=2000, dtype=np.uint64)]
+    for width in (10, 24):
+        want = np.array([np.random.default_rng(s).standard_normal(width) for s in seeds])
+        got = _seeded_normals(seeds, width)
+        assert got.shape == (len(seeds), width)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        assert np.array_equal(_seeded_normals(np.array(seeds, dtype=np.uint64), width), got)
+
+
+def _default_rng_normals(seeds, width):
+    return np.array([np.random.default_rng(int(s)).standard_normal(width) for s in seeds])
+
+
+def _reference_run(trials, master, strength=0.5, state=None):
+    """The per-trial run that the batched seeding replaced, as the oracle.
+
+    A scalar seed tree in Python ints and one ``default_rng`` per stream;
+    everything after the draws is the library's own.
+    """
+    seeds = [_splitmix_reference(master, i) for i in range(trials)]
+    if state is None:
+        z = _default_rng_normals([_splitmix_reference(s, 0) for s in seeds], 2 * SHAPE_321.dimension)
+        psi = unit_amplitudes(z).T
+    else:
+        psi = np.repeat(_state_column(state), trials, axis=1)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(monte_carlo, "_seeded_normals", _default_rng_normals)
+        kraus = _instrument_kraus([_splitmix_reference(s, 1) for s in seeds], strength)
+    modes = [_splitmix_reference(s, 2) % 3 for s in seeds]
+    m1, m2 = _margins(psi, kraus, np.array(modes))
+    margins = np.maximum(m1, m2)
+    return [
+        (i, s, mode, a, b, m, m <= MARGIN_TOL)
+        for i, (s, mode, a, b, m) in enumerate(zip(seeds, modes, m1.tolist(), m2.tolist(), margins.tolist()))
+    ]
+
+
+@pytest.mark.parametrize(
+    "master, strength, state",
+    [
+        (7, 0.5, None),
+        (-3, 0.9, None),
+        (2**64 + 11, 0.0, None),
+        (41, 0.5, family("psi1")),
+        (42, 0.5, family("Eq16", {"r1": 0.5, "r2": 0.5, "r3": 0.5, "r4": 0.5})),
+    ],
+    ids=["random", "negative-master", "zero-strength", "psi1", "Eq16"],
+)
+def test_batched_run_equals_the_per_trial_run(master, strength, state):
+    summary = run_monotone_trials(400, master, strength=strength, state=state)
+    want = _reference_run(400, master, strength=strength, state=state)
+    assert [tuple(r) for r in summary.records] == want
+    for rec, row in zip(summary.records, want):
+        for got, ref in zip(rec, row):
+            assert type(got) is type(ref)
+    assert summary.failures == sum(1 for row in want if not row[-1])
+    assert summary.max_margin == max(row[5] for row in want)
 
 
 def test_random_instrument_is_complete_and_compliant():
@@ -72,6 +163,26 @@ def test_instrument_validation():
     poisoned[0, 1] = np.nan
     with pytest.raises(ValueError, match="not trace preserving"):
         LocalInstrument(0, np.array([ok, poisoned]), seed=0)
+    for seed in (-1, 2**64):
+        with pytest.raises(ValueError, match="instrument seed must lie in"):
+            random_instrument(seed, mode=0, strength=0.5)
+
+
+def test_instrument_refuses_malformed_kraus_stacks():
+    ok = np.eye(3) / np.sqrt(2.0)
+    # trace preserving, but a one-dimensional mode has no vacancy to leak to
+    with pytest.raises(ValueError, match=r"\(2, d, d\) Kraus stack with d >= 2, got shape \(2, 1, 1\)"):
+        LocalInstrument(0, np.full((2, 1, 1), np.sqrt(0.5)), seed=0)
+    for shape in ((3, 3, 3), (2, 3, 2), (2, 9)):
+        with pytest.raises(ValueError, match=r"\(2, d, d\) Kraus stack"):
+            LocalInstrument(0, np.zeros(shape), seed=0)
+    with pytest.raises(ValueError, match="must share one dimension"):
+        LocalInstrument(0, [ok, np.eye(2)], seed=0)
+    listed = LocalInstrument(1, [ok, ok.tolist()], seed=0)
+    assert listed.kraus.dtype == complex and listed.kraus.shape == (2, 3, 3)
+    assert monotonicity_trial(family("psi1"), listed) == monotonicity_trial(
+        family("psi1"), LocalInstrument(1, np.array([ok, ok]), seed=0)
+    )
 
 
 def test_monotonicity_trial_preconditions():
