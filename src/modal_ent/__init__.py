@@ -12,83 +12,54 @@ script exposes the same functionality on the command line.
 
 The package root exports the names that the command line, the acceptance
 tests and the README example use; everything else is imported from its
-own module.
+own module. Each root name is resolved from its module on first access
+(PEP 562), so ``import modal_ent`` loads no submodule and a command line
+call loads only the modules its subcommand runs.
 """
 
-from .states import (
-    SHAPE_321,
-    StateVector,
-    SystemShape,
-    is_maximally_entangled,
-    random_state,
-)
-from .operators import (
-    GroupElement,
-    apply,
-    element_from_matrices,
-    occupation_scaling,
-    random_element,
-)
-from .invariants import (
-    InvariantReport,
-    generator_relation_check,
-    invariant_report,
-    localized_scenario_check,
-    trace_word,
-)
-from .classify import (
-    bell_profile,
-    canonical_form,
-    chsh_value,
-    family,
-    membership_report,
-    pair_projection,
-)
-from .stabilizers import (
-    STABILIZER_NAMES,
-    stabilizer,
-    topological_phases,
-    verify_stabilizes,
-)
-from .maxent import (
-    build_psi_sigma,
-    pattern_scan,
-)
-from .monte_carlo import (
-    invariance_sweep,
-    run_monotone_trials,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "SHAPE_321",
-    "StateVector",
-    "SystemShape",
-    "is_maximally_entangled",
-    "random_state",
-    "GroupElement",
-    "apply",
-    "element_from_matrices",
-    "occupation_scaling",
-    "random_element",
-    "InvariantReport",
-    "generator_relation_check",
-    "invariant_report",
-    "localized_scenario_check",
-    "trace_word",
-    "bell_profile",
-    "canonical_form",
-    "chsh_value",
-    "family",
-    "membership_report",
-    "pair_projection",
-    "STABILIZER_NAMES",
-    "stabilizer",
-    "topological_phases",
-    "verify_stabilizes",
-    "build_psi_sigma",
-    "pattern_scan",
-    "invariance_sweep",
-    "run_monotone_trials",
-]
+#: each exported name and the module that defines it
+_EXPORTS = {
+    "SHAPE_321": "states",
+    "StateVector": "states",
+    "SystemShape": "states",
+    "is_maximally_entangled": "states",
+    "random_state": "states",
+    "GroupElement": "operators",
+    "apply": "operators",
+    "element_from_matrices": "operators",
+    "occupation_scaling": "operators",
+    "random_element": "operators",
+    "InvariantReport": "invariants",
+    "generator_relation_check": "invariants",
+    "invariant_report": "invariants",
+    "localized_scenario_check": "invariants",
+    "trace_word": "invariants",
+    "bell_profile": "classify",
+    "canonical_form": "classify",
+    "chsh_value": "classify",
+    "family": "classify",
+    "membership_report": "classify",
+    "pair_projection": "classify",
+    "STABILIZER_NAMES": "names",
+    "stabilizer": "stabilizers",
+    "topological_phases": "stabilizers",
+    "verify_stabilizes": "stabilizers",
+    "build_psi_sigma": "maxent",
+    "pattern_scan": "maxent",
+    "invariance_sweep": "monte_carlo",
+    "run_monotone_trials": "monte_carlo",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_EXPORTS[name]}"), name)
+    globals()[name] = value
+    return value

@@ -37,6 +37,7 @@ from .invariants import (
     _invariant_polynomials,
     _report,
 )
+from .names import FAMILY_NAMES
 from .operators import GroupElement, _scalar_rows, _symbol_moves
 from .states import (
     SHAPE_321,
@@ -286,12 +287,13 @@ def _profile(v, polynomials, tol: float) -> BellProfile:
     )
 
 
-_FAMILY_NAMES = ("Eq14", "Eq15", "Eq16", "Eq18", "S1", "S2", "psi1", "psi2")
-
-
 def _take(params: Dict[str, float], key: str, default: Optional[float] = None) -> float:
     if key in params:
-        value = float(params.pop(key))
+        raw = params.pop(key)
+        try:
+            value = float(raw)
+        except ValueError:
+            raise ValueError(f"family parameter {key!r} must be a number, got {raw!r}") from None
         if not math.isfinite(value):
             raise ValueError(f"family parameter {key!r} must be finite, got {value}")
         return value
@@ -308,8 +310,8 @@ def family(name: str, params: Optional[Mapping[str, float]] = None) -> StateVect
     single-parameter curves that normalize by construction, and psi1, psi2
     are the two parameterless reference states.
     """
-    if name not in _FAMILY_NAMES:
-        raise ValueError(f"unknown family {name!r}; choose from {_FAMILY_NAMES}")
+    if name not in FAMILY_NAMES:
+        raise ValueError(f"unknown family {name!r}; choose from {FAMILY_NAMES}")
     p: Dict[str, float] = dict(params or {})
     amps: Dict[Tuple[int, int, int], complex] = {}
 

@@ -15,35 +15,15 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import asdict, fields
-from typing import Dict, List, Optional, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Union
 
-from .classify import (
-    _FAMILY_NAMES,
-    canonical_form,
-    chsh_value,
-    family,
-    membership_report,
-    pair_projection,
-)
-from .invariants import InvariantReport, invariant_report
-from .maxent import pattern_scan
-from .monte_carlo import run_monotone_trials
-from .serialize import (
-    SCHEMA_VERSION,
-    dumps_json,
-    element_to_json,
-    format_csv,
-    read_text,
-    state_from_json,
-    state_to_json,
-    write_text,
-)
-from .stabilizers import STABILIZER_NAMES, _verdict, stabilizer
-from .states import StateVector
+from .names import FAMILY_NAMES, STABILIZER_NAMES
 
-#: the scalar fields of an invariant report, in report order; W is left out
-_INVARIANT_FIELDS = tuple(f.name for f in fields(InvariantReport) if f.name != "W")
+if TYPE_CHECKING:
+    from .states import StateVector
+
+# Each subcommand imports the modules it runs inside its own function, so a
+# call loads only those; start-up and imports dominate a short call.
 
 
 class _Parser(argparse.ArgumentParser):
@@ -57,6 +37,8 @@ class _Parser(argparse.ArgumentParser):
 def _read_input(path: str) -> str:
     if path == "-":
         return sys.stdin.read()
+    from .serialize import read_text
+
     return read_text(path)
 
 
@@ -64,10 +46,14 @@ def _write_output(path: str, text: str) -> None:
     if path == "-":
         sys.stdout.write(text)
     else:
+        from .serialize import write_text
+
         write_text(path, text)
 
 
 def _load_state(path: str) -> StateVector:
+    from .serialize import state_from_json
+
     return state_from_json(_read_input(path))
 
 
@@ -108,8 +94,14 @@ def _parse_range(text: str) -> range:
 
 
 def _cmd_invariants(args: argparse.Namespace) -> int:
+    from dataclasses import fields
+
+    from .invariants import InvariantReport, invariant_report
+    from .serialize import SCHEMA_VERSION, dumps_json, format_csv
+
     rep = invariant_report(_load_state(args.infile))
-    values = {name: getattr(rep, name) for name in _INVARIANT_FIELDS}
+    # the scalar fields of an invariant report, in report order; W is left out
+    values = {f.name: getattr(rep, f.name) for f in fields(InvariantReport) if f.name != "W"}
     if args.format == "json":
         doc = {"schema_version": SCHEMA_VERSION, **values}
         _write_output(args.out, dumps_json(doc) + "\n")
@@ -123,6 +115,11 @@ def _cmd_invariants(args: argparse.Namespace) -> int:
 
 
 def _cmd_classify(args: argparse.Namespace) -> int:
+    from dataclasses import asdict
+
+    from .classify import membership_report
+    from .serialize import SCHEMA_VERSION, dumps_json, format_csv
+
     rep = membership_report(_load_state(args.infile))
     summary = {
         "families": list(rep.families),
@@ -145,6 +142,9 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 
 
 def _cmd_canonical(args: argparse.Namespace) -> int:
+    from .classify import canonical_form
+    from .serialize import SCHEMA_VERSION, dumps_json, element_to_json, state_to_json
+
     params = canonical_form(_load_state(args.infile))
     if args.element_out:
         _write_output(args.element_out, element_to_json(params.element))
@@ -163,12 +163,18 @@ def _cmd_canonical(args: argparse.Namespace) -> int:
 
 
 def _cmd_family(args: argparse.Namespace) -> int:
+    from .classify import family
+    from .serialize import state_to_json
+
     state = family(args.name, _parse_params(args.params))
     _write_output(args.out, state_to_json(state, use_symbols=args.symbols))
     return 0
 
 
 def _cmd_verify_stabilizer(args: argparse.Namespace) -> int:
+    from .serialize import SCHEMA_VERSION, dumps_json
+    from .stabilizers import _verdict, stabilizer
+
     stab = stabilizer(args.name, _parse_params(args.params))
     state = _load_state(args.infile)
     ok, ray_ok, bare = _verdict(stab, state, tol=1e-9)
@@ -187,6 +193,11 @@ def _cmd_verify_stabilizer(args: argparse.Namespace) -> int:
 
 
 def _cmd_theorem3_scan(args: argparse.Namespace) -> int:
+    from dataclasses import asdict
+
+    from .maxent import pattern_scan
+    from .serialize import format_csv
+
     rows = pattern_scan(_parse_range(args.n), _parse_range(args.p))
     text = format_csv(
         ("n", "m", "p", "feasible", "constructed", "max_ent_verified"),
@@ -197,6 +208,9 @@ def _cmd_theorem3_scan(args: argparse.Namespace) -> int:
 
 
 def _cmd_monotone_mc(args: argparse.Namespace) -> int:
+    from .monte_carlo import run_monotone_trials
+    from .serialize import SCHEMA_VERSION, dumps_json, format_csv
+
     state = _load_state(args.state) if args.state else None
     summary = run_monotone_trials(
         trials=args.trials,
@@ -223,6 +237,9 @@ def _cmd_monotone_mc(args: argparse.Namespace) -> int:
 
 
 def _cmd_chsh(args: argparse.Namespace) -> int:
+    from .classify import chsh_value, pair_projection
+    from .serialize import SCHEMA_VERSION, dumps_json, format_csv
+
     state = _load_state(args.infile)
     results = {}
     for pair in ("AB", "BC", "AC"):
@@ -286,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("family", help="build a named family member")
     _add_out(p)
-    p.add_argument("--name", required=True, choices=_FAMILY_NAMES)
+    p.add_argument("--name", required=True, choices=FAMILY_NAMES)
     p.add_argument("--params", metavar="K=V,K=V", default="",
                    help="family parameters, e.g. r1=0.6,r2=0.8")
     p.add_argument("--symbols", action="store_true",

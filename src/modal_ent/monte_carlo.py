@@ -374,7 +374,9 @@ def invariance_sweep(
     states are renormalized and compared against the inputs' invariants
     rescaled by the predicted norm powers, 6 for I1 and 3 for I2. For
     determinant-one elements both drifts are pure roundoff; elements with
-    other determinants show up at order one.
+    other determinants show up at order one. Non-finite state columns raise
+    ValueError; an element that overflows or annihilates a state raises
+    ArithmeticError.
     """
     if isinstance(states, np.ndarray):
         psi = np.asarray(states, dtype=complex)
@@ -384,13 +386,19 @@ def invariance_sweep(
         psi = np.column_stack([s.dense() for s in states])
     if psi.shape[0] != SHAPE_321.dimension:
         raise ValueError(f"state columns must have length {SHAPE_321.dimension}")
+    if not np.isfinite(psi).all():
+        raise ValueError("state columns must be finite")
     i1_in, i2_in = dense_invariant_pair(psi)
     worst1 = 0.0
     worst2 = 0.0
     for g in elements:
-        s = sector_matrix(g, SHAPE_321)
-        moved = s @ psi
-        norms = np.linalg.norm(moved, axis=0)
+        # max() below drops a NaN drift and would report a clean sweep, so
+        # an overflowing product is refused here rather than warned about
+        with np.errstate(over="ignore", invalid="ignore"):
+            moved = sector_matrix(g, SHAPE_321) @ psi
+            norms = np.linalg.norm(moved, axis=0)
+        if not np.isfinite(norms).all():
+            raise ArithmeticError("group element overflowed a state")
         if np.any(norms <= 0):
             raise ArithmeticError("group element annihilated a state")
         i1_out, i2_out = dense_invariant_pair(moved / norms)

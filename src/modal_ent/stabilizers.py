@@ -25,10 +25,9 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .names import STABILIZER_NAMES
 from .operators import GroupElement, apply, apply_on_mode, make_slocc_element
 from .states import StateVector, phase_fit
-
-STABILIZER_NAMES = ("generic_eq13", "family16_eq20", "psi1_eq23", "psi2_eq26")
 
 
 @dataclass(frozen=True, eq=False)
@@ -42,7 +41,11 @@ class StabilizerElement:
 
 
 def _pop_float(params: Dict[str, float], key: str, default: float = 0.0) -> float:
-    val = float(params.pop(key, default))
+    raw = params.pop(key, default)
+    try:
+        val = float(raw)
+    except ValueError:
+        raise ValueError(f"parameter {key!r} must be a number, got {raw!r}") from None
     if not math.isfinite(val):
         raise ValueError(f"parameter {key!r} must be finite, got {val}")
     return val
@@ -50,7 +53,10 @@ def _pop_float(params: Dict[str, float], key: str, default: float = 0.0) -> floa
 
 def _pop_int(params: Dict[str, float], key: str, default: int = 0) -> int:
     raw = params.pop(key, default)
-    val = float(raw)
+    try:
+        val = float(raw)
+    except ValueError:
+        val = math.nan
     if not math.isfinite(val) or abs(val - round(val)) > 1e-9:
         raise ValueError(f"parameter {key!r} must be an integer, got {raw}")
     return int(round(val))

@@ -101,6 +101,8 @@ def test_family_parameter_errors(capsys):
     assert "family parameter 'theta' must be finite, got nan" in capsys.readouterr().err
     assert main(["family", "--name", "Eq14", "--params", "r1=inf,r2=0,r3=0"]) == 1
     assert "family parameter 'r1' must be finite, got inf" in capsys.readouterr().err
+    assert main(["family", "--name", "S1", "--params", "r=abc"]) == 1
+    assert capsys.readouterr().err == "modal-ent: error: family parameter 'r' must be a number, got 'abc'\n"
 
 
 def test_verify_stabilizer_exit_codes(tmp_path, capsys):
@@ -129,6 +131,8 @@ def test_verify_stabilizer_exit_codes(tmp_path, capsys):
     for name, params, message in [
         ("generic_eq13", "alpha=nan", "parameter 'alpha' must be finite, got nan"),
         ("family16_eq20", "gamma=-inf", "parameter 'gamma' must be finite, got -inf"),
+        ("generic_eq13", "alpha=abc", "parameter 'alpha' must be a number, got 'abc'"),
+        ("generic_eq13", "m=xyz", "parameter 'm' must be an integer, got xyz"),
         ("psi2_eq26", "alpha=1e300", "the exponential on mode 0 overflows"),
         ("psi1_eq23", "variant=c,beta=1e155", "the exponential on mode 0 overflows"),
     ]:
@@ -195,19 +199,52 @@ def test_monotone_mc_rejects_bad_strength(strength, capfd):
     assert "DLASCL" not in err and "LinAlgError" not in err
 
 
-def test_cli_import_loads_no_scipy():
+def run_python(probe, *args, cwd=None):
+    """Run ``python -c probe args`` in a fresh interpreter on this checkout's package."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(modal_ent.__file__)))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
+    return subprocess.run(
+        [sys.executable, "-c", probe, *args],
+        env=env, cwd=cwd, capture_output=True, text=True, check=True, timeout=60,
+    ).stdout
+
+
+def test_cli_import_loads_no_scipy():
     probe = (
         "import sys, modal_ent.cli; "
         "print([m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')])"
     )
-    out = subprocess.run(
-        [sys.executable, "-c", probe],
-        env=env, capture_output=True, text=True, check=True, timeout=60,
+    assert run_python(probe).strip() == "[]"
+
+
+def test_package_import_loads_no_submodule():
+    probe = "import sys, modal_ent; print(sorted(m for m in sys.modules if m.startswith(('modal_ent.', 'numpy'))))"
+    assert run_python(probe).strip() == "[]"
+
+
+#: subcommand, its arguments, and the package modules it must not load
+_START_UP_CASES = [
+    ("invariants", ["--in", "psi2.json"], {"classify", "stabilizers", "maxent", "monte_carlo"}),
+    ("theorem3-scan", ["--n", "1..4", "--p", "1"], {"classify", "invariants", "stabilizers", "monte_carlo"}),
+    ("verify-stabilizer", ["--name", "psi2_eq26", "--in", "psi2.json"], {"classify", "invariants", "maxent", "monte_carlo"}),
+    ("family", ["--name", "psi1"], {"stabilizers", "maxent", "monte_carlo"}),
+    ("monotone-mc", ["--trials", "3"], {"classify", "stabilizers", "maxent"}),
+]
+
+
+@pytest.mark.parametrize("command, args, unused", _START_UP_CASES, ids=[c[0] for c in _START_UP_CASES])
+def test_subcommand_loads_only_its_modules(tmp_path, command, args, unused):
+    write_state(tmp_path, "psi2.json", family("psi2"))
+    probe = (
+        "import sys; from modal_ent.cli import main; "
+        "code = main(sys.argv[1:]); "
+        "print(code, *sorted(m for m in sys.modules if m.startswith('modal_ent.')))"
     )
-    assert out.stdout.strip() == "[]"
+    code, *loaded = run_python(probe, command, *args, "--out", "out", cwd=tmp_path).split()
+    assert code == "0"
+    assert (tmp_path / "out").stat().st_size > 0
+    assert unused.isdisjoint(m.split(".")[1] for m in loaded)
 
 
 def test_chsh_command(tmp_path, capsys):

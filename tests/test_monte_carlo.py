@@ -333,8 +333,20 @@ def test_invariance_sweep_input_validation():
         [np.diag([0.0, 0.0, 1.0]).astype(complex), np.eye(3, dtype=complex), np.eye(3, dtype=complex)]
     )
     doomed = StateVector(SHAPE_321, {(1, 1, 0): 1.0})
-    with pytest.raises(ArithmeticError):
+    with pytest.raises(ArithmeticError, match="annihilated"):
         invariance_sweep([doomed], [killer])
+
+
+def test_invariance_sweep_refuses_non_finite_columns():
+    # max(0.0, nan) keeps 0.0, so both cases used to report a perfect (0.0, 0.0)
+    states = [random_state(SHAPE_321, rng) for _ in range(3)]
+    blow_up = GroupElement([np.diag([1e200, 1e200, 1e-200])] * 3)
+    with pytest.raises(ArithmeticError, match="overflowed a state"):
+        invariance_sweep(states, [blow_up])
+    columns = np.column_stack([s.dense() for s in states])
+    columns[4, 1] = np.nan
+    with pytest.raises(ValueError, match="must be finite"):
+        invariance_sweep(columns, [random_element("SU", seed=0)])
 
 
 def test_overflowing_strength_is_refused(capfd):

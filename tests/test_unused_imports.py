@@ -1,13 +1,14 @@
 """Every name a package or test module imports is used, and the root exports only what its callers need.
 
 No linter ships with the test dependencies, so the checks walk the syntax
-tree with the standard library. Names listed in ``__all__`` count as used,
-since the package root imports them only to re-export them. The root may
-export a name only if the command line, the acceptance tests or the README
-example imports it; everything else is imported from its own module.
+tree with the standard library. The root resolves each exported name from
+the module its table names, on first access; it may export a name only if
+the command line, the acceptance tests or the README example imports it,
+and everything else is imported from its own module.
 """
 
 import ast
+import importlib
 import pathlib
 import re
 
@@ -32,10 +33,6 @@ def unused_imports(source: str):
                 imported[alias.asname or alias.name] = node.lineno
         elif isinstance(node, ast.Name):
             used.add(node.id)
-        elif isinstance(node, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
-        ):
-            used.update(elt.value for elt in node.value.elts)
     return sorted((line, name) for name, line in imported.items() if name not in used)
 
 
@@ -69,11 +66,17 @@ def test_no_unused_imports(path):
 def test_root_exports_only_what_its_callers_import():
     exported = modal_ent.__all__
     assert len(set(exported)) == len(exported)
-    assert set(exported) == package_imports((PACKAGE / "__init__.py").read_text())
+    assert exported == list(modal_ent._EXPORTS)
     needed = package_imports(readme_example())
     for caller in (PACKAGE / "cli.py", REPO / "tests" / "test_acceptance.py"):
         needed |= package_imports(caller.read_text())
     assert sorted(set(exported) - needed) == []
+
+
+def test_root_names_are_the_objects_of_their_modules():
+    for name, module in modal_ent._EXPORTS.items():
+        assert getattr(modal_ent, name) is getattr(importlib.import_module(f"modal_ent.{module}"), name)
+    assert not hasattr(modal_ent, "no_such_name")
 
 
 def test_readme_example_runs(capsys):
