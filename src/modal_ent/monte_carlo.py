@@ -8,14 +8,16 @@ isolation from the master seed and its index.
 
 Each trial's state and instrument are drawn from their own streams, those of
 ``np.random.default_rng(seed)`` for the trial's seeds, but the streams are
-seeded as one batch: :func:`_seeded_normals` runs numpy's SeedSequence hash
-for all seeds at once and hands each result to one reused PCG64, so every
-draw is bit for bit the one ``default_rng`` gives. The seed tree, too, runs
-as one uint64 batch, and everything after the draws runs once over the whole
-run as a ``(12, k)`` column batch in :func:`_margins`. That kernel completes
-the instruments as a stack, acts through the index gather of
-:func:`~modal_ent.operators.apply_on_mode_columns` and evaluates the
-invariants with :func:`~modal_ent.invariants.dense_invariant_pair`.
+seeded as one batch: :func:`_seeded_draws` runs numpy's SeedSequence hash
+once for the state and instrument seeds of every trial and hands each result
+to one reused PCG64, so every draw is bit for bit the one ``default_rng``
+gives. The seed tree, too, runs as one uint64 batch, the three child seeds
+of every trial in one broadcast. Everything after the draws runs once over
+the whole run in :func:`_margins`: the instruments are completed as one
+``(k, 2, 3, 3)`` Kraus stack, one index gather of
+:func:`~modal_ent.operators.apply_on_mode_columns` acts with both outcomes,
+and one pass of :func:`~modal_ent.invariants.dense_invariant_pair` reads the
+inputs and both renormalized outcomes as a ``(12, 3k)`` column batch.
 :func:`monotonicity_trial` is its one-column call, so replaying a trial
 from its seeds reproduces the record's margins bit for bit.
 
@@ -29,8 +31,10 @@ strongly non-unitary elements. Ratios of renormalized values stay order one.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Optional, Sequence, Tuple, Union
+from itertools import chain
+from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -57,11 +61,12 @@ def _wrapping(x: Union[int, np.ndarray]) -> Union[int, np.ndarray]:
 
     numpy warns when a scalar wraps around but never when an array does, so
     the seed arithmetic runs on arrays or on Python ints, never on numpy
-    scalars.
+    scalars. A scalar that is not an integer, such as a float, raises
+    TypeError rather than being truncated.
     """
     if isinstance(x, np.ndarray) and x.ndim:
         return x.astype(np.uint64, copy=False)
-    return int(x)
+    return operator.index(x)
 
 
 def derive_seed(
@@ -136,31 +141,37 @@ def _pcg64_seed_words(seeds: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(out.T, dtype="<u4").view("<u8").astype(np.uint64)
 
 
-def _seeded_normals(seeds: Union[Sequence[int], np.ndarray], width: int) -> np.ndarray:
-    """Standard normal draws, ``(k, width)``: row t is bit for bit
-    ``np.random.default_rng(seeds[t]).standard_normal(width)``.
+def _seeded_draws(seeds: np.ndarray, widths: Sequence[int]) -> List[np.ndarray]:
+    """Standard normal draws from the streams of a ``(g, k)`` uint64 seed
+    array, one ``(k, widths[i])`` array per row: row ``t`` of array ``i`` is
+    bit for bit ``np.random.default_rng(seeds[i, t]).standard_normal(widths[i])``.
 
-    The SeedSequence hashes of all seeds run as one uint32 batch. Each seed's
-    four output words become PCG64's ``(state, inc)`` by the two steps of
-    its seeding, in 128-bit Python ints; one reused PCG64 takes that state
-    through its ``state`` setter and draws the row. Seeds must lie in
-    ``0 .. 2^64 - 1``.
+    The SeedSequence hashes of all ``g * k`` seeds run as one uint32 batch.
+    Each seed's four output words become PCG64's ``(state, inc)`` by the two
+    steps of its seeding, in 128-bit Python ints; one reused PCG64 takes
+    that state through its ``state`` setter, from one reused dict, and draws
+    the row. Seeds must lie in ``0 .. 2^64 - 1``.
     """
-    words = _pcg64_seed_words(np.asarray(seeds, dtype=np.uint64))
+    words = _pcg64_seed_words(seeds.reshape(-1))
     bitgen = np.random.PCG64(0)
     gen = np.random.Generator(bitgen)
-    z = np.empty((len(words), width))
-    for row, (s_hi, s_lo, i_hi, i_lo) in zip(z, words.tolist()):
+    pcg = {"state": 0, "inc": 0}
+    setting = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
+    draws = [np.empty((seeds.shape[1], width)) for width in widths]
+    for row, (s_hi, s_lo, i_hi, i_lo) in zip(chain.from_iterable(draws), words.tolist()):
         inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
-        state = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128
-        bitgen.state = {
-            "bit_generator": "PCG64",
-            "state": {"state": state, "inc": inc},
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
+        pcg["state"] = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128
+        pcg["inc"] = inc
+        bitgen.state = setting
         gen.standard_normal(out=row)
-    return z
+    return draws
+
+
+def _seeded_normals(seeds: Union[Sequence[int], np.ndarray], width: int) -> np.ndarray:
+    """Standard normal draws, ``(k, width)``: row t is bit for bit
+    ``np.random.default_rng(seeds[t]).standard_normal(width)``; see
+    :func:`_seeded_draws`."""
+    return _seeded_draws(np.asarray(seeds, dtype=np.uint64)[None], [width])[0]
 
 
 def _check_instruments(kraus: np.ndarray) -> None:
@@ -170,8 +181,12 @@ def _check_instruments(kraus: np.ndarray) -> None:
     Both tests are written so that NaN entries fail them.
     """
     d = kraus.shape[-1]
-    total = (kraus.conj().swapaxes(-1, -2) @ kraus).sum(axis=1)
-    defect = np.abs(total - np.eye(d)).max()
+    # each instrument's outcomes stacked as one (outcomes * d, d) matrix A,
+    # so that sum_o K_o^dagger K_o is the one product A^dagger A
+    stacked = kraus.reshape(len(kraus), -1, d)
+    total = stacked.conj().swapaxes(1, 2) @ stacked
+    total -= np.eye(d)
+    defect = np.abs(total).max()
     if not defect <= 1e-9:
         raise ValueError(f"instrument is not trace preserving (defect {defect:.3e})")
     compliant = (superselection_leak(kraus) <= MEMBER_TOL).all(axis=0)
@@ -183,7 +198,8 @@ def _check_instruments(kraus: np.ndarray) -> None:
 class LocalInstrument:
     """A two-outcome instrument on one mode, its compliant Kraus operators
     stacked from any pair of equally sized square matrices into the
-    ``(2, d, d)`` complex array ``kraus``, the layout :func:`_margins` reads."""
+    ``(2, d, d)`` complex array ``kraus``, one instrument of the stack that
+    :func:`_margins` reads."""
 
     mode: int
     kraus: np.ndarray
@@ -200,21 +216,24 @@ class LocalInstrument:
         _check_instruments(kraus[None])
 
 
-def _instrument_kraus(
-    seeds: Union[Sequence[int], np.ndarray], strength: float, p: int = 1
-) -> np.ndarray:
-    """Kraus pairs of the random instruments with the given seeds, ``(k, 2, d, d)``.
+def _instrument_width(p: int) -> int:
+    """Normal draws per instrument: the level block's real and imaginary
+    parts, then the vacancy entry's."""
+    return 2 * (p + 1) ** 2 + 2
 
-    Each seed's stream draws the real and imaginary parts of the level
-    block, then of the vacancy entry; everything after the draws runs once
-    over the whole stack. See :func:`random_instrument` for the construction.
+
+def _kraus_from_normals(z: np.ndarray, strength: float, p: int = 1) -> np.ndarray:
+    """Kraus pairs of the random instruments drawn as the rows of ``z``, ``(k, 2, d, d)``.
+
+    Each row holds the real and imaginary parts of the level block, then of
+    the vacancy entry; everything runs once over the whole stack. See
+    :func:`random_instrument` for the construction.
     """
     if not 0 <= strength < np.inf:
         raise ValueError(f"strength must be finite and non-negative, got {strength}")
     lv = p + 1
     d = p + 2
-    z = _seeded_normals(seeds, 2 * lv * lv + 2)
-    k = np.zeros((len(seeds), d, d), dtype=complex)
+    k = np.zeros((len(z), d, d), dtype=complex)
     blocks = z[:, : 2 * lv * lv].reshape(-1, 2, lv, lv)
     with np.errstate(over="ignore"):
         k[:, :lv, :lv] = strength * (blocks[:, 0] + 1j * blocks[:, 1])
@@ -235,6 +254,13 @@ def _instrument_kraus(
     kraus = np.stack([a0, a1], axis=1)
     _check_instruments(kraus)
     return kraus
+
+
+def _instrument_kraus(
+    seeds: Union[Sequence[int], np.ndarray], strength: float, p: int = 1
+) -> np.ndarray:
+    """Kraus pairs of the random instruments with the given seeds, ``(k, 2, d, d)``."""
+    return _kraus_from_normals(_seeded_normals(seeds, _instrument_width(p)), strength, p)
 
 
 def random_instrument(
@@ -266,26 +292,33 @@ def _state_column(state: StateVector) -> np.ndarray:
 def _margins(psi: np.ndarray, kraus: np.ndarray, modes: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Monotone margins of a batch: column ``t`` of ``psi`` meets ``kraus[t]`` on ``modes[t]``.
 
-    The columns are evaluated in :class:`SplitComplex` arithmetic, which
-    rounds as the scalar path does, and every step acts column by column, so
-    a one-column call reproduces its column of a larger batch bit for bit.
-    An outcome is renormalized by the square root of its probability, the
-    sum of squared moduli taken in basis order.
+    The inputs and the outcomes of every instrument fill one ``(12, 1 +
+    outcomes, k)`` batch in :class:`SplitComplex` arithmetic, which rounds as
+    the scalar path does: the gather writes the outcomes into their slots,
+    which are renormalized in place, and one invariant pass reads the whole
+    batch. Every step acts column by column, so a one-column call reproduces
+    its column of a larger batch bit for bit. An outcome is renormalized by
+    the square root of its probability, the sum of squared moduli taken in
+    basis order, and one of negligible probability adds nothing.
     """
-    psi = SplitComplex(psi.real, psi.imag)
-    before1, before2 = monotones(*dense_invariant_pair(psi))
-    avg1 = avg2 = 0.0
-    for ops in kraus.swapaxes(0, 1):
-        out = apply_on_mode_columns(ops, modes, psi, SHAPE_321)
-        # Python's sum adds the rows in basis order whatever the batch size;
-        # np.sum may pair the terms of a single column differently.
-        prob = sum(out.re * out.re + out.im * out.im)
-        skip = prob < 1e-14
-        norm = np.sqrt(np.where(skip, 1.0, prob))
-        mono1, mono2 = monotones(*dense_invariant_pair(SplitComplex(out.re / norm, out.im / norm)))
-        avg1 = avg1 + np.where(skip, 0.0, prob * mono1)
-        avg2 = avg2 + np.where(skip, 0.0, prob * mono2)
-    return avg1 - before1, avg2 - before2
+    dim, k = psi.shape
+    slots = (dim, 1 + kraus.shape[1], k)
+    batch = SplitComplex(np.empty(slots), np.empty(slots))
+    batch.re[:, 0], batch.im[:, 0] = psi.real, psi.imag
+    out = apply_on_mode_columns(kraus, modes, psi, SHAPE_321, batch[:, 1:])
+    # Python's sum adds the rows in basis order whatever the batch size;
+    # np.sum may pair the terms of a single column differently.
+    prob = sum(out.re * out.re + out.im * out.im)
+    skip = prob < 1e-14
+    norm = np.sqrt(np.where(skip, 1.0, prob))
+    out.re /= norm
+    out.im /= norm
+    columns = SplitComplex(batch.re.reshape(dim, -1), batch.im.reshape(dim, -1))
+    mono1, mono2 = (m.reshape(-1, k) for m in monotones(*dense_invariant_pair(columns)))
+    # sum adds the outcomes in order; the last bits of the margins depend on it
+    margin1 = sum(np.where(skip, 0.0, prob * mono1[1:])) - mono1[0]
+    margin2 = sum(np.where(skip, 0.0, prob * mono2[1:])) - mono2[0]
+    return margin1, margin2
 
 
 def monotonicity_trial(
@@ -339,17 +372,26 @@ def run_monotone_trials(
     seed tree, the streams and the evaluation each run as one batch;
     records come back in index order. A fixed state must meet the
     preconditions of :func:`monotonicity_trial` and is checked before
-    anything is drawn.
+    anything is drawn. ``trials`` and ``master_seed`` must be integers,
+    numpy integers included: a float for either, or a bool ``trials``,
+    raises TypeError.
     """
+    if isinstance(trials, bool):
+        raise TypeError("trials must be an integer, not a bool")
+    trials = operator.index(trials)
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
     seeds = derive_seed(master_seed, np.arange(trials, dtype=np.uint64))
+    # the state, instrument and mode seeds of every trial, one row each
+    children = derive_seed(seeds, np.arange(3, dtype=np.uint64)[:, None])
     if state is None:
-        psi = unit_amplitudes(_seeded_normals(derive_seed(seeds, 0), 2 * SHAPE_321.dimension)).T
+        z, draws = _seeded_draws(children[:2], [2 * SHAPE_321.dimension, _instrument_width(1)])
+        psi = unit_amplitudes(z).T
     else:
         psi = np.repeat(_state_column(state), trials, axis=1)
-    kraus = _instrument_kraus(derive_seed(seeds, 1), strength)
-    modes = (derive_seed(seeds, 2) % np.uint64(3)).astype(np.intp)
+        draws = _seeded_normals(children[1], _instrument_width(1))
+    kraus = _kraus_from_normals(draws, strength)
+    modes = (children[2] % np.uint64(3)).astype(np.intp)
     m1, m2 = _margins(psi, kraus, modes)
     margins = np.maximum(m1, m2)
     worst = margins.tolist()

@@ -12,8 +12,9 @@ product restricted to the fixed-particle-number sector.
 any shape (the canonical form's stages restate it for their own matrices),
 and :func:`apply_on_mode` the one way to act on a single mode of a sparse
 state with the identity on every other mode. :func:`apply_on_mode_columns`
-does the same for a batch of dense state columns, each with its own operator
-and mode, as an index gather rather than a sector matrix.
+does the same for a batch of dense state columns, each with its own mode and
+its own operators (the outcomes of an instrument, say), as a flat index
+gather rather than a sector matrix.
 
 The entries that the superselection rule requires to vanish are listed
 once, by ``_leak_positions``. :func:`superselection_leak` reads them from
@@ -333,52 +334,90 @@ def _index_columns(shape: SystemShape) -> Tuple[np.ndarray, ...]:
 
 
 @lru_cache(maxsize=None)
-def _mode_sources(shape: SystemShape) -> np.ndarray:
-    """``sources[m, j, c]``: the basis position of state ``j`` with mode ``m``
-    set to local index ``c``, or ``dimension`` where that leaves the sector."""
+def _gather_offsets(shape: SystemShape) -> Tuple[np.ndarray, np.ndarray]:
+    """Float64 offsets of the column gather, two ``(d, dimension, modes)`` tables.
+
+    For output amplitude ``j`` under an operator on mode ``m``, term ``c``
+    multiplies entry ``(row, c)`` of the ``d x d`` operator, ``row`` being
+    the local index of mode ``m`` in state ``j``, by the amplitude of state
+    ``j`` with mode ``m`` set to local index ``c``. ``sources[c, j, m]`` is
+    that amplitude's offset in a column padded with one zero amplitude, at
+    position ``dimension``, which stands in where the state leaves the
+    sector; ``entries[c, j, m]`` is the entry's offset in the matrix. Both
+    count float64 words of complex data, so one more reads the imaginary
+    part. Modes run along the last axis, so taking ``modes`` there gives
+    contiguous ``(d, dimension, k)`` tables.
+    """
     basis = enumerate_basis(shape)
     position = basis_index(shape)
+    p = shape.spin_numerator
+    d = shape.local_dim
     symbols = list(range(1, shape.levels + 1)) + [0]
-    return np.array(
-        [
-            [[position.get(occ[:m] + (sym,) + occ[m + 1 :], len(basis)) for sym in symbols] for occ in basis]
-            for m in range(shape.modes)
-        ]
-    )
+    sources = [
+        [[position.get(occ[:m] + (sym,) + occ[m + 1 :], len(basis)) for m in range(shape.modes)] for occ in basis]
+        for sym in symbols
+    ]
+    entries = [
+        [[local_index(occ[m], p) * d + c for m in range(shape.modes)] for occ in basis] for c in range(d)
+    ]
+    return 2 * np.array(sources), 2 * np.array(entries)
 
 
 def apply_on_mode_columns(
-    ops: np.ndarray, modes: np.ndarray, columns: SplitComplex, shape: SystemShape
+    ops: np.ndarray,
+    modes: np.ndarray,
+    columns: np.ndarray,
+    shape: SystemShape,
+    out: SplitComplex,
 ) -> SplitComplex:
-    """Act on column ``t`` with ``ops[t]`` on mode ``modes[t]``; not renormalized.
+    """Act on column ``t`` with each operator of ``ops[t]`` on mode ``modes[t]``; not renormalized.
 
-    ``columns`` holds a ``(dimension, k)`` batch of dense states, ``ops`` a
-    ``(k, d, d)`` stack of local matrices and ``modes`` ``k`` mode numbers.
-    Each output amplitude gathers its ``d`` sources from the basis tables; a
-    source outside the sector reads a zero, so entries mixing levels and the
-    vacancy, which compliant operators do not have, are dropped. Products
-    and sums round as in :func:`apply`, and a column's result does not
-    depend on the rest of the batch.
+    ``columns`` holds a ``(dimension, k)`` complex batch of dense states,
+    ``ops`` a ``(k, n, d, d)`` complex stack of ``n`` local matrices per
+    column (the outcomes of an instrument, say) and ``modes`` ``k`` mode
+    numbers. The result is written into and returned as ``out``, whose
+    ``(dimension, n, k)`` parts may be views, such as slots of a larger
+    batch: ``[:, o, t]`` is ``ops[t, o]`` acting on column ``t``.
+
+    Each output amplitude sums ``d`` terms, an operator entry times a source
+    amplitude. The source offsets and values are gathered once for the
+    batch, one ``(dimension, k)`` slice per term, and shared by the ``n``
+    operators, whose entries are read by flat ``np.take`` on the float64
+    words of the stack; working a term at a time keeps the temporaries
+    small. A source outside the sector reads a zero, so entries mixing
+    levels and the vacancy, which compliant operators do not have, are
+    dropped. Products and sums round as in :func:`apply`, and a column's
+    result does not depend on the rest of the batch.
     """
-    d = shape.local_dim
-    if ops.shape[1:] != (d, d):
-        raise ValueError(f"operators have shape {ops.shape[1:]}, expected dim {d}")
+    k, n = ops.shape[:2]
+    d, dim = shape.local_dim, shape.dimension
+    if ops.shape[2:] != (d, d):
+        raise ValueError(f"operators have shape {ops.shape[2:]}, expected dim {d}")
     stray = modes[(modes < 0) | (modes >= shape.modes)]
     if stray.size:
         raise ValueError(f"mode {stray[0]} out of range for {shape.modes} modes")
-    t = np.arange(len(modes))[:, None, None]
-    src = _mode_sources(shape)[modes]
-    rows = np.stack(_index_columns(shape))[modes]
-    zero = np.zeros((1, len(modes)))
-    values = SplitComplex(
-        np.vstack([columns.re, zero])[src, t], np.vstack([columns.im, zero])[src, t]
-    )
-    coeff = ops[t, rows[:, :, None], np.arange(d)]
-    terms = SplitComplex(coeff.real, coeff.imag) * values
-    out = terms[..., 0]
-    for c in range(1, d):
-        out = out + terms[..., c]
-    return SplitComplex(out.re.T, out.im.T)
+    sources, entries = _gather_offsets(shape)
+    step = np.arange(k)
+    padded = np.zeros((k, dim + 1), dtype=complex)
+    padded[:, :dim] = columns.T
+    amplitudes = padded.reshape(-1).view(np.float64)
+    source_at = np.take(sources, modes, axis=2)
+    source_at += 2 * (dim + 1) * step
+    matrices = np.ascontiguousarray(ops, dtype=complex).reshape(-1).view(np.float64)
+    entry_at = np.take(entries, modes, axis=2)
+    entry_at += 2 * n * d * d * step
+    for c in range(d):
+        value = SplitComplex(amplitudes.take(source_at[c]), amplitudes[1:].take(source_at[c]))
+        for o in range(n):
+            words = matrices[2 * o * d * d :]
+            term = SplitComplex(words.take(entry_at[c]), words[1:].take(entry_at[c])) * value
+            # the terms add in order of c; another order would move last bits
+            if c:
+                out.re[:, o] += term.re
+                out.im[:, o] += term.im
+            else:
+                out.re[:, o], out.im[:, o] = term.re, term.im
+    return out
 
 
 def sector_matrix(element: GroupElement, shape: SystemShape) -> np.ndarray:

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import math
@@ -197,6 +198,43 @@ def test_monotone_mc_rejects_bad_strength(strength, capfd):
     err = capfd.readouterr().err
     assert "strength must be finite and non-negative" in err
     assert "DLASCL" not in err and "LinAlgError" not in err
+
+
+# SHA-256 of the records CSV and of the JSON summary. The == tests of the
+# batched kernel compare it with replays through the same code, and the
+# scalar oracle allows 1e-15, so only these pins catch a change that moves
+# the last bits of both paths at once.
+@pytest.mark.parametrize(
+    "argv, records_sha, summary_sha",
+    [
+        (
+            ["--trials", "2000", "--seed", "7"],
+            "aa62e0ef50200d390ec8e08872cf6d9f83e93bbc4d1a3823199c6be25f274df2",
+            "01a84393c271df83c780a3d51f4fe4f63ccc93a9e9c4e1043b4837ab1b1f78a2",
+        ),
+        (
+            ["--trials", "500", "--seed", "7", "--strength", "0"],
+            "f133827be0cd2bd393e44dd050ba0ec4d231b8df6f4e19ed5e7c28f2061d5a36",
+            "20d71109889fdd446a9597c20c69aeea34ec4c9317288d7051a77be09a0cc816",
+        ),
+        (
+            # I2 of psi1 vanishes, so its margin2 is roundoff raised to 2/3
+            ["--trials", "500", "--seed", "7", "--state", "psi1"],
+            "cefe515f463cb33242b3c993d930008a9bd4897827675e59aa85bfb93a6e5d5d",
+            "3ec53530c45c89e19c1d150a21de358e13b66d7945e02365e29548311e222b42",
+        ),
+    ],
+    ids=["random", "zero-strength", "psi1"],
+)
+def test_monotone_mc_outputs_are_pinned(tmp_path, argv, records_sha, summary_sha):
+    if "--state" in argv:
+        state = str(tmp_path / "psi1.json")
+        assert main(["family", "--name", "psi1", "--out", state]) == 0
+        argv = [state if a == "psi1" else a for a in argv]
+    records, summary = tmp_path / "records.csv", tmp_path / "summary.json"
+    assert main(["monotone-mc", *argv, "--records", str(records), "--out", str(summary)]) == 0
+    assert hashlib.sha256(records.read_bytes()).hexdigest() == records_sha
+    assert hashlib.sha256(summary.read_bytes()).hexdigest() == summary_sha
 
 
 def run_python(probe, *args, cwd=None):

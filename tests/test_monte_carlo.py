@@ -224,6 +224,12 @@ def test_fixed_state_run():
         run_monotone_trials(trials=50, master_seed=5, state=StateVector(SHAPE_321, {(1, 1, 0): 2.0}))
     with pytest.raises(ValueError):
         run_monotone_trials(trials=0, master_seed=5)
+    # a float seed would run as its truncation, and trials=True as one trial
+    with pytest.raises(TypeError):
+        run_monotone_trials(3, 1.5)
+    with pytest.raises(TypeError, match="not a bool"):
+        run_monotone_trials(True, 1)
+    assert run_monotone_trials(np.int64(3), np.uint64(5)) == run_monotone_trials(3, 5)
     nan_state = StateVector(SHAPE_321, {(1, 1, 0): 1.0, (0, 1, 1): complex(math.nan, 0.0)})
     with pytest.raises(ValueError, match="monotonicity trial expects a normalized state"):
         run_monotone_trials(trials=4, master_seed=1, state=nan_state)
@@ -286,20 +292,22 @@ def test_replayed_trials_equal_their_records(master):
 def test_zero_probability_outcome_is_skipped():
     keep = np.diag([1.0, 0.0, 1.0]).astype(complex)
     drop = np.diag([0.0, 1.0, 0.0]).astype(complex)
-    inst = LocalInstrument(0, np.array([keep, drop]), seed=0)
-    # Mode 0 never holds level 2, so the second outcome has probability zero
-    # and the first leaves the state as it is.
+    # No mode of this state holds level 2, so on every mode the second
+    # outcome has probability zero and the first leaves the state as it is.
     state = StateVector(SHAPE_321, {(1, 1, 0): 1.0})
     others = [family("psi1"), random_state(SHAPE_321, rng)]
+    # modes cycle through 0, 1, 2 within the batch, so dropped and kept
+    # outcomes share the gather's per-mode source positions
+    cases = [(s, mode) for s in [state] + others for mode in (0, 1, 2)]
     with np.errstate(all="raise"):
-        single = monotonicity_trial(state, inst)
-        psi = np.column_stack([s.dense() for s in [state] + others])
-        kraus = np.stack([inst.kraus] * psi.shape[1])
-        batch1, batch2 = _margins(psi, kraus, np.zeros(psi.shape[1], dtype=int))
-        rest = [monotonicity_trial(s, inst) for s in others]
-    assert single == (0.0, 0.0)
-    assert (batch1[0], batch2[0]) == single
-    assert list(zip(batch1[1:].tolist(), batch2[1:].tolist())) == rest
+        singles = [
+            monotonicity_trial(s, LocalInstrument(mode, np.array([keep, drop]), seed=0)) for s, mode in cases
+        ]
+        psi = np.column_stack([s.dense() for s, _ in cases])
+        kraus = np.stack([np.array([keep, drop])] * len(cases))
+        batch1, batch2 = _margins(psi, kraus, np.array([mode for _, mode in cases]))
+    assert singles[:3] == [(0.0, 0.0)] * 3
+    assert list(zip(batch1.tolist(), batch2.tolist())) == singles
     with np.errstate(all="raise"), warnings.catch_warnings():
         warnings.simplefilter("error")
         summary = run_monotone_trials(50, 17, strength=0.0)
