@@ -30,7 +30,6 @@ _EXPORTS = {
     "random_state": "states",
     "GroupElement": "operators",
     "apply": "operators",
-    "element_from_matrices": "operators",
     "occupation_scaling": "operators",
     "random_element": "operators",
     "InvariantReport": "invariants",

@@ -9,27 +9,18 @@ repeated symbol sequence ``(0, 1, ..., p + 1)``; each mode then sees every
 symbol exactly once across the ``p + 2`` branches, and distinct branches
 disagree on every mode, killing all off-diagonal terms of the reduction.
 
-The helpers here build those states, scan count combinations for
-feasibility, and measure how the determinant-one contraction subgroup acts
-across a product cut.
+The helpers here build those states and scan count combinations for
+feasibility.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List
 
 import numpy as np
 
-from .operators import apply_on_mode, level_contraction
-from .states import (
-    Occupation,
-    StateVector,
-    SystemShape,
-    is_maximally_entangled,
-    mode_matrix,
-    phase_fit,
-)
+from .states import Occupation, StateVector, SystemShape, is_maximally_entangled
 
 #: sector dimension past which explicit construction is refused
 DIMENSION_CAP = 1_000_000
@@ -69,17 +60,6 @@ def build_psi_sigma(r: int, p: int) -> StateVector:
     for i in range(1, period + 1):
         amplitudes[seq[-i:] + seq[:-i]] = amp + 0j
     return StateVector(shape, amplitudes)
-
-
-def single_mode_bipartition_local(
-    state: StateVector, mode: int, tol: float = 1e-10
-) -> bool:
-    """True when the cut between one mode and the rest carries no entanglement.
-
-    The cut is product exactly when the :func:`mode_matrix` of the state has
-    rank at most one.
-    """
-    return int(np.linalg.matrix_rank(mode_matrix(state, mode), tol=tol)) <= 1
 
 
 @dataclass(frozen=True)
@@ -129,61 +109,3 @@ def pattern_scan(
                     )
                 )
     return rows
-
-
-@dataclass(frozen=True)
-class ContractionWitness:
-    """Measured against predicted action of a level contraction on one mode.
-
-    ``phase`` holds the measured scalar only when the contraction parameter
-    is purely imaginary, where the action is a pure phase; it stays None
-    otherwise. ``predicted_phase`` is the predicted scalar in either case.
-    """
-
-    norm_ratio: float
-    predicted_norm_ratio: float
-    phase: Optional[complex]
-    predicted_phase: complex
-    matches: bool
-
-
-def contraction_witnesses(
-    state: StateVector, mode: int, alpha: complex, tol: float = 1e-9
-) -> ContractionWitness:
-    """Apply the determinant-one contraction on one product-cut mode.
-
-    The mode must only ever hold level one or the vacancy and must factor
-    out of the state; then the contraction acts as the scalar
-    ``e^{-(p+1) alpha}`` and the witness compares the measured norm ratio
-    and phase against that prediction.
-    """
-    if not state.amplitudes:
-        raise ValueError("contraction witness needs a nonzero state")
-    if not single_mode_bipartition_local(state, mode):
-        raise ValueError(f"mode {mode} does not factor out as a product cut")
-    for occ in state.amplitudes:
-        if occ[mode] not in (0, 1):
-            raise ValueError(
-                f"mode {mode} holds symbol {occ[mode]}; only level one and vacancy allowed"
-            )
-    a = complex(alpha)
-    p = state.shape.spin_numerator
-    moved = apply_on_mode(level_contraction(a, p=p), mode, state)
-
-    before = state.norm()
-    ratio = moved.norm() / before
-    predicted_ratio = float(np.exp(-(p + 1) * a.real))
-    predicted_scalar = complex(np.exp(-(p + 1) * a))
-
-    phase: Optional[complex] = None
-    ok = abs(ratio - predicted_ratio) <= tol * max(predicted_ratio, 1.0)
-    if abs(a.real) <= 1e-12:
-        _, phase = phase_fit(state, moved, tol)
-        ok = ok and abs(phase - predicted_scalar) <= tol
-    return ContractionWitness(
-        norm_ratio=float(ratio),
-        predicted_norm_ratio=predicted_ratio,
-        phase=phase,
-        predicted_phase=predicted_scalar,
-        matches=ok,
-    )

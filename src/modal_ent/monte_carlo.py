@@ -11,10 +11,11 @@ Each trial's state and instrument are drawn from their own streams, those of
 seeded as one batch: :func:`_seeded_draws` runs numpy's SeedSequence hash
 once for the state and instrument seeds of every trial and hands each result
 to one reused PCG64, so every draw is bit for bit the one ``default_rng``
-gives. The seed tree, too, runs as one uint64 batch, the three child seeds
-of every trial in one broadcast. Everything after the draws runs once over
-the whole run in :func:`_margins`: the instruments are completed as one
-``(k, 2, 3, 3)`` Kraus stack, one index gather of
+gives; :func:`random_instrument`, which replays a single instrument, draws
+from ``default_rng`` itself. The seed tree, too, runs as one uint64 batch,
+the three child seeds of every trial in one broadcast. Everything after the
+draws runs once over the whole run in :func:`_margins`: the instruments are
+completed as one ``(k, 2, 3, 3)`` Kraus stack, one index gather of
 :func:`~modal_ent.operators.apply_on_mode_columns` acts with both outcomes,
 and one pass of :func:`~modal_ent.invariants.dense_invariant_pair` reads the
 inputs and both renormalized outcomes as a ``(12, 3k)`` column batch.
@@ -61,10 +62,13 @@ def _wrapping(x: Union[int, np.ndarray]) -> Union[int, np.ndarray]:
 
     numpy warns when a scalar wraps around but never when an array does, so
     the seed arithmetic runs on arrays or on Python ints, never on numpy
-    scalars. A scalar that is not an integer, such as a float, raises
-    TypeError rather than being truncated.
+    scalars. A scalar that is not an integer, such as a float, or an array
+    whose dtype is not an integer type raises TypeError rather than being
+    truncated.
     """
     if isinstance(x, np.ndarray) and x.ndim:
+        if x.dtype.kind not in "iu":
+            raise TypeError(f"seed arrays must have an integer dtype, not {x.dtype}")
         return x.astype(np.uint64, copy=False)
     return operator.index(x)
 
@@ -167,13 +171,6 @@ def _seeded_draws(seeds: np.ndarray, widths: Sequence[int]) -> List[np.ndarray]:
     return draws
 
 
-def _seeded_normals(seeds: Union[Sequence[int], np.ndarray], width: int) -> np.ndarray:
-    """Standard normal draws, ``(k, width)``: row t is bit for bit
-    ``np.random.default_rng(seeds[t]).standard_normal(width)``; see
-    :func:`_seeded_draws`."""
-    return _seeded_draws(np.asarray(seeds, dtype=np.uint64)[None], [width])[0]
-
-
 def _check_instruments(kraus: np.ndarray) -> None:
     """Raise ValueError unless every instrument of a ``(k, outcomes, d, d)``
     Kraus stack is trace preserving and superselection compliant.
@@ -256,13 +253,6 @@ def _kraus_from_normals(z: np.ndarray, strength: float, p: int = 1) -> np.ndarra
     return kraus
 
 
-def _instrument_kraus(
-    seeds: Union[Sequence[int], np.ndarray], strength: float, p: int = 1
-) -> np.ndarray:
-    """Kraus pairs of the random instruments with the given seeds, ``(k, 2, d, d)``."""
-    return _kraus_from_normals(_seeded_normals(seeds, _instrument_width(p)), strength, p)
-
-
 def random_instrument(
     seed: int, mode: int, strength: float, p: int = 1
 ) -> LocalInstrument:
@@ -275,12 +265,13 @@ def random_instrument(
     strength zero both outcomes collapse to ``I / sqrt(2)``. A strength that
     is negative or not finite raises ValueError, and so does a finite one so
     large that the entries of ``I + strength * G`` or their scaled spectral
-    norm overflow. The seed seeds ``np.random.default_rng`` and must lie in
-    ``0 .. 2^64 - 1``.
+    norm overflow. The seed seeds ``np.random.default_rng``; it must be an
+    integer, else TypeError, and lie in ``0 .. 2^64 - 1``.
     """
-    if not 0 <= seed <= _MASK64:
+    if not 0 <= operator.index(seed) <= _MASK64:
         raise ValueError(f"instrument seed must lie in 0..2^64-1, got {seed}")
-    return LocalInstrument(mode=mode, kraus=_instrument_kraus([seed], strength, p)[0], seed=seed)
+    z = np.random.default_rng(seed).standard_normal(_instrument_width(p))
+    return LocalInstrument(mode=mode, kraus=_kraus_from_normals(z[None], strength, p)[0], seed=seed)
 
 
 def _state_column(state: StateVector) -> np.ndarray:
@@ -389,7 +380,7 @@ def run_monotone_trials(
         psi = unit_amplitudes(z).T
     else:
         psi = np.repeat(_state_column(state), trials, axis=1)
-        draws = _seeded_normals(children[1], _instrument_width(1))
+        (draws,) = _seeded_draws(children[1:2], [_instrument_width(1)])
     kraus = _kraus_from_normals(draws, strength)
     modes = (children[2] % np.uint64(3)).astype(np.intp)
     m1, m2 = _margins(psi, kraus, modes)
@@ -406,7 +397,7 @@ def run_monotone_trials(
 
 
 def invariance_sweep(
-    states: Union[np.ndarray, Sequence[StateVector]],
+    states: Union[np.ndarray, Iterable[StateVector]],
     elements: Iterable[GroupElement],
 ) -> Tuple[float, float]:
     """Worst relative drift of I1 and I2 under a batch of group elements.
@@ -416,20 +407,30 @@ def invariance_sweep(
     states are renormalized and compared against the inputs' invariants
     rescaled by the predicted norm powers, 6 for I1 and 3 for I2. For
     determinant-one elements both drifts are pure roundoff; elements with
-    other determinants show up at order one. Non-finite state columns raise
-    ValueError; an element that overflows or annihilates a state raises
-    ArithmeticError.
+    other determinants show up at order one. No states or no elements, and
+    a state column that is zero or not finite, raise ValueError; an element
+    that overflows or annihilates a state raises ArithmeticError.
     """
     if isinstance(states, np.ndarray):
         psi = np.asarray(states, dtype=complex)
         if psi.ndim == 1:
             psi = psi[:, None]
     else:
-        psi = np.column_stack([s.dense() for s in states])
-    if psi.shape[0] != SHAPE_321.dimension:
-        raise ValueError(f"state columns must have length {SHAPE_321.dimension}")
+        dense = [s.dense() for s in states]
+        psi = np.column_stack(dense) if dense else np.empty((SHAPE_321.dimension, 0), dtype=complex)
+    if psi.ndim != 2 or psi.shape[0] != SHAPE_321.dimension:
+        raise ValueError(f"state columns must form a ({SHAPE_321.dimension}, k) array, got shape {psi.shape}")
+    if not psi.shape[1]:
+        raise ValueError("invariance sweep needs at least one state column")
     if not np.isfinite(psi).all():
         raise ValueError("state columns must be finite")
+    zero = np.flatnonzero(~psi.any(axis=0))
+    if zero.size:
+        raise ValueError(f"state column {zero[0]} is zero")
+    # with no elements the loop below would report a perfect (0.0, 0.0)
+    elements = list(elements)
+    if not elements:
+        raise ValueError("invariance sweep needs at least one group element")
     i1_in, i2_in = dense_invariant_pair(psi)
     worst1 = 0.0
     worst2 = 0.0

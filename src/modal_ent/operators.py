@@ -232,10 +232,6 @@ def _exp_entries(a: complex, b: complex, c: complex, d: complex, v: complex) -> 
     return [[top, sh * b, 0], [sh * c, bottom, 0], [0, 0, cmath.exp(v)]]
 
 
-def element_from_matrices(mats: Sequence[np.ndarray]) -> GroupElement:
-    return GroupElement(mats)
-
-
 def make_slocc_element(coefficients: Sequence[Sequence[complex]]) -> GroupElement:
     """Exponentiate per-mode combinations of the four generators.
 
@@ -271,13 +267,6 @@ def make_slocc_element(coefficients: Sequence[Sequence[complex]]) -> GroupElemen
             raise ArithmeticError(f"factor on mode {k} drifted off determinant one")
         factors.append(rows)
     return GroupElement(factors)
-
-
-def compose(g: GroupElement, h: GroupElement) -> GroupElement:
-    """The element acting as h first, then g."""
-    if g.matrices.shape != h.matrices.shape:
-        raise ValueError(f"cannot compose elements of shapes {g.matrices.shape} and {h.matrices.shape}")
-    return GroupElement(g.matrices @ h.matrices)
 
 
 def apply(element: GroupElement, state: StateVector) -> StateVector:
@@ -453,24 +442,6 @@ def occupation_scaling(r: float, phi: float = 0.0, p: int = 1) -> np.ndarray:
         raise ValueError(f"scale must be positive, got {r}")
     head = [r * np.exp(1j * phi)] * (p + 1)
     diag = head + [r ** (-(p + 1)) * np.exp(-1j * (p + 1) * phi)]
-    return np.diag(diag).astype(complex)
-
-
-def level_contraction(alpha: complex, p: int = 1) -> np.ndarray:
-    """Diagonal determinant-one matrix that damps level one and the vacancy.
-
-    The diagonal reads ``e^{-(p+1)a}`` on level one, ``e^{(p+3)a}`` on level
-    two, ``e^{a}`` on the remaining levels and ``e^{-(p+1)a}`` on the
-    vacancy. On states supported on level one and vacancy only it acts as the
-    scalar ``e^{-(p+1)a}``, which is a norm change for real ``a`` and a pure
-    phase for imaginary ``a``.
-    """
-    a = complex(alpha)
-    diag = (
-        [np.exp(-(p + 1) * a), np.exp((p + 3) * a)]
-        + [np.exp(a)] * (p - 1)
-        + [np.exp(-(p + 1) * a)]
-    )
     return np.diag(diag).astype(complex)
 
 

@@ -11,15 +11,11 @@ For ``p = 1`` the two levels are spin-up (``1``) and spin-down (``2``).
 Local matrices act on a mode in level-major order: matrix index ``0 .. p``
 is level ``1 .. p + 1`` and the last index is the vacancy.
 
-This module owns three decisions that the other modules share:
+This module owns two decisions that the other modules share:
 
 * the ray fit, :func:`phase_fit`, which reads the ratio of two states at the
   reference state's largest amplitude and checks the residual against it;
-  the stabilizer verdicts, the topological phases and the contraction
-  witnesses all go through it;
-* the split of a state into one mode against the rest, :func:`mode_matrix`,
-  from which the single-mode reduction and the single-mode product test are
-  read;
+  the stabilizer verdicts and the topological phases both go through it;
 * the normalised-input precondition, :func:`require_normalized`.
 """
 
@@ -187,13 +183,16 @@ def require_normalized(state: StateVector, what: str) -> None:
         raise ValueError(f"{what} expects a normalized state")
 
 
-def mode_matrix(state: StateVector, mode: int) -> np.ndarray:
-    """The amplitudes as a matrix M of one mode against the rest of the system.
+def reduced_density_matrix(state: StateVector, mode: int) -> np.ndarray:
+    """Partial trace of ``|state><state|`` onto one mode, level-major indexed.
 
-    Rows follow the mode's local index, levels first and vacancy last;
-    columns are the occupations of the other modes, in order of first
-    appearance. The single-mode reduction is ``M M^H``, and the mode factors
-    out of the state exactly when M has rank at most one.
+    The amplitudes form a matrix M of the mode against the rest of the
+    system: rows follow the mode's local index, levels first and vacancy
+    last, and columns are the occupations of the other modes, in order of
+    first appearance. Returns the ``d x d`` ndarray ``M M^H``, with
+    ``d = p + 2``, so the cost follows the sparse support rather than the
+    sector dimension. The state must be normalized, and a mode outside
+    ``0 .. n - 1`` raises ValueError.
     """
     shape = state.shape
     if not 0 <= mode < shape.modes:
@@ -207,19 +206,8 @@ def mode_matrix(state: StateVector, mode: int) -> np.ndarray:
     mat = np.zeros((shape.local_dim, len(columns)), dtype=complex)
     for row, col, amp in entries:
         mat[row, col] = amp
-    return mat
-
-
-def reduced_density_matrix(state: StateVector, mode: int) -> np.ndarray:
-    """Partial trace of ``|state><state|`` onto one mode, level-major indexed.
-
-    Returns the ``d x d`` ndarray ``M M^H`` for the :func:`mode_matrix` M,
-    with ``d = p + 2``, so the cost follows the sparse support rather than
-    the sector dimension. The state must be normalized.
-    """
-    m = mode_matrix(state, mode)
     require_normalized(state, "reduced_density_matrix")
-    return m @ m.conj().T
+    return mat @ mat.conj().T
 
 
 def is_maximally_entangled(state: StateVector, tol: float = 1e-12) -> bool:

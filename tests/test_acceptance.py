@@ -26,7 +26,6 @@ from modal_ent.monte_carlo import invariance_sweep, run_monotone_trials
 from modal_ent.operators import (
     GroupElement,
     apply,
-    element_from_matrices,
     occupation_scaling,
     random_element,
 )
@@ -112,7 +111,7 @@ def test_criterion_05():
     assert worst2 < 1e-8
 
     eye = np.eye(3, dtype=complex)
-    stretch = element_from_matrices([2.0 * eye, eye, eye])
+    stretch = GroupElement([2.0 * eye, eye, eye])
     dev1, _ = invariance_sweep([family("psi1")], [stretch])
     assert dev1 > 1e-3
 

@@ -25,7 +25,7 @@ from modal_ent.classify import (
     family,
 )
 from modal_ent.invariants import pair_blocks
-from modal_ent.operators import apply, element_from_matrices, random_element
+from modal_ent.operators import GroupElement, apply, random_element
 from modal_ent.states import (
     SHAPE_321,
     StateVector,
@@ -48,7 +48,7 @@ def reference_canonical_form(state):
         nonlocal work
         for k in range(3):
             total[k] = np.asarray(mats[k], dtype=complex) @ total[k]
-        work = apply(element_from_matrices(mats), work)
+        work = apply(GroupElement(mats), work)
 
     blocks = pair_blocks(work)
     u, _, vh = np.linalg.svd(blocks.M_AB)
@@ -109,7 +109,7 @@ def reference_canonical_form(state):
 
     moduli = tuple(abs(work.amplitude(occ)) for occ in CANONICAL_SLOTS)
     phases = (slot_phase((1, 0, 2)), slot_phase((0, 2, 1)), slot_phase((0, 1, 2)))
-    return moduli, *phases, element_from_matrices(total), work
+    return moduli, *phases, GroupElement(total), work
 
 
 def _bits(values) -> np.ndarray:

@@ -142,11 +142,11 @@ def test_localized_scenario_factors():
     # the element has determinant one on every mode, so the global
     # invariants do not move even though the pair quantities do
     rep = invariant_report(psi)
-    from modal_ent.operators import element_from_matrices
+    from modal_ent.operators import GroupElement
     from scipy.linalg import expm
 
     scaled = expm(alpha * np.diag([1.0, 1.0, -2.0]).astype(complex))
-    el = element_from_matrices([np.eye(3, dtype=complex), scaled, scaled])
+    el = GroupElement([np.eye(3, dtype=complex), scaled, scaled])
     rep_m = invariant_report(apply(el, psi))
     assert abs(rep_m.I1 - rep.I1) < 1e-10
     assert abs(rep_m.I2 - rep.I2) < 1e-10

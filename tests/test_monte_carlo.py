@@ -4,15 +4,15 @@ import warnings
 import numpy as np
 import pytest
 
-from modal_ent import monte_carlo
 from modal_ent.classify import family
 from modal_ent.invariants import invariant_report
 from modal_ent.monte_carlo import (
     MARGIN_TOL,
     LocalInstrument,
-    _instrument_kraus,
+    _instrument_width,
+    _kraus_from_normals,
     _margins,
-    _seeded_normals,
+    _seeded_draws,
     _state_column,
     derive_seed,
     invariance_sweep,
@@ -23,7 +23,6 @@ from modal_ent.monte_carlo import (
 from modal_ent.operators import (
     GroupElement,
     apply_on_mode,
-    element_from_matrices,
     random_element,
 )
 from modal_ent.states import SHAPE_321, StateVector, SystemShape, random_state, unit_amplitudes
@@ -64,17 +63,24 @@ def test_vectorised_seed_tree_equals_the_scalar_one():
     for i in (0, 1, 2, 2**64 - 1):
         assert derive_seed(children, i).tolist() == [_splitmix_reference(c, i) for c in want]
     assert derive_seed(np.uint64(5), np.int64(3)) == _splitmix_reference(5, 3)
+    # a float seed is refused, not truncated to the integer below it
+    with pytest.raises(TypeError, match="integer dtype, not float64"):
+        derive_seed(np.array([1.5, 2.0]), 0)
+    with pytest.raises(TypeError):
+        random_instrument(1.5, 0, 0.5)
 
 
 def test_batched_draws_equal_default_rng():
     seeds = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
     seeds += [int(s) for s in np.random.default_rng(8080).integers(0, 2**64, size=2000, dtype=np.uint64)]
-    for width in (10, 24):
-        want = np.array([np.random.default_rng(s).standard_normal(width) for s in seeds])
-        got = _seeded_normals(seeds, width)
+    listed = np.array(seeds, dtype=np.uint64)
+    # two rows of streams, as a run seeds its states and instruments
+    grid = np.stack([listed, np.random.default_rng(8081).permutation(listed)])
+    draws = _seeded_draws(grid, [10, 24])
+    for row, width, got in zip(grid.tolist(), (10, 24), draws):
+        want = np.array([np.random.default_rng(s).standard_normal(width) for s in row])
         assert got.shape == (len(seeds), width)
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
-        assert np.array_equal(_seeded_normals(np.array(seeds, dtype=np.uint64), width), got)
 
 
 def _default_rng_normals(seeds, width):
@@ -93,9 +99,8 @@ def _reference_run(trials, master, strength=0.5, state=None):
         psi = unit_amplitudes(z).T
     else:
         psi = np.repeat(_state_column(state), trials, axis=1)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(monte_carlo, "_seeded_normals", _default_rng_normals)
-        kraus = _instrument_kraus([_splitmix_reference(s, 1) for s in seeds], strength)
+    draws = _default_rng_normals([_splitmix_reference(s, 1) for s in seeds], _instrument_width(1))
+    kraus = _kraus_from_normals(draws, strength)
     modes = [_splitmix_reference(s, 2) % 3 for s in seeds]
     m1, m2 = _margins(psi, kraus, np.array(modes))
     margins = np.maximum(m1, m2)
@@ -327,7 +332,7 @@ def test_invariance_sweep_accepts_unit_determinant_elements():
 
 def test_invariance_sweep_flags_determinant_drift():
     states = [family("psi1"), random_state(SHAPE_321, rng)]
-    stretch = element_from_matrices(
+    stretch = GroupElement(
         [2.0 * np.eye(3, dtype=complex), np.eye(3, dtype=complex), np.eye(3, dtype=complex)]
     )
     worst1, worst2 = invariance_sweep(states, [stretch])
@@ -335,14 +340,27 @@ def test_invariance_sweep_flags_determinant_drift():
 
 
 def test_invariance_sweep_input_validation():
-    with pytest.raises(ValueError):
-        invariance_sweep(np.zeros((7, 3), dtype=complex), [random_element("SU", seed=0)])
-    killer = element_from_matrices(
+    for shape in ((7, 3), (12, 2, 2), ()):
+        with pytest.raises(ValueError, match=r"must form a \(12, k\) array"):
+            invariance_sweep(np.ones(shape, dtype=complex), [random_element("SU", seed=0)])
+    killer = GroupElement(
         [np.diag([0.0, 0.0, 1.0]).astype(complex), np.eye(3, dtype=complex), np.eye(3, dtype=complex)]
     )
     doomed = StateVector(SHAPE_321, {(1, 1, 0): 1.0})
     with pytest.raises(ArithmeticError, match="annihilated"):
         invariance_sweep([doomed], [killer])
+    su = [random_element("SU", seed=0)]
+    for empty in ([], iter([]), np.zeros((12, 0), dtype=complex)):
+        with pytest.raises(ValueError, match="needs at least one state column"):
+            invariance_sweep(empty, su)
+    with pytest.raises(ValueError, match="needs at least one group element"):
+        invariance_sweep([doomed], iter([]))
+    # a zero input column is the caller's error, not the element's
+    with pytest.raises(ValueError, match="state column 1 is zero"):
+        invariance_sweep([doomed, StateVector(SHAPE_321, {})], su)
+    columns = np.column_stack([family("psi1").dense(), family("psi2").dense(), np.zeros(12)])
+    with pytest.raises(ValueError, match="state column 2 is zero"):
+        invariance_sweep(columns, su)
 
 
 def test_invariance_sweep_refuses_non_finite_columns():

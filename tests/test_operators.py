@@ -10,10 +10,7 @@ from modal_ent.operators import (
     GroupElement,
     apply,
     apply_on_mode,
-    compose,
-    element_from_matrices,
     gell_mann,
-    level_contraction,
     make_slocc_element,
     matrix_exp,
     occupation_scaling,
@@ -50,14 +47,12 @@ def test_superselection_compliance():
 def test_group_element_holds_one_validated_stack():
     el = GroupElement([np.eye(3), np.diag([1, 1j, -1j])])
     assert el.matrices.shape == (2, 3, 3) and el.matrices.dtype == complex
-    assert np.array_equal(element_from_matrices(el.matrices).matrices, el.matrices)
+    assert np.array_equal(GroupElement(el.matrices).matrices, el.matrices)
     with pytest.raises(ValueError, match="must share one dimension"):
         GroupElement([np.eye(3), np.eye(4)])
     for bad in ([], np.eye(3), np.zeros((3, 3, 2)), np.ones((2, 1, 1)), np.zeros((1, 2, 3, 3))):
         with pytest.raises(ValueError, match=r"expected a \(modes, d, d\) stack"):
             GroupElement(bad)
-    with pytest.raises(ValueError, match="cannot compose elements of shapes"):
-        compose(el, GroupElement([np.eye(3)] * 3))
 
 
 def test_membership_tags():
@@ -67,12 +62,12 @@ def test_membership_tags():
     slocc = random_element("SLOCC", seed=5)
     assert slocc.membership() == "SLOCC"
     assert not slocc.is_unitary()
-    stretched = element_from_matrices([np.diag([2.0, 1.0, 1.0])] * 3)
+    stretched = GroupElement([np.diag([2.0, 1.0, 1.0])] * 3)
     assert stretched.membership() == "neither"
     mix = np.eye(3, dtype=complex)
     mix[0, 2] = 0.1
     mix[2, 0] = -0.1
-    leaky = element_from_matrices([mix, np.eye(3), np.eye(3)])
+    leaky = GroupElement([mix, np.eye(3), np.eye(3)])
     assert leaky.membership() == "neither"
     # a NaN anywhere fails the stacked tests it reaches
     for entry in ((0, 0), (0, 1), (2, 2), (0, 2)):
@@ -151,9 +146,9 @@ def test_apply_matches_sector_matrix():
 
 def test_apply_identity_and_scaling():
     psi = random_state(SHAPE_321, rng)
-    same = apply(element_from_matrices([np.eye(3)] * 3), psi)
+    same = apply(GroupElement([np.eye(3)] * 3), psi)
     assert np.abs(same.dense() - psi.dense()).max() == 0
-    doubled = element_from_matrices([2 * np.eye(3), np.eye(3), np.eye(3)])
+    doubled = GroupElement([2 * np.eye(3), np.eye(3), np.eye(3)])
     grown = apply(doubled, psi)
     # no renormalization: the factor of two on mode A survives in the output
     assert np.abs(grown.dense() - 2 * psi.dense()).max() < 1e-12
@@ -163,25 +158,13 @@ def test_apply_identity_and_scaling():
 def test_apply_rejects_bad_elements():
     psi = random_state(SHAPE_321, rng)
     with pytest.raises(ValueError, match=r"element has shape \(2, 3, 3\), expected \(3, 3, 3\)"):
-        apply(element_from_matrices([np.eye(3)] * 2), psi)
+        apply(GroupElement([np.eye(3)] * 2), psi)
     with pytest.raises(ValueError, match=r"element has shape \(3, 4, 4\), expected \(3, 3, 3\)"):
-        apply(element_from_matrices([np.eye(4)] * 3), psi)
+        apply(GroupElement([np.eye(4)] * 3), psi)
     mix = np.eye(3, dtype=complex)
     mix[0, 2] = 0.5
     with pytest.raises(ValueError):
-        apply(element_from_matrices([mix, np.eye(3), np.eye(3)]), psi)
-
-
-def test_compose_order():
-    g = random_element("SLOCC", seed=11)
-    h = random_element("SLOCC", seed=12)
-    psi = random_state(SHAPE_321, rng)
-    lhs = apply(compose(g, h), psi).dense()
-    rhs = apply(g, apply(h, psi)).dense()
-    assert np.abs(lhs - rhs).max() < 1e-10
-    gh = compose(g, h)
-    hg = compose(h, g)
-    assert np.abs(gh.matrices[0] - hg.matrices[0]).max() > 1e-6
+        apply(GroupElement([mix, np.eye(3), np.eye(3)]), psi)
 
 
 def test_occupation_scaling_net_factor():
@@ -209,24 +192,11 @@ def test_occupation_scaling_unbalanced_sector():
     assert np.abs(moved.dense() - factor * psi.dense()).max() < 1e-12
 
 
-def test_level_contraction_diagonal():
-    a = 0.37
-    for p in (1, 2, 3):
-        op = level_contraction(a, p=p)
-        diag = np.diag(op)
-        assert abs(diag[0] - np.exp(-(p + 1) * a)) < 1e-14
-        assert abs(diag[1] - np.exp((p + 3) * a)) < 1e-14
-        assert abs(diag[-1] - np.exp(-(p + 1) * a)) < 1e-14
-        for mid in diag[2:-1]:
-            assert abs(mid - np.exp(a)) < 1e-14
-        assert abs(np.linalg.det(op) - 1.0) < 1e-12
-
-
 def test_sector_matrix_refuses_large_sectors():
     shape = SystemShape(8, 6, 2)
     assert shape.dimension > 4096
     with pytest.raises(ValueError):
-        sector_matrix(element_from_matrices([np.eye(4)] * 8), shape)
+        sector_matrix(GroupElement([np.eye(4)] * 8), shape)
 
 
 def test_random_element_reproducible():
@@ -259,7 +229,7 @@ def test_apply_on_mode_matches_the_full_element():
     for mode in range(3):
         mats = [np.eye(3, dtype=complex)] * 3
         mats[mode] = op
-        assert apply_on_mode(op, mode, psi).amplitudes == apply(element_from_matrices(mats), psi).amplitudes
+        assert apply_on_mode(op, mode, psi).amplitudes == apply(GroupElement(mats), psi).amplitudes
     for bad in (-1, 3):
         with pytest.raises(ValueError):
             apply_on_mode(op, bad, psi)
@@ -303,16 +273,33 @@ def test_apply_equals_array_indexing_oracle():
         stabilizer("psi1_eq23", {"variant": "c", "beta": 0.7}).element,
         stabilizer("psi2_eq26", {"alpha": 0.2, "beta": 0.1, "gamma": -0.3, "delta": 0.8}).element,
     ]
-    for psi in states:
-        # a second pass feeds np.complex128 amplitudes back in
-        for start in (psi, apply(elements[0], psi)):
-            for element in elements:
-                got = apply(element, start).amplitudes
-                want = _apply_by_array_indexing(element, start)
-                assert list(got) == list(want)
-                for occ, val in want.items():
-                    assert got[occ] == val
-                    assert type(got[occ]) is np.complex128
+    # p = 2: three levels and the vacancy per mode, compliant 4x4 elements
+    wide = SystemShape(3, 2, 2)
+    wide_states = [random_state(wide, local) for _ in range(10)]
+    blocks = []
+    for _ in range(3):
+        op = np.zeros((4, 4), dtype=complex)
+        op[:3, :3] = local.normal(size=(3, 3)) + 1j * local.normal(size=(3, 3))
+        op[3, 3] = complex(local.normal(), local.normal())
+        blocks.append(op)
+    # a zero entry leaves a level out of the fan-out
+    blocks[0][0, 1] = 0
+    wide_elements = [
+        GroupElement([occupation_scaling(1.3, 0.4, p=2)] * 3),
+        GroupElement(blocks),
+        GroupElement([occupation_scaling(0.7, -1.1, p=2), blocks[1], np.eye(4)]),
+    ]
+    for batch, acting in ((states, elements), (wide_states, wide_elements)):
+        for psi in batch:
+            # a second pass feeds np.complex128 amplitudes back in
+            for start in (psi, apply(acting[0], psi)):
+                for element in acting:
+                    got = apply(element, start).amplitudes
+                    want = _apply_by_array_indexing(element, start)
+                    assert list(got) == list(want)
+                    for occ, val in want.items():
+                        assert got[occ] == val
+                        assert type(got[occ]) is np.complex128
 
 
 @pytest.mark.parametrize("mode", [0, 1, 2])
@@ -323,7 +310,7 @@ def test_nan_in_any_leak_entry_is_refused(mode, entry):
     for pos in ((0, 2), (1, 2), (2, 0), (2, 1)):
         mats[mode][pos] = 1e-12
     mats[mode][entry] = math.nan
-    element = element_from_matrices(mats)
+    element = GroupElement(mats)
     assert not GroupElement([mats[mode]]).is_superselection_compliant()
     with pytest.raises(ValueError, match=f"operator on mode {mode} violates the superselection rule"):
         apply(element, random_state(SHAPE_321, rng))

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from modal_ent.operators import element_from_matrices, random_element
+from modal_ent.operators import GroupElement, random_element
 from modal_ent.serialize import (
     SCHEMA_VERSION,
     dumps_json,
@@ -119,7 +119,7 @@ def test_element_json_errors():
         element_from_json(bad_cell)
     with pytest.raises(ValueError, match="row 0, entry 0 is malformed"):
         element_from_json('[{"dim": 1, "rows": [[{"re": "1e-3", "im": 0}]]}]')
-    three, four = (json.loads(element_to_json(element_from_matrices([np.eye(d)]))) for d in (3, 4))
+    three, four = (json.loads(element_to_json(GroupElement([np.eye(d)]))) for d in (3, 4))
     with pytest.raises(ValueError, match="operator 2 has dim 4, but operator 0 has dim 3"):
         element_from_json(json.dumps(three + three + four))
 

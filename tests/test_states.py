@@ -99,6 +99,10 @@ def test_reduced_density_of_product_like_state():
     assert np.allclose(rho_a, np.diag([0.36, 0.64, 0.0]), atol=1e-14)
     assert abs(np.trace(rho_a) - 1.0) < 1e-14
     assert np.max(np.abs(rho_a - rho_a.conj().T)) < 1e-14
+    # a negative mode would otherwise index the modes from the end
+    for mode in (-1, 3):
+        with pytest.raises(ValueError, match=f"mode {mode} out of range for 3 modes"):
+            reduced_density_matrix(psi, mode)
 
 
 def test_reduced_density_off_diagonals():

@@ -1,10 +1,13 @@
-"""Every name a package or test module imports is used, and the root exports only what its callers need.
+"""Every imported name is used, the root exports only what its callers need, and nothing public is dead.
 
 No linter ships with the test dependencies, so the checks walk the syntax
 tree with the standard library. The root resolves each exported name from
 the module its table names, on first access; it may export a name only if
 the command line, the acceptance tests or the README example imports it,
-and everything else is imported from its own module.
+and everything else is imported from its own module. Every public name of
+a package module must be read by the package itself, the README example,
+the acceptance tests or the benchmark; a function that only its own unit
+tests call is deleted, tests and all.
 """
 
 import ast
@@ -47,6 +50,37 @@ def package_imports(source: str):
     }
 
 
+def public_definitions(source: str):
+    """Top-level functions, classes and assigned names without a leading underscore."""
+    names = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names |= {t.id for t in targets if isinstance(t, ast.Name)}
+    return {name for name in names if not name.startswith("_")}
+
+
+def referenced_names(source: str, strings: bool = False):
+    """Names a source reads, attributes and imported names included.
+
+    With ``strings``, a string constant counts too, for code that looks
+    functions up by name.
+    """
+    refs = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            refs.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            refs.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            refs |= {alias.name for alias in node.names}
+        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+            refs.add(node.value)
+    return refs
+
+
 def readme_example() -> str:
     return re.search(r"```python\n(.*?)```", (REPO / "README.md").read_text(), re.S).group(1)
 
@@ -82,3 +116,22 @@ def test_root_names_are_the_objects_of_their_modules():
 def test_readme_example_runs(capsys):
     exec(compile(readme_example(), "README.md", "exec"), {})
     assert len(capsys.readouterr().out.splitlines()) == 2
+
+
+#: public names whose only callers are tests that use them as references
+TEST_REFERENCES = {("operators", "gell_mann"), ("operators", "matrix_exp")}
+
+
+def test_every_public_name_is_reached_outside_its_unit_tests():
+    modules = sorted(PACKAGE.glob("*.py"))
+    reached = referenced_names(readme_example())
+    reached |= referenced_names((REPO / "tests" / "test_acceptance.py").read_text())
+    for path in modules:
+        reached |= referenced_names(path.read_text())
+    for path in sorted((REPO / "perfbench").glob("*.py")):
+        reached |= referenced_names(path.read_text(), strings=True)
+    unreached = [
+        (path.stem, name) for path in modules for name in sorted(public_definitions(path.read_text()) - reached)
+    ]
+    # equality also drops an exception once something else reaches the name
+    assert unreached == sorted(TEST_REFERENCES)
