@@ -8,7 +8,9 @@ Givens rotation on mode C clears one AC entry, a least-squares phase fit
 over the diagonal subgroup strips the removable phases, and a residual
 common phase is absorbed as a scalar on mode A. That last stage is unitary
 but not special, so the canonical state keeps |I1|, |I2| and the three cut
-sums of the input, to roundoff, but not I1 and I2 themselves.
+sums of the input, to roundoff, but not I1 and I2 themselves. Each stage
+acts on the amplitude map through ``operators._act``, the action that
+:func:`~.operators.apply` runs, and so rounds exactly as ``apply`` does.
 
 The named families cover the states used throughout the test harness, and
 the locality helpers reduce a state to its pattern of pair and bipartition
@@ -38,8 +40,9 @@ from .invariants import (
     _report,
 )
 from .names import FAMILY_NAMES
-from .operators import GroupElement, _scalar_rows, _symbol_moves
+from .operators import GroupElement, _act
 from .states import (
+    NORM_TOL,
     SHAPE_321,
     StateVector,
     is_maximally_entangled,
@@ -107,33 +110,6 @@ def _embed_levels(block: np.ndarray) -> np.ndarray:
     return out
 
 
-# The canonical stages act on the amplitude map directly. Both actions below
-# compute what :func:`apply` does, operation for operation: each term is
-# ((amp * w_A) * w_B) * w_C in numpy complex scalars, terms are summed from
-# 0j in the order of the input map, and keys appear in that order. The
-# canonical form is roundoff-chaotic, so one changed rounding can change the
-# representative it picks.
-
-
-def _rotate(mats, amps: Dict[Tuple[int, int, int], complex]) -> Dict[Tuple[int, int, int], complex]:
-    """The action of three compliant level rotations on an amplitude map."""
-    move_a, move_b, move_c = (_symbol_moves(_scalar_rows(m)) for m in mats)
-    out: Dict[Tuple[int, int, int], complex] = {}
-    for (a, b, c), amp in amps.items():
-        for c2, w_c in move_c[c]:
-            for b2, w_b in move_b[b]:
-                for a2, w_a in move_a[a]:
-                    key = (a2, b2, c2)
-                    out[key] = out.get(key, 0j) + amp * w_a * w_b * w_c
-    return out
-
-
-def _scale(mats, amps: Dict[Tuple[int, int, int], complex]) -> Dict[Tuple[int, int, int], complex]:
-    """The action of three diagonal matrices: one product per slot, keys kept in order."""
-    d_a, d_b, d_c = ((m[2, 2], m[0, 0], m[1, 1]) for m in mats)
-    return {occ: 0j + amp * d_a[occ[0]] * d_b[occ[1]] * d_c[occ[2]] for occ, amp in amps.items()}
-
-
 def canonical_form(state: StateVector) -> CanonicalParams:
     """Reduce a normalized state to its canonical slot pattern.
 
@@ -158,7 +134,7 @@ def canonical_form(state: StateVector) -> CanonicalParams:
     u, _, vh = np.linalg.svd(_block(v, _AB))
     mats = [_embed_levels(u.conj().T), _embed_levels(vh.conj()), eye]
     accumulate(mats)
-    amps = _rotate(mats, state.amplitudes)
+    amps = _act(mats, state.amplitudes)
 
     # Stage 2: a Givens rotation on mode C zeroes the lower-left AC entry.
     # The entries are numpy scalars, whose division rounds differently from
@@ -172,7 +148,7 @@ def canonical_form(state: StateVector) -> CanonicalParams:
         )
         mats = [eye, eye, _embed_levels(rct.T)]
         accumulate(mats)
-        amps = _rotate(mats, amps)
+        amps = _act(mats, amps)
 
     # Stage 3: strip phases from the six no-phase slots with the diagonal
     # subgroup. The linear system relates the six generator angles to the
@@ -205,7 +181,7 @@ def canonical_form(state: StateVector) -> CanonicalParams:
             )
         )
     accumulate(mats)
-    amps = _scale(mats, amps)
+    amps = _act(mats, amps)
 
     # Stage 4: the diagonal subgroup cannot shift all slots by a common
     # phase, so whatever uniform phase remains is absorbed as a scalar on
@@ -217,7 +193,7 @@ def canonical_form(state: StateVector) -> CanonicalParams:
         if abs(delta) > 0.0:
             mats = [np.exp(-1j * delta) * eye, eye, eye]
             accumulate(mats)
-            amps = _scale(mats, amps)
+            amps = _act(mats, amps)
 
     work = StateVector(SHAPE_321, amps)
     for occ in STRUCTURAL_ZEROS:
@@ -445,8 +421,9 @@ _PAULI_PAIRS = np.array([np.kron(a, b) for a in _PAULI for b in _PAULI])
 def chsh_value(two_qubit: np.ndarray) -> float:
     """Maximal CHSH expectation of a two-qubit state (Horodecki criterion).
 
-    Accepts a 4-vector or a 4x4 density matrix; entries that are not finite
-    raise ValueError. The value is twice the square root of the two largest
+    Accepts a 4-vector of norm one or a 4x4 density matrix of trace one,
+    within ``NORM_TOL``; entries that are not finite, or an input that is
+    not normalized, raise ValueError. The value is twice the square root of the two largest
     eigenvalues of T^T T, where T is the correlation matrix in the Pauli
     basis, ``T_ij = tr(rho sigma_i (x) sigma_j)``, all nine entries taken in
     one stacked product; 2 for product states, 2*sqrt(2) at the Tsirelson
@@ -457,7 +434,10 @@ def chsh_value(two_qubit: np.ndarray) -> float:
         raise ValueError("expected a 4-vector or a 4x4 density matrix")
     if not np.isfinite(q).all():
         raise ValueError("CHSH value of a state with non-finite entries")
-    rho = np.outer(q, q.conj()) if q.shape == (4,) else q
+    size = np.linalg.norm(q) if q.ndim == 1 else np.trace(q)
+    if not abs(size - 1.0) <= NORM_TOL:
+        raise ValueError("CHSH value needs a 4-vector of norm one or a density matrix of trace one")
+    rho = np.outer(q, q.conj()) if q.ndim == 1 else q
     t = np.trace(rho @ _PAULI_PAIRS, axis1=1, axis2=2).real.reshape(3, 3)
     ev = np.linalg.eigvalsh(t.T @ t)
     return 2.0 * math.sqrt(max(ev[-1] + ev[-2], 0.0))

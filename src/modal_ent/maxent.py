@@ -26,9 +26,9 @@ from .states import Occupation, StateVector, SystemShape, is_maximally_entangled
 DIMENSION_CAP = 1_000_000
 
 
-def _check_counts(n: int, m: int, p: int) -> None:
-    if n < 1 or m < 1 or p < 1:
-        raise ValueError(f"counts must be positive, got n={n}, m={m}, p={p}")
+def _check_counts(**counts: int) -> None:
+    if min(counts.values()) < 1:
+        raise ValueError("counts must be positive, got " + ", ".join(f"{k}={v}" for k, v in counts.items()))
 
 
 def feasible(n: int, m: int, p: int) -> bool:
@@ -36,7 +36,7 @@ def feasible(n: int, m: int, p: int) -> bool:
 
     The count identity alone decides it; it already forces ``m < n``.
     """
-    _check_counts(n, m, p)
+    _check_counts(n=n, m=m, p=p)
     return m * (p + 2) == n * (p + 1)
 
 
@@ -81,8 +81,10 @@ def pattern_scan(
 
     Feasible rows whose sector fits under DIMENSION_CAP get the sequence
     state constructed and its reductions checked explicitly; the others are
-    reported as not constructed.
+    reported as not constructed. Counts below one raise ValueError first.
     """
+    n_values, p_values = list(n_values), list(p_values)
+    _check_counts(n=min(n_values, default=1), p=min(p_values, default=1))
     rows: List[SequencePattern] = []
     for p in p_values:
         for n in n_values:

@@ -57,20 +57,26 @@ _MASK64 = (1 << 64) - 1
 _MASK128 = (1 << 128) - 1
 
 
+def _integer(x: int, what: str) -> int:
+    """x as a Python int; a bool, numpy's included, or a float raises TypeError."""
+    if isinstance(x, (bool, np.bool_)):
+        raise TypeError(f"{what} must be an integer, not a bool")
+    return operator.index(x)
+
+
 def _wrapping(x: Union[int, np.ndarray]) -> Union[int, np.ndarray]:
     """x as a uint64 array if it is a non-scalar array, else as a Python int.
 
     numpy warns when a scalar wraps around but never when an array does, so
     the seed arithmetic runs on arrays or on Python ints, never on numpy
-    scalars. A scalar that is not an integer, such as a float, or an array
-    whose dtype is not an integer type raises TypeError rather than being
-    truncated.
+    scalars. A scalar that is not an integer, such as a float or a bool, or
+    an array whose dtype is not an integer type raises TypeError.
     """
     if isinstance(x, np.ndarray) and x.ndim:
         if x.dtype.kind not in "iu":
             raise TypeError(f"seed arrays must have an integer dtype, not {x.dtype}")
         return x.astype(np.uint64, copy=False)
-    return operator.index(x)
+    return _integer(x, "a seed")
 
 
 def derive_seed(
@@ -266,9 +272,9 @@ def random_instrument(
     is negative or not finite raises ValueError, and so does a finite one so
     large that the entries of ``I + strength * G`` or their scaled spectral
     norm overflow. The seed seeds ``np.random.default_rng``; it must be an
-    integer, else TypeError, and lie in ``0 .. 2^64 - 1``.
+    integer and not a bool, else TypeError, and lie in ``0 .. 2^64 - 1``.
     """
-    if not 0 <= operator.index(seed) <= _MASK64:
+    if not 0 <= _integer(seed, "instrument seed") <= _MASK64:
         raise ValueError(f"instrument seed must lie in 0..2^64-1, got {seed}")
     z = np.random.default_rng(seed).standard_normal(_instrument_width(p))
     return LocalInstrument(mode=mode, kraus=_kraus_from_normals(z[None], strength, p)[0], seed=seed)
@@ -364,12 +370,9 @@ def run_monotone_trials(
     records come back in index order. A fixed state must meet the
     preconditions of :func:`monotonicity_trial` and is checked before
     anything is drawn. ``trials`` and ``master_seed`` must be integers,
-    numpy integers included: a float for either, or a bool ``trials``,
-    raises TypeError.
+    numpy integers included: a float or a bool for either raises TypeError.
     """
-    if isinstance(trials, bool):
-        raise TypeError("trials must be an integer, not a bool")
-    trials = operator.index(trials)
+    trials = _integer(trials, "trials")
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
     seeds = derive_seed(master_seed, np.arange(trials, dtype=np.uint64))

@@ -8,9 +8,10 @@ levels and a scalar on the vacancy. A :class:`GroupElement` holds one such
 operator per mode as a single ``(modes, d, d)`` stack, applied as a tensor
 product restricted to the fixed-particle-number sector.
 
-:func:`apply` is the one generic action of an element on a sparse state of
-any shape (the canonical form's stages restate it for their own matrices),
-and :func:`apply_on_mode` the one way to act on a single mode of a sparse
+``_act`` is the one sparse action of compliant local matrices on an
+amplitude map of any shape; :func:`apply` checks an element and runs it, and
+the canonical form's stages run it on their own matrices.
+:func:`apply_on_mode` is the one way to act on a single mode of a sparse
 state with the identity on every other mode. :func:`apply_on_mode_columns`
 does the same for a batch of dense state columns, each with its own mode and
 its own operators (the outcomes of an instrument, say), as a flat index
@@ -19,8 +20,8 @@ gather rather than a sector matrix.
 The entries that the superselection rule requires to vanish are listed
 once, by ``_leak_positions``. :func:`superselection_leak` reads them from
 stacks of matrices, which is how elements and instruments are tested;
-:func:`apply` reads them from the rows of scalars it builds anyway, without
-the numpy call overhead of a stacked call.
+:func:`apply` reads them from rows of scalars, without the numpy call
+overhead of a stacked call.
 """
 
 from __future__ import annotations
@@ -269,38 +270,48 @@ def make_slocc_element(coefficients: Sequence[Sequence[complex]]) -> GroupElemen
     return GroupElement(factors)
 
 
-def apply(element: GroupElement, state: StateVector) -> StateVector:
-    """Act with a compliant element on a state; the result is not renormalized.
+def _act(matrices, amplitudes: Dict[Tuple[int, ...], complex]) -> Dict[Tuple[int, ...], complex]:
+    """The action of compliant local matrices, one per mode, on an amplitude map.
 
-    Compliance keeps the occupation pattern of every basis vector intact, so
-    each amplitude fans out only over the level assignments of its occupied
-    modes. That keeps the cost proportional to the sparse support.
-
-    Each matrix of the stack is read once into rows of numpy complex
-    scalars. The compliance test reads those rows, and so does the per-mode
-    table of where each symbol moves: the vacancy to itself, level ``j`` to
-    every level ``i`` with a nonzero entry ``(i, j)``. The amplitudes stay
-    ``np.complex128`` and round exactly as products of array entries would.
+    Compliance keeps each occupation pattern intact, so an amplitude fans out
+    only over the levels of its occupied modes, by the symbol-move tables.
+    The matrices are not checked; entries mixing levels with the vacancy are
+    ignored. Terms are ``((amp * w_0) * w_1) * ...`` in numpy complex
+    scalars, summed from ``0j`` in input order, and keys come in order of
+    first appearance, the last mode outermost. Three modes take a faster
+    nested loop, other counts a partial-product loop; both give these bits.
     """
-    shape = state.shape
-    want = (shape.modes, shape.local_dim, shape.local_dim)
-    if element.matrices.shape != want:
-        raise ValueError(f"element has shape {element.matrices.shape}, expected {want}")
-    # moves[k][sym]: the (new symbol, weight) pairs of symbol sym on mode k
-    moves = []
-    for k, op in enumerate(element.matrices):
-        rows = _scalar_rows(op)
-        if not _compliant_rows(rows):
-            raise ValueError(f"operator on mode {k} violates the superselection rule")
-        moves.append(_symbol_moves(rows))
+    moves = [_symbol_moves(_scalar_rows(m)) for m in matrices]
     out: Dict[Tuple[int, ...], complex] = {}
-    for occ, amp in state.amplitudes.items():
+    if len(moves) == 3:
+        move_a, move_b, move_c = moves
+        for (a, b, c), amp in amplitudes.items():
+            for c2, w_c in move_c[c]:
+                for b2, w_b in move_b[b]:
+                    for a2, w_a in move_a[a]:
+                        key = (a2, b2, c2)
+                        out[key] = out.get(key, 0j) + amp * w_a * w_b * w_c
+        return out
+    for occ, amp in amplitudes.items():
         partial = [((), amp)]
         for move, sym in zip(moves, occ):
             partial = [(pre + (new,), val * w) for new, w in move[sym] for pre, val in partial]
         for new_occ, val in partial:
             out[new_occ] = out.get(new_occ, 0j) + val
-    return StateVector(shape, out)
+    return out
+
+
+def apply(element: GroupElement, state: StateVector) -> StateVector:
+    """Act with a compliant element through ``_act``, the one sparse action; not renormalized.
+    An element of the wrong shape or with a matrix that is not compliant raises ValueError."""
+    shape = state.shape
+    want = (shape.modes, shape.local_dim, shape.local_dim)
+    if element.matrices.shape != want:
+        raise ValueError(f"element has shape {element.matrices.shape}, expected {want}")
+    for k, op in enumerate(element.matrices):
+        if not _compliant_rows(_scalar_rows(op)):
+            raise ValueError(f"operator on mode {k} violates the superselection rule")
+    return StateVector(shape, _act(element.matrices, state.amplitudes))
 
 
 def apply_on_mode(op: np.ndarray, mode: int, state: StateVector) -> StateVector:

@@ -189,6 +189,16 @@ def test_chsh_reference_values():
     assert abs(chsh_value(rho) - 2.0 * ROOT2) < 1e-12
     with pytest.raises(ValueError):
         chsh_value(np.zeros(5))
+    # unnormalized input would read past Tsirelson's bound, or as 0 for a zero vector
+    for vec in (2.0 * singlet, (1.0 + 2e-9) * singlet, np.zeros(4)):
+        with pytest.raises(ValueError, match="4-vector of norm one"):
+            chsh_value(vec)
+    for mat in (3.0 * rho, (1.0 + 2e-9) * rho, rho + 1e-8j * np.eye(4), np.zeros((4, 4))):
+        with pytest.raises(ValueError, match="density matrix of trace one"):
+            chsh_value(mat)
+    # within NORM_TOL the value is taken as given
+    assert abs(chsh_value((1.0 + 1e-10) * singlet) - 2.0 * ROOT2) < 1e-9
+    assert abs(chsh_value((1.0 + 1e-10) * rho) - 2.0 * ROOT2) < 1e-9
 
 
 def test_chsh_pure_state_concurrence_identity():

@@ -160,6 +160,14 @@ def test_scan_range_arguments(capsys):
     assert len(lines) == 4  # header plus m = 1..3
     assert main(["theorem3-scan", "--n", "5..3"]) == 1
     assert "range" in capsys.readouterr().err
+    # a mode count below one is refused, not dropped or scanned to an empty table
+    for n_range, bad in (("-2..2", "n=-2"), ("0", "n=0")):
+        assert main(["theorem3-scan", f"--n={n_range}", "--p", "1"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"modal-ent: error: counts must be positive, got {bad}, p=1\n"
+    assert main(["theorem3-scan", "--p", "0..1"]) == 1
+    assert "counts must be positive" in capsys.readouterr().err
 
 
 def test_monotone_mc_run(tmp_path, capsys):

@@ -68,6 +68,18 @@ def test_vectorised_seed_tree_equals_the_scalar_one():
         derive_seed(np.array([1.5, 2.0]), 0)
     with pytest.raises(TypeError):
         random_instrument(1.5, 0, 0.5)
+    # a bool seed is refused, not run as seed 0 or 1, and so is a bool array
+    for flag in (True, False, np.True_, np.False_):
+        with pytest.raises(TypeError, match="not a bool"):
+            derive_seed(flag, 0)
+        with pytest.raises(TypeError, match="not a bool"):
+            derive_seed(5, flag)
+        with pytest.raises(TypeError, match="not a bool"):
+            random_instrument(flag, 0, 0.5)
+        with pytest.raises(TypeError, match="not a bool"):
+            run_monotone_trials(2, flag)
+    with pytest.raises(TypeError, match="integer dtype, not bool"):
+        derive_seed(np.array([True, False]), 0)
 
 
 def test_batched_draws_equal_default_rng():

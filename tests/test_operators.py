@@ -260,6 +260,19 @@ def _apply_by_array_indexing(element, state):
     return out
 
 
+def _random_compliant_blocks(local, modes, d):
+    """One random compliant ``d x d`` matrix per mode, a Ginibre level block
+    and vacancy entry; a zero entry on the first leaves a level out of the fan-out."""
+    blocks = []
+    for _ in range(modes):
+        op = np.zeros((d, d), dtype=complex)
+        op[:-1, :-1] = local.normal(size=(d - 1, d - 1)) + 1j * local.normal(size=(d - 1, d - 1))
+        op[-1, -1] = complex(local.normal(), local.normal())
+        blocks.append(op)
+    blocks[0][0, 1] = 0
+    return blocks
+
+
 def test_apply_equals_array_indexing_oracle():
     local = np.random.default_rng(8086)
     states = [random_state(SHAPE_321, local) for _ in range(30)]
@@ -276,20 +289,22 @@ def test_apply_equals_array_indexing_oracle():
     # p = 2: three levels and the vacancy per mode, compliant 4x4 elements
     wide = SystemShape(3, 2, 2)
     wide_states = [random_state(wide, local) for _ in range(10)]
-    blocks = []
-    for _ in range(3):
-        op = np.zeros((4, 4), dtype=complex)
-        op[:3, :3] = local.normal(size=(3, 3)) + 1j * local.normal(size=(3, 3))
-        op[3, 3] = complex(local.normal(), local.normal())
-        blocks.append(op)
-    # a zero entry leaves a level out of the fan-out
-    blocks[0][0, 1] = 0
+    blocks = _random_compliant_blocks(local, 3, 4)
     wide_elements = [
         GroupElement([occupation_scaling(1.3, 0.4, p=2)] * 3),
         GroupElement(blocks),
         GroupElement([occupation_scaling(0.7, -1.1, p=2), blocks[1], np.eye(4)]),
     ]
-    for batch, acting in ((states, elements), (wide_states, wide_elements)):
+    batches = [(states, elements), (wide_states, wide_elements)]
+    # four and five modes take the partial-product loop rather than the nested one
+    for shape in (SystemShape(4, 2, 1), SystemShape(5, 3, 1)):
+        acting = [
+            GroupElement(_random_compliant_blocks(local, shape.modes, 3)),
+            random_element("SLOCC", 9, spread=1.5, modes=shape.modes),
+            random_element("SU", 9, modes=shape.modes),
+        ]
+        batches.append(([random_state(shape, local) for _ in range(10)], acting))
+    for batch, acting in batches:
         for psi in batch:
             # a second pass feeds np.complex128 amplitudes back in
             for start in (psi, apply(acting[0], psi)):
