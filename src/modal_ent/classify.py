@@ -3,14 +3,16 @@
 A normalized sector state can be carried by mode-local unitaries to a
 canonical representative supported on nine slots, with non-negative moduli
 on six of them and free phases on the remaining three. The reduction runs
-in four stages: a singular value decomposition diagonalizes the AB block, a
-Givens rotation on mode C clears one AC entry, a least-squares phase fit
-over the diagonal subgroup strips the removable phases, and a residual
-common phase is absorbed as a scalar on mode A. That last stage is unitary
-but not special, so the canonical state keeps |I1|, |I2| and the three cut
-sums of the input, to roundoff, but not I1 and I2 themselves. Each stage
-acts on the amplitude map through ``operators._act``, the action that
-:func:`~.operators.apply` runs, and so rounds exactly as ``apply`` does.
+in four stages on the pair blocks of the twelve amplitudes: a singular
+value decomposition diagonalizes the AB block, a Givens rotation on mode C
+clears one AC entry, a least-squares phase fit over the diagonal subgroup
+strips the removable phases, and a residual common phase is absorbed as a
+scalar on mode A. That last stage is unitary but not special, so the
+canonical state keeps |I1|, |I2| and the three cut sums of the input, to
+roundoff, but not I1 and I2 themselves. A fold by diag(1, -1, 1) on every
+mode then picks one of the two representatives that the stages leave, so
+the canonical form is a function of the state, and constant on the
+local-unitary orbit of a generic state.
 
 The named families cover the states used throughout the test harness, and
 the locality helpers reduce a state to its pattern of pair and bipartition
@@ -19,9 +21,10 @@ correlations.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -32,6 +35,7 @@ from .invariants import (
     _CUT_A_BC,
     _CUT_B_AC,
     _CUT_C_AB,
+    _IDX,
     InvariantReport,
     _amplitude_list,
     _block,
@@ -40,7 +44,7 @@ from .invariants import (
     _report,
 )
 from .names import FAMILY_NAMES
-from .operators import GroupElement, _act
+from .operators import GroupElement
 from .states import (
     NORM_TOL,
     SHAPE_321,
@@ -65,22 +69,23 @@ _U, _D = 1, 2
 
 STRUCTURAL_ZEROS: Tuple[Tuple[int, int, int], ...] = ((1, 2, 0), (2, 1, 0), (2, 0, 1))
 
-# Slots whose canonical amplitude is a non-negative real; phases survive
-# only on slots 5, 8 and 9 of CANONICAL_SLOTS.
-_NO_PHASE_SLOTS = (
-    (1, 1, 0),
-    (2, 2, 0),
-    (2, 0, 2),
-    (1, 0, 1),
-    (0, 2, 2),
-    (0, 1, 1),
-)
+# Slots whose canonical amplitude is a non-negative real, and slots 5, 8 and
+# 9, whose phases phi, phi_prime and theta survive.
+_NO_PHASE_SLOTS = CANONICAL_SLOTS[:4] + CANONICAL_SLOTS[5:7]
+_FREE_SLOTS = CANONICAL_SLOTS[4:5] + CANONICAL_SLOTS[7:]
 
 # Per-symbol gradients of the two diagonal phase generators. The first
 # entry multiplies the traceless diagonal (up minus down), the second the
 # diagonal that weights the vacancy by -2.
 _G3 = {1: 1.0, 2: -1.0, 0: 0.0}
 _G8 = {1: 1.0, 2: 1.0, 0: -2.0}
+
+#: phases within this of the ends of [0, pi] count as inside, for the gauge fold
+FOLD_TOL = 1e-9
+
+# Each pair block's basis positions, with the mode of its rows, the mode of
+# its columns and the third mode, whose vacancy entry scales the block.
+_PAIRS = ((_AB, 0, 1, 2), (_BC, 1, 2, 0), (_AC, 0, 2, 1))
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,8 +94,10 @@ class CanonicalParams:
 
     ``r`` holds the nine slot moduli in CANONICAL_SLOTS order; ``phi``,
     ``phi_prime`` and ``theta`` are the surviving phases on slots 5, 8 and
-    9. ``element`` maps the input state to ``state``; it is unitary but not
-    special, so ``state`` keeps |I1|, |I2| and the cut sums, to roundoff.
+    9, each 0.0 on an empty slot; the first on a nonempty slot lies in
+    ``[-FOLD_TOL, pi - FOLD_TOL]``. ``element`` maps the input state to
+    ``state``; it is unitary but not special, so ``state`` keeps |I1|, |I2|
+    and the cut sums, to roundoff.
     """
 
     r: Tuple[float, ...]
@@ -101,17 +108,53 @@ class CanonicalParams:
     state: StateVector
 
 
-def _embed_levels(block: np.ndarray) -> np.ndarray:
-    """Extend a 2x2 level block to the 3x3 local space with unit determinant."""
-    det = block[0, 0] * block[1, 1] - block[0, 1] * block[1, 0]
-    out = np.zeros((3, 3), dtype=complex)
-    out[:2, :2] = block
-    out[2, 2] = 1.0 / det
+def _moved(v: List[complex], element) -> List[complex]:
+    """Amplitudes ``v`` moved by an element given per mode as ``(level block,
+    vacancy entry)``: each pair block ``M`` goes to ``L M L'^T s``, with the
+    level blocks of its row and column modes and the third mode's vacancy."""
+    out = [0j] * 12
+    for (uu, ud, du, dd), row, col, third in _PAIRS:
+        ((a, b), (c, d)), ((e, f), (g, h)), s = element[row][0], element[col][0], element[third][1]
+        p, q = (a * v[uu] + b * v[du]) * s, (a * v[ud] + b * v[dd]) * s
+        r, w = (c * v[uu] + d * v[du]) * s, (c * v[ud] + d * v[dd]) * s
+        out[uu], out[ud], out[du], out[dd] = p * e + q * f, p * g + q * h, r * e + w * f, r * g + w * h
     return out
+
+
+def _composed(stage, total) -> list:
+    """The per-mode product ``stage @ total`` of two elements given as ``_moved`` takes them."""
+    return [
+        (((a * e + b * g, a * f + b * h), (c * e + d * g, c * f + d * h)), x * y)
+        for (((a, b), (c, d)), x), (((e, f), (g, h)), y) in zip(stage, total)
+    ]
+
+
+def _diagonal(up: complex, down: complex, vacancy: complex) -> tuple:
+    """A diagonal local matrix as ``_moved`` takes it."""
+    return ((up, 0j), (0j, down)), vacancy
+
+
+_IDENTITY = _diagonal(1.0, 1.0, 1.0)
 
 
 def canonical_form(state: StateVector) -> CanonicalParams:
     """Reduce a normalized state to its canonical slot pattern.
+
+    The stages move the twelve amplitudes, Python complex numbers in basis
+    order, by ``_moved``; their elements are multiplied per mode and built
+    as one :class:`GroupElement` at the end.
+
+    Gauge rule. The diagonal elements that keep the six no-phase slots
+    real and positive move (phi, phi_prime, theta) by 0 or by (pi, pi, pi)
+    only, as the slot phases, integer combinations of the diagonal
+    generators, show. Solving for slot signs (+, +, +, +, +, +) and
+    (-, -, -) over diagonal elements with entries +-1 gives diag(1, -1, 1)
+    on every mode. It acts when the first free slot with modulus above
+    1e-12 has its phase outside ``[-FOLD_TOL, pi - FOLD_TOL]``, so a phase
+    within ``FOLD_TOL`` of pi folds to about 0. Generic states then give one
+    output per local-unitary orbit. Equal AB singular values (psi1, S1) and
+    rank-deficient stage 3 systems (Eq14 to Eq16) leave a continuous
+    freedom that no rule fixes yet.
 
     Raises ValueError when the input is not normalized or not of shape
     (3, 2, 1), and ArithmeticError if the reduction fails to clear the
@@ -120,102 +163,72 @@ def canonical_form(state: StateVector) -> CanonicalParams:
     """
     require_normalized(state, "canonical form")
     v = _amplitude_list(state)
+    total = [_IDENTITY] * 3
 
-    eye = np.eye(3, dtype=complex)
-    total = [eye, eye, eye]
+    def act(stage) -> None:
+        nonlocal v, total
+        v = _moved(v, stage)
+        total = _composed(stage, total)
 
-    def accumulate(mats) -> None:
-        for k in range(3):
-            total[k] = mats[k] @ total[k]
+    def at(occ: Tuple[int, int, int]) -> complex:
+        return v[_IDX[occ]]
 
     # Stage 1: singular value decomposition of the AB block. Left and right
     # factors become mode A and mode B rotations; singular values land on
-    # the diagonal in decreasing order.
+    # the diagonal in decreasing order. u and vh are unitary, so the
+    # vacancy entries det(u) and det(vh) give the rotations determinant one.
     u, _, vh = np.linalg.svd(_block(v, _AB))
-    mats = [_embed_levels(u.conj().T), _embed_levels(vh.conj()), eye]
-    accumulate(mats)
-    amps = _act(mats, state.amplitudes)
+    dets = complex(np.linalg.det(u)), complex(np.linalg.det(vh))
+    act([(u.conj().T.tolist(), dets[0]), (vh.conj().tolist(), dets[1]), _IDENTITY])
 
-    # Stage 2: a Givens rotation on mode C zeroes the lower-left AC entry.
-    # The entries are numpy scalars, whose division rounds differently from
-    # Python's complex type.
-    x = np.complex128(amps.get((_D, 0, _U), 0j))
-    y = np.complex128(amps.get((_D, 0, _D), 0j))
-    t = np.hypot(abs(x), abs(y))
+    # Stage 2: a Givens rotation on mode C zeroes the lower-left AC entry;
+    # its level block has determinant -1, so its vacancy entry is -1 too.
+    x, y = at((_D, 0, _U)), at((_D, 0, _D))
+    t = math.hypot(abs(x), abs(y))
     if t > 1e-14 and abs(x) > 1e-14:
-        rct = np.array(
-            [[-y / t, np.conj(x) / t], [x / t, np.conj(y) / t]], dtype=complex
-        )
-        mats = [eye, eye, _embed_levels(rct.T)]
-        accumulate(mats)
-        amps = _act(mats, amps)
+        rotation = ((-y / t, x / t), (x.conjugate() / t, y.conjugate() / t))
+        act([_IDENTITY, _IDENTITY, (rotation, -1.0)])
 
     # Stage 3: strip phases from the six no-phase slots with the diagonal
     # subgroup. The linear system relates the six generator angles to the
     # slot phases through the per-symbol gradients; the least-squares
     # solution leaves at most a common phase, handled in stage 4.
-    rows = []
-    rhs = []
-    for occ in _NO_PHASE_SLOTS:
-        amp = amps.get(occ, 0j)
-        if abs(amp) > 1e-12:
-            row = []
-            for sym in occ:
-                row.extend((_G3[sym], _G8[sym]))
-            rows.append(row)
-            rhs.append(-np.angle(amp))
-    if rows:
-        sol, _, _, _ = np.linalg.lstsq(np.array(rows), np.array(rhs), rcond=None)
-    else:
-        sol = np.zeros(6)
-    mats = []
-    for k in range(3):
-        x3, x8 = sol[2 * k], sol[2 * k + 1]
-        mats.append(
-            np.diag(
-                [
-                    np.exp(1j * (x3 + x8)),
-                    np.exp(1j * (-x3 + x8)),
-                    np.exp(-2j * x8),
-                ]
-            )
-        )
-    accumulate(mats)
-    amps = _act(mats, amps)
+    kept = [occ for occ in _NO_PHASE_SLOTS if abs(at(occ)) > 1e-12]
+    sol = [0.0] * 6
+    if kept:
+        rows = [[g[sym] for sym in occ for g in (_G3, _G8)] for occ in kept]
+        rhs = [-cmath.phase(at(occ)) for occ in kept]
+        sol = np.linalg.lstsq(np.array(rows), np.array(rhs), rcond=None)[0].tolist()
+    act([
+        _diagonal(cmath.exp(1j * (x3 + x8)), cmath.exp(1j * (x8 - x3)), cmath.exp(-2j * x8))
+        for x3, x8 in zip(sol[::2], sol[1::2])
+    ])
 
     # Stage 4: the diagonal subgroup cannot shift all slots by a common
     # phase, so whatever uniform phase remains is absorbed as a scalar on
     # mode A. The result stays unitary, though no longer special.
-    anchor = max(_NO_PHASE_SLOTS, key=lambda occ: abs(amps.get(occ, 0j)))
-    amp = amps.get(anchor, 0j)
-    if abs(amp) > 1e-12:
-        delta = float(np.angle(amp))
-        if abs(delta) > 0.0:
-            mats = [np.exp(-1j * delta) * eye, eye, eye]
-            accumulate(mats)
-            amps = _act(mats, amps)
+    amp = max(map(at, _NO_PHASE_SLOTS), key=abs)
+    if abs(amp) > 1e-12 and cmath.phase(amp) != 0.0:
+        scale = cmath.exp(-1j * cmath.phase(amp))
+        act([_diagonal(scale, scale, scale), _IDENTITY, _IDENTITY])
 
-    work = StateVector(SHAPE_321, amps)
+    # The gauge fold of the docstring, by diag(1, -1, 1) on every mode.
+    free = [amp for amp in map(at, _FREE_SLOTS) if abs(amp) > 1e-12]
+    if free and not -FOLD_TOL <= cmath.phase(free[0]) <= math.pi - FOLD_TOL:
+        act([_diagonal(1.0, -1.0, 1.0)] * 3)
+
     for occ in STRUCTURAL_ZEROS:
-        if abs(work.amplitude(occ)) > 1e-8:
-            raise ArithmeticError(
-                f"canonical reduction left weight {abs(work.amplitude(occ)):.3e} "
-                f"on structural zero slot {occ}"
-            )
+        if abs(at(occ)) > 1e-8:
+            raise ArithmeticError(f"canonical reduction left weight {abs(at(occ)):.3e} on structural zero slot {occ}")
 
-    moduli = tuple(abs(work.amplitude(occ)) for occ in CANONICAL_SLOTS)
-
-    def slot_phase(occ: Tuple[int, int, int]) -> float:
-        amp = work.amplitude(occ)
-        return float(np.angle(amp)) if abs(amp) > 1e-12 else 0.0
-
+    phi, phi_prime, theta = (cmath.phase(amp) if abs(amp) > 1e-12 else 0.0 for amp in map(at, _FREE_SLOTS))
     return CanonicalParams(
-        r=moduli,
-        phi=slot_phase((1, 0, 2)),
-        phi_prime=slot_phase((0, 2, 1)),
-        theta=slot_phase((0, 1, 2)),
-        element=GroupElement(total),
-        state=work,
+        r=tuple(abs(at(occ)) for occ in CANONICAL_SLOTS),
+        phi=phi,
+        phi_prime=phi_prime,
+        theta=theta,
+        element=GroupElement([[[a, b, 0], [c, d, 0], [0, 0, vac]] for ((a, b), (c, d)), vac in total]),
+        state=StateVector.from_dense(SHAPE_321, v),
     )
 
 

@@ -8,14 +8,12 @@ levels and a scalar on the vacancy. A :class:`GroupElement` holds one such
 operator per mode as a single ``(modes, d, d)`` stack, applied as a tensor
 product restricted to the fixed-particle-number sector.
 
-``_act`` is the one sparse action of compliant local matrices on an
-amplitude map of any shape; :func:`apply` checks an element and runs it, and
-the canonical form's stages run it on their own matrices.
-:func:`apply_on_mode` is the one way to act on a single mode of a sparse
-state with the identity on every other mode. :func:`apply_on_mode_columns`
-does the same for a batch of dense state columns, each with its own mode and
-its own operators (the outcomes of an instrument, say), as a flat index
-gather rather than a sector matrix.
+:func:`apply` is the one sparse action of a compliant element on a state
+of any shape, and :func:`apply_on_mode` the one way to act on a single mode
+of a sparse state with the identity on every other mode.
+:func:`apply_on_mode_columns` does the same for a batch of dense state
+columns, each with its own mode and its own operators (the outcomes of an
+instrument, say), as a flat index gather rather than a sector matrix.
 
 The entries that the superselection rule requires to vanish are listed
 once, by ``_leak_positions``. :func:`superselection_leak` reads them from
@@ -111,21 +109,6 @@ def superselection_leak(entries: np.ndarray) -> np.ndarray:
     """
     rows, cols = zip(*_leak_positions(entries.shape[-1]))
     return np.abs(entries[..., rows, cols]).max(axis=-1)
-
-
-def _scalar_rows(entries: np.ndarray) -> list:
-    """The rows of a square matrix as tuples of numpy scalars, read in one pass."""
-    return list(zip(*[entries.flat] * len(entries)))
-
-
-def _compliant_rows(rows: Sequence[Sequence[complex]], tol: float = MEMBER_TOL) -> bool:
-    """The superselection test of one local matrix given as a list of rows.
-
-    This is :func:`superselection_leak` at most ``tol`` without the numpy
-    calls; each leak entry is compared on its own, so a NaN in any of them
-    fails the test.
-    """
-    return all(abs(rows[i][j]) <= tol for i, j in _leak_positions(len(rows)))
 
 
 def _symbol_moves(rows: Sequence[Sequence[complex]]) -> list:
@@ -270,48 +253,46 @@ def make_slocc_element(coefficients: Sequence[Sequence[complex]]) -> GroupElemen
     return GroupElement(factors)
 
 
-def _act(matrices, amplitudes: Dict[Tuple[int, ...], complex]) -> Dict[Tuple[int, ...], complex]:
-    """The action of compliant local matrices, one per mode, on an amplitude map.
+def apply(element: GroupElement, state: StateVector) -> StateVector:
+    """Act with a compliant element on a state of any shape; not renormalized.
 
-    Compliance keeps each occupation pattern intact, so an amplitude fans out
-    only over the levels of its occupied modes, by the symbol-move tables.
-    The matrices are not checked; entries mixing levels with the vacancy are
-    ignored. Terms are ``((amp * w_0) * w_1) * ...`` in numpy complex
-    scalars, summed from ``0j`` in input order, and keys come in order of
-    first appearance, the last mode outermost. Three modes take a faster
-    nested loop, other counts a partial-product loop; both give these bits.
+    Each matrix's rows are read once, for the compliance check and for its
+    symbol-move table. Compliance keeps each occupation pattern intact, so
+    an amplitude fans out only over the levels of its occupied modes. Terms
+    are ``((amp * w_0) * w_1) * ...`` in numpy complex scalars, summed from
+    ``0j`` in input order, and keys come in order of first appearance, the
+    last mode outermost. Three modes take a faster nested loop, other counts
+    a partial-product loop; both give these bits. An element of the wrong
+    shape or with a matrix that is not compliant raises ValueError.
     """
-    moves = [_symbol_moves(_scalar_rows(m)) for m in matrices]
+    shape = state.shape
+    want = (shape.modes, shape.local_dim, shape.local_dim)
+    if element.matrices.shape != want:
+        raise ValueError(f"element has shape {element.matrices.shape}, expected {want}")
+    moves = []
+    for k, op in enumerate(element.matrices):
+        rows = list(zip(*[op.flat] * len(op)))
+        # each leak entry is compared on its own, so a NaN in any of them fails
+        if not all(abs(rows[i][j]) <= MEMBER_TOL for i, j in _leak_positions(len(rows))):
+            raise ValueError(f"operator on mode {k} violates the superselection rule")
+        moves.append(_symbol_moves(rows))
     out: Dict[Tuple[int, ...], complex] = {}
     if len(moves) == 3:
         move_a, move_b, move_c = moves
-        for (a, b, c), amp in amplitudes.items():
+        for (a, b, c), amp in state.amplitudes.items():
             for c2, w_c in move_c[c]:
                 for b2, w_b in move_b[b]:
                     for a2, w_a in move_a[a]:
                         key = (a2, b2, c2)
                         out[key] = out.get(key, 0j) + amp * w_a * w_b * w_c
-        return out
-    for occ, amp in amplitudes.items():
+        return StateVector(shape, out)
+    for occ, amp in state.amplitudes.items():
         partial = [((), amp)]
         for move, sym in zip(moves, occ):
             partial = [(pre + (new,), val * w) for new, w in move[sym] for pre, val in partial]
         for new_occ, val in partial:
             out[new_occ] = out.get(new_occ, 0j) + val
-    return out
-
-
-def apply(element: GroupElement, state: StateVector) -> StateVector:
-    """Act with a compliant element through ``_act``, the one sparse action; not renormalized.
-    An element of the wrong shape or with a matrix that is not compliant raises ValueError."""
-    shape = state.shape
-    want = (shape.modes, shape.local_dim, shape.local_dim)
-    if element.matrices.shape != want:
-        raise ValueError(f"element has shape {element.matrices.shape}, expected {want}")
-    for k, op in enumerate(element.matrices):
-        if not _compliant_rows(_scalar_rows(op)):
-            raise ValueError(f"operator on mode {k} violates the superselection rule")
-    return StateVector(shape, _act(element.matrices, state.amplitudes))
+    return StateVector(shape, out)
 
 
 def apply_on_mode(op: np.ndarray, mode: int, state: StateVector) -> StateVector:
@@ -447,10 +428,14 @@ def occupation_scaling(r: float, phi: float = 0.0, p: int = 1) -> np.ndarray:
     Every occupied level is multiplied by ``r e^{i phi}`` and the vacancy by
     the compensating ``r^{-(p+1)} e^{-(p+1) i phi}``. Applied on all modes of
     an ``(n, m, p)`` sector state it rescales each amplitude by
-    ``r^{(p+2)m - (p+1)n} e^{[(p+2)m - (p+1)n] i phi}``.
+    ``r^{(p+2)m - (p+1)n} e^{[(p+2)m - (p+1)n] i phi}``. A scale that is not
+    finite and positive, a phase that is not finite or a negative ``p``
+    raises ValueError.
     """
-    if r <= 0:
-        raise ValueError(f"scale must be positive, got {r}")
+    if not 0 < r < math.inf:
+        raise ValueError(f"scale must be finite and positive, got {r}")
+    if not math.isfinite(phi) or p < 0:
+        raise ValueError(f"need a finite phase and p >= 0, got phi={phi}, p={p}")
     head = [r * np.exp(1j * phi)] * (p + 1)
     diag = head + [r ** (-(p + 1)) * np.exp(-1j * (p + 1) * phi)]
     return np.diag(diag).astype(complex)

@@ -175,10 +175,10 @@ def test_occupation_scaling_net_factor():
     psi = random_state(SHAPE_321, rng)
     moved = apply(el, psi)
     assert np.abs(moved.dense() - psi.dense()).max() < 1e-12
-    with pytest.raises(ValueError):
-        occupation_scaling(0.0)
-    with pytest.raises(ValueError):
-        occupation_scaling(-1.0)
+    for bad in ({"r": 0.0}, {"r": -1.0}, {"r": math.nan}, {"r": math.inf}, {"r": 1.0, "phi": math.nan},
+                {"r": 1.0, "phi": math.inf}, {"r": 1.0, "p": -1}):
+        with pytest.raises(ValueError):
+            occupation_scaling(**bad)
 
 
 def test_occupation_scaling_unbalanced_sector():

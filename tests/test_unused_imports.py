@@ -138,11 +138,11 @@ def test_every_public_name_is_reached_outside_its_unit_tests():
 
 
 #: private helpers that fix the format of the symbol-move tables
-MOVE_TABLE_HELPERS = {"_scalar_rows", "_symbol_moves", "_compliant_rows"}
+MOVE_TABLE_HELPERS = {"_symbol_moves"}
 
 
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_only_operators_reads_the_move_tables(path):
-    # other modules act through operators._act, so the table format has one owner
+    # other modules act through operators.apply, so the table format has one owner
     named = referenced_names(path.read_text()) & MOVE_TABLE_HELPERS
     assert named == (MOVE_TABLE_HELPERS if path.name == "operators.py" else set())
