@@ -36,6 +36,7 @@ from .invariants import (
     _CUT_B_AC,
     _CUT_C_AB,
     _IDX,
+    _PAIRS,
     InvariantReport,
     _amplitude_list,
     _block,
@@ -80,12 +81,8 @@ _FREE_SLOTS = CANONICAL_SLOTS[4:5] + CANONICAL_SLOTS[7:]
 _G3 = {1: 1.0, 2: -1.0, 0: 0.0}
 _G8 = {1: 1.0, 2: 1.0, 0: -2.0}
 
-#: phases within this of the ends of [0, pi] count as inside, for the gauge fold
-FOLD_TOL = 1e-9
-
-# Each pair block's basis positions, with the mode of its rows, the mode of
-# its columns and the third mode, whose vacancy entry scales the block.
-_PAIRS = ((_AB, 0, 1, 2), (_BC, 1, 2, 0), (_AC, 0, 2, 1))
+# Phases within this of the ends of [0, pi] count as inside, for the gauge fold.
+_FOLD_TOL = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,7 +92,7 @@ class CanonicalParams:
     ``r`` holds the nine slot moduli in CANONICAL_SLOTS order; ``phi``,
     ``phi_prime`` and ``theta`` are the surviving phases on slots 5, 8 and
     9, each 0.0 on an empty slot; the first on a nonempty slot lies in
-    ``[-FOLD_TOL, pi - FOLD_TOL]``. ``element`` maps the input state to
+    ``[-1e-9, pi - 1e-9]``, by the fold. ``element`` maps the input state to
     ``state``; it is unitary but not special, so ``state`` keeps |I1|, |I2|
     and the cut sums, to roundoff.
     """
@@ -150,8 +147,8 @@ def canonical_form(state: StateVector) -> CanonicalParams:
     generators, show. Solving for slot signs (+, +, +, +, +, +) and
     (-, -, -) over diagonal elements with entries +-1 gives diag(1, -1, 1)
     on every mode. It acts when the first free slot with modulus above
-    1e-12 has its phase outside ``[-FOLD_TOL, pi - FOLD_TOL]``, so a phase
-    within ``FOLD_TOL`` of pi folds to about 0. Generic states then give one
+    1e-12 has its phase outside ``[-_FOLD_TOL, pi - _FOLD_TOL]``, so a phase
+    within ``_FOLD_TOL`` of pi folds to about 0. Generic states then give one
     output per local-unitary orbit. Equal AB singular values (psi1, S1) and
     rank-deficient stage 3 systems (Eq14 to Eq16) leave a continuous
     freedom that no rule fixes yet.
@@ -181,13 +178,13 @@ def canonical_form(state: StateVector) -> CanonicalParams:
     dets = complex(np.linalg.det(u)), complex(np.linalg.det(vh))
     act([(u.conj().T.tolist(), dets[0]), (vh.conj().tolist(), dets[1]), _IDENTITY])
 
-    # Stage 2: a Givens rotation on mode C zeroes the lower-left AC entry;
-    # its level block has determinant -1, so its vacancy entry is -1 too.
+    # Stage 2: a determinant-one Givens rotation on mode C zeroes the lower-left
+    # AC entry; its vacancy entry is 1, so the AB slots keep phase 0.
     x, y = at((_D, 0, _U)), at((_D, 0, _D))
     t = math.hypot(abs(x), abs(y))
     if t > 1e-14 and abs(x) > 1e-14:
-        rotation = ((-y / t, x / t), (x.conjugate() / t, y.conjugate() / t))
-        act([_IDENTITY, _IDENTITY, (rotation, -1.0)])
+        rotation = ((y / t, -x / t), (x.conjugate() / t, y.conjugate() / t))
+        act([_IDENTITY, _IDENTITY, (rotation, 1.0)])
 
     # Stage 3: strip phases from the six no-phase slots with the diagonal
     # subgroup. The linear system relates the six generator angles to the
@@ -214,7 +211,7 @@ def canonical_form(state: StateVector) -> CanonicalParams:
 
     # The gauge fold of the docstring, by diag(1, -1, 1) on every mode.
     free = [amp for amp in map(at, _FREE_SLOTS) if abs(amp) > 1e-12]
-    if free and not -FOLD_TOL <= cmath.phase(free[0]) <= math.pi - FOLD_TOL:
+    if free and not -_FOLD_TOL <= cmath.phase(free[0]) <= math.pi - _FOLD_TOL:
         act([_diagonal(1.0, -1.0, 1.0)] * 3)
 
     for occ in STRUCTURAL_ZEROS:

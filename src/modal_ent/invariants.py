@@ -49,6 +49,9 @@ _AB, _BC, _AC = (
     )
 )
 
+# Each pair block with its row mode, its column mode and its vacant third mode.
+_PAIRS = ((_AB, 0, 1, 2), (_BC, 1, 2, 0), (_AC, 0, 2, 1))
+
 
 def _columns(block: Tuple[int, ...], transpose: bool = False) -> Tuple[Tuple[int, int], ...]:
     uu, ud, du, dd = block

@@ -1,18 +1,11 @@
-"""The canonical form against its earlier implementation, to 1e-12.
+"""The canonical form against a reduction written with :func:`apply`, to 1e-12.
 
-``reference_canonical_form`` is the reduction as it was written before the
-stages got their own block arithmetic: every stage builds a group element
-and pushes the running state through :func:`apply`, and the gauge fold of
-:func:`canonical_form` is added at the end. The two round differently, so
-they are compared to 1e-12: moduli, phases modulo 2 pi, the canonical
-state's amplitudes and the element entries. The element is compared up to
-a diagonal element that fixes the canonical state, since the stages fix it
-no further: stage 2 leaves the AB slots at phase pi, and the sign of a
-roundoff-level imaginary part decides whether stage 3 reads pi or -pi
-there, and so which of two such elements it builds (for about one state
-in six). Eq16 states are the exception. Their stage 3 system is rank
-deficient, so roundoff picks the phase that it leaves free; for them the
-canonical form is checked against its defining properties instead.
+``reference_canonical_form`` runs the same four stages and the gauge fold,
+but every stage builds a group element and pushes the running state through
+:func:`apply`. The two round differently, so they are compared to 1e-12:
+moduli, phases modulo 2 pi, the canonical state's amplitudes and the
+element entries. Every case is also checked against the defining
+properties of a canonical form, which need no reference.
 """
 
 import math
@@ -21,11 +14,11 @@ import numpy as np
 import pytest
 
 from modal_ent.classify import (
+    _FOLD_TOL,
     _G3,
     _G8,
     _NO_PHASE_SLOTS,
     CANONICAL_SLOTS,
-    FOLD_TOL,
     STRUCTURAL_ZEROS,
     canonical_form,
     family,
@@ -77,7 +70,7 @@ def reference_canonical_form(state):
     t = np.hypot(abs(x), abs(y))
     if t > 1e-14 and abs(x) > 1e-14:
         rct = np.array(
-            [[-y / t, np.conj(x) / t], [x / t, np.conj(y) / t]], dtype=complex
+            [[y / t, np.conj(x) / t], [-x / t, np.conj(y) / t]], dtype=complex
         )
         push([eye, eye, _embed_levels(rct.T)])
 
@@ -118,7 +111,7 @@ def reference_canonical_form(state):
 
     free = [work.amplitude(occ) for occ in ((1, 0, 2), (0, 2, 1), (0, 1, 2))]
     free = [amp for amp in free if abs(amp) > 1e-12]
-    if free and not -FOLD_TOL <= np.angle(free[0]) <= math.pi - FOLD_TOL:
+    if free and not -_FOLD_TOL <= np.angle(free[0]) <= math.pi - _FOLD_TOL:
         push([np.diag([1.0, -1.0, 1.0])] * 3)
 
     for occ in STRUCTURAL_ZEROS:
@@ -141,10 +134,8 @@ def assert_matches_reference(state) -> None:
     for mine, theirs in zip((got.phi, got.phi_prime, got.theta), (phi, phi_prime, theta)):
         assert abs(math.remainder(mine - theirs, 2.0 * math.pi)) <= TOL
     assert np.abs(got.state.dense() - work.dense()).max() <= TOL
-    # the elements may differ by a diagonal element that fixes the canonical state
-    shift = got.element.matrices @ element.matrices.conj().swapaxes(1, 2)
-    assert np.abs(shift - shift * np.eye(3)).max() <= TOL
-    assert np.abs(apply(GroupElement(shift), work).dense() - work.dense()).max() <= TOL
+    assert np.abs(got.element.matrices - element.matrices).max() <= TOL
+    assert_defining_properties(state)
 
 
 def assert_defining_properties(state) -> None:
@@ -206,12 +197,11 @@ def test_su_moved_random_states_match_the_reference():
 
 @pytest.mark.parametrize("name", FAMILIES)
 def test_families_match_the_reference(name):
-    check = assert_defining_properties if name == "Eq16" else assert_matches_reference
     rng = np.random.default_rng(62)
     for seed in range(40):
         psi = family(name, _family_params(name, rng))
-        check(psi)
-        check(normalize(apply(random_element("SU", seed), psi)))
+        assert_matches_reference(psi)
+        assert_matches_reference(normalize(apply(random_element("SU", seed), psi)))
 
 
 def _degenerate_states():

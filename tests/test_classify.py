@@ -273,11 +273,7 @@ def test_membership_report_carries_the_reports_bit_for_bit():
 
 
 def test_canonical_form_constant_on_su_orbits():
-    """The canonical parameters of a state and of a unitarily moved copy agree.
-
-    Before the gauge fold, 93 of these 200 pairs differed at seed 0, most of
-    them by pi in all three free phases at once.
-    """
+    """The canonical parameters of a state and of a unitarily moved copy agree."""
     local = np.random.default_rng(0)
     differ = 0
     for seed in range(200):
