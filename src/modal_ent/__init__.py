@@ -32,7 +32,6 @@ _EXPORTS = {
     "apply": "operators",
     "occupation_scaling": "operators",
     "random_element": "operators",
-    "InvariantReport": "invariants",
     "generator_relation_check": "invariants",
     "invariant_report": "invariants",
     "localized_scenario_check": "invariants",

@@ -94,14 +94,13 @@ def _parse_range(text: str) -> range:
 
 
 def _cmd_invariants(args: argparse.Namespace) -> int:
-    from dataclasses import fields
+    from dataclasses import asdict
 
-    from .invariants import InvariantReport, invariant_report
+    from .invariants import invariant_report
     from .serialize import SCHEMA_VERSION, dumps_json, format_csv
 
-    rep = invariant_report(_load_state(args.infile))
-    # the scalar fields of an invariant report, in report order; W is left out
-    values = {f.name: getattr(rep, f.name) for f in fields(InvariantReport) if f.name != "W"}
+    # the fields of an invariant report, in report order
+    values = asdict(invariant_report(_load_state(args.infile)))
     if args.format == "json":
         doc = {"schema_version": SCHEMA_VERSION, **values}
         _write_output(args.out, dumps_json(doc) + "\n")

@@ -165,7 +165,7 @@ def word_matrix(blocks: PairBlocks) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class InvariantReport:
-    """Every polynomial invariant of one state, plus the word matrix W."""
+    """Every polynomial invariant of one state."""
 
     I_AB: complex
     I_BC: complex
@@ -177,7 +177,6 @@ class InvariantReport:
     I_A_BC: float
     I_B_AC: float
     I_C_AB: float
-    W: np.ndarray
 
 
 def invariant_report(state: StateVector) -> InvariantReport:
@@ -207,7 +206,6 @@ def _report(v: Sequence[complex], polynomials) -> InvariantReport:
         I_A_BC=_cross_minor_sum(v, _CUT_A_BC),
         I_B_AC=_cross_minor_sum(v, _CUT_B_AC),
         I_C_AB=_cross_minor_sum(v, _CUT_C_AB),
-        W=word_matrix(_blocks(v)),
     )
 
 
@@ -231,11 +229,11 @@ def generator_relation_check(state: StateVector, n: int) -> float:
     recursion for ``trace(W^k)``, ``k <= n``, seeded by ``trace(W)`` and
     ``det(W)``. Both hold identically, so the residual is pure roundoff.
     """
-    rep = invariant_report(state)
-    w = rep.W
+    v = _amplitude_list(state)
+    w = word_matrix(_blocks(v))
     f1, g1 = w[0, 0], w[0, 1]
     k1, l1 = w[1, 0], w[1, 1]
-    residual = abs(g1 * k1 - (rep.I1 + f1 * l1))
+    residual = abs(g1 * k1 - (_invariant_polynomials(v)[3] + f1 * l1))
     e1 = complex(np.trace(w))
     e2 = complex(np.linalg.det(w))
     p_prev, p_cur = 2.0 + 0j, e1

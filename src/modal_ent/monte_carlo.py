@@ -9,10 +9,11 @@ isolation from the master seed and its index.
 Each trial's state and instrument are drawn from their own streams, those of
 ``np.random.default_rng(seed)`` for the trial's seeds, but the streams are
 seeded as one batch: :func:`_seeded_draws` runs numpy's SeedSequence hash
-once for the state and instrument seeds of every trial and hands each result
-to one reused PCG64, so every draw is bit for bit the one ``default_rng``
-gives; :func:`random_instrument`, which replays a single instrument, draws
-from ``default_rng`` itself. The seed tree, too, runs as one uint64 batch,
+once for the state and instrument seeds of every trial, and each PCG64 seeds
+itself from its seed's four hashed words through :class:`_SeedWords`, so
+every draw is bit for bit the one ``default_rng`` gives;
+:func:`random_instrument`, which replays a single instrument, draws from
+``default_rng`` itself. The seed tree, too, runs as one uint64 batch,
 the three child seeds of every trial in one broadcast. Everything after the
 draws runs once over the whole run in :func:`_margins`: the instruments are
 completed as one ``(k, 2, 3, 3)`` Kraus stack, one index gather of
@@ -38,6 +39,7 @@ from itertools import chain
 from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .invariants import _amplitude_list, dense_invariant_pair, monotones
 from .operators import (
@@ -54,7 +56,6 @@ from .states import SHAPE_321, StateVector, require_normalized, unit_amplitudes
 MARGIN_TOL = 1e-9
 
 _MASK64 = (1 << 64) - 1
-_MASK128 = (1 << 128) - 1
 
 
 def _integer(x: int, what: str) -> int:
@@ -120,7 +121,6 @@ _MIX_XOR, _MIX_MULT = _hash_constants(0x43B0D7E5, 0x931E8875, 16)
 _OUT_XOR, _OUT_MULT = _hash_constants(0x8B51F9DD, 0x58F38DED, 8)
 _MIX_L = np.uint32(0xCA01F9DD)
 _MIX_R = np.uint32(0x4973F715)
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
 def _hashmix(words: np.ndarray, xor: np.ndarray, mult: np.ndarray) -> np.ndarray:
@@ -151,29 +151,43 @@ def _pcg64_seed_words(seeds: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(out.T, dtype="<u4").view("<u8").astype(np.uint64)
 
 
+class _SeedWords(ISeedSequence):
+    """A seed sequence that hands PCG64 one seed's precomputed hash words.
+
+    ``generate_state(4, np.uint64)`` returns the ``(4,)`` uint64 row of
+    :func:`_pcg64_seed_words`, which is what ``SeedSequence(seed)`` gives
+    there; PCG64 asks for exactly that, and reads the returned buffer
+    directly, so the row must be a contiguous uint64 array, as those rows
+    are. Any other request raises ValueError, so a numpy that seeded PCG64
+    from other words would fail, not drift.
+    """
+
+    __slots__ = ("words",)
+
+    def __init__(self, words: np.ndarray) -> None:
+        self.words = words
+
+    def generate_state(self, n_words: int, dtype: type = np.uint32) -> np.ndarray:
+        # the identity test spares PCG64's own request a dtype construction
+        if n_words != 4 or dtype is not np.uint64 and np.dtype(dtype) != np.uint64:
+            raise ValueError(f"seed words come as 4 uint64, not {n_words} {np.dtype(dtype)}")
+        return self.words
+
+
 def _seeded_draws(seeds: np.ndarray, widths: Sequence[int]) -> List[np.ndarray]:
     """Standard normal draws from the streams of a ``(g, k)`` uint64 seed
     array, one ``(k, widths[i])`` array per row: row ``t`` of array ``i`` is
     bit for bit ``np.random.default_rng(seeds[i, t]).standard_normal(widths[i])``.
 
     The SeedSequence hashes of all ``g * k`` seeds run as one uint32 batch.
-    Each seed's four output words become PCG64's ``(state, inc)`` by the two
-    steps of its seeding, in 128-bit Python ints; one reused PCG64 takes
-    that state through its ``state`` setter, from one reused dict, and draws
-    the row. Seeds must lie in ``0 .. 2^64 - 1``.
+    Each seed's PCG64 then seeds itself, in numpy's own code, from that
+    seed's four output words through :class:`_SeedWords`, and its Generator
+    draws the row. Seeds must lie in ``0 .. 2^64 - 1``.
     """
     words = _pcg64_seed_words(seeds.reshape(-1))
-    bitgen = np.random.PCG64(0)
-    gen = np.random.Generator(bitgen)
-    pcg = {"state": 0, "inc": 0}
-    setting = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
     draws = [np.empty((seeds.shape[1], width)) for width in widths]
-    for row, (s_hi, s_lo, i_hi, i_lo) in zip(chain.from_iterable(draws), words.tolist()):
-        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
-        pcg["state"] = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128
-        pcg["inc"] = inc
-        bitgen.state = setting
-        gen.standard_normal(out=row)
+    for row, seed_words in zip(chain.from_iterable(draws), words):
+        np.random.Generator(np.random.PCG64(_SeedWords(seed_words))).standard_normal(out=row)
     return draws
 
 

@@ -429,15 +429,25 @@ def occupation_scaling(r: float, phi: float = 0.0, p: int = 1) -> np.ndarray:
     the compensating ``r^{-(p+1)} e^{-(p+1) i phi}``. Applied on all modes of
     an ``(n, m, p)`` sector state it rescales each amplitude by
     ``r^{(p+2)m - (p+1)n} e^{[(p+2)m - (p+1)n] i phi}``. A scale that is not
-    finite and positive, a phase that is not finite or a negative ``p``
-    raises ValueError.
+    finite and positive, or whose vacancy factor ``r^{-(p+1)}`` underflows to
+    zero or overflows, a phase that is not finite, and a ``p`` that is a
+    bool, not an integer or negative raise ValueError.
     """
     if not 0 < r < math.inf:
         raise ValueError(f"scale must be finite and positive, got {r}")
+    if isinstance(p, bool) or not isinstance(p, (int, np.integer)):
+        raise ValueError(f"p must be an integer, got {p!r}")
+    p = int(p)
     if not math.isfinite(phi) or p < 0:
         raise ValueError(f"need a finite phase and p >= 0, got phi={phi}, p={p}")
+    try:
+        vacancy = float(r) ** -(p + 1)
+    except OverflowError:
+        vacancy = math.inf
+    if not 0 < vacancy < math.inf:
+        raise ValueError(f"scale {r} leaves the vacancy factor r^-{p + 1} = {vacancy}, not finite and nonzero")
     head = [r * np.exp(1j * phi)] * (p + 1)
-    diag = head + [r ** (-(p + 1)) * np.exp(-1j * (p + 1) * phi)]
+    diag = head + [vacancy * np.exp(-1j * (p + 1) * phi)]
     return np.diag(diag).astype(complex)
 
 

@@ -78,7 +78,7 @@ def test_word_matrix_identities(seed):
     # trace and determinant of W reduce to the two polynomial invariants
     psi = random_state(SHAPE_321, np.random.default_rng(seed))
     rep = invariant_report(psi)
-    w = rep.W
+    w = word_matrix(pair_blocks(psi))
     assert abs(np.trace(w) - 1j * rep.I2) < 1e-12
     assert abs(np.linalg.det(w) + rep.I1) < 1e-12
     tr2, _ = trace_word(psi, 2)

@@ -12,6 +12,7 @@ from modal_ent.monte_carlo import (
     _instrument_width,
     _kraus_from_normals,
     _margins,
+    _SeedWords,
     _seeded_draws,
     _state_column,
     derive_seed,
@@ -93,6 +94,15 @@ def test_batched_draws_equal_default_rng():
         want = np.array([np.random.default_rng(s).standard_normal(width) for s in row])
         assert got.shape == (len(seeds), width)
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_seed_words_serve_only_pcg64s_request():
+    words = np.arange(4, dtype=np.uint64)
+    seq = _SeedWords(words)
+    assert seq.generate_state(4, np.uint64) is words
+    for n_words, dtype in ((8, np.uint32), (2, np.uint64), (4, np.uint32)):
+        with pytest.raises(ValueError, match="4 uint64"):
+            seq.generate_state(n_words, dtype)
 
 
 def _default_rng_normals(seeds, width):

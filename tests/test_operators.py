@@ -176,7 +176,9 @@ def test_occupation_scaling_net_factor():
     moved = apply(el, psi)
     assert np.abs(moved.dense() - psi.dense()).max() < 1e-12
     for bad in ({"r": 0.0}, {"r": -1.0}, {"r": math.nan}, {"r": math.inf}, {"r": 1.0, "phi": math.nan},
-                {"r": 1.0, "phi": math.inf}, {"r": 1.0, "p": -1}):
+                {"r": 1.0, "phi": math.inf}, {"r": 1.0, "p": -1}, {"r": 1.0, "p": 1.5},
+                {"r": 1.0, "p": True}, {"r": 1.0, "p": np.True_}, {"r": 1e200}, {"r": 1e-200},
+                {"r": np.float64(1e-200)}, {"r": 1e100, "p": np.int64(3)}, {"r": 1e-100, "p": np.int64(3)}):
         with pytest.raises(ValueError):
             occupation_scaling(**bad)
 
