@@ -429,25 +429,25 @@ _PAULI_PAIRS = np.array([np.kron(a, b) for a in _PAULI for b in _PAULI])
 
 
 def chsh_value(two_qubit: np.ndarray) -> float:
-    """Maximal CHSH expectation of a two-qubit state (Horodecki criterion).
+    """Maximal CHSH expectation of a pure two-qubit state (Horodecki criterion).
 
-    Accepts a 4-vector of norm one or a 4x4 density matrix of trace one,
-    within ``NORM_TOL``; entries that are not finite, or an input that is
-    not normalized, raise ValueError. The value is twice the square root of the two largest
-    eigenvalues of T^T T, where T is the correlation matrix in the Pauli
-    basis, ``T_ij = tr(rho sigma_i (x) sigma_j)``, all nine entries taken in
-    one stacked product; 2 for product states, 2*sqrt(2) at the Tsirelson
-    bound.
+    Takes the 4-vector in the basis (uu, ud, du, dd) that
+    :func:`pair_projection` returns, of norm one within ``NORM_TOL``. Any
+    other shape, entries that are not finite, or a vector that is not
+    normalized raise ValueError. The value is twice the square root of the
+    two largest eigenvalues of T^T T, where T is the correlation matrix in
+    the Pauli basis, ``T_ij = <q| sigma_i (x) sigma_j |q>``, all nine entries
+    taken in one stacked product; 2 for product states, 2*sqrt(2) at the
+    Tsirelson bound.
     """
     q = np.asarray(two_qubit, dtype=complex)
-    if q.shape not in ((4,), (4, 4)):
-        raise ValueError("expected a 4-vector or a 4x4 density matrix")
+    if q.shape != (4,):
+        raise ValueError(f"expected a two-qubit 4-vector, got shape {q.shape}")
     if not np.isfinite(q).all():
         raise ValueError("CHSH value of a state with non-finite entries")
-    size = np.linalg.norm(q) if q.ndim == 1 else np.trace(q)
-    if not abs(size - 1.0) <= NORM_TOL:
-        raise ValueError("CHSH value needs a 4-vector of norm one or a density matrix of trace one")
-    rho = np.outer(q, q.conj()) if q.ndim == 1 else q
+    if not abs(np.linalg.norm(q) - 1.0) <= NORM_TOL:
+        raise ValueError("CHSH value needs a 4-vector of norm one")
+    rho = np.outer(q, q.conj())
     t = np.trace(rho @ _PAULI_PAIRS, axis1=1, axis2=2).real.reshape(3, 3)
     ev = np.linalg.eigvalsh(t.T @ t)
     return 2.0 * math.sqrt(max(ev[-1] + ev[-2], 0.0))
@@ -473,8 +473,10 @@ def membership_report(state: StateVector, tol: float = 1e-10) -> MembershipRepor
     two cuts that isolate modes A and C, Eq18 when every bipartition is
     entangled while all pairs stay local. The psi1 signature combines
     maximal entanglement with vanishing I2, the psi2 signature maximal
-    entanglement with vanishing I1 on a tri-local state.
+    entanglement with vanishing I1 on a tri-local state. The state must be
+    normalized, since the tolerances assume unit norm.
     """
+    require_normalized(state, "membership report")
     v = _amplitude_list(state)
     polynomials = _invariant_polynomials(v)
     profile = _profile(v, polynomials, tol)

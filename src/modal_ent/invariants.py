@@ -16,9 +16,10 @@ copies of the state form over mode A, and the result with a third copy
 over modes B and C, gives -trace(W), and trace(W) = i * I2 with the
 conventions fixed below, which the test suite checks on random states.
 That is why no separate transvection code is kept. A :class:`StateVector`
-enters through ``_amplitude_list``, the package's one check that a state
-has shape (3, 2, 1); the canonical form and the Monte-Carlo trials rely on
-it too.
+enters only through ``_amplitude_list``, which reads its amplitude map in
+basis order and is the package's one check that a state has shape
+(3, 2, 1); W, the canonical form and the Monte-Carlo trials start from its
+list too.
 """
 
 from __future__ import annotations
@@ -30,11 +31,13 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from .operators import apply, make_slocc_element
-from .states import SHAPE_321, StateVector, basis_index
+from .states import SHAPE_321, StateVector, basis_index, enumerate_basis
 
-SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
+#: sigma_y, which sandwiches the pair blocks in the word matrix W
+_SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
 
 _U, _D = 1, 2
+_BASIS = enumerate_basis(SHAPE_321)
 _IDX = basis_index(SHAPE_321)
 
 # Basis positions of the AB, BC and AC pair blocks, each read row-major as
@@ -75,32 +78,14 @@ def _amplitude_list(state: StateVector) -> List[complex]:
     """
     if state.shape != SHAPE_321:
         raise ValueError(f"pair-block invariants need shape (3, 2, 1), got {state.shape}")
-    return state.dense().tolist()
-
-
-@dataclass(frozen=True, eq=False)
-class PairBlocks:
-    """Amplitude blocks of the three two-mode subspaces, rows and columns
-    ordered (up, down)."""
-
-    M_AB: np.ndarray
-    M_BC: np.ndarray
-    M_AC: np.ndarray
+    amplitudes = state.amplitudes
+    return [complex(amplitudes.get(occ, 0j)) for occ in _BASIS]
 
 
 def _block(v: Sequence[complex], block: Tuple[int, ...]) -> np.ndarray:
     """One pair block of amplitudes ``v`` as a 2x2 matrix, given its basis positions."""
     uu, ud, du, dd = block
     return np.array([[v[uu], v[ud]], [v[du], v[dd]]], dtype=complex)
-
-
-def _blocks(v: Sequence[complex]) -> PairBlocks:
-    return PairBlocks(M_AB=_block(v, _AB), M_BC=_block(v, _BC), M_AC=_block(v, _AC))
-
-
-def pair_blocks(state: StateVector) -> PairBlocks:
-    """Arrange the twelve amplitudes into the three pair-block matrices."""
-    return _blocks(_amplitude_list(state))
 
 
 def _det2(v, block: Tuple[int, ...]):
@@ -153,14 +138,14 @@ def _cross_minor_sum(v, cut) -> float:
     return sum(abs(m) ** 2 for m in _cross_minors(v, cut))
 
 
-def word_matrix(blocks: PairBlocks) -> np.ndarray:
-    """The 2x2 word W = M_AB sy M_BC sy M_AC^T sy generating the trace invariants.
+def _word(v: Sequence[complex]) -> np.ndarray:
+    """The 2x2 word W = M_AB sy M_BC sy M_AC^T sy of amplitudes ``v``.
 
     W is the paper's transvectant contraction in matrix form: contracting
     two copies of the state form over mode A, and the result with a third
     copy over modes B and C, gives -trace(W); and trace(W) = i * I2.
     """
-    return blocks.M_AB @ SIGMA_Y @ blocks.M_BC @ SIGMA_Y @ blocks.M_AC.T @ SIGMA_Y
+    return _block(v, _AB) @ _SY @ _block(v, _BC) @ _SY @ _block(v, _AC).T @ _SY
 
 
 @dataclass(frozen=True, eq=False)
@@ -217,7 +202,7 @@ def _trace_power(w: np.ndarray, n: int) -> complex:
 
 def trace_word(state: StateVector, n: int) -> Tuple[complex, np.ndarray]:
     """Trace of the n-th power of the word matrix, together with W itself."""
-    w = word_matrix(pair_blocks(state))
+    w = _word(_amplitude_list(state))
     return _trace_power(w, n), w
 
 
@@ -230,7 +215,7 @@ def generator_relation_check(state: StateVector, n: int) -> float:
     ``det(W)``. Both hold identically, so the residual is pure roundoff.
     """
     v = _amplitude_list(state)
-    w = word_matrix(_blocks(v))
+    w = _word(v)
     f1, g1 = w[0, 0], w[0, 1]
     k1, l1 = w[1, 0], w[1, 1]
     residual = abs(g1 * k1 - (_invariant_polynomials(v)[3] + f1 * l1))

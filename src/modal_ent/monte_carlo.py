@@ -414,31 +414,25 @@ def run_monotone_trials(
 
 
 def invariance_sweep(
-    states: Union[np.ndarray, Iterable[StateVector]],
+    states: Iterable[StateVector],
     elements: Iterable[GroupElement],
 ) -> Tuple[float, float]:
     """Worst relative drift of I1 and I2 under a batch of group elements.
 
-    States enter as dense columns (or are converted); each element acts
-    through its dense sector matrix on the whole batch at once. Moved
-    states are renormalized and compared against the inputs' invariants
-    rescaled by the predicted norm powers, 6 for I1 and 3 for I2. For
-    determinant-one elements both drifts are pure roundoff; elements with
-    other determinants show up at order one. No states or no elements, and
-    a state column that is zero or not finite, raise ValueError; an element
-    that overflows or annihilates a state raises ArithmeticError.
+    The states, each of shape (3, 2, 1), are stacked as the dense columns
+    of one ``(12, k)`` batch; each element acts through its dense sector
+    matrix on the whole batch at once. Moved states are renormalized and
+    compared against the inputs' invariants rescaled by the predicted norm
+    powers, 6 for I1 and 3 for I2. For determinant-one elements both drifts
+    are pure roundoff; elements with other determinants show up at order
+    one. No states or no elements, and a state that is zero or not finite,
+    raise ValueError; an element that overflows or annihilates a state
+    raises ArithmeticError.
     """
-    if isinstance(states, np.ndarray):
-        psi = np.asarray(states, dtype=complex)
-        if psi.ndim == 1:
-            psi = psi[:, None]
-    else:
-        dense = [s.dense() for s in states]
-        psi = np.column_stack(dense) if dense else np.empty((SHAPE_321.dimension, 0), dtype=complex)
-    if psi.ndim != 2 or psi.shape[0] != SHAPE_321.dimension:
-        raise ValueError(f"state columns must form a ({SHAPE_321.dimension}, k) array, got shape {psi.shape}")
-    if not psi.shape[1]:
+    columns = [_amplitude_list(s) for s in states]
+    if not columns:
         raise ValueError("invariance sweep needs at least one state column")
+    psi = np.column_stack(columns)
     if not np.isfinite(psi).all():
         raise ValueError("state columns must be finite")
     zero = np.flatnonzero(~psi.any(axis=0))

@@ -48,8 +48,6 @@ _L2 = np.array([[0, -1j, 0], [1j, 0, 0], [0, 0, 0]], dtype=complex)
 _L3 = np.diag([1.0, -1.0, 0.0]).astype(complex)
 _L8 = np.diag([1.0, 1.0, -2.0]).astype(complex)
 
-_GELL_MANN = {1: _L1, 2: _L2, 3: _L3, 8: _L8}
-
 # The weights of (c1, c2, c3, c8) in the five entries of
 # c1 L1 + c2 L2 + c3 L3 + c8 L8 that compliance lets be nonzero: the level
 # block, row by row, then the vacancy.
@@ -161,41 +159,17 @@ class GroupElement:
         return "SU" if self.is_unitary(tol) else "SLOCC"
 
 
-def gell_mann(index: int) -> np.ndarray:
-    """One of the four diagonal-block generators on a three-level mode.
+def _exp_entries(a: complex, b: complex, c: complex, d: complex, v: complex) -> list:
+    """The rows of ``exp`` of the compliant matrix with level block
+    ``[[a, b], [c, d]]`` and vacancy entry ``v``, in closed form.
 
-    Indices 1, 2, 3 act on the two occupied levels in the Pauli pattern and
-    index 8 is the diagonal charge-like generator diag(1, 1, -2).
-    """
-    if index not in _GELL_MANN:
-        raise ValueError(f"unsupported generator index {index}; valid indices are 1, 2, 3, 8")
-    return _GELL_MANN[index].copy()
-
-
-def matrix_exp(op: np.ndarray) -> np.ndarray:
-    """Matrix exponential of a compliant spin-1/2 operator, in closed form.
-
-    The 2x2 level block ``A`` exponentiates as
+    The level block ``A`` exponentiates as
     ``e^t (cosh s I + (sinh s / s) (A - t I))`` with ``t = tr(A) / 2`` and
     ``s^2 = -det(A - t I)``, taking ``sinh s / s = 1`` at ``s = 0``; the
     vacancy entry exponentiates as a scalar. For ``|s| > 1`` the same matrix
     is evaluated from the eigenvalues ``t +- s``, since ``cosh s - sinh s``
-    would cancel. Any other operator, including a 3x3 one with nonzero
-    entries mixing levels and vacancy, raises ValueError.
+    would cancel.
     """
-    if op.shape != (3, 3):
-        raise ValueError(f"closed-form exponential needs a 3x3 operator, got shape {op.shape}")
-    (a, b, x), (c, d, y), (p, q, v) = op.tolist()
-    if not all(cmath.isfinite(z) for z in (a, b, c, d, v, x, y, p, q)):
-        raise ValueError("matrix exponential of a non-finite matrix")
-    if x or y or p or q:
-        raise ValueError("closed-form exponential needs levels and vacancy kept apart")
-    return np.array(_exp_entries(a, b, c, d, v), dtype=complex)
-
-
-def _exp_entries(a: complex, b: complex, c: complex, d: complex, v: complex) -> list:
-    """The rows of ``exp`` of the compliant matrix with level block
-    ``[[a, b], [c, d]]`` and vacancy entry ``v``, as :func:`matrix_exp` forms it."""
     t, h = (a + d) / 2, (a - d) / 2
     s = cmath.sqrt(h * h + b * c)
     if abs(s) <= 1.0:

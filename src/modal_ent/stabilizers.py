@@ -27,7 +27,7 @@ import numpy as np
 
 from .names import STABILIZER_NAMES
 from .operators import GroupElement, apply, apply_on_mode, make_slocc_element
-from .states import StateVector, phase_fit
+from .states import SHAPE_321, StateVector, phase_fit
 
 
 @dataclass(frozen=True, eq=False)
@@ -163,7 +163,9 @@ def stabilizer(name: str, params: Optional[Mapping[str, float]] = None) -> Stabi
 def _verdict(
     stab: StabilizerElement, state: StateVector, tol: float
 ) -> Tuple[bool, bool, complex]:
-    """(stabilizes, ray preserved, bare phase) of one candidate on one state."""
+    """(stabilizes, ray preserved, bare phase) of one candidate on one (3, 2, 1) state."""
+    if state.shape != SHAPE_321:
+        raise ValueError(f"stabilizer elements act on shape (3, 2, 1), got {state.shape}")
     preserved, c = phase_fit(state, apply(stab.element, state), tol)
     return preserved and abs(c * stab.declared_prefactor - 1.0) <= tol, preserved, c
 

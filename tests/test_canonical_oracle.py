@@ -23,7 +23,7 @@ from modal_ent.classify import (
     canonical_form,
     family,
 )
-from modal_ent.invariants import invariant_report, pair_blocks
+from modal_ent.invariants import invariant_report
 from modal_ent.operators import GroupElement, apply, random_element
 from modal_ent.states import (
     SHAPE_321,
@@ -46,6 +46,18 @@ def _embed_levels(block):
     return out
 
 
+def _pair_block(state, pair):
+    """The amplitudes with both particles in modes ``pair``, rows indexed by
+    the first mode's level and columns by the second's, up before down."""
+    block = np.zeros((2, 2), dtype=complex)
+    for row in range(2):
+        for col in range(2):
+            occ = [0, 0, 0]
+            occ[pair[0]], occ[pair[1]] = row + 1, col + 1
+            block[row, col] = state.amplitude(occ)
+    return block
+
+
 def reference_canonical_form(state):
     """``(r, phi, phi_prime, theta, element, state)`` by four ``apply`` pushes."""
     require_normalized(state, "canonical form")
@@ -60,13 +72,12 @@ def reference_canonical_form(state):
             total[k] = np.asarray(mats[k], dtype=complex) @ total[k]
         work = apply(GroupElement(mats), work)
 
-    blocks = pair_blocks(work)
-    u, _, vh = np.linalg.svd(blocks.M_AB)
+    u, _, vh = np.linalg.svd(_pair_block(work, (0, 1)))
     push([_embed_levels(u.conj().T), _embed_levels(vh.conj()), eye])
 
-    blocks = pair_blocks(work)
-    x = blocks.M_AC[1, 0]
-    y = blocks.M_AC[1, 1]
+    m_ac = _pair_block(work, (0, 2))
+    x = m_ac[1, 0]
+    y = m_ac[1, 1]
     t = np.hypot(abs(x), abs(y))
     if t > 1e-14 and abs(x) > 1e-14:
         rct = np.array(

@@ -13,7 +13,7 @@ import modal_ent
 from modal_ent.cli import main
 from modal_ent.classify import family
 from modal_ent.serialize import element_from_json, state_from_json, state_to_json
-from modal_ent.states import SHAPE_321, StateVector, random_state
+from modal_ent.states import SHAPE_321, StateVector, SystemShape, random_state
 
 rng = np.random.default_rng(1234)
 
@@ -62,6 +62,15 @@ def test_classify_psi2(tmp_path, capsys):
     assert doc["psi1_signature"] is False
     assert doc["profile"]["tri_local"] is True
     assert doc["abs_I1"] < 1e-12
+
+
+def test_classify_refuses_an_unnormalized_state(tmp_path, capsys):
+    # the flags are read with tolerances that assume unit norm
+    path = write_state(tmp_path, "big.json", StateVector(SHAPE_321, {(1, 1, 0): 2.0, (0, 1, 2): 1.0}))
+    assert main(["classify", "--in", path]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "modal-ent: error: membership report expects a normalized state\n"
 
 
 def test_canonical_outputs(tmp_path, capsys):
@@ -139,6 +148,14 @@ def test_verify_stabilizer_exit_codes(tmp_path, capsys):
     ]:
         assert main(["verify-stabilizer", "--name", name, "--params", params, "--in", psi2_path]) == 1
         assert capsys.readouterr().err == f"modal-ent: error: {message}\n"
+
+    # the named elements act on three modes; a state of another shape is named as such
+    four_mode = write_state(tmp_path, "four.json", StateVector(SystemShape(4, 2, 1), {(1, 1, 0, 0): 1.0}))
+    assert main(["verify-stabilizer", "--name", "psi2_eq26", "--in", four_mode]) == 1
+    assert capsys.readouterr().err == (
+        "modal-ent: error: stabilizer elements act on shape (3, 2, 1), "
+        "got SystemShape(modes=4, particles=2, spin_numerator=1)\n"
+    )
 
 
 def test_scan_table(capsys):
@@ -408,6 +425,74 @@ def test_csv_reports_are_byte_stable(tmp_path, capsys, command):
     capsys.readouterr()
     assert main([command, "--in", path, "--format", "csv"]) == 0
     assert capsys.readouterr().out == _GOLDEN_CSV[command]
+
+
+def _sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+# SHA-256 of every output of the README commands that no CSV pin above
+# covers. A pipeline stage reads the file its predecessor wrote, which holds
+# the bytes the predecessor prints to a pipe.
+_README_PINS = [
+    (
+        [["family", "--name", "psi2"], ["invariants"]],
+        [
+            "6713a12e0a45729963a9f40c5a6abd469366bc7ff83bf8ee5c829e91220ba6b3",
+            "d13f869c5bd7e2425a41ec7a7568678368750c889b7c77dafce2f9b3840edbb3",
+        ],
+    ),
+    (
+        [["family", "--name", "S1", "--params", "r=0.2"], ["chsh"]],
+        [
+            "1099ec6db65270558d994a7727bac5a86c361f9900d8d6e899b8c68c35a593ff",
+            "ea260432d19c5bfa1da6332c9f4f3dd8fa1f76248adf2b0e59604aa0b8c58f48",
+        ],
+    ),
+    (
+        [["family", "--name", "Eq16", "--params", "r1=0.5,r2=0.5,r3=0.5,r4=0.5"], ["classify"]],
+        [
+            "161ae40d8b1df17cd31080c9fef1bc6b342211f1594928c138b224d767190a96",
+            "6c2c56061ab2738ba6e703d29c6e82e94d92cd8e416df70d650778b20ff6972f",
+        ],
+    ),
+    (
+        [["family", "--name", "psi2"], ["verify-stabilizer", "--name", "psi2_eq26", "--params", "alpha=0.4"]],
+        [
+            "6713a12e0a45729963a9f40c5a6abd469366bc7ff83bf8ee5c829e91220ba6b3",
+            "f4c2efee74b7e251f680a79f424c1bbe0796167eaa7f606db8223364bc6443b6",
+        ],
+    ),
+    (
+        [["theorem3-scan", "--n", "1..8", "--p", "1..3"]],
+        [
+            "f75bd6f50e67cf9f8ac839772b1b42dbd00b78172518dbe1296d6b29bed6d298",
+        ],
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "stages, shas", _README_PINS, ids=["invariants", "chsh", "classify", "verify-stabilizer", "theorem3-scan"]
+)
+def test_readme_commands_are_pinned(tmp_path, stages, shas):
+    got, previous = [], []
+    for k, argv in enumerate(stages):
+        out = tmp_path / f"stage{k}.out"
+        assert main([*argv, *previous, "--out", str(out)]) == 0
+        got.append(_sha256(out))
+        previous = ["--in", str(out)]
+    assert got == shas
+
+
+def test_canonical_readme_command_is_pinned(tmp_path):
+    path = write_state(tmp_path, "dense.json", StateVector(SHAPE_321, dict(_GOLDEN_AMPLITUDES)))
+    params, element = tmp_path / "params.json", tmp_path / "element.json"
+    assert main(["canonical", "--in", path, "--params", "--element-out", str(element), "--out", str(params)]) == 0
+    assert [_sha256(params), _sha256(element)] == [
+        "d92d34104ef82ef8a4a9233a8d75db49fc5369cd97d213cbb17b62a7b9e7e21a",
+        "d2b46e41a592f37781ff9e1694f42f45a931ea0de5b2d22ec44b143435e11e00",
+    ]
 
 
 def test_verify_stabilizer_applies_its_element_once(tmp_path, monkeypatch, capsys):

@@ -6,16 +6,19 @@ from hypothesis import given, settings, strategies as st
 
 from modal_ent.classify import family
 from modal_ent.invariants import (
+    _AB,
+    _AC,
+    _BC,
+    _amplitude_list,
+    _block,
     dense_invariant_pair,
     generator_relation_check,
     invariant_report,
     localized_scenario_check,
-    pair_blocks,
     trace_word,
-    word_matrix,
 )
 from modal_ent.operators import SplitComplex, apply, random_element
-from modal_ent.states import SHAPE_321, StateVector, SystemShape, random_state
+from modal_ent.states import SHAPE_321, StateVector, SystemShape, enumerate_basis, random_state
 
 rng = np.random.default_rng(7)
 
@@ -41,13 +44,57 @@ def test_pair_blocks_layout():
         SHAPE_321,
         {(1, 2, 0): 2.0, (0, 1, 2): 3.0, (2, 0, 1): 5.0},
     )
-    blocks = pair_blocks(psi)
-    assert blocks.M_AB[0, 1] == 2.0
-    assert blocks.M_BC[0, 1] == 3.0
-    assert blocks.M_AC[1, 0] == 5.0
-    assert np.count_nonzero(blocks.M_AB) == 1
-    with pytest.raises(ValueError):
-        pair_blocks(random_state(SystemShape(4, 2, 1), rng))
+    v = _amplitude_list(psi)
+    m_ab, m_bc, m_ac = (_block(v, block) for block in (_AB, _BC, _AC))
+    assert m_ab[0, 1] == 2.0
+    assert m_bc[0, 1] == 3.0
+    assert m_ac[1, 0] == 5.0
+    assert np.count_nonzero(m_ab) == 1
+    with pytest.raises(ValueError, match=r"need shape \(3, 2, 1\)"):
+        _amplitude_list(random_state(SystemShape(4, 2, 1), rng))
+
+
+def _bits(values):
+    """Each complex as the bit patterns of its two parts, so -0.0 and 0.0 differ."""
+    return [(np.float64(z.real).tobytes(), np.float64(z.imag).tobytes()) for z in values]
+
+
+_AMPLITUDE_TYPES = [
+    3,
+    -2,
+    0.625,
+    -0.0,
+    complex(-0.0, -0.0),
+    complex(0.5, -0.0),
+    complex(-1.25, 0.75),
+    np.float32(0.1),
+    np.float64(-0.3),
+    np.complex128(complex(-0.0, 0.2)),
+]
+
+
+@pytest.mark.parametrize("fill", ["dense", "sparse"])
+def test_amplitude_list_keeps_the_bits_of_the_dense_vector(fill):
+    # the list reads the amplitude map directly; it must agree with the
+    # dense vector in value and in the sign of every zero part
+    local = np.random.default_rng(91)
+    basis = enumerate_basis(SHAPE_321)
+    for amp in _AMPLITUDE_TYPES:
+        for _ in range(5):
+            picked = local.permutation(len(basis))[: len(basis) if fill == "dense" else 3]
+            keys = [basis[k] for k in picked]
+            amps = {occ: amp for occ in keys}
+            amps[keys[0]] = complex(local.normal(), local.normal())
+            psi = StateVector(SHAPE_321, amps)
+            got = _amplitude_list(psi)
+            assert all(type(z) is complex for z in got)
+            assert _bits(got) == _bits(psi.dense().tolist())
+
+
+def test_amplitude_list_refuses_a_none_amplitude():
+    # None is not an amplitude; it must not enter a formula as NaN
+    with pytest.raises(TypeError):
+        _amplitude_list(StateVector(SHAPE_321, {(1, 1, 0): None}))
 
 
 def test_scaling_degrees():
@@ -78,7 +125,7 @@ def test_word_matrix_identities(seed):
     # trace and determinant of W reduce to the two polynomial invariants
     psi = random_state(SHAPE_321, np.random.default_rng(seed))
     rep = invariant_report(psi)
-    w = word_matrix(pair_blocks(psi))
+    _, w = trace_word(psi, 1)
     assert abs(np.trace(w) - 1j * rep.I2) < 1e-12
     assert abs(np.linalg.det(w) + rep.I1) < 1e-12
     tr2, _ = trace_word(psi, 2)
@@ -88,7 +135,7 @@ def test_word_matrix_identities(seed):
 def test_trace_word_bounds():
     psi = random_state(SHAPE_321, rng)
     tr1, w = trace_word(psi, 1)
-    assert np.array_equal(w, word_matrix(pair_blocks(psi)))
+    assert tr1 == np.trace(w)
     for n in (0, 9, -2):
         with pytest.raises(ValueError):
             trace_word(psi, n)

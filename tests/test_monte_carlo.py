@@ -26,7 +26,14 @@ from modal_ent.operators import (
     apply_on_mode,
     random_element,
 )
-from modal_ent.states import SHAPE_321, StateVector, SystemShape, random_state, unit_amplitudes
+from modal_ent.states import (
+    SHAPE_321,
+    StateVector,
+    SystemShape,
+    enumerate_basis,
+    random_state,
+    unit_amplitudes,
+)
 
 rng = np.random.default_rng(2718)
 
@@ -362,17 +369,17 @@ def test_invariance_sweep_flags_determinant_drift():
 
 
 def test_invariance_sweep_input_validation():
-    for shape in ((7, 3), (12, 2, 2), ()):
-        with pytest.raises(ValueError, match=r"must form a \(12, k\) array"):
-            invariance_sweep(np.ones(shape, dtype=complex), [random_element("SU", seed=0)])
+    su = [random_element("SU", seed=0)]
+    # a state of another shape fails the package's one shape check
+    with pytest.raises(ValueError, match=r"need shape \(3, 2, 1\)"):
+        invariance_sweep([StateVector(SystemShape(4, 2, 1), {(1, 1, 0, 0): 1.0})], su)
     killer = GroupElement(
         [np.diag([0.0, 0.0, 1.0]).astype(complex), np.eye(3, dtype=complex), np.eye(3, dtype=complex)]
     )
     doomed = StateVector(SHAPE_321, {(1, 1, 0): 1.0})
     with pytest.raises(ArithmeticError, match="annihilated"):
         invariance_sweep([doomed], [killer])
-    su = [random_element("SU", seed=0)]
-    for empty in ([], iter([]), np.zeros((12, 0), dtype=complex)):
+    for empty in ([], iter([])):
         with pytest.raises(ValueError, match="needs at least one state column"):
             invariance_sweep(empty, su)
     with pytest.raises(ValueError, match="needs at least one group element"):
@@ -380,9 +387,8 @@ def test_invariance_sweep_input_validation():
     # a zero input column is the caller's error, not the element's
     with pytest.raises(ValueError, match="state column 1 is zero"):
         invariance_sweep([doomed, StateVector(SHAPE_321, {})], su)
-    columns = np.column_stack([family("psi1").dense(), family("psi2").dense(), np.zeros(12)])
     with pytest.raises(ValueError, match="state column 2 is zero"):
-        invariance_sweep(columns, su)
+        invariance_sweep(iter([family("psi1"), family("psi2"), StateVector(SHAPE_321, {})]), su)
 
 
 def test_invariance_sweep_refuses_non_finite_columns():
@@ -391,10 +397,11 @@ def test_invariance_sweep_refuses_non_finite_columns():
     blow_up = GroupElement([np.diag([1e200, 1e200, 1e-200])] * 3)
     with pytest.raises(ArithmeticError, match="overflowed a state"):
         invariance_sweep(states, [blow_up])
-    columns = np.column_stack([s.dense() for s in states])
-    columns[4, 1] = np.nan
+    poisoned = dict(states[1].amplitudes)
+    poisoned[enumerate_basis(SHAPE_321)[4]] = math.nan
+    states[1] = StateVector(SHAPE_321, poisoned)
     with pytest.raises(ValueError, match="must be finite"):
-        invariance_sweep(columns, [random_element("SU", seed=0)])
+        invariance_sweep(states, [random_element("SU", seed=0)])
 
 
 def test_overflowing_strength_is_refused(capfd):
