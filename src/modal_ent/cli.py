@@ -6,6 +6,10 @@ pipeline:
 
     modal-ent family --name psi2 | modal-ent invariants
 
+Every report is written by :func:`_write_report`, as a JSON document with
+``schema_version`` first or, under ``--format csv``, as the command's table;
+a command only builds the document and rows from its library call.
+
 Exit status 0 means success, 1 a usage or input problem, and 2 a check
 that ran to completion but failed (a stabilizer mismatch, or monotonicity
 violations in a Monte-Carlo run).
@@ -15,7 +19,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import TYPE_CHECKING, Dict, List, Optional, Union
+from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Mapping, Optional, Sequence, Union
 
 from .names import FAMILY_NAMES, STABILIZER_NAMES
 
@@ -49,6 +53,24 @@ def _write_output(path: str, text: str) -> None:
         from .serialize import write_text
 
         write_text(path, text)
+
+
+def _write_report(
+    path: str,
+    fmt: str,
+    doc: Mapping[str, Any],
+    fieldnames: Sequence[str] = (),
+    rows: Iterable[Mapping[str, Any]] = (),
+) -> None:
+    """Write ``doc`` as JSON after a leading ``schema_version``, or, when
+    ``fmt`` is ``"csv"``, the table of ``rows`` over ``fieldnames``."""
+    from .serialize import SCHEMA_VERSION, dumps_json, format_csv
+
+    if fmt == "csv":
+        text = format_csv(fieldnames, rows)
+    else:
+        text = dumps_json({"schema_version": SCHEMA_VERSION, **doc}) + "\n"
+    _write_output(path, text)
 
 
 def _load_state(path: str) -> StateVector:
@@ -97,19 +119,14 @@ def _cmd_invariants(args: argparse.Namespace) -> int:
     from dataclasses import asdict
 
     from .invariants import invariant_report
-    from .serialize import SCHEMA_VERSION, dumps_json, format_csv
 
     # the fields of an invariant report, in report order
     values = asdict(invariant_report(_load_state(args.infile)))
-    if args.format == "json":
-        doc = {"schema_version": SCHEMA_VERSION, **values}
-        _write_output(args.out, dumps_json(doc) + "\n")
-    else:
-        rows = []
-        for name, value in values.items():
-            z = complex(value)
-            rows.append({"quantity": name, "re": z.real, "im": z.imag})
-        _write_output(args.out, format_csv(("quantity", "re", "im"), rows))
+    rows = [
+        {"quantity": name, "re": complex(value).real, "im": complex(value).imag}
+        for name, value in values.items()
+    ]
+    _write_report(args.out, args.format, values, ("quantity", "re", "im"), rows)
     return 0
 
 
@@ -117,9 +134,9 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     from dataclasses import asdict
 
     from .classify import membership_report
-    from .serialize import SCHEMA_VERSION, dumps_json, format_csv
 
     rep = membership_report(_load_state(args.infile))
+    profile = asdict(rep.profile)
     summary = {
         "families": list(rep.families),
         "maximally_entangled": rep.maximally_entangled,
@@ -128,34 +145,24 @@ def _cmd_classify(args: argparse.Namespace) -> int:
         "abs_I1": abs(rep.invariants.I1),
         "abs_I2": abs(rep.invariants.I2),
     }
-    profile = asdict(rep.profile)
-    if args.format == "json":
-        doc = {"schema_version": SCHEMA_VERSION, "profile": profile, **summary}
-        _write_output(args.out, dumps_json(doc) + "\n")
-    else:
-        summary["families"] = ";".join(rep.families)
-        rows = [{"field": f"profile.{k}", "value": v} for k, v in profile.items()]
-        rows += [{"field": k, "value": v} for k, v in summary.items()]
-        _write_output(args.out, format_csv(("field", "value"), rows))
+    doc = {"profile": profile, **summary}
+    summary["families"] = ";".join(rep.families)
+    rows = [{"field": f"profile.{k}", "value": v} for k, v in profile.items()]
+    rows += [{"field": k, "value": v} for k, v in summary.items()]
+    _write_report(args.out, args.format, doc, ("field", "value"), rows)
     return 0
 
 
 def _cmd_canonical(args: argparse.Namespace) -> int:
     from .classify import canonical_form
-    from .serialize import SCHEMA_VERSION, dumps_json, element_to_json, state_to_json
+    from .serialize import element_to_json, state_to_json
 
     params = canonical_form(_load_state(args.infile))
     if args.element_out:
         _write_output(args.element_out, element_to_json(params.element))
     if args.params:
-        doc = {
-            "schema_version": SCHEMA_VERSION,
-            "r": list(params.r),
-            "phi": params.phi,
-            "phi_prime": params.phi_prime,
-            "theta": params.theta,
-        }
-        _write_output(args.out, dumps_json(doc) + "\n")
+        doc = {"r": list(params.r), "phi": params.phi, "phi_prime": params.phi_prime, "theta": params.theta}
+        _write_report(args.out, "json", doc)
     else:
         _write_output(args.out, state_to_json(params.state, use_symbols=args.symbols))
     return 0
@@ -171,14 +178,12 @@ def _cmd_family(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify_stabilizer(args: argparse.Namespace) -> int:
-    from .serialize import SCHEMA_VERSION, dumps_json
     from .stabilizers import _verdict, stabilizer
 
     stab = stabilizer(args.name, _parse_params(args.params))
     state = _load_state(args.infile)
     ok, ray_ok, bare = _verdict(stab, state, tol=1e-9)
     doc = {
-        "schema_version": SCHEMA_VERSION,
         "name": args.name,
         "params": stab.params,
         "stabilizes": ok,
@@ -187,7 +192,7 @@ def _cmd_verify_stabilizer(args: argparse.Namespace) -> int:
         "declared_prefactor": stab.declared_prefactor,
         "net_phase_defect": abs(bare * stab.declared_prefactor - 1.0),
     }
-    _write_output(args.out, dumps_json(doc) + "\n")
+    _write_report(args.out, "json", doc)
     return 0 if ok else 2
 
 
@@ -195,20 +200,15 @@ def _cmd_theorem3_scan(args: argparse.Namespace) -> int:
     from dataclasses import asdict
 
     from .maxent import pattern_scan
-    from .serialize import format_csv
 
     rows = pattern_scan(_parse_range(args.n), _parse_range(args.p))
-    text = format_csv(
-        ("n", "m", "p", "feasible", "constructed", "max_ent_verified"),
-        [asdict(r) for r in rows],
-    )
-    _write_output(args.out, text)
+    fieldnames = ("n", "m", "p", "feasible", "constructed", "max_ent_verified")
+    _write_report(args.out, "csv", {}, fieldnames, [asdict(r) for r in rows])
     return 0
 
 
 def _cmd_monotone_mc(args: argparse.Namespace) -> int:
     from .monte_carlo import run_monotone_trials
-    from .serialize import SCHEMA_VERSION, dumps_json, format_csv
 
     state = _load_state(args.state) if args.state else None
     summary = run_monotone_trials(
@@ -218,26 +218,21 @@ def _cmd_monotone_mc(args: argparse.Namespace) -> int:
         state=state,
     )
     if args.records:
-        text = format_csv(
-            ("index", "seed", "mode", "margin1", "margin2", "margin", "passed"),
-            [r._asdict() for r in summary.records],
-        )
-        _write_output(args.records, text)
+        fieldnames = ("index", "seed", "mode", "margin1", "margin2", "margin", "passed")
+        _write_report(args.records, "csv", {}, fieldnames, [r._asdict() for r in summary.records])
     doc = {
-        "schema_version": SCHEMA_VERSION,
         "trials": summary.trials,
         "failures": summary.failures,
         "max_margin": summary.max_margin,
         "strength": args.strength,
         "seed": args.seed,
     }
-    _write_output(args.out, dumps_json(doc) + "\n")
+    _write_report(args.out, "json", doc)
     return 2 if summary.failures else 0
 
 
 def _cmd_chsh(args: argparse.Namespace) -> int:
     from .classify import chsh_value, pair_projection
-    from .serialize import SCHEMA_VERSION, dumps_json, format_csv
 
     state = _load_state(args.infile)
     results = {}
@@ -247,16 +242,8 @@ def _cmd_chsh(args: argparse.Namespace) -> int:
             "weight": weight,
             "chsh": chsh_value(vec) if vec is not None else None,
         }
-    if args.format == "json":
-        doc: Dict[str, object] = {"schema_version": SCHEMA_VERSION}
-        doc.update(results)
-        _write_output(args.out, dumps_json(doc) + "\n")
-    else:
-        rows = [
-            {"pair": pair, "weight": res["weight"], "chsh": res["chsh"]}
-            for pair, res in results.items()
-        ]
-        _write_output(args.out, format_csv(("pair", "weight", "chsh"), rows))
+    rows = [{"pair": pair, **res} for pair, res in results.items()]
+    _write_report(args.out, args.format, results, ("pair", "weight", "chsh"), rows)
     return 0
 
 

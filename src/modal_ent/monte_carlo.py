@@ -233,14 +233,13 @@ class LocalInstrument:
         _check_instruments(kraus[None])
 
 
-def _instrument_width(p: int) -> int:
-    """Normal draws per instrument: the level block's real and imaginary
-    parts, then the vacancy entry's."""
-    return 2 * (p + 1) ** 2 + 2
+#: normal draws per instrument on a spin one-half mode: the real and
+#: imaginary parts of the 2 x 2 level block, then of the vacancy entry
+_INSTRUMENT_WIDTH = 2 * 2 * 2 + 2
 
 
-def _kraus_from_normals(z: np.ndarray, strength: float, p: int = 1) -> np.ndarray:
-    """Kraus pairs of the random instruments drawn as the rows of ``z``, ``(k, 2, d, d)``.
+def _kraus_from_normals(z: np.ndarray, strength: float) -> np.ndarray:
+    """Kraus pairs of the random instruments drawn as the rows of ``z``, ``(k, 2, 3, 3)``.
 
     Each row holds the real and imaginary parts of the level block, then of
     the vacancy entry; everything runs once over the whole stack. See
@@ -248,8 +247,7 @@ def _kraus_from_normals(z: np.ndarray, strength: float, p: int = 1) -> np.ndarra
     """
     if not 0 <= strength < np.inf:
         raise ValueError(f"strength must be finite and non-negative, got {strength}")
-    lv = p + 1
-    d = p + 2
+    lv, d = 2, 3
     k = np.zeros((len(z), d, d), dtype=complex)
     blocks = z[:, : 2 * lv * lv].reshape(-1, 2, lv, lv)
     with np.errstate(over="ignore"):
@@ -273,9 +271,7 @@ def _kraus_from_normals(z: np.ndarray, strength: float, p: int = 1) -> np.ndarra
     return kraus
 
 
-def random_instrument(
-    seed: int, mode: int, strength: float, p: int = 1
-) -> LocalInstrument:
+def random_instrument(seed: int, mode: int, strength: float) -> LocalInstrument:
     """Random compliant instrument, a Ginibre perturbation of the identity.
 
     Outcome zero is ``(I + strength * G) / (sqrt(2) |I + strength * G|)``
@@ -290,8 +286,8 @@ def random_instrument(
     """
     if not 0 <= _integer(seed, "instrument seed") <= _MASK64:
         raise ValueError(f"instrument seed must lie in 0..2^64-1, got {seed}")
-    z = np.random.default_rng(seed).standard_normal(_instrument_width(p))
-    return LocalInstrument(mode=mode, kraus=_kraus_from_normals(z[None], strength, p)[0], seed=seed)
+    z = np.random.default_rng(seed).standard_normal(_INSTRUMENT_WIDTH)
+    return LocalInstrument(mode=mode, kraus=_kraus_from_normals(z[None], strength)[0], seed=seed)
 
 
 def _state_column(state: StateVector) -> np.ndarray:
@@ -393,11 +389,11 @@ def run_monotone_trials(
     # the state, instrument and mode seeds of every trial, one row each
     children = derive_seed(seeds, np.arange(3, dtype=np.uint64)[:, None])
     if state is None:
-        z, draws = _seeded_draws(children[:2], [2 * SHAPE_321.dimension, _instrument_width(1)])
+        z, draws = _seeded_draws(children[:2], [2 * SHAPE_321.dimension, _INSTRUMENT_WIDTH])
         psi = unit_amplitudes(z).T
     else:
         psi = np.repeat(_state_column(state), trials, axis=1)
-        (draws,) = _seeded_draws(children[1:2], [_instrument_width(1)])
+        (draws,) = _seeded_draws(children[1:2], [_INSTRUMENT_WIDTH])
     kraus = _kraus_from_normals(draws, strength)
     modes = (children[2] % np.uint64(3)).astype(np.intp)
     m1, m2 = _margins(psi, kraus, modes)

@@ -40,7 +40,7 @@ from .states import (
     local_index,
 )
 
-#: default tolerance for membership tests (unitarity, unit determinant)
+#: tolerance of the superselection rule on the entries mixing levels and vacancy
 MEMBER_TOL = 1e-10
 
 _L1 = np.array([[0, 1, 0], [1, 0, 0], [0, 0, 0]], dtype=complex)
@@ -128,7 +128,7 @@ class GroupElement:
     """One local operator per mode, stacked from any sequence of equally sized
     square matrices into the ``(modes, d, d)`` complex array ``matrices``.
 
-    The membership tests run once on the whole stack; NaN entries fail them.
+    The compliance test runs once on the whole stack; NaN entries fail it.
     """
 
     matrices: np.ndarray
@@ -142,21 +142,8 @@ class GroupElement:
             raise ValueError(f"expected a (modes, d, d) stack with d >= 2, got shape {mats.shape}")
         object.__setattr__(self, "matrices", mats)
 
-    def is_superselection_compliant(self, tol: float = MEMBER_TOL) -> bool:
-        return bool((superselection_leak(self.matrices) <= tol).all())
-
-    def is_unitary(self, tol: float = MEMBER_TOL) -> bool:
-        defect = self.matrices @ self.matrices.conj().swapaxes(-1, -2) - np.eye(self.matrices.shape[-1])
-        return bool(np.abs(defect).max() <= tol)
-
-    def is_special(self, tol: float = MEMBER_TOL) -> bool:
-        return bool((np.abs(np.linalg.det(self.matrices) - 1.0) <= tol).all())
-
-    def membership(self, tol: float = MEMBER_TOL) -> str:
-        """Coarse tag: ``"SU"``, ``"SLOCC"`` or ``"neither"``."""
-        if not self.is_superselection_compliant(tol) or not self.is_special(tol):
-            return "neither"
-        return "SU" if self.is_unitary(tol) else "SLOCC"
+    def is_superselection_compliant(self) -> bool:
+        return bool((superselection_leak(self.matrices) <= MEMBER_TOL).all())
 
 
 def _exp_entries(a: complex, b: complex, c: complex, d: complex, v: complex) -> list:

@@ -1,9 +1,13 @@
 """Text formats: state and operator JSON, report JSON, CSV tables.
 
-Floating point numbers are always emitted through ``format(x, ".17g")``,
-which preserves every double exactly across a save and load cycle, and
-files are written to a temporary name in the target directory and moved
-into place so readers never observe a partial file.
+One formatter writes the scalars of report JSON, CSV cells and group
+element files: Python ``bool``, ``int``, ``float`` and ``complex`` only,
+subclasses such as the entries of a complex array included; any other type
+raises TypeError naming it with its module. Floats are always emitted
+through ``format(x, ".17g")``, which preserves every double exactly across
+a save and load cycle, and files are written to a temporary name in the
+target directory and moved into place so readers never observe a partial
+file.
 
 A state file holds exactly two keys, the sector shape and the amplitude
 list; amplitudes are saved in canonical basis order, so saving what was
@@ -20,9 +24,7 @@ import json
 import math
 import os
 import tempfile
-from typing import Any, Dict, Iterable, List, Mapping, Sequence
-
-import numpy as np
+from typing import Any, Dict, Iterable, Mapping, Sequence
 
 from .operators import GroupElement
 from .states import Occupation, StateVector, SystemShape, _check_admissible, enumerate_basis
@@ -41,6 +43,21 @@ def _fmt(x: float) -> str:
     if x == 0.0:
         return "0"
     return format(x, ".17g")
+
+
+def _scalar(x: Any) -> str:
+    """JSON text of a Python bool, int, float or complex; a complex number
+    is written as ``{"re": ..., "im": ...}``."""
+    if isinstance(x, bool):
+        return "true" if x else "false"
+    if isinstance(x, int):
+        return str(int(x))
+    if isinstance(x, float):
+        return _fmt(x)
+    if isinstance(x, complex):
+        return '{"re": %s, "im": %s}' % (_fmt(x.real), _fmt(x.imag))
+    kind = type(x)
+    raise TypeError(f"cannot serialize object of type {kind.__module__}.{kind.__qualname__}")
 
 
 def dumps_json(obj: Any, _level: int = 0) -> str:
@@ -62,18 +79,9 @@ def dumps_json(obj: Any, _level: int = 0) -> str:
         return "[\n" + ",\n".join(parts) + f"\n{close}]"
     if isinstance(obj, str):
         return json.dumps(obj)
-    if isinstance(obj, bool) or isinstance(obj, np.bool_):
-        return "true" if obj else "false"
     if obj is None:
         return "null"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return _fmt(obj)
-    if isinstance(obj, (complex, np.complexfloating)):
-        z = complex(obj)
-        return f'{{"re": {_fmt(z.real)}, "im": {_fmt(z.imag)}}}'
-    raise TypeError(f"cannot serialize object of type {type(obj).__name__}")
+    return _scalar(obj)
 
 
 def write_text(path: str, text: str) -> None:
@@ -116,13 +124,14 @@ def state_to_json(state: StateVector, use_symbols: bool = False) -> str:
     ]
     recs = []
     for occ in enumerate_basis(sh):
-        amp = state.amplitudes.get(occ)
-        if amp is None or amp == 0:
+        amp = state.amplitudes.get(occ, 0)
+        if amp == 0:
             continue
-        recs.append(
-            '    {"occ": %s, "re": %s, "im": %s}'
-            % (_occ_to_doc(occ, use_symbols), _fmt(amp.real), _fmt(amp.imag))
-        )
+        try:
+            re, im = _fmt(amp.real), _fmt(amp.imag)
+        except (AttributeError, TypeError):
+            raise ValueError(f"amplitude of occupation {occ} is not a number: {amp!r}") from None
+        recs.append('    {"occ": %s, "re": %s, "im": %s}' % (_occ_to_doc(occ, use_symbols), re, im))
     lines.append(",\n".join(recs))
     lines.append("  ]")
     lines.append("}")
@@ -200,23 +209,13 @@ def state_from_json(text: str) -> StateVector:
     return StateVector(shape, amps)
 
 
-def _matrix_to_lines(mat: np.ndarray, pad: str) -> List[str]:
-    lines = []
-    for row in mat:
-        cells = ", ".join(
-            '{"re": %s, "im": %s}' % (_fmt(z.real), _fmt(z.imag)) for z in row
-        )
-        lines.append(f"{pad}[{cells}]")
-    return lines
-
-
 def element_to_json(element: GroupElement) -> str:
     """Serialize a group element as an array of per-mode operators."""
     out = ["["]
     blocks = []
     for mat in element.matrices:
         body = ['  {', f'    "dim": {len(mat)},', '    "rows": [']
-        body.append(",\n".join(_matrix_to_lines(mat, "      ")))
+        body.append(",\n".join("      [" + ", ".join(map(_scalar, row)) + "]" for row in mat))
         body.append("    ]")
         body.append("  }")
         blocks.append("\n".join(body))
@@ -251,13 +250,14 @@ def element_from_json(text: str) -> GroupElement:
             raise ValueError(f"operator {k} has dim {dim}, but operator 0 has dim {len(mats[0])}")
         if not isinstance(rows, list) or len(rows) != dim:
             raise ValueError(f"operator {k} must have {dim} rows")
-        mat = np.zeros((dim, dim), dtype=complex)
+        mat = []
         for i, row in enumerate(rows):
             if not isinstance(row, list) or len(row) != dim:
                 raise ValueError(f"operator {k}, row {i} must have {dim} entries")
+            mat.append([])
             for j, cell in enumerate(row):
                 try:
-                    mat[i, j] = _parse_entry(cell)
+                    mat[i].append(_parse_entry(cell))
                 except (TypeError, ValueError) as exc:
                     raise ValueError(
                         f"operator {k}, row {i}, entry {j} is malformed: {exc}"
@@ -269,13 +269,9 @@ def element_from_json(text: str) -> GroupElement:
 def _csv_cell(value: Any) -> str:
     if value is None:
         return ""
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return _fmt(value)
-    return str(value)
+    if isinstance(value, str):
+        return value
+    return _scalar(value)
 
 
 def format_csv(fieldnames: Sequence[str], rows: Iterable[Mapping[str, Any]]) -> str:

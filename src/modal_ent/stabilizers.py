@@ -167,7 +167,7 @@ def _verdict(
     if state.shape != SHAPE_321:
         raise ValueError(f"stabilizer elements act on shape (3, 2, 1), got {state.shape}")
     preserved, c = phase_fit(state, apply(stab.element, state), tol)
-    return preserved and abs(c * stab.declared_prefactor - 1.0) <= tol, preserved, c
+    return bool(preserved and abs(c * stab.declared_prefactor - 1.0) <= tol), preserved, c
 
 
 def verify_stabilizes(

@@ -495,6 +495,48 @@ def test_canonical_readme_command_is_pinned(tmp_path):
     ]
 
 
+# SHA-256 of the JSON reports and of the plain canonical state of the dense
+# state above; its CSV reports are pinned in full by _GOLDEN_CSV.
+_GOLDEN_JSON = {
+    ("invariants",): "25b96d9a47168c249eb584b78bd66b40abf707688f4a0d1efa9c38fdf6dd02eb",
+    ("classify",): "8263d55aed1a0899bf8c998b8cf3504eda6406e8c77c16f4b13223d99752289d",
+    ("chsh",): "a404a8c4c094b738626e7d99262b497b0f2b9ba537ba066b04fe8bc9737eb635",
+    ("canonical",): "49fe0492383d4a37dfb476021395a941d4577f5267b6ca325a001e098ce7eba4",
+    ("canonical", "--symbols"): "4ba5d8b2dfcc494060b5569a2dea9493f3781dafadb9c0ba3c0ca6f402e6a0b4",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(_GOLDEN_JSON), ids=" ".join)
+def test_json_outputs_are_pinned(tmp_path, argv):
+    path = write_state(tmp_path, "dense.json", StateVector(SHAPE_321, dict(_GOLDEN_AMPLITUDES)))
+    out = tmp_path / "out.json"
+    assert main([*argv, "--in", path, "--out", str(out)]) == 0
+    assert _sha256(out) == _GOLDEN_JSON[argv]
+
+
+def test_classify_csv_of_the_readme_eq16_state_is_pinned(tmp_path, capsys):
+    # the families tuple is joined into one cell of the table
+    state = tmp_path / "eq16.json"
+    assert main(["family", "--name", "Eq16", "--params", "r1=0.5,r2=0.5,r3=0.5,r4=0.5", "--out", str(state)]) == 0
+    assert main(["classify", "--in", str(state), "--format", "csv"]) == 0
+    assert capsys.readouterr().out == (
+        "schema_version,field,value\n"
+        "1,profile.nonlocal_AB,false\n"
+        "1,profile.nonlocal_BC,false\n"
+        "1,profile.nonlocal_AC,false\n"
+        "1,profile.nonlocal_A_BC,true\n"
+        "1,profile.nonlocal_B_AC,false\n"
+        "1,profile.nonlocal_C_AB,true\n"
+        "1,profile.tri_local,true\n"
+        "1,families,Eq16\n"
+        "1,maximally_entangled,false\n"
+        "1,psi1_signature,false\n"
+        "1,psi2_signature,false\n"
+        "1,abs_I1,0\n"
+        "1,abs_I2,0\n"
+    )
+
+
 def test_verify_stabilizer_applies_its_element_once(tmp_path, monkeypatch, capsys):
     path = write_state(tmp_path, "psi1.json", family("psi1"))
     original = modal_ent.operators.apply

@@ -9,7 +9,7 @@ from modal_ent.invariants import invariant_report
 from modal_ent.monte_carlo import (
     MARGIN_TOL,
     LocalInstrument,
-    _instrument_width,
+    _INSTRUMENT_WIDTH,
     _kraus_from_normals,
     _margins,
     _SeedWords,
@@ -128,7 +128,7 @@ def _reference_run(trials, master, strength=0.5, state=None):
         psi = unit_amplitudes(z).T
     else:
         psi = np.repeat(_state_column(state), trials, axis=1)
-    draws = _default_rng_normals([_splitmix_reference(s, 1) for s in seeds], _instrument_width(1))
+    draws = _default_rng_normals([_splitmix_reference(s, 1) for s in seeds], _INSTRUMENT_WIDTH)
     kraus = _kraus_from_normals(draws, strength)
     modes = [_splitmix_reference(s, 2) % 3 for s in seeds]
     m1, m2 = _margins(psi, kraus, np.array(modes))
@@ -225,8 +225,9 @@ def test_monotonicity_trial_preconditions():
         monotonicity_trial(StateVector(SHAPE_321, {(1, 1, 0): 2.0}), inst)
     with pytest.raises(ValueError):
         monotonicity_trial(random_state(SystemShape(4, 2, 1), rng), inst)
-    with pytest.raises(ValueError):
-        monotonicity_trial(random_state(SHAPE_321, rng), random_instrument(0, mode=0, strength=0.5, p=2))
+    wide = LocalInstrument(0, [np.eye(4) / np.sqrt(2.0)] * 2, seed=0)
+    with pytest.raises(ValueError, match=r"operators have shape \(4, 4\), expected dim 3"):
+        monotonicity_trial(random_state(SHAPE_321, rng), wide)
     for mode in (-1, 3):
         stray = LocalInstrument(mode, inst.kraus, seed=0)
         with pytest.raises(ValueError, match="out of range for 3 modes"):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from group_checks import is_special, is_unitary, membership
 from modal_ent.classify import family
 
 from modal_ent.operators import (
@@ -91,27 +92,27 @@ def test_group_element_holds_one_validated_stack():
 
 def test_membership_tags():
     su = random_element("SU", seed=5)
-    assert su.membership() == "SU"
-    assert su.is_unitary() and su.is_special()
+    assert membership(su) == "SU"
+    assert is_unitary(su) and is_special(su)
     slocc = random_element("SLOCC", seed=5)
-    assert slocc.membership() == "SLOCC"
-    assert not slocc.is_unitary()
+    assert membership(slocc) == "SLOCC"
+    assert not is_unitary(slocc)
     stretched = GroupElement([np.diag([2.0, 1.0, 1.0])] * 3)
-    assert stretched.membership() == "neither"
+    assert membership(stretched) == "neither"
     mix = np.eye(3, dtype=complex)
     mix[0, 2] = 0.1
     mix[2, 0] = -0.1
     leaky = GroupElement([mix, np.eye(3), np.eye(3)])
-    assert leaky.membership() == "neither"
+    assert membership(leaky) == "neither"
     # a NaN anywhere fails the stacked tests it reaches
     for entry in ((0, 0), (0, 1), (2, 2), (0, 2)):
         mats = [np.eye(3, dtype=complex) for _ in range(3)]
         mats[1][entry] = math.nan
         poisoned = GroupElement(mats)
         with np.errstate(invalid="ignore"):
-            assert not poisoned.is_special()
-            assert poisoned.membership() == "neither"
-        assert not poisoned.is_unitary()
+            assert not is_special(poisoned)
+            assert membership(poisoned) == "neither"
+        assert not is_unitary(poisoned)
         assert poisoned.is_superselection_compliant() == (entry != (0, 2))
 
 
@@ -205,7 +206,7 @@ def test_occupation_scaling_net_factor():
     # on the working sector the exponents cancel and nothing happens
     r, phi = 1.7, 0.4
     el = GroupElement([occupation_scaling(r, phi)] * 3)
-    assert el.is_special()
+    assert is_special(el)
     psi = random_state(SHAPE_321, rng)
     moved = apply(el, psi)
     assert np.abs(moved.dense() - psi.dense()).max() < 1e-12

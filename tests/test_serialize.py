@@ -57,6 +57,17 @@ def test_state_json_drops_zero_amplitudes():
     assert loaded.amplitudes == {}
 
 
+def test_state_json_refuses_an_amplitude_that_is_not_a_number():
+    for bad in (None, "x", [1.0]):
+        psi = StateVector(SHAPE_321, {(1, 1, 0): bad, (0, 1, 2): 1.0})
+        with pytest.raises(ValueError, match=r"amplitude of occupation \(1, 1, 0\) is not a number"):
+            state_to_json(psi)
+    # numpy numbers of any width still write through their real and imaginary parts
+    narrow = StateVector(SHAPE_321, {(1, 1, 0): np.float32(0.5), (0, 1, 2): np.complex64(0.25j)})
+    wide = StateVector(SHAPE_321, {(1, 1, 0): 0.5, (0, 1, 2): 0.25j})
+    assert state_to_json(narrow) == state_to_json(wide)
+
+
 def test_state_json_malformed_records():
     head = '{"shape": {"modes": 3, "particles": 2, "spin_numerator": 1}, "amplitudes": '
     cases = [
@@ -126,10 +137,12 @@ def test_element_json_errors():
 
 def test_dumps_json_scalars():
     assert dumps_json(True) == "true"
-    assert dumps_json(np.bool_(False)) == "false"
+    with pytest.raises(TypeError, match="numpy.bool"):
+        dumps_json(np.bool_(False))
     assert dumps_json(None) == "null"
     assert dumps_json(3) == "3"
-    assert dumps_json(np.int64(3)) == "3"
+    with pytest.raises(TypeError, match="numpy.int64"):
+        dumps_json(np.int64(3))
     assert dumps_json(0.1) == "0.10000000000000001"
     assert dumps_json(1.0 + 2.0j) == '{"re": 1, "im": 2}'
     assert dumps_json([]) == "[]"
@@ -138,6 +151,21 @@ def test_dumps_json_scalars():
         dumps_json(float("nan"))
     with pytest.raises(TypeError):
         dumps_json({1, 2})
+
+
+@pytest.mark.parametrize("value", [np.bool_(True), np.int64(3), np.float32(0.5)], ids=lambda v: type(v).__name__)
+def test_numpy_scalars_other_than_float64_and_complex128_are_refused(value):
+    # np.bool_.__name__ is "bool", so the message names the module too
+    message = f"cannot serialize object of type numpy.{type(value).__name__}$"
+    with pytest.raises(TypeError, match=message):
+        dumps_json({"x": [value]})
+    with pytest.raises(TypeError, match=message):
+        format_csv(("x",), [{"x": value}])
+
+
+def test_float64_and_complex128_write_as_python_scalars():
+    assert dumps_json([np.float64(0.1), np.complex128(1 - 2j)]) == dumps_json([0.1, 1 - 2j])
+    assert format_csv(("x",), [{"x": np.float64(0.1)}]) == format_csv(("x",), [{"x": 0.1}])
 
 
 def test_dumps_json_nesting():

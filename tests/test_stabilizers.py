@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from group_checks import membership
 from modal_ent.classify import canonical_form, family
 from modal_ent.operators import apply, sector_matrix
 from modal_ent.stabilizers import (
@@ -116,7 +117,7 @@ def test_stabilizer_elements_are_special_unitaries():
         stabilizer("psi2_eq26", {"alpha": 0.1, "beta": 0.2, "gamma": 0.3, "delta": 0.4}),
     ]
     for stab in candidates:
-        assert stab.element.membership() == "SU"
+        assert membership(stab.element) == "SU"
         assert abs(abs(stab.declared_prefactor) - 1.0) < 1e-12
 
 

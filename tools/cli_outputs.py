@@ -1,0 +1,168 @@
+"""Run a fixed matrix of command line calls and store everything they produce.
+
+    python tools/cli_outputs.py OUTDIR [--src DIR]
+
+The script writes its input states into ``OUTDIR/inputs``: three random
+states from fixed seeds, an unnormalized state and a four-mode state, plus
+the family states that the ``family-*`` cases write there. Each case then
+runs ``python -m modal_ent.cli`` with ``DIR`` (default: the ``src`` directory
+beside this script) first on ``PYTHONPATH``, in its own directory
+``OUTDIR/<case>``. A case is one call or a pipeline of calls; stage ``k``
+leaves ``k.stdout``, ``k.stderr`` and ``k.exit`` there, beside any file it
+writes. Every path the calls see is relative, so the output trees of two
+checkouts compare with ``diff -r``:
+
+    git worktree add ../base BASE
+    python tools/cli_outputs.py ../out-base --src ../base/src
+    python tools/cli_outputs.py ../out-head
+    diff -r ../out-base ../out-head
+
+The matrix covers every ``modal-ent`` line of the README; ``invariants``,
+``classify`` and ``chsh`` in JSON and CSV on each input state; ``canonical``
+plain, with ``--symbols`` and with ``--params --element-out``;
+``verify-stabilizer`` exits 0, 1 and 2; ``monotone-mc`` with ``--records``,
+with ``--state`` and with no trials; and the error exits on the
+unnormalized and four-mode files. The script exits 1 if a call ends in a
+Python traceback. It needs only the standard library; the package it runs
+needs numpy.
+"""
+
+import argparse
+import json
+import math
+import os
+import random
+import shlex
+import subprocess
+import sys
+
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+#: the admissible occupations of two spin one-half particles over three modes
+BASIS_321 = [
+    (0, 1, 1), (0, 1, 2), (0, 2, 1), (0, 2, 2), (1, 0, 1), (1, 0, 2),
+    (1, 1, 0), (1, 2, 0), (2, 0, 1), (2, 0, 2), (2, 1, 0), (2, 2, 0),
+]
+
+#: family states that the cases below read, by input name
+FAMILIES = {
+    "psi1": ["--name", "psi1"],
+    "psi2": ["--name", "psi2"],
+    "S2": ["--name", "S2", "--params", "r=0.3,theta=1.2"],
+    "Eq16": ["--name", "Eq16", "--params", "r1=0.5,r2=0.5,r3=0.5,r4=0.5"],
+    "S1-symbols": ["--name", "S1", "--params", "r=0.2", "--symbols"],
+}
+
+#: the input files that README commands name, as the CI README step makes them
+README_FILES = {"psi2.json": "psi2", "state.json": "S2"}
+
+REPORT_STATES = ["psi2", "S2", "Eq16", "S1-symbols", "random-1", "random-2", "random-3", "unnormalized"]
+
+
+def state_doc(shape, amplitudes):
+    """State file text; amplitudes map occupations to (re, im) pairs."""
+    records = [{"occ": list(occ), "re": re, "im": im} for occ, (re, im) in amplitudes.items()]
+    modes, particles, spin = shape
+    doc = {"shape": {"modes": modes, "particles": particles, "spin_numerator": spin}, "amplitudes": records}
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def random_state_doc(seed):
+    gen = random.Random(seed)
+    pairs = [(gen.gauss(0.0, 1.0), gen.gauss(0.0, 1.0)) for _ in BASIS_321]
+    norm = math.sqrt(math.fsum(re * re + im * im for re, im in pairs))
+    return state_doc((3, 2, 1), {occ: (re / norm, im / norm) for occ, (re, im) in zip(BASIS_321, pairs)})
+
+
+def inp(name):
+    return f"../inputs/{name}.json"
+
+
+def readme_cases():
+    """The README's ``modal-ent`` lines, split into pipeline stages."""
+    with open(os.path.join(REPO, "README.md")) as fh:
+        lines = [line.strip() for line in fh if line.startswith("modal-ent ")]
+    cases = []
+    for k, line in enumerate(lines, 1):
+        stages = []
+        for part in line.split(" | "):
+            argv = shlex.split(part)[1:]
+            stages.append([inp(README_FILES[a]) if a in README_FILES else a for a in argv])
+        cases.append((f"readme-{k}", stages))
+    return cases
+
+
+def cases():
+    out = [(f"family-{name}", [["family", *argv, "--out", inp(name)]]) for name, argv in FAMILIES.items()]
+    out += readme_cases()
+    for state in REPORT_STATES:
+        for command in ("invariants", "classify", "chsh"):
+            for fmt in ("json", "csv"):
+                out.append((f"{command}-{fmt}-{state}", [[command, "--in", inp(state), "--format", fmt]]))
+        for name, flags in (("plain", []), ("symbols", ["--symbols"]),
+                            ("params", ["--params", "--element-out", "element.json"])):
+            out.append((f"canonical-{name}-{state}", [["canonical", "--in", inp(state), *flags]]))
+    stab = ["verify-stabilizer", "--name", "psi2_eq26", "--params", "alpha=0.4,beta=0.1,gamma=-0.7,delta=1.1"]
+    out += [
+        ("verify-stabilizer-psi2", [[*stab, "--in", inp("psi2")]]),
+        ("verify-stabilizer-psi1", [[*stab, "--in", inp("psi1")]]),
+        ("verify-stabilizer-four-mode", [[*stab, "--in", inp("four-mode")]]),
+        ("monotone-mc-records", [["monotone-mc", "--trials", "3000", "--seed", "7", "--records", "records.csv"]]),
+        ("monotone-mc-state", [["monotone-mc", "--trials", "500", "--seed", "3", "--state", inp("S1-symbols"),
+                                "--records", "records.csv"]]),
+        ("monotone-mc-no-trials", [["monotone-mc", "--trials", "0"]]),
+        ("monotone-mc-unnormalized", [["monotone-mc", "--trials", "5", "--state", inp("unnormalized")]]),
+        ("monotone-mc-four-mode", [["monotone-mc", "--trials", "5", "--state", inp("four-mode")]]),
+    ]
+    for command in ("invariants", "classify", "chsh", "canonical"):
+        out.append((f"{command}-four-mode", [[command, "--in", inp("four-mode")]]))
+    return out
+
+
+def run_case(workdir, stages, env):
+    """Run the stages of one case in ``workdir``; True if none ended in a traceback."""
+    os.makedirs(workdir)
+    stdin = b""
+    clean = True
+    for k, argv in enumerate(stages):
+        done = subprocess.run(
+            [sys.executable, "-m", "modal_ent.cli", *argv],
+            input=stdin, capture_output=True, cwd=workdir, env=env, timeout=600,
+        )
+        for suffix, data in (("stdout", done.stdout), ("stderr", done.stderr), ("exit", b"%d\n" % done.returncode)):
+            with open(os.path.join(workdir, f"{k}.{suffix}"), "wb") as fh:
+                fh.write(data)
+        clean = clean and b"Traceback" not in done.stderr
+        stdin = done.stdout
+    return clean
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("outdir", help="directory to create; it must not exist")
+    parser.add_argument("--src", default=os.path.join(REPO, "src"), help="directory holding the modal_ent package")
+    args = parser.parse_args(argv)
+    src = os.path.abspath(args.src)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = [sys.executable, "-c", "import modal_ent; print(modal_ent.__file__)"]
+    loaded = subprocess.run(probe, capture_output=True, text=True, env=env, check=True).stdout.strip()
+    if os.path.commonpath([src, os.path.abspath(loaded)]) != src:
+        sys.exit(f"modal_ent loads from {loaded}, not from {src}")
+
+    inputs = os.path.join(args.outdir, "inputs")
+    os.makedirs(inputs)
+    docs = {f"random-{seed}": random_state_doc(seed) for seed in (1, 2, 3)}
+    docs["unnormalized"] = state_doc((3, 2, 1), {(1, 1, 0): (2.0, 0.0), (0, 1, 2): (1.0, 0.0)})
+    docs["four-mode"] = state_doc((4, 2, 1), {(1, 1, 0, 0): (1.0, 0.0)})
+    for name, text in docs.items():
+        with open(os.path.join(inputs, f"{name}.json"), "w") as fh:
+            fh.write(text)
+
+    failed = [name for name, stages in cases() if not run_case(os.path.join(args.outdir, name), stages, env)]
+    for name in failed:
+        print(f"{name}: a call ended in a traceback", file=sys.stderr)
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
