@@ -39,7 +39,7 @@ _EXPORTS = {
     "bell_profile": "classify",
     "canonical_form": "classify",
     "chsh_value": "classify",
-    "family": "classify",
+    "family": "families",
     "membership_report": "classify",
     "pair_projection": "classify",
     "STABILIZER_NAMES": "names",

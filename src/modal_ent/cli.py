@@ -169,7 +169,7 @@ def _cmd_canonical(args: argparse.Namespace) -> int:
 
 
 def _cmd_family(args: argparse.Namespace) -> int:
-    from .classify import family
+    from .families import family
     from .serialize import state_to_json
 
     state = family(args.name, _parse_params(args.params))
@@ -233,8 +233,10 @@ def _cmd_monotone_mc(args: argparse.Namespace) -> int:
 
 def _cmd_chsh(args: argparse.Namespace) -> int:
     from .classify import chsh_value, pair_projection
+    from .states import require_normalized
 
     state = _load_state(args.infile)
+    require_normalized(state, "chsh")
     results = {}
     for pair in ("AB", "BC", "AC"):
         vec, weight = pair_projection(state, pair)

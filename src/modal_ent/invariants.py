@@ -20,21 +20,23 @@ enters only through ``_amplitude_list``, which reads its amplitude map in
 basis order and is the package's one check that a state has shape
 (3, 2, 1); W, the canonical form and the Monte-Carlo trials start from its
 list too.
+
+Loading this module loads no numpy, so ``modal-ent invariants`` runs
+without it: :func:`invariant_report` computes in Python complex numbers.
+W and its traces import numpy when they run, and
+:func:`localized_scenario_check` imports the operators it acts with.
 """
 
 from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Sequence, Tuple
 
-import numpy as np
-
-from .operators import apply, make_slocc_element
 from .states import SHAPE_321, StateVector, basis_index, enumerate_basis
 
-#: sigma_y, which sandwiches the pair blocks in the word matrix W
-_SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
+if TYPE_CHECKING:
+    import numpy as np
 
 _U, _D = 1, 2
 _BASIS = enumerate_basis(SHAPE_321)
@@ -80,12 +82,6 @@ def _amplitude_list(state: StateVector) -> List[complex]:
         raise ValueError(f"pair-block invariants need shape (3, 2, 1), got {state.shape}")
     amplitudes = state.amplitudes
     return [complex(amplitudes.get(occ, 0j)) for occ in _BASIS]
-
-
-def _block(v: Sequence[complex], block: Tuple[int, ...]) -> np.ndarray:
-    """One pair block of amplitudes ``v`` as a 2x2 matrix, given its basis positions."""
-    uu, ud, du, dd = block
-    return np.array([[v[uu], v[ud]], [v[du], v[dd]]], dtype=complex)
 
 
 def _det2(v, block: Tuple[int, ...]):
@@ -145,7 +141,11 @@ def _word(v: Sequence[complex]) -> np.ndarray:
     two copies of the state form over mode A, and the result with a third
     copy over modes B and C, gives -trace(W); and trace(W) = i * I2.
     """
-    return _block(v, _AB) @ _SY @ _block(v, _BC) @ _SY @ _block(v, _AC).T @ _SY
+    import numpy as np
+
+    sy = np.array([[0, -1j], [1j, 0]])
+    m_ab, m_bc, m_ac = np.array(v, dtype=complex)[[_AB, _BC, _AC]].reshape(3, 2, 2)
+    return m_ab @ sy @ m_bc @ sy @ m_ac.T @ sy
 
 
 @dataclass(frozen=True, eq=False)
@@ -195,6 +195,8 @@ def _report(v: Sequence[complex], polynomials) -> InvariantReport:
 
 
 def _trace_power(w: np.ndarray, n: int) -> complex:
+    import numpy as np
+
     if not 1 <= n <= 8:
         raise ValueError(f"word power must lie in 1..8, got {n}")
     return complex(np.trace(np.linalg.matrix_power(w, n)))
@@ -214,6 +216,8 @@ def generator_relation_check(state: StateVector, n: int) -> float:
     recursion for ``trace(W^k)``, ``k <= n``, seeded by ``trace(W)`` and
     ``det(W)``. Both hold identically, so the residual is pure roundoff.
     """
+    import numpy as np
+
     v = _amplitude_list(state)
     w = _word(v)
     f1, g1 = w[0, 0], w[0, 1]
@@ -240,6 +244,8 @@ def localized_scenario_check(
     both equal ``e^{-2 alpha}``, witnessing that no invariant of the pinned
     scenario exists. Factors are NaN where the input determinant vanishes.
     """
+    from .operators import apply, make_slocc_element
+
     before = _invariant_polynomials(_amplitude_list(state))
     pinned = make_slocc_element([(0, 0, 0, 0), (0, 0, 0, alpha), (0, 0, 0, alpha)])
     after = _invariant_polynomials(_amplitude_list(apply(pinned, state)))

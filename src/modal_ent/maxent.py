@@ -15,10 +15,9 @@ feasibility.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, Iterable, List
-
-import numpy as np
 
 from .states import Occupation, StateVector, SystemShape, is_maximally_entangled
 
@@ -55,7 +54,7 @@ def build_psi_sigma(r: int, p: int) -> StateVector:
             f"sector dimension {shape.dimension} exceeds the cap {DIMENSION_CAP}"
         )
     seq = tuple(range(period)) * r
-    amp = 1.0 / np.sqrt(period)
+    amp = 1.0 / math.sqrt(period)
     amplitudes: Dict[Occupation, complex] = {}
     for i in range(1, period + 1):
         amplitudes[seq[-i:] + seq[:-i]] = amp + 0j

@@ -6,7 +6,7 @@ elements; this module imports nothing, and a call that never builds one
 never loads those modules.
 """
 
-#: the families :func:`classify.family` builds
+#: the families :func:`families.family` builds
 FAMILY_NAMES = ("Eq14", "Eq15", "Eq16", "Eq18", "S1", "S2", "psi1", "psi2")
 
 #: the elements :func:`stabilizers.stabilizer` builds

@@ -14,6 +14,11 @@ list; amplitudes are saved in canonical basis order, so saving what was
 just loaded reproduces the bytes. For spin one-half sectors the occupation
 may be written as a symbol string over ``u``, ``d`` and ``0`` instead of
 the numeric tuple; both spellings are accepted on input.
+
+Loading this module loads no numpy: it reads and writes Python numbers,
+and :func:`element_from_json` imports :class:`GroupElement`, and with it
+numpy, only when it runs. So ``family`` and ``invariants`` read and write
+their files without numpy.
 """
 
 from __future__ import annotations
@@ -24,10 +29,12 @@ import json
 import math
 import os
 import tempfile
-from typing import Any, Dict, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Dict, Iterable, Mapping, Sequence
 
-from .operators import GroupElement
 from .states import Occupation, StateVector, SystemShape, _check_admissible, enumerate_basis
+
+if TYPE_CHECKING:
+    from .operators import GroupElement
 
 #: version stamp carried by CSV tables and report JSON
 SCHEMA_VERSION = 1
@@ -232,6 +239,8 @@ def _parse_entry(doc: Any) -> complex:
 
 def element_from_json(text: str) -> GroupElement:
     """Parse a group element of equally sized operators; malformed rows are reported by position."""
+    from .operators import GroupElement
+
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:

@@ -17,6 +17,12 @@ This module owns two decisions that the other modules share:
   reference state's largest amplitude and checks the residual against it;
   the stabilizer verdicts and the topological phases both go through it;
 * the normalised-input precondition, :func:`require_normalized`.
+
+Loading this module loads no numpy. States, norms and the single-mode
+reductions are Python numbers; numpy enters only inside the calls that
+make or read arrays, :meth:`StateVector.dense` and
+:func:`unit_amplitudes`, and through the generator :func:`random_state`
+draws from.
 """
 
 from __future__ import annotations
@@ -24,9 +30,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, Iterable, Mapping, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Mapping, Tuple
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 #: amplitudes below this modulus are treated as structurally zero
 ZERO_TOL = 1e-12
@@ -156,10 +163,12 @@ class StateVector:
         return self.amplitudes.get(tuple(occ), 0j)
 
     def norm(self) -> float:
-        return math.sqrt(sum(abs(a) ** 2 for a in self.amplitudes.values()))
+        return math.sqrt(_squared_norm(self.amplitudes.values()))
 
     def dense(self) -> np.ndarray:
         """Dense vector in :func:`enumerate_basis` order."""
+        import numpy as np
+
         idx = basis_index(self.shape)
         vec = np.zeros(self.shape.dimension, dtype=complex)
         for occ, amp in self.amplitudes.items():
@@ -174,6 +183,15 @@ class StateVector:
         return cls(shape, {occ: complex(v) for occ, v in zip(basis, vec) if v != 0})
 
 
+def _squared_norm(amplitudes: Iterable[complex]) -> float:
+    """Sum of ``abs(a) ** 2``, or inf once a term overflows, as a finite
+    amplitude above about 1.3e154 does."""
+    try:
+        return sum(abs(a) ** 2 for a in amplitudes)
+    except OverflowError:
+        return math.inf
+
+
 def require_normalized(state: StateVector, what: str) -> None:
     """Raise ValueError, naming ``what``, unless the state has unit norm.
 
@@ -183,41 +201,41 @@ def require_normalized(state: StateVector, what: str) -> None:
         raise ValueError(f"{what} expects a normalized state")
 
 
-def reduced_density_matrix(state: StateVector, mode: int) -> np.ndarray:
+def reduced_density_matrix(state: StateVector, mode: int) -> List[List[complex]]:
     """Partial trace of ``|state><state|`` onto one mode, level-major indexed.
 
-    The amplitudes form a matrix M of the mode against the rest of the
-    system: rows follow the mode's local index, levels first and vacancy
-    last, and columns are the occupations of the other modes, in order of
-    first appearance. Returns the ``d x d`` ndarray ``M M^H``, with
-    ``d = p + 2``, so the cost follows the sparse support rather than the
-    sector dimension. The state must be normalized, and a mode outside
-    ``0 .. n - 1`` raises ValueError.
+    Returns the ``d x d`` matrix, ``d = p + 2``, as nested lists of Python
+    complex numbers: entry ``(i, j)`` sums ``a * conj(b)`` over the pairs of
+    amplitudes whose other modes agree and whose own symbols have local
+    indices i and j, levels first and vacancy last. The cost follows the
+    sparse support rather than the sector dimension. The state must be
+    normalized, and a mode outside ``0 .. n - 1`` raises ValueError.
     """
     shape = state.shape
     if not 0 <= mode < shape.modes:
         raise ValueError(f"mode {mode} out of range for {shape.modes} modes")
     p = shape.spin_numerator
-    columns: Dict[Occupation, int] = {}
-    entries = []
+    columns: Dict[Occupation, List[Tuple[int, complex]]] = {}
     for occ, amp in state.amplitudes.items():
-        col = columns.setdefault(occ[:mode] + occ[mode + 1 :], len(columns))
-        entries.append((local_index(occ[mode], p), col, amp))
-    mat = np.zeros((shape.local_dim, len(columns)), dtype=complex)
-    for row, col, amp in entries:
-        mat[row, col] = amp
+        columns.setdefault(occ[:mode] + occ[mode + 1 :], []).append((local_index(occ[mode], p), complex(amp)))
     require_normalized(state, "reduced_density_matrix")
-    return mat @ mat.conj().T
+    rho = [[0j] * shape.local_dim for _ in range(shape.local_dim)]
+    for entries in columns.values():
+        for i, a in entries:
+            for j, b in entries:
+                rho[i][j] += a * b.conjugate()
+    return rho
 
 
 def is_maximally_entangled(state: StateVector, tol: float = 1e-12) -> bool:
     """True iff every single-mode reduction is within ``tol`` of I/(p+2)."""
     d = state.shape.local_dim
-    target = np.eye(d) / d
     for mode in range(state.shape.modes):
         rho = reduced_density_matrix(state, mode)
-        if np.max(np.abs(rho - target)) > tol:
-            return False
+        for i, row in enumerate(rho):
+            for j, entry in enumerate(row):
+                if abs(entry - (1.0 / d if i == j else 0.0)) > tol:
+                    return False
     return True
 
 
@@ -234,13 +252,15 @@ def phase_fit(state: StateVector, moved: StateVector, tol: float) -> Tuple[bool,
     c is read off the largest-modulus amplitude of ``state`` and is not
     rescaled to unit modulus. The fit holds when the residual
     ``||moved - c state||`` is at most ``tol * ||state||``. A zero reference
-    state raises ValueError.
+    state, or one whose norm overflows, raises ValueError.
     """
     if state.shape != moved.shape:
         raise ValueError(f"shape mismatch: {state.shape} vs {moved.shape}")
     norm = state.norm()
     if norm < ZERO_TOL:
         raise ValueError("cannot compare against the zero state")
+    if norm == math.inf:
+        raise ValueError("cannot compare against a state whose norm overflows")
     anchor = max(state.amplitudes, key=lambda occ: abs(state.amplitudes[occ]))
     c = moved.amplitude(anchor) / state.amplitudes[anchor]
     keys = set(state.amplitudes) | set(moved.amplitudes)
@@ -255,6 +275,8 @@ def unit_amplitudes(z: np.ndarray) -> np.ndarray:
     amplitudes. The squared norm is summed along the row, so a row does not
     depend on how many others are turned with it.
     """
+    import numpy as np
+
     dim = z.shape[1] // 2
     return (z[:, :dim] + 1j * z[:, dim:]) / np.sqrt((z * z).sum(axis=1))[:, None]
 

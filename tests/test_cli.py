@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -71,6 +72,45 @@ def test_classify_refuses_an_unnormalized_state(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err == "modal-ent: error: membership report expects a normalized state\n"
+
+
+def test_chsh_refuses_an_unnormalized_state(tmp_path, capsys):
+    # pair weights are probabilities only for a normalized state
+    path = write_state(tmp_path, "big.json", StateVector(SHAPE_321, {(1, 1, 0): 2.0, (0, 1, 2): 1.0}))
+    for fmt in ("json", "csv"):
+        assert main(["chsh", "--in", path, "--format", fmt]) == 1
+        assert capsys.readouterr() == ("", "modal-ent: error: chsh expects a normalized state\n")
+
+
+#: each command on a file whose one amplitude, 1e200, squares past the
+#: largest double, and the message it must refuse the file with
+_OVERFLOW_REFUSALS = [
+    (["classify"], "membership report expects a normalized state"),
+    (["canonical"], "canonical form expects a normalized state"),
+    (["chsh"], "chsh expects a normalized state"),
+    (["monotone-mc", "--trials", "3", "--state"], "monotonicity trial expects a normalized state"),
+    (["verify-stabilizer", "--name", "psi2_eq26"], "cannot compare against a state whose norm overflows"),
+]
+
+
+@pytest.mark.parametrize("argv, message", _OVERFLOW_REFUSALS, ids=[a[0] for a, _ in _OVERFLOW_REFUSALS])
+def test_an_overflowing_norm_is_refused_as_infinite(tmp_path, capsys, argv, message):
+    path = write_state(tmp_path, "huge.json", StateVector(SHAPE_321, {(1, 1, 0): 1e200}))
+    if argv[-1] != "--state":
+        argv = [*argv, "--in"]
+    assert main([*argv, path]) == 1
+    assert capsys.readouterr() == ("", f"modal-ent: error: {message}\n")
+
+
+def test_family_refuses_parameters_whose_norm_overflows(capsys):
+    assert main(["family", "--name", "Eq14", "--params", "r1=1e200,r2=0,r3=0"]) == 1
+    assert capsys.readouterr() == ("", "modal-ent: error: Eq14 parameters give squared norm inf, expected 1\n")
+    # r3 * r4 / r5 overflows, and the phase factor must not raise a warning
+    # on the way to the refusal
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["family", "--name", "Eq18", "--params", "r1=0.5,r2=0.5,r3=0.5,r4=0.5,r5=1e-320"]) == 1
+    assert capsys.readouterr() == ("", "modal-ent: error: Eq18 parameters give squared norm inf, expected 1\n")
 
 
 def test_canonical_outputs(tmp_path, capsys):
@@ -262,14 +302,14 @@ def test_monotone_mc_outputs_are_pinned(tmp_path, argv, records_sha, summary_sha
     assert hashlib.sha256(summary.read_bytes()).hexdigest() == summary_sha
 
 
-def run_python(probe, *args, cwd=None):
+def run_python(probe, *args, cwd=None, stdin=None):
     """Run ``python -c probe args`` in a fresh interpreter on this checkout's package."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(modal_ent.__file__)))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
     return subprocess.run(
         [sys.executable, "-c", probe, *args],
-        env=env, cwd=cwd, capture_output=True, text=True, check=True, timeout=60,
+        env=env, cwd=cwd, input=stdin, capture_output=True, text=True, check=True, timeout=60,
     ).stdout
 
 
@@ -286,12 +326,14 @@ def test_package_import_loads_no_submodule():
     assert run_python(probe).strip() == "[]"
 
 
-#: subcommand, its arguments, and the package modules it must not load
+#: subcommand, its arguments, and the package modules (and numpy) it must not load
 _START_UP_CASES = [
-    ("invariants", ["--in", "psi2.json"], {"classify", "stabilizers", "maxent", "monte_carlo"}),
-    ("theorem3-scan", ["--n", "1..4", "--p", "1"], {"classify", "invariants", "stabilizers", "monte_carlo"}),
+    ("invariants", ["--in", "psi2.json"], {"classify", "operators", "stabilizers", "maxent", "monte_carlo", "numpy"}),
+    ("theorem3-scan", ["--n", "1..4", "--p", "1"],
+     {"classify", "invariants", "operators", "stabilizers", "monte_carlo", "numpy"}),
     ("verify-stabilizer", ["--name", "psi2_eq26", "--in", "psi2.json"], {"classify", "invariants", "maxent", "monte_carlo"}),
-    ("family", ["--name", "psi1"], {"stabilizers", "maxent", "monte_carlo"}),
+    ("family", ["--name", "psi1"],
+     {"classify", "invariants", "operators", "stabilizers", "maxent", "monte_carlo", "numpy"}),
     ("monotone-mc", ["--trials", "3"], {"classify", "stabilizers", "maxent"}),
 ]
 
@@ -302,12 +344,58 @@ def test_subcommand_loads_only_its_modules(tmp_path, command, args, unused):
     probe = (
         "import sys; from modal_ent.cli import main; "
         "code = main(sys.argv[1:]); "
-        "print(code, *sorted(m for m in sys.modules if m.startswith('modal_ent.')))"
+        "print(code, *sorted(m.split('.')[-1] for m in sys.modules if m.startswith('modal_ent.') or m == 'numpy'))"
     )
     code, *loaded = run_python(probe, command, *args, "--out", "out", cwd=tmp_path).split()
     assert code == "0"
     assert (tmp_path / "out").stat().st_size > 0
-    assert unused.isdisjoint(m.split(".")[1] for m in loaded)
+    assert unused.isdisjoint(loaded)
+
+
+#: the calls that must run with numpy unimportable: each family, plain and
+#: with --symbols, invariants from stdin and from --in in both formats, and
+#: the scan; "STATE" stands for a dense random state file
+_NUMPY_FREE_CALLS = [
+    ["family", "--name", name, *(["--params", params] if params else []), *symbols]
+    for name, params in (
+        ("Eq14", "r1=0.6,r2=0.8,r3=0"),
+        ("Eq15", "r1=0.6,r2=0.64,r3=0.48"),
+        ("Eq16", "r1=0.5,r2=0.5,r3=0.5,r4=0.5,phi=0.7"),
+        ("Eq18", f"r1=0.5,r2={math.sqrt(0.1875)!r},r3=0.3,r4=0.3,r5=0.6,theta=1.1"),
+        ("S1", "r=0.2"),
+        ("S2", "r=0.3,theta=1.2"),
+        ("psi1", ""),
+        ("psi2", ""),
+    )
+    for symbols in ([], ["--symbols"])
+] + [
+    ["invariants", *source, "--format", fmt] for source in ([], ["--in", "STATE"]) for fmt in ("json", "csv")
+] + [["theorem3-scan", "--n", "1..8", "--p", "1..3"]]
+
+
+def test_numpy_free_calls_match_a_normal_run(tmp_path, monkeypatch, capsys):
+    # one fresh interpreter in which importing numpy fails runs every call,
+    # and each output must equal the bytes of the same call run normally
+    state_text = state_to_json(random_state(SHAPE_321, rng))
+    (tmp_path / "STATE").write_text(state_text)
+    monkeypatch.chdir(tmp_path)
+    expected = []
+    for argv in _NUMPY_FREE_CALLS:
+        monkeypatch.setattr(sys, "stdin", io.StringIO(state_text))
+        assert main(argv) == 0
+        expected.append(capsys.readouterr().out)
+    probe = (
+        "import contextlib, io, json, sys; sys.modules['numpy'] = None; "
+        "from modal_ent.cli import main; outputs = []\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    sys.stdin, out = io.StringIO(sys.argv[2]), io.StringIO()\n"
+        "    with contextlib.redirect_stdout(out):\n"
+        "        code = main(argv)\n"
+        "    outputs.append([code, out.getvalue()])\n"
+        "print(json.dumps(outputs))"
+    )
+    got = json.loads(run_python(probe, json.dumps(_NUMPY_FREE_CALLS), state_text, cwd=tmp_path))
+    assert got == [[0, text] for text in expected]
 
 
 def test_chsh_command(tmp_path, capsys):

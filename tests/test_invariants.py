@@ -4,13 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from modal_ent.classify import family
+from modal_ent.classify import _block, family
 from modal_ent.invariants import (
     _AB,
     _AC,
     _BC,
     _amplitude_list,
-    _block,
     dense_invariant_pair,
     generator_relation_check,
     invariant_report,

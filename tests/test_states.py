@@ -92,10 +92,12 @@ def test_dense_roundtrip():
 def test_reduced_density_of_product_like_state():
     # both particles pinned to modes A and B, mode C always empty
     psi = StateVector(SHAPE_321, {(1, 1, 0): 0.6, (2, 2, 0): 0.8})
-    rho_c = reduced_density_matrix(psi, 2)
-    assert isinstance(rho_c, np.ndarray) and rho_c.shape == (3, 3)
+    rows = reduced_density_matrix(psi, 2)
+    assert all(type(entry) is complex for row in rows for entry in row)
+    rho_c = np.asarray(rows)
+    assert rho_c.shape == (3, 3)
     assert np.allclose(rho_c, np.diag([0.0, 0.0, 1.0]), atol=1e-14)
-    rho_a = reduced_density_matrix(psi, 0)
+    rho_a = np.asarray(reduced_density_matrix(psi, 0))
     assert np.allclose(rho_a, np.diag([0.36, 0.64, 0.0]), atol=1e-14)
     assert abs(np.trace(rho_a) - 1.0) < 1e-14
     assert np.max(np.abs(rho_a - rho_a.conj().T)) < 1e-14
@@ -109,7 +111,7 @@ def test_reduced_density_off_diagonals():
     # shared rest key (0, x, 1) produces coherence between levels of mode A
     a, b = 0.6, 0.8j
     psi = StateVector(SHAPE_321, {(1, 0, 1): a, (2, 0, 1): b})
-    rho = reduced_density_matrix(psi, 0)
+    rho = np.asarray(reduced_density_matrix(psi, 0))
     assert abs(rho[0, 1] - a * np.conj(b)) < 1e-14
     assert abs(rho[1, 0] - b * np.conj(a)) < 1e-14
     assert abs(np.real(np.trace(rho @ rho)) - 1.0) < 1e-12
@@ -131,6 +133,15 @@ def test_maximally_mixed_reductions():
     for mode in range(3):
         rho = reduced_density_matrix(psi, mode)
         assert np.max(np.abs(rho - np.eye(3) / 3)) < 1e-15
+
+
+def test_a_norm_that_overflows_is_infinite():
+    # abs(a) ** 2 raises OverflowError past about 1.3e154; the norm reads it as inf
+    huge = StateVector(SHAPE_321, {(1, 1, 0): 1e200, (0, 1, 2): 1.0})
+    assert huge.norm() == math.inf
+    assert StateVector(SHAPE_321, {(1, 1, 0): 1e150}).norm() == 1e150
+    with pytest.raises(ValueError, match="cannot compare against a state whose norm overflows"):
+        phase_fit(huge, huge, 1e-9)
 
 
 def test_normalize():

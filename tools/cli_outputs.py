@@ -3,7 +3,8 @@
     python tools/cli_outputs.py OUTDIR [--src DIR]
 
 The script writes its input states into ``OUTDIR/inputs``: three random
-states from fixed seeds, an unnormalized state and a four-mode state, plus
+states from fixed seeds, an unnormalized state, a four-mode state and a
+state whose one amplitude, 1e200, squares past the largest double, plus
 the family states that the ``family-*`` cases write there. Each case then
 runs ``python -m modal_ent.cli`` with ``DIR`` (default: the ``src`` directory
 beside this script) first on ``PYTHONPATH``, in its own directory
@@ -21,10 +22,11 @@ The matrix covers every ``modal-ent`` line of the README; ``invariants``,
 ``classify`` and ``chsh`` in JSON and CSV on each input state; ``canonical``
 plain, with ``--symbols`` and with ``--params --element-out``;
 ``verify-stabilizer`` exits 0, 1 and 2; ``monotone-mc`` with ``--records``,
-with ``--state`` and with no trials; and the error exits on the
-unnormalized and four-mode files. The script exits 1 if a call ends in a
-Python traceback. It needs only the standard library; the package it runs
-needs numpy.
+with ``--state`` and with no trials; ``family`` at extreme parameters;
+``theorem3-scan`` over ``--n 1..12 --p 1..4``; and the error exits on the
+unnormalized, four-mode and overflowing files. The script exits 1 if a
+call ends in a Python traceback. It needs only the standard library; the
+package it runs needs numpy.
 """
 
 import argparse
@@ -55,6 +57,15 @@ FAMILIES = {
 
 #: the input files that README commands name, as the CI README step makes them
 README_FILES = {"psi2.json": "psi2", "state.json": "S2"}
+
+#: family calls at the edges of the parameter ranges, written to stdout
+EXTREME_FAMILIES = {
+    "Eq14-overflow": ["--name", "Eq14", "--params", "r1=1e200,r2=0,r3=0"],
+    "Eq18-subnormal-r5": ["--name", "Eq18", "--params", "r1=0.5,r2=0.5,r3=0.5,r4=0.5,r5=1e-320"],
+    "Eq16-huge-phase": ["--name", "Eq16", "--params", "r1=0.5,r2=0.5,r3=0.5,r4=0.5,phi=1e300"],
+    "Eq16-huge-negative-phase": ["--name", "Eq16", "--params", "r1=0.5,r2=0.5,r3=0.5,r4=0.5,phi=-1e300"],
+    "S2-negative-zero-phase": ["--name", "S2", "--params", "r=0.3,theta=-0.0"],
+}
 
 REPORT_STATES = ["psi2", "S2", "Eq16", "S1-symbols", "random-1", "random-2", "random-3", "unnormalized"]
 
@@ -116,6 +127,14 @@ def cases():
     ]
     for command in ("invariants", "classify", "chsh", "canonical"):
         out.append((f"{command}-four-mode", [[command, "--in", inp("four-mode")]]))
+    out += [(f"family-{name}", [["family", *argv]]) for name, argv in EXTREME_FAMILIES.items()]
+    for command in ("classify", "canonical", "chsh"):
+        out.append((f"{command}-overflow", [[command, "--in", inp("overflow")]]))
+    out += [
+        ("monotone-mc-overflow", [["monotone-mc", "--trials", "5", "--state", inp("overflow")]]),
+        ("verify-stabilizer-overflow", [[*stab, "--in", inp("overflow")]]),
+        ("theorem3-scan-wide", [["theorem3-scan", "--n", "1..12", "--p", "1..4"]]),
+    ]
     return out
 
 
@@ -154,6 +173,7 @@ def main(argv=None):
     docs = {f"random-{seed}": random_state_doc(seed) for seed in (1, 2, 3)}
     docs["unnormalized"] = state_doc((3, 2, 1), {(1, 1, 0): (2.0, 0.0), (0, 1, 2): (1.0, 0.0)})
     docs["four-mode"] = state_doc((4, 2, 1), {(1, 1, 0, 0): (1.0, 0.0)})
+    docs["overflow"] = state_doc((3, 2, 1), {(1, 1, 0): (1e200, 0.0)})
     for name, text in docs.items():
         with open(os.path.join(inputs, f"{name}.json"), "w") as fh:
             fh.write(text)
