@@ -17,6 +17,13 @@ local-unitary orbit of a generic state.
 The locality helpers reduce a state to its pattern of pair and bipartition
 correlations. The named state families live in :mod:`modal_ent.families`,
 which loads no numpy; ``classify.family`` is the same function.
+
+Loading this module loads no numpy, and :func:`membership_report` and
+:func:`bell_profile` compute in Python complex numbers, so
+``modal-ent classify`` runs without it. numpy enters only inside
+:func:`canonical_form` (an SVD and a least-squares fit),
+:func:`pair_projection` and :func:`chsh_value` (an eigenvalue solve), which
+import it when they run.
 """
 
 from __future__ import annotations
@@ -24,9 +31,8 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
-
-import numpy as np
+from functools import lru_cache
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
 from .invariants import (
     _AB,
@@ -52,6 +58,9 @@ from .states import (
     is_maximally_entangled,
     require_normalized,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 CANONICAL_SLOTS: Tuple[Tuple[int, int, int], ...] = (
     (1, 1, 0),
@@ -106,6 +115,8 @@ class CanonicalParams:
 
 def _block(v: List[complex], block: Tuple[int, ...]) -> np.ndarray:
     """One pair block of amplitudes ``v`` as a 2x2 matrix, given its basis positions."""
+    import numpy as np
+
     uu, ud, du, dd = block
     return np.array([[v[uu], v[ud]], [v[du], v[dd]]], dtype=complex)
 
@@ -163,6 +174,8 @@ def canonical_form(state: StateVector) -> CanonicalParams:
     structural zero slots, which would indicate a numerical breakdown rather
     than a property of the input.
     """
+    import numpy as np
+
     require_normalized(state, "canonical form")
     v = _amplitude_list(state)
     total = [_IDENTITY] * 3
@@ -292,6 +305,8 @@ def pair_projection(
     with the projection weight; the vector is None when the weight is
     numerically zero.
     """
+    import numpy as np
+
     v = _amplitude_list(state)
     try:
         m = _block(v, {"AB": _AB, "BC": _BC, "AC": _AC}[pair])
@@ -303,15 +318,22 @@ def pair_projection(
     return (m / math.sqrt(weight)).reshape(4), weight
 
 
-_PAULI = (
-    np.array([[0, 1], [1, 0]], dtype=complex),
-    np.array([[0, -1j], [1j, 0]], dtype=complex),
-    np.array([[1, 0], [0, -1]], dtype=complex),
-)
+@lru_cache(maxsize=None)
+def _pauli_pairs() -> np.ndarray:
+    """The nine products sigma_i (x) sigma_j as one (9, 4, 4) stack, i-major.
 
-# The nine products sigma_i (x) sigma_j as one (9, 4, 4) stack, i-major.
-# Their entries are exact products of 0, +-1 and +-i.
-_PAULI_PAIRS = np.array([np.kron(a, b) for a in _PAULI for b in _PAULI])
+    Their entries are exact products of 0, +-1 and +-i.
+    """
+    import numpy as np
+
+    pauli = (
+        np.array([[0, 1], [1, 0]], dtype=complex),
+        np.array([[0, -1j], [1j, 0]], dtype=complex),
+        np.array([[1, 0], [0, -1]], dtype=complex),
+    )
+    stack = np.array([np.kron(a, b) for a in pauli for b in pauli])
+    stack.flags.writeable = False
+    return stack
 
 
 def chsh_value(two_qubit: np.ndarray) -> float:
@@ -326,6 +348,8 @@ def chsh_value(two_qubit: np.ndarray) -> float:
     taken in one stacked product; 2 for product states, 2*sqrt(2) at the
     Tsirelson bound.
     """
+    import numpy as np
+
     q = np.asarray(two_qubit, dtype=complex)
     if q.shape != (4,):
         raise ValueError(f"expected a two-qubit 4-vector, got shape {q.shape}")
@@ -334,7 +358,7 @@ def chsh_value(two_qubit: np.ndarray) -> float:
     if not abs(np.linalg.norm(q) - 1.0) <= NORM_TOL:
         raise ValueError("CHSH value needs a 4-vector of norm one")
     rho = np.outer(q, q.conj())
-    t = np.trace(rho @ _PAULI_PAIRS, axis1=1, axis2=2).real.reshape(3, 3)
+    t = np.trace(rho @ _pauli_pairs(), axis1=1, axis2=2).real.reshape(3, 3)
     ev = np.linalg.eigvalsh(t.T @ t)
     return 2.0 * math.sqrt(max(ev[-1] + ev[-2], 0.0))
 

@@ -116,12 +116,16 @@ def _parse_range(text: str) -> range:
 
 
 def _cmd_invariants(args: argparse.Namespace) -> int:
+    import cmath
     from dataclasses import asdict
 
     from .invariants import invariant_report
 
     # the fields of an invariant report, in report order
     values = asdict(invariant_report(_load_state(args.infile)))
+    for name, value in values.items():
+        if not cmath.isfinite(value):
+            raise ValueError(f"invariant {name} is not finite")
     rows = [
         {"quantity": name, "re": complex(value).real, "im": complex(value).imag}
         for name, value in values.items()

@@ -30,6 +30,7 @@ W and its traces import numpy when they run, and
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, List, Sequence, Tuple
 
@@ -130,8 +131,12 @@ def _cross_minors(v, cut) -> List[complex]:
 
 
 def _cross_minor_sum(v, cut) -> float:
-    """Sum of squared moduli of the four cross minors of ``cut``."""
-    return sum(abs(m) ** 2 for m in _cross_minors(v, cut))
+    """Sum of squared moduli of the four cross minors of ``cut``, or inf
+    once a term overflows, as a finite minor above about 1.3e154 does."""
+    try:
+        return sum(abs(m) ** 2 for m in _cross_minors(v, cut))
+    except OverflowError:
+        return math.inf
 
 
 def _word(v: Sequence[complex]) -> np.ndarray:

@@ -1,12 +1,12 @@
 """Number-conserving local operators and their action on sector states.
 
-A local operator is a plain ``d x d`` complex ndarray acting on a single
-mode in level-major order (levels first, vacancy last). It is
-superselection compliant when it never mixes occupied levels with the
-vacancy, which makes it block diagonal: a ``(p+1) x (p+1)`` block on the
-levels and a scalar on the vacancy. A :class:`GroupElement` holds one such
-operator per mode as a single ``(modes, d, d)`` stack, applied as a tensor
-product restricted to the fixed-particle-number sector.
+A local operator is a ``d x d`` complex matrix acting on a single mode in
+level-major order (levels first, vacancy last). It is superselection
+compliant when it never mixes occupied levels with the vacancy, which makes
+it block diagonal: a ``(p+1) x (p+1)`` block on the levels and a scalar on
+the vacancy. A :class:`GroupElement` holds one such operator per mode as
+the rows of Python complex numbers of a ``(modes, d, d)`` nested tuple,
+applied as a tensor product restricted to the fixed-particle-number sector.
 
 :func:`apply` is the one sparse action of a compliant element on a state
 of any shape, and :func:`apply_on_mode` the one way to act on a single mode
@@ -17,9 +17,16 @@ instrument, say), as a flat index gather rather than a sector matrix.
 
 The entries that the superselection rule requires to vanish are listed
 once, by ``_leak_positions``. :func:`superselection_leak` reads them from
-stacks of matrices, which is how elements and instruments are tested;
-:func:`apply` reads them from rows of scalars, without the numpy call
-overhead of a stacked call.
+stacks of matrices, which is how instruments are tested;
+``_leaking_mode`` reads them from the rows of an element, for
+:meth:`GroupElement.is_superselection_compliant` and :func:`apply`.
+
+Loading this module loads no numpy, and neither do building, checking and
+applying elements, so ``modal-ent verify-stabilizer`` runs without it.
+numpy enters only inside the calls that take or make arrays:
+:func:`superselection_leak`, :func:`apply_on_mode_columns`,
+:func:`sector_matrix`, :func:`occupation_scaling`, :func:`random_element`
+and the modulus of a :class:`SplitComplex` batch.
 """
 
 from __future__ import annotations
@@ -28,9 +35,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, Sequence, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Dict, Optional, Sequence, Tuple
 
 from .states import (
     StateVector,
@@ -40,20 +45,22 @@ from .states import (
     local_index,
 )
 
+if TYPE_CHECKING:
+    import numpy as np
+
 #: tolerance of the superselection rule on the entries mixing levels and vacancy
 MEMBER_TOL = 1e-10
 
-_L1 = np.array([[0, 1, 0], [1, 0, 0], [0, 0, 0]], dtype=complex)
-_L2 = np.array([[0, -1j, 0], [1j, 0, 0], [0, 0, 0]], dtype=complex)
-_L3 = np.diag([1.0, -1.0, 0.0]).astype(complex)
-_L8 = np.diag([1.0, 1.0, -2.0]).astype(complex)
-
 # The weights of (c1, c2, c3, c8) in the five entries of
 # c1 L1 + c2 L2 + c3 L3 + c8 L8 that compliance lets be nonzero: the level
-# block, row by row, then the vacancy.
-_EXPONENT_WEIGHTS = tuple(
-    tuple(complex(m[i, j]) for m in (_L1, _L2, _L3, _L8))
-    for i, j in ((0, 0), (0, 1), (1, 0), (1, 1), (2, 2))
+# block, row by row, then the vacancy. The entries are those of the complex
+# Gell-Mann matrices, signs of zero parts included, so -1j is (-0-1j).
+_EXPONENT_WEIGHTS = (
+    (0j, 0j, 1 + 0j, 1 + 0j),
+    (1 + 0j, -1j, 0j, 0j),
+    (1 + 0j, 1j, 0j, 0j),
+    (0j, 0j, -1 + 0j, 1 + 0j),
+    (0j, 0j, 0j, -2 + 0j),
 )
 
 
@@ -89,6 +96,8 @@ class SplitComplex:
         )
 
     def __abs__(self):
+        import numpy as np
+
         return np.hypot(self.re, self.im)
 
 
@@ -105,6 +114,8 @@ def superselection_leak(entries: np.ndarray) -> np.ndarray:
 
     NaN entries give NaN, which no tolerance accepts.
     """
+    import numpy as np
+
     rows, cols = zip(*_leak_positions(entries.shape[-1]))
     return np.abs(entries[..., rows, cols]).max(axis=-1)
 
@@ -123,27 +134,76 @@ def _symbol_moves(rows: Sequence[Sequence[complex]]) -> list:
     ]
 
 
+def _nested_shape(obj) -> Tuple[int, ...]:
+    """The shape numpy gives the nested sequences or arrays ``obj``;
+    ValueError when they are ragged."""
+    if hasattr(obj, "tolist"):
+        obj = obj.tolist()
+    if not isinstance(obj, (list, tuple)):
+        return ()
+    inner = {_nested_shape(x) for x in obj}
+    if len(inner) > 1:
+        raise ValueError("ragged nested sequences")
+    return (len(obj), *(inner.pop() if inner else ()))
+
+
+# the rows of each operator of an element: a (modes, d, d) nested tuple
+_Rows = Tuple[Tuple[Tuple[complex, ...], ...], ...]
+
+
 @dataclass(frozen=True, eq=False)
 class GroupElement:
-    """One local operator per mode, stacked from any sequence of equally sized
-    square matrices into the ``(modes, d, d)`` complex array ``matrices``.
+    """One local operator per mode, read from any sequence of equally sized
+    square matrices, nested sequences or arrays, into ``matrices``: the rows
+    of each operator as a ``(modes, d, d)`` nested tuple of Python complex
+    numbers.
 
-    The compliance test runs once on the whole stack; NaN entries fail it.
+    The compliance test reads the leak entries of the rows; NaN entries fail it.
     """
 
-    matrices: np.ndarray
+    matrices: _Rows
 
     def __post_init__(self) -> None:
+        source = self.matrices
+        if hasattr(source, "tolist"):
+            source = source.tolist()
         try:
-            mats = np.asarray(self.matrices, dtype=complex)
-        except ValueError:
-            raise ValueError("the operators of a group element must share one dimension") from None
-        if mats.ndim != 3 or mats.shape[1] != mats.shape[2] or mats.shape[2] < 2:
-            raise ValueError(f"expected a (modes, d, d) stack with d >= 2, got shape {mats.shape}")
+            mats = tuple([tuple([tuple(map(complex, row)) for row in op]) for op in source])
+            sizes = {len(op) for op in mats} | {len(row) for op in mats for row in op}
+        except (TypeError, ValueError):
+            mats, sizes = None, set()
+        if len(sizes) != 1 or min(sizes) < 2:
+            try:
+                shape = _nested_shape(source)
+            except ValueError:
+                raise ValueError("the operators of a group element must share one dimension") from None
+            if len(shape) == 3 and shape[1] == shape[2] >= 2:
+                raise ValueError("the entries of a group element must be numbers")
+            raise ValueError(f"expected a (modes, d, d) stack with d >= 2, got shape {shape}")
         object.__setattr__(self, "matrices", mats)
 
     def is_superselection_compliant(self) -> bool:
-        return bool((superselection_leak(self.matrices) <= MEMBER_TOL).all())
+        return _leaking_mode(self.matrices) is None
+
+
+def _leaking_mode(matrices: _Rows) -> Optional[int]:
+    """The first mode whose rows break the superselection rule, or None.
+
+    Each leak entry is compared on its own, so a NaN in any of them fails.
+    """
+    for k, rows in enumerate(matrices):
+        if not all(abs(rows[i][j]) <= MEMBER_TOL for i, j in _leak_positions(len(rows))):
+            return k
+    return None
+
+
+def _require_shape(element: GroupElement, shape: SystemShape) -> None:
+    """Raise ValueError unless ``element`` has one ``d x d`` operator per mode of ``shape``."""
+    mats = element.matrices
+    have = (len(mats), len(mats[0]), len(mats[0]))
+    want = (shape.modes, shape.local_dim, shape.local_dim)
+    if have != want:
+        raise ValueError(f"element has shape {have}, expected {want}")
 
 
 def _exp_entries(a: complex, b: complex, c: complex, d: complex, v: complex) -> list:
@@ -217,26 +277,22 @@ def make_slocc_element(coefficients: Sequence[Sequence[complex]]) -> GroupElemen
 def apply(element: GroupElement, state: StateVector) -> StateVector:
     """Act with a compliant element on a state of any shape; not renormalized.
 
-    Each matrix's rows are read once, for the compliance check and for its
-    symbol-move table. Compliance keeps each occupation pattern intact, so
-    an amplitude fans out only over the levels of its occupied modes. Terms
-    are ``((amp * w_0) * w_1) * ...`` in numpy complex scalars, summed from
-    ``0j`` in input order, and keys come in order of first appearance, the
-    last mode outermost. Three modes take a faster nested loop, other counts
-    a partial-product loop; both give these bits. An element of the wrong
+    The rows of each operator give the compliance check and its symbol-move
+    table. Compliance keeps each occupation pattern intact, so an amplitude
+    fans out only over the levels of its occupied modes. Terms are
+    ``((amp * w_0) * w_1) * ...`` in Python complex numbers, which round
+    products and sums as numpy's complex scalars do, summed from ``0j`` in
+    input order, and keys come in order of first appearance, the last mode
+    outermost. Three modes take a faster nested loop, other counts a
+    partial-product loop; both give these bits. An element of the wrong
     shape or with a matrix that is not compliant raises ValueError.
     """
     shape = state.shape
-    want = (shape.modes, shape.local_dim, shape.local_dim)
-    if element.matrices.shape != want:
-        raise ValueError(f"element has shape {element.matrices.shape}, expected {want}")
-    moves = []
-    for k, op in enumerate(element.matrices):
-        rows = list(zip(*[op.flat] * len(op)))
-        # each leak entry is compared on its own, so a NaN in any of them fails
-        if not all(abs(rows[i][j]) <= MEMBER_TOL for i, j in _leak_positions(len(rows))):
-            raise ValueError(f"operator on mode {k} violates the superselection rule")
-        moves.append(_symbol_moves(rows))
+    _require_shape(element, shape)
+    leaking = _leaking_mode(element.matrices)
+    if leaking is not None:
+        raise ValueError(f"operator on mode {leaking} violates the superselection rule")
+    moves = [_symbol_moves(rows) for rows in element.matrices]
     out: Dict[Tuple[int, ...], complex] = {}
     if len(moves) == 3:
         move_a, move_b, move_c = moves
@@ -256,18 +312,21 @@ def apply(element: GroupElement, state: StateVector) -> StateVector:
     return StateVector(shape, out)
 
 
-def apply_on_mode(op: np.ndarray, mode: int, state: StateVector) -> StateVector:
+def apply_on_mode(op: Sequence[Sequence[complex]], mode: int, state: StateVector) -> StateVector:
     """Act with the matrix ``op`` on one mode and the identity on the others; not renormalized."""
     modes = state.shape.modes
     if not 0 <= mode < modes:
         raise ValueError(f"mode {mode} out of range for {modes} modes")
-    mats = [np.eye(len(op), dtype=complex)] * modes
+    d = len(op)
+    mats = [[[complex(i == j) for j in range(d)] for i in range(d)]] * modes
     mats[mode] = op
     return apply(GroupElement(mats), state)
 
 
 @lru_cache(maxsize=None)
 def _index_columns(shape: SystemShape) -> Tuple[np.ndarray, ...]:
+    import numpy as np
+
     basis = enumerate_basis(shape)
     p = shape.spin_numerator
     return tuple(
@@ -290,6 +349,8 @@ def _gather_offsets(shape: SystemShape) -> Tuple[np.ndarray, np.ndarray]:
     part. Modes run along the last axis, so taking ``modes`` there gives
     contiguous ``(d, dimension, k)`` tables.
     """
+    import numpy as np
+
     basis = enumerate_basis(shape)
     position = basis_index(shape)
     p = shape.spin_numerator
@@ -331,6 +392,8 @@ def apply_on_mode_columns(
     dropped. Products and sums round as in :func:`apply`, and a column's
     result does not depend on the rest of the batch.
     """
+    import numpy as np
+
     k, n = ops.shape[:2]
     d, dim = shape.local_dim, shape.dimension
     if ops.shape[2:] != (d, d):
@@ -368,17 +431,17 @@ def sector_matrix(element: GroupElement, shape: SystemShape) -> np.ndarray:
     Intended for batch sweeps on small sectors; refuses dimensions past 4096
     where the dense representation stops being reasonable.
     """
+    import numpy as np
+
     dim = shape.dimension
     if dim > 4096:
         raise ValueError(f"sector dimension {dim} too large for a dense matrix")
-    want = (shape.modes, shape.local_dim, shape.local_dim)
-    if element.matrices.shape != want:
-        raise ValueError(f"element has shape {element.matrices.shape}, expected {want}")
+    _require_shape(element, shape)
     if not element.is_superselection_compliant():
         raise ValueError("element violates the superselection rule")
     cols = _index_columns(shape)
     mat = np.ones((dim, dim), dtype=complex)
-    for op, lk in zip(element.matrices, cols):
+    for op, lk in zip(np.asarray(element.matrices), cols):
         mat *= op[np.ix_(lk, lk)]
     return mat
 
@@ -394,6 +457,8 @@ def occupation_scaling(r: float, phi: float = 0.0, p: int = 1) -> np.ndarray:
     zero or overflows, a phase that is not finite, and a ``p`` that is a
     bool, not an integer or negative raise ValueError.
     """
+    import numpy as np
+
     if not 0 < r < math.inf:
         raise ValueError(f"scale must be finite and positive, got {r}")
     if isinstance(p, bool) or not isinstance(p, (int, np.integer)):
@@ -429,6 +494,8 @@ def random_element(
         raise ValueError(f"spread must be finite and positive, got {spread}")
     if kind not in ("SLOCC", "SU"):
         raise ValueError(f"unknown element kind {kind!r}")
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     coeffs = []
     for _ in range(modes):

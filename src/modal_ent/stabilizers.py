@@ -15,15 +15,19 @@ command line read their answers from it.
 Constructor names are treated as opaque identifiers by the command line
 interface and the test harness; parameters are plain finite floats, with
 the integer-valued ones validated to be integral.
+
+Loading this module loads no numpy, and neither does building, applying
+or judging a candidate: the elements are closed-form rows of Python complex
+numbers, and the prefactors come from :func:`cmath.exp`, so
+``modal-ent verify-stabilizer`` runs without numpy.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
-
-import numpy as np
 
 from .names import STABILIZER_NAMES
 from .operators import GroupElement, apply, apply_on_mode, make_slocc_element
@@ -94,7 +98,7 @@ def stabilizer(name: str, params: Optional[Mapping[str, float]] = None) -> Stabi
             (0, 0, 1.5j * alpha, 1j * (beta / 3.0 + gamma + alpha / 2.0)),
             (0, 0, 0, 1j * (-beta / 3.0 + gamma)),
         )
-        prefactor = np.exp(1j * alpha)
+        prefactor = cmath.exp(1j * alpha)
     elif name == "psi1_eq23":
         variant = str(p.pop("variant", "a"))
         if variant == "a":
@@ -123,12 +127,12 @@ def stabilizer(name: str, params: Optional[Mapping[str, float]] = None) -> Stabi
                     1j * (alpha + third * (-k - l + q_p + q)),
                 ),
             )
-            prefactor = np.exp(1j * third * (k + l + m + n + q_p + q))
+            prefactor = cmath.exp(1j * third * (k + l + m + n + q_p + q))
         elif variant == "b":
             used = {"variant": variant}
             c = (0.5j * math.pi, 0, 0, 0)
             coeffs = (c, c, c)
-            prefactor = np.exp(1j * math.pi)
+            prefactor = cmath.exp(1j * math.pi)
         elif variant == "c":
             beta = _pop_float(p, "beta")
             used = {"variant": variant, "beta": beta}
@@ -203,7 +207,7 @@ def topological_phases(
         _, preserved, c = _verdict(stab, state, tol)
         if preserved:
             phases.append(c)
-    root = np.exp(2j * np.pi / 3.0) * np.eye(3, dtype=complex)
-    _, c = phase_fit(state, apply_on_mode(root, 0, state), tol)
+    root = cmath.exp(2j * math.pi / 3.0)
+    _, c = phase_fit(state, apply_on_mode([[root, 0, 0], [0, root, 0], [0, 0, root]], 0, state), tol)
     phases.append(c)
     return tuple(phases)

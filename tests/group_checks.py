@@ -11,13 +11,13 @@ from modal_ent.operators import MEMBER_TOL
 
 
 def is_unitary(element, tol=MEMBER_TOL):
-    mats = element.matrices
+    mats = np.asarray(element.matrices)
     defect = mats @ mats.conj().swapaxes(-1, -2) - np.eye(mats.shape[-1])
     return bool(np.abs(defect).max() <= tol)
 
 
 def is_special(element, tol=MEMBER_TOL):
-    return bool((np.abs(np.linalg.det(element.matrices) - 1.0) <= tol).all())
+    return bool((np.abs(np.linalg.det(np.asarray(element.matrices)) - 1.0) <= tol).all())
 
 
 def membership(element):

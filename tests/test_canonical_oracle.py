@@ -146,7 +146,7 @@ def assert_matches_reference(state) -> None:
     for mine, theirs in zip((got.phi, got.phi_prime, got.theta), (phi, phi_prime, theta)):
         assert abs(math.remainder(mine - theirs, 2.0 * math.pi)) <= TOL
     assert np.abs(got.state.dense() - work.dense()).max() <= TOL
-    assert np.abs(got.element.matrices - element.matrices).max() <= TOL
+    assert np.abs(np.asarray(got.element.matrices) - np.asarray(element.matrices)).max() <= TOL
     assert_defining_properties(state)
 
 

@@ -12,7 +12,7 @@ import pytest
 
 import modal_ent
 from modal_ent.cli import main
-from modal_ent.classify import family
+from modal_ent.classify import canonical_form, family
 from modal_ent.serialize import element_from_json, state_from_json, state_to_json
 from modal_ent.states import SHAPE_321, StateVector, SystemShape, random_state
 
@@ -102,6 +102,23 @@ def test_an_overflowing_norm_is_refused_as_infinite(tmp_path, capsys, argv, mess
     assert capsys.readouterr() == ("", f"modal-ent: error: {message}\n")
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize(
+    "amplitudes, quantity",
+    [
+        # a cross minor of 1e200 squares past the largest double
+        ({(1, 1, 0): 1e100, (2, 0, 2): 1e100}, "I_A_BC"),
+        # the AB determinant itself overflows
+        ({(1, 1, 0): 1e200, (2, 2, 0): 1e200}, "I_AB"),
+    ],
+    ids=["cross-minor", "determinant"],
+)
+def test_invariants_names_the_first_quantity_that_is_not_finite(tmp_path, capsys, amplitudes, quantity, fmt):
+    path = write_state(tmp_path, "huge.json", StateVector(SHAPE_321, amplitudes))
+    assert main(["invariants", "--in", path, "--format", fmt]) == 1
+    assert capsys.readouterr() == ("", f"modal-ent: error: invariant {quantity} is not finite\n")
+
+
 def test_family_refuses_parameters_whose_norm_overflows(capsys):
     assert main(["family", "--name", "Eq14", "--params", "r1=1e200,r2=0,r3=0"]) == 1
     assert capsys.readouterr() == ("", "modal-ent: error: Eq14 parameters give squared norm inf, expected 1\n")
@@ -122,7 +139,7 @@ def test_canonical_outputs(tmp_path, capsys):
     assert len(doc["r"]) == 9
     assert all(isinstance(v, float) for v in doc["r"])
     element = element_from_json(el_path.read_text())
-    assert element.matrices.shape == (3, 3, 3)
+    assert np.asarray(element.matrices).shape == (3, 3, 3)
 
     out_path = tmp_path / "canon.json"
     assert main(["canonical", "--in", path, "--out", str(out_path)]) == 0
@@ -331,7 +348,9 @@ _START_UP_CASES = [
     ("invariants", ["--in", "psi2.json"], {"classify", "operators", "stabilizers", "maxent", "monte_carlo", "numpy"}),
     ("theorem3-scan", ["--n", "1..4", "--p", "1"],
      {"classify", "invariants", "operators", "stabilizers", "monte_carlo", "numpy"}),
-    ("verify-stabilizer", ["--name", "psi2_eq26", "--in", "psi2.json"], {"classify", "invariants", "maxent", "monte_carlo"}),
+    ("classify", ["--in", "psi2.json"], {"stabilizers", "maxent", "monte_carlo", "numpy"}),
+    ("verify-stabilizer", ["--name", "psi2_eq26", "--in", "psi2.json"],
+     {"classify", "invariants", "maxent", "monte_carlo", "numpy"}),
     ("family", ["--name", "psi1"],
      {"classify", "invariants", "operators", "stabilizers", "maxent", "monte_carlo", "numpy"}),
     ("monotone-mc", ["--trials", "3"], {"classify", "stabilizers", "maxent"}),
@@ -352,50 +371,78 @@ def test_subcommand_loads_only_its_modules(tmp_path, command, args, unused):
     assert unused.isdisjoint(loaded)
 
 
-#: the calls that must run with numpy unimportable: each family, plain and
-#: with --symbols, invariants from stdin and from --in in both formats, and
-#: the scan; "STATE" stands for a dense random state file
+#: each family with the parameter options that the numpy-free calls build it from
+_FAMILY_PARAMS = {
+    "Eq14": ["--params", "r1=0.6,r2=0.8,r3=0"],
+    "Eq15": ["--params", "r1=0.6,r2=0.64,r3=0.48"],
+    "Eq16": ["--params", "r1=0.5,r2=0.5,r3=0.5,r4=0.5,phi=0.7"],
+    "Eq18": ["--params", f"r1=0.5,r2={math.sqrt(0.1875)!r},r3=0.3,r4=0.3,r5=0.6,theta=1.1"],
+    "S1": ["--params", "r=0.2"],
+    "S2": ["--params", "r=0.3,theta=1.2"],
+    "psi1": [],
+    "psi2": [],
+}
+
+#: the calls that must run with numpy unimportable, with the exit status each
+#: must give: each family, plain and with --symbols; invariants from stdin
+#: and from --in, and classify, in both formats; the scan; and each
+#: stabilizer on a state it fixes or, for odd q, does not, and on a
+#: four-mode state. "STATE" names a dense random state file, "CANONICAL"
+#: the canonical form of one, and each family name the file of that family.
 _NUMPY_FREE_CALLS = [
-    ["family", "--name", name, *(["--params", params] if params else []), *symbols]
-    for name, params in (
-        ("Eq14", "r1=0.6,r2=0.8,r3=0"),
-        ("Eq15", "r1=0.6,r2=0.64,r3=0.48"),
-        ("Eq16", "r1=0.5,r2=0.5,r3=0.5,r4=0.5,phi=0.7"),
-        ("Eq18", f"r1=0.5,r2={math.sqrt(0.1875)!r},r3=0.3,r4=0.3,r5=0.6,theta=1.1"),
-        ("S1", "r=0.2"),
-        ("S2", "r=0.3,theta=1.2"),
-        ("psi1", ""),
-        ("psi2", ""),
-    )
+    (["family", "--name", name, *params, *symbols], 0)
+    for name, params in _FAMILY_PARAMS.items()
     for symbols in ([], ["--symbols"])
 ] + [
-    ["invariants", *source, "--format", fmt] for source in ([], ["--in", "STATE"]) for fmt in ("json", "csv")
-] + [["theorem3-scan", "--n", "1..8", "--p", "1..3"]]
+    (["invariants", *source, "--format", fmt], 0) for source in ([], ["--in", "STATE"]) for fmt in ("json", "csv")
+] + [(["theorem3-scan", "--n", "1..8", "--p", "1..3"], 0)] + [
+    (["classify", "--in", source, "--format", fmt], 0)
+    for source in ("STATE", *_FAMILY_PARAMS)
+    for fmt in ("json", "csv")
+] + [
+    (["verify-stabilizer", "--name", name, "--params", params, "--in", source], code)
+    for name, params, source, code in (
+        ("generic_eq13", "m=1,alpha=0.4", "CANONICAL", 0),
+        ("family16_eq20", "alpha=0.3,beta=-1.2,gamma=0.5", "Eq16", 0),
+        ("psi1_eq23", "variant=a,k=1,l=-2,m=0,n=3,p=-1,q=2,alpha=0.7", "psi1", 0),
+        ("psi1_eq23", "variant=a,k=1,q=1", "psi1", 2),
+        ("psi1_eq23", "variant=b", "psi1", 0),
+        ("psi1_eq23", "variant=c,beta=0.7", "psi1", 0),
+        ("psi2_eq26", "alpha=0.4,beta=0.1,gamma=-0.7,delta=1.1", "psi2", 0),
+        ("psi2_eq26", "alpha=0.4", "FOUR_MODE", 1),
+    )
+]
 
 
 def test_numpy_free_calls_match_a_normal_run(tmp_path, monkeypatch, capsys):
     # one fresh interpreter in which importing numpy fails runs every call,
-    # and each output must equal the bytes of the same call run normally
+    # and each must give the exit status and the bytes of the same call run
+    # normally, on stdout and on stderr
     state_text = state_to_json(random_state(SHAPE_321, rng))
     (tmp_path / "STATE").write_text(state_text)
+    (tmp_path / "CANONICAL").write_text(state_to_json(canonical_form(random_state(SHAPE_321, rng)).state))
+    (tmp_path / "FOUR_MODE").write_text(state_to_json(StateVector(SystemShape(4, 2, 1), {(1, 1, 0, 0): 1.0})))
     monkeypatch.chdir(tmp_path)
+    for name, params in _FAMILY_PARAMS.items():
+        assert main(["family", "--name", name, *params, "--out", name]) == 0
+    calls = [argv for argv, _ in _NUMPY_FREE_CALLS]
     expected = []
-    for argv in _NUMPY_FREE_CALLS:
+    for argv, code in _NUMPY_FREE_CALLS:
         monkeypatch.setattr(sys, "stdin", io.StringIO(state_text))
-        assert main(argv) == 0
-        expected.append(capsys.readouterr().out)
+        assert main(argv) == code, argv
+        expected.append([code, *capsys.readouterr()])
     probe = (
         "import contextlib, io, json, sys; sys.modules['numpy'] = None; "
         "from modal_ent.cli import main; outputs = []\n"
         "for argv in json.loads(sys.argv[1]):\n"
-        "    sys.stdin, out = io.StringIO(sys.argv[2]), io.StringIO()\n"
-        "    with contextlib.redirect_stdout(out):\n"
+        "    sys.stdin, out, err = io.StringIO(sys.argv[2]), io.StringIO(), io.StringIO()\n"
+        "    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):\n"
         "        code = main(argv)\n"
-        "    outputs.append([code, out.getvalue()])\n"
+        "    outputs.append([code, out.getvalue(), err.getvalue()])\n"
         "print(json.dumps(outputs))"
     )
-    got = json.loads(run_python(probe, json.dumps(_NUMPY_FREE_CALLS), state_text, cwd=tmp_path))
-    assert got == [[0, text] for text in expected]
+    got = json.loads(run_python(probe, json.dumps(calls), state_text, cwd=tmp_path))
+    assert got == expected
 
 
 def test_chsh_command(tmp_path, capsys):

@@ -224,3 +224,18 @@ def test_dense_batch_matches_reports():
     rep = invariant_report(one)
     assert abs(complex(s1) - rep.I1) < 1e-14
     assert abs(complex(s2) - rep.I2) < 1e-14
+
+
+def test_cross_minor_sums_overflow_to_inf():
+    # unnormalized input is accepted; a finite cross minor of 1e200 squares
+    # past the largest double, and its cut sum becomes inf rather than raising
+    rep = invariant_report(StateVector(SHAPE_321, {(1, 1, 0): 1e100, (2, 0, 2): 1e100}))
+    assert rep.I_A_BC == math.inf
+    assert (rep.I_B_AC, rep.I_C_AB) == (0.0, 0.0)
+    assert (rep.I_AB, rep.I_BC, rep.I_AC, rep.I1, rep.I2) == (0j, 0j, 0j, 0j, 0j)
+    # the same formula keeps its bits below the overflow
+    rep = invariant_report(StateVector(SHAPE_321, {(1, 1, 0): 3.0, (2, 0, 2): 2.0}))
+    assert rep.I_A_BC == abs(6 + 0j) ** 2
+    # a pair determinant that overflows is an infinite complex number
+    rep = invariant_report(StateVector(SHAPE_321, {(1, 1, 0): 1e200, (2, 2, 0): 1e200}))
+    assert rep.I_AB.real == math.inf

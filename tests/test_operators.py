@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import math
 
 import numpy as np
@@ -10,10 +11,7 @@ from modal_ent.classify import family
 
 from modal_ent.operators import (
     GroupElement,
-    _L1,
-    _L2,
-    _L3,
-    _L8,
+    _EXPONENT_WEIGHTS,
     _exp_entries,
     apply,
     apply_on_mode,
@@ -23,10 +21,16 @@ from modal_ent.operators import (
     sector_matrix,
 )
 from modal_ent.stabilizers import stabilizer
-from modal_ent.states import SHAPE_321, SystemShape, random_state
+from modal_ent.states import SHAPE_321, StateVector, SystemShape, random_state
 
 rng = np.random.default_rng(20240817)
 
+# The four generators, the reference that make_slocc_element's written-out
+# weights are pinned against.
+_L1 = np.array([[0, 1, 0], [1, 0, 0], [0, 0, 0]], dtype=complex)
+_L2 = np.array([[0, -1j, 0], [1j, 0, 0], [0, 0, 0]], dtype=complex)
+_L3 = np.diag([1.0, -1.0, 0.0]).astype(complex)
+_L8 = np.diag([1.0, 1.0, -2.0]).astype(complex)
 _GELL_MANN = {1: _L1, 2: _L2, 3: _L3, 8: _L8}
 
 
@@ -81,12 +85,22 @@ def test_superselection_compliance():
 
 def test_group_element_holds_one_validated_stack():
     el = GroupElement([np.eye(3), np.diag([1, 1j, -1j])])
-    assert el.matrices.shape == (2, 3, 3) and el.matrices.dtype == complex
+    assert np.asarray(el.matrices).shape == (2, 3, 3)
+    assert all(type(z) is complex for op in el.matrices for row in op for z in row)
     assert np.array_equal(GroupElement(el.matrices).matrices, el.matrices)
     with pytest.raises(ValueError, match="must share one dimension"):
         GroupElement([np.eye(3), np.eye(4)])
     for bad in ([], np.eye(3), np.zeros((3, 3, 2)), np.ones((2, 1, 1)), np.zeros((1, 2, 3, 3))):
         with pytest.raises(ValueError, match=r"expected a \(modes, d, d\) stack"):
+            GroupElement(bad)
+
+
+def test_group_element_reads_arrays_and_nested_lists_alike():
+    op = [[1, 2j, 0], [-0.5, 3.0, 0], [0, 0, 1 - 1j]]
+    rows = ((1 + 0j, 2j, 0j), (-0.5 + 0j, 3 + 0j, 0j), (0j, 0j, 1 - 1j))
+    assert GroupElement([op]).matrices == GroupElement(np.array([op])).matrices == (rows,)
+    for bad in ([[["a", 0], [0, 1]]], [[[None, 0], [0, 1]]]):
+        with pytest.raises(ValueError, match="the entries of a group element must be numbers"):
             GroupElement(bad)
 
 
@@ -241,7 +255,7 @@ def test_random_element_reproducible():
     b = random_element("SU", seed=123)
     c = random_element("SU", seed=124)
     assert np.array_equal(a.matrices, b.matrices)
-    assert np.abs(a.matrices[0] - c.matrices[0]).max() > 1e-8
+    assert np.abs(np.asarray(a.matrices[0]) - np.asarray(c.matrices[0])).max() > 1e-8
     with pytest.raises(ValueError):
         random_element("unitary", seed=1)
     for bad in (0.0, -1.0, math.nan, math.inf):
@@ -280,7 +294,7 @@ def _apply_by_array_indexing(element, state):
     for occ, amp in state.amplitudes.items():
         partial = [((), amp)]
         for k, sym in enumerate(occ):
-            mat = element.matrices[k]
+            mat = np.asarray(element.matrices[k])
             grown = []
             if sym == 0:
                 w = mat[vac, vac]
@@ -343,7 +357,7 @@ def test_apply_equals_array_indexing_oracle():
         batches.append(([random_state(shape, local) for _ in range(10)], acting))
     for batch, acting in batches:
         for psi in batch:
-            # a second pass feeds np.complex128 amplitudes back in
+            # a second pass feeds apply's own output back in
             for start in (psi, apply(acting[0], psi)):
                 for element in acting:
                     got = apply(element, start).amplitudes
@@ -351,7 +365,7 @@ def test_apply_equals_array_indexing_oracle():
                     assert list(got) == list(want)
                     for occ, val in want.items():
                         assert got[occ] == val
-                        assert type(got[occ]) is np.complex128
+                        assert type(got[occ]) is complex
 
 
 @pytest.mark.parametrize("mode", [0, 1, 2])
@@ -407,9 +421,54 @@ def test_slocc_closed_form_generator_equals_the_matrix_algebra():
     for coeffs in _slocc_coefficient_sets():
         c1, c2, c3, c8 = (complex(c) for c in coeffs)
         want = matrix_exp(c1 * gens[0] + c2 * gens[1] + c3 * gens[2] + c8 * gens[3])
-        got = make_slocc_element([coeffs]).matrices[0]
+        got = np.asarray(make_slocc_element([coeffs]).matrices[0])
         a, b = got.view(np.float64), want.view(np.float64)
         assert np.array_equal(a, b), coeffs
         assert np.array_equal(np.signbit(a), np.signbit(b)), coeffs
         count += 1
     assert count >= 5000
+
+
+def test_exponent_weights_are_the_generator_entries():
+    # the written-out table holds the Gell-Mann entries, signs of zero parts included
+    positions = ((0, 0), (0, 1), (1, 0), (1, 1), (2, 2))
+    assert len(_EXPONENT_WEIGHTS) == len(positions)
+    for (i, j), weights in zip(positions, _EXPONENT_WEIGHTS):
+        assert len(weights) == 4
+        for got, generator in zip(weights, (_L1, _L2, _L3, _L8)):
+            want = complex(generator[i, j])
+            assert type(got) is complex
+            for part, ref in ((got.real, want.real), (got.imag, want.imag)):
+                assert part == ref and math.copysign(1.0, part) == math.copysign(1.0, ref)
+
+
+def _bits(z):
+    return np.array([z], dtype=complex).view(np.uint64).tolist()
+
+
+def test_apply_gives_python_complex_with_the_bits_of_numpy_scalar_products():
+    local = np.random.default_rng(4411)
+    states = [random_state(SHAPE_321, local) for _ in range(20)]
+    states += [family("psi1"), family("psi2"), family("Eq16", {"r1": 0.5, "r2": 0.5, "r3": 0.5, "r4": 0.5})]
+    states.append(StateVector(SHAPE_321, {(1, 2, 0): 0.6, (2, 1, 0): -0.8}))
+    elements = [random_element(kind, seed, spread=1.5) for kind in ("SU", "SLOCC") for seed in range(6)]
+    for element in elements:
+        mats = [np.asarray(op) for op in element.matrices]
+        for psi in states:
+            want = {}
+            for occ, amp in psi.amplitudes.items():
+                # per mode, the (new symbol, weight) pairs with nonzero weight,
+                # read as np.complex128 scalars; symbol 0 is local index 2
+                fans = [
+                    [(new, op[new - 1 if new else 2, old - 1 if old else 2]) for new in (0, 1, 2)]
+                    for op, old in zip(mats, occ)
+                ]
+                fans = [[(new, w) for new, w in fan if w != 0] for fan in fans]
+                for (a, w_a), (b, w_b), (c, w_c) in itertools.product(*fans):
+                    term = np.complex128(amp) * w_a * w_b * w_c
+                    want[(a, b, c)] = want.get((a, b, c), np.complex128(0j)) + term
+            got = apply(element, psi).amplitudes
+            assert set(got) == set(want)
+            for key, value in want.items():
+                assert type(got[key]) is complex
+                assert _bits(got[key]) == _bits(value)

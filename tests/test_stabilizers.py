@@ -13,7 +13,7 @@ from modal_ent.stabilizers import (
     topological_phases,
     verify_stabilizes,
 )
-from modal_ent.states import SHAPE_321, random_state
+from modal_ent.states import SHAPE_321, StateVector, random_state
 
 rng = np.random.default_rng(314)
 
@@ -134,6 +134,44 @@ def test_topological_phases():
     phases = topological_phases(generic, probes=(odd,))
     assert len(phases) == 1
     assert abs(phases[0] - np.exp(2j * math.pi / 3.0)) < 1e-9
+
+
+def _bits(z):
+    return np.array([z], dtype=complex).view(np.uint64).tolist()
+
+
+def _psi1_a_integers(total):
+    """Integers k, l, m, n, p in -3..3 and an even q in -4..4 that sum to ``total``."""
+    q = max(-4, min(4, 2 * int(total / 2)))
+    rest, out = total - q, {}
+    for key in ("k", "l", "m", "n", "p"):
+        out[key] = max(-3, min(3, rest))
+        rest -= out[key]
+    assert rest == 0
+    return {**out, "q": q}
+
+
+def test_prefactors_equal_the_numpy_exponential_bit_for_bit():
+    # over the parameter ranges the benchmark draws from, cmath.exp gives
+    # the bits that np.exp gave
+    local = np.random.default_rng(2718)
+    for _ in range(2000):
+        params = {k: float(local.uniform(-2.0, 2.0)) for k in ("alpha", "beta", "gamma")}
+        got = stabilizer("family16_eq20", params).declared_prefactor
+        assert _bits(got) == _bits(np.exp(1j * params["alpha"]))
+    third = math.pi / 3.0
+    for total in range(-19, 20):
+        ints = _psi1_a_integers(total)
+        for alpha in local.uniform(-2.0, 2.0, size=3):
+            got = stabilizer("psi1_eq23", {"variant": "a", **ints, "alpha": float(alpha)}).declared_prefactor
+            assert _bits(got) == _bits(np.exp(1j * third * total))
+    assert _bits(stabilizer("psi1_eq23", {"variant": "b"}).declared_prefactor) == _bits(np.exp(1j * np.pi))
+    for name, params in (("generic_eq13", {"m": 2, "alpha": 0.3}), ("psi1_eq23", {"variant": "c", "beta": 0.7}),
+                         ("psi2_eq26", {"alpha": 0.1, "beta": -0.4})):
+        assert _bits(stabilizer(name, params).declared_prefactor) == _bits(1.0 + 0j)
+    # the canonical probe of topological_phases, a scalar e^{2 pi i / 3} on mode A
+    probe = topological_phases(StateVector(SHAPE_321, {(1, 1, 0): 1.0}))[-1]
+    assert _bits(probe) == _bits(np.exp(2j * np.pi / 3.0))
 
 
 def test_parameter_validation():

@@ -3,9 +3,10 @@
     python tools/cli_outputs.py OUTDIR [--src DIR]
 
 The script writes its input states into ``OUTDIR/inputs``: three random
-states from fixed seeds, an unnormalized state, a four-mode state and a
-state whose one amplitude, 1e200, squares past the largest double, plus
-the family states that the ``family-*`` cases write there. Each case then
+states from fixed seeds, an unnormalized state, a four-mode state, a
+state whose one amplitude, 1e200, squares past the largest double, and two
+states whose invariants overflow (a cross minor of 1e200, and an AB
+determinant of 1e400), plus the family states that the ``family-*`` cases write there. Each case then
 runs ``python -m modal_ent.cli`` with ``DIR`` (default: the ``src`` directory
 beside this script) first on ``PYTHONPATH``, in its own directory
 ``OUTDIR/<case>``. A case is one call or a pipeline of calls; stage ``k``
@@ -21,10 +22,12 @@ checkouts compare with ``diff -r``:
 The matrix covers every ``modal-ent`` line of the README; ``invariants``,
 ``classify`` and ``chsh`` in JSON and CSV on each input state; ``canonical``
 plain, with ``--symbols`` and with ``--params --element-out``;
-``verify-stabilizer`` exits 0, 1 and 2; ``monotone-mc`` with ``--records``,
+``verify-stabilizer`` for each name, ``generic_eq13`` on a canonical state
+from a pipeline, and exits 0, 1 and 2; ``monotone-mc`` with ``--records``,
 with ``--state`` and with no trials; ``family`` at extreme parameters;
 ``theorem3-scan`` over ``--n 1..12 --p 1..4``; and the error exits on the
-unnormalized, four-mode and overflowing files. The script exits 1 if a
+unnormalized, four-mode and overflowing files, ``invariants`` in both
+formats among them. The script exits 1 if a
 call ends in a Python traceback. It needs only the standard library; the
 package it runs needs numpy.
 """
@@ -118,6 +121,18 @@ def cases():
         ("verify-stabilizer-psi2", [[*stab, "--in", inp("psi2")]]),
         ("verify-stabilizer-psi1", [[*stab, "--in", inp("psi1")]]),
         ("verify-stabilizer-four-mode", [[*stab, "--in", inp("four-mode")]]),
+        ("verify-stabilizer-generic-canonical", [
+            ["canonical", "--in", inp("random-1")],
+            ["verify-stabilizer", "--name", "generic_eq13", "--params", "m=1,alpha=0.4"],
+        ]),
+        ("verify-stabilizer-family16-Eq16", [
+            ["verify-stabilizer", "--name", "family16_eq20", "--params", "alpha=0.3,beta=-1.2,gamma=0.5",
+             "--in", inp("Eq16")],
+        ]),
+        ("verify-stabilizer-psi1-a", [
+            ["verify-stabilizer", "--name", "psi1_eq23", "--params", "variant=a,k=1,l=-2,n=3,p=-1,q=2,alpha=0.7",
+             "--in", inp("psi1")],
+        ]),
         ("monotone-mc-records", [["monotone-mc", "--trials", "3000", "--seed", "7", "--records", "records.csv"]]),
         ("monotone-mc-state", [["monotone-mc", "--trials", "500", "--seed", "3", "--state", inp("S1-symbols"),
                                 "--records", "records.csv"]]),
@@ -133,6 +148,8 @@ def cases():
     out += [
         ("monotone-mc-overflow", [["monotone-mc", "--trials", "5", "--state", inp("overflow")]]),
         ("verify-stabilizer-overflow", [[*stab, "--in", inp("overflow")]]),
+        *((f"invariants-{fmt}-{state}", [["invariants", "--in", inp(state), "--format", fmt]])
+          for state in ("overflow-cross-minor", "overflow-determinant") for fmt in ("json", "csv")),
         ("theorem3-scan-wide", [["theorem3-scan", "--n", "1..12", "--p", "1..4"]]),
     ]
     return out
@@ -174,6 +191,8 @@ def main(argv=None):
     docs["unnormalized"] = state_doc((3, 2, 1), {(1, 1, 0): (2.0, 0.0), (0, 1, 2): (1.0, 0.0)})
     docs["four-mode"] = state_doc((4, 2, 1), {(1, 1, 0, 0): (1.0, 0.0)})
     docs["overflow"] = state_doc((3, 2, 1), {(1, 1, 0): (1e200, 0.0)})
+    docs["overflow-cross-minor"] = state_doc((3, 2, 1), {(1, 1, 0): (1e100, 0.0), (2, 0, 2): (1e100, 0.0)})
+    docs["overflow-determinant"] = state_doc((3, 2, 1), {(1, 1, 0): (1e200, 0.0), (2, 2, 0): (1e200, 0.0)})
     for name, text in docs.items():
         with open(os.path.join(inputs, f"{name}.json"), "w") as fh:
             fh.write(text)
