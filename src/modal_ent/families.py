@@ -13,25 +13,10 @@ import cmath
 import math
 from typing import Dict, Mapping, Optional, Tuple
 
-from .names import FAMILY_NAMES
+from .names import FAMILY_NAMES, parameter_reader
 from .states import SHAPE_321, StateVector, _squared_norm
 
 _U, _D = 1, 2
-
-
-def _take(params: Dict[str, float], key: str, default: Optional[float] = None) -> float:
-    if key in params:
-        raw = params.pop(key)
-        try:
-            value = float(raw)
-        except ValueError:
-            raise ValueError(f"family parameter {key!r} must be a number, got {raw!r}") from None
-        if not math.isfinite(value):
-            raise ValueError(f"family parameter {key!r} must be finite, got {value}")
-        return value
-    if default is None:
-        raise ValueError(f"missing family parameter {key!r}")
-    return default
 
 
 def family(name: str, params: Optional[Mapping[str, float]] = None) -> StateVector:
@@ -46,6 +31,7 @@ def family(name: str, params: Optional[Mapping[str, float]] = None) -> StateVect
     if name not in FAMILY_NAMES:
         raise ValueError(f"unknown family {name!r}; choose from {FAMILY_NAMES}")
     p: Dict[str, float] = dict(params or {})
+    take = parameter_reader(p, "family parameter")
     amps: Dict[Tuple[int, int, int], complex] = {}
 
     def put(occ: Tuple[int, int, int], value: complex) -> None:
@@ -54,23 +40,23 @@ def family(name: str, params: Optional[Mapping[str, float]] = None) -> StateVect
 
     check_norm = True
     if name == "Eq14":
-        r1, r2, r3 = (_take(p, k) for k in ("r1", "r2", "r3"))
+        r1, r2, r3 = (take(k) for k in ("r1", "r2", "r3"))
         if min(r1, r2, r3) < 0:
             raise ValueError("Eq14 parameters must be non-negative")
         put((_D, _D, 0), r1)
         put((_D, 0, _D), r2)
         put((0, _D, _D), r3)
     elif name == "Eq15":
-        r1, r2, r3 = (_take(p, k) for k in ("r1", "r2", "r3"))
+        r1, r2, r3 = (take(k) for k in ("r1", "r2", "r3"))
         if r1 <= 0 or r2 <= 0 or r3 < 0:
             raise ValueError("Eq15 needs r1, r2 > 0 and r3 >= 0")
         put((_D, _D, 0), r1)
         put((_U, 0, _U), r2)
         put((0, _D, _U), r3)
     elif name == "Eq16":
-        r1, r2, r3 = (_take(p, k) for k in ("r1", "r2", "r3"))
-        r4 = _take(p, "r4")
-        phi = _take(p, "phi", 0.0)
+        r1, r2, r3 = (take(k) for k in ("r1", "r2", "r3"))
+        r4 = take("r4")
+        phi = take("phi", 0.0)
         if r1 <= 0 or r2 <= 0 or r3 <= 0 or r4 < 0:
             raise ValueError("Eq16 needs r1, r2, r3 > 0 and r4 >= 0")
         put((_D, _D, 0), r1)
@@ -78,8 +64,8 @@ def family(name: str, params: Optional[Mapping[str, float]] = None) -> StateVect
         put((0, _D, _D), r3)
         put((0, _D, _U), r4 * cmath.exp(1j * phi))
     elif name == "Eq18":
-        r1, r2, r3, r4, r5 = (_take(p, k) for k in ("r1", "r2", "r3", "r4", "r5"))
-        theta = _take(p, "theta", 0.0)
+        r1, r2, r3, r4, r5 = (take(k) for k in ("r1", "r2", "r3", "r4", "r5"))
+        theta = take("theta", 0.0)
         if r1 <= 0 or r2 <= 0 or r5 <= 0 or r3 < 0 or r4 < 0:
             raise ValueError("Eq18 needs r1, r2, r5 > 0 and r3, r4 >= 0")
         put((_D, _D, 0), r1)
@@ -89,7 +75,7 @@ def family(name: str, params: Optional[Mapping[str, float]] = None) -> StateVect
         put((0, _U, _D), r5 * cmath.exp(1j * theta))
         put((0, _D, _U), (r3 * r4 / r5) * cmath.exp(-1j * theta))
     elif name == "S1":
-        r = _take(p, "r")
+        r = take("r")
         if not 0.0 <= r <= 1.0 / math.sqrt(6.0) + 1e-12:
             raise ValueError("S1 needs 0 <= r <= 1/sqrt(6)")
         a = 1.0 / math.sqrt(6.0)
@@ -102,8 +88,8 @@ def family(name: str, params: Optional[Mapping[str, float]] = None) -> StateVect
         put((0, _U, _D), -r)
         check_norm = False
     elif name == "S2":
-        r = _take(p, "r")
-        theta = _take(p, "theta", 0.0)
+        r = take("r")
+        theta = take("theta", 0.0)
         if not 0.0 <= r < 1.0 / math.sqrt(3.0):
             raise ValueError("S2 needs 0 <= r < 1/sqrt(3)")
         w = math.sqrt(1.0 / 3.0 - r * r)

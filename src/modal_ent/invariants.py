@@ -9,7 +9,10 @@ sigma_y-sandwiched word matrix W whose traces generate the same ring.
 
 Each of these formulas has one implementation, written over an indexable
 vector of the twelve amplitudes in :func:`enumerate_basis` order: a list of
-Python complex numbers for one state, or a ``(12, k)`` array for a batch.
+Python complex numbers for one state, or a ``(12, k)`` array for a batch,
+complex or, for the Monte-Carlo trials, a
+:class:`~modal_ent.monte_carlo.SplitComplex` pair of real arrays that
+rounds as the one-state list does.
 I2 is evaluated from its explicit degree-3 polynomial. The word matrix W is
 the paper's transvectant contraction in matrix form: contracting two
 copies of the state form over mode A, and the result with a third copy
@@ -113,7 +116,7 @@ def _invariant_polynomials(v):
 def dense_invariant_pair(v):
     """(I1, I2) for a dense column batch, shape (12,) or (12, k).
 
-    A :class:`~modal_ent.operators.SplitComplex` batch gives the values that
+    A :class:`~modal_ent.monte_carlo.SplitComplex` batch gives the values that
     :func:`invariant_report` computes for each column, bit for bit.
     """
     return _invariant_polynomials(v)[3:]

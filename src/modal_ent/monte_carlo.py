@@ -16,12 +16,17 @@ every draw is bit for bit the one ``default_rng`` gives;
 ``default_rng`` itself. The seed tree, too, runs as one uint64 batch,
 the three child seeds of every trial in one broadcast. Everything after the
 draws runs once over the whole run in :func:`_margins`: the instruments are
-completed as one ``(k, 2, 3, 3)`` Kraus stack, one index gather of
-:func:`~modal_ent.operators.apply_on_mode_columns` acts with both outcomes,
-and one pass of :func:`~modal_ent.invariants.dense_invariant_pair` reads the
-inputs and both renormalized outcomes as a ``(12, 3k)`` column batch.
+completed as one ``(k, 2, 3, 3)`` Kraus stack, one index gather,
+:func:`_outcomes`, acts with both outcomes, and one pass of
+:func:`~modal_ent.invariants.dense_invariant_pair` reads the inputs and both
+renormalized outcomes as a ``(12, 3k)`` column batch in
+:class:`SplitComplex` arithmetic. This batch layer lives here, beside its
+one user, and is written for the (3, 2, 1) sector alone: the gather's
+offset tables are built once, when the module loads.
 :func:`monotonicity_trial` is its one-column call, so replaying a trial
-from its seeds reproduces the record's margins bit for bit.
+from its seeds reproduces the record's margins bit for bit; it is also the
+one public path by which a user-built instrument reaches the kernel, and
+checks the instrument's mode and dimension on the way in.
 
 The invariance sweep batches states as dense columns and verifies that
 determinant-one elements leave the polynomial invariants unchanged. The
@@ -42,15 +47,16 @@ import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
 from .invariants import _amplitude_list, dense_invariant_pair, monotones
-from .operators import (
-    MEMBER_TOL,
-    GroupElement,
-    SplitComplex,
-    apply_on_mode_columns,
-    sector_matrix,
-    superselection_leak,
+from .operators import MEMBER_TOL, GroupElement, _leak_positions, sector_matrix
+from .states import (
+    SHAPE_321,
+    StateVector,
+    basis_index,
+    enumerate_basis,
+    local_index,
+    require_normalized,
+    unit_amplitudes,
 )
-from .states import SHAPE_321, StateVector, require_normalized, unit_amplitudes
 
 #: margins above this are counted as monotonicity violations
 MARGIN_TOL = 1e-9
@@ -59,10 +65,14 @@ _MASK64 = (1 << 64) - 1
 
 
 def _integer(x: int, what: str) -> int:
-    """x as a Python int; a bool, numpy's included, or a float raises TypeError."""
+    """x as a Python int; a bool, numpy's included, a float or a string
+    raises TypeError naming ``what``."""
     if isinstance(x, (bool, np.bool_)):
         raise TypeError(f"{what} must be an integer, not a bool")
-    return operator.index(x)
+    try:
+        return operator.index(x)
+    except TypeError:
+        raise TypeError(f"{what} must be an integer, not {type(x).__name__}") from None
 
 
 def _wrapping(x: Union[int, np.ndarray]) -> Union[int, np.ndarray]:
@@ -206,7 +216,10 @@ def _check_instruments(kraus: np.ndarray) -> None:
     defect = np.abs(total).max()
     if not defect <= 1e-9:
         raise ValueError(f"instrument is not trace preserving (defect {defect:.3e})")
-    compliant = (superselection_leak(kraus) <= MEMBER_TOL).all(axis=0)
+    rows, cols = zip(*_leak_positions(d))
+    # the largest leak modulus of each matrix; NaN entries give NaN
+    leak = np.abs(kraus[..., rows, cols]).max(axis=-1)
+    compliant = (leak <= MEMBER_TOL).all(axis=0)
     if not compliant.all():
         raise ValueError(f"outcome {np.argmin(compliant)} violates the superselection rule")
 
@@ -296,6 +309,108 @@ def _state_column(state: StateVector) -> np.ndarray:
     return np.array(_amplitude_list(state))[:, None]
 
 
+class SplitComplex:
+    """Complex numbers or arrays held as separate real and imaginary parts.
+
+    A product takes four real products and two sums, the way Python's
+    complex type rounds it; numpy's complex loops may fuse a multiply with
+    an add and round differently. Batches evaluated this way reproduce the
+    scalar arithmetic of :func:`~modal_ent.operators.apply` and of the
+    invariant report bit for bit. That matters where an invariant vanishes:
+    its roundoff is then all there is, and the fractional powers of the
+    monotones magnify it.
+    """
+
+    __slots__ = ("re", "im")
+
+    def __init__(self, re, im) -> None:
+        self.re = re
+        self.im = im
+
+    def __getitem__(self, index) -> "SplitComplex":
+        return SplitComplex(self.re[index], self.im[index])
+
+    def __add__(self, other: "SplitComplex") -> "SplitComplex":
+        return SplitComplex(self.re + other.re, self.im + other.im)
+
+    def __sub__(self, other: "SplitComplex") -> "SplitComplex":
+        return SplitComplex(self.re - other.re, self.im - other.im)
+
+    def __mul__(self, other: "SplitComplex") -> "SplitComplex":
+        return SplitComplex(
+            self.re * other.re - self.im * other.im, self.re * other.im + self.im * other.re
+        )
+
+    def __abs__(self):
+        return np.hypot(self.re, self.im)
+
+
+# The offsets of the column gather of :func:`_outcomes`, in float64 words
+# of complex data, so one more reads the imaginary part. For output
+# amplitude j under an operator on mode m, term c multiplies entry (row, c)
+# of the 3 x 3 operator, row being the local index of mode m in state j, by
+# the amplitude of state j with mode m set to local index c. _SOURCES[c, j, m]
+# is that amplitude's offset in a column padded with one zero amplitude, at
+# position 12, which stands in where the state leaves the sector, and
+# _ENTRIES[c, j, m] the entry's offset in the matrix. Modes run along the
+# last axis, so taking the batch's modes there gives contiguous (3, 12, k)
+# tables. Local indices 0, 1, 2 hold the symbols 1, 2 and 0: the two levels,
+# then the vacancy.
+_BASIS = enumerate_basis(SHAPE_321)
+_SOURCES = 2 * np.array(
+    [
+        [[basis_index(SHAPE_321).get(occ[:m] + (sym,) + occ[m + 1 :], 12) for m in range(3)] for occ in _BASIS]
+        for sym in (1, 2, 0)
+    ]
+)
+_ENTRIES = 2 * np.array([[[local_index(occ[m], 1) * 3 + c for m in range(3)] for occ in _BASIS] for c in range(3)])
+
+
+def _outcomes(ops: np.ndarray, modes: np.ndarray, columns: np.ndarray, out: SplitComplex) -> SplitComplex:
+    """Act on column ``t`` with each operator of ``ops[t]`` on mode ``modes[t]``; not renormalized.
+
+    ``columns`` holds a ``(12, k)`` complex batch of (3, 2, 1) states,
+    ``ops`` a ``(k, n, 3, 3)`` complex stack of ``n`` local matrices per
+    column (the outcomes of an instrument) and ``modes`` ``k`` mode numbers
+    in ``0 .. 2``, which the callers guarantee. The result is written into
+    and returned as ``out``, whose ``(12, n, k)`` parts may be views, such
+    as slots of a larger batch: ``[:, o, t]`` is ``ops[t, o]`` acting on
+    column ``t``.
+
+    Each output amplitude sums three terms, an operator entry times a source
+    amplitude. The source offsets and values are gathered once for the
+    batch, one ``(12, k)`` slice per term, and shared by the ``n``
+    operators, whose entries are read by flat ``np.take`` on the float64
+    words of the stack; working a term at a time keeps the temporaries
+    small. A source outside the sector reads a zero, so entries mixing
+    levels and the vacancy, which compliant operators do not have, are
+    dropped. Products and sums round as in :func:`~modal_ent.operators.apply`,
+    and a column's result does not depend on the rest of the batch.
+    """
+    k, n = ops.shape[:2]
+    step = np.arange(k)
+    padded = np.zeros((k, 13), dtype=complex)
+    padded[:, :12] = columns.T
+    amplitudes = padded.reshape(-1).view(np.float64)
+    source_at = np.take(_SOURCES, modes, axis=2)
+    source_at += 2 * 13 * step
+    matrices = np.ascontiguousarray(ops, dtype=complex).reshape(-1).view(np.float64)
+    entry_at = np.take(_ENTRIES, modes, axis=2)
+    entry_at += 2 * n * 9 * step
+    for c in range(3):
+        value = SplitComplex(amplitudes.take(source_at[c]), amplitudes[1:].take(source_at[c]))
+        for o in range(n):
+            words = matrices[2 * o * 9 :]
+            term = SplitComplex(words.take(entry_at[c]), words[1:].take(entry_at[c])) * value
+            # the terms add in order of c; another order would move last bits
+            if c:
+                out.re[:, o] += term.re
+                out.im[:, o] += term.im
+            else:
+                out.re[:, o], out.im[:, o] = term.re, term.im
+    return out
+
+
 def _margins(psi: np.ndarray, kraus: np.ndarray, modes: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Monotone margins of a batch: column ``t`` of ``psi`` meets ``kraus[t]`` on ``modes[t]``.
 
@@ -312,7 +427,7 @@ def _margins(psi: np.ndarray, kraus: np.ndarray, modes: np.ndarray) -> Tuple[np.
     slots = (dim, 1 + kraus.shape[1], k)
     batch = SplitComplex(np.empty(slots), np.empty(slots))
     batch.re[:, 0], batch.im[:, 0] = psi.real, psi.imag
-    out = apply_on_mode_columns(kraus, modes, psi, SHAPE_321, batch[:, 1:])
+    out = _outcomes(kraus, modes, psi, batch[:, 1:])
     # Python's sum adds the rows in basis order whatever the batch size;
     # np.sum may pair the terms of a single column differently.
     prob = sum(out.re * out.re + out.im * out.im)
@@ -336,11 +451,18 @@ def monotonicity_trial(
     Returns the margins for the two monotones ``|I1|^(1/3)`` and
     ``|I2|^(2/3)``; non-positive margins (within tolerance) are what the
     monotone property demands. Outcomes with negligible probability are
-    skipped. The state must be normalized and of shape (3, 2, 1). This is
-    the one-trial call of the kernel behind :func:`run_monotone_trials`, so
-    it replays a recorded trial bit for bit.
+    skipped. The state must be normalized and of shape (3, 2, 1), and the
+    instrument must act with ``3 x 3`` operators on a mode in ``0 .. 2``,
+    else ValueError; a mode that is a bool, a float or a string raises
+    TypeError. This is the one-trial call of the kernel behind
+    :func:`run_monotone_trials`, so it replays a recorded trial bit for bit.
     """
-    m1, m2 = _margins(_state_column(state), instrument.kraus[None], np.array([instrument.mode]))
+    mode = _integer(instrument.mode, "instrument mode")
+    if instrument.kraus.shape[1:] != (3, 3):
+        raise ValueError(f"operators have shape {instrument.kraus.shape[1:]}, expected dim 3")
+    if not 0 <= mode < 3:
+        raise ValueError(f"mode {mode} out of range for 3 modes")
+    m1, m2 = _margins(_state_column(state), instrument.kraus[None], np.array([mode]))
     return float(m1[0]), float(m2[0])
 
 

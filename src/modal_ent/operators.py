@@ -10,40 +10,33 @@ applied as a tensor product restricted to the fixed-particle-number sector.
 
 :func:`apply` is the one sparse action of a compliant element on a state
 of any shape, and :func:`apply_on_mode` the one way to act on a single mode
-of a sparse state with the identity on every other mode.
-:func:`apply_on_mode_columns` does the same for a batch of dense state
-columns, each with its own mode and its own operators (the outcomes of an
-instrument, say), as a flat index gather rather than a sector matrix.
+of a sparse state with the identity on every other mode. The batched action
+of instruments on dense columns belongs to :mod:`modal_ent.monte_carlo`,
+its one user.
 
 The entries that the superselection rule requires to vanish are listed
-once, by ``_leak_positions``. :func:`superselection_leak` reads them from
-stacks of matrices, which is how instruments are tested;
-``_leaking_mode`` reads them from the rows of an element, for
-:meth:`GroupElement.is_superselection_compliant` and :func:`apply`.
+once, by ``_leak_positions``. ``_leaking_mode`` reads them from the rows of
+an element, for :meth:`GroupElement.is_superselection_compliant` and
+:func:`apply`; the Monte-Carlo instrument check reads them from its Kraus
+stacks.
 
 Loading this module loads no numpy, and neither do building, checking and
-applying elements, so ``modal-ent verify-stabilizer`` runs without it.
-numpy enters only inside the calls that take or make arrays:
-:func:`superselection_leak`, :func:`apply_on_mode_columns`,
-:func:`sector_matrix`, :func:`occupation_scaling`, :func:`random_element`
-and the modulus of a :class:`SplitComplex` batch.
+applying elements, or :func:`occupation_scaling`, so
+``modal-ent verify-stabilizer`` runs without it. numpy enters only inside
+the calls that make arrays: :func:`sector_matrix`, with its index
+columns, and :func:`random_element`.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import TYPE_CHECKING, Dict, Optional, Sequence, Tuple
 
-from .states import (
-    StateVector,
-    SystemShape,
-    basis_index,
-    enumerate_basis,
-    local_index,
-)
+from .states import StateVector, SystemShape, enumerate_basis, local_index
 
 if TYPE_CHECKING:
     import numpy as np
@@ -64,60 +57,12 @@ _EXPONENT_WEIGHTS = (
 )
 
 
-class SplitComplex:
-    """Complex numbers or arrays held as separate real and imaginary parts.
-
-    A product takes four real products and two sums, the way Python's
-    complex type rounds it; numpy's complex loops may fuse a multiply with
-    an add and round differently. Batches evaluated this way reproduce the
-    scalar arithmetic of :func:`apply` and of the invariant report bit for
-    bit. That matters where an invariant vanishes: its roundoff is then all
-    there is, and the fractional powers of the monotones magnify it.
-    """
-
-    __slots__ = ("re", "im")
-
-    def __init__(self, re, im) -> None:
-        self.re = re
-        self.im = im
-
-    def __getitem__(self, index) -> "SplitComplex":
-        return SplitComplex(self.re[index], self.im[index])
-
-    def __add__(self, other: "SplitComplex") -> "SplitComplex":
-        return SplitComplex(self.re + other.re, self.im + other.im)
-
-    def __sub__(self, other: "SplitComplex") -> "SplitComplex":
-        return SplitComplex(self.re - other.re, self.im - other.im)
-
-    def __mul__(self, other: "SplitComplex") -> "SplitComplex":
-        return SplitComplex(
-            self.re * other.re - self.im * other.im, self.re * other.im + self.im * other.re
-        )
-
-    def __abs__(self):
-        import numpy as np
-
-        return np.hypot(self.re, self.im)
-
-
 @lru_cache(maxsize=None)
 def _leak_positions(d: int) -> Tuple[Tuple[int, int], ...]:
     """The ``(row, column)`` entries of a ``d x d`` local matrix that mix the
     levels with the vacancy; the superselection rule is that they vanish."""
     v = d - 1
     return tuple((i, v) for i in range(v)) + tuple((v, j) for j in range(v))
-
-
-def superselection_leak(entries: np.ndarray) -> np.ndarray:
-    """Largest modulus mixing levels and vacancy, per matrix of a ``(..., d, d)`` stack.
-
-    NaN entries give NaN, which no tolerance accepts.
-    """
-    import numpy as np
-
-    rows, cols = zip(*_leak_positions(entries.shape[-1]))
-    return np.abs(entries[..., rows, cols]).max(axis=-1)
 
 
 def _symbol_moves(rows: Sequence[Sequence[complex]]) -> list:
@@ -334,97 +279,6 @@ def _index_columns(shape: SystemShape) -> Tuple[np.ndarray, ...]:
     )
 
 
-@lru_cache(maxsize=None)
-def _gather_offsets(shape: SystemShape) -> Tuple[np.ndarray, np.ndarray]:
-    """Float64 offsets of the column gather, two ``(d, dimension, modes)`` tables.
-
-    For output amplitude ``j`` under an operator on mode ``m``, term ``c``
-    multiplies entry ``(row, c)`` of the ``d x d`` operator, ``row`` being
-    the local index of mode ``m`` in state ``j``, by the amplitude of state
-    ``j`` with mode ``m`` set to local index ``c``. ``sources[c, j, m]`` is
-    that amplitude's offset in a column padded with one zero amplitude, at
-    position ``dimension``, which stands in where the state leaves the
-    sector; ``entries[c, j, m]`` is the entry's offset in the matrix. Both
-    count float64 words of complex data, so one more reads the imaginary
-    part. Modes run along the last axis, so taking ``modes`` there gives
-    contiguous ``(d, dimension, k)`` tables.
-    """
-    import numpy as np
-
-    basis = enumerate_basis(shape)
-    position = basis_index(shape)
-    p = shape.spin_numerator
-    d = shape.local_dim
-    symbols = list(range(1, shape.levels + 1)) + [0]
-    sources = [
-        [[position.get(occ[:m] + (sym,) + occ[m + 1 :], len(basis)) for m in range(shape.modes)] for occ in basis]
-        for sym in symbols
-    ]
-    entries = [
-        [[local_index(occ[m], p) * d + c for m in range(shape.modes)] for occ in basis] for c in range(d)
-    ]
-    return 2 * np.array(sources), 2 * np.array(entries)
-
-
-def apply_on_mode_columns(
-    ops: np.ndarray,
-    modes: np.ndarray,
-    columns: np.ndarray,
-    shape: SystemShape,
-    out: SplitComplex,
-) -> SplitComplex:
-    """Act on column ``t`` with each operator of ``ops[t]`` on mode ``modes[t]``; not renormalized.
-
-    ``columns`` holds a ``(dimension, k)`` complex batch of dense states,
-    ``ops`` a ``(k, n, d, d)`` complex stack of ``n`` local matrices per
-    column (the outcomes of an instrument, say) and ``modes`` ``k`` mode
-    numbers. The result is written into and returned as ``out``, whose
-    ``(dimension, n, k)`` parts may be views, such as slots of a larger
-    batch: ``[:, o, t]`` is ``ops[t, o]`` acting on column ``t``.
-
-    Each output amplitude sums ``d`` terms, an operator entry times a source
-    amplitude. The source offsets and values are gathered once for the
-    batch, one ``(dimension, k)`` slice per term, and shared by the ``n``
-    operators, whose entries are read by flat ``np.take`` on the float64
-    words of the stack; working a term at a time keeps the temporaries
-    small. A source outside the sector reads a zero, so entries mixing
-    levels and the vacancy, which compliant operators do not have, are
-    dropped. Products and sums round as in :func:`apply`, and a column's
-    result does not depend on the rest of the batch.
-    """
-    import numpy as np
-
-    k, n = ops.shape[:2]
-    d, dim = shape.local_dim, shape.dimension
-    if ops.shape[2:] != (d, d):
-        raise ValueError(f"operators have shape {ops.shape[2:]}, expected dim {d}")
-    stray = modes[(modes < 0) | (modes >= shape.modes)]
-    if stray.size:
-        raise ValueError(f"mode {stray[0]} out of range for {shape.modes} modes")
-    sources, entries = _gather_offsets(shape)
-    step = np.arange(k)
-    padded = np.zeros((k, dim + 1), dtype=complex)
-    padded[:, :dim] = columns.T
-    amplitudes = padded.reshape(-1).view(np.float64)
-    source_at = np.take(sources, modes, axis=2)
-    source_at += 2 * (dim + 1) * step
-    matrices = np.ascontiguousarray(ops, dtype=complex).reshape(-1).view(np.float64)
-    entry_at = np.take(entries, modes, axis=2)
-    entry_at += 2 * n * d * d * step
-    for c in range(d):
-        value = SplitComplex(amplitudes.take(source_at[c]), amplitudes[1:].take(source_at[c]))
-        for o in range(n):
-            words = matrices[2 * o * d * d :]
-            term = SplitComplex(words.take(entry_at[c]), words[1:].take(entry_at[c])) * value
-            # the terms add in order of c; another order would move last bits
-            if c:
-                out.re[:, o] += term.re
-                out.im[:, o] += term.im
-            else:
-                out.re[:, o], out.im[:, o] = term.re, term.im
-    return out
-
-
 def sector_matrix(element: GroupElement, shape: SystemShape) -> np.ndarray:
     """Dense matrix of a compliant element on the sector basis.
 
@@ -446,24 +300,27 @@ def sector_matrix(element: GroupElement, shape: SystemShape) -> np.ndarray:
     return mat
 
 
-def occupation_scaling(r: float, phi: float = 0.0, p: int = 1) -> np.ndarray:
+def occupation_scaling(r: float, phi: float = 0.0, p: int = 1) -> _Rows:
     """Diagonal determinant-one matrix scaling occupied levels against vacancy.
 
     Every occupied level is multiplied by ``r e^{i phi}`` and the vacancy by
     the compensating ``r^{-(p+1)} e^{-(p+1) i phi}``. Applied on all modes of
     an ``(n, m, p)`` sector state it rescales each amplitude by
-    ``r^{(p+2)m - (p+1)n} e^{[(p+2)m - (p+1)n] i phi}``. A scale that is not
-    finite and positive, or whose vacancy factor ``r^{-(p+1)}`` underflows to
-    zero or overflows, a phase that is not finite, and a ``p`` that is a
-    bool, not an integer or negative raise ValueError.
+    ``r^{(p+2)m - (p+1)n} e^{[(p+2)m - (p+1)n] i phi}``. The matrix comes as
+    rows of Python complex numbers, the bits that ``np.exp`` and ``np.diag``
+    gave. A scale that is not finite and positive, or whose vacancy factor
+    ``r^{-(p+1)}`` underflows to zero or overflows, a phase that is not
+    finite, and a ``p`` that is a bool, not an integer or negative raise
+    ValueError.
     """
-    import numpy as np
-
     if not 0 < r < math.inf:
         raise ValueError(f"scale must be finite and positive, got {r}")
-    if isinstance(p, bool) or not isinstance(p, (int, np.integer)):
-        raise ValueError(f"p must be an integer, got {p!r}")
-    p = int(p)
+    try:
+        if isinstance(p, bool):
+            raise TypeError
+        p = operator.index(p)
+    except TypeError:
+        raise ValueError(f"p must be an integer, got {p!r}") from None
     if not math.isfinite(phi) or p < 0:
         raise ValueError(f"need a finite phase and p >= 0, got phi={phi}, p={p}")
     try:
@@ -472,9 +329,8 @@ def occupation_scaling(r: float, phi: float = 0.0, p: int = 1) -> np.ndarray:
         vacancy = math.inf
     if not 0 < vacancy < math.inf:
         raise ValueError(f"scale {r} leaves the vacancy factor r^-{p + 1} = {vacancy}, not finite and nonzero")
-    head = [r * np.exp(1j * phi)] * (p + 1)
-    diag = head + [vacancy * np.exp(-1j * (p + 1) * phi)]
-    return np.diag(diag).astype(complex)
+    diag = [float(r) * cmath.exp(1j * phi)] * (p + 1) + [vacancy * cmath.exp(-1j * (p + 1) * phi)]
+    return tuple(tuple(z if i == j else 0j for j in range(p + 2)) for i, z in enumerate(diag))
 
 
 def random_element(

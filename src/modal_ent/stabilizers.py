@@ -29,7 +29,7 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from .names import STABILIZER_NAMES
+from .names import STABILIZER_NAMES, parameter_reader
 from .operators import GroupElement, apply, apply_on_mode, make_slocc_element
 from .states import SHAPE_321, StateVector, phase_fit
 
@@ -44,28 +44,6 @@ class StabilizerElement:
     declared_prefactor: complex
 
 
-def _pop_float(params: Dict[str, float], key: str, default: float = 0.0) -> float:
-    raw = params.pop(key, default)
-    try:
-        val = float(raw)
-    except ValueError:
-        raise ValueError(f"parameter {key!r} must be a number, got {raw!r}") from None
-    if not math.isfinite(val):
-        raise ValueError(f"parameter {key!r} must be finite, got {val}")
-    return val
-
-
-def _pop_int(params: Dict[str, float], key: str, default: int = 0) -> int:
-    raw = params.pop(key, default)
-    try:
-        val = float(raw)
-    except ValueError:
-        val = math.nan
-    if not math.isfinite(val) or abs(val - round(val)) > 1e-9:
-        raise ValueError(f"parameter {key!r} must be an integer, got {raw}")
-    return int(round(val))
-
-
 def stabilizer(name: str, params: Optional[Mapping[str, float]] = None) -> StabilizerElement:
     """Build a named stabilizer candidate from its parameter dictionary.
 
@@ -76,11 +54,12 @@ def stabilizer(name: str, params: Optional[Mapping[str, float]] = None) -> Stabi
     if name not in STABILIZER_NAMES:
         raise ValueError(f"unknown stabilizer {name!r}; choose from {STABILIZER_NAMES}")
     p: Dict[str, float] = dict(params or {})
+    take = parameter_reader(p, "parameter")
     used: Dict[str, float] = {}
 
     if name == "generic_eq13":
-        m = _pop_int(p, "m")
-        alpha = _pop_float(p, "alpha")
+        m = take("m", 0, integer=True)
+        alpha = take("alpha", 0.0)
         used = {"m": m, "alpha": alpha}
         coeffs = (
             (0, 0, 1j * math.pi * m, 1j * alpha),
@@ -89,9 +68,9 @@ def stabilizer(name: str, params: Optional[Mapping[str, float]] = None) -> Stabi
         )
         prefactor = 1.0 + 0j
     elif name == "family16_eq20":
-        alpha = _pop_float(p, "alpha")
-        beta = _pop_float(p, "beta")
-        gamma = _pop_float(p, "gamma")
+        alpha = take("alpha", 0.0)
+        beta = take("beta", 0.0)
+        gamma = take("gamma", 0.0)
         used = {"alpha": alpha, "beta": beta, "gamma": gamma}
         coeffs = (
             (0, 0, 1j * beta, 1j * gamma),
@@ -102,13 +81,13 @@ def stabilizer(name: str, params: Optional[Mapping[str, float]] = None) -> Stabi
     elif name == "psi1_eq23":
         variant = str(p.pop("variant", "a"))
         if variant == "a":
-            k = _pop_int(p, "k")
-            l = _pop_int(p, "l")
-            m = _pop_int(p, "m")
-            n = _pop_int(p, "n")
-            q_p = _pop_int(p, "p")
-            q = _pop_int(p, "q")
-            alpha = _pop_float(p, "alpha")
+            k = take("k", 0, integer=True)
+            l = take("l", 0, integer=True)
+            m = take("m", 0, integer=True)
+            n = take("n", 0, integer=True)
+            q_p = take("p", 0, integer=True)
+            q = take("q", 0, integer=True)
+            alpha = take("alpha", 0.0)
             used = {"variant": variant, "k": k, "l": l, "m": m, "n": n, "p": q_p, "q": q, "alpha": alpha}
             half = math.pi / 2.0
             third = math.pi / 3.0
@@ -134,7 +113,7 @@ def stabilizer(name: str, params: Optional[Mapping[str, float]] = None) -> Stabi
             coeffs = (c, c, c)
             prefactor = cmath.exp(1j * math.pi)
         elif variant == "c":
-            beta = _pop_float(p, "beta")
+            beta = take("beta", 0.0)
             used = {"variant": variant, "beta": beta}
             c = (0, 1j * beta, 0, 0)
             coeffs = (c, c, c)
@@ -142,10 +121,10 @@ def stabilizer(name: str, params: Optional[Mapping[str, float]] = None) -> Stabi
         else:
             raise ValueError(f"psi1_eq23 variant must be a, b or c, got {variant!r}")
     else:
-        alpha = _pop_float(p, "alpha")
-        beta = _pop_float(p, "beta")
-        gamma = _pop_float(p, "gamma")
-        delta = _pop_float(p, "delta")
+        alpha = take("alpha", 0.0)
+        beta = take("beta", 0.0)
+        gamma = take("gamma", 0.0)
+        delta = take("delta", 0.0)
         used = {"alpha": alpha, "beta": beta, "gamma": gamma, "delta": delta}
         coeffs = (
             (0, 0, 1j * alpha, 1j * beta),

@@ -240,9 +240,13 @@ def is_maximally_entangled(state: StateVector, tol: float = 1e-12) -> bool:
 
 
 def normalize(state: StateVector) -> StateVector:
+    """The state divided by its norm; a zero norm, and one that overflows
+    or is NaN, raise ValueError."""
     nrm = state.norm()
     if nrm < ZERO_TOL:
         raise ValueError("cannot normalize a zero state vector")
+    if not nrm < math.inf:
+        raise ValueError(f"cannot normalize a state whose norm is {nrm}")
     return StateVector(state.shape, {occ: amp / nrm for occ, amp in state.amplitudes.items()})
 
 

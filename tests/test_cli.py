@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -14,6 +15,7 @@ import modal_ent
 from modal_ent.cli import main
 from modal_ent.classify import canonical_form, family
 from modal_ent.serialize import element_from_json, state_from_json, state_to_json
+from modal_ent.stabilizers import stabilizer
 from modal_ent.states import SHAPE_321, StateVector, SystemShape, random_state
 
 rng = np.random.default_rng(1234)
@@ -170,6 +172,11 @@ def test_family_parameter_errors(capsys):
     assert "family parameter 'r1' must be finite, got inf" in capsys.readouterr().err
     assert main(["family", "--name", "S1", "--params", "r=abc"]) == 1
     assert capsys.readouterr().err == "modal-ent: error: family parameter 'r' must be a number, got 'abc'\n"
+    # a value that float() refuses with TypeError is named the same way
+    for value in (None, [0.6], 1j):
+        message = f"family parameter 'r1' must be a number, got {value!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            family("Eq14", {"r1": value, "r2": 0.8, "r3": 0.0})
 
 
 def test_verify_stabilizer_exit_codes(tmp_path, capsys):
@@ -205,6 +212,13 @@ def test_verify_stabilizer_exit_codes(tmp_path, capsys):
     ]:
         assert main(["verify-stabilizer", "--name", name, "--params", params, "--in", psi2_path]) == 1
         assert capsys.readouterr().err == f"modal-ent: error: {message}\n"
+    for params, message in [
+        ({"alpha": None}, "parameter 'alpha' must be a number, got None"),
+        ({"m": [1]}, "parameter 'm' must be an integer, got [1]"),
+        ({"m": None}, "parameter 'm' must be an integer, got None"),
+    ]:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            stabilizer("generic_eq13", params)
 
     # the named elements act on three modes; a state of another shape is named as such
     four_mode = write_state(tmp_path, "four.json", StateVector(SystemShape(4, 2, 1), {(1, 1, 0, 0): 1.0}))

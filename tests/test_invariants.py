@@ -16,7 +16,8 @@ from modal_ent.invariants import (
     localized_scenario_check,
     trace_word,
 )
-from modal_ent.operators import SplitComplex, apply, random_element
+from modal_ent.monte_carlo import SplitComplex
+from modal_ent.operators import apply, random_element
 from modal_ent.states import SHAPE_321, StateVector, SystemShape, enumerate_basis, random_state
 
 rng = np.random.default_rng(7)

@@ -232,6 +232,11 @@ def test_monotonicity_trial_preconditions():
         stray = LocalInstrument(mode, inst.kraus, seed=0)
         with pytest.raises(ValueError, match="out of range for 3 modes"):
             monotonicity_trial(random_state(SHAPE_321, rng), stray)
+    # unchecked, a bool would run as mode 1, and a float or a string fail deep in numpy
+    for mode, kind in ((True, "a bool"), (np.False_, "a bool"), (1.0, "float"), ("1", "str")):
+        loose = LocalInstrument(mode, inst.kraus, seed=0)
+        with pytest.raises(TypeError, match=f"^instrument mode must be an integer, not {kind}$"):
+            monotonicity_trial(random_state(SHAPE_321, rng), loose)
 
 
 def test_margins_stay_non_positive():

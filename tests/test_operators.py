@@ -232,6 +232,30 @@ def test_occupation_scaling_net_factor():
             occupation_scaling(**bad)
 
 
+def _numpy_scaling(r, phi, p):
+    """occupation_scaling as it was written before it dropped numpy."""
+    head = [r * np.exp(1j * phi)] * (p + 1)
+    return np.diag(head + [float(r) ** -(p + 1) * np.exp(-1j * (p + 1) * phi)]).astype(complex)
+
+
+def test_occupation_scaling_keeps_the_bits_of_the_numpy_form():
+    local = np.random.default_rng(2718)
+    extremes = (0.0, -0.0, 5e-324, -5e-324, 1e-308, math.pi, -math.pi, 1e6, -1e6, 1e300, -1e300)
+    phases = [*local.uniform(-2 * math.pi, 2 * math.pi, 100), *local.uniform(-1e6, 1e6, 30), *extremes]
+    checked = 0
+    for r in (1.0, 0.3, 1.7, 1e-3, 1e3, np.float64(0.45), 2):
+        for p in (0, 1, 2, 3):
+            for phi in phases:
+                got = occupation_scaling(r, float(phi), p)
+                want = _numpy_scaling(r, float(phi), p)
+                assert len(got) == len(want) == p + 2
+                for got_row, want_row in zip(got, want):
+                    assert all(type(z) is complex for z in got_row)
+                    assert [_bits(z) for z in got_row] == [_bits(z) for z in want_row], (r, phi, p)
+                checked += 1
+    assert checked == 7 * 4 * (130 + len(extremes))
+
+
 def test_occupation_scaling_unbalanced_sector():
     # four modes, two particles: every basis amplitude scales by r^-2 e^{-2 i phi}
     shape = SystemShape(4, 2, 1)

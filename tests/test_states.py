@@ -153,6 +153,20 @@ def test_normalize():
         normalize(StateVector(SHAPE_321, {}))
 
 
+def test_normalize_refuses_a_norm_that_is_not_finite():
+    # dividing by an overflowing norm would give the zero state, and by a NaN norm a NaN state
+    huge = StateVector(SHAPE_321, {(1, 1, 0): 1e200, (2, 2, 0): 1e200})
+    with pytest.raises(ValueError, match="^cannot normalize a state whose norm is inf$"):
+        normalize(huge)
+    with pytest.raises(ValueError, match="^cannot normalize a state whose norm is inf$"):
+        normalize(StateVector(SHAPE_321, {(1, 1, 0): math.inf}))
+    with pytest.raises(ValueError, match="^cannot normalize a state whose norm is nan$"):
+        normalize(StateVector(SHAPE_321, {(1, 1, 0): 1.0, (2, 2, 0): complex(math.nan, 0.0)}))
+    # amplitudes near the float range whose squares still add to a finite norm are normalized
+    edge = normalize(StateVector(SHAPE_321, {(1, 1, 0): 1e154, (2, 2, 0): 1e153}))
+    assert abs(edge.norm() - 1.0) < 1e-15
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(min_value=0, max_value=2**31 - 1))
 def test_norm_matches_dense_norm(seed):

@@ -147,3 +147,38 @@ def test_only_operators_reads_the_move_tables(path):
     # other modules act through operators.apply, so the table format has one owner
     named = referenced_names(path.read_text()) & MOVE_TABLE_HELPERS
     assert named == (MOVE_TABLE_HELPERS if path.name == "operators.py" else set())
+
+
+def numpy_imports(source: str):
+    """The top-level function, or None for the module, of each import of
+    numpy that runs; an ``if TYPE_CHECKING:`` block never runs."""
+    found = []
+
+    def walk(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.If) and isinstance(child.test, ast.Name) and child.test.id == "TYPE_CHECKING":
+                continue
+            if isinstance(child, ast.Import):
+                modules = [alias.name for alias in child.names]
+            elif isinstance(child, ast.ImportFrom):
+                modules = [child.module or ""]
+            else:
+                modules = []
+            if any(m.split(".")[0] == "numpy" for m in modules):
+                found.append(owner)
+            inner = child.name if owner is None and isinstance(child, (ast.FunctionDef, ast.ClassDef)) else owner
+            walk(child, inner)
+
+    walk(ast.parse(source), None)
+    return found
+
+
+def test_numpy_loads_at_module_level_only_in_monte_carlo():
+    # the Monte-Carlo batch layer owns module-level numpy; the operators
+    # import it only in the dense matrix and the random element
+    probe = "import numpy as np\nif TYPE_CHECKING:\n    import numpy\ndef f():\n    from numpy import linalg\n"
+    assert numpy_imports(probe) == [None, "f"]
+    at_load = {path.stem for path in PACKAGE.glob("*.py") if None in numpy_imports(path.read_text())}
+    assert at_load == {"monte_carlo"}
+    inside = set(numpy_imports((PACKAGE / "operators.py").read_text()))
+    assert inside == {"sector_matrix", "_index_columns", "random_element"}
