@@ -18,12 +18,12 @@ The locality helpers reduce a state to its pattern of pair and bipartition
 correlations. The named state families live in :mod:`modal_ent.families`,
 which loads no numpy; ``classify.family`` is the same function.
 
-Loading this module loads no numpy, and :func:`membership_report` and
-:func:`bell_profile` compute in Python complex numbers, so
-``modal-ent classify`` runs without it. numpy enters only inside
-:func:`canonical_form` (an SVD and a least-squares fit),
-:func:`pair_projection` and :func:`chsh_value` (an eigenvalue solve), which
-import it when they run.
+Loading this module loads no numpy, and :func:`membership_report`,
+:func:`bell_profile`, :func:`pair_projection` and :func:`chsh_value`
+compute in Python complex numbers, so ``modal-ent classify`` and
+``modal-ent chsh`` run without it. numpy enters only inside
+:func:`canonical_form` (an SVD and a least-squares fit), which imports it
+when it runs.
 """
 
 from __future__ import annotations
@@ -31,8 +31,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import TYPE_CHECKING, List, Optional, Tuple
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 from .invariants import (
     _AB,
@@ -46,15 +45,17 @@ from .invariants import (
     InvariantReport,
     _amplitude_list,
     _cross_minors,
+    _det2,
     _invariant_polynomials,
     _report,
 )
 from . import families
-from .operators import GroupElement
+from .operators import GroupElement, _nested_shape
 from .states import (
     NORM_TOL,
     SHAPE_321,
     StateVector,
+    _squared_norm,
     is_maximally_entangled,
     require_normalized,
 )
@@ -296,71 +297,50 @@ def _profile(v, polynomials, tol: float) -> BellProfile:
 family = families.family
 
 
-def pair_projection(
-    state: StateVector, pair: str
-) -> Tuple[Optional[np.ndarray], float]:
+def pair_projection(state: StateVector, pair: str) -> Tuple[Optional[Tuple[complex, ...]], float]:
     """Two-qubit vector conditioned on both particles sitting in one pair.
 
-    Returns the normalized 4-vector in the basis (uu, ud, du, dd) along
-    with the projection weight; the vector is None when the weight is
-    numerically zero.
+    Returns the normalized 4-vector in the basis (uu, ud, du, dd), a tuple
+    of Python complex numbers, along with the projection weight; the vector
+    is None when the weight is numerically zero.
     """
-    import numpy as np
-
     v = _amplitude_list(state)
     try:
-        m = _block(v, {"AB": _AB, "BC": _BC, "AC": _AC}[pair])
+        block = {"AB": _AB, "BC": _BC, "AC": _AC}[pair]
     except KeyError:
         raise ValueError(f"pair must be one of AB, BC, AC, got {pair!r}") from None
-    weight = float(np.sum(np.abs(m) ** 2))
+    weight = _squared_norm(v[k] for k in block)
     if weight <= 1e-14:
         return None, 0.0
-    return (m / math.sqrt(weight)).reshape(4), weight
+    scale = math.sqrt(weight)
+    return tuple(v[k] / scale for k in block), weight
 
 
-@lru_cache(maxsize=None)
-def _pauli_pairs() -> np.ndarray:
-    """The nine products sigma_i (x) sigma_j as one (9, 4, 4) stack, i-major.
-
-    Their entries are exact products of 0, +-1 and +-i.
-    """
-    import numpy as np
-
-    pauli = (
-        np.array([[0, 1], [1, 0]], dtype=complex),
-        np.array([[0, -1j], [1j, 0]], dtype=complex),
-        np.array([[1, 0], [0, -1]], dtype=complex),
-    )
-    stack = np.array([np.kron(a, b) for a in pauli for b in pauli])
-    stack.flags.writeable = False
-    return stack
-
-
-def chsh_value(two_qubit: np.ndarray) -> float:
+def chsh_value(two_qubit: Sequence[complex]) -> float:
     """Maximal CHSH expectation of a pure two-qubit state (Horodecki criterion).
 
-    Takes the 4-vector in the basis (uu, ud, du, dd) that
+    Takes the 4-vector q in the basis (uu, ud, du, dd) that
     :func:`pair_projection` returns, of norm one within ``NORM_TOL``. Any
     other shape, entries that are not finite, or a vector that is not
     normalized raise ValueError. The value is twice the square root of the
-    two largest eigenvalues of T^T T, where T is the correlation matrix in
-    the Pauli basis, ``T_ij = <q| sigma_i (x) sigma_j |q>``, all nine entries
-    taken in one stacked product; 2 for product states, 2*sqrt(2) at the
-    Tsirelson bound.
+    sum of the two largest eigenvalues of T^T T, where T is the correlation
+    matrix in the Pauli basis, ``T_ij = <q| sigma_i (x) sigma_j |q>``. For
+    ``rho = q q^dagger`` that sum is ``n^4 + 4 |d|^2``, with ``n^2`` the
+    squared norm of q and ``d = q_uu q_dd - q_ud q_du`` the pair determinant,
+    so at n = 1 the value is ``2 sqrt(1 + C^2)`` in the concurrence
+    ``C = 2 |d|``: 2 for product states, 2*sqrt(2) at the Tsirelson bound.
     """
-    import numpy as np
-
-    q = np.asarray(two_qubit, dtype=complex)
-    if q.shape != (4,):
-        raise ValueError(f"expected a two-qubit 4-vector, got shape {q.shape}")
-    if not np.isfinite(q).all():
+    shape = _nested_shape(two_qubit)
+    if shape != (4,):
+        raise ValueError(f"expected a two-qubit 4-vector, got shape {shape}")
+    q = [complex(a) for a in two_qubit]
+    if not all(map(cmath.isfinite, q)):
         raise ValueError("CHSH value of a state with non-finite entries")
-    if not abs(np.linalg.norm(q) - 1.0) <= NORM_TOL:
+    n2 = sum(a.real * a.real + a.imag * a.imag for a in q)
+    if not abs(math.sqrt(n2) - 1.0) <= NORM_TOL:
         raise ValueError("CHSH value needs a 4-vector of norm one")
-    rho = np.outer(q, q.conj())
-    t = np.trace(rho @ _pauli_pairs(), axis1=1, axis2=2).real.reshape(3, 3)
-    ev = np.linalg.eigvalsh(t.T @ t)
-    return 2.0 * math.sqrt(max(ev[-1] + ev[-2], 0.0))
+    d = _det2(q, (0, 1, 2, 3))
+    return 2.0 * math.sqrt(n2 * n2 + 4.0 * (d.real * d.real + d.imag * d.imag))
 
 
 @dataclass(frozen=True)

@@ -22,8 +22,9 @@ def parameter_reader(params: Dict[str, object], what: str) -> Callable[..., floa
 
     A missing key gives ``default``, or ValueError when there is none. A
     value that ``float`` refuses, of any type, and one that is not finite
-    raise ValueError naming ``what`` and the key; with ``integer``, so does
-    one more than 1e-9 from an integer, and the nearest int is returned.
+    raise ValueError naming ``what`` and the key; an int beyond the float
+    range counts as infinite. With ``integer``, so does a value more than
+    1e-9 from an integer, and the nearest int is returned.
     """
 
     def take(key: str, default: Optional[float] = None, integer: bool = False) -> float:
@@ -34,6 +35,8 @@ def parameter_reader(params: Dict[str, object], what: str) -> Callable[..., floa
         raw = params.pop(key)
         try:
             value = float(raw)
+        except OverflowError:
+            value = math.inf
         except (TypeError, ValueError):
             value = None
         if integer:

@@ -16,9 +16,10 @@ may be written as a symbol string over ``u``, ``d`` and ``0`` instead of
 the numeric tuple; both spellings are accepted on input.
 
 Loading this module loads no numpy: it reads and writes Python numbers,
-and :func:`element_from_json` imports :class:`GroupElement`, and with it
-numpy, only when it runs. So ``family`` and ``invariants`` read and write
-their files without numpy.
+and :func:`element_from_json` imports :class:`GroupElement` only when it
+runs; :mod:`modal_ent.operators` loads no numpy at import either. So every
+command that computes in Python numbers reads and writes its files without
+numpy.
 """
 
 from __future__ import annotations

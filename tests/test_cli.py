@@ -363,6 +363,7 @@ _START_UP_CASES = [
     ("theorem3-scan", ["--n", "1..4", "--p", "1"],
      {"classify", "invariants", "operators", "stabilizers", "monte_carlo", "numpy"}),
     ("classify", ["--in", "psi2.json"], {"stabilizers", "maxent", "monte_carlo", "numpy"}),
+    ("chsh", ["--in", "psi2.json"], {"stabilizers", "maxent", "monte_carlo", "numpy"}),
     ("verify-stabilizer", ["--name", "psi2_eq26", "--in", "psi2.json"],
      {"classify", "invariants", "maxent", "monte_carlo", "numpy"}),
     ("family", ["--name", "psi1"],
@@ -399,7 +400,7 @@ _FAMILY_PARAMS = {
 
 #: the calls that must run with numpy unimportable, with the exit status each
 #: must give: each family, plain and with --symbols; invariants from stdin
-#: and from --in, and classify, in both formats; the scan; and each
+#: and from --in, and classify and chsh, in both formats; the scan; and each
 #: stabilizer on a state it fixes or, for odd q, does not, and on a
 #: four-mode state. "STATE" names a dense random state file, "CANONICAL"
 #: the canonical form of one, and each family name the file of that family.
@@ -410,7 +411,8 @@ _NUMPY_FREE_CALLS = [
 ] + [
     (["invariants", *source, "--format", fmt], 0) for source in ([], ["--in", "STATE"]) for fmt in ("json", "csv")
 ] + [(["theorem3-scan", "--n", "1..8", "--p", "1..3"], 0)] + [
-    (["classify", "--in", source, "--format", fmt], 0)
+    ([command, "--in", source, "--format", fmt], 0)
+    for command in ("classify", "chsh")
     for source in ("STATE", *_FAMILY_PARAMS)
     for fmt in ("json", "csv")
 ] + [
@@ -561,8 +563,8 @@ _GOLDEN_CSV = {
     ),
     "chsh": (
         "schema_version,pair,weight,chsh\n"
-        "1,AB,0.26063117133410646,2.4476999221975331\n"
-        "1,BC,0.58609272361543852,2.0478156155115164\n"
+        "1,AB,0.2606311713341064,2.4476999221975326\n"
+        "1,BC,0.58609272361543863,2.0478156155115164\n"
         "1,AC,0.15327610505045497,2.3819245336345141\n"
     ),
 }
@@ -595,7 +597,7 @@ _README_PINS = [
         [["family", "--name", "S1", "--params", "r=0.2"], ["chsh"]],
         [
             "1099ec6db65270558d994a7727bac5a86c361f9900d8d6e899b8c68c35a593ff",
-            "ea260432d19c5bfa1da6332c9f4f3dd8fa1f76248adf2b0e59604aa0b8c58f48",
+            "d7001f5a14d51a0315d04b17d96f839ac7dcc88553fcbcae1fae4ab8cffcb8d7",
         ],
     ),
     (
@@ -649,7 +651,7 @@ def test_canonical_readme_command_is_pinned(tmp_path):
 _GOLDEN_JSON = {
     ("invariants",): "25b96d9a47168c249eb584b78bd66b40abf707688f4a0d1efa9c38fdf6dd02eb",
     ("classify",): "8263d55aed1a0899bf8c998b8cf3504eda6406e8c77c16f4b13223d99752289d",
-    ("chsh",): "a404a8c4c094b738626e7d99262b497b0f2b9ba537ba066b04fe8bc9737eb635",
+    ("chsh",): "3abdb0b884cabcdfb829bb17fd9481de58c180cdd3720fd548ed6fe672128497",
     ("canonical",): "49fe0492383d4a37dfb476021395a941d4577f5267b6ca325a001e098ce7eba4",
     ("canonical", "--symbols"): "4ba5d8b2dfcc494060b5569a2dea9493f3781dafadb9c0ba3c0ca6f402e6a0b4",
 }

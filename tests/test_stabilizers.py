@@ -185,6 +185,11 @@ def test_parameter_validation():
     for bad in ("inf", "nan"):
         with pytest.raises(ValueError, match=f"parameter 'm' must be an integer, got {bad}"):
             stabilizer("generic_eq13", {"m": float(bad)})
+    # an int beyond the float range reads as inf
+    with pytest.raises(ValueError, match="parameter 'm' must be an integer, got 1000"):
+        stabilizer("generic_eq13", {"m": 10**400})
+    with pytest.raises(ValueError, match="parameter 'alpha' must be finite, got inf"):
+        stabilizer("generic_eq13", {"alpha": 10**400})
     for name, key in (("generic_eq13", "alpha"), ("family16_eq20", "beta"), ("psi2_eq26", "delta")):
         for bad in ("inf", "-inf", "nan"):
             with pytest.raises(ValueError, match=f"parameter '{key}' must be finite, got {bad}"):

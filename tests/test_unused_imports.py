@@ -182,3 +182,10 @@ def test_numpy_loads_at_module_level_only_in_monte_carlo():
     assert at_load == {"monte_carlo"}
     inside = set(numpy_imports((PACKAGE / "operators.py").read_text()))
     assert inside == {"sector_matrix", "_index_columns", "random_element"}
+
+
+def test_classify_imports_numpy_only_for_the_canonical_form():
+    # the pair projections and CHSH values compute in Python numbers; only
+    # the SVD and least-squares fit of the canonical reduction need numpy
+    inside = set(numpy_imports((PACKAGE / "classify.py").read_text()))
+    assert inside == {"canonical_form", "_block"}
