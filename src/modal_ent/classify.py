@@ -15,23 +15,24 @@ the canonical form is a function of the state, and constant on the
 local-unitary orbit of a generic state.
 
 The locality helpers reduce a state to its pattern of pair and bipartition
-correlations. The named state families live in :mod:`modal_ent.families`,
-which loads no numpy; ``classify.family`` is the same function.
+correlations. The named state families live in :mod:`modal_ent.families`;
+``classify.family`` is the same function, imported on first access.
 
-Loading this module loads no numpy, and :func:`membership_report`,
+Loading this module loads no numpy, and neither :mod:`modal_ent.operators`
+nor :mod:`modal_ent.families`: :func:`membership_report`,
 :func:`bell_profile`, :func:`pair_projection` and :func:`chsh_value`
 compute in Python complex numbers, so ``modal-ent classify`` and
-``modal-ent chsh`` run without it. numpy enters only inside
-:func:`canonical_form` (an SVD and a least-squares fit), which imports it
-when it runs.
+``modal-ent chsh`` load only this module, the invariants and the states.
+numpy and :class:`~modal_ent.operators.GroupElement` enter only inside
+:func:`canonical_form` (an SVD and a least-squares fit, and the element
+it returns), which imports them when it runs.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, NamedTuple, Optional, Sequence, Tuple
 
 from .invariants import (
     _AB,
@@ -49,12 +50,11 @@ from .invariants import (
     _invariant_polynomials,
     _report,
 )
-from . import families
-from .operators import GroupElement, _nested_shape
 from .states import (
     NORM_TOL,
     SHAPE_321,
     StateVector,
+    _nested_shape,
     _squared_norm,
     is_maximally_entangled,
     require_normalized,
@@ -62,6 +62,8 @@ from .states import (
 
 if TYPE_CHECKING:
     import numpy as np
+
+    from .operators import GroupElement
 
 CANONICAL_SLOTS: Tuple[Tuple[int, int, int], ...] = (
     (1, 1, 0),
@@ -94,8 +96,7 @@ _G8 = {1: 1.0, 2: 1.0, 0: -2.0}
 _FOLD_TOL = 1e-9
 
 
-@dataclass(frozen=True, eq=False)
-class CanonicalParams:
+class CanonicalParams(NamedTuple):
     """Canonical representative of a state and the element reaching it.
 
     ``r`` holds the nine slot moduli in CANONICAL_SLOTS order; ``phi``,
@@ -177,6 +178,8 @@ def canonical_form(state: StateVector) -> CanonicalParams:
     """
     import numpy as np
 
+    from .operators import GroupElement
+
     require_normalized(state, "canonical form")
     v = _amplitude_list(state)
     total = [_IDENTITY] * 3
@@ -243,13 +246,14 @@ def canonical_form(state: StateVector) -> CanonicalParams:
         phi=phi,
         phi_prime=phi_prime,
         theta=theta,
-        element=GroupElement([[[a, b, 0], [c, d, 0], [0, 0, vac]] for ((a, b), (c, d)), vac in total]),
+        element=GroupElement._from_rows(
+            tuple(((a, b, 0j), (c, d, 0j), (0j, 0j, vac)) for ((a, b), (c, d)), vac in total)
+        ),
         state=StateVector.from_dense(SHAPE_321, v),
     )
 
 
-@dataclass(frozen=True)
-class BellProfile:
+class BellProfile(NamedTuple):
     """Which pairs and bipartitions of a state carry Bell correlations.
 
     Pair flags report a nonzero pair-block determinant; bipartition flags
@@ -292,9 +296,14 @@ def _profile(v, polynomials, tol: float) -> BellProfile:
     )
 
 
-# The families are built in their own module, which loads no numpy; this
-# binding keeps the one implementation reachable as ``classify.family``.
-family = families.family
+def __getattr__(name: str):
+    # ``classify.family`` is the one implementation in :mod:`modal_ent.families`,
+    # imported on first access so that loading this module does not load it
+    if name == "family":
+        from .families import family
+
+        return family
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def pair_projection(state: StateVector, pair: str) -> Tuple[Optional[Tuple[complex, ...]], float]:
@@ -343,8 +352,7 @@ def chsh_value(two_qubit: Sequence[complex]) -> float:
     return 2.0 * math.sqrt(n2 * n2 + 4.0 * (d.real * d.real + d.imag * d.imag))
 
 
-@dataclass(frozen=True)
-class MembershipReport:
+class MembershipReport(NamedTuple):
     """Family membership and signature flags derived from one state."""
 
     profile: BellProfile

@@ -117,12 +117,11 @@ def _parse_range(text: str) -> range:
 
 def _cmd_invariants(args: argparse.Namespace) -> int:
     import cmath
-    from dataclasses import asdict
 
     from .invariants import invariant_report
 
     # the fields of an invariant report, in report order
-    values = asdict(invariant_report(_load_state(args.infile)))
+    values = invariant_report(_load_state(args.infile))._asdict()
     for name, value in values.items():
         if not cmath.isfinite(value):
             raise ValueError(f"invariant {name} is not finite")
@@ -135,12 +134,10 @@ def _cmd_invariants(args: argparse.Namespace) -> int:
 
 
 def _cmd_classify(args: argparse.Namespace) -> int:
-    from dataclasses import asdict
-
     from .classify import membership_report
 
     rep = membership_report(_load_state(args.infile))
-    profile = asdict(rep.profile)
+    profile = rep.profile._asdict()
     summary = {
         "families": list(rep.families),
         "maximally_entangled": rep.maximally_entangled,
@@ -201,13 +198,11 @@ def _cmd_verify_stabilizer(args: argparse.Namespace) -> int:
 
 
 def _cmd_theorem3_scan(args: argparse.Namespace) -> int:
-    from dataclasses import asdict
-
     from .maxent import pattern_scan
 
     rows = pattern_scan(_parse_range(args.n), _parse_range(args.p))
     fieldnames = ("n", "m", "p", "feasible", "constructed", "max_ent_verified")
-    _write_report(args.out, "csv", {}, fieldnames, [asdict(r) for r in rows])
+    _write_report(args.out, "csv", {}, fieldnames, [r._asdict() for r in rows])
     return 0
 
 

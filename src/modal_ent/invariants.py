@@ -34,8 +34,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Sequence, Tuple
+from typing import TYPE_CHECKING, List, NamedTuple, Sequence, Tuple
 
 from .states import SHAPE_321, StateVector, basis_index, enumerate_basis
 
@@ -156,8 +155,7 @@ def _word(v: Sequence[complex]) -> np.ndarray:
     return m_ab @ sy @ m_bc @ sy @ m_ac.T @ sy
 
 
-@dataclass(frozen=True, eq=False)
-class InvariantReport:
+class InvariantReport(NamedTuple):
     """Every polynomial invariant of one state."""
 
     I_AB: complex

@@ -16,8 +16,7 @@ feasibility.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Dict, Iterable, List
+from typing import Dict, Iterable, List, NamedTuple
 
 from .states import Occupation, StateVector, SystemShape, is_maximally_entangled
 
@@ -61,8 +60,7 @@ def build_psi_sigma(r: int, p: int) -> StateVector:
     return StateVector(shape, amplitudes)
 
 
-@dataclass(frozen=True)
-class SequencePattern:
+class SequencePattern(NamedTuple):
     """One row of a feasibility scan over count combinations."""
 
     n: int

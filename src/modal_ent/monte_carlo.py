@@ -26,7 +26,9 @@ offset tables are built once, when the module loads.
 :func:`monotonicity_trial` is its one-column call, so replaying a trial
 from its seeds reproduces the record's margins bit for bit; it is also the
 one public path by which a user-built instrument reaches the kernel, and
-checks the instrument's mode and dimension on the way in.
+checks on the way in that the instrument's dimension and mode fit the
+sector. :class:`LocalInstrument` has already checked, when it was built,
+that its mode is a non-negative integer.
 
 The invariance sweep batches states as dense columns and verifies that
 determinant-one elements leave the polynomial invariants unchanged. The
@@ -39,7 +41,6 @@ strongly non-unitary elements. Ratios of renormalized values stay order one.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from itertools import chain
 from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
@@ -51,6 +52,8 @@ from .operators import MEMBER_TOL, GroupElement, _leak_positions, sector_matrix
 from .states import (
     SHAPE_321,
     StateVector,
+    _Frozen,
+    _set,
     basis_index,
     enumerate_basis,
     local_index,
@@ -224,26 +227,36 @@ def _check_instruments(kraus: np.ndarray) -> None:
         raise ValueError(f"outcome {np.argmin(compliant)} violates the superselection rule")
 
 
-@dataclass(frozen=True, eq=False)
-class LocalInstrument:
+class LocalInstrument(_Frozen):
     """A two-outcome instrument on one mode, its compliant Kraus operators
     stacked from any pair of equally sized square matrices into the
     ``(2, d, d)`` complex array ``kraus``, one instrument of the stack that
-    :func:`_margins` reads."""
+    :func:`_margins` reads.
 
+    The mode must be a non-negative integer, numpy's included, and is kept
+    as a Python int: a bool, a float or a string raises TypeError, and a
+    negative mode ValueError.
+    """
+
+    __slots__ = ("mode", "kraus", "seed")
     mode: int
     kraus: np.ndarray
     seed: int
 
-    def __post_init__(self) -> None:
+    def __init__(self, mode: int, kraus: np.ndarray, seed: int) -> None:
+        mode = _integer(mode, "instrument mode")
+        if mode < 0:
+            raise ValueError(f"instrument mode must be non-negative, got {mode}")
         try:
-            kraus = np.asarray(self.kraus, dtype=complex)
+            kraus = np.asarray(kraus, dtype=complex)
         except ValueError:
             raise ValueError("the Kraus operators of an instrument must share one dimension") from None
         if kraus.ndim != 3 or kraus.shape[0] != 2 or kraus.shape[1] != kraus.shape[2] or kraus.shape[2] < 2:
             raise ValueError(f"expected a (2, d, d) Kraus stack with d >= 2, got shape {kraus.shape}")
-        object.__setattr__(self, "kraus", kraus)
         _check_instruments(kraus[None])
+        _set(self, "mode", mode)
+        _set(self, "kraus", kraus)
+        _set(self, "seed", seed)
 
 
 #: normal draws per instrument on a spin one-half mode: the real and
@@ -296,11 +309,21 @@ def random_instrument(seed: int, mode: int, strength: float) -> LocalInstrument:
     large that the entries of ``I + strength * G`` or their scaled spectral
     norm overflow. The seed seeds ``np.random.default_rng``; it must be an
     integer and not a bool, else TypeError, and lie in ``0 .. 2^64 - 1``.
+    The instruments are ``3 x 3``, for the (3, 2, 1) sector, so the mode
+    must lie in ``0 .. 2``, else ValueError, and is refused as
+    :class:`LocalInstrument` refuses it when it is not an integer.
     """
     if not 0 <= _integer(seed, "instrument seed") <= _MASK64:
         raise ValueError(f"instrument seed must lie in 0..2^64-1, got {seed}")
+    _require_sector_mode(_integer(mode, "instrument mode"))
     z = np.random.default_rng(seed).standard_normal(_INSTRUMENT_WIDTH)
     return LocalInstrument(mode=mode, kraus=_kraus_from_normals(z[None], strength)[0], seed=seed)
+
+
+def _require_sector_mode(mode: int) -> None:
+    """Raise ValueError unless ``mode`` is one of the modes of the (3, 2, 1) sector."""
+    if not 0 <= mode < 3:
+        raise ValueError(f"mode {mode} out of range for 3 modes")
 
 
 def _state_column(state: StateVector) -> np.ndarray:
@@ -453,16 +476,13 @@ def monotonicity_trial(
     monotone property demands. Outcomes with negligible probability are
     skipped. The state must be normalized and of shape (3, 2, 1), and the
     instrument must act with ``3 x 3`` operators on a mode in ``0 .. 2``,
-    else ValueError; a mode that is a bool, a float or a string raises
-    TypeError. This is the one-trial call of the kernel behind
+    else ValueError. This is the one-trial call of the kernel behind
     :func:`run_monotone_trials`, so it replays a recorded trial bit for bit.
     """
-    mode = _integer(instrument.mode, "instrument mode")
     if instrument.kraus.shape[1:] != (3, 3):
         raise ValueError(f"operators have shape {instrument.kraus.shape[1:]}, expected dim 3")
-    if not 0 <= mode < 3:
-        raise ValueError(f"mode {mode} out of range for 3 modes")
-    m1, m2 = _margins(_state_column(state), instrument.kraus[None], np.array([mode]))
+    _require_sector_mode(instrument.mode)
+    m1, m2 = _margins(_state_column(state), instrument.kraus[None], np.array([instrument.mode]))
     return float(m1[0]), float(m2[0])
 
 
@@ -478,8 +498,7 @@ class TrialRecord(NamedTuple):
     passed: bool
 
 
-@dataclass(frozen=True)
-class MonteCarloSummary:
+class MonteCarloSummary(NamedTuple):
     """Aggregate of a monotonicity run; failures counts margins above tolerance."""
 
     trials: int
@@ -503,6 +522,15 @@ def run_monotone_trials(
     preconditions of :func:`monotonicity_trial` and is checked before
     anything is drawn. ``trials`` and ``master_seed`` must be integers,
     numpy integers included: a float or a bool for either raises TypeError.
+
+    The state only scales the margins. A compliant matrix A on one mode
+    multiplies I1 by det(A)^2 and I2 by det(A), and both monotones are
+    homogeneous of degree 2 in the amplitudes, so for either monotone M a
+    trial's margin is ``M(psi) * c``, with ``c = sum_i |det A_i|^(2/3) - 1``
+    over the instrument's outcomes A_i. By AM-GM, ``c <= 0``, with equality
+    exactly when every A_i is a multiple of a unitary. The trials still
+    compute the invariants of the actual outcome states, so they check this
+    identity rather than assume it.
     """
     trials = _integer(trials, "trials")
     if trials < 1:

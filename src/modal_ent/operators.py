@@ -7,6 +7,9 @@ it block diagonal: a ``(p+1) x (p+1)`` block on the levels and a scalar on
 the vacancy. A :class:`GroupElement` holds one such operator per mode as
 the rows of Python complex numbers of a ``(modes, d, d)`` nested tuple,
 applied as a tensor product restricted to the fixed-particle-number sector.
+Its constructor reads any sequence of matrices and coerces every entry;
+code that already holds such a tuple, as :func:`make_slocc_element` and
+``classify.canonical_form`` do, hands it over by ``GroupElement._from_rows``.
 
 :func:`apply` is the one sparse action of a compliant element on a state
 of any shape, and :func:`apply_on_mode` the one way to act on a single mode
@@ -32,11 +35,10 @@ from __future__ import annotations
 import cmath
 import math
 import operator
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import TYPE_CHECKING, Dict, Optional, Sequence, Tuple
 
-from .states import StateVector, SystemShape, enumerate_basis, local_index
+from .states import StateVector, SystemShape, _Frozen, _nested_shape, _set, enumerate_basis, local_index
 
 if TYPE_CHECKING:
     import numpy as np
@@ -79,25 +81,11 @@ def _symbol_moves(rows: Sequence[Sequence[complex]]) -> list:
     ]
 
 
-def _nested_shape(obj) -> Tuple[int, ...]:
-    """The shape numpy gives the nested sequences or arrays ``obj``;
-    ValueError when they are ragged."""
-    if hasattr(obj, "tolist"):
-        obj = obj.tolist()
-    if not isinstance(obj, (list, tuple)):
-        return ()
-    inner = {_nested_shape(x) for x in obj}
-    if len(inner) > 1:
-        raise ValueError("ragged nested sequences")
-    return (len(obj), *(inner.pop() if inner else ()))
-
-
 # the rows of each operator of an element: a (modes, d, d) nested tuple
 _Rows = Tuple[Tuple[Tuple[complex, ...], ...], ...]
 
 
-@dataclass(frozen=True, eq=False)
-class GroupElement:
+class GroupElement(_Frozen):
     """One local operator per mode, read from any sequence of equally sized
     square matrices, nested sequences or arrays, into ``matrices``: the rows
     of each operator as a ``(modes, d, d)`` nested tuple of Python complex
@@ -106,10 +94,11 @@ class GroupElement:
     The compliance test reads the leak entries of the rows; NaN entries fail it.
     """
 
+    __slots__ = ("matrices",)
     matrices: _Rows
 
-    def __post_init__(self) -> None:
-        source = self.matrices
+    def __init__(self, matrices) -> None:
+        source = matrices
         if hasattr(source, "tolist"):
             source = source.tolist()
         try:
@@ -125,7 +114,20 @@ class GroupElement:
             if len(shape) == 3 and shape[1] == shape[2] >= 2:
                 raise ValueError("the entries of a group element must be numbers")
             raise ValueError(f"expected a (modes, d, d) stack with d >= 2, got shape {shape}")
-        object.__setattr__(self, "matrices", mats)
+        _set(self, "matrices", mats)
+
+    @classmethod
+    def _from_rows(cls, rows: _Rows) -> "GroupElement":
+        """The element whose ``matrices`` are ``rows``, taken as they are.
+
+        The caller hands over a ``(modes, d, d)`` nested tuple of Python
+        complex numbers, zeros included as ``0j``, which is what the
+        constructor would make of them, so its coercion and checks are
+        skipped.
+        """
+        element = object.__new__(cls)
+        _set(element, "matrices", rows)
+        return element
 
     def is_superselection_compliant(self) -> bool:
         return _leaking_mode(self.matrices) is None
@@ -151,9 +153,10 @@ def _require_shape(element: GroupElement, shape: SystemShape) -> None:
         raise ValueError(f"element has shape {have}, expected {want}")
 
 
-def _exp_entries(a: complex, b: complex, c: complex, d: complex, v: complex) -> list:
+def _exp_entries(a: complex, b: complex, c: complex, d: complex, v: complex) -> _Rows:
     """The rows of ``exp`` of the compliant matrix with level block
-    ``[[a, b], [c, d]]`` and vacancy entry ``v``, in closed form.
+    ``[[a, b], [c, d]]`` and vacancy entry ``v``, in closed form, as a
+    nested tuple of Python complex numbers with ``0j`` off the blocks.
 
     The level block ``A`` exponentiates as
     ``e^t (cosh s I + (sinh s / s) (A - t I))`` with ``t = tr(A) / 2`` and
@@ -179,7 +182,7 @@ def _exp_entries(a: complex, b: complex, c: complex, d: complex, v: complex) -> 
             minus = b * c / plus
         top, bottom = (up * plus + down * minus) / (2 * s), (up * minus + down * plus) / (2 * s)
         sh = (up - down) / (2 * s)
-    return [[top, sh * b, 0], [sh * c, bottom, 0], [0, 0, cmath.exp(v)]]
+    return (top, sh * b, 0j), (sh * c, bottom, 0j), (0j, 0j, cmath.exp(v))
 
 
 def make_slocc_element(coefficients: Sequence[Sequence[complex]]) -> GroupElement:
@@ -216,7 +219,7 @@ def make_slocc_element(coefficients: Sequence[Sequence[complex]]) -> GroupElemen
         if not abs((a * d - b * c) * v - 1.0) <= 1e-9 * math.prod(row_norms):
             raise ArithmeticError(f"factor on mode {k} drifted off determinant one")
         factors.append(rows)
-    return GroupElement(factors)
+    return GroupElement._from_rows(tuple(factors))
 
 
 def apply(element: GroupElement, state: StateVector) -> StateVector:

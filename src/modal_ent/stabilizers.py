@@ -26,16 +26,14 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .names import STABILIZER_NAMES, parameter_reader
 from .operators import GroupElement, apply, apply_on_mode, make_slocc_element
 from .states import SHAPE_321, StateVector, phase_fit
 
 
-@dataclass(frozen=True, eq=False)
-class StabilizerElement:
+class StabilizerElement(NamedTuple):
     """A bare group element plus the scalar prefactor declared with it."""
 
     name: str

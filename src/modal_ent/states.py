@@ -18,6 +18,15 @@ This module owns two decisions that the other modules share:
   the stabilizer verdicts and the topological phases both go through it;
 * the normalised-input precondition, :func:`require_normalized`.
 
+It also holds the base of the package's checked value classes,
+``_Frozen``: :class:`StateVector`, ``operators.GroupElement`` and
+``monte_carlo.LocalInstrument`` keep their fields in slots, set once when
+the constructor has checked them, and refuse any later assignment.
+:class:`SystemShape` is a named tuple whose constructor checks it, and the
+records that the library returns are named tuples too. Neither kind of
+class generates code when it is defined or needs ``inspect``, so a command
+line call does not pay for either at start-up.
+
 Loading this module loads no numpy. States, norms and the single-mode
 reductions are Python numbers; numpy enters only inside the calls that
 make or read arrays, :meth:`StateVector.dense` and
@@ -28,9 +37,8 @@ draws from.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import TYPE_CHECKING, Dict, Iterable, List, Mapping, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Mapping, NamedTuple, Tuple
 
 if TYPE_CHECKING:
     import numpy as np
@@ -47,23 +55,43 @@ LISTED_DIMENSION = 4096
 Occupation = Tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class SystemShape:
-    """Mode count, particle count and spin numerator of a sector."""
-
+class _ShapeFields(NamedTuple):
     modes: int
     particles: int
     spin_numerator: int
 
-    def __post_init__(self) -> None:
-        if self.modes < 1:
-            raise ValueError(f"need at least one mode, got {self.modes}")
-        if not 0 <= self.particles <= self.modes:
-            raise ValueError(
-                f"particles must lie in 0..modes, got m={self.particles} for n={self.modes}"
-            )
-        if self.spin_numerator < 0:
-            raise ValueError(f"spin numerator must be non-negative, got {self.spin_numerator}")
+
+class SystemShape(_ShapeFields):
+    """Mode count, particle count and spin numerator of a sector.
+
+    A named triple, checked when it is made. It equals only a SystemShape
+    with the same fields, never a plain tuple, and hashes as the triple of
+    its fields; the ``lru_cache`` keys of the basis tables rest on both.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, modes: int, particles: int, spin_numerator: int) -> "SystemShape":
+        if modes < 1:
+            raise ValueError(f"need at least one mode, got {modes}")
+        if not 0 <= particles <= modes:
+            raise ValueError(f"particles must lie in 0..modes, got m={particles} for n={modes}")
+        if spin_numerator < 0:
+            raise ValueError(f"spin numerator must be non-negative, got {spin_numerator}")
+        return tuple.__new__(cls, (modes, particles, spin_numerator))
+
+    @classmethod
+    def _make(cls, iterable: Iterable[int]) -> "SystemShape":
+        # namedtuple's own _make, which _replace calls, would skip the checks
+        return cls(*iterable)
+
+    def __eq__(self, other: object) -> bool:
+        return other.__class__ is self.__class__ and tuple.__eq__(self, other)
+
+    def __ne__(self, other: object) -> bool:
+        return other.__class__ is not self.__class__ or tuple.__ne__(self, other)
+
+    __hash__ = tuple.__hash__
 
     @property
     def levels(self) -> int:
@@ -121,6 +149,19 @@ def basis_index(shape: SystemShape) -> Mapping[Occupation, int]:
     return {occ: i for i, occ in enumerate(enumerate_basis(shape))}
 
 
+def _nested_shape(obj) -> Tuple[int, ...]:
+    """The shape numpy gives the nested sequences or arrays ``obj``;
+    ValueError when they are ragged."""
+    if hasattr(obj, "tolist"):
+        obj = obj.tolist()
+    if not isinstance(obj, (list, tuple)):
+        return ()
+    inner = {_nested_shape(x) for x in obj}
+    if len(inner) > 1:
+        raise ValueError("ragged nested sequences")
+    return (len(obj), *(inner.pop() if inner else ()))
+
+
 def _check_admissible(shape: SystemShape, occ: Occupation) -> None:
     if len(occ) != shape.modes:
         raise ValueError(f"occupation {occ!r} has {len(occ)} modes, expected {shape.modes}")
@@ -136,8 +177,27 @@ def _check_admissible(shape: SystemShape, occ: Occupation) -> None:
         )
 
 
-@dataclass(frozen=True, eq=False)
-class StateVector:
+_set = object.__setattr__
+
+
+class _Frozen:
+    """Base of the checked value classes: each sets its slots once, in
+    ``__init__``, and refuses every later assignment. Equality is identity."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+
+class StateVector(_Frozen):
     """Sparse complex amplitudes over the admissible occupation sequences.
 
     The amplitude map is owned by the instance after construction and must
@@ -149,15 +209,17 @@ class StateVector:
     only a miss, and every key of a larger sector, is checked field by field.
     """
 
+    __slots__ = ("shape", "amplitudes")
     shape: SystemShape
     amplitudes: Dict[Occupation, complex]
 
-    def __post_init__(self) -> None:
-        shape = self.shape
+    def __init__(self, shape: SystemShape, amplitudes: Dict[Occupation, complex]) -> None:
         listed = basis_index(shape) if shape.dimension <= LISTED_DIMENSION else {}
-        for occ in self.amplitudes:
+        for occ in amplitudes:
             if occ not in listed:
                 _check_admissible(shape, occ)
+        _set(self, "shape", shape)
+        _set(self, "amplitudes", amplitudes)
 
     def amplitude(self, occ: Iterable[int]) -> complex:
         return self.amplitudes.get(tuple(occ), 0j)

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import warnings
 from decimal import Decimal, localcontext
@@ -267,10 +266,10 @@ def test_membership_report_carries_the_reports_bit_for_bit():
             got = membership_report(psi, tol=tol)
             assert got.profile == bell_profile(psi, tol=tol)
         want = invariant_report(psi)
-        for field in dataclasses.fields(InvariantReport):
-            a, b = np.asarray(getattr(got.invariants, field.name)), np.asarray(getattr(want, field.name))
-            assert a.tobytes() == b.tobytes(), field.name
-            assert type(getattr(got.invariants, field.name)) is type(getattr(want, field.name))
+        for name in InvariantReport._fields:
+            a, b = np.asarray(getattr(got.invariants, name)), np.asarray(getattr(want, name))
+            assert a.tobytes() == b.tobytes(), name
+            assert type(getattr(got.invariants, name)) is type(getattr(want, name))
 
 
 def test_canonical_form_constant_on_su_orbits():

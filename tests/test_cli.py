@@ -357,17 +357,22 @@ def test_package_import_loads_no_submodule():
     assert run_python(probe).strip() == "[]"
 
 
-#: subcommand, its arguments, and the package modules (and numpy) it must not load
+#: subcommand, its arguments, and the package modules (and numpy, dataclasses
+#: and inspect, which dataclasses loads) it must not load
 _START_UP_CASES = [
-    ("invariants", ["--in", "psi2.json"], {"classify", "operators", "stabilizers", "maxent", "monte_carlo", "numpy"}),
+    ("invariants", ["--in", "psi2.json"],
+     {"classify", "operators", "stabilizers", "maxent", "monte_carlo", "numpy", "dataclasses", "inspect"}),
     ("theorem3-scan", ["--n", "1..4", "--p", "1"],
-     {"classify", "invariants", "operators", "stabilizers", "monte_carlo", "numpy"}),
-    ("classify", ["--in", "psi2.json"], {"stabilizers", "maxent", "monte_carlo", "numpy"}),
-    ("chsh", ["--in", "psi2.json"], {"stabilizers", "maxent", "monte_carlo", "numpy"}),
+     {"classify", "invariants", "operators", "stabilizers", "monte_carlo", "numpy", "dataclasses", "inspect"}),
+    ("classify", ["--in", "psi2.json"],
+     {"families", "operators", "stabilizers", "maxent", "monte_carlo", "numpy", "dataclasses", "inspect"}),
+    ("chsh", ["--in", "psi2.json"],
+     {"families", "operators", "stabilizers", "maxent", "monte_carlo", "numpy", "dataclasses", "inspect"}),
     ("verify-stabilizer", ["--name", "psi2_eq26", "--in", "psi2.json"],
-     {"classify", "invariants", "maxent", "monte_carlo", "numpy"}),
+     {"classify", "invariants", "maxent", "monte_carlo", "numpy", "dataclasses", "inspect"}),
     ("family", ["--name", "psi1"],
-     {"classify", "invariants", "operators", "stabilizers", "maxent", "monte_carlo", "numpy"}),
+     {"classify", "invariants", "operators", "stabilizers", "maxent", "monte_carlo", "numpy", "dataclasses",
+      "inspect"}),
     ("monotone-mc", ["--trials", "3"], {"classify", "stabilizers", "maxent"}),
 ]
 
@@ -378,7 +383,8 @@ def test_subcommand_loads_only_its_modules(tmp_path, command, args, unused):
     probe = (
         "import sys; from modal_ent.cli import main; "
         "code = main(sys.argv[1:]); "
-        "print(code, *sorted(m.split('.')[-1] for m in sys.modules if m.startswith('modal_ent.') or m == 'numpy'))"
+        "print(code, *sorted(m.split('.')[-1] for m in sys.modules "
+        "if m.startswith('modal_ent.') or m in ('numpy', 'dataclasses', 'inspect')))"
     )
     code, *loaded = run_python(probe, command, *args, "--out", "out", cwd=tmp_path).split()
     assert code == "0"
@@ -398,11 +404,11 @@ _FAMILY_PARAMS = {
     "psi2": [],
 }
 
-#: the calls that must run with numpy unimportable, with the exit status each
-#: must give: each family, plain and with --symbols; invariants from stdin
-#: and from --in, and classify and chsh, in both formats; the scan; and each
-#: stabilizer on a state it fixes or, for odd q, does not, and on a
-#: four-mode state. "STATE" names a dense random state file, "CANONICAL"
+#: the calls that must run with numpy, dataclasses and inspect unimportable,
+#: with the exit status each must give: each family, plain and with
+#: --symbols; invariants from stdin and from --in, and classify and chsh, in
+#: both formats; the scan; and each stabilizer on a state it fixes or, for
+#: odd q, does not, and on a four-mode state. "STATE" names a dense random state file, "CANONICAL"
 #: the canonical form of one, and each family name the file of that family.
 _NUMPY_FREE_CALLS = [
     (["family", "--name", name, *params, *symbols], 0)
@@ -431,9 +437,9 @@ _NUMPY_FREE_CALLS = [
 
 
 def test_numpy_free_calls_match_a_normal_run(tmp_path, monkeypatch, capsys):
-    # one fresh interpreter in which importing numpy fails runs every call,
-    # and each must give the exit status and the bytes of the same call run
-    # normally, on stdout and on stderr
+    # one fresh interpreter in which importing numpy, dataclasses or inspect
+    # fails runs every call, and each must give the exit status and the bytes
+    # of the same call run normally, on stdout and on stderr
     state_text = state_to_json(random_state(SHAPE_321, rng))
     (tmp_path / "STATE").write_text(state_text)
     (tmp_path / "CANONICAL").write_text(state_to_json(canonical_form(random_state(SHAPE_321, rng)).state))
@@ -448,7 +454,8 @@ def test_numpy_free_calls_match_a_normal_run(tmp_path, monkeypatch, capsys):
         assert main(argv) == code, argv
         expected.append([code, *capsys.readouterr()])
     probe = (
-        "import contextlib, io, json, sys; sys.modules['numpy'] = None; "
+        "import contextlib, io, json, sys; "
+        "sys.modules['numpy'] = sys.modules['dataclasses'] = sys.modules['inspect'] = None; "
         "from modal_ent.cli import main; outputs = []\n"
         "for argv in json.loads(sys.argv[1]):\n"
         "    sys.stdin, out, err = io.StringIO(sys.argv[2]), io.StringIO(), io.StringIO()\n"

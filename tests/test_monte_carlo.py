@@ -228,15 +228,82 @@ def test_monotonicity_trial_preconditions():
     wide = LocalInstrument(0, [np.eye(4) / np.sqrt(2.0)] * 2, seed=0)
     with pytest.raises(ValueError, match=r"operators have shape \(4, 4\), expected dim 3"):
         monotonicity_trial(random_state(SHAPE_321, rng), wide)
-    for mode in (-1, 3):
-        stray = LocalInstrument(mode, inst.kraus, seed=0)
-        with pytest.raises(ValueError, match="out of range for 3 modes"):
-            monotonicity_trial(random_state(SHAPE_321, rng), stray)
+    # a 3 x 3 instrument may name a fourth mode; the trial's sector has three
+    stray = LocalInstrument(3, inst.kraus, seed=0)
+    with pytest.raises(ValueError, match="out of range for 3 modes"):
+        monotonicity_trial(random_state(SHAPE_321, rng), stray)
+
+
+def test_instrument_modes_are_checked_when_built():
+    inst = random_instrument(0, mode=0, strength=0.5)
+    with pytest.raises(ValueError, match="^instrument mode must be non-negative, got -1$"):
+        LocalInstrument(-1, inst.kraus, seed=0)
     # unchecked, a bool would run as mode 1, and a float or a string fail deep in numpy
-    for mode, kind in ((True, "a bool"), (np.False_, "a bool"), (1.0, "float"), ("1", "str")):
-        loose = LocalInstrument(mode, inst.kraus, seed=0)
+    for mode, kind in ((True, "a bool"), (np.False_, "a bool"), (1.0, "float"), (1.5, "float"), ("1", "str")):
         with pytest.raises(TypeError, match=f"^instrument mode must be an integer, not {kind}$"):
-            monotonicity_trial(random_state(SHAPE_321, rng), loose)
+            LocalInstrument(mode, inst.kraus, seed=0)
+        with pytest.raises(TypeError, match=f"^instrument mode must be an integer, not {kind}$"):
+            random_instrument(0, mode, 0.5)
+    # the random instruments are 3 x 3, for the three modes of the (3, 2, 1) sector
+    for mode in (-1, 3, 7):
+        with pytest.raises(ValueError, match=f"^mode {mode} out of range for 3 modes$"):
+            random_instrument(0, mode, 0.5)
+    numbered = LocalInstrument(np.int64(2), inst.kraus, seed=0)
+    assert type(numbered.mode) is int and numbered.mode == 2
+    assert random_instrument(0, np.uint8(2), 0.5).mode == 2
+
+
+#: the largest |margin - M(psi) c(A)| allowed; 6,000 trials at strengths
+#: 0.05, 0.5 and 2 gave at most 1.0e-16
+IDENTITY_TOL = 1e-15
+
+
+def test_margins_factor_through_the_instrument_determinants():
+    # I1 and I2 scale as det(A)^2 and det(A) under a compliant A on one mode,
+    # and both monotones are homogeneous of degree 2, so each margin is
+    # M(psi) c(A) with c(A) = sum_i |det A_i|^(2/3) - 1: the state only
+    # scales the margins. The records are replayed from their seeds.
+    master, strength = 31337, 0.5
+    summary = run_monotone_trials(trials=400, master_seed=master, strength=strength)
+    for rec in summary.records:
+        s_i = derive_seed(master, rec.index)
+        assert rec.mode == derive_seed(s_i, 2) % 3
+        psi = random_state(SHAPE_321, np.random.default_rng(derive_seed(s_i, 0)))
+        inst = random_instrument(derive_seed(s_i, 1), rec.mode, strength)
+        c = sum(abs(np.linalg.det(k)) ** (2 / 3) for k in inst.kraus) - 1.0
+        rep = invariant_report(psi)
+        assert c < 0
+        assert abs(rec.margin1 - rep.monotone1 * c) <= IDENTITY_TOL
+        assert abs(rec.margin2 - rep.monotone2 * c) <= IDENTITY_TOL
+
+
+def _equality_kraus(local, count):
+    """``count`` Kraus pairs ``K_i = sqrt(p_i) U_i``, each U_i a Haar unitary on
+    the level block beside a vacancy entry of modulus one, ``(count, 2, 3, 3)``."""
+    z = (local.standard_normal((count, 2, 2, 2)) + 1j * local.standard_normal((count, 2, 2, 2))) / math.sqrt(2.0)
+    q, r = np.linalg.qr(z)
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    kraus = np.zeros((count, 2, 3, 3), dtype=complex)
+    kraus[..., :2, :2] = q * (diag / abs(diag))[..., None, :]
+    kraus[..., 2, 2] = np.exp(2j * math.pi * local.uniform(size=(count, 2)))
+    p = local.uniform(size=count)
+    return kraus * np.sqrt(np.stack([p, 1.0 - p], axis=1))[..., None, None]
+
+
+def test_equality_instruments_meet_the_monotone_bound():
+    # by AM-GM, |det K|^(2/3) <= tr(K^dagger K) / 3, with equality exactly when
+    # K is a multiple of a unitary; then c(A) = 0, and every margin sits on
+    # the bound that the random instruments never come near
+    local = np.random.default_rng(8080)
+    count = 200
+    kraus = _equality_kraus(local, count)
+    modes = local.integers(3, size=count)
+    states = [random_state(SHAPE_321, local) for _ in range(count)]
+    single = [monotonicity_trial(psi, LocalInstrument(mode, k, seed=0)) for psi, k, mode in zip(states, kraus, modes)]
+    assert max(abs(m) for pair in single for m in pair) <= MARGIN_TOL
+    columns = np.hstack([_state_column(psi) for psi in states])
+    batched = _margins(columns, kraus, modes)
+    assert [tuple(pair) for pair in zip(*(m.tolist() for m in batched))] == single
 
 
 def test_margins_stay_non_positive():

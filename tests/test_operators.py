@@ -1,13 +1,14 @@
 import cmath
 import itertools
 import math
+import struct
 
 import numpy as np
 import pytest
 import scipy.linalg
 
 from group_checks import is_special, is_unitary, membership
-from modal_ent.classify import family
+from modal_ent.classify import canonical_form, family
 
 from modal_ent.operators import (
     GroupElement,
@@ -20,6 +21,7 @@ from modal_ent.operators import (
     random_element,
     sector_matrix,
 )
+from modal_ent.serialize import element_to_json
 from modal_ent.stabilizers import stabilizer
 from modal_ent.states import SHAPE_321, StateVector, SystemShape, random_state
 
@@ -93,6 +95,42 @@ def test_group_element_holds_one_validated_stack():
     for bad in ([], np.eye(3), np.zeros((3, 3, 2)), np.ones((2, 1, 1)), np.zeros((1, 2, 3, 3))):
         with pytest.raises(ValueError, match=r"expected a \(modes, d, d\) stack"):
             GroupElement(bad)
+
+
+def _entry_bits(element):
+    """Type and IEEE bytes of every entry, so 0 and 0j, or 0.0 and -0.0, differ."""
+    return [(type(z), struct.pack("<2d", z.real, z.imag)) for op in element.matrices for row in op for z in row]
+
+
+def test_handed_over_rows_are_what_the_public_constructor_makes():
+    # make_slocc_element and canonical_form hand their rows to GroupElement
+    # unchecked; the public constructor must find nothing to change in them
+    local = np.random.default_rng(77)
+    elements = [random_element(kind, seed) for kind in ("SU", "SLOCC") for seed in range(30)]
+
+    def draw(*names):
+        return {k: float(local.uniform(-2.0, 2.0)) for k in names}
+
+    for _ in range(10):
+        elements += [
+            stabilizer("generic_eq13", {"m": int(local.integers(-3, 4)), **draw("alpha")}).element,
+            stabilizer("family16_eq20", draw("alpha", "beta", "gamma")).element,
+            stabilizer("psi1_eq23", {"variant": "a", **{k: int(local.integers(-3, 4)) for k in "klmnpq"},
+                                     **draw("alpha")}).element,
+            stabilizer("psi1_eq23", {"variant": "c", **draw("beta")}).element,
+            stabilizer("psi2_eq26", draw("alpha", "beta", "gamma", "delta")).element,
+        ]
+    elements.append(stabilizer("psi1_eq23", {"variant": "b"}).element)
+    named = [family("psi1"), family("psi2"), family("S1", {"r": 0.2}), family("S2", {"r": 0.3, "theta": 1.2}),
+             family("Eq14", {"r1": 0.6, "r2": 0.8, "r3": 0.0})]
+    elements += [canonical_form(psi).element for psi in named]
+    elements += [canonical_form(random_state(SHAPE_321, local)).element for _ in range(30)]
+    for el in elements:
+        rebuilt = GroupElement(el.matrices)
+        assert rebuilt.matrices == el.matrices
+        assert _entry_bits(rebuilt) == _entry_bits(el)
+        # element_to_json writes an int 0 as 0 but 0j as {"re": 0, "im": 0}
+        assert element_to_json(rebuilt) == element_to_json(el)
 
 
 def test_group_element_reads_arrays_and_nested_lists_alike():

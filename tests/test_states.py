@@ -5,6 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from modal_ent.classify import canonical_form, family, membership_report
+from modal_ent.invariants import invariant_report
+from modal_ent.maxent import pattern_scan
+from modal_ent.monte_carlo import random_instrument, run_monotone_trials
+from modal_ent.stabilizers import stabilizer
 from modal_ent.states import (
     SHAPE_321,
     LISTED_DIMENSION,
@@ -65,6 +70,35 @@ def test_shape_validation():
         SystemShape(3, 4, 1)
     with pytest.raises(ValueError):
         SystemShape(3, 2, -1)
+
+
+def test_shape_is_a_named_triple_equal_only_to_shapes():
+    shape = SystemShape(3, 2, 1)
+    assert repr(shape) == "SystemShape(modes=3, particles=2, spin_numerator=1)"
+    assert shape == SHAPE_321 and not shape != SHAPE_321
+    assert hash(shape) == hash(SHAPE_321) == hash((3, 2, 1))
+    assert shape != (3, 2, 1) and (3, 2, 1) != shape and not shape == (3, 2, 1)
+    assert shape != SystemShape(3, 2, 2)
+    assert SystemShape(modes=4, particles=2, spin_numerator=1).dimension == 24
+    assert SHAPE_321._replace(modes=4) == SystemShape(4, 2, 1)
+    with pytest.raises(ValueError, match="need at least one mode"):
+        SHAPE_321._replace(modes=0)
+
+
+def test_values_and_records_refuse_assignment():
+    psi = family("psi2")
+    summary = run_monotone_trials(2, 0)
+    params = canonical_form(psi)
+    report = membership_report(psi)
+    objects = [SHAPE_321, psi, params.element, random_instrument(0, 1, 0.5), params, report, report.profile,
+               invariant_report(psi), pattern_scan([3], [1])[0], stabilizer("psi2_eq26"), summary, summary.records[0]]
+    for obj in objects:
+        fields = obj._fields if isinstance(obj, tuple) else type(obj).__slots__
+        for name in (*fields, "extra"):
+            with pytest.raises(AttributeError):
+                setattr(obj, name, None)
+            with pytest.raises(AttributeError):
+                delattr(obj, name)
 
 
 def test_state_rejects_bad_occupations():

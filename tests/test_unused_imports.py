@@ -189,3 +189,27 @@ def test_classify_imports_numpy_only_for_the_canonical_form():
     # the SVD and least-squares fit of the canonical reduction need numpy
     inside = set(numpy_imports((PACKAGE / "classify.py").read_text()))
     assert inside == {"canonical_form", "_block"}
+
+
+def imported_modules(source: str):
+    """The top-level names of the modules a source imports, anywhere in it."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add((node.module or "").split(".")[0])
+    return found
+
+
+def test_import_finder_sees_every_form():
+    source = "import dataclasses.x\nfrom typing import NamedTuple\nfrom . import states\ndef f():\n    import inspect\n"
+    assert imported_modules(source) == {"dataclasses", "typing", "inspect"}
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_imports_dataclasses(path):
+    # dataclasses loads inspect, ast, dis and tokenize, and execs the source of
+    # every method it makes; records are NamedTuples and the checked value
+    # classes use slots, so a CLI call starts without either
+    assert "dataclasses" not in imported_modules(path.read_text())
