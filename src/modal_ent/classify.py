@@ -48,7 +48,9 @@ from .invariants import (
     _cross_minors,
     _det2,
     _invariant_polynomials,
+    _product,
     _report,
+    _rows,
 )
 from .states import (
     NORM_TOL,
@@ -61,8 +63,6 @@ from .states import (
 )
 
 if TYPE_CHECKING:
-    import numpy as np
-
     from .operators import GroupElement
 
 CANONICAL_SLOTS: Tuple[Tuple[int, int, int], ...] = (
@@ -115,14 +115,6 @@ class CanonicalParams(NamedTuple):
     state: StateVector
 
 
-def _block(v: List[complex], block: Tuple[int, ...]) -> np.ndarray:
-    """One pair block of amplitudes ``v`` as a 2x2 matrix, given its basis positions."""
-    import numpy as np
-
-    uu, ud, du, dd = block
-    return np.array([[v[uu], v[ud]], [v[du], v[dd]]], dtype=complex)
-
-
 def _moved(v: List[complex], element) -> List[complex]:
     """Amplitudes ``v`` moved by an element given per mode as ``(level block,
     vacancy entry)``: each pair block ``M`` goes to ``L M L'^T s``, with the
@@ -138,10 +130,7 @@ def _moved(v: List[complex], element) -> List[complex]:
 
 def _composed(stage, total) -> list:
     """The per-mode product ``stage @ total`` of two elements given as ``_moved`` takes them."""
-    return [
-        (((a * e + b * g, a * f + b * h), (c * e + d * g, c * f + d * h)), x * y)
-        for (((a, b), (c, d)), x), (((e, f), (g, h)), y) in zip(stage, total)
-    ]
+    return [(_product(m, n), x * y) for (m, x), (n, y) in zip(stage, total)]
 
 
 def _diagonal(up: complex, down: complex, vacancy: complex) -> tuple:
@@ -196,7 +185,7 @@ def canonical_form(state: StateVector) -> CanonicalParams:
     # factors become mode A and mode B rotations; singular values land on
     # the diagonal in decreasing order. u and vh are unitary, so the
     # vacancy entries det(u) and det(vh) give the rotations determinant one.
-    u, _, vh = np.linalg.svd(_block(v, _AB))
+    u, _, vh = np.linalg.svd(np.array(_rows(v, _AB), dtype=complex))
     dets = complex(np.linalg.det(u)), complex(np.linalg.det(vh))
     act([(u.conj().T.tolist(), dets[0]), (vh.conj().tolist(), dets[1]), _IDENTITY])
 

@@ -17,29 +17,27 @@ I2 is evaluated from its explicit degree-3 polynomial. The word matrix W is
 the paper's transvectant contraction in matrix form: contracting two
 copies of the state form over mode A, and the result with a third copy
 over modes B and C, gives -trace(W), and trace(W) = i * I2 with the
-conventions fixed below, which the test suite checks on random states.
-That is why no separate transvection code is kept. A :class:`StateVector`
-enters only through ``_amplitude_list``, which reads its amplitude map in
-basis order and is the package's one check that a state has shape
-(3, 2, 1); W, the canonical form and the Monte-Carlo trials start from its
-list too.
+conventions fixed below, which the test suite checks on random states,
+and exactly on rational ones. That is why no separate transvection code
+is kept. A :class:`StateVector` enters only through ``_amplitude_list``,
+which reads its amplitude map in basis order and is the package's one
+check that a state has shape (3, 2, 1); W, the canonical form and the
+Monte-Carlo trials start from its list too.
 
-Loading this module loads no numpy, so ``modal-ent invariants`` runs
-without it: :func:`invariant_report` computes in Python complex numbers.
-W and its traces import numpy when they run, and
-:func:`localized_scenario_check` imports the operators it acts with.
+This module imports no numpy: :func:`invariant_report` computes in Python
+complex numbers, and W and its powers in one 2x2 product over pairs of
+rows, :func:`_product`, so they run on any number type with ``+``, ``-``
+and ``*``, exact rationals included. :func:`localized_scenario_check`
+imports the operators it acts with.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from typing import TYPE_CHECKING, List, NamedTuple, Sequence, Tuple
+from typing import List, NamedTuple, Sequence, Tuple
 
 from .states import SHAPE_321, StateVector, basis_index, enumerate_basis
-
-if TYPE_CHECKING:
-    import numpy as np
 
 _U, _D = 1, 2
 _BASIS = enumerate_basis(SHAPE_321)
@@ -61,16 +59,18 @@ _AB, _BC, _AC = (
 _PAIRS = ((_AB, 0, 1, 2), (_BC, 1, 2, 0), (_AC, 0, 2, 1))
 
 
-def _columns(block: Tuple[int, ...], transpose: bool = False) -> Tuple[Tuple[int, int], ...]:
-    uu, ud, du, dd = block
-    return ((uu, ud), (du, dd)) if transpose else ((uu, du), (ud, dd))
+def _rows(v, block: Tuple[int, ...], transpose: bool = False):
+    """The pair block of amplitudes ``v`` at ``block`` as a pair of rows, or its transpose."""
+    uu, ud, du, dd = (v[k] for k in block)
+    return ((uu, du), (ud, dd)) if transpose else ((uu, ud), (du, dd))
 
 
 # For each single-mode cut, the two blocks that hold that mode, oriented with
-# the cut mode on rows and given by their (top, bottom) column positions.
-_CUT_A_BC = (_columns(_AB), _columns(_AC))
-_CUT_B_AC = (_columns(_AB, transpose=True), _columns(_BC))
-_CUT_C_AB = (_columns(_AC, transpose=True), _columns(_BC, transpose=True))
+# the cut mode on rows and given by their (top, bottom) column positions,
+# which are the rows of the transposed block read over the positions 0..11.
+_CUT_A_BC = (_rows(range(12), _AB, transpose=True), _rows(range(12), _AC, transpose=True))
+_CUT_B_AC = (_rows(range(12), _AB), _rows(range(12), _BC, transpose=True))
+_CUT_C_AB = (_rows(range(12), _AC), _rows(range(12), _BC))
 
 
 def _amplitude_list(state: StateVector) -> List[complex]:
@@ -141,18 +141,22 @@ def _cross_minor_sum(v, cut) -> float:
         return math.inf
 
 
-def _word(v: Sequence[complex]) -> np.ndarray:
-    """The 2x2 word W = M_AB sy M_BC sy M_AC^T sy of amplitudes ``v``.
+def _product(x, y):
+    """The 2x2 matrix product ``x @ y`` of two matrices given as pairs of rows."""
+    (a, b), (c, d) = x
+    (e, f), (g, h) = y
+    return (a * e + b * g, a * f + b * h), (c * e + d * g, c * f + d * h)
 
-    W is the paper's transvectant contraction in matrix form: contracting
-    two copies of the state form over mode A, and the result with a third
-    copy over modes B and C, gives -trace(W); and trace(W) = i * I2.
-    """
-    import numpy as np
 
-    sy = np.array([[0, -1j], [1j, 0]])
-    m_ab, m_bc, m_ac = np.array(v, dtype=complex)[[_AB, _BC, _AC]].reshape(3, 2, 2)
-    return m_ab @ sy @ m_bc @ sy @ m_ac.T @ sy
+_SIGMA_Y = ((0, -1j), (1j, 0))
+
+
+def _word(v: Sequence[complex]):
+    """The word W = M_AB sy M_BC sy M_AC^T sy of amplitudes ``v``, as a pair of rows."""
+    w = _rows(v, _AB)
+    for m in (_SIGMA_Y, _rows(v, _BC), _SIGMA_Y, _rows(v, _AC, transpose=True), _SIGMA_Y):
+        w = _product(w, m)
+    return w
 
 
 class InvariantReport(NamedTuple):
@@ -200,16 +204,18 @@ def _report(v: Sequence[complex], polynomials) -> InvariantReport:
     )
 
 
-def _trace_power(w: np.ndarray, n: int) -> complex:
-    import numpy as np
-
+def _trace_power(w, n: int):
+    """Trace of the n-th power of the 2x2 matrix ``w``, for n in 1..8, by repeated products."""
     if not 1 <= n <= 8:
         raise ValueError(f"word power must lie in 1..8, got {n}")
-    return complex(np.trace(np.linalg.matrix_power(w, n)))
+    power = w
+    for _ in range(n - 1):
+        power = _product(power, w)
+    return power[0][0] + power[1][1]
 
 
-def trace_word(state: StateVector, n: int) -> Tuple[complex, np.ndarray]:
-    """Trace of the n-th power of the word matrix, together with W itself."""
+def trace_word(state: StateVector, n: int) -> Tuple[complex, Tuple[Tuple[complex, complex], ...]]:
+    """Trace of the n-th power of the word matrix, and W as a pair of rows of Python complex numbers."""
     w = _word(_amplitude_list(state))
     return _trace_power(w, n), w
 
@@ -222,18 +228,13 @@ def generator_relation_check(state: StateVector, n: int) -> float:
     recursion for ``trace(W^k)``, ``k <= n``, seeded by ``trace(W)`` and
     ``det(W)``. Both hold identically, so the residual is pure roundoff.
     """
-    import numpy as np
-
     v = _amplitude_list(state)
     w = _word(v)
-    f1, g1 = w[0, 0], w[0, 1]
-    k1, l1 = w[1, 0], w[1, 1]
+    (f1, g1), (k1, l1) = w
     residual = abs(g1 * k1 - (_invariant_polynomials(v)[3] + f1 * l1))
-    e1 = complex(np.trace(w))
-    e2 = complex(np.linalg.det(w))
+    e1, e2 = f1 + l1, f1 * l1 - g1 * k1
     p_prev, p_cur = 2.0 + 0j, e1
-    residual = max(residual, abs(_trace_power(w, 1) - p_cur))
-    for k in range(2, max(n, 1) + 1):
+    for k in range(2, n + 1):
         p_prev, p_cur = p_cur, e1 * p_cur - e2 * p_prev
         residual = max(residual, abs(_trace_power(w, k) - p_cur))
     return residual

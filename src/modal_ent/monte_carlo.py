@@ -53,6 +53,7 @@ from .states import (
     SHAPE_321,
     StateVector,
     _Frozen,
+    _require_mode,
     _set,
     basis_index,
     enumerate_basis,
@@ -315,15 +316,9 @@ def random_instrument(seed: int, mode: int, strength: float) -> LocalInstrument:
     """
     if not 0 <= _integer(seed, "instrument seed") <= _MASK64:
         raise ValueError(f"instrument seed must lie in 0..2^64-1, got {seed}")
-    _require_sector_mode(_integer(mode, "instrument mode"))
+    _require_mode(_integer(mode, "instrument mode"), 3)
     z = np.random.default_rng(seed).standard_normal(_INSTRUMENT_WIDTH)
     return LocalInstrument(mode=mode, kraus=_kraus_from_normals(z[None], strength)[0], seed=seed)
-
-
-def _require_sector_mode(mode: int) -> None:
-    """Raise ValueError unless ``mode`` is one of the modes of the (3, 2, 1) sector."""
-    if not 0 <= mode < 3:
-        raise ValueError(f"mode {mode} out of range for 3 modes")
 
 
 def _state_column(state: StateVector) -> np.ndarray:
@@ -481,7 +476,7 @@ def monotonicity_trial(
     """
     if instrument.kraus.shape[1:] != (3, 3):
         raise ValueError(f"operators have shape {instrument.kraus.shape[1:]}, expected dim 3")
-    _require_sector_mode(instrument.mode)
+    _require_mode(instrument.mode, 3)
     m1, m2 = _margins(_state_column(state), instrument.kraus[None], np.array([instrument.mode]))
     return float(m1[0]), float(m2[0])
 

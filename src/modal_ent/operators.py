@@ -34,11 +34,20 @@ from __future__ import annotations
 
 import cmath
 import math
-import operator
 from functools import lru_cache
 from typing import TYPE_CHECKING, Dict, Optional, Sequence, Tuple
 
-from .states import StateVector, SystemShape, _Frozen, _nested_shape, _set, enumerate_basis, local_index
+from .states import (
+    StateVector,
+    SystemShape,
+    _Frozen,
+    _nested_shape,
+    _require_integer,
+    _require_mode,
+    _set,
+    enumerate_basis,
+    local_index,
+)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -263,8 +272,7 @@ def apply(element: GroupElement, state: StateVector) -> StateVector:
 def apply_on_mode(op: Sequence[Sequence[complex]], mode: int, state: StateVector) -> StateVector:
     """Act with the matrix ``op`` on one mode and the identity on the others; not renormalized."""
     modes = state.shape.modes
-    if not 0 <= mode < modes:
-        raise ValueError(f"mode {mode} out of range for {modes} modes")
+    _require_mode(mode, modes)
     d = len(op)
     mats = [[[complex(i == j) for j in range(d)] for i in range(d)]] * modes
     mats[mode] = op
@@ -318,12 +326,7 @@ def occupation_scaling(r: float, phi: float = 0.0, p: int = 1) -> _Rows:
     """
     if not 0 < r < math.inf:
         raise ValueError(f"scale must be finite and positive, got {r}")
-    try:
-        if isinstance(p, bool):
-            raise TypeError
-        p = operator.index(p)
-    except TypeError:
-        raise ValueError(f"p must be an integer, got {p!r}") from None
+    p = _require_integer(p, "p")
     if not math.isfinite(phi) or p < 0:
         raise ValueError(f"need a finite phase and p >= 0, got phi={phi}, p={p}")
     try:
@@ -336,13 +339,8 @@ def occupation_scaling(r: float, phi: float = 0.0, p: int = 1) -> _Rows:
     return tuple(tuple(z if i == j else 0j for j in range(p + 2)) for i, z in enumerate(diag))
 
 
-def random_element(
-    kind: str,
-    seed: int,
-    spread: float = 0.5,
-    modes: int = 3,
-) -> GroupElement:
-    """Reproducible random group element on three-level modes.
+def random_element(kind: str, seed: int, spread: float = 0.5) -> GroupElement:
+    """Reproducible random group element on three three-level modes.
 
     Generator coefficients are drawn i.i.d. normal with standard deviation
     ``spread`` per real component: fully complex for ``"SLOCC"``, purely
@@ -357,7 +355,7 @@ def random_element(
 
     rng = np.random.default_rng(seed)
     coeffs = []
-    for _ in range(modes):
+    for _ in range(3):
         imag = 1j * rng.normal(scale=spread, size=4)
         if kind == "SLOCC":
             coeffs.append(rng.normal(scale=spread, size=4) + imag)

@@ -149,13 +149,7 @@ def state_to_json(state: StateVector, use_symbols: bool = False) -> str:
 def _parse_shape(doc: Any) -> SystemShape:
     if not isinstance(doc, dict) or set(doc) != {"modes", "particles", "spin_numerator"}:
         raise ValueError('shape must be an object with keys "modes", "particles", "spin_numerator"')
-    vals = {}
-    for key in ("modes", "particles", "spin_numerator"):
-        v = doc[key]
-        if not isinstance(v, int) or isinstance(v, bool):
-            raise ValueError(f"shape field {key!r} must be an integer, got {v!r}")
-        vals[key] = v
-    return SystemShape(vals["modes"], vals["particles"], vals["spin_numerator"])
+    return SystemShape(doc["modes"], doc["particles"], doc["spin_numerator"])
 
 
 def _parse_occ(doc: Any, shape: SystemShape) -> Occupation:

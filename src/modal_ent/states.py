@@ -37,6 +37,7 @@ draws from.
 from __future__ import annotations
 
 import math
+import operator
 from functools import lru_cache
 from typing import TYPE_CHECKING, Dict, Iterable, List, Mapping, NamedTuple, Tuple
 
@@ -55,23 +56,38 @@ LISTED_DIMENSION = 4096
 Occupation = Tuple[int, ...]
 
 
+def _require_integer(value: int, what: str) -> int:
+    """``value`` as a Python int; a bool, or anything else not an integer, raises ValueError."""
+    try:
+        if isinstance(value, bool):
+            raise TypeError
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer, got {value!r}") from None
+
+
 class _ShapeFields(NamedTuple):
     modes: int
     particles: int
     spin_numerator: int
 
 
+_FIELD_LABELS = tuple(f"shape field {name!r}" for name in _ShapeFields._fields)
+
+
 class SystemShape(_ShapeFields):
     """Mode count, particle count and spin numerator of a sector.
 
-    A named triple, checked when it is made. It equals only a SystemShape
-    with the same fields, never a plain tuple, and hashes as the triple of
-    its fields; the ``lru_cache`` keys of the basis tables rest on both.
+    A named triple of Python ints, checked when it is made. It equals only
+    a SystemShape with the same fields, never a plain tuple, and hashes as
+    the triple of its fields; the ``lru_cache`` keys of the basis tables
+    rest on both.
     """
 
     __slots__ = ()
 
     def __new__(cls, modes: int, particles: int, spin_numerator: int) -> "SystemShape":
+        modes, particles, spin_numerator = map(_require_integer, (modes, particles, spin_numerator), _FIELD_LABELS)
         if modes < 1:
             raise ValueError(f"need at least one mode, got {modes}")
         if not 0 <= particles <= modes:
@@ -263,6 +279,12 @@ def require_normalized(state: StateVector, what: str) -> None:
         raise ValueError(f"{what} expects a normalized state")
 
 
+def _require_mode(mode: int, modes: int) -> None:
+    """Raise ValueError unless ``mode`` is one of ``0 .. modes - 1``."""
+    if not 0 <= mode < modes:
+        raise ValueError(f"mode {mode} out of range for {modes} modes")
+
+
 def reduced_density_matrix(state: StateVector, mode: int) -> List[List[complex]]:
     """Partial trace of ``|state><state|`` onto one mode, level-major indexed.
 
@@ -274,8 +296,7 @@ def reduced_density_matrix(state: StateVector, mode: int) -> List[List[complex]]
     normalized, and a mode outside ``0 .. n - 1`` raises ValueError.
     """
     shape = state.shape
-    if not 0 <= mode < shape.modes:
-        raise ValueError(f"mode {mode} out of range for {shape.modes} modes")
+    _require_mode(mode, shape.modes)
     p = shape.spin_numerator
     columns: Dict[Occupation, List[Tuple[int, complex]]] = {}
     for occ, amp in state.amplitudes.items():

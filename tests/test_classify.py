@@ -107,6 +107,10 @@ def test_family_validation():
         family("Eq14", {"r1": -0.6, "r2": 0.48, "r3": 0.64})
     with pytest.raises(ValueError):
         family("Eq15", {"r1": 0.0, "r2": 0.6, "r3": 0.8})
+    with pytest.raises(ValueError, match=r"^Eq16 needs r1, r2, r3 > 0 and r4 >= 0$"):
+        family("Eq16", {"r1": 0.5, "r2": 0.5, "r3": 0.0, "r4": 0.5})
+    with pytest.raises(ValueError, match=r"^Eq18 needs r1, r2, r5 > 0 and r3, r4 >= 0$"):
+        family("Eq18", {"r1": 0.5, "r2": 0.5, "r3": -0.1, "r4": 0.5, "r5": 0.5})
     # squared amplitudes must sum to one for the explicit families
     with pytest.raises(ValueError):
         family("Eq14", {"r1": 0.9, "r2": 0.9, "r3": 0.9})

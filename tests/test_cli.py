@@ -166,6 +166,8 @@ def test_family_parameter_errors(capsys):
     assert "given twice" in capsys.readouterr().err
     assert main(["family", "--name", "S1", "--params", "nonsense"]) == 1
     capsys.readouterr()
+    assert main(["family", "--name", "S1", "--params", "=0.2"]) == 1
+    assert capsys.readouterr().err == "modal-ent: error: parameter '=0.2' has an empty key\n"
     assert main(["family", "--name", "S2", "--params", "r=0.3,theta=nan"]) == 1
     assert "family parameter 'theta' must be finite, got nan" in capsys.readouterr().err
     assert main(["family", "--name", "Eq14", "--params", "r1=inf,r2=0,r3=0"]) == 1
@@ -248,6 +250,8 @@ def test_scan_range_arguments(capsys):
     assert len(lines) == 4  # header plus m = 1..3
     assert main(["theorem3-scan", "--n", "5..3"]) == 1
     assert "range" in capsys.readouterr().err
+    assert main(["theorem3-scan", "--n", "abc"]) == 1
+    assert capsys.readouterr().err == "modal-ent: error: range 'abc' is not N or LO..HI\n"
     # a mode count below one is refused, not dropped or scanned to an empty table
     for n_range, bad in (("-2..2", "n=-2"), ("0", "n=0")):
         assert main(["theorem3-scan", f"--n={n_range}", "--p", "1"]) == 1

@@ -1,15 +1,24 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from exact import Gaussian, random_gaussians
 from hypothesis import given, settings, strategies as st
 
-from modal_ent.classify import _block, family
+import modal_ent
+from modal_ent.classify import family
 from modal_ent.invariants import (
     _AB,
     _AC,
     _BC,
     _amplitude_list,
+    _invariant_polynomials,
+    _rows,
+    _trace_power,
+    _word,
     dense_invariant_pair,
     generator_relation_check,
     invariant_report,
@@ -45,7 +54,7 @@ def test_pair_blocks_layout():
         {(1, 2, 0): 2.0, (0, 1, 2): 3.0, (2, 0, 1): 5.0},
     )
     v = _amplitude_list(psi)
-    m_ab, m_bc, m_ac = (_block(v, block) for block in (_AB, _BC, _AC))
+    m_ab, m_bc, m_ac = (np.array(_rows(v, block)) for block in (_AB, _BC, _AC))
     assert m_ab[0, 1] == 2.0
     assert m_bc[0, 1] == 3.0
     assert m_ac[1, 0] == 5.0
@@ -146,6 +155,44 @@ def test_generator_relation_residuals():
         psi = random_state(SHAPE_321, rng)
         assert generator_relation_check(psi, 4) < 1e-12
     assert generator_relation_check(family("psi1"), 8) < 1e-12
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_word_identities_hold_exactly_on_rational_states(seed):
+    # Gaussian-rational amplitudes run through the same W and traces, and
+    # the same 2x2 product, as Python complex numbers, so each ring
+    # relation holds by ==
+    v = random_gaussians(12, seed)
+    i_ab, i_bc, i_ac, i1, i2 = _invariant_polynomials(v)
+    w = _word(v)
+    (f1, g1), (k1, l1) = w
+    assert all(isinstance(x, Gaussian) for row in w for x in row)
+    assert _trace_power(w, 1) == 1j * i2
+    assert f1 * l1 - g1 * k1 == -i1
+    assert g1 * k1 == i_ab * i_bc * i_ac + f1 * l1
+    # Newton: trace(W^k) = trace(W) trace(W^(k-1)) - det(W) trace(W^(k-2))
+    p_prev, p_cur = 2, 1j * i2
+    for k in range(2, 9):
+        p_prev, p_cur = p_cur, 1j * i2 * p_cur + i1 * p_prev
+        assert _trace_power(w, k) == p_cur
+
+
+def test_word_and_its_relations_run_without_numpy():
+    probe = (
+        "import sys\n"
+        "sys.modules['numpy'] = None\n"
+        "from modal_ent.invariants import generator_relation_check, invariant_report, trace_word\n"
+        "from modal_ent.states import SHAPE_321, StateVector, enumerate_basis, normalize\n"
+        "amplitudes = [complex(k - 5.5, 7 * k % 5 - 2) for k in range(12)]\n"
+        "psi = normalize(StateVector(SHAPE_321, dict(zip(enumerate_basis(SHAPE_321), amplitudes))))\n"
+        "tr1, ((f1, _), (_, l1)) = trace_word(psi, 1)\n"
+        "print(type(tr1).__name__, tr1 == f1 + l1, abs(tr1 - 1j * invariant_report(psi).I2) < 1e-15,\n"
+        "      generator_relation_check(psi, 8) < 1e-12)"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(modal_ent.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "complex True True True\n", "")
 
 
 def test_family_closed_forms():

@@ -193,6 +193,9 @@ def test_instrument_validation():
     leaky[0, 2] = 1e-3
     with pytest.raises(ValueError):
         LocalInstrument(0, np.array([ok, leaky]), seed=0)
+    # trace preserving, but the first outcome swaps a level with the vacancy
+    with pytest.raises(ValueError, match="^outcome 0 violates the superselection rule$"):
+        LocalInstrument(0, np.array([eye[[2, 1, 0]], 0 * eye]), seed=0)
     poisoned = ok.copy()
     poisoned[0, 1] = np.nan
     with pytest.raises(ValueError, match="not trace preserving"):

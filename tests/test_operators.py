@@ -312,6 +312,13 @@ def test_sector_matrix_refuses_large_sectors():
         sector_matrix(GroupElement([np.eye(4)] * 8), shape)
 
 
+def test_sector_matrix_refuses_a_leaking_element():
+    # swapping the first level with the vacancy breaks the superselection rule
+    swap = np.eye(3)[[2, 1, 0]]
+    with pytest.raises(ValueError, match="^element violates the superselection rule$"):
+        sector_matrix(GroupElement([swap, np.eye(3), np.eye(3)]), SHAPE_321)
+
+
 def test_random_element_reproducible():
     a = random_element("SU", seed=123)
     b = random_element("SU", seed=123)
@@ -344,7 +351,7 @@ def test_apply_on_mode_matches_the_full_element():
         mats[mode] = op
         assert apply_on_mode(op, mode, psi).amplitudes == apply(GroupElement(mats), psi).amplitudes
     for bad in (-1, 3):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=f"^mode {bad} out of range for 3 modes$"):
             apply_on_mode(op, bad, psi)
 
 
@@ -413,8 +420,8 @@ def test_apply_equals_array_indexing_oracle():
     for shape in (SystemShape(4, 2, 1), SystemShape(5, 3, 1)):
         acting = [
             GroupElement(_random_compliant_blocks(local, shape.modes, 3)),
-            random_element("SLOCC", 9, spread=1.5, modes=shape.modes),
-            random_element("SU", 9, modes=shape.modes),
+            GroupElement((random_element("SLOCC", 9, spread=1.5).matrices * 2)[: shape.modes]),
+            GroupElement((random_element("SU", 9).matrices * 2)[: shape.modes]),
         ]
         batches.append(([random_state(shape, local) for _ in range(10)], acting))
     for batch, acting in batches:

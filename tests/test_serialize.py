@@ -1,5 +1,6 @@
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -83,6 +84,17 @@ def test_state_json_malformed_records():
     for body in cases:
         with pytest.raises(ValueError, match="amplitude record 0 is malformed"):
             state_from_json(head + body + "}")
+    pinned = [
+        ('[{"occ": [1, 2.0, 0], "re": 1.0, "im": 0.0}]', "occupation entries must be integers, got [1, 2.0, 0]"),
+        ('[{"occ": [1, true, 0], "re": 1.0, "im": 0.0}]', "occupation entries must be integers, got [1, True, 0]"),
+        ('[{"occ": 120, "re": 1.0, "im": 0.0}]', "occupation must be a list or symbol string, got 120"),
+    ]
+    for body, message in pinned:
+        with pytest.raises(ValueError, match=re.escape(f"amplitude record 0 is malformed: {message}")):
+            state_from_json(head + body + "}")
+    spin_one = '{"shape": {"modes": 3, "particles": 2, "spin_numerator": 2}, "amplitudes": '
+    with pytest.raises(ValueError, match="malformed: symbol strings are only defined for spin_numerator 1"):
+        state_from_json(spin_one + '[{"occ": "ud0", "re": 1.0, "im": 0.0}]}')
     dup = (
         head
         + '[{"occ": [1, 2, 0], "re": 1.0, "im": 0.0},'
@@ -99,7 +111,9 @@ def test_state_json_top_level_errors():
         state_from_json('{"shape": {"modes": 3, "particles": 2, "spin_numerator": 1}}')
     with pytest.raises(ValueError):
         state_from_json('{"shape": {"modes": 3}, "amplitudes": []}')
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^amplitudes must be a list$"):
+        state_from_json('{"shape": {"modes": 3, "particles": 2, "spin_numerator": 1}, "amplitudes": {}}')
+    with pytest.raises(ValueError, match="shape field 'modes' must be an integer, got 3.0"):
         state_from_json(
             '{"shape": {"modes": 3.0, "particles": 2, "spin_numerator": 1}, "amplitudes": []}'
         )
@@ -130,6 +144,14 @@ def test_element_json_errors():
         element_from_json(bad_cell)
     with pytest.raises(ValueError, match="row 0, entry 0 is malformed"):
         element_from_json('[{"dim": 1, "rows": [[{"re": "1e-3", "im": 0}]]}]')
+    not_an_entry = 'row 0, entry 0 is malformed: matrix entries must be objects with keys "re" and "im"'
+    with pytest.raises(ValueError, match=not_an_entry):
+        element_from_json('[{"dim": 1, "rows": [[1.0]]}]')
+    for text, shown in (("0", "0"), ("true", "True"), ("2.0", "2.0")):
+        with pytest.raises(ValueError, match=f"^operator 0 has invalid dim {shown}$"):
+            element_from_json('[{"dim": %s, "rows": []}]' % text)
+    with pytest.raises(ValueError, match="^operator 0, row 1 must have 2 entries$"):
+        element_from_json('[{"dim": 2, "rows": [[{"re": 1, "im": 0}, {"re": 0, "im": 0}], [{"re": 1, "im": 0}]]}]')
     three, four = (json.loads(element_to_json(GroupElement([np.eye(d)]))) for d in (3, 4))
     with pytest.raises(ValueError, match="operator 2 has dim 4, but operator 0 has dim 3"):
         element_from_json(json.dumps(three + three + four))

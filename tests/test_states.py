@@ -72,6 +72,31 @@ def test_shape_validation():
         SystemShape(3, 2, -1)
 
 
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ((3, 2, 1.0), "'spin_numerator' must be an integer, got 1.0"),
+        ((True, True, False), "'modes' must be an integer, got True"),
+        ((3.5, 2, 1), "'modes' must be an integer, got 3.5"),
+        ((3, "2", 1), "'particles' must be an integer, got '2'"),
+        ((0, 2, 1.5), "'spin_numerator' must be an integer, got 1.5"),
+        ((3, np.bool_(True), 1), "'particles' must be an integer, got"),
+    ],
+)
+def test_shape_fields_must_be_integers(fields, message):
+    # every field is checked for its type before any range check
+    with pytest.raises(ValueError, match=re.escape(f"shape field {message}")):
+        SystemShape(*fields)
+
+
+def test_shape_keeps_numpy_integers_as_python_ints():
+    shape = SystemShape(np.int64(3), np.uint8(2), np.int32(1))
+    assert shape == SHAPE_321 and all(type(field) is int for field in shape)
+    assert type(shape.dimension) is int
+    with pytest.raises(ValueError, match="shape field 'spin_numerator' must be an integer, got 1.0"):
+        SHAPE_321._replace(spin_numerator=1.0)
+
+
 def test_shape_is_a_named_triple_equal_only_to_shapes():
     shape = SystemShape(3, 2, 1)
     assert repr(shape) == "SystemShape(modes=3, particles=2, spin_numerator=1)"
@@ -121,6 +146,8 @@ def test_dense_roundtrip():
         assert np.max(np.abs(st1.dense() - vec)) == 0
         assert abs(st0.norm() - 1.0) < 1e-12
         assert abs(np.linalg.norm(vec) - 1.0) < 1e-12
+    with pytest.raises(ValueError, match="^vector length 11 does not match dimension 12$"):
+        StateVector.from_dense(SHAPE_321, np.ones(11))
 
 
 def test_reduced_density_of_product_like_state():
@@ -208,6 +235,15 @@ def test_norm_matches_dense_norm(seed):
     vec = rng.normal(size=12) + 1j * rng.normal(size=12)
     psi = StateVector.from_dense(SHAPE_321, vec)
     assert abs(psi.norm() - np.linalg.norm(vec)) < 1e-12 * max(1.0, np.linalg.norm(vec))
+
+
+def test_phase_fit_refuses_a_shape_mismatch_and_a_zero_reference():
+    psi = StateVector(SHAPE_321, {(1, 1, 0): 1.0})
+    wide = StateVector(SystemShape(4, 2, 1), {(1, 1, 0, 0): 1.0})
+    with pytest.raises(ValueError, match=re.escape(f"shape mismatch: {SHAPE_321} vs {wide.shape}")):
+        phase_fit(psi, wide, 1e-9)
+    with pytest.raises(ValueError, match="^cannot compare against the zero state$"):
+        phase_fit(StateVector(SHAPE_321, {}), psi, 1e-9)
 
 
 def test_phase_fit_rule_on_a_subnormalised_pair():

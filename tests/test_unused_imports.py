@@ -188,7 +188,7 @@ def test_classify_imports_numpy_only_for_the_canonical_form():
     # the pair projections and CHSH values compute in Python numbers; only
     # the SVD and least-squares fit of the canonical reduction need numpy
     inside = set(numpy_imports((PACKAGE / "classify.py").read_text()))
-    assert inside == {"canonical_form", "_block"}
+    assert inside == {"canonical_form"}
 
 
 def imported_modules(source: str):
@@ -205,6 +205,12 @@ def imported_modules(source: str):
 def test_import_finder_sees_every_form():
     source = "import dataclasses.x\nfrom typing import NamedTuple\nfrom . import states\ndef f():\n    import inspect\n"
     assert imported_modules(source) == {"dataclasses", "typing", "inspect"}
+
+
+def test_invariants_imports_no_numpy_anywhere():
+    # W and its traces go through one 2x2 product over Python numbers, so
+    # not even a type-checking block names numpy
+    assert "numpy" not in imported_modules((PACKAGE / "invariants.py").read_text())
 
 
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)

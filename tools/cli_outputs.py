@@ -6,7 +6,8 @@ The script writes its input states into ``OUTDIR/inputs``: three random
 states from fixed seeds, an unnormalized state, a four-mode state, a
 state whose one amplitude, 1e200, squares past the largest double, and two
 states whose invariants overflow (a cross minor of 1e200, and an AB
-determinant of 1e400), plus the family states that the ``family-*`` cases write there. Each case then
+determinant of 1e400), one file per refusal of the state loader, plus the
+family states that the ``family-*`` cases write there. Each case then
 runs ``python -m modal_ent.cli`` with ``DIR`` (default: the ``src`` directory
 beside this script) first on ``PYTHONPATH``, in its own directory
 ``OUTDIR/<case>``. A case is one call or a pipeline of calls; stage ``k``
@@ -27,9 +28,10 @@ from a pipeline, and exits 0, 1 and 2; ``monotone-mc`` with ``--records``,
 with ``--state`` and with no trials; ``family`` at extreme parameters;
 ``theorem3-scan`` over ``--n 1..12 --p 1..4``; and the error exits on the
 unnormalized, four-mode and overflowing files, ``invariants`` in both
-formats among them. The script exits 1 if a
-call ends in a Python traceback. It needs only the standard library; the
-package it runs needs numpy.
+formats among them; ``invariants`` on each refused state file; and the
+refused family constraints, ``--params`` key and scan range. The script
+exits 1 if a call ends in a Python traceback. It needs only the standard
+library; the package it runs needs numpy.
 """
 
 import argparse
@@ -70,6 +72,15 @@ EXTREME_FAMILIES = {
     "S2-negative-zero-phase": ["--name", "S2", "--params", "r=0.3,theta=-0.0"],
 }
 
+#: calls that refuse their arguments: a family constraint, an empty
+#: ``--params`` key and a range that is not N or LO..HI
+REFUSED_CALLS = {
+    "family-Eq16-r3-zero": ["family", "--name", "Eq16", "--params", "r1=0.5,r2=0.5,r3=0,r4=0.5"],
+    "family-Eq18-negative-r3": ["family", "--name", "Eq18", "--params", "r1=0.5,r2=0.5,r3=-0.1,r4=0.5,r5=0.5"],
+    "family-empty-key": ["family", "--name", "S1", "--params", "=0.2"],
+    "theorem3-scan-malformed-range": ["theorem3-scan", "--n", "abc"],
+}
+
 REPORT_STATES = ["psi2", "S2", "Eq16", "S1-symbols", "random-1", "random-2", "random-3", "unnormalized"]
 
 
@@ -79,6 +90,22 @@ def state_doc(shape, amplitudes):
     modes, particles, spin = shape
     doc = {"shape": {"modes": modes, "particles": particles, "spin_numerator": spin}, "amplitudes": records}
     return json.dumps(doc, indent=2) + "\n"
+
+
+def raw_state_doc(amplitudes, modes=3, spin=1):
+    """State file text with ``amplitudes`` written as given, for files the loader refuses."""
+    doc = {"shape": {"modes": modes, "particles": 2, "spin_numerator": spin}, "amplitudes": amplitudes}
+    return json.dumps(doc) + "\n"
+
+
+#: state files that the loader refuses, one per refusal, by input name
+MALFORMED_STATES = {
+    "malformed-symbols-spin-2": raw_state_doc([{"occ": "ud0", "re": 1.0, "im": 0.0}], spin=2),
+    "malformed-float-occupation": raw_state_doc([{"occ": [1, 2.0, 0], "re": 1.0, "im": 0.0}]),
+    "malformed-number-occupation": raw_state_doc([{"occ": 120, "re": 1.0, "im": 0.0}]),
+    "malformed-amplitude-object": raw_state_doc({}),
+    "malformed-float-modes": raw_state_doc([], modes=3.0),
+}
 
 
 def random_state_doc(seed):
@@ -152,6 +179,8 @@ def cases():
           for state in ("overflow-cross-minor", "overflow-determinant") for fmt in ("json", "csv")),
         ("theorem3-scan-wide", [["theorem3-scan", "--n", "1..12", "--p", "1..4"]]),
     ]
+    out += [(name, [argv]) for name, argv in REFUSED_CALLS.items()]
+    out += [(f"invariants-{name}", [["invariants", "--in", inp(name)]]) for name in MALFORMED_STATES]
     return out
 
 
@@ -193,6 +222,7 @@ def main(argv=None):
     docs["overflow"] = state_doc((3, 2, 1), {(1, 1, 0): (1e200, 0.0)})
     docs["overflow-cross-minor"] = state_doc((3, 2, 1), {(1, 1, 0): (1e100, 0.0), (2, 0, 2): (1e100, 0.0)})
     docs["overflow-determinant"] = state_doc((3, 2, 1), {(1, 1, 0): (1e200, 0.0), (2, 2, 0): (1e200, 0.0)})
+    docs.update(MALFORMED_STATES)
     for name, text in docs.items():
         with open(os.path.join(inputs, f"{name}.json"), "w") as fh:
             fh.write(text)
