@@ -15,14 +15,17 @@ every draw is bit for bit the one ``default_rng`` gives;
 :func:`random_instrument`, which replays a single instrument, draws from
 ``default_rng`` itself. The seed tree, too, runs as one uint64 batch,
 the three child seeds of every trial in one broadcast. Everything after the
-draws runs once over the whole run in :func:`_margins`: the instruments are
-completed as one ``(k, 2, 3, 3)`` Kraus stack, one index gather,
-:func:`_outcomes`, acts with both outcomes, and one pass of
-:func:`~modal_ent.invariants.dense_invariant_pair` reads the inputs and both
-renormalized outcomes as a ``(12, 3k)`` column batch in
-:class:`SplitComplex` arithmetic. This batch layer lives here, beside its
-one user, and is written for the (3, 2, 1) sector alone: the gather's
-offset tables are built once, when the module loads.
+draws runs once over the whole run: the instruments are completed in
+closed form as one ``(k, 2, 3, 3)`` Kraus stack, and in :func:`_margins`
+one index gather, :func:`_outcomes`, acts with both outcomes, and one pass
+of :func:`~modal_ent.invariants.dense_invariant_pair` reads the inputs and
+both renormalized outcomes as a ``(12, 3k)`` column batch in
+:class:`SplitComplex` arithmetic. The completion and the gather round
+only through IEEE ``+``, ``-``, ``*``, ``/`` and square roots, and the
+monotones take libm's ``pow``, not numpy's array power, so the margins do
+not depend on the CPU features numpy dispatches to. This batch layer lives
+here, beside its one user, and is written for the (3, 2, 1) sector alone:
+the gather's offset tables are built once, when the module loads.
 :func:`monotonicity_trial` is its one-column call, so replaying a trial
 from its seeds reproduces the record's margins bit for bit; it is also the
 one public path by which a user-built instrument reaches the kernel, and
@@ -40,14 +43,15 @@ strongly non-unitary elements. Ratios of renormalized values stay order one.
 
 from __future__ import annotations
 
+import math
 import operator
-from itertools import chain
+from itertools import chain, repeat
 from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
-from .invariants import _amplitude_list, dense_invariant_pair, monotones
+from .invariants import _amplitude_list, dense_invariant_pair
 from .operators import MEMBER_TOL, GroupElement, _leak_positions, sector_matrix
 from .states import (
     SHAPE_321,
@@ -265,35 +269,66 @@ class LocalInstrument(_Frozen):
 _INSTRUMENT_WIDTH = 2 * 2 * 2 + 2
 
 
+# positions of the level entries a, b, c, d and the vacancy v in a 3 x 3 matrix
+_ENTRY_ROWS, _ENTRY_COLS = [0, 0, 1, 1, 2], [0, 1, 0, 1, 2]
+
+
 def _kraus_from_normals(z: np.ndarray, strength: float) -> np.ndarray:
     """Kraus pairs of the random instruments drawn as the rows of ``z``, ``(k, 2, 3, 3)``.
 
     Each row holds the real and imaginary parts of the level block, then of
-    the vacancy entry; everything runs once over the whole stack. See
-    :func:`random_instrument` for the construction.
+    the vacancy entry. See :func:`random_instrument` for the construction,
+    which runs once over the whole stack in real arithmetic of ``+``, ``-``,
+    ``*``, ``/`` and square roots, entry by entry. IEEE rounds each of those
+    correctly, so the result depends neither on the CPU features numpy
+    dispatches to nor on the rest of the batch: row ``t`` is bit for bit
+    the one-row call on ``z[t]``.
     """
     if not 0 <= strength < np.inf:
         raise ValueError(f"strength must be finite and non-negative, got {strength}")
-    lv, d = 2, 3
-    k = np.zeros((len(z), d, d), dtype=complex)
-    blocks = z[:, : 2 * lv * lv].reshape(-1, 2, lv, lv)
-    with np.errstate(over="ignore"):
-        k[:, :lv, :lv] = strength * (blocks[:, 0] + 1j * blocks[:, 1])
-        k[:, lv, lv] = strength * (z[:, -2] + 1j * z[:, -1])
-        k += np.eye(d)
-        # LAPACK is handed finite entries only, and an overflowing norm would
-        # silently zero the first outcome.
-        finite = np.isfinite(k).all()
-        scale = np.sqrt(2.0) * np.linalg.norm(k, 2, axis=(1, 2)) if finite else np.inf
-    if not np.isfinite(scale).all():
+    # the real and imaginary parts of a, b, c, d and v in I + strength * G,
+    # one row per entry, scaled by their largest modulus so that no square
+    # overflows; an entry that does overflow turns the norm below into NaN
+    with np.errstate(over="ignore", invalid="ignore"):
+        re = strength * z.T[[0, 1, 2, 3, 8]]
+        im = strength * z.T[[4, 5, 6, 7, 9]]
+        re[[0, 3, 4]] += 1.0
+        largest = np.maximum(abs(re).max(axis=0), abs(im).max(axis=0))
+        re /= largest
+        im /= largest
+        (ar, br, cr, dr, vr), (ai, bi, ci, di, vi) = re, im
+        # the larger eigenvalue of the level block's Gram matrix [[p, x], [x*, q]]
+        p = ar * ar + ai * ai + (br * br + bi * bi)
+        q = cr * cr + ci * ci + (dr * dr + di * di)
+        xr = ar * cr + ai * ci + (br * dr + bi * di)
+        xi = ai * cr - ar * ci + (bi * dr - br * di)
+        sigma_sq = (p + q + np.sqrt((p - q) * (p - q) + 4.0 * (xr * xr + xi * xi))) * 0.5
+        scale = np.sqrt(2.0 * np.maximum(sigma_sq, vr * vr + vi * vi))
+        finite = np.isfinite(scale * largest).all()
+    if not finite:
         raise ValueError(f"strength {strength} overflows the instrument entries")
-    a0 = k / scale[:, None, None]
-    m = np.eye(d) - a0.conj().swapaxes(1, 2) @ a0
-    w, u = np.linalg.eigh(m[:, :lv, :lv])
-    a1 = np.zeros_like(a0)
-    a1[:, :lv, :lv] = (u * np.sqrt(np.clip(w, 0.0, None))[:, None, :]) @ u.conj().swapaxes(1, 2)
-    a1[:, lv, lv] = np.sqrt(np.maximum(m[:, lv, lv].real, 0.0))
-    kraus = np.stack([a0, a1], axis=1)
+    # a0 in place: ar .. vi are views of the rows of re and im
+    re /= scale
+    im /= scale
+    # the level block of M = I - a0^dagger a0, whose eigenvalues lie in [1/2, 1]
+    m11 = 1.0 - (ar * ar + ai * ai + (cr * cr + ci * ci))
+    m22 = 1.0 - (br * br + bi * bi + (dr * dr + di * di))
+    m12r = -(ar * br + ai * bi + (cr * dr + ci * di))
+    m12i = -(ar * bi - ai * br + (cr * di - ci * dr))
+    # sqrt(M) = (M + sqrt(det M) I) / sqrt(tr M + 2 sqrt(det M))
+    root_det = np.sqrt(m11 * m22 - (m12r * m12r + m12i * m12i))
+    den = np.sqrt(m11 + m22 + 2.0 * root_det)
+    kraus = np.zeros((len(z), 2, 3, 3), dtype=complex)
+    parts = kraus.view(np.float64).reshape(len(z), 2, 3, 3, 2)
+    parts[:, 0, _ENTRY_ROWS, _ENTRY_COLS, 0] = re.T
+    parts[:, 0, _ENTRY_ROWS, _ENTRY_COLS, 1] = im.T
+    a1 = parts[:, 1]
+    a1[:, 0, 0, 0] = (m11 + root_det) / den
+    a1[:, 1, 1, 0] = (m22 + root_det) / den
+    a1[:, 0, 1, 0] = a1[:, 1, 0, 0] = m12r / den
+    a1[:, 0, 1, 1] = m12i / den
+    a1[:, 1, 0, 1] = -a1[:, 0, 1, 1]
+    a1[:, 2, 2, 0] = np.sqrt(np.maximum(1.0 - (vr * vr + vi * vi), 0.0))
     _check_instruments(kraus)
     return kraus
 
@@ -304,8 +339,13 @@ def random_instrument(seed: int, mode: int, strength: float) -> LocalInstrument:
     Outcome zero is ``(I + strength * G) / (sqrt(2) |I + strength * G|)``
     with G block Ginibre, spectral norm in the denominator; outcome one is
     the Hermitian square root completing the pair to a trace-preserving
-    instrument. The root is taken block by block so compliance is exact. At
-    strength zero both outcomes collapse to ``I / sqrt(2)``. A strength that
+    instrument. Both are closed forms, taken block by block so compliance is
+    exact: the norm is the larger of the vacancy's modulus and the level
+    block's largest singular value, ``sqrt((p + q + sqrt((p - q)^2 +
+    4|x|^2)) / 2)`` for its Gram matrix ``[[p, x], [x*, q]]``, and the level
+    block M of the second outcome's square, whose eigenvalues lie in
+    [1/2, 1], has the root ``(M + sqrt(det M) I) / sqrt(tr M + 2 sqrt(det M))``.
+    At strength zero both outcomes collapse to ``I / sqrt(2)``. A strength that
     is negative or not finite raises ValueError, and so does a finite one so
     large that the entries of ``I + strength * G`` or their scaled spectral
     norm overflow. The seed seeds ``np.random.default_rng``; it must be an
@@ -454,7 +494,14 @@ def _margins(psi: np.ndarray, kraus: np.ndarray, modes: np.ndarray) -> Tuple[np.
     out.re /= norm
     out.im /= norm
     columns = SplitComplex(batch.re.reshape(dim, -1), batch.im.reshape(dim, -1))
-    mono1, mono2 = (m.reshape(-1, k) for m in monotones(*dense_invariant_pair(columns)))
+    i1, i2 = dense_invariant_pair(columns)
+    # the powers of invariants.monotones, through libm's pow as Python floats
+    # take them; np.power rounds by the CPU features numpy dispatches to, so
+    # the margins would depend on the host
+    mono1, mono2 = (
+        np.fromiter(map(math.pow, abs(i).tolist(), repeat(e)), float, i.re.size).reshape(-1, k)
+        for i, e in ((i1, 1.0 / 3.0), (i2, 2.0 / 3.0))
+    )
     # sum adds the outcomes in order; the last bits of the margins depend on it
     margin1 = sum(np.where(skip, 0.0, prob * mono1[1:])) - mono1[0]
     margin2 = sum(np.where(skip, 0.0, prob * mono2[1:])) - mono2[0]

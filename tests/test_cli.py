@@ -1,4 +1,5 @@
 import hashlib
+import importlib
 import io
 import json
 import math
@@ -304,44 +305,81 @@ def test_monotone_mc_rejects_bad_strength(strength, capfd):
 # batched kernel compare it with replays through the same code, and the
 # scalar oracle allows 1e-15, so only these pins catch a change that moves
 # the last bits of both paths at once.
-@pytest.mark.parametrize(
-    "argv, records_sha, summary_sha",
-    [
-        (
-            ["--trials", "2000", "--seed", "7"],
-            "aa62e0ef50200d390ec8e08872cf6d9f83e93bbc4d1a3823199c6be25f274df2",
-            "01a84393c271df83c780a3d51f4fe4f63ccc93a9e9c4e1043b4837ab1b1f78a2",
-        ),
-        (
-            ["--trials", "500", "--seed", "7", "--strength", "0"],
-            "f133827be0cd2bd393e44dd050ba0ec4d231b8df6f4e19ed5e7c28f2061d5a36",
-            "20d71109889fdd446a9597c20c69aeea34ec4c9317288d7051a77be09a0cc816",
-        ),
-        (
-            # I2 of psi1 vanishes, so its margin2 is roundoff raised to 2/3
-            ["--trials", "500", "--seed", "7", "--state", "psi1"],
-            "cefe515f463cb33242b3c993d930008a9bd4897827675e59aa85bfb93a6e5d5d",
-            "3ec53530c45c89e19c1d150a21de358e13b66d7945e02365e29548311e222b42",
-        ),
-    ],
-    ids=["random", "zero-strength", "psi1"],
-)
-def test_monotone_mc_outputs_are_pinned(tmp_path, argv, records_sha, summary_sha):
+_MC_PINS = [
+    (
+        ["--trials", "2000", "--seed", "7"],
+        "b0c42f9115846dad7146ac98511494e965cd81a313d11f47da9e5da3a74adc25",
+        "01a84393c271df83c780a3d51f4fe4f63ccc93a9e9c4e1043b4837ab1b1f78a2",
+    ),
+    (
+        ["--trials", "500", "--seed", "7", "--strength", "0"],
+        "440b6ad74979573f42cd786dd546c3796820238e3dcadb8e2c383226e5f0240c",
+        "1d05bdd933588858354a879d2f8819f99bf68f5d229f13ad11d04307833cf080",
+    ),
+    (
+        # I2 of psi1 vanishes, so its margin2 is roundoff raised to 2/3
+        ["--trials", "500", "--seed", "7", "--state", "psi1"],
+        "b80520ba36e64ca53ace628680eecc88175df2b5b61e4eb92c2f740ae7077f75",
+        "a3884f239e5268dc4ba0e69930748c9c1e37b4eab5ad36620bb27e48efc98c2c",
+    ),
+]
+
+
+def _mc_pin_argv(tmp_path, argv):
+    """The CLI arguments of a pinned run, writing its records and summary under ``tmp_path``."""
     if "--state" in argv:
         state = str(tmp_path / "psi1.json")
         assert main(["family", "--name", "psi1", "--out", state]) == 0
         argv = [state if a == "psi1" else a for a in argv]
-    records, summary = tmp_path / "records.csv", tmp_path / "summary.json"
-    assert main(["monotone-mc", *argv, "--records", str(records), "--out", str(summary)]) == 0
-    assert hashlib.sha256(records.read_bytes()).hexdigest() == records_sha
-    assert hashlib.sha256(summary.read_bytes()).hexdigest() == summary_sha
+    return ["monotone-mc", *argv, "--records", str(tmp_path / "records.csv"), "--out", str(tmp_path / "summary.json")]
 
 
-def run_python(probe, *args, cwd=None, stdin=None):
-    """Run ``python -c probe args`` in a fresh interpreter on this checkout's package."""
+def _sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("argv, records_sha, summary_sha", _MC_PINS, ids=["random", "zero-strength", "psi1"])
+def test_monotone_mc_outputs_are_pinned(tmp_path, argv, records_sha, summary_sha):
+    assert main(_mc_pin_argv(tmp_path, argv)) == 0
+    assert _sha256(tmp_path / "records.csv") == records_sha
+    assert _sha256(tmp_path / "summary.json") == summary_sha
+
+
+#: the CPU features under which numpy's array power rounded differently
+_SIMD_FEATURES = ("X86_V3", "X86_V4", "AVX512_ICL", "AVX512_SPR")
+#: the extension module that reports numpy's CPU features, moved in numpy 2
+_UMATH = "numpy._core._multiarray_umath" if np.lib.NumpyVersion(np.__version__) >= "2.0.0" else "numpy.core._multiarray_umath"
+
+
+def test_monotone_mc_pins_hold_without_simd_dispatch(tmp_path):
+    # the margins use only correctly rounded arithmetic and libm, so turning
+    # off numpy's wider kernels leaves every byte in place; a feature can be
+    # turned off only where it is detected and not compiled in
+    umath = importlib.import_module(_UMATH)
+    off = [f for f in _SIMD_FEATURES if umath.__cpu_features__.get(f) and f not in umath.__cpu_baseline__]
+    runs = []
+    for i, (argv, _, _) in enumerate(_MC_PINS):
+        (tmp_path / str(i)).mkdir()
+        runs.append(_mc_pin_argv(tmp_path / str(i), argv))
+    probe = (
+        f"import importlib, json, sys; from modal_ent.cli import main; umath = importlib.import_module({_UMATH!r}); "
+        "print(json.dumps([umath.__cpu_features__[f] for f in sys.argv[2:]])); "
+        "sys.exit(max(main(argv) for argv in json.loads(sys.argv[1])))"
+    )
+    out = run_python(probe, json.dumps(runs), *off, env={"NPY_DISABLE_CPU_FEATURES": " ".join(off)})
+    # the features were on in this process, and are off in the probe's
+    assert json.loads(out) == [False] * len(off)
+    for i, (_, records_sha, summary_sha) in enumerate(_MC_PINS):
+        assert _sha256(tmp_path / str(i) / "records.csv") == records_sha
+        assert _sha256(tmp_path / str(i) / "summary.json") == summary_sha
+
+
+def run_python(probe, *args, cwd=None, stdin=None, env=None):
+    """Run ``python -c probe args`` in a fresh interpreter on this checkout's
+    package, with ``env`` added to the environment."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(modal_ent.__file__)))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
+    env = dict(os.environ, **(env or {}), PYTHONPATH=path)
     return subprocess.run(
         [sys.executable, "-c", probe, *args],
         env=env, cwd=cwd, input=stdin, capture_output=True, text=True, check=True, timeout=60,
