@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from typing import TYPE_CHECKING, List, NamedTuple, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence, Tuple
 
 from .invariants import (
     _AB,
@@ -42,12 +42,12 @@ from .invariants import (
     _CUT_B_AC,
     _CUT_C_AB,
     _IDX,
-    _PAIRS,
     InvariantReport,
     _amplitude_list,
     _cross_minors,
     _det2,
     _invariant_polynomials,
+    _moved,
     _product,
     _report,
     _rows,
@@ -113,19 +113,6 @@ class CanonicalParams(NamedTuple):
     theta: float
     element: GroupElement
     state: StateVector
-
-
-def _moved(v: List[complex], element) -> List[complex]:
-    """Amplitudes ``v`` moved by an element given per mode as ``(level block,
-    vacancy entry)``: each pair block ``M`` goes to ``L M L'^T s``, with the
-    level blocks of its row and column modes and the third mode's vacancy."""
-    out = [0j] * 12
-    for (uu, ud, du, dd), row, col, third in _PAIRS:
-        ((a, b), (c, d)), ((e, f), (g, h)), s = element[row][0], element[col][0], element[third][1]
-        p, q = (a * v[uu] + b * v[du]) * s, (a * v[ud] + b * v[dd]) * s
-        r, w = (c * v[uu] + d * v[du]) * s, (c * v[ud] + d * v[dd]) * s
-        out[uu], out[ud], out[du], out[dd] = p * e + q * f, p * g + q * h, r * e + w * f, r * g + w * h
-    return out
 
 
 def _composed(stage, total) -> list:

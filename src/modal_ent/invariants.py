@@ -24,6 +24,11 @@ which reads its amplitude map in basis order and is the package's one
 check that a state has shape (3, 2, 1); W, the canonical form and the
 Monte-Carlo trials start from its list too.
 
+The same blocks are the one layout by which (3, 2, 1) states move:
+``_moved``, the pair-block action of a compliant element, serves the
+canonical form and the invariance sweep, and the Monte-Carlo gather reads
+each column in an order built from the cut tables below.
+
 This module imports no numpy: :func:`invariant_report` computes in Python
 complex numbers, and W and its powers in one 2x2 product over pairs of
 rows, :func:`_product`, so they run on any number type with ``+``, ``-``
@@ -63,6 +68,21 @@ def _rows(v, block: Tuple[int, ...], transpose: bool = False):
     """The pair block of amplitudes ``v`` at ``block`` as a pair of rows, or its transpose."""
     uu, ud, du, dd = (v[k] for k in block)
     return ((uu, du), (ud, dd)) if transpose else ((uu, ud), (du, dd))
+
+
+def _moved(v, element) -> list:
+    """Amplitudes ``v``, one state's list or a ``(12, k)`` batch, moved by a
+    compliant element given per mode as ``(level block, vacancy entry)``:
+    each pair block ``M`` goes to ``L M L'^T s``, with the level blocks of
+    its row and column modes and the third mode's vacancy. The leak entries
+    move nothing within the sector and are not read."""
+    out = [0j] * 12
+    for (uu, ud, du, dd), row, col, third in _PAIRS:
+        ((a, b), (c, d)), ((e, f), (g, h)), s = element[row][0], element[col][0], element[third][1]
+        p, q = (a * v[uu] + b * v[du]) * s, (a * v[ud] + b * v[dd]) * s
+        r, w = (c * v[uu] + d * v[du]) * s, (c * v[ud] + d * v[dd]) * s
+        out[uu], out[ud], out[du], out[dd] = p * e + q * f, p * g + q * h, r * e + w * f, r * g + w * h
+    return out
 
 
 # For each single-mode cut, the two blocks that hold that mode, oriented with
@@ -110,15 +130,6 @@ def _invariant_polynomials(v):
         + dd0 * (oud * u0u - ouu * u0d)
     )
     return det_ab, det_bc, det_ac, det_ab * det_bc * det_ac, i2
-
-
-def dense_invariant_pair(v):
-    """(I1, I2) for a dense column batch, shape (12,) or (12, k).
-
-    A :class:`~modal_ent.monte_carlo.SplitComplex` batch gives the values that
-    :func:`invariant_report` computes for each column, bit for bit.
-    """
-    return _invariant_polynomials(v)[3:]
 
 
 def monotones(i1, i2):

@@ -18,14 +18,15 @@ the three child seeds of every trial in one broadcast. Everything after the
 draws runs once over the whole run: the instruments are completed in
 closed form as one ``(k, 2, 3, 3)`` Kraus stack, and in :func:`_margins`
 one index gather, :func:`_outcomes`, acts with both outcomes, and one pass
-of :func:`~modal_ent.invariants.dense_invariant_pair` reads the inputs and
-both renormalized outcomes as a ``(12, 3k)`` column batch in
-:class:`SplitComplex` arithmetic. The completion and the gather round
-only through IEEE ``+``, ``-``, ``*``, ``/`` and square roots, and the
-monotones take libm's ``pow``, not numpy's array power, so the margins do
-not depend on the CPU features numpy dispatches to. This batch layer lives
-here, beside its one user, and is written for the (3, 2, 1) sector alone:
-the gather's offset tables are built once, when the module loads.
+of the invariant polynomials reads the inputs and both renormalized
+outcomes as a ``(12, 3k)`` column batch in :class:`SplitComplex`
+arithmetic. The completion and the gather round only through IEEE ``+``,
+``-``, ``*``, ``/`` and square roots, and the monotones take libm's
+``pow``, not numpy's array power, so the margins do not depend on the CPU
+features numpy dispatches to. This batch layer lives here, beside its one
+user, and is written for the (3, 2, 1) sector alone: the gather's tables,
+which order a column by the pair blocks of ``invariants._PAIRS``, are
+built once, when the module loads.
 :func:`monotonicity_trial` is its one-column call, so replaying a trial
 from its seeds reproduces the record's margins bit for bit; it is also the
 one public path by which a user-built instrument reaches the kernel, and
@@ -33,7 +34,8 @@ checks on the way in that the instrument's dimension and mode fit the
 sector. :class:`LocalInstrument` has already checked, when it was built,
 that its mode is a non-negative integer.
 
-The invariance sweep batches states as dense columns and verifies that
+The invariance sweep batches states as dense columns, moves them by the
+pair-block action that the canonical form uses too, and verifies that
 determinant-one elements leave the polynomial invariants unchanged. The
 comparison renormalizes the moved states first: the invariants are degree 6
 and 3 in the amplitudes, so raw differences pick up the sixth power of the
@@ -51,17 +53,14 @@ from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
-from .invariants import _amplitude_list, dense_invariant_pair
-from .operators import MEMBER_TOL, GroupElement, _leak_positions, sector_matrix
+from .invariants import _CUT_A_BC, _CUT_B_AC, _CUT_C_AB, _PAIRS, _amplitude_list, _invariant_polynomials, _moved
+from .operators import MEMBER_TOL, GroupElement, _leak_positions, _require_shape
 from .states import (
     SHAPE_321,
     StateVector,
     _Frozen,
     _require_mode,
     _set,
-    basis_index,
-    enumerate_basis,
-    local_index,
     require_normalized,
     unit_amplitudes,
 )
@@ -403,69 +402,55 @@ class SplitComplex:
         return np.hypot(self.re, self.im)
 
 
-# The offsets of the column gather of :func:`_outcomes`, in float64 words
-# of complex data, so one more reads the imaginary part. For output
-# amplitude j under an operator on mode m, term c multiplies entry (row, c)
-# of the 3 x 3 operator, row being the local index of mode m in state j, by
-# the amplitude of state j with mode m set to local index c. _SOURCES[c, j, m]
-# is that amplitude's offset in a column padded with one zero amplitude, at
-# position 12, which stands in where the state leaves the sector, and
-# _ENTRIES[c, j, m] the entry's offset in the matrix. Modes run along the
-# last axis, so taking the batch's modes there gives contiguous (3, 12, k)
-# tables. Local indices 0, 1, 2 hold the symbols 1, 2 and 0: the two levels,
-# then the vacancy.
-_BASIS = enumerate_basis(SHAPE_321)
-_SOURCES = 2 * np.array(
-    [
-        [[basis_index(SHAPE_321).get(occ[:m] + (sym,) + occ[m + 1 :], 12) for m in range(3)] for occ in _BASIS]
-        for sym in (1, 2, 0)
-    ]
-)
-_ENTRIES = 2 * np.array([[[local_index(occ[m], 1) * 3 + c for m in range(3)] for occ in _BASIS] for c in range(3)])
+# The order in which _outcomes reads a column for mode m: the four basis
+# positions where m holds level up, their partners where it holds level
+# down, which are the (top, bottom) pairs of m's cut table, then the four
+# where m is vacant, the pair block of the other two modes. _PLACE[m]
+# inverts _ORDER[m], giving each basis position its row in that order.
+_ORDER = [
+    [j for side in zip(*(pair for block in cut for pair in block)) for j in side]
+    + [j for block, _, _, third in _PAIRS if third == m for j in block]
+    for m, cut in enumerate((_CUT_A_BC, _CUT_B_AC, _CUT_C_AB))
+]
+_PLACE = np.array([[order.index(j) for j in range(12)] for order in _ORDER])
+_ORDER = np.array(_ORDER)
 
 
 def _outcomes(ops: np.ndarray, modes: np.ndarray, columns: np.ndarray, out: SplitComplex) -> SplitComplex:
     """Act on column ``t`` with each operator of ``ops[t]`` on mode ``modes[t]``; not renormalized.
 
     ``columns`` holds a ``(12, k)`` complex batch of (3, 2, 1) states,
-    ``ops`` a ``(k, n, 3, 3)`` complex stack of ``n`` local matrices per
-    column (the outcomes of an instrument) and ``modes`` ``k`` mode numbers
-    in ``0 .. 2``, which the callers guarantee. The result is written into
-    and returned as ``out``, whose ``(12, n, k)`` parts may be views, such
-    as slots of a larger batch: ``[:, o, t]`` is ``ops[t, o]`` acting on
-    column ``t``.
+    ``ops`` a ``(k, n, 3, 3)`` complex stack of ``n`` compliant local
+    matrices per column (the outcomes of an instrument) and ``modes`` ``k``
+    mode numbers in ``0 .. 2``, which the callers guarantee. The result is
+    written into and returned as ``out``, whose ``(12, n, k)`` parts may be
+    views, such as slots of a larger batch: ``[:, o, t]`` is ``ops[t, o]``
+    acting on column ``t``.
 
-    Each output amplitude sums three terms, an operator entry times a source
-    amplitude. The source offsets and values are gathered once for the
-    batch, one ``(12, k)`` slice per term, and shared by the ``n``
-    operators, whose entries are read by flat ``np.take`` on the float64
-    words of the stack; working a term at a time keeps the temporaries
-    small. A source outside the sector reads a zero, so entries mixing
-    levels and the vacancy, which compliant operators do not have, are
-    dropped. Products and sums round as in :func:`~modal_ent.operators.apply`,
-    and a column's result does not depend on the rest of the batch.
+    One flat ``np.take`` reads each column in its mode's order, another
+    puts the results back in basis order, and only the level block and the
+    vacancy entry are read: a level row of the block meets each (up, down)
+    pair, the vacancy each vacant amplitude. Products and sums round as in
+    :func:`~modal_ent.operators.apply`, and a column's result does not
+    depend on the rest of the batch.
     """
     k, n = ops.shape[:2]
     step = np.arange(k)
-    padded = np.zeros((k, 13), dtype=complex)
-    padded[:, :12] = columns.T
-    amplitudes = padded.reshape(-1).view(np.float64)
-    source_at = np.take(_SOURCES, modes, axis=2)
-    source_at += 2 * 13 * step
-    matrices = np.ascontiguousarray(ops, dtype=complex).reshape(-1).view(np.float64)
-    entry_at = np.take(_ENTRIES, modes, axis=2)
-    entry_at += 2 * n * 9 * step
-    for c in range(3):
-        value = SplitComplex(amplitudes.take(source_at[c]), amplitudes[1:].take(source_at[c]))
-        for o in range(n):
-            words = matrices[2 * o * 9 :]
-            term = SplitComplex(words.take(entry_at[c]), words[1:].take(entry_at[c])) * value
-            # the terms add in order of c; another order would move last bits
-            if c:
-                out.re[:, o] += term.re
-                out.im[:, o] += term.im
-            else:
-                out.re[:, o], out.im[:, o] = term.re, term.im
+    # contiguous real and imaginary parts: the products below run about
+    # twice as fast on them as on the strided parts of complex arrays
+    gathered = columns.T.ravel().take(_ORDER[modes].T + 12 * step)
+    gathered = SplitComplex(gathered.real.copy(), gathered.imag.copy())
+    up, down = gathered[:4], gathered[4:8]
+    # the entries a, b, c, d and v of each outcome, as (n, 5, 1, k)
+    entries = ops[:, :, _ENTRY_ROWS, _ENTRY_COLS].transpose(1, 2, 0)[:, :, None]
+    entries = SplitComplex(np.ascontiguousarray(entries.real), np.ascontiguousarray(entries.imag))
+    # (n, 2, 4, k): the rows where the mode holds level up, then level down
+    levels = entries[:, 0:3:2] * up + entries[:, 1:4:2] * down
+    vacant = entries[:, 4] * gathered[8:]
+    # row j, outcome o of column t sits at (o, _PLACE[modes[t], j], t) of the (n, 12, k) result
+    back = _PLACE[modes].T[:, None] * k + step + 12 * k * np.arange(n)[:, None]
+    for part, level, vacancy in ((out.re, levels.re, vacant.re), (out.im, levels.im, vacant.im)):
+        part[...] = np.concatenate([level.reshape(n, 8, k), vacancy], axis=1).take(back)
     return out
 
 
@@ -494,7 +479,7 @@ def _margins(psi: np.ndarray, kraus: np.ndarray, modes: np.ndarray) -> Tuple[np.
     out.re /= norm
     out.im /= norm
     columns = SplitComplex(batch.re.reshape(dim, -1), batch.im.reshape(dim, -1))
-    i1, i2 = dense_invariant_pair(columns)
+    i1, i2 = _invariant_polynomials(columns)[3:]
     # the powers of invariants.monotones, through libm's pow as Python floats
     # take them; np.power rounds by the CPU features numpy dispatches to, so
     # the margins would depend on the host
@@ -608,14 +593,16 @@ def invariance_sweep(
     """Worst relative drift of I1 and I2 under a batch of group elements.
 
     The states, each of shape (3, 2, 1), are stacked as the dense columns
-    of one ``(12, k)`` batch; each element acts through its dense sector
-    matrix on the whole batch at once. Moved states are renormalized and
-    compared against the inputs' invariants rescaled by the predicted norm
-    powers, 6 for I1 and 3 for I2. For determinant-one elements both drifts
-    are pure roundoff; elements with other determinants show up at order
-    one. No states or no elements, and a state that is zero or not finite,
-    raise ValueError; an element that overflows or annihilates a state
-    raises ArithmeticError.
+    of one ``(12, k)`` batch; each element moves the whole batch at once by
+    the pair-block action ``invariants._moved``. Moved states are
+    renormalized and compared against the inputs' invariants rescaled by the
+    predicted norm powers, 6 for I1 and 3 for I2. For determinant-one
+    elements both drifts are pure roundoff; elements with other determinants
+    show up at order one. No states or no elements, a state that is zero or
+    not finite, and an element of the wrong shape or not compliant raise
+    ValueError; an element that overflows or annihilates a state, or a
+    state whose predicted invariants leave the float range, raises
+    ArithmeticError.
     """
     columns = [_amplitude_list(s) for s in states]
     if not columns:
@@ -630,24 +617,32 @@ def invariance_sweep(
     elements = list(elements)
     if not elements:
         raise ValueError("invariance sweep needs at least one group element")
-    i1_in, i2_in = dense_invariant_pair(psi)
+    for g in elements:
+        _require_shape(g, SHAPE_321)
+        if not g.is_superselection_compliant():
+            raise ValueError("element violates the superselection rule")
+    with np.errstate(over="ignore", invalid="ignore"):
+        i1_in, i2_in = _invariant_polynomials(psi)[3:]
     worst1 = 0.0
     worst2 = 0.0
     for g in elements:
         # max() below drops a NaN drift and would report a clean sweep, so
-        # an overflowing product is refused here rather than warned about
-        with np.errstate(over="ignore", invalid="ignore"):
-            moved = sector_matrix(g, SHAPE_321) @ psi
+        # an overflowing product or a predicted invariant out of range is
+        # refused here rather than warned about
+        with np.errstate(all="ignore"):
+            moved = np.array(_moved(psi, [((a[:2], b[:2]), c[2]) for a, b, c in g.matrices]))
             norms = np.linalg.norm(moved, axis=0)
+            i1_out, i2_out = _invariant_polynomials(moved / norms)[3:]
+            want1 = i1_in / norms**6
+            want2 = i2_in / norms**3
+            dev1 = float((np.abs(i1_out - want1) / np.maximum(1.0, np.abs(want1))).max())
+            dev2 = float((np.abs(i2_out - want2) / np.maximum(1.0, np.abs(want2))).max())
         if not np.isfinite(norms).all():
             raise ArithmeticError("group element overflowed a state")
         if np.any(norms <= 0):
             raise ArithmeticError("group element annihilated a state")
-        i1_out, i2_out = dense_invariant_pair(moved / norms)
-        want1 = i1_in / norms**6
-        want2 = i2_in / norms**3
-        dev1 = np.abs(i1_out - want1) / np.maximum(1.0, np.abs(want1))
-        dev2 = np.abs(i2_out - want2) / np.maximum(1.0, np.abs(want2))
-        worst1 = max(worst1, float(dev1.max()))
-        worst2 = max(worst2, float(dev2.max()))
+        if not (math.isfinite(dev1) and math.isfinite(dev2)):
+            raise ArithmeticError("the predicted invariants of a moved state are not finite")
+        worst1 = max(worst1, dev1)
+        worst2 = max(worst2, dev2)
     return worst1, worst2

@@ -13,9 +13,10 @@ code that already holds such a tuple, as :func:`make_slocc_element` and
 
 :func:`apply` is the one sparse action of a compliant element on a state
 of any shape, and :func:`apply_on_mode` the one way to act on a single mode
-of a sparse state with the identity on every other mode. The batched action
-of instruments on dense columns belongs to :mod:`modal_ent.monte_carlo`,
-its one user.
+of a sparse state with the identity on every other mode; dense (3, 2, 1)
+amplitudes move by the pair blocks of :mod:`modal_ent.invariants`.
+:func:`sector_matrix` is only the tests' reference for both, kept here
+because the benchmark's tracer wraps it by name.
 
 The entries that the superselection rule requires to vanish are listed
 once, by ``_leak_positions``. ``_leaking_mode`` reads them from the rows of
@@ -293,8 +294,8 @@ def _index_columns(shape: SystemShape) -> Tuple[np.ndarray, ...]:
 def sector_matrix(element: GroupElement, shape: SystemShape) -> np.ndarray:
     """Dense matrix of a compliant element on the sector basis.
 
-    Intended for batch sweeps on small sectors; refuses dimensions past 4096
-    where the dense representation stops being reasonable.
+    The tests' reference for the package's actions, which do not call it.
+    Refuses dimensions past 4096, where a dense matrix stops being reasonable.
     """
     import numpy as np
 

@@ -16,17 +16,17 @@ from modal_ent.invariants import (
     _BC,
     _amplitude_list,
     _invariant_polynomials,
+    _moved,
     _rows,
     _trace_power,
     _word,
-    dense_invariant_pair,
     generator_relation_check,
     invariant_report,
     localized_scenario_check,
     trace_word,
 )
 from modal_ent.monte_carlo import SplitComplex
-from modal_ent.operators import apply, random_element
+from modal_ent.operators import apply, random_element, sector_matrix
 from modal_ent.states import SHAPE_321, StateVector, SystemShape, enumerate_basis, random_state
 
 rng = np.random.default_rng(7)
@@ -255,23 +255,33 @@ def test_localized_scenario_nan_on_degenerate_block():
 
 def test_dense_batch_matches_reports():
     cols = np.column_stack([random_state(SHAPE_321, rng).dense() for _ in range(16)])
-    i1, i2 = dense_invariant_pair(cols)
+    i1, i2 = _invariant_polynomials(cols)[3:]
     for k in range(16):
         rep = invariant_report(StateVector.from_dense(SHAPE_321, cols[:, k]))
         assert abs(i1[k] - rep.I1) < 1e-14
         assert abs(i2[k] - rep.I2) < 1e-14
     eq16 = family("Eq16", {"r1": 0.5, "r2": 0.5, "r3": 0.5, "r4": 0.5})
     cols = np.column_stack([cols, family("psi1").dense(), eq16.dense()])
-    split1, split2 = dense_invariant_pair(SplitComplex(cols.real, cols.imag))
+    split1, split2 = _invariant_polynomials(SplitComplex(cols.real, cols.imag))[3:]
     for k in range(cols.shape[1]):
         rep = invariant_report(StateVector.from_dense(SHAPE_321, cols[:, k]))
         assert complex(split1.re[k], split1.im[k]) == rep.I1
         assert complex(split2.re[k], split2.im[k]) == rep.I2
     one = random_state(SHAPE_321, rng)
-    s1, s2 = dense_invariant_pair(one.dense())
+    s1, s2 = _invariant_polynomials(one.dense())[3:]
     rep = invariant_report(one)
     assert abs(complex(s1) - rep.I1) < 1e-14
     assert abs(complex(s2) - rep.I2) < 1e-14
+
+
+def test_pair_block_action_on_a_batch_matches_the_dense_matrix():
+    # the dense sector matrix is the oracle for the pair-block action
+    cols = np.column_stack([random_state(SHAPE_321, rng).dense() for _ in range(16)])
+    for seed, kind in [(s, k) for s in range(6) for k in ("SU", "SLOCC")]:
+        el = random_element(kind, seed=seed)
+        moved = np.array(_moved(cols, [((a[:2], b[:2]), c[2]) for a, b, c in el.matrices]))
+        want = sector_matrix(el, SHAPE_321) @ cols
+        assert (np.abs(moved - want).max(axis=0) <= 1e-13 * np.linalg.norm(want, axis=0)).all()
 
 
 def test_cross_minor_sums_overflow_to_inf():

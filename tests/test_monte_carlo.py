@@ -12,10 +12,12 @@ from modal_ent.invariants import invariant_report
 from modal_ent.monte_carlo import (
     MARGIN_TOL,
     LocalInstrument,
+    SplitComplex,
     _check_instruments,
     _INSTRUMENT_WIDTH,
     _kraus_from_normals,
     _margins,
+    _outcomes,
     _SeedWords,
     _seeded_draws,
     _state_column,
@@ -27,6 +29,7 @@ from modal_ent.monte_carlo import (
 )
 from modal_ent.operators import (
     GroupElement,
+    _leak_positions,
     apply_on_mode,
     random_element,
 )
@@ -374,6 +377,44 @@ def test_batch_monotones_equal_the_scalar_report_bit_for_bit():
     assert (-m2).tolist() == [rep.monotone2 for rep in reports]
 
 
+@pytest.mark.parametrize("strength", [0.0, 0.5, 3.0])
+def test_gather_equals_apply_on_mode_bit_for_bit(strength):
+    # every state meets an instrument on each of the three modes
+    local = np.random.default_rng(8080)
+    cases = [(random_state(SHAPE_321, local), mode) for _ in range(20) for mode in range(3)]
+    psi = np.column_stack([s.dense() for s, _ in cases])
+    kraus = _kraus_from_normals(local.standard_normal((len(cases), _INSTRUMENT_WIDTH)), strength)
+    slots = (12, 2, len(cases))
+    out = _outcomes(kraus, np.array([mode for _, mode in cases]), psi, SplitComplex(np.empty(slots), np.empty(slots)))
+    for t, (state, mode) in enumerate(cases):
+        for o in range(2):
+            want = apply_on_mode(kraus[t, o], mode, state).dense()
+            assert out.re[:, o, t].tobytes() == want.real.tobytes()
+            assert out.im[:, o, t].tobytes() == want.imag.tobytes()
+
+
+def test_leak_entries_inside_the_tolerance_leave_the_margins_in_place():
+    # the gather reads only the level blocks and the vacancies, so entries
+    # that compliance lets through below MEMBER_TOL change no bit
+    local = np.random.default_rng(9090)
+    rows, cols = zip(*_leak_positions(3))
+    states = [random_state(SHAPE_321, local) for _ in range(30)]
+    clean = [random_instrument(t, t % 3, 0.5) for t in range(len(states))]
+    leaky = []
+    for inst in clean:
+        kraus = inst.kraus.copy()
+        signs = local.choice([-1.0, 1.0], size=(2, 2, 4))
+        kraus[:, rows, cols] = 1e-11 * (signs[0] + 1j * signs[1])
+        leaky.append(LocalInstrument(inst.mode, kraus, seed=inst.seed))
+    for state, a, b in zip(states, clean, leaky):
+        assert monotonicity_trial(state, b) == monotonicity_trial(state, a)
+    psi = np.column_stack([s.dense() for s in states])
+    modes = np.array([inst.mode for inst in clean])
+    want = _margins(psi, np.stack([inst.kraus for inst in clean]), modes)
+    got = _margins(psi, np.stack([inst.kraus for inst in leaky]), modes)
+    assert all(x.tobytes() == y.tobytes() for x, y in zip(got, want))
+
+
 def _lapack_kraus(z, strength):
     """The LAPACK completion that the closed form replaced, as the oracle.
 
@@ -597,6 +638,15 @@ def test_invariance_sweep_input_validation():
             invariance_sweep(empty, su)
     with pytest.raises(ValueError, match="needs at least one group element"):
         invariance_sweep([doomed], iter([]))
+    # the pair-block action reads no leak entry, so the sweep refuses
+    # leaking and misshapen elements itself, as the dense matrix did
+    swap = np.eye(3)[[2, 1, 0]]
+    with pytest.raises(ValueError, match="^element violates the superselection rule$"):
+        invariance_sweep([doomed], su + [GroupElement([np.eye(3), swap, np.eye(3)])])
+    with pytest.raises(ValueError, match=r"^element has shape \(3, 4, 4\), expected \(3, 3, 3\)$"):
+        invariance_sweep([doomed], [GroupElement([np.eye(4)] * 3)])
+    with pytest.raises(ValueError, match=r"^element has shape \(2, 3, 3\), expected \(3, 3, 3\)$"):
+        invariance_sweep([doomed], [GroupElement([np.eye(3)] * 2)])
     # a zero input column is the caller's error, not the element's
     with pytest.raises(ValueError, match="state column 1 is zero"):
         invariance_sweep([doomed, StateVector(SHAPE_321, {})], su)
@@ -605,11 +655,21 @@ def test_invariance_sweep_input_validation():
 
 
 def test_invariance_sweep_refuses_non_finite_columns():
-    # max(0.0, nan) keeps 0.0, so both cases used to report a perfect (0.0, 0.0)
+    # max(0.0, nan) keeps 0.0, so these cases used to report a perfect (0.0, 0.0)
     states = [random_state(SHAPE_321, rng) for _ in range(3)]
     blow_up = GroupElement([np.diag([1e200, 1e200, 1e-200])] * 3)
     with pytest.raises(ArithmeticError, match="overflowed a state"):
         invariance_sweep(states, [blow_up])
+    # shrinking a state by 1e-60 underflows its norm to the sixth power,
+    # which made the predicted I1 infinite and its drift NaN
+    shrink = GroupElement([np.diag([1e-20] * 3)] * 3)
+    with pytest.raises(ArithmeticError, match="predicted invariants of a moved state are not finite"):
+        invariance_sweep([random_state(SHAPE_321, np.random.default_rng(0))], [shrink])
+    # and a state whose I1 overflows made it inf / inf under any element
+    diagonals = [(1, 1, 0), (2, 2, 0), (0, 1, 1), (0, 2, 2), (1, 0, 1), (2, 0, 2)]
+    huge = StateVector(SHAPE_321, dict.fromkeys(diagonals, 1e60))
+    with pytest.raises(ArithmeticError, match="predicted invariants of a moved state are not finite"):
+        invariance_sweep([huge], [GroupElement([np.eye(3)] * 3)])
     poisoned = dict(states[1].amplitudes)
     poisoned[enumerate_basis(SHAPE_321)[4]] = math.nan
     states[1] = StateVector(SHAPE_321, poisoned)

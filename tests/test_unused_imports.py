@@ -149,6 +149,19 @@ def test_only_operators_reads_the_move_tables(path):
     assert named == (MOVE_TABLE_HELPERS if path.name == "operators.py" else set())
 
 
+#: the dense sector matrix and its index columns, which operators keeps as
+#: the oracle the tests compare the pair-block action and apply against
+DENSE_ORACLE = {"sector_matrix", "_index_columns"}
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_only_operators_names_the_dense_oracle(path):
+    # the package moves states by apply and by the pair-block action, so no
+    # other module computes with, imports or looks up the dense matrix
+    named = referenced_names(path.read_text(), strings=True) & DENSE_ORACLE
+    assert named == set() or path.name == "operators.py"
+
+
 def numpy_imports(source: str):
     """The top-level function, or None for the module, of each import of
     numpy that runs; an ``if TYPE_CHECKING:`` block never runs."""

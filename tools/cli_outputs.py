@@ -25,11 +25,12 @@ The matrix covers every ``modal-ent`` line of the README; ``invariants``,
 plain, with ``--symbols`` and with ``--params --element-out``;
 ``verify-stabilizer`` for each name, ``generic_eq13`` on a canonical state
 from a pipeline, and exits 0, 1 and 2; ``monotone-mc`` with ``--records``,
-with ``--state`` and with no trials; ``family`` at extreme parameters;
-``theorem3-scan`` over ``--n 1..12 --p 1..4``; and the error exits on the
-unnormalized, four-mode and overflowing files, ``invariants`` in both
-formats among them; ``invariants`` on each refused state file; and the
-refused family constraints, ``--params`` key and scan range. The script
+with ``--state``, on psi1 at strengths 0.5 and 0, and with no trials;
+``family`` at extreme parameters; ``theorem3-scan`` over ``--n 1..12
+--p 1..4``; and the error exits on the unnormalized, four-mode and
+overflowing files, ``invariants`` in both formats among them;
+``invariants`` on each refused state file; and the refused family
+constraints, ``--params`` key and scan range. The script
 exits 1 if a call ends in a Python traceback. It needs only the standard
 library; the package it runs needs numpy.
 """
@@ -163,6 +164,12 @@ def cases():
         ("monotone-mc-records", [["monotone-mc", "--trials", "3000", "--seed", "7", "--records", "records.csv"]]),
         ("monotone-mc-state", [["monotone-mc", "--trials", "500", "--seed", "3", "--state", inp("S1-symbols"),
                                 "--records", "records.csv"]]),
+        # psi1's I2 vanishes, so its margin2 is roundoff raised to the power
+        # 2/3: the first bits that a change to the gather would move
+        ("monotone-mc-psi1", [["monotone-mc", "--trials", "500", "--seed", "5", "--state", inp("psi1"),
+                               "--records", "records.csv"]]),
+        ("monotone-mc-psi1-strength-0", [["monotone-mc", "--trials", "500", "--seed", "5", "--strength", "0",
+                                          "--state", inp("psi1"), "--records", "records.csv"]]),
         ("monotone-mc-no-trials", [["monotone-mc", "--trials", "0"]]),
         ("monotone-mc-unnormalized", [["monotone-mc", "--trials", "5", "--state", inp("unnormalized")]]),
         ("monotone-mc-four-mode", [["monotone-mc", "--trials", "5", "--state", inp("four-mode")]]),
