@@ -132,11 +132,6 @@ def _invariant_polynomials(v):
     return det_ab, det_bc, det_ac, det_ab * det_bc * det_ac, i2
 
 
-def monotones(i1, i2):
-    """The entanglement monotones ``(|I1|^(1/3), |I2|^(2/3))`` of scalar or array invariants."""
-    return abs(i1) ** (1.0 / 3.0), abs(i2) ** (2.0 / 3.0)
-
-
 def _cross_minors(v, cut) -> List[complex]:
     """The four 2x2 minors pairing a column of one block of ``cut`` with one of the other."""
     xs, ys = cut
@@ -185,6 +180,11 @@ class InvariantReport(NamedTuple):
     I_C_AB: float
 
 
+#: the powers of |I1| and |I2| that give the monotones, which the
+#: Monte-Carlo margins raise by too
+MONOTONE_POWERS = (1.0 / 3.0, 2.0 / 3.0)
+
+
 def invariant_report(state: StateVector) -> InvariantReport:
     """Evaluate all invariants; the input need not be normalized.
 
@@ -200,15 +200,14 @@ def invariant_report(state: StateVector) -> InvariantReport:
 def _report(v: Sequence[complex], polynomials) -> InvariantReport:
     """The invariant report of amplitudes ``v`` whose five polynomials are given."""
     i_ab, i_bc, i_ac, i1, i2 = polynomials
-    monotone1, monotone2 = monotones(i1, i2)
     return InvariantReport(
         I_AB=i_ab,
         I_BC=i_bc,
         I_AC=i_ac,
         I1=i1,
         I2=i2,
-        monotone1=monotone1,
-        monotone2=monotone2,
+        monotone1=abs(i1) ** MONOTONE_POWERS[0],
+        monotone2=abs(i2) ** MONOTONE_POWERS[1],
         I_A_BC=_cross_minor_sum(v, _CUT_A_BC),
         I_B_AC=_cross_minor_sum(v, _CUT_B_AC),
         I_C_AB=_cross_minor_sum(v, _CUT_C_AB),

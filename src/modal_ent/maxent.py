@@ -10,7 +10,9 @@ symbol exactly once across the ``p + 2`` branches, and distinct branches
 disagree on every mode, killing all off-diagonal terms of the reduction.
 
 The helpers here build those states and scan count combinations for
-feasibility.
+feasibility. No size is refused: a witness holds p + 2 amplitudes whatever
+the sector's dimension, and its check reads only those, at the cost that
+:func:`pattern_scan` states.
 """
 
 from __future__ import annotations
@@ -19,9 +21,6 @@ import math
 from typing import Dict, Iterable, List, NamedTuple
 
 from .states import Occupation, StateVector, SystemShape, is_maximally_entangled
-
-#: sector dimension past which explicit construction is refused
-DIMENSION_CAP = 1_000_000
 
 
 def _check_counts(**counts: int) -> None:
@@ -42,16 +41,13 @@ def build_psi_sigma(r: int, p: int) -> StateVector:
     """Uniform superposition of cyclic shifts of the repeated symbol sequence.
 
     Lives in the sector with ``n = r (p + 2)`` modes and ``m = r (p + 1)``
-    particles. Raises ValueError when that sector exceeds DIMENSION_CAP.
+    particles, with ``p + 2`` amplitudes at any ``r``. Counts below one raise
+    ValueError.
     """
     if r < 1 or p < 1:
         raise ValueError(f"need r >= 1 and p >= 1, got r={r}, p={p}")
     period = p + 2
     shape = SystemShape(r * period, r * (p + 1), p)
-    if shape.dimension > DIMENSION_CAP:
-        raise ValueError(
-            f"sector dimension {shape.dimension} exceeds the cap {DIMENSION_CAP}"
-        )
     seq = tuple(range(period)) * r
     amp = 1.0 / math.sqrt(period)
     amplitudes: Dict[Occupation, complex] = {}
@@ -76,9 +72,15 @@ def pattern_scan(
 ) -> List[SequencePattern]:
     """Scan (n, m, p) combinations with m <= n for maximal entanglement.
 
-    Feasible rows whose sector fits under DIMENSION_CAP get the sequence
-    state constructed and its reductions checked explicitly; the others are
-    reported as not constructed. Counts below one raise ValueError first.
+    Every feasible row gets its sequence state constructed and its
+    reductions checked explicitly, so ``constructed`` equals ``feasible``.
+    Counts below one raise ValueError first.
+
+    No size is refused. The scan lists n rows for each mode count n, so its
+    work grows with the range asked for; a feasible row adds the check of
+    :func:`is_maximally_entangled`, about ``n (p + 2) (n + p + 2)``
+    operations: 0.2 s at (n, p) = (102, 100) and 5 s at (302, 300) on two
+    cores under Python 3.11.
     """
     n_values, p_values = list(n_values), list(p_values)
     _check_counts(n=min(n_values, default=1), p=min(p_values, default=1))
@@ -87,24 +89,7 @@ def pattern_scan(
         for n in n_values:
             for m in range(1, n + 1):
                 ok = feasible(n, m, p)
-                constructed = False
-                verified = False
-                if ok:
-                    # m (p + 2) = n (p + 1) and gcd(p + 1, p + 2) = 1, so p + 2 divides n
-                    r = n // (p + 2)
-                    shape = SystemShape(n, m, p)
-                    if shape.dimension <= DIMENSION_CAP:
-                        psi = build_psi_sigma(r, p)
-                        constructed = True
-                        verified = is_maximally_entangled(psi)
-                rows.append(
-                    SequencePattern(
-                        n=n,
-                        m=m,
-                        p=p,
-                        feasible=ok,
-                        constructed=constructed,
-                        max_ent_verified=verified,
-                    )
-                )
+                # m (p + 2) = n (p + 1) and gcd(p + 1, p + 2) = 1, so p + 2 divides n
+                verified = ok and is_maximally_entangled(build_psi_sigma(n // (p + 2), p))
+                rows.append(SequencePattern(n=n, m=m, p=p, feasible=ok, constructed=ok, max_ent_verified=verified))
     return rows

@@ -53,7 +53,9 @@ from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
-from .invariants import _CUT_A_BC, _CUT_B_AC, _CUT_C_AB, _PAIRS, _amplitude_list, _invariant_polynomials, _moved
+from .invariants import (
+    MONOTONE_POWERS, _CUT_A_BC, _CUT_B_AC, _CUT_C_AB, _PAIRS, _amplitude_list, _invariant_polynomials, _moved,
+)
 from .operators import MEMBER_TOL, GroupElement, _leak_positions, _require_shape
 from .states import (
     SHAPE_321,
@@ -212,7 +214,9 @@ def _check_instruments(kraus: np.ndarray) -> None:
     """Raise ValueError unless every instrument of a ``(k, outcomes, d, d)``
     Kraus stack is trace preserving and superselection compliant.
 
-    Both tests are written so that NaN entries fail them.
+    Both tests are written so that NaN entries fail them. Each stack is
+    checked once: by :class:`LocalInstrument`, or by
+    :func:`run_monotone_trials` on its whole batch.
     """
     d = kraus.shape[-1]
     # each instrument's outcomes stacked as one (outcomes * d, d) matrix A,
@@ -328,7 +332,6 @@ def _kraus_from_normals(z: np.ndarray, strength: float) -> np.ndarray:
     a1[:, 0, 1, 1] = m12i / den
     a1[:, 1, 0, 1] = -a1[:, 0, 1, 1]
     a1[:, 2, 2, 0] = np.sqrt(np.maximum(1.0 - (vr * vr + vi * vi), 0.0))
-    _check_instruments(kraus)
     return kraus
 
 
@@ -480,12 +483,12 @@ def _margins(psi: np.ndarray, kraus: np.ndarray, modes: np.ndarray) -> Tuple[np.
     out.im /= norm
     columns = SplitComplex(batch.re.reshape(dim, -1), batch.im.reshape(dim, -1))
     i1, i2 = _invariant_polynomials(columns)[3:]
-    # the powers of invariants.monotones, through libm's pow as Python floats
-    # take them; np.power rounds by the CPU features numpy dispatches to, so
-    # the margins would depend on the host
+    # raise by MONOTONE_POWERS through libm's pow, as invariant_report's
+    # Python floats do; np.power rounds by the CPU features numpy dispatches
+    # to, so the margins would depend on the host
     mono1, mono2 = (
         np.fromiter(map(math.pow, abs(i).tolist(), repeat(e)), float, i.re.size).reshape(-1, k)
-        for i, e in ((i1, 1.0 / 3.0), (i2, 2.0 / 3.0))
+        for i, e in zip((i1, i2), MONOTONE_POWERS)
     )
     # sum adds the outcomes in order; the last bits of the margins depend on it
     margin1 = sum(np.where(skip, 0.0, prob * mono1[1:])) - mono1[0]
@@ -572,6 +575,7 @@ def run_monotone_trials(
         psi = np.repeat(_state_column(state), trials, axis=1)
         (draws,) = _seeded_draws(children[1:2], [_INSTRUMENT_WIDTH])
     kraus = _kraus_from_normals(draws, strength)
+    _check_instruments(kraus)
     modes = (children[2] % np.uint64(3)).astype(np.intp)
     m1, m2 = _margins(psi, kraus, modes)
     margins = np.maximum(m1, m2)

@@ -458,7 +458,9 @@ _NUMPY_FREE_CALLS = [
     for symbols in ([], ["--symbols"])
 ] + [
     (["invariants", *source, "--format", fmt], 0) for source in ([], ["--in", "STATE"]) for fmt in ("json", "csv")
-] + [(["theorem3-scan", "--n", "1..8", "--p", "1..3"], 0)] + [
+] + [
+    (["theorem3-scan", "--n", n_range, "--p", p_range], 0) for n_range, p_range in (("1..8", "1..3"), ("1..12", "1..4"))
+] + [
     ([command, "--in", source, "--format", fmt], 0)
     for command in ("classify", "chsh")
     for source in ("STATE", *_FAMILY_PARAMS)

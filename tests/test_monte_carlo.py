@@ -479,6 +479,25 @@ def test_lapack_completion_moves_only_the_last_bits(monkeypatch, state):
         assert abs(got.margin2 - want.margin2) <= tol2
 
 
+def test_each_path_checks_its_kraus_stack_once(monkeypatch):
+    shapes = []
+    check = monte_carlo._check_instruments
+
+    def counted(kraus):
+        shapes.append(kraus.shape)
+        check(kraus)
+
+    monkeypatch.setattr(monte_carlo, "_check_instruments", counted)
+    random_instrument(seed=11, mode=1, strength=0.5)
+    assert shapes == [(1, 2, 3, 3)]
+    shapes.clear()
+    run_monotone_trials(25, 3)
+    assert shapes == [(25, 2, 3, 3)]
+    shapes.clear()
+    run_monotone_trials(25, 3, state=family("psi2"))
+    assert shapes == [(25, 2, 3, 3)]
+
+
 def test_instrument_path_calls_no_linear_algebra():
     # the completion is closed-form arithmetic whose IEEE results do not
     # depend on the CPU; LAPACK's kernels are chosen by it

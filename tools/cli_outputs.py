@@ -27,7 +27,7 @@ plain, with ``--symbols`` and with ``--params --element-out``;
 from a pipeline, and exits 0, 1 and 2; ``monotone-mc`` with ``--records``,
 with ``--state``, on psi1 at strengths 0.5 and 0, and with no trials;
 ``family`` at extreme parameters; ``theorem3-scan`` over ``--n 1..12
---p 1..4``; and the error exits on the unnormalized, four-mode and
+--p 1..4`` and ``--n 1..40 --p 1..5``; and the error exits on the unnormalized, four-mode and
 overflowing files, ``invariants`` in both formats among them;
 ``invariants`` on each refused state file; and the refused family
 constraints, ``--params`` key and scan range. The script
@@ -185,6 +185,7 @@ def cases():
         *((f"invariants-{fmt}-{state}", [["invariants", "--in", inp(state), "--format", fmt]])
           for state in ("overflow-cross-minor", "overflow-determinant") for fmt in ("json", "csv")),
         ("theorem3-scan-wide", [["theorem3-scan", "--n", "1..12", "--p", "1..4"]]),
+        ("theorem3-scan-large", [["theorem3-scan", "--n", "1..40", "--p", "1..5"]]),
     ]
     out += [(name, [argv]) for name, argv in REFUSED_CALLS.items()]
     out += [(f"invariants-{name}", [["invariants", "--in", inp(name)]]) for name in MALFORMED_STATES]
