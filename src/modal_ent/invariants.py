@@ -39,10 +39,9 @@ imports the operators it acts with.
 from __future__ import annotations
 
 import cmath
-import math
 from typing import List, NamedTuple, Sequence, Tuple
 
-from .states import SHAPE_321, StateVector, basis_index, enumerate_basis
+from .states import SHAPE_321, StateVector, _squared_norm, basis_index, enumerate_basis
 
 _U, _D = 1, 2
 _BASIS = enumerate_basis(SHAPE_321)
@@ -141,10 +140,7 @@ def _cross_minors(v, cut) -> List[complex]:
 def _cross_minor_sum(v, cut) -> float:
     """Sum of squared moduli of the four cross minors of ``cut``, or inf
     once a term overflows, as a finite minor above about 1.3e154 does."""
-    try:
-        return sum(abs(m) ** 2 for m in _cross_minors(v, cut))
-    except OverflowError:
-        return math.inf
+    return _squared_norm(_cross_minors(v, cut))
 
 
 def _product(x, y):

@@ -1,9 +1,10 @@
 import hashlib
-import importlib
+import importlib.util
 import io
 import json
 import math
 import os
+import pathlib
 import re
 import subprocess
 import sys
@@ -26,6 +27,10 @@ def write_state(tmp_path, name, state):
     path = tmp_path / name
     path.write_text(state_to_json(state))
     return str(path)
+
+
+def _sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def test_family_then_invariants(tmp_path, capsys):
@@ -334,10 +339,6 @@ def _mc_pin_argv(tmp_path, argv):
     return ["monotone-mc", *argv, "--records", str(tmp_path / "records.csv"), "--out", str(tmp_path / "summary.json")]
 
 
-def _sha256(path):
-    return hashlib.sha256(path.read_bytes()).hexdigest()
-
-
 @pytest.mark.parametrize("argv, records_sha, summary_sha", _MC_PINS, ids=["random", "zero-strength", "psi1"])
 def test_monotone_mc_outputs_are_pinned(tmp_path, argv, records_sha, summary_sha):
     assert main(_mc_pin_argv(tmp_path, argv)) == 0
@@ -374,11 +375,14 @@ def test_monotone_mc_pins_hold_without_simd_dispatch(tmp_path):
         assert _sha256(tmp_path / str(i) / "summary.json") == summary_sha
 
 
+#: the directory that holds the package under test
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(modal_ent.__file__)))
+
+
 def run_python(probe, *args, cwd=None, stdin=None, env=None):
     """Run ``python -c probe args`` in a fresh interpreter on this checkout's
     package, with ``env`` added to the environment."""
-    src = os.path.dirname(os.path.dirname(os.path.abspath(modal_ent.__file__)))
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, **(env or {}), PYTHONPATH=path)
     return subprocess.run(
         [sys.executable, "-c", probe, *args],
@@ -629,62 +633,63 @@ def test_csv_reports_are_byte_stable(tmp_path, capsys, command):
     assert capsys.readouterr().out == _GOLDEN_CSV[command]
 
 
-def _sha256(path):
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+TOOL = pathlib.Path(__file__).resolve().parents[1] / "tools" / "cli_outputs.py"
+MANIFEST = pathlib.Path(__file__).with_name("cli_manifest.txt")
 
 
-# SHA-256 of every output of the README commands that no CSV pin above
-# covers. A pipeline stage reads the file its predecessor wrote, which holds
-# the bytes the predecessor prints to a pipe.
-_README_PINS = [
-    (
-        [["family", "--name", "psi2"], ["invariants"]],
-        [
-            "6713a12e0a45729963a9f40c5a6abd469366bc7ff83bf8ee5c829e91220ba6b3",
-            "d13f869c5bd7e2425a41ec7a7568678368750c889b7c77dafce2f9b3840edbb3",
-        ],
-    ),
-    (
-        [["family", "--name", "S1", "--params", "r=0.2"], ["chsh"]],
-        [
-            "1099ec6db65270558d994a7727bac5a86c361f9900d8d6e899b8c68c35a593ff",
-            "d7001f5a14d51a0315d04b17d96f839ac7dcc88553fcbcae1fae4ab8cffcb8d7",
-        ],
-    ),
-    (
-        [["family", "--name", "Eq16", "--params", "r1=0.5,r2=0.5,r3=0.5,r4=0.5"], ["classify"]],
-        [
-            "161ae40d8b1df17cd31080c9fef1bc6b342211f1594928c138b224d767190a96",
-            "6c2c56061ab2738ba6e703d29c6e82e94d92cd8e416df70d650778b20ff6972f",
-        ],
-    ),
-    (
-        [["family", "--name", "psi2"], ["verify-stabilizer", "--name", "psi2_eq26", "--params", "alpha=0.4"]],
-        [
-            "6713a12e0a45729963a9f40c5a6abd469366bc7ff83bf8ee5c829e91220ba6b3",
-            "f4c2efee74b7e251f680a79f424c1bbe0796167eaa7f606db8223364bc6443b6",
-        ],
-    ),
-    (
-        [["theorem3-scan", "--n", "1..8", "--p", "1..3"]],
-        [
-            "f75bd6f50e67cf9f8ac839772b1b42dbd00b78172518dbe1296d6b29bed6d298",
-        ],
-    ),
-]
+def _tree_digests(root):
+    """The SHA-256 of each directory's ``sha256sum`` lines, one per file in name order."""
+    digests = {}
+    for case in sorted(root.iterdir()):
+        lines = "".join(f"{_sha256(path)}  {path.name}\n" for path in sorted(case.iterdir()))
+        digests[case.name] = hashlib.sha256(lines.encode()).hexdigest()
+    return digests
 
 
-@pytest.mark.parametrize(
-    "stages, shas", _README_PINS, ids=["invariants", "chsh", "classify", "verify-stabilizer", "theorem3-scan"]
-)
-def test_readme_commands_are_pinned(tmp_path, stages, shas):
-    got, previous = [], []
-    for k, argv in enumerate(stages):
-        out = tmp_path / f"stage{k}.out"
-        assert main([*argv, *previous, "--out", str(out)]) == 0
-        got.append(_sha256(out))
-        previous = ["--in", str(out)]
-    assert got == shas
+@pytest.fixture(scope="module")
+def cli_matrix(tmp_path_factory):
+    """The digests of ``tools/cli_outputs.py``'s tree, written in this process,
+    and the cases that the manifest compares: all but the 28 with a
+    ``canonical`` stage, whose bytes depend on the kernel numpy's OpenBLAS
+    picks until ROADMAP item 11. With ``OPENBLAS_CORETYPE`` set to Prescott,
+    Haswell, Nehalem or Sandybridge, the same 17 of them moved:
+    ``canonical-{plain,symbols,params}-{S2,Eq16,random-1,random-2,random-3}``,
+    ``readme-4`` and ``verify-stabilizer-generic-canonical``."""
+    spec = importlib.util.spec_from_file_location("cli_outputs", TOOL)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    root = tmp_path_factory.mktemp("cli-matrix")
+    assert tool.write_tree(str(root)) == []
+    compared = ["inputs", *(name for name, stages in tool.cases() if all(a[0] != "canonical" for a in stages))]
+    return _tree_digests(root), sorted(compared)
+
+
+def test_cli_matrix_matches_the_manifest(cli_matrix, tmp_path):
+    # the header names the numpy whose PCG64 streams the monotone-mc cases
+    # draw from; it is written, not compared
+    digests, compared = cli_matrix
+    lines = [line.split("  ") for line in MANIFEST.read_text().splitlines() if not line.startswith("#")]
+    want = {case: digest for digest, case in lines}
+    got = {case: digests[case] for case in compared}
+    if got != want:
+        fresh = tmp_path / MANIFEST.name
+        fresh.write_text(f"# numpy {np.__version__}\n" + "".join(f"{got[case]}  {case}\n" for case in compared))
+        changed = sorted(case for case in got.keys() & want.keys() if got[case] != want[case])
+        missing, extra = sorted(want.keys() - got.keys()), sorted(got.keys() - want.keys())
+        pytest.fail(f"changed: {changed}, missing: {missing}, extra: {extra}; regenerated manifest: {fresh}")
+
+
+def test_cli_matrix_does_not_depend_on_the_openblas_kernel(cli_matrix, tmp_path):
+    # the oldest x86-64 kernel gives the same bytes in each compared case; where
+    # numpy's OpenBLAS is not a DYNAMIC_ARCH build, it ignores the variable
+    # and this passes trivially
+    digests, compared = cli_matrix
+    subprocess.run(
+        [sys.executable, str(TOOL), str(tmp_path / "tree"), "--src", SRC],
+        env=dict(os.environ, OPENBLAS_CORETYPE="Prescott"), capture_output=True, check=True, timeout=600,
+    )
+    prescott = _tree_digests(tmp_path / "tree")
+    assert [case for case in compared if prescott[case] != digests[case]] == []
 
 
 def test_canonical_readme_command_is_pinned(tmp_path):
@@ -714,29 +719,6 @@ def test_json_outputs_are_pinned(tmp_path, argv):
     out = tmp_path / "out.json"
     assert main([*argv, "--in", path, "--out", str(out)]) == 0
     assert _sha256(out) == _GOLDEN_JSON[argv]
-
-
-def test_classify_csv_of_the_readme_eq16_state_is_pinned(tmp_path, capsys):
-    # the families tuple is joined into one cell of the table
-    state = tmp_path / "eq16.json"
-    assert main(["family", "--name", "Eq16", "--params", "r1=0.5,r2=0.5,r3=0.5,r4=0.5", "--out", str(state)]) == 0
-    assert main(["classify", "--in", str(state), "--format", "csv"]) == 0
-    assert capsys.readouterr().out == (
-        "schema_version,field,value\n"
-        "1,profile.nonlocal_AB,false\n"
-        "1,profile.nonlocal_BC,false\n"
-        "1,profile.nonlocal_AC,false\n"
-        "1,profile.nonlocal_A_BC,true\n"
-        "1,profile.nonlocal_B_AC,false\n"
-        "1,profile.nonlocal_C_AB,true\n"
-        "1,profile.tri_local,true\n"
-        "1,families,Eq16\n"
-        "1,maximally_entangled,false\n"
-        "1,psi1_signature,false\n"
-        "1,psi2_signature,false\n"
-        "1,abs_I1,0\n"
-        "1,abs_I2,0\n"
-    )
 
 
 def test_verify_stabilizer_applies_its_element_once(tmp_path, monkeypatch, capsys):

@@ -8,17 +8,20 @@ state whose one amplitude, 1e200, squares past the largest double, and two
 states whose invariants overflow (a cross minor of 1e200, and an AB
 determinant of 1e400), one file per refusal of the state loader, plus the
 family states that the ``family-*`` cases write there. Each case then
-runs ``python -m modal_ent.cli`` with ``DIR`` (default: the ``src`` directory
-beside this script) first on ``PYTHONPATH``, in its own directory
-``OUTDIR/<case>``. A case is one call or a pipeline of calls; stage ``k``
-leaves ``k.stdout``, ``k.stderr`` and ``k.exit`` there, beside any file it
-writes. Every path the calls see is relative, so the output trees of two
-checkouts compare with ``diff -r``:
+calls ``modal_ent.cli.main`` in this process, not ``python -m modal_ent.cli``,
+with ``DIR`` (default: the ``src`` directory beside this script) first on
+``sys.path``, in its own directory ``OUTDIR/<case>``. A case is one call or
+a pipeline of calls; stage ``k`` leaves ``k.stdout``, ``k.stderr`` and
+``k.exit`` there, beside any file it writes. Every path the calls see is
+relative, so the output trees of two checkouts compare with ``diff -r``:
 
     git worktree add ../base BASE
     python tools/cli_outputs.py ../out-base --src ../base/src
     python tools/cli_outputs.py ../out-head
     diff -r ../out-base ../out-head
+
+Tier-1 imports this runner and compares a digest of each case of its tree
+with ``tests/cli_manifest.txt`` (``test_cli_matrix_matches_the_manifest``).
 
 The matrix covers every ``modal-ent`` line of the README; ``invariants``,
 ``classify`` and ``chsh`` in JSON and CSV on each input state; ``canonical``
@@ -31,18 +34,19 @@ with ``--state``, on psi1 at strengths 0.5 and 0, and with no trials;
 overflowing files, ``invariants`` in both formats among them;
 ``invariants`` on each refused state file; and the refused family
 constraints, ``--params`` key and scan range. The script
-exits 1 if a call ends in a Python traceback. It needs only the standard
-library; the package it runs needs numpy.
+exits 1 if an exception escapes a call; that stage's stderr holds the traceback.
+It needs only the standard library; the package it runs needs numpy.
 """
 
 import argparse
+import io
 import json
 import math
 import os
 import random
 import shlex
-import subprocess
 import sys
+import traceback
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -192,37 +196,39 @@ def cases():
     return out
 
 
-def run_case(workdir, stages, env):
-    """Run the stages of one case in ``workdir``; True if none ended in a traceback."""
+def run_case(workdir, stages):
+    """Run the stages of one case in ``workdir``, with the streams and the
+    working directory swapped; True if no exception escaped a call."""
+    from modal_ent.cli import main as cli_main
+
     os.makedirs(workdir)
-    stdin = b""
-    clean = True
-    for k, argv in enumerate(stages):
-        done = subprocess.run(
-            [sys.executable, "-m", "modal_ent.cli", *argv],
-            input=stdin, capture_output=True, cwd=workdir, env=env, timeout=600,
-        )
-        for suffix, data in (("stdout", done.stdout), ("stderr", done.stderr), ("exit", b"%d\n" % done.returncode)):
-            with open(os.path.join(workdir, f"{k}.{suffix}"), "wb") as fh:
-                fh.write(data)
-        clean = clean and b"Traceback" not in done.stderr
-        stdin = done.stdout
+    saved = sys.stdin, sys.stdout, sys.stderr, os.getcwd()
+    stdin, clean = "", True
+    try:
+        os.chdir(workdir)
+        for k, argv in enumerate(stages):
+            sys.stdin, sys.stdout, sys.stderr = io.StringIO(stdin), io.StringIO(), io.StringIO()
+            try:
+                code = cli_main(argv)
+            except SystemExit as exc:
+                code = exc.code or 0
+            except Exception:
+                traceback.print_exc()
+                code, clean = 1, False
+            stdin = sys.stdout.getvalue()
+            for suffix, text in (("stdout", stdin), ("stderr", sys.stderr.getvalue()), ("exit", f"{code}\n")):
+                with open(f"{k}.{suffix}", "wb") as fh:
+                    fh.write(text.encode())
+    finally:
+        sys.stdin, sys.stdout, sys.stderr = saved[:3]
+        os.chdir(saved[3])
     return clean
 
 
-def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("outdir", help="directory to create; it must not exist")
-    parser.add_argument("--src", default=os.path.join(REPO, "src"), help="directory holding the modal_ent package")
-    args = parser.parse_args(argv)
-    src = os.path.abspath(args.src)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    probe = [sys.executable, "-c", "import modal_ent; print(modal_ent.__file__)"]
-    loaded = subprocess.run(probe, capture_output=True, text=True, env=env, check=True).stdout.strip()
-    if os.path.commonpath([src, os.path.abspath(loaded)]) != src:
-        sys.exit(f"modal_ent loads from {loaded}, not from {src}")
-
-    inputs = os.path.join(args.outdir, "inputs")
+def write_tree(outdir):
+    """Write the input states and the output of every case under ``outdir``;
+    the names of the cases in which an exception escaped a call."""
+    inputs = os.path.join(outdir, "inputs")
     os.makedirs(inputs)
     docs = {f"random-{seed}": random_state_doc(seed) for seed in (1, 2, 3)}
     docs["unnormalized"] = state_doc((3, 2, 1), {(1, 1, 0): (2.0, 0.0), (0, 1, 2): (1.0, 0.0)})
@@ -234,10 +240,23 @@ def main(argv=None):
     for name, text in docs.items():
         with open(os.path.join(inputs, f"{name}.json"), "w") as fh:
             fh.write(text)
+    return [name for name, stages in cases() if not run_case(os.path.join(outdir, name), stages)]
 
-    failed = [name for name, stages in cases() if not run_case(os.path.join(args.outdir, name), stages, env)]
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("outdir", help="directory to create; it must not exist")
+    parser.add_argument("--src", default=os.path.join(REPO, "src"), help="directory holding the modal_ent package")
+    args = parser.parse_args(argv)
+    src = os.path.abspath(args.src)
+    sys.path.insert(0, src)
+    import modal_ent
+
+    if os.path.commonpath([src, os.path.abspath(modal_ent.__file__)]) != src:
+        sys.exit(f"modal_ent loads from {modal_ent.__file__}, not from {src}")
+    failed = write_tree(args.outdir)
     for name in failed:
-        print(f"{name}: a call ended in a traceback", file=sys.stderr)
+        print(f"{name}: an exception escaped a call", file=sys.stderr)
     return 1 if failed else 0
 
 
