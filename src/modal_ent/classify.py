@@ -23,15 +23,20 @@ nor :mod:`modal_ent.families`: :func:`membership_report`,
 :func:`bell_profile`, :func:`pair_projection` and :func:`chsh_value`
 compute in Python complex numbers, so ``modal-ent classify`` and
 ``modal-ent chsh`` load only this module, the invariants and the states.
-numpy and :class:`~modal_ent.operators.GroupElement` enter only inside
-:func:`canonical_form` (an SVD and a least-squares fit, and the element
-it returns), which imports them when it runs.
+:func:`canonical_form` computes in Python numbers too: its SVD is the
+closed form ``_svd2`` and its phase fit applies an exact pseudo-inverse
+(``_pseudo_inverse``), so no part of this module imports numpy and its
+output depends only on libm. It imports
+:class:`~modal_ent.operators.GroupElement`, for the element it returns,
+when it runs.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import operator
+from functools import lru_cache
 from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence, Tuple
 
 from .invariants import (
@@ -89,8 +94,12 @@ _FREE_SLOTS = CANONICAL_SLOTS[4:5] + CANONICAL_SLOTS[7:]
 # Per-symbol gradients of the two diagonal phase generators. The first
 # entry multiplies the traceless diagonal (up minus down), the second the
 # diagonal that weights the vacancy by -2.
-_G3 = {1: 1.0, 2: -1.0, 0: 0.0}
-_G8 = {1: 1.0, 2: 1.0, 0: -2.0}
+_G3 = {1: 1, 2: -1, 0: 0}
+_G8 = {1: 1, 2: 1, 0: -2}
+
+# The integer gradient row of each no-phase slot over the six generator
+# angles (x3, x8) of modes A, B and C.
+_GRADIENTS = tuple(tuple(g[sym] for sym in occ for g in (_G3, _G8)) for occ in _NO_PHASE_SLOTS)
 
 # Phases within this of the ends of [0, pi] count as inside, for the gauge fold.
 _FOLD_TOL = 1e-9
@@ -128,12 +137,120 @@ def _diagonal(up: complex, down: complex, vacancy: complex) -> tuple:
 _IDENTITY = _diagonal(1.0, 1.0, 1.0)
 
 
+def _svd2(m) -> tuple:
+    """Closed-form SVD of a 2x2 complex block given as two rows.
+
+    Returns ``((u1, u2), (s1, s2), (v1, v2))``, the columns of U and V and
+    the singular values s1 >= s2 >= 0, with ``m = U diag(s1, s2) V^H``.
+    For m = ((a, b), (c, d)), m^H m = ((p, x), (conj(x), q)), and
+    s1^2 = (p + q + sqrt((p - q)^2 + 4 |x|^2)) / 2, s2 = |ad - bc| / s1.
+    v1 spans the kernel of m^H m - s1^2 I, read from its second row when
+    p >= q and from its first otherwise, so that s1^2 - q or s1^2 - p is a
+    sum of non-negative terms; u1 = m v1 / |m v1|; v2 and u2 are the unitary
+    completions. Each free choice is pinned:
+
+    - each right singular vector's first nonzero component is real and
+      positive;
+    - u2's phase makes u2^H m v2 real and non-negative;
+    - when |u2^H m v2| <= 1e-12 s1 (a rank-one block), u2's first nonzero
+      component is real and positive instead;
+    - when sqrt((p - q)^2 + 4 |x|^2) <= 1e-12 s1^2 (equal singular
+      values, or a zero block), V = I; for a zero block, U = I too.
+    """
+    (a, b), (c, d) = m
+    p = a.real * a.real + a.imag * a.imag + c.real * c.real + c.imag * c.imag
+    q = b.real * b.real + b.imag * b.imag + d.real * d.real + d.imag * d.imag
+    x = a.conjugate() * b + c.conjugate() * d
+    gap = math.hypot(p - q, 2.0 * abs(x))
+    s1 = math.sqrt(0.5 * (p + q + gap))
+    if gap <= 1e-12 * s1 * s1:
+        v1, v2 = (1.0 + 0j, 0j), (0j, 1.0 + 0j)
+    else:
+        # v1 = (alpha, beta e) with alpha, beta >= 0 and e the phase of conj(x)
+        e = x.conjugate() / abs(x) if x else 1.0 + 0j
+        alpha, beta = (p - q + gap, 2.0 * abs(x)) if p >= q else (2.0 * abs(x), q - p + gap)
+        n = math.hypot(alpha, beta)
+        alpha, beta = alpha / n, beta / n
+        v1 = (complex(alpha), beta * e)
+        v2 = (complex(beta), -alpha * e) if beta else (0j, 1.0 + 0j)
+    y, z = a * v1[0] + b * v1[1], c * v1[0] + d * v1[1]
+    n = math.hypot(abs(y), abs(z))
+    u1 = (y / n, z / n) if n else (1.0 + 0j, 0j)
+    t = -u1[1] * (a * v2[0] + b * v2[1]) + u1[0] * (c * v2[0] + d * v2[1])
+    # u2 = w (-conj(u1[1]), conj(u1[0])) with |w| = 1, so u2^H m v2 = conj(w) t
+    if abs(t) > 1e-12 * s1:
+        w = t / abs(t)
+    elif u1[1]:
+        w = -u1[1] / abs(u1[1])
+    else:
+        w = u1[0] / abs(u1[0])
+    u2 = (-u1[1].conjugate() * w, u1[0].conjugate() * w)
+    s2 = min(abs(a * d - b * c) / s1, s1) if s1 else 0.0
+    return (u1, u2), (s1, s2), (v1, v2)
+
+
+def _exact_pseudo_inverse(kept: Tuple[int, ...]) -> tuple:
+    """The pseudo-inverse A+ of the gradient rows of the no-phase slots at
+    positions ``kept``, exactly, as ``(numerators, denominator)``: six rows
+    of integers over one positive integer.
+
+    With F a basis of the rows of A, A+ = F^T (F A^T A F^T)^-1 F A^T. F is
+    picked by fraction-free elimination, and the inverse is applied by a
+    fraction-free Gauss-Jordan elimination on [H H^T | H], with H = F A^T,
+    all in Python integers.
+    """
+    rows = [_GRADIENTS[k] for k in kept]
+    basis, echelon = [], []
+    for row in rows:
+        r = list(row)
+        for col, e in echelon:
+            if r[col]:
+                r = [e[col] * s - r[col] * t for s, t in zip(r, e)]
+        if any(r):
+            echelon.append((next(j for j, s in enumerate(r) if s), r))
+            basis.append(row)
+    h = [[sum(map(operator.mul, f, row)) for row in rows] for f in basis]
+    aug = [[sum(map(operator.mul, hi, hj)) for hj in h] + hi for hi in h]
+    rank = len(aug)
+    # H H^T is positive definite, so no pivot vanishes
+    for k in range(rank):
+        for i in range(rank):
+            if i != k:
+                r = [aug[k][k] * s - aug[i][k] * t for s, t in zip(aug[i], aug[k])]
+                g = math.gcd(*r)
+                aug[i] = [s // g for s in r]
+    den = math.lcm(*(aug[i][i] for i in range(rank)))
+    sol = [[s * (den // aug[i][i]) for s in aug[i][rank:]] for i in range(rank)]
+    numerators = [[sum(f[j] * x[col] for f, x in zip(basis, sol)) for col in range(len(rows))] for j in range(6)]
+    return numerators, den
+
+
+@lru_cache(maxsize=None)
+def _pseudo_inverse(kept: Tuple[int, ...]) -> Tuple[Tuple[float, ...], ...]:
+    """``_exact_pseudo_inverse`` in floats, each entry rounded once; built on
+    the first use of each pattern. A+ b is the minimum-norm least-squares
+    solution of A x = b, the one ``lstsq`` returns."""
+    numerators, den = _exact_pseudo_inverse(kept)
+    return tuple(tuple(n / den for n in row) for row in numerators)
+
+
 def canonical_form(state: StateVector) -> CanonicalParams:
     """Reduce a normalized state to its canonical slot pattern.
 
     The stages move the twelve amplitudes, Python complex numbers in basis
     order, by ``_moved``; their elements are multiplied per mode and built
-    as one :class:`GroupElement` at the end.
+    as one :class:`GroupElement` at the end. Every stage computes in Python
+    numbers, so the output depends on libm only, not on a BLAS kernel.
+
+    Stage 1 is the closed-form SVD ``_svd2`` of the AB block, with its free
+    choices pinned: each right singular vector's first nonzero component is
+    real and positive; u2's phase makes u2^H M v2 real and non-negative, or,
+    on a rank-one block (|u2^H M v2| <= 1e-12 s1), makes u2's first nonzero
+    component real and positive; and equal singular values, or a zero block
+    (sqrt((p - q)^2 + 4 |x|^2) <= 1e-12 s1^2), take V = I. Stage 3 applies
+    the exact pseudo-inverse of the integer gradient matrix of the kept
+    slots, one cached table per kept-slot pattern (``_pseudo_inverse``),
+    which gives the minimum-norm least-squares solution.
 
     Gauge rule. The diagonal elements that keep the six no-phase slots
     real and positive move (phi, phi_prime, theta) by 0 or by (pi, pi, pi)
@@ -145,15 +262,14 @@ def canonical_form(state: StateVector) -> CanonicalParams:
     within ``_FOLD_TOL`` of pi folds to about 0. Generic states then give one
     output per local-unitary orbit. Equal AB singular values (psi1, S1) and
     rank-deficient stage 3 systems (Eq14 to Eq16) leave a continuous
-    freedom that no rule fixes yet.
+    freedom that no rule fixes yet; its rules belong in ``_svd2``'s V = I
+    branch and in the null space of each ``_exact_pseudo_inverse`` pattern.
 
     Raises ValueError when the input is not normalized or not of shape
     (3, 2, 1), and ArithmeticError if the reduction fails to clear the
     structural zero slots, which would indicate a numerical breakdown rather
     than a property of the input.
     """
-    import numpy as np
-
     from .operators import GroupElement
 
     require_normalized(state, "canonical form")
@@ -168,13 +284,13 @@ def canonical_form(state: StateVector) -> CanonicalParams:
     def at(occ: Tuple[int, int, int]) -> complex:
         return v[_IDX[occ]]
 
-    # Stage 1: singular value decomposition of the AB block. Left and right
-    # factors become mode A and mode B rotations; singular values land on
-    # the diagonal in decreasing order. u and vh are unitary, so the
-    # vacancy entries det(u) and det(vh) give the rotations determinant one.
-    u, _, vh = np.linalg.svd(np.array(_rows(v, _AB), dtype=complex))
-    dets = complex(np.linalg.det(u)), complex(np.linalg.det(vh))
-    act([(u.conj().T.tolist(), dets[0]), (vh.conj().tolist(), dets[1]), _IDENTITY])
+    # Stage 1: singular value decomposition of the AB block. U^H on mode A
+    # and V^T on mode B take it to diag(s1, s2); their vacancy entries det U
+    # and conj(det V) give both rotations determinant one.
+    (u1, u2), _, (v1, v2) = _svd2(_rows(v, _AB))
+    det_u, det_v = u1[0] * u2[1] - u2[0] * u1[1], v1[0] * v2[1] - v2[0] * v1[1]
+    stage_a = ((u1[0].conjugate(), u1[1].conjugate()), (u2[0].conjugate(), u2[1].conjugate()))
+    act([(stage_a, det_u), ((v1, v2), det_v.conjugate()), _IDENTITY])
 
     # Stage 2: a determinant-one Givens rotation on mode C zeroes the lower-left
     # AC entry; its vacancy entry is 1, so the AB slots keep phase 0.
@@ -186,14 +302,12 @@ def canonical_form(state: StateVector) -> CanonicalParams:
 
     # Stage 3: strip phases from the six no-phase slots with the diagonal
     # subgroup. The linear system relates the six generator angles to the
-    # slot phases through the per-symbol gradients; the least-squares
-    # solution leaves at most a common phase, handled in stage 4.
-    kept = [occ for occ in _NO_PHASE_SLOTS if abs(at(occ)) > 1e-12]
-    sol = [0.0] * 6
-    if kept:
-        rows = [[g[sym] for sym in occ for g in (_G3, _G8)] for occ in kept]
-        rhs = [-cmath.phase(at(occ)) for occ in kept]
-        sol = np.linalg.lstsq(np.array(rows), np.array(rhs), rcond=None)[0].tolist()
+    # slot phases through the per-symbol gradients; its minimum-norm
+    # least-squares solution, A+ b, leaves at most a common phase, handled
+    # in stage 4.
+    kept = tuple(k for k, occ in enumerate(_NO_PHASE_SLOTS) if abs(at(occ)) > 1e-12)
+    rhs = [-cmath.phase(at(_NO_PHASE_SLOTS[k])) for k in kept]
+    sol = [sum(map(operator.mul, row, rhs)) for row in _pseudo_inverse(kept)]
     act([
         _diagonal(cmath.exp(1j * (x3 + x8)), cmath.exp(1j * (x8 - x3)), cmath.exp(-2j * x8))
         for x3, x8 in zip(sol[::2], sol[1::2])

@@ -18,6 +18,7 @@ violations in a Monte-Carlo run).
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Mapping, Optional, Sequence, Union
 
@@ -53,6 +54,14 @@ def _write_output(path: str, text: str) -> None:
         from .serialize import write_text
 
         write_text(path, text)
+
+
+def _refuse_shared_output(first: str, second: str, options: str) -> None:
+    """Raise ValueError, before any work, when two outputs of one call name
+    the same place: both standard output, or one file by two spellings."""
+    if first == second == "-" or ("-" not in (first, second) and os.path.realpath(first) == os.path.realpath(second)):
+        place = "standard output" if first == "-" else f"the file {first!r}"
+        raise ValueError(f"{options} both name {place}; give each output its own place")
 
 
 def _write_report(
@@ -158,6 +167,8 @@ def _cmd_canonical(args: argparse.Namespace) -> int:
     from .classify import canonical_form
     from .serialize import element_to_json, state_to_json
 
+    if args.element_out:
+        _refuse_shared_output(args.element_out, args.out, "--element-out and --out")
     params = canonical_form(_load_state(args.infile))
     if args.element_out:
         _write_output(args.element_out, element_to_json(params.element))
@@ -209,6 +220,8 @@ def _cmd_theorem3_scan(args: argparse.Namespace) -> int:
 def _cmd_monotone_mc(args: argparse.Namespace) -> int:
     from .monte_carlo import run_monotone_trials
 
+    if args.records:
+        _refuse_shared_output(args.records, args.out, "--records and --out")
     state = _load_state(args.state) if args.state else None
     summary = run_monotone_trials(
         trials=args.trials,

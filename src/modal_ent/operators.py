@@ -26,9 +26,9 @@ stacks.
 
 Loading this module loads no numpy, and neither do building, checking and
 applying elements, or :func:`occupation_scaling`, so
-``modal-ent verify-stabilizer`` runs without it. numpy enters only inside
-the calls that make arrays: :func:`sector_matrix`, with its index
-columns, and :func:`random_element`.
+``modal-ent verify-stabilizer`` and ``modal-ent canonical`` run without it.
+numpy enters only inside the calls that make arrays: :func:`sector_matrix`,
+with its index columns, and :func:`random_element`.
 """
 
 from __future__ import annotations

@@ -93,11 +93,22 @@ def dumps_json(obj: Any, _level: int = 0) -> str:
 
 
 def write_text(path: str, text: str) -> None:
-    """Atomic write: temp file in the same directory, then a rename."""
+    """Atomic write: temp file in the same directory, then a rename.
+
+    A new file gets mode 0o666 less the umask, as ``open`` would give it; a
+    file that is replaced keeps its mode.
+    """
     directory = os.path.dirname(os.path.abspath(path))
+    try:
+        mode = os.stat(path).st_mode & 0o7777
+    except FileNotFoundError:
+        umask = os.umask(0)
+        os.umask(umask)
+        mode = 0o666 & ~umask
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
     try:
         with os.fdopen(fd, "w") as fh:
+            os.fchmod(fh.fileno(), mode)
             fh.write(text)
         os.replace(tmp, path)
     except BaseException:

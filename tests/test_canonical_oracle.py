@@ -2,10 +2,17 @@
 
 ``reference_canonical_form`` runs the same four stages and the gauge fold,
 but every stage builds a group element and pushes the running state through
-:func:`apply`. The two round differently, so they are compared to 1e-12:
-moduli, phases modulo 2 pi, the canonical state's amplitudes and the
-element entries. Every case is also checked against the defining
-properties of a canonical form, which need no reference.
+:func:`apply`, and stage 3 solves its phase fit with ``np.linalg.lstsq``.
+The two round differently, so they are compared to 1e-12: moduli, phases
+modulo 2 pi, the canonical state's amplitudes and the element entries.
+Every case is also checked against the defining properties of a canonical
+form, which need no reference.
+
+Stage 1 takes the AB block's SVD from ``classify._svd2``, as the kernel
+does. Its conventions are tested on their own in
+``test_canonical_kernels.py``. On a block with equal singular values or rank
+one, the branch that each side took would otherwise be decided by roundoff
+near its 1e-12 threshold, so a second SVD could not give the same element.
 """
 
 import math
@@ -21,6 +28,7 @@ from modal_ent.classify import (
     _NO_PHASE_SLOTS,
     CANONICAL_SLOTS,
     STRUCTURAL_ZEROS,
+    _svd2,
     canonical_form,
     family,
 )
@@ -73,8 +81,8 @@ def reference_canonical_form(state):
             total[k] = np.asarray(mats[k], dtype=complex) @ total[k]
         work = apply(GroupElement(mats), work)
 
-    u, _, vh = np.linalg.svd(_pair_block(work, (0, 1)))
-    push([_embed_levels(u.conj().T), _embed_levels(vh.conj()), eye])
+    (u1, u2), _, (v1, v2) = _svd2(_pair_block(work, (0, 1)).tolist())
+    push([_embed_levels(np.conj([u1, u2])), _embed_levels(np.array([v1, v2])), eye])
 
     m_ac = _pair_block(work, (0, 2))
     x = m_ac[1, 0]

@@ -416,6 +416,8 @@ _START_UP_CASES = [
      {"families", "operators", "stabilizers", "maxent", "monte_carlo", "numpy", "dataclasses", "inspect"}),
     ("verify-stabilizer", ["--name", "psi2_eq26", "--in", "psi2.json"],
      {"classify", "invariants", "maxent", "monte_carlo", "numpy", "dataclasses", "inspect"}),
+    ("canonical", ["--in", "psi2.json"],
+     {"families", "stabilizers", "maxent", "monte_carlo", "numpy", "dataclasses", "inspect"}),
     ("family", ["--name", "psi1"],
      {"classify", "invariants", "operators", "stabilizers", "maxent", "monte_carlo", "numpy", "dataclasses",
       "inspect"}),
@@ -453,9 +455,11 @@ _FAMILY_PARAMS = {
 #: the calls that must run with numpy, dataclasses and inspect unimportable,
 #: with the exit status each must give: each family, plain and with
 #: --symbols; invariants from stdin and from --in, and classify and chsh, in
-#: both formats; the scan; and each stabilizer on a state it fixes or, for
+#: both formats; canonical plain, with --symbols and with --params
+#: --element-out; the scan; and each stabilizer on a state it fixes or, for
 #: odd q, does not, and on a four-mode state. "STATE" names a dense random state file, "CANONICAL"
-#: the canonical form of one, and each family name the file of that family.
+#: the canonical form of one, and each family name the file of that family;
+#: the element files that canonical writes must match too.
 _NUMPY_FREE_CALLS = [
     (["family", "--name", name, *params, *symbols], 0)
     for name, params in _FAMILY_PARAMS.items()
@@ -469,6 +473,10 @@ _NUMPY_FREE_CALLS = [
     for command in ("classify", "chsh")
     for source in ("STATE", *_FAMILY_PARAMS)
     for fmt in ("json", "csv")
+] + [
+    (["canonical", "--in", source, *flags], 0)
+    for source in ("STATE", "S2", "Eq16", "psi1", "psi2")
+    for flags in ([], ["--symbols"], ["--params", "--element-out", f"element-{source}"])
 ] + [
     (["verify-stabilizer", "--name", name, "--params", params, "--in", source], code)
     for name, params, source, code in (
@@ -501,6 +509,8 @@ def test_numpy_free_calls_match_a_normal_run(tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(sys, "stdin", io.StringIO(state_text))
         assert main(argv) == code, argv
         expected.append([code, *capsys.readouterr()])
+    elements = {path: path.read_bytes() for path in tmp_path.glob("element-*")}
+    assert len(elements) == 5
     probe = (
         "import contextlib, io, json, sys; "
         "sys.modules['numpy'] = sys.modules['dataclasses'] = sys.modules['inspect'] = None; "
@@ -512,8 +522,11 @@ def test_numpy_free_calls_match_a_normal_run(tmp_path, monkeypatch, capsys):
         "    outputs.append([code, out.getvalue(), err.getvalue()])\n"
         "print(json.dumps(outputs))"
     )
+    for path in elements:
+        path.unlink()
     got = json.loads(run_python(probe, json.dumps(calls), state_text, cwd=tmp_path))
     assert got == expected
+    assert {path: path.read_bytes() for path in tmp_path.glob("element-*")} == elements
 
 
 def test_chsh_command(tmp_path, capsys):
@@ -556,6 +569,25 @@ def test_usage_errors_exit_one(capsys):
         main(["monotone-mc", "--trials", "8", "--threads", "16"])
     assert exc.value.code == 1
     assert "unrecognized arguments: --threads 16" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, options", [
+    (["canonical", "--params", "--element-out", "-"], "--element-out and --out"),
+    (["canonical", "--element-out", "x.json", "--out", "./x.json"], "--element-out and --out"),
+    (["monotone-mc", "--records", "-"], "--records and --out"),
+    (["monotone-mc", "--records", "x.json", "--out", "sub/../x.json"], "--records and --out"),
+])
+def test_two_outputs_in_one_place_are_refused_before_any_work(tmp_path, monkeypatch, capsys, argv, options):
+    # the refusal comes before the missing input file is read, and nothing is written
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    extra = ["--state" if argv[0] == "monotone-mc" else "--in", "missing.json"]
+    assert main([*argv, *extra]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"modal-ent: error: {options} both name ")
+    assert err.endswith("; give each output its own place\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["sub"]
 
 
 def test_missing_input_file_exits_one(capsys):
@@ -648,48 +680,41 @@ def _tree_digests(root):
 
 @pytest.fixture(scope="module")
 def cli_matrix(tmp_path_factory):
-    """The digests of ``tools/cli_outputs.py``'s tree, written in this process,
-    and the cases that the manifest compares: all but the 28 with a
-    ``canonical`` stage, whose bytes depend on the kernel numpy's OpenBLAS
-    picks until ROADMAP item 11. With ``OPENBLAS_CORETYPE`` set to Prescott,
-    Haswell, Nehalem or Sandybridge, the same 17 of them moved:
-    ``canonical-{plain,symbols,params}-{S2,Eq16,random-1,random-2,random-3}``,
-    ``readme-4`` and ``verify-stabilizer-generic-canonical``."""
+    """The digest of each case of ``tools/cli_outputs.py``'s tree, and of
+    its ``inputs``, written in this process."""
     spec = importlib.util.spec_from_file_location("cli_outputs", TOOL)
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
     root = tmp_path_factory.mktemp("cli-matrix")
     assert tool.write_tree(str(root)) == []
-    compared = ["inputs", *(name for name, stages in tool.cases() if all(a[0] != "canonical" for a in stages))]
-    return _tree_digests(root), sorted(compared)
+    return _tree_digests(root)
 
 
 def test_cli_matrix_matches_the_manifest(cli_matrix, tmp_path):
     # the header names the numpy whose PCG64 streams the monotone-mc cases
     # draw from; it is written, not compared
-    digests, compared = cli_matrix
+    got = cli_matrix
     lines = [line.split("  ") for line in MANIFEST.read_text().splitlines() if not line.startswith("#")]
     want = {case: digest for digest, case in lines}
-    got = {case: digests[case] for case in compared}
     if got != want:
         fresh = tmp_path / MANIFEST.name
-        fresh.write_text(f"# numpy {np.__version__}\n" + "".join(f"{got[case]}  {case}\n" for case in compared))
+        fresh.write_text(f"# numpy {np.__version__}\n" + "".join(f"{digest}  {case}\n" for case, digest in got.items()))
         changed = sorted(case for case in got.keys() & want.keys() if got[case] != want[case])
         missing, extra = sorted(want.keys() - got.keys()), sorted(got.keys() - want.keys())
         pytest.fail(f"changed: {changed}, missing: {missing}, extra: {extra}; regenerated manifest: {fresh}")
 
 
 def test_cli_matrix_does_not_depend_on_the_openblas_kernel(cli_matrix, tmp_path):
-    # the oldest x86-64 kernel gives the same bytes in each compared case; where
+    # the oldest x86-64 kernel gives the same bytes in every case; where
     # numpy's OpenBLAS is not a DYNAMIC_ARCH build, it ignores the variable
     # and this passes trivially
-    digests, compared = cli_matrix
+    digests = cli_matrix
     subprocess.run(
         [sys.executable, str(TOOL), str(tmp_path / "tree"), "--src", SRC],
         env=dict(os.environ, OPENBLAS_CORETYPE="Prescott"), capture_output=True, check=True, timeout=600,
     )
     prescott = _tree_digests(tmp_path / "tree")
-    assert [case for case in compared if prescott[case] != digests[case]] == []
+    assert [case for case in digests if prescott[case] != digests[case]] == []
 
 
 def test_canonical_readme_command_is_pinned(tmp_path):
@@ -697,8 +722,8 @@ def test_canonical_readme_command_is_pinned(tmp_path):
     params, element = tmp_path / "params.json", tmp_path / "element.json"
     assert main(["canonical", "--in", path, "--params", "--element-out", str(element), "--out", str(params)]) == 0
     assert [_sha256(params), _sha256(element)] == [
-        "d92d34104ef82ef8a4a9233a8d75db49fc5369cd97d213cbb17b62a7b9e7e21a",
-        "d2b46e41a592f37781ff9e1694f42f45a931ea0de5b2d22ec44b143435e11e00",
+        "f8ff6cca1819557547207e74dc8faa13c570290a8d7fcdd8895f25fec5673caf",
+        "503dc6629f8b47600a9cafc4aa7e38ee8ac80545e6b5d6b43694a499c1788fb3",
     ]
 
 
@@ -708,8 +733,8 @@ _GOLDEN_JSON = {
     ("invariants",): "25b96d9a47168c249eb584b78bd66b40abf707688f4a0d1efa9c38fdf6dd02eb",
     ("classify",): "8263d55aed1a0899bf8c998b8cf3504eda6406e8c77c16f4b13223d99752289d",
     ("chsh",): "3abdb0b884cabcdfb829bb17fd9481de58c180cdd3720fd548ed6fe672128497",
-    ("canonical",): "49fe0492383d4a37dfb476021395a941d4577f5267b6ca325a001e098ce7eba4",
-    ("canonical", "--symbols"): "4ba5d8b2dfcc494060b5569a2dea9493f3781dafadb9c0ba3c0ca6f402e6a0b4",
+    ("canonical",): "b9d79aa2d0990a15bafab6cf56512c183438dbd7f16516387dc76bbd0c84a1d3",
+    ("canonical", "--symbols"): "e8e906b9eb8597ce0dcd594407cd924dcf0c9448fb522403185f0b26853904e3",
 }
 
 

@@ -213,6 +213,30 @@ def test_write_text_atomic(tmp_path):
     assert leftovers == []
 
 
+@pytest.mark.parametrize("umask", [0o022, 0o077, 0o002])
+def test_write_text_gives_a_new_file_the_mode_open_gives(tmp_path, umask):
+    # 0o666 less the umask, as a shell's ``>`` or ``open(path, "w")`` gives
+    old = os.umask(umask)
+    try:
+        write_text(str(tmp_path / "new.json"), "x\n")
+        with open(tmp_path / "opened.json", "w") as fh:
+            fh.write("x\n")
+    finally:
+        os.umask(old)
+    mode = (tmp_path / "new.json").stat().st_mode & 0o7777
+    assert mode == 0o666 & ~umask == (tmp_path / "opened.json").stat().st_mode & 0o7777
+
+
+@pytest.mark.parametrize("mode", [0o640, 0o600, 0o664, 0o444])
+def test_write_text_keeps_the_mode_of_a_replaced_file(tmp_path, mode):
+    path = tmp_path / "out.json"
+    path.write_text("first\n")
+    path.chmod(mode)
+    write_text(str(path), "second\n")
+    assert path.read_text() == "second\n"
+    assert path.stat().st_mode & 0o7777 == mode
+
+
 def test_write_text_failure_cleans_up(tmp_path):
     path = tmp_path / "out.json"
     with pytest.raises(TypeError):

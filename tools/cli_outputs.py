@@ -32,10 +32,13 @@ with ``--state``, on psi1 at strengths 0.5 and 0, and with no trials;
 ``family`` at extreme parameters; ``theorem3-scan`` over ``--n 1..12
 --p 1..4`` and ``--n 1..40 --p 1..5``; and the error exits on the unnormalized, four-mode and
 overflowing files, ``invariants`` in both formats among them;
-``invariants`` on each refused state file; and the refused family
-constraints, ``--params`` key and scan range. The script
+``invariants`` on each refused state file; the refused family
+constraints, ``--params`` key and scan range; and ``canonical
+--element-out`` and ``monotone-mc --records`` refused when they name the
+place that ``--out`` names. The script
 exits 1 if an exception escapes a call; that stage's stderr holds the traceback.
-It needs only the standard library; the package it runs needs numpy.
+It needs only the standard library; the package it runs needs numpy for
+``monotone-mc``.
 """
 
 import argparse
@@ -192,6 +195,15 @@ def cases():
         ("theorem3-scan-large", [["theorem3-scan", "--n", "1..40", "--p", "1..5"]]),
     ]
     out += [(name, [argv]) for name, argv in REFUSED_CALLS.items()]
+    # two outputs of one call that name the same place are refused before any work
+    out += [
+        ("canonical-element-out-stdout", [["canonical", "--in", inp("random-1"), "--params", "--element-out", "-"]]),
+        ("canonical-element-out-same-file", [["canonical", "--in", inp("random-1"), "--element-out", "out.json",
+                                              "--out", "./out.json"]]),
+        ("monotone-mc-records-stdout", [["monotone-mc", "--trials", "5", "--records", "-"]]),
+        ("monotone-mc-records-same-file", [["monotone-mc", "--trials", "5", "--records", "out.csv",
+                                            "--out", "out.csv"]]),
+    ]
     out += [(f"invariants-{name}", [["invariants", "--in", inp(name)]]) for name in MALFORMED_STATES]
     return out
 
