@@ -8,8 +8,8 @@ three non-negative cross-minor sums attached to the bipartitions, and the
 sigma_y-sandwiched word matrix W whose traces generate the same ring.
 
 Each of these formulas has one implementation, written over an indexable
-vector of the twelve amplitudes in :func:`enumerate_basis` order: a list of
-Python complex numbers for one state, or a ``(12, k)`` array for a batch,
+vector of the twelve amplitudes in basis order: a tuple or list of Python
+complex numbers for one state, or a ``(12, k)`` array for a batch,
 complex or, for the Monte-Carlo trials, a
 :class:`~modal_ent.monte_carlo.SplitComplex` pair of real arrays that
 rounds as the one-state list does.
@@ -20,9 +20,9 @@ over modes B and C, gives -trace(W), and trace(W) = i * I2 with the
 conventions fixed below, which the test suite checks on random states,
 and exactly on rational ones. That is why no separate transvection code
 is kept. A :class:`StateVector` enters only through ``_amplitude_list``,
-which reads its amplitude map in basis order and is the package's one
-check that a state has shape (3, 2, 1); W, the canonical form and the
-Monte-Carlo trials start from its list too.
+the package's one check that a state has shape (3, 2, 1), which returns the
+tuple of amplitudes in basis order that the state builds on first use and
+keeps; W, the canonical form and the Monte-Carlo trials start from it too.
 
 The same blocks are the one layout by which (3, 2, 1) states move:
 ``_moved``, the pair-block action of a compliant element, serves the
@@ -41,10 +41,9 @@ from __future__ import annotations
 import cmath
 from typing import List, NamedTuple, Sequence, Tuple
 
-from .states import SHAPE_321, StateVector, _squared_norm, basis_index, enumerate_basis
+from .states import SHAPE_321, StateVector, _squared_norm, basis_index
 
 _U, _D = 1, 2
-_BASIS = enumerate_basis(SHAPE_321)
 _IDX = basis_index(SHAPE_321)
 
 # Basis positions of the AB, BC and AC pair blocks, each read row-major as
@@ -92,8 +91,9 @@ _CUT_B_AC = (_rows(range(12), _AB), _rows(range(12), _BC, transpose=True))
 _CUT_C_AB = (_rows(range(12), _AC), _rows(range(12), _BC))
 
 
-def _amplitude_list(state: StateVector) -> List[complex]:
-    """The twelve amplitudes as Python complex numbers, in basis order.
+def _amplitude_list(state: StateVector) -> Tuple[complex, ...]:
+    """The twelve amplitudes as Python complex numbers, in basis order, a
+    tuple that the state builds once and keeps.
 
     This is the one check that a state has shape (3, 2, 1): every pair-block
     quantity of a :class:`StateVector` starts here. Scalar Python arithmetic
@@ -102,8 +102,7 @@ def _amplitude_list(state: StateVector) -> List[complex]:
     """
     if state.shape != SHAPE_321:
         raise ValueError(f"pair-block invariants need shape (3, 2, 1), got {state.shape}")
-    amplitudes = state.amplitudes
-    return [complex(amplitudes.get(occ, 0j)) for occ in _BASIS]
+    return state._basis_amplitudes()
 
 
 def _det2(v, block: Tuple[int, ...]):

@@ -28,7 +28,9 @@ Loading this module loads no numpy, and neither do building, checking and
 applying elements, or :func:`occupation_scaling`, so
 ``modal-ent verify-stabilizer`` and ``modal-ent canonical`` run without it.
 numpy enters only inside the calls that make arrays: :func:`sector_matrix`,
-with its index columns, and :func:`random_element`.
+with its index columns, and :func:`random_element`, which takes all its
+coefficients from one normal draw, as a list of Python floats, and builds
+them as Python complex numbers with the bits of numpy's complex arithmetic.
 """
 
 from __future__ import annotations
@@ -212,21 +214,24 @@ def make_slocc_element(coefficients: Sequence[Sequence[complex]]) -> GroupElemen
     vacancy entry ``v``. A factor whose exponent or exponential leaves the
     floating-point range raises ValueError naming its mode.
     """
+    isfinite, hypot = cmath.isfinite, math.hypot
     factors = []
     for k, coeffs in enumerate(coefficients):
-        c1, c2, c3, c8 = (complex(c) for c in coeffs)
-        if not all(cmath.isfinite(c) for c in (c1, c2, c3, c8)):
+        c1, c2, c3, c8 = map(complex, coeffs)
+        if not (isfinite(c1) and isfinite(c2) and isfinite(c3) and isfinite(c8)):
             raise ValueError(f"non-finite exponent coefficients on mode {k}")
-        generator = [c1 * w1 + c2 * w2 + c3 * w3 + c8 * w8 for w1, w2, w3, w8 in _EXPONENT_WEIGHTS]
+        a, b, c, d, v = [c1 * w1 + c2 * w2 + c3 * w3 + c8 * w8 for w1, w2, w3, w8 in _EXPONENT_WEIGHTS]
         try:
-            rows = _exp_entries(*generator) if all(map(cmath.isfinite, generator)) else None
+            if not (isfinite(a) and isfinite(b) and isfinite(c) and isfinite(d) and isfinite(v)):
+                raise OverflowError
+            rows = _exp_entries(a, b, c, d, v)
+            # the factor's level block [[a, b], [c, d]] and vacancy entry v
+            (a, b, _), (c, d, _), (_, _, v) = rows
+            if not (isfinite(a) and isfinite(b) and isfinite(c) and isfinite(d) and isfinite(v)):
+                raise OverflowError
         except (OverflowError, ValueError):
-            rows = None
-        if rows is None or not all(cmath.isfinite(z) for row in rows for z in row):
-            raise ValueError(f"the exponential on mode {k} overflows")
-        (a, b, _), (c, d, _), (_, _, v) = rows
-        row_norms = (math.hypot(*map(abs, row)) for row in rows)
-        if not abs((a * d - b * c) * v - 1.0) <= 1e-9 * math.prod(row_norms):
+            raise ValueError(f"the exponential on mode {k} overflows") from None
+        if not abs((a * d - b * c) * v - 1.0) <= 1e-9 * hypot(abs(a), abs(b)) * hypot(abs(c), abs(d)) * abs(v):
             raise ArithmeticError(f"factor on mode {k} drifted off determinant one")
         factors.append(rows)
     return GroupElement._from_rows(tuple(factors))
@@ -354,12 +359,18 @@ def random_element(kind: str, seed: int, spread: float = 0.5) -> GroupElement:
         raise ValueError(f"unknown element kind {kind!r}")
     import numpy as np
 
-    rng = np.random.default_rng(seed)
-    coeffs = []
-    for _ in range(3):
-        imag = 1j * rng.normal(scale=spread, size=4)
-        if kind == "SLOCC":
-            coeffs.append(rng.normal(scale=spread, size=4) + imag)
-        else:
-            coeffs.append(imag)
+    if isinstance(seed, (bool, np.bool_)):
+        raise TypeError("element seed must be an integer, not a bool")
+    # One draw in the order of the per-mode draws it replaces: for each mode
+    # four imaginary parts, then, for SLOCC, four real parts. The parts are
+    # those numpy's complex arithmetic gives 1j * x, (0 x - 1 0, 0 0 + 1 x),
+    # and r + 1j * x, written out so that they hold on any Python version.
+    draws = np.random.default_rng(seed).normal(scale=spread, size=24 if kind == "SLOCC" else 12).tolist()
+    if kind == "SU":
+        coeffs = [[complex(0.0 * x, x + 0.0) for x in draws[i : i + 4]] for i in (0, 4, 8)]
+    else:
+        coeffs = [
+            [complex(r + 0.0 * x, x + 0.0) for x, r in zip(draws[i : i + 4], draws[i + 4 : i + 8])]
+            for i in (0, 8, 16)
+        ]
     return make_slocc_element(coeffs)

@@ -5,15 +5,22 @@ element files: Python ``bool``, ``int``, ``float`` and ``complex`` only,
 subclasses such as the entries of a complex array included; any other type
 raises TypeError naming it with its module. Floats are always emitted
 through ``format(x, ".17g")``, which preserves every double exactly across
-a save and load cycle, and files are written to a temporary name in the
-target directory and moved into place so readers never observe a partial
-file.
+a save and load cycle. A regular file is written to a temporary name in its
+directory and moved into place, so readers never observe a partial file; a
+symbolic link is followed to its target, and a FIFO or device is written in
+place.
 
 A state file holds exactly two keys, the sector shape and the amplitude
 list; amplitudes are saved in canonical basis order, so saving what was
 just loaded reproduces the bytes. For spin one-half sectors the occupation
 may be written as a symbol string over ``u``, ``d`` and ``0`` instead of
-the numeric tuple; both spellings are accepted on input.
+the numeric tuple; both spellings are accepted on input. In a listed sector
+the saver reads the text of each record up to its real part from a table
+built once per shape and spelling; in a larger one it sorts the state's own
+occupations, which is basis order. The loader accepts a record in the form
+the saver writes, a numeric occupation of a listed sector with finite float
+parts, by one lookup in :func:`~modal_ent.states.basis_index`; every other
+record goes through the field parsers, which word the refusals.
 
 Loading this module loads no numpy: it reads and writes Python numbers,
 and :func:`element_from_json` imports :class:`GroupElement` only when it
@@ -29,10 +36,20 @@ import io
 import json
 import math
 import os
+import stat
 import tempfile
-from typing import TYPE_CHECKING, Any, Dict, Iterable, Mapping, Sequence
+from functools import lru_cache
+from typing import TYPE_CHECKING, Any, Dict, Iterable, Mapping, Sequence, Tuple
 
-from .states import Occupation, StateVector, SystemShape, _check_admissible, enumerate_basis
+from .states import (
+    LISTED_DIMENSION,
+    Occupation,
+    StateVector,
+    SystemShape,
+    _check_admissible,
+    _listed_index,
+    enumerate_basis,
+)
 
 if TYPE_CHECKING:
     from .operators import GroupElement
@@ -42,6 +59,7 @@ SCHEMA_VERSION = 1
 
 _SYMBOL_TO_INT = {"0": 0, "u": 1, "d": 2}
 _INT_TO_SYMBOL = {0: "0", 1: "u", 2: "d"}
+_RECORD_KEYS = {"occ", "re", "im"}
 
 
 def _fmt(x: float) -> str:
@@ -95,17 +113,26 @@ def dumps_json(obj: Any, _level: int = 0) -> str:
 def write_text(path: str, text: str) -> None:
     """Atomic write: temp file in the same directory, then a rename.
 
-    A new file gets mode 0o666 less the umask, as ``open`` would give it; a
-    file that is replaced keeps its mode.
+    A symbolic link is followed, so the link stays and its target gets the
+    text, as a shell's ``>`` gives it. A path that exists and is not a
+    regular file, such as a FIFO or a device, is written in place, never
+    renamed over. A new file gets mode 0o666 less the umask, as ``open``
+    would give it; a file that is replaced keeps its mode.
     """
-    directory = os.path.dirname(os.path.abspath(path))
+    path = os.path.realpath(path)
     try:
-        mode = os.stat(path).st_mode & 0o7777
+        st = os.stat(path)
     except FileNotFoundError:
         umask = os.umask(0)
         os.umask(umask)
         mode = 0o666 & ~umask
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
+    else:
+        if not stat.S_ISREG(st.st_mode):
+            with open(path, "w") as fh:
+                fh.write(text)
+            return
+        mode = st.st_mode & 0o7777
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), prefix=".tmp-", suffix=".part")
     try:
         with os.fdopen(fd, "w") as fh:
             os.fchmod(fh.fileno(), mode)
@@ -130,31 +157,47 @@ def _occ_to_doc(occ: Occupation, use_symbols: bool) -> str:
     return "[" + ", ".join(str(s) for s in occ) + "]"
 
 
+def _record_head(occ: Occupation, use_symbols: bool) -> str:
+    """The text of the amplitude record of ``occ`` up to its real part."""
+    return '    {"occ": %s, "re": ' % _occ_to_doc(occ, use_symbols)
+
+
+@lru_cache(maxsize=16)
+def _record_heads(shape: SystemShape, use_symbols: bool) -> Tuple[Tuple[Occupation, str], ...]:
+    """Each basis occupation of a listed sector, in basis order, with its
+    :func:`_record_head`."""
+    return tuple((occ, _record_head(occ, use_symbols)) for occ in enumerate_basis(shape))
+
+
 def state_to_json(state: StateVector, use_symbols: bool = False) -> str:
-    """Serialize a state; symbol strings are available for spin one-half."""
-    if use_symbols and state.shape.spin_numerator != 1:
-        raise ValueError("symbol strings are only defined for spin_numerator 1")
+    """Serialize a state; symbol strings are available for spin one-half.
+
+    A listed sector's records come from its cached table. A larger sector
+    is never listed: its state's own occupations are sorted, which is basis
+    order, since the basis is listed in lexicographic order.
+    """
     sh = state.shape
-    lines = [
-        "{",
-        '  "shape": {"modes": %d, "particles": %d, "spin_numerator": %d},'
-        % (sh.modes, sh.particles, sh.spin_numerator),
-        '  "amplitudes": [',
-    ]
+    if use_symbols and sh.spin_numerator != 1:
+        raise ValueError("symbol strings are only defined for spin_numerator 1")
+    if sh.dimension <= LISTED_DIMENSION:
+        heads = _record_heads(sh, use_symbols)
+    else:
+        heads = [(occ, _record_head(occ, use_symbols)) for occ in sorted(state.amplitudes)]
+    amplitudes = state.amplitudes
     recs = []
-    for occ in enumerate_basis(sh):
-        amp = state.amplitudes.get(occ, 0)
+    for occ, head in heads:
+        amp = amplitudes.get(occ, 0)
         if amp == 0:
             continue
         try:
             re, im = _fmt(amp.real), _fmt(amp.imag)
         except (AttributeError, TypeError):
             raise ValueError(f"amplitude of occupation {occ} is not a number: {amp!r}") from None
-        recs.append('    {"occ": %s, "re": %s, "im": %s}' % (_occ_to_doc(occ, use_symbols), re, im))
-    lines.append(",\n".join(recs))
-    lines.append("  ]")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+        recs.append(f'{head}{re}, "im": {im}}}')
+    return (
+        '{\n  "shape": {"modes": %d, "particles": %d, "spin_numerator": %d},\n  "amplitudes": [\n%s\n  ]\n}\n'
+        % (sh.modes, sh.particles, sh.spin_numerator, ",\n".join(recs))
+    )
 
 
 def _parse_shape(doc: Any) -> SystemShape:
@@ -205,14 +248,24 @@ def state_from_json(text: str) -> StateVector:
     shape = _parse_shape(doc["shape"])
     if not isinstance(doc["amplitudes"], list):
         raise ValueError("amplitudes must be a list")
+    # A record as state_to_json writes it, a numeric occupation of the listed
+    # basis with finite float parts, is accepted by one lookup; any other
+    # goes through the field parsers, which give every refusal its message.
+    listed = _listed_index(shape)
     amps: Dict[Occupation, complex] = {}
     for i, rec in enumerate(doc["amplitudes"]):
         try:
-            if not isinstance(rec, dict) or set(rec) != {"occ", "re", "im"}:
+            if type(rec) is not dict or rec.keys() != _RECORD_KEYS:
                 raise ValueError('record must hold exactly the keys "occ", "re", "im"')
-            occ = _parse_occ(rec["occ"], shape)
-            re = _parse_number(rec["re"])
-            im = _parse_number(rec["im"])
+            occ, re, im = rec["occ"], rec["re"], rec["im"]
+            if type(occ) is list and all(type(s) is int for s in occ) and tuple(occ) in listed:
+                occ = tuple(occ)
+            else:
+                occ = _parse_occ(occ, shape)
+            if type(re) is not float or not -math.inf < re < math.inf:
+                re = _parse_number(re)
+            if type(im) is not float or not -math.inf < im < math.inf:
+                im = _parse_number(im)
             if occ in amps:
                 raise ValueError(f"occupation {occ} appears twice")
         except (TypeError, ValueError) as exc:

@@ -27,6 +27,11 @@ records that the library returns are named tuples too. Neither kind of
 class generates code when it is defined or needs ``inspect``, so a command
 line call does not pay for either at start-up.
 
+A :class:`StateVector` computes its norm and, for the pair-block code of
+:mod:`modal_ent.invariants`, its amplitudes in basis order on first use and
+keeps both in private slots, which its repr leaves out; the amplitude map
+must not change after construction, so neither goes stale.
+
 Loading this module loads no numpy. States, norms and the single-mode
 reductions are Python numbers; numpy enters only inside the calls that
 make or read arrays, :meth:`StateVector.dense` and
@@ -165,6 +170,13 @@ def basis_index(shape: SystemShape) -> Mapping[Occupation, int]:
     return {occ: i for i, occ in enumerate(enumerate_basis(shape))}
 
 
+@lru_cache(maxsize=None)
+def _listed_index(shape: SystemShape) -> Mapping[Occupation, int]:
+    """:func:`basis_index` of a sector of at most LISTED_DIMENSION, and an
+    empty map for a larger one, whose basis is never listed."""
+    return basis_index(shape) if shape.dimension <= LISTED_DIMENSION else {}
+
+
 def _nested_shape(obj) -> Tuple[int, ...]:
     """The shape numpy gives the nested sequences or arrays ``obj``;
     ValueError when they are ragged."""
@@ -198,7 +210,9 @@ _set = object.__setattr__
 
 class _Frozen:
     """Base of the checked value classes: each sets its slots once, in
-    ``__init__``, and refuses every later assignment. Equality is identity."""
+    ``__init__``, and refuses every later assignment; a private cache slot
+    starts as None there and is filled once, on first use. The repr shows
+    the public slots only. Equality is identity."""
 
     __slots__ = ()
 
@@ -209,7 +223,7 @@ class _Frozen:
         raise AttributeError(f"cannot delete field {name!r}")
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__ if name[0] != "_")
         return f"{type(self).__name__}({fields})"
 
 
@@ -225,23 +239,37 @@ class StateVector(_Frozen):
     only a miss, and every key of a larger sector, is checked field by field.
     """
 
-    __slots__ = ("shape", "amplitudes")
+    __slots__ = ("shape", "amplitudes", "_norm", "_basis_amps")
     shape: SystemShape
     amplitudes: Dict[Occupation, complex]
 
     def __init__(self, shape: SystemShape, amplitudes: Dict[Occupation, complex]) -> None:
-        listed = basis_index(shape) if shape.dimension <= LISTED_DIMENSION else {}
+        listed = _listed_index(shape)
         for occ in amplitudes:
             if occ not in listed:
                 _check_admissible(shape, occ)
         _set(self, "shape", shape)
         _set(self, "amplitudes", amplitudes)
+        _set(self, "_norm", None)
+        _set(self, "_basis_amps", None)
 
     def amplitude(self, occ: Iterable[int]) -> complex:
         return self.amplitudes.get(tuple(occ), 0j)
 
     def norm(self) -> float:
-        return math.sqrt(_squared_norm(self.amplitudes.values()))
+        """The Euclidean norm, computed on the first call and kept."""
+        if self._norm is None:
+            _set(self, "_norm", math.sqrt(_squared_norm(self.amplitudes.values())))
+        return self._norm
+
+    def _basis_amplitudes(self) -> Tuple[complex, ...]:
+        """Every amplitude as a Python complex number in :func:`enumerate_basis`
+        order, built on the first call and kept as a tuple, which no caller
+        can change."""
+        if self._basis_amps is None:
+            get = self.amplitudes.get
+            _set(self, "_basis_amps", tuple([complex(get(occ, 0j)) for occ in enumerate_basis(self.shape)]))
+        return self._basis_amps
 
     def dense(self) -> np.ndarray:
         """Dense vector in :func:`enumerate_basis` order."""
@@ -265,7 +293,7 @@ def _squared_norm(amplitudes: Iterable[complex]) -> float:
     """Sum of ``abs(a) ** 2``, or inf once a term overflows, as a finite
     amplitude above about 1.3e154 does."""
     try:
-        return sum(abs(a) ** 2 for a in amplitudes)
+        return sum([abs(a) ** 2 for a in amplitudes])
     except OverflowError:
         return math.inf
 

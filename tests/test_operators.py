@@ -2,6 +2,7 @@ import cmath
 import itertools
 import math
 import struct
+import unittest.mock
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from modal_ent.operators import (
     random_element,
     sector_matrix,
 )
+from modal_ent import stabilizers
 from modal_ent.serialize import element_to_json
 from modal_ent.stabilizers import stabilizer
 from modal_ent.states import SHAPE_321, StateVector, SystemShape, random_state
@@ -332,6 +334,36 @@ def test_random_element_reproducible():
             random_element("SU", seed=1, spread=bad)
 
 
+def test_random_element_refuses_a_bool_seed():
+    for seed in (True, False, np.bool_(True)):
+        with pytest.raises(TypeError, match="^element seed must be an integer, not a bool$"):
+            random_element("SU", seed)
+
+
+def _per_mode_draw_element(kind, seed, spread):
+    """random_element as it once drew: one generator call per mode and part,
+    with numpy's complex arithmetic building the coefficients."""
+    draws = np.random.default_rng(seed)
+    coeffs = []
+    for _ in range(3):
+        imag = 1j * draws.normal(scale=spread, size=4)
+        coeffs.append(draws.normal(scale=spread, size=4) + imag if kind == "SLOCC" else imag)
+    return make_slocc_element(coeffs)
+
+
+def _hex_entries(element):
+    return [(z.real.hex(), z.imag.hex()) for op in element.matrices for row in op for z in row]
+
+
+@pytest.mark.parametrize("kind", ["SU", "SLOCC"])
+@pytest.mark.parametrize("spread", [0.5, 2.0])
+def test_one_draw_random_element_keeps_the_per_mode_bits(kind, spread):
+    # float.hex tells 0.0 from -0.0, so signed zeros are compared too
+    for seed in range(5000):
+        want = _per_mode_draw_element(kind, seed, spread)
+        assert _hex_entries(random_element(kind, seed, spread)) == _hex_entries(want), seed
+
+
 def test_slocc_determinant_check_scales_with_the_factor():
     # spread-3 factors have entries of order e^|Re s| with |Re s| of several
     # units, so their determinants round far above an absolute 1e-9 while
@@ -480,6 +512,35 @@ def _slocc_coefficient_sets():
         yield (negative_zero, negative_zero, negative_zero, c8)
         yield (negative_zero, 0.0, negative_zero, c8)
         yield (-0.0, -0.0, -0.0, c8)
+    yield from _stabilizer_coefficients(local)
+
+
+def _stabilizer_coefficients(local):
+    """The per-mode coefficient tuples that ``stabilizer`` exponentiates, for
+    all four names at seeded parameters."""
+    def draw(*names):
+        return {k: float(local.uniform(-4.0, 4.0)) for k in names}
+
+    calls = [("psi1_eq23", {"variant": "b"})]
+    for _ in range(40):
+        calls += [
+            ("generic_eq13", {"m": int(local.integers(-6, 7)), **draw("alpha")}),
+            ("family16_eq20", draw("alpha", "beta", "gamma")),
+            ("psi1_eq23", {"variant": "a", **{k: int(local.integers(-4, 5)) for k in "klmnpq"}, **draw("alpha")}),
+            ("psi1_eq23", {"variant": "c", **draw("beta")}),
+            ("psi2_eq26", draw("alpha", "beta", "gamma", "delta")),
+        ]
+    captured = []
+
+    def record(coefficients):
+        captured.extend(coefficients)
+        return make_slocc_element(coefficients)
+
+    with unittest.mock.patch.object(stabilizers, "make_slocc_element", record):
+        for name, params in calls:
+            stabilizer(name, params)
+    assert len(captured) == 3 * len(calls)
+    return captured
 
 
 def test_slocc_closed_form_generator_equals_the_matrix_algebra():

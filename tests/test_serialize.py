@@ -1,11 +1,14 @@
 import json
 import os
 import re
+import stat
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from modal_ent.families import family
+from modal_ent.maxent import build_psi_sigma
 from modal_ent.operators import GroupElement, random_element
 from modal_ent.serialize import (
     SCHEMA_VERSION,
@@ -18,7 +21,7 @@ from modal_ent.serialize import (
     state_to_json,
     write_text,
 )
-from modal_ent.states import SHAPE_321, StateVector, SystemShape, random_state
+from modal_ent.states import LISTED_DIMENSION, SHAPE_321, StateVector, SystemShape, enumerate_basis, random_state
 
 rng = np.random.default_rng(808)
 
@@ -85,12 +88,21 @@ def test_state_json_malformed_records():
         with pytest.raises(ValueError, match="amplitude record 0 is malformed"):
             state_from_json(head + body + "}")
     pinned = [
-        ('[{"occ": [1, 2.0, 0], "re": 1.0, "im": 0.0}]', "occupation entries must be integers, got [1, 2.0, 0]"),
-        ('[{"occ": [1, true, 0], "re": 1.0, "im": 0.0}]', "occupation entries must be integers, got [1, True, 0]"),
-        ('[{"occ": 120, "re": 1.0, "im": 0.0}]', "occupation must be a list or symbol string, got 120"),
+        ('[{"occ": [1, 2.0, 0], "re": 1.0, "im": 0.0}]', 0, "occupation entries must be integers, got [1, 2.0, 0]"),
+        ('[{"occ": [1, true, 0], "re": 1.0, "im": 0.0}]', 0, "occupation entries must be integers, got [1, True, 0]"),
+        ('[{"occ": [[1], 1, 0], "re": 1.0, "im": 0.0}]', 0, "occupation entries must be integers, got [[1], 1, 0]"),
+        ('[{"occ": 120, "re": 1.0, "im": 0.0}]', 0, "occupation must be a list or symbol string, got 120"),
+        ('[{"occ": [1, 2, 0], "re": 1e400, "im": 0.0}]', 0, "number is not finite"),
+        ('[{"occ": [1, 2, 0], "re": 1.0, "im": -Infinity}]', 0, "number is not finite"),
+        ('[{"occ": [1, 2, 0], "re": NaN, "im": 0.0}]', 0, "number is not finite"),
+        (
+            '[{"occ": [1, 2, 0], "re": 1.0, "im": 0.0}, {"occ": [1, 2, 0], "re": 0.5, "im": 0.0}]',
+            1,
+            "occupation (1, 2, 0) appears twice",
+        ),
     ]
-    for body, message in pinned:
-        with pytest.raises(ValueError, match=re.escape(f"amplitude record 0 is malformed: {message}")):
+    for body, index, message in pinned:
+        with pytest.raises(ValueError, match=re.escape(f"amplitude record {index} is malformed: {message}")):
             state_from_json(head + body + "}")
     spin_one = '{"shape": {"modes": 3, "particles": 2, "spin_numerator": 2}, "amplitudes": '
     with pytest.raises(ValueError, match="malformed: symbol strings are only defined for spin_numerator 1"):
@@ -102,6 +114,67 @@ def test_state_json_malformed_records():
     )
     with pytest.raises(ValueError, match="amplitude record 1 is malformed"):
         state_from_json(dup)
+
+
+def test_state_json_accepts_integer_parts():
+    head = '{"shape": {"modes": 3, "particles": 2, "spin_numerator": 1}, "amplitudes": '
+    loaded = state_from_json(head + '[{"occ": [1, 2, 0], "re": 1, "im": 0}, {"occ": [0, 1, 1], "re": 0, "im": -2}]}')
+    assert loaded.amplitudes == {(1, 2, 0): complex(1.0, 0.0), (0, 1, 1): complex(0.0, -2.0)}
+    assert all(type(z) is complex for z in loaded.amplitudes.values())
+
+
+_FAMILY_PARAMS = {
+    "psi1": {},
+    "psi2": {},
+    "S1": {"r": 0.2},
+    "S2": {"r": 0.3, "theta": 1.2},
+    "Eq14": {"r1": 0.6, "r2": 0.48, "r3": 0.64},
+    "Eq15": {"r1": 0.6, "r2": 0.48, "r3": 0.64},
+    "Eq16": {"r1": 0.5, "r2": 0.5, "r3": 0.5, "r4": 0.5, "phi": 0.7},
+    "Eq18": {**{f"r{k}": 6**-0.5 for k in range(1, 6)}, "theta": -2.1},
+}
+
+
+@pytest.mark.parametrize("symbols", [False, True])
+def test_state_json_save_then_load_is_byte_identical(symbols):
+    local = np.random.default_rng(4242)
+    psis = [family(name, params) for name, params in _FAMILY_PARAMS.items()]
+    psis += [random_state(SHAPE_321, local) for _ in range(50)]
+    for psi in psis:
+        text = state_to_json(psi, use_symbols=symbols)
+        loaded = state_from_json(text)
+        assert state_to_json(loaded, use_symbols=symbols) == text
+        assert loaded.amplitudes == {occ: amp for occ, amp in psi.amplitudes.items() if amp != 0}
+
+
+def test_state_json_round_trips_a_sector_above_the_listed_dimension():
+    shape = SystemShape(40, 3, 1)
+    assert shape.dimension > LISTED_DIMENSION
+    occs = [(1,) + (0,) * 37 + (2, 1), (0, 2) + (0,) * 36 + (1, 1), (2, 0, 1, 2) + (0,) * 36]
+    psi = StateVector(shape, {occ: complex(0.5 * k, -0.25 * k) for k, occ in enumerate(occs, 1)})
+    text = state_to_json(psi)
+    loaded = state_from_json(text)
+    assert loaded.amplitudes == psi.amplitudes
+    assert state_to_json(loaded) == text
+    unbalanced = r"amplitude record \d is malformed: occupation .* holds 2 particles, expected 3"
+    with pytest.raises(ValueError, match=unbalanced):
+        state_from_json(text.replace("[1, 0, 0", "[0, 0, 0", 1))
+    # records come in basis order, here read off a small unlisted sector's basis
+    small = SystemShape(9, 6, 1)
+    assert small.dimension > LISTED_DIMENSION
+    basis = enumerate_basis(small)
+    picked = np.random.default_rng(33).permutation(len(basis))[:40]
+    psi = StateVector(small, {basis[k]: complex(k, -1.0) for k in picked})
+    for symbols in (False, True):
+        text = state_to_json(psi, use_symbols=symbols)
+        assert state_to_json(state_from_json(text), use_symbols=symbols) == text
+    records = json.loads(state_to_json(psi))["amplitudes"]
+    assert [tuple(r["occ"]) for r in records] == [occ for occ in basis if occ in psi.amplitudes]
+    # a 210-mode sequence state, whose 177-digit basis is never listed
+    sigma = build_psi_sigma(30, 5)
+    text = state_to_json(sigma)
+    assert len(json.loads(text)["amplitudes"]) == 7
+    assert state_to_json(state_from_json(text)) == text
 
 
 def test_state_json_top_level_errors():
@@ -235,6 +308,33 @@ def test_write_text_keeps_the_mode_of_a_replaced_file(tmp_path, mode):
     write_text(str(path), "second\n")
     assert path.read_text() == "second\n"
     assert path.stat().st_mode & 0o7777 == mode
+
+
+def test_write_text_follows_a_symbolic_link(tmp_path):
+    target = tmp_path / "target.json"
+    target.write_text("old\n")
+    target.chmod(0o640)
+    link = tmp_path / "link.json"
+    link.symlink_to("target.json")
+    write_text(str(link), "new\n")
+    assert link.is_symlink() and os.readlink(link) == "target.json"
+    assert target.read_text() == "new\n"
+    assert target.stat().st_mode & 0o7777 == 0o640
+    assert sorted(os.listdir(tmp_path)) == ["link.json", "target.json"]
+
+
+def test_write_text_writes_a_fifo_in_place(tmp_path):
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    # the read end is open first, so opening the pipe to write does not block
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        write_text(str(fifo), "through the pipe\n")
+        assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+        assert os.read(reader, 4096) == b"through the pipe\n"
+    finally:
+        os.close(reader)
+    assert os.listdir(tmp_path) == ["pipe"]
 
 
 def test_write_text_failure_cleans_up(tmp_path):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from modal_ent.classify import canonical_form, family, membership_report
-from modal_ent.invariants import invariant_report
+from modal_ent.invariants import _amplitude_list, invariant_report
 from modal_ent.maxent import pattern_scan
 from modal_ent.monte_carlo import random_instrument, run_monotone_trials
 from modal_ent.stabilizers import stabilizer
@@ -235,6 +235,41 @@ def test_norm_matches_dense_norm(seed):
     vec = rng.normal(size=12) + 1j * rng.normal(size=12)
     psi = StateVector.from_dense(SHAPE_321, vec)
     assert abs(psi.norm() - np.linalg.norm(vec)) < 1e-12 * max(1.0, np.linalg.norm(vec))
+
+
+def test_cached_norm_and_amplitudes_equal_a_fresh_computation():
+    local = np.random.default_rng(515)
+    psis = [random_state(SHAPE_321, local) for _ in range(20)]
+    psis += [family("psi1"), family("S2", {"r": 0.3, "theta": 1.2}), StateVector(SHAPE_321, {})]
+    for psi in psis:
+        fresh = StateVector(psi.shape, dict(psi.amplitudes))
+        for _ in range(2):
+            assert psi.norm() == math.sqrt(sum(abs(a) ** 2 for a in fresh.amplitudes.values()))
+            listed = _amplitude_list(psi)
+            assert listed == tuple(complex(fresh.amplitudes.get(occ, 0j)) for occ in BASIS_321)
+        assert _amplitude_list(psi) is listed
+
+
+def test_state_repr_shows_no_cache():
+    psi = StateVector(SHAPE_321, {(1, 1, 0): 0.6, (0, 1, 2): 0.8j})
+    want = (
+        "StateVector(shape=SystemShape(modes=3, particles=2, spin_numerator=1),"
+        " amplitudes={(1, 1, 0): 0.6, (0, 1, 2): 0.8j})"
+    )
+    assert repr(psi) == want
+    psi.norm()
+    _amplitude_list(psi)
+    assert repr(psi) == want
+
+
+def test_cached_amplitudes_refuse_mutation():
+    psi = family("psi2")
+    listed = _amplitude_list(psi)
+    with pytest.raises(TypeError):
+        listed[0] = 1.0
+    with pytest.raises(AttributeError):
+        listed.append(1.0)
+    assert _amplitude_list(psi) == listed
 
 
 def test_phase_fit_refuses_a_shape_mismatch_and_a_zero_reference():

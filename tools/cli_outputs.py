@@ -113,6 +113,12 @@ MALFORMED_STATES = {
     "malformed-number-occupation": raw_state_doc([{"occ": 120, "re": 1.0, "im": 0.0}]),
     "malformed-amplitude-object": raw_state_doc({}),
     "malformed-float-modes": raw_state_doc([], modes=3.0),
+    "malformed-nested-occupation": raw_state_doc([{"occ": [[1], 1, 0], "re": 1.0, "im": 0.0}]),
+    "malformed-bool-occupation": raw_state_doc([{"occ": [1, True, 0], "re": 1.0, "im": 0.0}]),
+    "malformed-duplicate-occupation": raw_state_doc(
+        [{"occ": [1, 2, 0], "re": 0.6, "im": 0.0}, {"occ": [1, 2, 0], "re": 0.8, "im": 0.0}]
+    ),
+    "malformed-infinite-amplitude": raw_state_doc([{"occ": [1, 2, 0], "re": math.inf, "im": 0.0}]),
 }
 
 
