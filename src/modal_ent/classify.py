@@ -40,24 +40,23 @@ from functools import lru_cache
 from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence, Tuple
 
 from .invariants import (
-    _AB,
-    _AC,
-    _BC,
     _CUT_A_BC,
     _CUT_B_AC,
     _CUT_C_AB,
-    _IDX,
     InvariantReport,
     _amplitude_list,
     _cross_minors,
     _det2,
-    _invariant_polynomials,
-    _moved,
+    _polynomials,
     _product,
-    _report,
     _rows,
+    invariant_report,
 )
 from .states import (
+    _AB,
+    _AC,
+    _BC,
+    _IDX,
     NORM_TOL,
     SHAPE_321,
     StateVector,
@@ -270,7 +269,7 @@ def canonical_form(state: StateVector) -> CanonicalParams:
     structural zero slots, which would indicate a numerical breakdown rather
     than a property of the input.
     """
-    from .operators import GroupElement
+    from .operators import GroupElement, _moved
 
     require_normalized(state, "canonical form")
     v = _amplitude_list(state)
@@ -363,25 +362,28 @@ class BellProfile(NamedTuple):
 
 def bell_profile(state: StateVector, tol: float = 1e-10) -> BellProfile:
     """Locality pattern of a state; tolerances assume unit normalization."""
-    v = _amplitude_list(state)
-    return _profile(v, _invariant_polynomials(v), tol)
+    return _profile(_amplitude_list(state), _polynomials(state)[:3], tol)
 
 
-def _profile(v, polynomials, tol: float) -> BellProfile:
-    """The locality pattern of amplitudes ``v`` whose five polynomials are given."""
-    d_ab, d_bc, d_ac, _, _ = polynomials
-    nl_ab, nl_bc, nl_ac = (abs(d) > tol for d in (d_ab, d_bc, d_ac))
+def _profile(v, dets, tol: float) -> BellProfile:
+    """The locality pattern of amplitudes ``v`` whose three pair determinants are given.
 
-    def cut_entangled(cut, dets) -> bool:
-        return any(abs(m) > tol for m in (*dets, *_cross_minors(v, cut)))
+    A cut that holds a nonzero pair determinant is entangled without its
+    cross minors, so they are formed only for a cut whose two determinants
+    both vanish.
+    """
+    nl_ab, nl_bc, nl_ac = (abs(d) > tol for d in dets)
+
+    def cut_entangled(cut, pair_nonlocal: bool) -> bool:
+        return pair_nonlocal or any(abs(m) > tol for m in _cross_minors(v, cut))
 
     return BellProfile(
         nonlocal_AB=nl_ab,
         nonlocal_BC=nl_bc,
         nonlocal_AC=nl_ac,
-        nonlocal_A_BC=cut_entangled(_CUT_A_BC, (d_ab, d_ac)),
-        nonlocal_B_AC=cut_entangled(_CUT_B_AC, (d_ab, d_bc)),
-        nonlocal_C_AB=cut_entangled(_CUT_C_AB, (d_ac, d_bc)),
+        nonlocal_A_BC=cut_entangled(_CUT_A_BC, nl_ab or nl_ac),
+        nonlocal_B_AC=cut_entangled(_CUT_B_AC, nl_ab or nl_bc),
+        nonlocal_C_AB=cut_entangled(_CUT_C_AB, nl_ac or nl_bc),
         tri_local=not (nl_ab or nl_bc or nl_ac),
     )
 
@@ -415,6 +417,9 @@ def pair_projection(state: StateVector, pair: str) -> Tuple[Optional[Tuple[compl
     return tuple(v[k] / scale for k in block), weight
 
 
+_FOUR_COMPLEX = (complex,) * 4
+
+
 def chsh_value(two_qubit: Sequence[complex]) -> float:
     """Maximal CHSH expectation of a pure two-qubit state (Horodecki criterion).
 
@@ -429,10 +434,14 @@ def chsh_value(two_qubit: Sequence[complex]) -> float:
     so at n = 1 the value is ``2 sqrt(1 + C^2)`` in the concurrence
     ``C = 2 |d|``: 2 for product states, 2*sqrt(2) at the Tsirelson bound.
     """
-    shape = _nested_shape(two_qubit)
-    if shape != (4,):
-        raise ValueError(f"expected a two-qubit 4-vector, got shape {shape}")
-    q = [complex(a) for a in two_qubit]
+    if two_qubit.__class__ is tuple and tuple(map(type, two_qubit)) == _FOUR_COMPLEX:
+        # what pair_projection returns, already of shape (4,) and complex
+        q = two_qubit
+    else:
+        shape = _nested_shape(two_qubit)
+        if shape != (4,):
+            raise ValueError(f"expected a two-qubit 4-vector, got shape {shape}")
+        q = [complex(a) for a in two_qubit]
     if not all(map(cmath.isfinite, q)):
         raise ValueError("CHSH value of a state with non-finite entries")
     n2 = sum(a.real * a.real + a.imag * a.imag for a in q)
@@ -465,10 +474,8 @@ def membership_report(state: StateVector, tol: float = 1e-10) -> MembershipRepor
     normalized, since the tolerances assume unit norm.
     """
     require_normalized(state, "membership report")
-    v = _amplitude_list(state)
-    polynomials = _invariant_polynomials(v)
-    profile = _profile(v, polynomials, tol)
-    rep = _report(v, polynomials)
+    rep = invariant_report(state)
+    profile = _profile(_amplitude_list(state), rep[:3], tol)
     max_ent = is_maximally_entangled(state)
     pairs_local = profile.tri_local
     families = []

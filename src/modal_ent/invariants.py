@@ -19,15 +19,22 @@ copies of the state form over mode A, and the result with a third copy
 over modes B and C, gives -trace(W), and trace(W) = i * I2 with the
 conventions fixed below, which the test suite checks on random states,
 and exactly on rational ones. That is why no separate transvection code
-is kept. A :class:`StateVector` enters only through ``_amplitude_list``,
-the package's one check that a state has shape (3, 2, 1), which returns the
+is kept. A :class:`StateVector` enters through ``_amplitude_list``, the
+invariants' check that a state has shape (3, 2, 1), which returns the
 tuple of amplitudes in basis order that the state builds on first use and
 keeps; W, the canonical form and the Monte-Carlo trials start from it too.
+A state's five pair polynomials and its :class:`InvariantReport` are
+evaluated once and kept in the state's private ``_invariants`` slot, so
+:func:`invariant_report`, ``classify.membership_report`` and
+``classify.bell_profile`` on one state share one evaluation.
 
-The same blocks are the one layout by which (3, 2, 1) states move:
-``_moved``, the pair-block action of a compliant element, serves the
-canonical form and the invariance sweep, and the Monte-Carlo gather reads
-each column in an order built from the cut tables below.
+The positions of the pair blocks, ``_AB``, ``_BC`` and ``_AC``, and
+``_PAIRS``, which adds each block's row, column and vacant modes, are
+tables of :mod:`modal_ent.states`, since the blocks are also the one layout
+by which (3, 2, 1) states move: ``operators._moved``, the pair-block action
+of a compliant element, serves ``operators.apply``, the canonical form and
+the invariance sweep. The Monte-Carlo gather reads each column in an order
+built from the cut tables below.
 
 This module imports no numpy: :func:`invariant_report` computes in Python
 complex numbers, and W and its powers in one 2x2 product over pairs of
@@ -41,46 +48,13 @@ from __future__ import annotations
 import cmath
 from typing import List, NamedTuple, Sequence, Tuple
 
-from .states import SHAPE_321, StateVector, _squared_norm, basis_index
-
-_U, _D = 1, 2
-_IDX = basis_index(SHAPE_321)
-
-# Basis positions of the AB, BC and AC pair blocks, each read row-major as
-# (uu, ud, du, dd): the row is the level of the block's first mode, the
-# column the level of its second.
-_AB, _BC, _AC = (
-    tuple(_IDX[occ] for occ in block)
-    for block in (
-        ((_U, _U, 0), (_U, _D, 0), (_D, _U, 0), (_D, _D, 0)),
-        ((0, _U, _U), (0, _U, _D), (0, _D, _U), (0, _D, _D)),
-        ((_U, 0, _U), (_U, 0, _D), (_D, 0, _U), (_D, 0, _D)),
-    )
-)
-
-# Each pair block with its row mode, its column mode and its vacant third mode.
-_PAIRS = ((_AB, 0, 1, 2), (_BC, 1, 2, 0), (_AC, 0, 2, 1))
+from .states import _AB, _AC, _BC, SHAPE_321, StateVector, _set, _squared_norm
 
 
 def _rows(v, block: Tuple[int, ...], transpose: bool = False):
     """The pair block of amplitudes ``v`` at ``block`` as a pair of rows, or its transpose."""
     uu, ud, du, dd = (v[k] for k in block)
     return ((uu, du), (ud, dd)) if transpose else ((uu, ud), (du, dd))
-
-
-def _moved(v, element) -> list:
-    """Amplitudes ``v``, one state's list or a ``(12, k)`` batch, moved by a
-    compliant element given per mode as ``(level block, vacancy entry)``:
-    each pair block ``M`` goes to ``L M L'^T s``, with the level blocks of
-    its row and column modes and the third mode's vacancy. The leak entries
-    move nothing within the sector and are not read."""
-    out = [0j] * 12
-    for (uu, ud, du, dd), row, col, third in _PAIRS:
-        ((a, b), (c, d)), ((e, f), (g, h)), s = element[row][0], element[col][0], element[third][1]
-        p, q = (a * v[uu] + b * v[du]) * s, (a * v[ud] + b * v[dd]) * s
-        r, w = (c * v[uu] + d * v[du]) * s, (c * v[ud] + d * v[dd]) * s
-        out[uu], out[ud], out[du], out[dd] = p * e + q * f, p * g + q * h, r * e + w * f, r * g + w * h
-    return out
 
 
 # For each single-mode cut, the two blocks that hold that mode, oriented with
@@ -95,14 +69,27 @@ def _amplitude_list(state: StateVector) -> Tuple[complex, ...]:
     """The twelve amplitudes as Python complex numbers, in basis order, a
     tuple that the state builds once and keeps.
 
-    This is the one check that a state has shape (3, 2, 1): every pair-block
-    quantity of a :class:`StateVector` starts here. Scalar Python arithmetic
-    keeps single-state results bitwise stable; numpy's vectorised complex
-    products may round differently.
+    This is the check that a state has shape (3, 2, 1) for every pair-block
+    quantity below, the canonical form and the Monte-Carlo code;
+    ``operators.apply`` picks its (3, 2, 1) path by the shape itself.
+    Scalar Python arithmetic keeps single-state results bitwise stable;
+    numpy's vectorised complex products may round differently.
     """
     if state.shape != SHAPE_321:
         raise ValueError(f"pair-block invariants need shape (3, 2, 1), got {state.shape}")
     return state._basis_amplitudes()
+
+
+def _polynomials(state: StateVector) -> tuple:
+    """``(I_AB, I_BC, I_AC, I1, I2)`` of a (3, 2, 1) state, evaluated on the
+    first call and kept in the state's ``_invariants`` slot; that slot holds
+    these five, or the :class:`InvariantReport` whose first five fields
+    they are, once :func:`invariant_report` has run."""
+    cached = state._invariants
+    if cached is None:
+        cached = _invariant_polynomials(_amplitude_list(state))
+        _set(state, "_invariants", cached)
+    return cached[:5]
 
 
 def _det2(v, block: Tuple[int, ...]):
@@ -186,27 +173,27 @@ def invariant_report(state: StateVector) -> InvariantReport:
     The pair quantities are the block determinants, I1 is their product and
     I2 the explicit alternating polynomial. The bipartition quantities are
     the cross-minor sums, which vanish exactly when the conditional states
-    seen from one mode are proportional.
+    seen from one mode are proportional. The report is evaluated on the
+    first call and kept with the state, so a later call returns it as it is.
     """
-    v = _amplitude_list(state)
-    return _report(v, _invariant_polynomials(v))
-
-
-def _report(v: Sequence[complex], polynomials) -> InvariantReport:
-    """The invariant report of amplitudes ``v`` whose five polynomials are given."""
-    i_ab, i_bc, i_ac, i1, i2 = polynomials
-    return InvariantReport(
-        I_AB=i_ab,
-        I_BC=i_bc,
-        I_AC=i_ac,
-        I1=i1,
-        I2=i2,
-        monotone1=abs(i1) ** MONOTONE_POWERS[0],
-        monotone2=abs(i2) ** MONOTONE_POWERS[1],
-        I_A_BC=_cross_minor_sum(v, _CUT_A_BC),
-        I_B_AC=_cross_minor_sum(v, _CUT_B_AC),
-        I_C_AB=_cross_minor_sum(v, _CUT_C_AB),
-    )
+    report = state._invariants
+    if report.__class__ is not InvariantReport:
+        i_ab, i_bc, i_ac, i1, i2 = _polynomials(state)
+        v = state._basis_amplitudes()
+        report = InvariantReport(
+            I_AB=i_ab,
+            I_BC=i_bc,
+            I_AC=i_ac,
+            I1=i1,
+            I2=i2,
+            monotone1=abs(i1) ** MONOTONE_POWERS[0],
+            monotone2=abs(i2) ** MONOTONE_POWERS[1],
+            I_A_BC=_cross_minor_sum(v, _CUT_A_BC),
+            I_B_AC=_cross_minor_sum(v, _CUT_B_AC),
+            I_C_AB=_cross_minor_sum(v, _CUT_C_AB),
+        )
+        _set(state, "_invariants", report)
+    return report
 
 
 def _trace_power(w, n: int):
@@ -233,10 +220,9 @@ def generator_relation_check(state: StateVector, n: int) -> float:
     recursion for ``trace(W^k)``, ``k <= n``, seeded by ``trace(W)`` and
     ``det(W)``. Both hold identically, so the residual is pure roundoff.
     """
-    v = _amplitude_list(state)
-    w = _word(v)
+    w = _word(_amplitude_list(state))
     (f1, g1), (k1, l1) = w
-    residual = abs(g1 * k1 - (_invariant_polynomials(v)[3] + f1 * l1))
+    residual = abs(g1 * k1 - (_polynomials(state)[3] + f1 * l1))
     e1, e2 = f1 + l1, f1 * l1 - g1 * k1
     p_prev, p_cur = 2.0 + 0j, e1
     for k in range(2, n + 1):
@@ -258,9 +244,9 @@ def localized_scenario_check(
     """
     from .operators import apply, make_slocc_element
 
-    before = _invariant_polynomials(_amplitude_list(state))
+    before = _polynomials(state)
     pinned = make_slocc_element([(0, 0, 0, 0), (0, 0, 0, alpha), (0, 0, 0, alpha)])
-    after = _invariant_polynomials(_amplitude_list(apply(pinned, state)))
+    after = _polynomials(apply(pinned, state))
     f_ab, f_ac = (
         after[k] / before[k] if abs(before[k]) > 0 else complex(cmath.nan) for k in (0, 2)
     )

@@ -25,7 +25,7 @@ arithmetic. The completion and the gather round only through IEEE ``+``,
 ``pow``, not numpy's array power, so the margins do not depend on the CPU
 features numpy dispatches to. This batch layer lives here, beside its one
 user, and is written for the (3, 2, 1) sector alone: the gather's tables,
-which order a column by the pair blocks of ``invariants._PAIRS``, are
+which order a column by the pair blocks of ``states._PAIRS``, are
 built once, when the module loads.
 :func:`monotonicity_trial` is its one-column call, so replaying a trial
 from its seeds reproduces the record's margins bit for bit; it is also the
@@ -34,13 +34,14 @@ checks on the way in that the instrument's dimension and mode fit the
 sector. :class:`LocalInstrument` has already checked, when it was built,
 that its mode is a non-negative integer.
 
-The invariance sweep batches states as dense columns, moves them by the
-pair-block action that the canonical form uses too, and verifies that
-determinant-one elements leave the polynomial invariants unchanged. The
-comparison renormalizes the moved states first: the invariants are degree 6
-and 3 in the amplitudes, so raw differences pick up the sixth power of the
-amplitude growth and would drown the signal in conditioning noise for
-strongly non-unitary elements. Ratios of renormalized values stay order one.
+The invariance sweep batches states as dense columns, moves them by every
+element in one pass of the pair-block action that ``operators.apply`` and
+the canonical form use too, and verifies that determinant-one elements
+leave the polynomial invariants unchanged. The comparison renormalizes the
+moved states first: the invariants are degree 6 and 3 in the amplitudes,
+so raw differences pick up the sixth power of the amplitude growth and
+would drown the signal in conditioning noise for strongly non-unitary
+elements. Ratios of renormalized values stay order one.
 """
 
 from __future__ import annotations
@@ -53,11 +54,10 @@ from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
-from .invariants import (
-    MONOTONE_POWERS, _CUT_A_BC, _CUT_B_AC, _CUT_C_AB, _PAIRS, _amplitude_list, _invariant_polynomials, _moved,
-)
-from .operators import MEMBER_TOL, GroupElement, _leak_positions, _require_shape
+from .invariants import MONOTONE_POWERS, _CUT_A_BC, _CUT_B_AC, _CUT_C_AB, _amplitude_list, _invariant_polynomials
+from .operators import MEMBER_TOL, GroupElement, _leak_positions, _moved, _require_shape
 from .states import (
+    _PAIRS,
     SHAPE_321,
     StateVector,
     _Frozen,
@@ -597,27 +597,28 @@ def invariance_sweep(
     """Worst relative drift of I1 and I2 under a batch of group elements.
 
     The states, each of shape (3, 2, 1), are stacked as the dense columns
-    of one ``(12, k)`` batch; each element moves the whole batch at once by
-    the pair-block action ``invariants._moved``. Moved states are
-    renormalized and compared against the inputs' invariants rescaled by the
-    predicted norm powers, 6 for I1 and 3 for I2. For determinant-one
-    elements both drifts are pure roundoff; elements with other determinants
-    show up at order one. No states or no elements, a state that is zero or
-    not finite, and an element of the wrong shape or not compliant raise
-    ValueError; an element that overflows or annihilates a state, or a
-    state whose predicted invariants leave the float range, raises
-    ArithmeticError.
+    of a ``(12, k)`` batch, one copy per element; one pass of the pair-block
+    action ``operators._moved`` moves copy ``j`` by element ``j``. Moved
+    states are renormalized and compared against the inputs' invariants
+    rescaled by the predicted norm powers, 6 for I1 and 3 for I2. For
+    determinant-one elements both drifts are pure roundoff; elements with
+    other determinants show up at order one. No states or no elements, a
+    state that is zero or not finite, and an element of the wrong shape or
+    not compliant raise ValueError; an element that overflows or
+    annihilates a state, or a state whose predicted invariants leave the
+    float range, raises ArithmeticError, checked element by element in the
+    order given.
     """
     columns = [_amplitude_list(s) for s in states]
     if not columns:
         raise ValueError("invariance sweep needs at least one state column")
-    psi = np.column_stack(columns)
+    psi = np.array(columns).T
     if not np.isfinite(psi).all():
         raise ValueError("state columns must be finite")
     zero = np.flatnonzero(~psi.any(axis=0))
     if zero.size:
         raise ValueError(f"state column {zero[0]} is zero")
-    # with no elements the loop below would report a perfect (0.0, 0.0)
+    # with no elements the sweep would report a perfect (0.0, 0.0)
     elements = list(elements)
     if not elements:
         raise ValueError("invariance sweep needs at least one group element")
@@ -625,28 +626,31 @@ def invariance_sweep(
         _require_shape(g, SHAPE_321)
         if not g.is_superselection_compliant():
             raise ValueError("element violates the superselection rule")
+    n, k = len(elements), psi.shape[1]
+    # the level entries a, b, c, d and the vacancy v of each mode, as
+    # (5, 3, n k) arrays: each element's entries repeated over its k columns
+    a, b, c, d, v = np.repeat(
+        np.array([[(x[0], x[1], y[0], y[1], z[2]) for x, y, z in g.matrices] for g in elements]).T, k, axis=2
+    )
     with np.errstate(over="ignore", invalid="ignore"):
         i1_in, i2_in = _invariant_polynomials(psi)[3:]
-    worst1 = 0.0
-    worst2 = 0.0
-    for g in elements:
-        # max() below drops a NaN drift and would report a clean sweep, so
-        # an overflowing product or a predicted invariant out of range is
-        # refused here rather than warned about
-        with np.errstate(all="ignore"):
-            moved = np.array(_moved(psi, [((a[:2], b[:2]), c[2]) for a, b, c in g.matrices]))
-            norms = np.linalg.norm(moved, axis=0)
-            i1_out, i2_out = _invariant_polynomials(moved / norms)[3:]
-            want1 = i1_in / norms**6
-            want2 = i2_in / norms**3
-            dev1 = float((np.abs(i1_out - want1) / np.maximum(1.0, np.abs(want1))).max())
-            dev2 = float((np.abs(i2_out - want2) / np.maximum(1.0, np.abs(want2))).max())
-        if not np.isfinite(norms).all():
+    # max() below drops a NaN drift and would report a clean sweep, so an
+    # overflowing product or a predicted invariant out of range is refused
+    # rather than warned about
+    with np.errstate(all="ignore"):
+        moved = np.array(_moved(np.hstack([psi] * n), [(((a[m], b[m]), (c[m], d[m])), v[m]) for m in range(3)]))
+        norms = np.linalg.norm(moved, axis=0)
+        i1_out, i2_out = _invariant_polynomials(moved / norms)[3:]
+        # row j of each (n, k) array: the states as element j moved them
+        norms = norms.reshape(n, k)
+        want1, want2 = i1_in / norms**6, i2_in / norms**3
+        dev1 = (np.abs(i1_out.reshape(n, k) - want1) / np.maximum(1.0, np.abs(want1))).max(axis=1)
+        dev2 = (np.abs(i2_out.reshape(n, k) - want2) / np.maximum(1.0, np.abs(want2))).max(axis=1)
+    for element_norms, d1, d2 in zip(norms, dev1.tolist(), dev2.tolist()):
+        if not np.isfinite(element_norms).all():
             raise ArithmeticError("group element overflowed a state")
-        if np.any(norms <= 0):
+        if np.any(element_norms <= 0):
             raise ArithmeticError("group element annihilated a state")
-        if not (math.isfinite(dev1) and math.isfinite(dev2)):
+        if not (math.isfinite(d1) and math.isfinite(d2)):
             raise ArithmeticError("the predicted invariants of a moved state are not finite")
-        worst1 = max(worst1, dev1)
-        worst2 = max(worst2, dev2)
-    return worst1, worst2
+    return max(0.0, *dev1.tolist()), max(0.0, *dev2.tolist())

@@ -11,12 +11,14 @@ Its constructor reads any sequence of matrices and coerces every entry;
 code that already holds such a tuple, as :func:`make_slocc_element` and
 ``classify.canonical_form`` do, hands it over by ``GroupElement._from_rows``.
 
-:func:`apply` is the one sparse action of a compliant element on a state
-of any shape, and :func:`apply_on_mode` the one way to act on a single mode
-of a sparse state with the identity on every other mode; dense (3, 2, 1)
-amplitudes move by the pair blocks of :mod:`modal_ent.invariants`.
-:func:`sector_matrix` is only the tests' reference for both, kept here
-because the benchmark's tracer wraps it by name.
+:func:`apply` is the one action of a compliant element on a state of any
+shape, and :func:`apply_on_mode` the one way to act on a single mode with
+the identity on every other mode. A (3, 2, 1) state moves by its pair
+blocks, ``_moved``, which also moves the canonical form's stages and the
+invariance sweep's batches; every other shape moves amplitude by
+amplitude, by partial products. :func:`sector_matrix` is only the tests'
+reference for both, kept here because the benchmark's tracer wraps it by
+name.
 
 The entries that the superselection rule requires to vanish are listed
 once, by ``_leak_positions``. ``_leaking_mode`` reads them from the rows of
@@ -37,10 +39,13 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from functools import lru_cache
 from typing import TYPE_CHECKING, Dict, Optional, Sequence, Tuple
 
 from .states import (
+    _PAIRS,
+    SHAPE_321,
     StateVector,
     SystemShape,
     _Frozen,
@@ -237,35 +242,51 @@ def make_slocc_element(coefficients: Sequence[Sequence[complex]]) -> GroupElemen
     return GroupElement._from_rows(tuple(factors))
 
 
+def _moved(v, element) -> list:
+    """Amplitudes ``v``, one (3, 2, 1) state's twelve in basis order or a
+    ``(12, k)`` batch, moved by a compliant element given per mode as
+    ``(level block, vacancy entry)``: each pair block ``M`` goes to
+    ``L M L'^T s``, with the level blocks of its row and column modes and
+    the third mode's vacancy. The leak entries move nothing within the
+    sector and are not read. The entries may be Python numbers or arrays
+    that broadcast against the amplitudes, one value per column."""
+    out = [0j] * 12
+    for (uu, ud, du, dd), row, col, third in _PAIRS:
+        ((a, b), (c, d)), ((e, f), (g, h)), s = element[row][0], element[col][0], element[third][1]
+        p, q = (a * v[uu] + b * v[du]) * s, (a * v[ud] + b * v[dd]) * s
+        r, w = (c * v[uu] + d * v[du]) * s, (c * v[ud] + d * v[dd]) * s
+        out[uu], out[ud], out[du], out[dd] = p * e + q * f, p * g + q * h, r * e + w * f, r * g + w * h
+    return out
+
+
 def apply(element: GroupElement, state: StateVector) -> StateVector:
     """Act with a compliant element on a state of any shape; not renormalized.
 
-    The rows of each operator give the compliance check and its symbol-move
-    table. Compliance keeps each occupation pattern intact, so an amplitude
-    fans out only over the levels of its occupied modes. Terms are
+    An element of the wrong shape or with a matrix that is not compliant
+    raises ValueError. Compliance keeps each occupation pattern intact, so
+    an amplitude moves only over the levels of its occupied modes.
+
+    A (3, 2, 1) state's amplitude tuple moves by ``_moved``, in Python
+    complex numbers; the result holds its nonzero entries, in basis order,
+    with its bits.
+
+    Every other shape takes the partial-product loop: the rows of each
+    operator give a symbol-move table, terms are
     ``((amp * w_0) * w_1) * ...`` in Python complex numbers, which round
     products and sums as numpy's complex scalars do, summed from ``0j`` in
     input order, and keys come in order of first appearance, the last mode
-    outermost. Three modes take a faster nested loop, other counts a
-    partial-product loop; both give these bits. An element of the wrong
-    shape or with a matrix that is not compliant raises ValueError.
+    outermost.
     """
     shape = state.shape
     _require_shape(element, shape)
     leaking = _leaking_mode(element.matrices)
     if leaking is not None:
         raise ValueError(f"operator on mode {leaking} violates the superselection rule")
+    if shape == SHAPE_321:
+        moved = _moved(state._basis_amplitudes(), [((a[:2], b[:2]), c[2]) for a, b, c in element.matrices])
+        return StateVector(shape, {occ: amp for occ, amp in zip(enumerate_basis(shape), moved) if amp})
     moves = [_symbol_moves(rows) for rows in element.matrices]
     out: Dict[Tuple[int, ...], complex] = {}
-    if len(moves) == 3:
-        move_a, move_b, move_c = moves
-        for (a, b, c), amp in state.amplitudes.items():
-            for c2, w_c in move_c[c]:
-                for b2, w_b in move_b[b]:
-                    for a2, w_a in move_a[a]:
-                        key = (a2, b2, c2)
-                        out[key] = out.get(key, 0j) + amp * w_a * w_b * w_c
-        return StateVector(shape, out)
     for occ, amp in state.amplitudes.items():
         partial = [((), amp)]
         for move, sym in zip(moves, occ):
@@ -352,6 +373,10 @@ def random_element(kind: str, seed: int, spread: float = 0.5) -> GroupElement:
     ``spread`` per real component: fully complex for ``"SLOCC"``, purely
     imaginary for ``"SU"`` (anti-Hermitian exponents give unitaries). The
     distribution is an implementation choice, not a canonical measure.
+
+    The seed is checked before the draw: one that is not an integer, such
+    as None, which would seed from the operating system, or a bool, raises
+    TypeError, and a negative one ValueError.
     """
     if not 0 < spread < math.inf:
         raise ValueError(f"spread must be finite and positive, got {spread}")
@@ -361,6 +386,12 @@ def random_element(kind: str, seed: int, spread: float = 0.5) -> GroupElement:
 
     if isinstance(seed, (bool, np.bool_)):
         raise TypeError("element seed must be an integer, not a bool")
+    try:
+        seed = operator.index(seed)
+    except TypeError:
+        raise TypeError(f"element seed must be an integer, got {seed!r}") from None
+    if seed < 0:
+        raise ValueError(f"element seed must be non-negative, got {seed}")
     # One draw in the order of the per-mode draws it replaces: for each mode
     # four imaginary parts, then, for SLOCC, four real parts. The parts are
     # those numpy's complex arithmetic gives 1j * x, (0 x - 1 0, 0 0 + 1 x),

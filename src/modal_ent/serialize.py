@@ -193,6 +193,8 @@ def state_to_json(state: StateVector, use_symbols: bool = False) -> str:
             re, im = _fmt(amp.real), _fmt(amp.imag)
         except (AttributeError, TypeError):
             raise ValueError(f"amplitude of occupation {occ} is not a number: {amp!r}") from None
+        except ValueError:  # _fmt's refusal of an infinite or NaN part
+            raise ValueError(f"amplitude of occupation {occ} is not finite: {amp!r}") from None
         recs.append(f'{head}{re}, "im": {im}}}')
     return (
         '{\n  "shape": {"modes": %d, "particles": %d, "spin_numerator": %d},\n  "amplitudes": [\n%s\n  ]\n}\n'

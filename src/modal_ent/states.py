@@ -27,10 +27,16 @@ records that the library returns are named tuples too. Neither kind of
 class generates code when it is defined or needs ``inspect``, so a command
 line call does not pay for either at start-up.
 
-A :class:`StateVector` computes its norm and, for the pair-block code of
-:mod:`modal_ent.invariants`, its amplitudes in basis order on first use and
-keeps both in private slots, which its repr leaves out; the amplitude map
-must not change after construction, so neither goes stale.
+The (3, 2, 1) pair blocks, the 2x2 blocks of amplitudes that two modes
+hold jointly, are listed here once: ``_AB``, ``_BC`` and ``_AC`` give their
+basis positions, and ``_PAIRS`` adds each block's row, column and vacant
+modes, for the element action of ``operators`` and for the invariants.
+
+A :class:`StateVector` computes its norm, its amplitudes in basis order
+and, through :mod:`modal_ent.invariants`, its pair polynomials or its
+invariant report on first use, and keeps them in private slots, which its
+repr leaves out; the amplitude map must not change after construction, so
+none of them goes stale.
 
 Loading this module loads no numpy. States, norms and the single-mode
 reductions are Python numbers; numpy enters only inside the calls that
@@ -177,6 +183,24 @@ def _listed_index(shape: SystemShape) -> Mapping[Occupation, int]:
     return basis_index(shape) if shape.dimension <= LISTED_DIMENSION else {}
 
 
+_IDX = basis_index(SHAPE_321)
+
+# Basis positions of the (3, 2, 1) pair blocks AB, BC and AC, each read
+# row-major as (uu, ud, du, dd): the row is the level of the block's first
+# mode, the column the level of its second.
+_AB, _BC, _AC = (
+    tuple(_IDX[occ] for occ in block)
+    for block in (
+        ((1, 1, 0), (1, 2, 0), (2, 1, 0), (2, 2, 0)),
+        ((0, 1, 1), (0, 1, 2), (0, 2, 1), (0, 2, 2)),
+        ((1, 0, 1), (1, 0, 2), (2, 0, 1), (2, 0, 2)),
+    )
+)
+
+# Each pair block with its row mode, its column mode and its vacant third mode.
+_PAIRS = ((_AB, 0, 1, 2), (_BC, 1, 2, 0), (_AC, 0, 2, 1))
+
+
 def _nested_shape(obj) -> Tuple[int, ...]:
     """The shape numpy gives the nested sequences or arrays ``obj``;
     ValueError when they are ragged."""
@@ -239,7 +263,7 @@ class StateVector(_Frozen):
     only a miss, and every key of a larger sector, is checked field by field.
     """
 
-    __slots__ = ("shape", "amplitudes", "_norm", "_basis_amps")
+    __slots__ = ("shape", "amplitudes", "_norm", "_basis_amps", "_invariants")
     shape: SystemShape
     amplitudes: Dict[Occupation, complex]
 
@@ -252,6 +276,7 @@ class StateVector(_Frozen):
         _set(self, "amplitudes", amplitudes)
         _set(self, "_norm", None)
         _set(self, "_basis_amps", None)
+        _set(self, "_invariants", None)
 
     def amplitude(self, occ: Iterable[int]) -> complex:
         return self.amplitudes.get(tuple(occ), 0j)
@@ -376,10 +401,12 @@ def phase_fit(state: StateVector, moved: StateVector, tol: float) -> Tuple[bool,
         raise ValueError("cannot compare against the zero state")
     if norm == math.inf:
         raise ValueError("cannot compare against a state whose norm overflows")
-    anchor = max(state.amplitudes, key=lambda occ: abs(state.amplitudes[occ]))
-    c = moved.amplitude(anchor) / state.amplitudes[anchor]
-    keys = set(state.amplitudes) | set(moved.amplitudes)
-    residual = math.sqrt(sum(abs(moved.amplitude(k) - c * state.amplitude(k)) ** 2 for k in keys))
+    before, after = state.amplitudes, moved.amplitudes
+    anchor = max(before, key=lambda occ: abs(before[occ]))
+    get_before, get_after = before.get, after.get
+    c = get_after(anchor, 0j) / before[anchor]
+    keys = set(before) | set(after)
+    residual = math.sqrt(sum([abs(get_after(k, 0j) - c * get_before(k, 0j)) ** 2 for k in keys]))
     return residual <= tol * norm, c
 
 

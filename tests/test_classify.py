@@ -205,6 +205,24 @@ def test_chsh_reference_values():
     assert abs(chsh_value((1.0 + 1e-10) * singlet) - 2.0 * ROOT2) < 1e-9
 
 
+def test_chsh_value_of_a_tuple_of_complex_numbers_is_that_of_any_4_vector():
+    # pair_projection's tuple of four Python complex numbers skips the shape
+    # walk; the same numbers as a list or an array give the same bits
+    local = np.random.default_rng(1919)
+    for psi in [random_state(SHAPE_321, local) for _ in range(20)] + [family("S1", {"r": 0.2})]:
+        for pair in ("AB", "BC", "AC"):
+            vec, _ = pair_projection(psi, pair)
+            assert type(vec) is tuple and all(type(a) is complex for a in vec)
+            assert chsh_value(vec) == chsh_value(list(vec)) == chsh_value(np.array(vec))
+    # any other tuple takes the shape walk and its refusals
+    assert chsh_value((1.0, 0j, 0j, 0j)) == 2.0
+    for bad, shape in (((1j,) * 5, r"\(5,\)"), ((0j,) * 3, r"\(3,\)"), (((1j,) * 4,), r"\(1, 4\)")):
+        with pytest.raises(ValueError, match=rf"^expected a two-qubit 4-vector, got shape {shape}$"):
+            chsh_value(bad)
+    with pytest.raises(ValueError, match="non-finite entries"):
+        chsh_value((complex(math.nan), 0j, 0j, 0j))
+
+
 def test_chsh_pure_state_concurrence_identity():
     for _ in range(10):
         vec = rng.normal(size=4) + 1j * rng.normal(size=4)
@@ -266,10 +284,12 @@ def test_membership_report_carries_the_reports_bit_for_bit():
     inputs += [random_state(SHAPE_321, local) for _ in range(300)]
     inputs += [normalize(apply(random_element("SU", s), psi)) for s, psi in enumerate(inputs[:40])]
     for psi in inputs:
+        # a fresh copy of the state, so the reports are evaluated anew, not read from its cache
+        fresh = StateVector(psi.shape, dict(psi.amplitudes))
         for tol in (1e-10, 1e-3):
             got = membership_report(psi, tol=tol)
-            assert got.profile == bell_profile(psi, tol=tol)
-        want = invariant_report(psi)
+            assert got.profile == bell_profile(fresh, tol=tol)
+        want = invariant_report(fresh)
         for name in InvariantReport._fields:
             a, b = np.asarray(getattr(got.invariants, name)), np.asarray(getattr(want, name))
             assert a.tobytes() == b.tobytes(), name

@@ -9,14 +9,11 @@ from exact import Gaussian, random_gaussians
 from hypothesis import given, settings, strategies as st
 
 import modal_ent
-from modal_ent.classify import family
+from modal_ent.classify import bell_profile, family, membership_report
 from modal_ent.invariants import (
-    _AB,
-    _AC,
-    _BC,
+    InvariantReport,
     _amplitude_list,
     _invariant_polynomials,
-    _moved,
     _rows,
     _trace_power,
     _word,
@@ -26,8 +23,8 @@ from modal_ent.invariants import (
     trace_word,
 )
 from modal_ent.monte_carlo import SplitComplex
-from modal_ent.operators import apply, random_element, sector_matrix
-from modal_ent.states import SHAPE_321, StateVector, SystemShape, enumerate_basis, random_state
+from modal_ent.operators import _moved, apply, random_element, sector_matrix
+from modal_ent.states import _AB, _AC, _BC, SHAPE_321, StateVector, SystemShape, enumerate_basis, random_state
 
 rng = np.random.default_rng(7)
 
@@ -282,6 +279,36 @@ def test_pair_block_action_on_a_batch_matches_the_dense_matrix():
         moved = np.array(_moved(cols, [((a[:2], b[:2]), c[2]) for a, b, c in el.matrices]))
         want = sector_matrix(el, SHAPE_321) @ cols
         assert (np.abs(moved - want).max(axis=0) <= 1e-13 * np.linalg.norm(want, axis=0)).all()
+
+
+def test_cached_invariants_equal_a_fresh_computation():
+    local = np.random.default_rng(616)
+    psis = [random_state(SHAPE_321, local) for _ in range(20)]
+    psis += [family("psi1"), family("psi2"), family("S2", {"r": 0.3, "theta": 1.2})]
+    psis += [StateVector(SHAPE_321, {(1, 1, 0): 1e200, (2, 2, 0): 1e200}), StateVector(SHAPE_321, {})]
+    for psi in psis:
+
+        def fresh():
+            return StateVector(psi.shape, dict(psi.amplitudes))
+
+        want = invariant_report(fresh())
+        polynomials = _invariant_polynomials(_amplitude_list(fresh()))
+        # the slot may be filled first by the report, the profile or the membership report
+        for first in ("report", "profile", "membership"):
+            state = fresh()
+            before = repr(state)
+            if first == "profile":
+                bell_profile(state)
+            elif first == "membership" and abs(state.norm() - 1.0) <= 1e-9:
+                membership_report(state)
+            got = invariant_report(state)
+            assert got is invariant_report(state)
+            assert bell_profile(state) == bell_profile(fresh())
+            assert repr(state) == before
+            for name in InvariantReport._fields:
+                a, b = np.asarray(getattr(got, name)), np.asarray(getattr(want, name))
+                assert a.tobytes() == b.tobytes(), name
+            assert [np.asarray(x).tobytes() for x in got[:5]] == [np.asarray(x).tobytes() for x in polynomials]
 
 
 def test_cross_minor_sums_overflow_to_inf():

@@ -27,9 +27,11 @@ from modal_ent.monte_carlo import (
     random_instrument,
     run_monotone_trials,
 )
+from modal_ent.invariants import _amplitude_list, _invariant_polynomials
 from modal_ent.operators import (
     GroupElement,
     _leak_positions,
+    _moved,
     apply_on_mode,
     random_element,
 )
@@ -630,6 +632,50 @@ def test_invariance_sweep_accepts_unit_determinant_elements():
     worst1, worst2 = invariance_sweep(states, elements)
     assert worst1 < 1e-10
     assert worst2 < 1e-10
+
+
+def _sweep_per_element(states, elements):
+    """invariance_sweep's drifts as it once computed them: one _moved pass
+    over the (12, k) batch per element, the worst drift kept as it goes."""
+    psi = np.column_stack([_amplitude_list(s) for s in states])
+    i1_in, i2_in = _invariant_polynomials(psi)[3:]
+    worst1 = worst2 = 0.0
+    for g in elements:
+        moved = np.array(_moved(psi, [((a[:2], b[:2]), c[2]) for a, b, c in g.matrices]))
+        norms = np.linalg.norm(moved, axis=0)
+        i1_out, i2_out = _invariant_polynomials(moved / norms)[3:]
+        want1, want2 = i1_in / norms**6, i2_in / norms**3
+        worst1 = max(worst1, float((np.abs(i1_out - want1) / np.maximum(1.0, np.abs(want1))).max()))
+        worst2 = max(worst2, float((np.abs(i2_out - want2) / np.maximum(1.0, np.abs(want2))).max()))
+    return worst1, worst2
+
+
+def test_batched_invariance_sweep_equals_the_per_element_sweep():
+    local = np.random.default_rng(3030)
+    for _ in range(60):
+        k, n = int(local.integers(1, 20)), int(local.integers(1, 6))
+        states = [random_state(SHAPE_321, local) for _ in range(k)]
+        states[0] = family(str(local.choice(["psi1", "psi2"])))
+        elements = [
+            random_element(str(local.choice(["SU", "SLOCC"])), int(local.integers(2**40)), spread=float(local.uniform(0.3, 2.0)))
+            for _ in range(n)
+        ]
+        got, want = invariance_sweep(states, elements), _sweep_per_element(states, elements)
+        if k > 1 or n == 1:
+            assert got == want
+        else:
+            # np.linalg.norm sums a lone column's twelve terms pairwise, and
+            # the rows of a wider batch one by one, so one state under
+            # several elements may differ in the last bits of its norms
+            assert all(abs(a - b) <= 1e-15 for a, b in zip(got, want))
+    # the refusals keep the order of the elements
+    doomed = [StateVector(SHAPE_321, {(1, 1, 0): 1.0})]
+    killer = GroupElement([np.diag([0.0, 0.0, 1.0]), np.eye(3), np.eye(3)])
+    blow_up = GroupElement([np.diag([1e200, 1e200, 1e-200])] * 3)
+    with pytest.raises(ArithmeticError, match="annihilated"):
+        invariance_sweep(doomed, [killer, blow_up])
+    with pytest.raises(ArithmeticError, match="overflowed a state"):
+        invariance_sweep(doomed, [blow_up, killer])
 
 
 def test_invariance_sweep_flags_determinant_drift():

@@ -1,6 +1,7 @@
 import cmath
 import itertools
 import math
+import re
 import struct
 import unittest.mock
 
@@ -15,6 +16,7 @@ from modal_ent.operators import (
     GroupElement,
     _EXPONENT_WEIGHTS,
     _exp_entries,
+    _moved,
     apply,
     apply_on_mode,
     make_slocc_element,
@@ -25,7 +27,7 @@ from modal_ent.operators import (
 from modal_ent import stabilizers
 from modal_ent.serialize import element_to_json
 from modal_ent.stabilizers import stabilizer
-from modal_ent.states import SHAPE_321, StateVector, SystemShape, random_state
+from modal_ent.states import _PAIRS, SHAPE_321, StateVector, SystemShape, enumerate_basis, random_state
 
 rng = np.random.default_rng(20240817)
 
@@ -340,6 +342,27 @@ def test_random_element_refuses_a_bool_seed():
             random_element("SU", seed)
 
 
+@pytest.mark.parametrize("seed", [None, 1.5, "7"])
+def test_random_element_refuses_a_seed_that_is_not_an_integer(seed):
+    # None would seed from the operating system, so the element would not
+    # be reproducible; the refusal comes before anything is drawn
+    with unittest.mock.patch("numpy.random.default_rng") as draw:
+        with pytest.raises(TypeError, match=rf"^element seed must be an integer, got {re.escape(repr(seed))}$"):
+            random_element("SU", seed)
+    draw.assert_not_called()
+
+
+def test_random_element_refuses_a_negative_seed():
+    for seed in (-1, np.int64(-3)):
+        with unittest.mock.patch("numpy.random.default_rng") as draw:
+            with pytest.raises(ValueError, match=f"^element seed must be non-negative, got {int(seed)}$"):
+                random_element("SLOCC", seed)
+        draw.assert_not_called()
+    # numpy integers are seeds like any other
+    for seed in (np.int64(5), np.uint32(5)):
+        assert random_element("SLOCC", seed).matrices == random_element("SLOCC", 5).matrices
+
+
 def _per_mode_draw_element(kind, seed, spread):
     """random_element as it once drew: one generator call per mode and part,
     with numpy's complex arithmetic building the coefficients."""
@@ -425,6 +448,32 @@ def _random_compliant_blocks(local, modes, d):
     return blocks
 
 
+#: how far, in units of eps times the sum of the moduli of its terms, an
+#: entry of apply on a (3, 2, 1) state may lie from the fan-out sum of the
+#: array-indexing oracle: each side rounds a product of four complex factors,
+#: at most 3 sqrt(5) u, and a sum of four terms, 3 u, with u = eps / 2, so
+#: the two differ by at most about 9.7 eps; seeded runs reach 2.6
+PAIR_BLOCK_ULPS = 10
+
+
+def _assert_pair_block_action(element, state, got, want):
+    """apply on a (3, 2, 1) state: the nonzero entries of ``_moved`` on the
+    state's basis amplitudes, bit for bit and in basis order, as Python
+    complex numbers, each within PAIR_BLOCK_ULPS of the oracle ``want``."""
+    moved = _moved(state._basis_amplitudes(), [((a[:2], b[:2]), c[2]) for a, b, c in element.matrices])
+    pairs = [(occ, amp) for occ, amp in zip(enumerate_basis(SHAPE_321), moved) if amp]
+    assert [(occ, _bits(amp)) for occ, amp in got.items()] == [(occ, _bits(amp)) for occ, amp in pairs]
+    assert all(type(amp) is complex for amp in got.values())
+    # the sum of the moduli of each entry's terms: the oracle on the moduli
+    scale = _apply_by_array_indexing(
+        GroupElement(np.abs(np.array(element.matrices))),
+        StateVector(SHAPE_321, {occ: abs(amp) for occ, amp in state.amplitudes.items()}),
+    )
+    eps = np.finfo(float).eps
+    for occ in set(got) | set(want):
+        assert abs(got.get(occ, 0j) - want.get(occ, 0j)) <= PAIR_BLOCK_ULPS * eps * abs(scale.get(occ, 0j))
+
+
 def test_apply_equals_array_indexing_oracle():
     local = np.random.default_rng(8086)
     states = [random_state(SHAPE_321, local) for _ in range(30)]
@@ -448,7 +497,7 @@ def test_apply_equals_array_indexing_oracle():
         GroupElement([occupation_scaling(0.7, -1.1, p=2), blocks[1], np.eye(4)]),
     ]
     batches = [(states, elements), (wide_states, wide_elements)]
-    # four and five modes take the partial-product loop rather than the nested one
+    # every shape but (3, 2, 1) takes the partial-product loop
     for shape in (SystemShape(4, 2, 1), SystemShape(5, 3, 1)):
         acting = [
             GroupElement(_random_compliant_blocks(local, shape.modes, 3)),
@@ -463,6 +512,9 @@ def test_apply_equals_array_indexing_oracle():
                 for element in acting:
                     got = apply(element, start).amplitudes
                     want = _apply_by_array_indexing(element, start)
+                    if start.shape == SHAPE_321:
+                        _assert_pair_block_action(element, start, got, want)
+                        continue
                     assert list(got) == list(want)
                     for occ, val in want.items():
                         assert got[occ] == val
@@ -598,7 +650,15 @@ def test_apply_gives_python_complex_with_the_bits_of_numpy_scalar_products():
                     term = np.complex128(amp) * w_a * w_b * w_c
                     want[(a, b, c)] = want.get((a, b, c), np.complex128(0j)) + term
             got = apply(element, psi).amplitudes
-            assert set(got) == set(want)
-            for key, value in want.items():
-                assert type(got[key]) is complex
-                assert _bits(got[key]) == _bits(value)
+            _assert_pair_block_action(element, psi, got, want)
+            # and _moved's terms, restated in np.complex128 scalars, give its bits
+            blocks = [(op[:2, :2], op[2, 2]) for op in mats]
+            v = [np.complex128(psi.amplitude(occ)) for occ in enumerate_basis(SHAPE_321)]
+            for (uu, ud, du, dd), row, col, third in _PAIRS:
+                ((a, b), (c, d)), ((e, f), (g, h)), s = blocks[row][0], blocks[col][0], blocks[third][1]
+                p, q = (a * v[uu] + b * v[du]) * s, (a * v[ud] + b * v[dd]) * s
+                r, w = (c * v[uu] + d * v[du]) * s, (c * v[ud] + d * v[dd]) * s
+                entries = zip((uu, ud, du, dd), (p * e + q * f, p * g + q * h, r * e + w * f, r * g + w * h))
+                for k, value in entries:
+                    occ = enumerate_basis(SHAPE_321)[k]
+                    assert _bits(got.get(occ, 0j)) == _bits(value if value != 0 else 0j)

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 import stat
@@ -59,6 +60,14 @@ def test_state_json_drops_zero_amplitudes():
         ' "amplitudes": [{"occ": [1, 2, 0], "re": 0.0, "im": 0.0}]}'
     )
     assert loaded.amplitudes == {}
+
+
+def test_state_json_names_the_occupation_of_a_non_finite_amplitude():
+    for bad in (math.nan, math.inf, complex(0.5, -math.inf)):
+        psi = StateVector(SHAPE_321, {(0, 1, 2): 1.0, (1, 1, 0): bad})
+        for use_symbols in (False, True):
+            with pytest.raises(ValueError, match=rf"^amplitude of occupation \(1, 1, 0\) is not finite: {re.escape(repr(bad))}$"):
+                state_to_json(psi, use_symbols=use_symbols)
 
 
 def test_state_json_refuses_an_amplitude_that_is_not_a_number():
