@@ -218,7 +218,14 @@ def _cmd_theorem3_scan(args: argparse.Namespace) -> int:
 
 
 def _cmd_monotone_mc(args: argparse.Namespace) -> int:
-    from .monte_carlo import run_monotone_trials
+    try:
+        from .monte_carlo import run_monotone_trials
+    except ModuleNotFoundError as exc:
+        # the one subcommand that needs numpy
+        if exc.name != "numpy":
+            raise
+        print("modal-ent: error: monotone-mc needs numpy, which cannot be imported", file=sys.stderr)
+        return 1
 
     if args.records:
         _refuse_shared_output(args.records, args.out, "--records and --out")

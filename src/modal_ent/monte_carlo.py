@@ -599,7 +599,9 @@ def invariance_sweep(
     The states, each of shape (3, 2, 1), are stacked as the dense columns
     of a ``(12, k)`` batch, one copy per element; one pass of the pair-block
     action ``operators._moved`` moves copy ``j`` by element ``j``. Moved
-    states are renormalized and compared against the inputs' invariants
+    states are renormalized, each column's squared moduli summed in basis
+    order so that a state's drift does not depend on the states swept
+    beside it, and compared against the inputs' invariants
     rescaled by the predicted norm powers, 6 for I1 and 3 for I2. For
     determinant-one elements both drifts are pure roundoff; elements with
     other determinants show up at order one. No states or no elements, a
@@ -639,7 +641,8 @@ def invariance_sweep(
     # rather than warned about
     with np.errstate(all="ignore"):
         moved = np.array(_moved(np.hstack([psi] * n), [(((a[m], b[m]), (c[m], d[m])), v[m]) for m in range(3)]))
-        norms = np.linalg.norm(moved, axis=0)
+        # Python's sum adds the rows in basis order whatever the batch size
+        norms = np.sqrt(sum(moved.real * moved.real + moved.imag * moved.imag))
         i1_out, i2_out = _invariant_polynomials(moved / norms)[3:]
         # row j of each (n, k) array: the states as element j moved them
         norms = norms.reshape(n, k)

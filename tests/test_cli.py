@@ -15,7 +15,7 @@ import pytest
 
 import modal_ent
 from modal_ent.cli import main
-from modal_ent.classify import canonical_form, family
+from modal_ent.classify import family
 from modal_ent.serialize import element_from_json, state_from_json, state_to_json
 from modal_ent.stabilizers import stabilizer
 from modal_ent.states import SHAPE_321, StateVector, SystemShape, random_state
@@ -306,75 +306,6 @@ def test_monotone_mc_rejects_bad_strength(strength, capfd):
     assert "DLASCL" not in err and "LinAlgError" not in err
 
 
-# SHA-256 of the records CSV and of the JSON summary. The == tests of the
-# batched kernel compare it with replays through the same code, and the
-# scalar oracle allows 1e-15, so only these pins catch a change that moves
-# the last bits of both paths at once.
-_MC_PINS = [
-    (
-        ["--trials", "2000", "--seed", "7"],
-        "b0c42f9115846dad7146ac98511494e965cd81a313d11f47da9e5da3a74adc25",
-        "01a84393c271df83c780a3d51f4fe4f63ccc93a9e9c4e1043b4837ab1b1f78a2",
-    ),
-    (
-        ["--trials", "500", "--seed", "7", "--strength", "0"],
-        "440b6ad74979573f42cd786dd546c3796820238e3dcadb8e2c383226e5f0240c",
-        "1d05bdd933588858354a879d2f8819f99bf68f5d229f13ad11d04307833cf080",
-    ),
-    (
-        # I2 of psi1 vanishes, so its margin2 is roundoff raised to 2/3
-        ["--trials", "500", "--seed", "7", "--state", "psi1"],
-        "b80520ba36e64ca53ace628680eecc88175df2b5b61e4eb92c2f740ae7077f75",
-        "a3884f239e5268dc4ba0e69930748c9c1e37b4eab5ad36620bb27e48efc98c2c",
-    ),
-]
-
-
-def _mc_pin_argv(tmp_path, argv):
-    """The CLI arguments of a pinned run, writing its records and summary under ``tmp_path``."""
-    if "--state" in argv:
-        state = str(tmp_path / "psi1.json")
-        assert main(["family", "--name", "psi1", "--out", state]) == 0
-        argv = [state if a == "psi1" else a for a in argv]
-    return ["monotone-mc", *argv, "--records", str(tmp_path / "records.csv"), "--out", str(tmp_path / "summary.json")]
-
-
-@pytest.mark.parametrize("argv, records_sha, summary_sha", _MC_PINS, ids=["random", "zero-strength", "psi1"])
-def test_monotone_mc_outputs_are_pinned(tmp_path, argv, records_sha, summary_sha):
-    assert main(_mc_pin_argv(tmp_path, argv)) == 0
-    assert _sha256(tmp_path / "records.csv") == records_sha
-    assert _sha256(tmp_path / "summary.json") == summary_sha
-
-
-#: the CPU features under which numpy's array power rounded differently
-_SIMD_FEATURES = ("X86_V3", "X86_V4", "AVX512_ICL", "AVX512_SPR")
-#: the extension module that reports numpy's CPU features, moved in numpy 2
-_UMATH = "numpy._core._multiarray_umath" if np.lib.NumpyVersion(np.__version__) >= "2.0.0" else "numpy.core._multiarray_umath"
-
-
-def test_monotone_mc_pins_hold_without_simd_dispatch(tmp_path):
-    # the margins use only correctly rounded arithmetic and libm, so turning
-    # off numpy's wider kernels leaves every byte in place; a feature can be
-    # turned off only where it is detected and not compiled in
-    umath = importlib.import_module(_UMATH)
-    off = [f for f in _SIMD_FEATURES if umath.__cpu_features__.get(f) and f not in umath.__cpu_baseline__]
-    runs = []
-    for i, (argv, _, _) in enumerate(_MC_PINS):
-        (tmp_path / str(i)).mkdir()
-        runs.append(_mc_pin_argv(tmp_path / str(i), argv))
-    probe = (
-        f"import importlib, json, sys; from modal_ent.cli import main; umath = importlib.import_module({_UMATH!r}); "
-        "print(json.dumps([umath.__cpu_features__[f] for f in sys.argv[2:]])); "
-        "sys.exit(max(main(argv) for argv in json.loads(sys.argv[1])))"
-    )
-    out = run_python(probe, json.dumps(runs), *off, env={"NPY_DISABLE_CPU_FEATURES": " ".join(off)})
-    # the features were on in this process, and are off in the probe's
-    assert json.loads(out) == [False] * len(off)
-    for i, (_, records_sha, summary_sha) in enumerate(_MC_PINS):
-        assert _sha256(tmp_path / str(i) / "records.csv") == records_sha
-        assert _sha256(tmp_path / str(i) / "summary.json") == summary_sha
-
-
 #: the directory that holds the package under test
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(modal_ent.__file__)))
 
@@ -384,10 +315,12 @@ def run_python(probe, *args, cwd=None, stdin=None, env=None):
     package, with ``env`` added to the environment."""
     path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, **(env or {}), PYTHONPATH=path)
-    return subprocess.run(
+    proc = subprocess.run(
         [sys.executable, "-c", probe, *args],
-        env=env, cwd=cwd, input=stdin, capture_output=True, text=True, check=True, timeout=60,
-    ).stdout
+        env=env, cwd=cwd, input=stdin, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
 
 
 def test_cli_import_loads_no_scipy():
@@ -438,95 +371,6 @@ def test_subcommand_loads_only_its_modules(tmp_path, command, args, unused):
     assert code == "0"
     assert (tmp_path / "out").stat().st_size > 0
     assert unused.isdisjoint(loaded)
-
-
-#: each family with the parameter options that the numpy-free calls build it from
-_FAMILY_PARAMS = {
-    "Eq14": ["--params", "r1=0.6,r2=0.8,r3=0"],
-    "Eq15": ["--params", "r1=0.6,r2=0.64,r3=0.48"],
-    "Eq16": ["--params", "r1=0.5,r2=0.5,r3=0.5,r4=0.5,phi=0.7"],
-    "Eq18": ["--params", f"r1=0.5,r2={math.sqrt(0.1875)!r},r3=0.3,r4=0.3,r5=0.6,theta=1.1"],
-    "S1": ["--params", "r=0.2"],
-    "S2": ["--params", "r=0.3,theta=1.2"],
-    "psi1": [],
-    "psi2": [],
-}
-
-#: the calls that must run with numpy, dataclasses and inspect unimportable,
-#: with the exit status each must give: each family, plain and with
-#: --symbols; invariants from stdin and from --in, and classify and chsh, in
-#: both formats; canonical plain, with --symbols and with --params
-#: --element-out; the scan; and each stabilizer on a state it fixes or, for
-#: odd q, does not, and on a four-mode state. "STATE" names a dense random state file, "CANONICAL"
-#: the canonical form of one, and each family name the file of that family;
-#: the element files that canonical writes must match too.
-_NUMPY_FREE_CALLS = [
-    (["family", "--name", name, *params, *symbols], 0)
-    for name, params in _FAMILY_PARAMS.items()
-    for symbols in ([], ["--symbols"])
-] + [
-    (["invariants", *source, "--format", fmt], 0) for source in ([], ["--in", "STATE"]) for fmt in ("json", "csv")
-] + [
-    (["theorem3-scan", "--n", n_range, "--p", p_range], 0) for n_range, p_range in (("1..8", "1..3"), ("1..12", "1..4"))
-] + [
-    ([command, "--in", source, "--format", fmt], 0)
-    for command in ("classify", "chsh")
-    for source in ("STATE", *_FAMILY_PARAMS)
-    for fmt in ("json", "csv")
-] + [
-    (["canonical", "--in", source, *flags], 0)
-    for source in ("STATE", "S2", "Eq16", "psi1", "psi2")
-    for flags in ([], ["--symbols"], ["--params", "--element-out", f"element-{source}"])
-] + [
-    (["verify-stabilizer", "--name", name, "--params", params, "--in", source], code)
-    for name, params, source, code in (
-        ("generic_eq13", "m=1,alpha=0.4", "CANONICAL", 0),
-        ("family16_eq20", "alpha=0.3,beta=-1.2,gamma=0.5", "Eq16", 0),
-        ("psi1_eq23", "variant=a,k=1,l=-2,m=0,n=3,p=-1,q=2,alpha=0.7", "psi1", 0),
-        ("psi1_eq23", "variant=a,k=1,q=1", "psi1", 2),
-        ("psi1_eq23", "variant=b", "psi1", 0),
-        ("psi1_eq23", "variant=c,beta=0.7", "psi1", 0),
-        ("psi2_eq26", "alpha=0.4,beta=0.1,gamma=-0.7,delta=1.1", "psi2", 0),
-        ("psi2_eq26", "alpha=0.4", "FOUR_MODE", 1),
-    )
-]
-
-
-def test_numpy_free_calls_match_a_normal_run(tmp_path, monkeypatch, capsys):
-    # one fresh interpreter in which importing numpy, dataclasses or inspect
-    # fails runs every call, and each must give the exit status and the bytes
-    # of the same call run normally, on stdout and on stderr
-    state_text = state_to_json(random_state(SHAPE_321, rng))
-    (tmp_path / "STATE").write_text(state_text)
-    (tmp_path / "CANONICAL").write_text(state_to_json(canonical_form(random_state(SHAPE_321, rng)).state))
-    (tmp_path / "FOUR_MODE").write_text(state_to_json(StateVector(SystemShape(4, 2, 1), {(1, 1, 0, 0): 1.0})))
-    monkeypatch.chdir(tmp_path)
-    for name, params in _FAMILY_PARAMS.items():
-        assert main(["family", "--name", name, *params, "--out", name]) == 0
-    calls = [argv for argv, _ in _NUMPY_FREE_CALLS]
-    expected = []
-    for argv, code in _NUMPY_FREE_CALLS:
-        monkeypatch.setattr(sys, "stdin", io.StringIO(state_text))
-        assert main(argv) == code, argv
-        expected.append([code, *capsys.readouterr()])
-    elements = {path: path.read_bytes() for path in tmp_path.glob("element-*")}
-    assert len(elements) == 5
-    probe = (
-        "import contextlib, io, json, sys; "
-        "sys.modules['numpy'] = sys.modules['dataclasses'] = sys.modules['inspect'] = None; "
-        "from modal_ent.cli import main; outputs = []\n"
-        "for argv in json.loads(sys.argv[1]):\n"
-        "    sys.stdin, out, err = io.StringIO(sys.argv[2]), io.StringIO(), io.StringIO()\n"
-        "    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):\n"
-        "        code = main(argv)\n"
-        "    outputs.append([code, out.getvalue(), err.getvalue()])\n"
-        "print(json.dumps(outputs))"
-    )
-    for path in elements:
-        path.unlink()
-    got = json.loads(run_python(probe, json.dumps(calls), state_text, cwd=tmp_path))
-    assert got == expected
-    assert {path: path.read_bytes() for path in tmp_path.glob("element-*")} == elements
 
 
 def test_chsh_command(tmp_path, capsys):
@@ -601,23 +445,47 @@ def test_malformed_stdin_exits_one(monkeypatch, capsys):
     assert "invalid JSON" in capsys.readouterr().err
 
 
-# A dense state with every slot populated, written as 17-digit amplitudes,
-# and its CSV reports pinned byte for byte.
-_GOLDEN_AMPLITUDES = {
-    (0, 1, 1): complex(-0.23553757473980497, -0.019044395923011385),
-    (0, 1, 2): complex(0.071443665324660399, -0.025384405335233305),
-    (0, 2, 1): complex(-0.56316158385352622, 0.047788130539571615),
-    (0, 2, 2): complex(0.41450935232163388, -0.18234813414134957),
-    (1, 0, 1): complex(0.18955760296349308, -0.11990374893708712),
-    (1, 0, 2): complex(-0.08673081211540902, 0.16281958615095238),
-    (1, 1, 0): complex(-0.092641162626235632, -0.038750132046826792),
-    (1, 2, 0): complex(0.090231518949895687, -0.4081702614887453),
-    (2, 0, 1): complex(-0.079488427588415358, -0.14173986441998668),
-    (2, 0, 2): complex(-0.067089291928111486, 0.19500022414798798),
-    (2, 1, 0): complex(0.21384216597740394, -0.068982184346045597),
-    (2, 2, 0): complex(0.15285459644775595, -0.044169931510672236),
-}
+TOOL = pathlib.Path(__file__).resolve().parents[1] / "tools" / "cli_outputs.py"
+MANIFEST = pathlib.Path(__file__).with_name("cli_manifest.txt")
 
+_spec = importlib.util.spec_from_file_location("cli_outputs", TOOL)
+cli_outputs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(cli_outputs)
+
+
+def _tree_digests(root):
+    """The SHA-256 of each directory's ``sha256sum`` lines, one per file in name order."""
+    digests = {}
+    for case in sorted(root.iterdir()):
+        lines = "".join(f"{_sha256(path)}  {path.name}\n" for path in sorted(case.iterdir()))
+        digests[case.name] = hashlib.sha256(lines.encode()).hexdigest()
+    return digests
+
+
+@pytest.fixture(scope="module")
+def cli_tree(tmp_path_factory):
+    """The root of ``tools/cli_outputs.py``'s tree, written in this process."""
+    root = tmp_path_factory.mktemp("cli-matrix")
+    assert cli_outputs.write_tree(str(root)) == []
+    return root
+
+
+def test_cli_matrix_matches_the_manifest(cli_tree, tmp_path):
+    # the header names the numpy whose PCG64 streams the monotone-mc cases
+    # draw from; it is written, not compared
+    got = _tree_digests(cli_tree)
+    lines = [line.split("  ") for line in MANIFEST.read_text().splitlines() if not line.startswith("#")]
+    want = {case: digest for digest, case in lines}
+    if got != want:
+        fresh = tmp_path / MANIFEST.name
+        fresh.write_text(f"# numpy {np.__version__}\n" + "".join(f"{digest}  {case}\n" for case, digest in got.items()))
+        changed = sorted(case for case in got.keys() & want.keys() if got[case] != want[case])
+        missing, extra = sorted(want.keys() - got.keys()), sorted(got.keys() - want.keys())
+        pytest.fail(f"changed: {changed}, missing: {missing}, extra: {extra}; regenerated manifest: {fresh}")
+
+
+# The CSV reports of the matrix's dense state, in full: the one readable
+# example of the format.
 _GOLDEN_CSV = {
     "invariants": (
         "schema_version,quantity,re,im\n"
@@ -658,92 +526,77 @@ _GOLDEN_CSV = {
 
 
 @pytest.mark.parametrize("command", sorted(_GOLDEN_CSV))
-def test_csv_reports_are_byte_stable(tmp_path, capsys, command):
-    path = write_state(tmp_path, "dense.json", StateVector(SHAPE_321, dict(_GOLDEN_AMPLITUDES)))
-    capsys.readouterr()
-    assert main([command, "--in", path, "--format", "csv"]) == 0
-    assert capsys.readouterr().out == _GOLDEN_CSV[command]
+def test_csv_reports_are_byte_stable(cli_tree, command):
+    assert (cli_tree / f"{command}-csv-dense" / "0.stdout").read_text() == _GOLDEN_CSV[command]
 
 
-TOOL = pathlib.Path(__file__).resolve().parents[1] / "tools" / "cli_outputs.py"
-MANIFEST = pathlib.Path(__file__).with_name("cli_manifest.txt")
+def _rerun_tool(tmp_path, prelude, env=None):
+    """Write the tool's tree to ``tmp_path / "tree"`` from a fresh interpreter
+    that runs ``prelude`` first; its stdout."""
+    probe = f"import runpy, sys; {prelude}; sys.argv = sys.argv[1:]; runpy.run_path(sys.argv[0], run_name='__main__')"
+    return run_python(probe, str(TOOL), str(tmp_path / "tree"), "--src", SRC, env=env)
 
 
-def _tree_digests(root):
-    """The SHA-256 of each directory's ``sha256sum`` lines, one per file in name order."""
-    digests = {}
-    for case in sorted(root.iterdir()):
-        lines = "".join(f"{_sha256(path)}  {path.name}\n" for path in sorted(case.iterdir()))
-        digests[case.name] = hashlib.sha256(lines.encode()).hexdigest()
-    return digests
+#: the CPU features under which numpy's array power rounded differently
+_SIMD_FEATURES = ("X86_V3", "X86_V4", "AVX512_ICL", "AVX512_SPR")
+#: the extension module that reports numpy's CPU features, moved in numpy 2
+_UMATH = "numpy._core._multiarray_umath" if np.lib.NumpyVersion(np.__version__) >= "2.0.0" else "numpy.core._multiarray_umath"
 
 
 @pytest.fixture(scope="module")
-def cli_matrix(tmp_path_factory):
-    """The digest of each case of ``tools/cli_outputs.py``'s tree, and of
-    its ``inputs``, written in this process."""
-    spec = importlib.util.spec_from_file_location("cli_outputs", TOOL)
-    tool = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tool)
-    root = tmp_path_factory.mktemp("cli-matrix")
-    assert tool.write_tree(str(root)) == []
-    return _tree_digests(root)
-
-
-def test_cli_matrix_matches_the_manifest(cli_matrix, tmp_path):
-    # the header names the numpy whose PCG64 streams the monotone-mc cases
-    # draw from; it is written, not compared
-    got = cli_matrix
-    lines = [line.split("  ") for line in MANIFEST.read_text().splitlines() if not line.startswith("#")]
-    want = {case: digest for digest, case in lines}
-    if got != want:
-        fresh = tmp_path / MANIFEST.name
-        fresh.write_text(f"# numpy {np.__version__}\n" + "".join(f"{digest}  {case}\n" for case, digest in got.items()))
-        changed = sorted(case for case in got.keys() & want.keys() if got[case] != want[case])
-        missing, extra = sorted(want.keys() - got.keys()), sorted(got.keys() - want.keys())
-        pytest.fail(f"changed: {changed}, missing: {missing}, extra: {extra}; regenerated manifest: {fresh}")
-
-
-def test_cli_matrix_does_not_depend_on_the_openblas_kernel(cli_matrix, tmp_path):
-    # the oldest x86-64 kernel gives the same bytes in every case; where
-    # numpy's OpenBLAS is not a DYNAMIC_ARCH build, it ignores the variable
-    # and this passes trivially
-    digests = cli_matrix
-    subprocess.run(
-        [sys.executable, str(TOOL), str(tmp_path / "tree"), "--src", SRC],
-        env=dict(os.environ, OPENBLAS_CORETYPE="Prescott"), capture_output=True, check=True, timeout=600,
+def host_rerun(tmp_path_factory):
+    """One rerun of the tool under the oldest x86-64 OpenBLAS kernel, with
+    numpy's AVX2 and AVX-512 kernels off: the features turned off, whether
+    each was on in the rerun's interpreter, and the digest of each case.
+    A feature can be turned off only where it is detected and not compiled
+    in; where numpy's OpenBLAS is not a DYNAMIC_ARCH build, it ignores the
+    core type."""
+    umath = importlib.import_module(_UMATH)
+    off = [f for f in _SIMD_FEATURES if umath.__cpu_features__.get(f) and f not in umath.__cpu_baseline__]
+    prelude = (
+        f"import importlib; umath = importlib.import_module({_UMATH!r}); "
+        f"print([umath.__cpu_features__[f] for f in {off!r}])"
     )
-    prescott = _tree_digests(tmp_path / "tree")
-    assert [case for case in digests if prescott[case] != digests[case]] == []
+    env = {"OPENBLAS_CORETYPE": "Prescott", "NPY_DISABLE_CPU_FEATURES": " ".join(off)}
+    root = tmp_path_factory.mktemp("host-rerun")
+    out = _rerun_tool(root, prelude, env)
+    return off, out, _tree_digests(root / "tree")
 
 
-def test_canonical_readme_command_is_pinned(tmp_path):
-    path = write_state(tmp_path, "dense.json", StateVector(SHAPE_321, dict(_GOLDEN_AMPLITUDES)))
-    params, element = tmp_path / "params.json", tmp_path / "element.json"
-    assert main(["canonical", "--in", path, "--params", "--element-out", str(element), "--out", str(params)]) == 0
-    assert [_sha256(params), _sha256(element)] == [
-        "f8ff6cca1819557547207e74dc8faa13c570290a8d7fcdd8895f25fec5673caf",
-        "503dc6629f8b47600a9cafc4aa7e38ee8ac80545e6b5d6b43694a499c1788fb3",
-    ]
+def test_cli_matrix_does_not_depend_on_the_openblas_kernel(cli_tree, host_rerun):
+    # every case gives the same bytes under the host rerun's kernels
+    _, _, digests = host_rerun
+    assert digests == _tree_digests(cli_tree)
 
 
-# SHA-256 of the JSON reports and of the plain canonical state of the dense
-# state above; its CSV reports are pinned in full by _GOLDEN_CSV.
-_GOLDEN_JSON = {
-    ("invariants",): "25b96d9a47168c249eb584b78bd66b40abf707688f4a0d1efa9c38fdf6dd02eb",
-    ("classify",): "8263d55aed1a0899bf8c998b8cf3504eda6406e8c77c16f4b13223d99752289d",
-    ("chsh",): "3abdb0b884cabcdfb829bb17fd9481de58c180cdd3720fd548ed6fe672128497",
-    ("canonical",): "b9d79aa2d0990a15bafab6cf56512c183438dbd7f16516387dc76bbd0c84a1d3",
-    ("canonical", "--symbols"): "e8e906b9eb8597ce0dcd594407cd924dcf0c9448fb522403185f0b26853904e3",
-}
+def test_monotone_mc_pins_hold_without_simd_dispatch(cli_tree, host_rerun):
+    # the features were on in this process, and are off in the rerun's; the
+    # margins use only correctly rounded arithmetic and libm, so every
+    # monotone-mc case keeps its bytes
+    off, out, digests = host_rerun
+    assert out == f"{[False] * len(off)}\n"
+    want = _tree_digests(cli_tree)
+    mc = [case for case, stages in cli_outputs.cases() if any(argv[0] == "monotone-mc" for argv in stages)]
+    assert mc and {case: digests[case] for case in mc} == {case: want[case] for case in mc}
 
 
-@pytest.mark.parametrize("argv", sorted(_GOLDEN_JSON), ids=" ".join)
-def test_json_outputs_are_pinned(tmp_path, argv):
-    path = write_state(tmp_path, "dense.json", StateVector(SHAPE_321, dict(_GOLDEN_AMPLITUDES)))
-    out = tmp_path / "out.json"
-    assert main([*argv, "--in", path, "--out", str(out)]) == 0
-    assert _sha256(out) == _GOLDEN_JSON[argv]
+def test_cli_matrix_runs_without_numpy(cli_tree, tmp_path):
+    # in a fresh interpreter in which importing numpy, dataclasses or inspect
+    # fails, no exception escapes a call, every case without monotone-mc
+    # gives the same bytes, and each monotone-mc case, one call, refuses
+    _rerun_tool(tmp_path, "sys.modules['numpy'] = sys.modules['dataclasses'] = sys.modules['inspect'] = None")
+    got, want = _tree_digests(tmp_path / "tree"), _tree_digests(cli_tree)
+    assert got["inputs"] == want["inputs"]
+    refusal = {
+        "0.stdout": "",
+        "0.stderr": "modal-ent: error: monotone-mc needs numpy, which cannot be imported\n",
+        "0.exit": "1\n",
+    }
+    for case, stages in cli_outputs.cases():
+        if any(argv[0] == "monotone-mc" for argv in stages):
+            assert {path.name: path.read_text() for path in (tmp_path / "tree" / case).iterdir()} == refusal, case
+        else:
+            assert got[case] == want[case], case
 
 
 def test_verify_stabilizer_applies_its_element_once(tmp_path, monkeypatch, capsys):

@@ -635,14 +635,15 @@ def test_invariance_sweep_accepts_unit_determinant_elements():
 
 
 def _sweep_per_element(states, elements):
-    """invariance_sweep's drifts as it once computed them: one _moved pass
-    over the (12, k) batch per element, the worst drift kept as it goes."""
+    """invariance_sweep's drifts element by element: one _moved pass over
+    the (12, k) batch per element, each column's norm summed over the rows
+    in basis order, the worst drift kept as it goes."""
     psi = np.column_stack([_amplitude_list(s) for s in states])
     i1_in, i2_in = _invariant_polynomials(psi)[3:]
     worst1 = worst2 = 0.0
     for g in elements:
         moved = np.array(_moved(psi, [((a[:2], b[:2]), c[2]) for a, b, c in g.matrices]))
-        norms = np.linalg.norm(moved, axis=0)
+        norms = np.sqrt(sum(moved.real * moved.real + moved.imag * moved.imag))
         i1_out, i2_out = _invariant_polynomials(moved / norms)[3:]
         want1, want2 = i1_in / norms**6, i2_in / norms**3
         worst1 = max(worst1, float((np.abs(i1_out - want1) / np.maximum(1.0, np.abs(want1))).max()))
@@ -661,13 +662,7 @@ def test_batched_invariance_sweep_equals_the_per_element_sweep():
             for _ in range(n)
         ]
         got, want = invariance_sweep(states, elements), _sweep_per_element(states, elements)
-        if k > 1 or n == 1:
-            assert got == want
-        else:
-            # np.linalg.norm sums a lone column's twelve terms pairwise, and
-            # the rows of a wider batch one by one, so one state under
-            # several elements may differ in the last bits of its norms
-            assert all(abs(a - b) <= 1e-15 for a, b in zip(got, want))
+        assert got == want, (k, n)
     # the refusals keep the order of the elements
     doomed = [StateVector(SHAPE_321, {(1, 1, 0): 1.0})]
     killer = GroupElement([np.diag([0.0, 0.0, 1.0]), np.eye(3), np.eye(3)])

@@ -3,40 +3,52 @@
     python tools/cli_outputs.py OUTDIR [--src DIR]
 
 The script writes its input states into ``OUTDIR/inputs``: three random
-states from fixed seeds, an unnormalized state, a four-mode state, a
-state whose one amplitude, 1e200, squares past the largest double, and two
-states whose invariants overflow (a cross minor of 1e200, and an AB
-determinant of 1e400), one file per refusal of the state loader, plus the
-family states that the ``family-*`` cases write there. Each case then
-calls ``modal_ent.cli.main`` in this process, not ``python -m modal_ent.cli``,
-with ``DIR`` (default: the ``src`` directory beside this script) first on
-``sys.path``, in its own directory ``OUTDIR/<case>``. A case is one call or
-a pipeline of calls; stage ``k`` leaves ``k.stdout``, ``k.stderr`` and
-``k.exit`` there, beside any file it writes. Every path the calls see is
-relative, so the output trees of two checkouts compare with ``diff -r``:
+states from fixed seeds, a dense state with every amplitude nonzero, an
+unnormalized state, a four-mode state, a state whose one amplitude, 1e200,
+squares past the largest double, and two states whose invariants overflow
+(a cross minor of 1e200, and an AB determinant of 1e400), one file per
+refusal of the state loader, plus the family states that the ``family-*``
+cases write there: psi1, psi2, S1 (plain and in symbols), S2, Eq14, Eq15,
+Eq16 and Eq18. Each case then calls ``modal_ent.cli.main`` in this process,
+not ``python -m modal_ent.cli``, with ``DIR`` (default: the ``src``
+directory beside this script) first on ``sys.path``, in its own directory
+``OUTDIR/<case>``. A case is one call or a pipeline of calls; stage ``k``
+leaves ``k.stdout``, ``k.stderr`` and ``k.exit`` there, beside any file it
+writes. Every path the calls see is relative, so the output trees of two
+checkouts compare with ``diff -r``:
 
     git worktree add ../base BASE
     python tools/cli_outputs.py ../out-base --src ../base/src
     python tools/cli_outputs.py ../out-head
     diff -r ../out-base ../out-head
 
-Tier-1 imports this runner and compares a digest of each case of its tree
-with ``tests/cli_manifest.txt`` (``test_cli_matrix_matches_the_manifest``).
+This matrix is the one list of pinned CLI calls. Tier-1 imports this
+runner and compares a digest of each case of its tree with
+``tests/cli_manifest.txt`` (``test_cli_matrix_matches_the_manifest``). It
+also reruns the whole matrix in a fresh interpreter twice: under the
+oldest OpenBLAS kernel with numpy's AVX2 and AVX-512 kernels off, where
+every case must keep its bytes, and with numpy, dataclasses and inspect
+unimportable, where every case but the ``monotone-mc`` ones must keep its
+bytes and those must refuse with one line naming numpy.
 
-The matrix covers every ``modal-ent`` line of the README; ``invariants``,
-``classify`` and ``chsh`` in JSON and CSV on each input state; ``canonical``
-plain, with ``--symbols`` and with ``--params --element-out``;
-``verify-stabilizer`` for each name, ``generic_eq13`` on a canonical state
-from a pipeline, and exits 0, 1 and 2; ``monotone-mc`` with ``--records``,
-with ``--state``, on psi1 at strengths 0.5 and 0, and with no trials;
-``family`` at extreme parameters; ``theorem3-scan`` over ``--n 1..12
---p 1..4`` and ``--n 1..40 --p 1..5``; and the error exits on the unnormalized, four-mode and
-overflowing files, ``invariants`` in both formats among them;
-``invariants`` on each refused state file; the refused family
-constraints, ``--params`` key and scan range; and ``canonical
---element-out`` and ``monotone-mc --records`` refused when they name the
-place that ``--out`` names. The script
-exits 1 if an exception escapes a call; that stage's stderr holds the traceback.
+The matrix covers every ``modal-ent`` line of the README; ``family
+--symbols`` for each family; ``invariants``, ``classify`` and ``chsh`` in
+JSON and CSV, and ``canonical`` plain, with ``--symbols`` and with
+``--params --element-out``, on the random, dense, unnormalized and family
+states;
+``verify-stabilizer`` for each name, each ``psi1_eq23`` variant (variant a
+also with ``k=1,q=1``, exit 2), ``generic_eq13`` on a canonical state from
+a pipeline, and exits 0, 1 and 2; ``monotone-mc`` with ``--records``, with
+``--state``, on psi1 at strengths 0.5 and 0, and with no trials, and with
+``--records`` and ``--out`` at ``--seed 7``: 2,000 trials, 500 at strength
+0, and 500 on psi1; ``family`` at extreme parameters; ``theorem3-scan``
+over ``--n 1..12 --p 1..4`` and ``--n 1..40 --p 1..5``; and the error
+exits on the unnormalized, four-mode and overflowing files,
+``invariants`` in both formats among them; ``invariants`` on each refused
+state file; the refused family constraints, ``--params`` key and scan
+range; and ``canonical --element-out`` and ``monotone-mc --records``
+refused when they name the place that ``--out`` names. The script exits 1
+if an exception escapes a call; that stage's stderr holds the traceback.
 It needs only the standard library; the package it runs needs numpy for
 ``monotone-mc``.
 """
@@ -66,6 +78,26 @@ FAMILIES = {
     "S2": ["--name", "S2", "--params", "r=0.3,theta=1.2"],
     "Eq16": ["--name", "Eq16", "--params", "r1=0.5,r2=0.5,r3=0.5,r4=0.5"],
     "S1-symbols": ["--name", "S1", "--params", "r=0.2", "--symbols"],
+    "S1": ["--name", "S1", "--params", "r=0.2"],
+    "Eq14": ["--name", "Eq14", "--params", "r1=0.6,r2=0.8,r3=0"],
+    "Eq15": ["--name", "Eq15", "--params", "r1=0.6,r2=0.64,r3=0.48"],
+    "Eq18": ["--name", "Eq18", "--params", f"r1=0.5,r2={math.sqrt(0.1875)!r},r3=0.3,r4=0.3,r5=0.6,theta=1.1"],
+}
+
+#: a dense state with every amplitude nonzero, written as 17-digit floats
+DENSE = {
+    (0, 1, 1): (-0.23553757473980497, -0.019044395923011385),
+    (0, 1, 2): (0.071443665324660399, -0.025384405335233305),
+    (0, 2, 1): (-0.56316158385352622, 0.047788130539571615),
+    (0, 2, 2): (0.41450935232163388, -0.18234813414134957),
+    (1, 0, 1): (0.18955760296349308, -0.11990374893708712),
+    (1, 0, 2): (-0.08673081211540902, 0.16281958615095238),
+    (1, 1, 0): (-0.092641162626235632, -0.038750132046826792),
+    (1, 2, 0): (0.090231518949895687, -0.4081702614887453),
+    (2, 0, 1): (-0.079488427588415358, -0.14173986441998668),
+    (2, 0, 2): (-0.067089291928111486, 0.19500022414798798),
+    (2, 1, 0): (0.21384216597740394, -0.068982184346045597),
+    (2, 2, 0): (0.15285459644775595, -0.044169931510672236),
 }
 
 #: the input files that README commands name, as the CI README step makes them
@@ -89,7 +121,8 @@ REFUSED_CALLS = {
     "theorem3-scan-malformed-range": ["theorem3-scan", "--n", "abc"],
 }
 
-REPORT_STATES = ["psi2", "S2", "Eq16", "S1-symbols", "random-1", "random-2", "random-3", "unnormalized"]
+REPORT_STATES = ["psi2", "S2", "Eq16", "S1-symbols", "random-1", "random-2", "random-3", "unnormalized",
+                 "dense", "psi1", "S1", "Eq14", "Eq15", "Eq18"]
 
 
 def state_doc(shape, amplitudes):
@@ -149,6 +182,9 @@ def readme_cases():
 
 def cases():
     out = [(f"family-{name}", [["family", *argv, "--out", inp(name)]]) for name, argv in FAMILIES.items()]
+    # each family with --symbols, to stdout; the S1-symbols entry has the flag already
+    out += [(f"family-symbols-{name}", [["family", *argv, "--symbols"]])
+            for name, argv in FAMILIES.items() if "--symbols" not in argv]
     out += readme_cases()
     for state in REPORT_STATES:
         for command in ("invariants", "classify", "chsh"):
@@ -170,10 +206,10 @@ def cases():
             ["verify-stabilizer", "--name", "family16_eq20", "--params", "alpha=0.3,beta=-1.2,gamma=0.5",
              "--in", inp("Eq16")],
         ]),
-        ("verify-stabilizer-psi1-a", [
-            ["verify-stabilizer", "--name", "psi1_eq23", "--params", "variant=a,k=1,l=-2,n=3,p=-1,q=2,alpha=0.7",
-             "--in", inp("psi1")],
-        ]),
+        *((f"verify-stabilizer-psi1-{name}", [
+            ["verify-stabilizer", "--name", "psi1_eq23", "--params", params, "--in", inp("psi1")],
+        ]) for name, params in (("a", "variant=a,k=1,l=-2,n=3,p=-1,q=2,alpha=0.7"), ("a-q1", "variant=a,k=1,q=1"),
+                                ("b", "variant=b"), ("c", "variant=c,beta=0.7"))),
         ("monotone-mc-records", [["monotone-mc", "--trials", "3000", "--seed", "7", "--records", "records.csv"]]),
         ("monotone-mc-state", [["monotone-mc", "--trials", "500", "--seed", "3", "--state", inp("S1-symbols"),
                                 "--records", "records.csv"]]),
@@ -183,6 +219,12 @@ def cases():
                                "--records", "records.csv"]]),
         ("monotone-mc-psi1-strength-0", [["monotone-mc", "--trials", "500", "--seed", "5", "--strength", "0",
                                           "--state", inp("psi1"), "--records", "records.csv"]]),
+        # the records and the summary, as files, of 2,000 trials, of 500 at
+        # strength 0 and of 500 on psi1
+        *((f"monotone-mc-seed-7{name}", [["monotone-mc", "--trials", trials, "--seed", "7", *flags,
+                                          "--records", "records.csv", "--out", "summary.json"]])
+          for name, trials, flags in (("", "2000", []), ("-strength-0", "500", ["--strength", "0"]),
+                                      ("-psi1", "500", ["--state", inp("psi1")]))),
         ("monotone-mc-no-trials", [["monotone-mc", "--trials", "0"]]),
         ("monotone-mc-unnormalized", [["monotone-mc", "--trials", "5", "--state", inp("unnormalized")]]),
         ("monotone-mc-four-mode", [["monotone-mc", "--trials", "5", "--state", inp("four-mode")]]),
@@ -249,6 +291,7 @@ def write_tree(outdir):
     inputs = os.path.join(outdir, "inputs")
     os.makedirs(inputs)
     docs = {f"random-{seed}": random_state_doc(seed) for seed in (1, 2, 3)}
+    docs["dense"] = state_doc((3, 2, 1), DENSE)
     docs["unnormalized"] = state_doc((3, 2, 1), {(1, 1, 0): (2.0, 0.0), (0, 1, 2): (1.0, 0.0)})
     docs["four-mode"] = state_doc((4, 2, 1), {(1, 1, 0, 0): (1.0, 0.0)})
     docs["overflow"] = state_doc((3, 2, 1), {(1, 1, 0): (1e200, 0.0)})
