@@ -58,7 +58,6 @@ from .states import (
     _BC,
     _IDX,
     NORM_TOL,
-    SHAPE_321,
     StateVector,
     _nested_shape,
     _squared_norm,
@@ -238,7 +237,8 @@ def canonical_form(state: StateVector) -> CanonicalParams:
 
     The stages move the twelve amplitudes, Python complex numbers in basis
     order, by ``_moved``; their elements are multiplied per mode and built
-    as one :class:`GroupElement` at the end. Every stage computes in Python
+    as one :class:`GroupElement` at the end, and the canonical state is
+    made from the last tuple. Every stage computes in Python
     numbers, so the output depends on libm only, not on a BLAS kernel.
 
     Stage 1 is the closed-form SVD ``_svd2`` of the AB block, with its free
@@ -338,7 +338,7 @@ def canonical_form(state: StateVector) -> CanonicalParams:
         element=GroupElement._from_rows(
             tuple(((a, b, 0j), (c, d, 0j), (0j, 0j, vac)) for ((a, b), (c, d)), vac in total)
         ),
-        state=StateVector.from_dense(SHAPE_321, v),
+        state=StateVector._from_amplitudes(v),
     )
 
 

@@ -21,8 +21,9 @@ conventions fixed below, which the test suite checks on random states,
 and exactly on rational ones. That is why no separate transvection code
 is kept. A :class:`StateVector` enters through ``_amplitude_list``, the
 invariants' check that a state has shape (3, 2, 1), which returns the
-tuple of amplitudes in basis order that the state builds on first use and
-keeps; W, the canonical form and the Monte-Carlo trials start from it too.
+tuple of twelve amplitudes in basis order, the state's one compute
+representation; W, the canonical form and the Monte-Carlo trials start
+from it too.
 A state's five pair polynomials and its :class:`InvariantReport` are
 evaluated once and kept in the state's private ``_invariants`` slot, so
 :func:`invariant_report`, ``classify.membership_report`` and
@@ -33,8 +34,7 @@ The positions of the pair blocks, ``_AB``, ``_BC`` and ``_AC``, and
 tables of :mod:`modal_ent.states`, since the blocks are also the one layout
 by which (3, 2, 1) states move: ``operators._moved``, the pair-block action
 of a compliant element, serves ``operators.apply``, the canonical form and
-the invariance sweep. The Monte-Carlo gather reads each column in an order
-built from the cut tables below.
+the invariance sweep.
 
 This module imports no numpy: :func:`invariant_report` computes in Python
 complex numbers, and W and its powers in one 2x2 product over pairs of
@@ -66,8 +66,8 @@ _CUT_C_AB = (_rows(range(12), _AC), _rows(range(12), _BC))
 
 
 def _amplitude_list(state: StateVector) -> Tuple[complex, ...]:
-    """The twelve amplitudes as Python complex numbers, in basis order, a
-    tuple that the state builds once and keeps.
+    """The twelve amplitudes as Python complex numbers, in basis order: the
+    tuple the state was made from, or the one it builds once from its map.
 
     This is the check that a state has shape (3, 2, 1) for every pair-block
     quantity below, the canonical form and the Monte-Carlo code;

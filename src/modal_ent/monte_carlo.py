@@ -24,9 +24,9 @@ arithmetic. The completion and the gather round only through IEEE ``+``,
 ``-``, ``*``, ``/`` and square roots, and the monotones take libm's
 ``pow``, not numpy's array power, so the margins do not depend on the CPU
 features numpy dispatches to. This batch layer lives here, beside its one
-user, and is written for the (3, 2, 1) sector alone: the gather's tables,
-which order a column by the pair blocks of ``states._PAIRS``, are
-built once, when the module loads.
+user, and is written for the (3, 2, 1) sector alone: the gather reads each
+column by the per-mode split ``states._SPLITS``, which the single-mode
+reductions read too, as one array built when the module loads.
 :func:`monotonicity_trial` is its one-column call, so replaying a trial
 from its seeds reproduces the record's margins bit for bit; it is also the
 one public path by which a user-built instrument reaches the kernel, and
@@ -54,10 +54,10 @@ from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
-from .invariants import MONOTONE_POWERS, _CUT_A_BC, _CUT_B_AC, _CUT_C_AB, _amplitude_list, _invariant_polynomials
+from .invariants import MONOTONE_POWERS, _amplitude_list, _invariant_polynomials
 from .operators import MEMBER_TOL, GroupElement, _leak_positions, _moved, _require_shape
 from .states import (
-    _PAIRS,
+    _SPLITS,
     SHAPE_321,
     StateVector,
     _Frozen,
@@ -405,18 +405,12 @@ class SplitComplex:
         return np.hypot(self.re, self.im)
 
 
-# The order in which _outcomes reads a column for mode m: the four basis
-# positions where m holds level up, their partners where it holds level
-# down, which are the (top, bottom) pairs of m's cut table, then the four
-# where m is vacant, the pair block of the other two modes. _PLACE[m]
-# inverts _ORDER[m], giving each basis position its row in that order.
-_ORDER = [
-    [j for side in zip(*(pair for block in cut for pair in block)) for j in side]
-    + [j for block, _, _, third in _PAIRS if third == m for j in block]
-    for m, cut in enumerate((_CUT_A_BC, _CUT_B_AC, _CUT_C_AB))
-]
-_PLACE = np.array([[order.index(j) for j in range(12)] for order in _ORDER])
-_ORDER = np.array(_ORDER)
+# _outcomes reads a column for mode m in the order of m's split,
+# states._SPLITS[m]: the four basis positions where m holds level up, their
+# partners where it holds level down, then the four where m is vacant.
+# _PLACE[m] inverts it, giving each basis position its row in that order.
+_SPLIT_ROWS = np.array(_SPLITS)
+_PLACE = _SPLIT_ROWS.argsort(axis=1)
 
 
 def _outcomes(ops: np.ndarray, modes: np.ndarray, columns: np.ndarray, out: SplitComplex) -> SplitComplex:
@@ -441,7 +435,7 @@ def _outcomes(ops: np.ndarray, modes: np.ndarray, columns: np.ndarray, out: Spli
     step = np.arange(k)
     # contiguous real and imaginary parts: the products below run about
     # twice as fast on them as on the strided parts of complex arrays
-    gathered = columns.T.ravel().take(_ORDER[modes].T + 12 * step)
+    gathered = columns.T.ravel().take(_SPLIT_ROWS[modes].T + 12 * step)
     gathered = SplitComplex(gathered.real.copy(), gathered.imag.copy())
     up, down = gathered[:4], gathered[4:8]
     # the entries a, b, c, d and v of each outcome, as (n, 5, 1, k)

@@ -13,10 +13,11 @@ code that already holds such a tuple, as :func:`make_slocc_element` and
 
 :func:`apply` is the one action of a compliant element on a state of any
 shape, and :func:`apply_on_mode` the one way to act on a single mode with
-the identity on every other mode. A (3, 2, 1) state moves by its pair
-blocks, ``_moved``, which also moves the canonical form's stages and the
-invariance sweep's batches; every other shape moves amplitude by
-amplitude, by partial products. :func:`sector_matrix` is only the tests'
+the identity on every other mode. A (3, 2, 1) state moves its tuple of
+twelve amplitudes by its pair blocks, ``_moved``, which also moves the
+canonical form's stages and the invariance sweep's batches, and the
+result is made from the moved tuple, with no map; every other shape moves
+its map amplitude by amplitude, by partial products. :func:`sector_matrix` is only the tests'
 reference for both, kept here because the benchmark's tracer wraps it by
 name.
 
@@ -267,8 +268,8 @@ def apply(element: GroupElement, state: StateVector) -> StateVector:
     an amplitude moves only over the levels of its occupied modes.
 
     A (3, 2, 1) state's amplitude tuple moves by ``_moved``, in Python
-    complex numbers; the result holds its nonzero entries, in basis order,
-    with its bits.
+    complex numbers, into the result's tuple, with its bits; a zero is
+    stored as ``0j``.
 
     Every other shape takes the partial-product loop: the rows of each
     operator give a symbol-move table, terms are
@@ -283,8 +284,8 @@ def apply(element: GroupElement, state: StateVector) -> StateVector:
     if leaking is not None:
         raise ValueError(f"operator on mode {leaking} violates the superselection rule")
     if shape == SHAPE_321:
-        moved = _moved(state._basis_amplitudes(), [((a[:2], b[:2]), c[2]) for a, b, c in element.matrices])
-        return StateVector(shape, {occ: amp for occ, amp in zip(enumerate_basis(shape), moved) if amp})
+        block_rows = [((a[:2], b[:2]), c[2]) for a, b, c in element.matrices]
+        return StateVector._from_amplitudes(_moved(state._basis_amplitudes(), block_rows))
     moves = [_symbol_moves(rows) for rows in element.matrices]
     out: Dict[Tuple[int, ...], complex] = {}
     for occ, amp in state.amplitudes.items():

@@ -12,7 +12,8 @@ place.
 
 A state file holds exactly two keys, the sector shape and the amplitude
 list; amplitudes are saved in canonical basis order, so saving what was
-just loaded reproduces the bytes. For spin one-half sectors the occupation
+just loaded reproduces the bytes, and the order of the records read
+changes no result. For spin one-half sectors the occupation
 may be written as a symbol string over ``u``, ``d`` and ``0`` instead of
 the numeric tuple; both spellings are accepted on input. In a listed sector
 the saver reads the text of each record up to its real part from a table
@@ -20,7 +21,9 @@ built once per shape and spelling; in a larger one it sorts the state's own
 occupations, which is basis order. The loader accepts a record in the form
 the saver writes, a numeric occupation of a listed sector with finite float
 parts, by one lookup in :func:`~modal_ent.states.basis_index`; every other
-record goes through the field parsers, which word the refusals.
+record goes through the field parsers, which word the refusals. A
+(3, 2, 1) state is made from its tuple of amplitudes in basis order, any
+other from the map of its records.
 
 Loading this module loads no numpy: it reads and writes Python numbers,
 and :func:`element_from_json` imports :class:`GroupElement` only when it
@@ -43,6 +46,7 @@ from typing import TYPE_CHECKING, Any, Dict, Iterable, Mapping, Sequence, Tuple
 
 from .states import (
     LISTED_DIMENSION,
+    SHAPE_321,
     Occupation,
     StateVector,
     SystemShape,
@@ -172,9 +176,10 @@ def _record_heads(shape: SystemShape, use_symbols: bool) -> Tuple[Tuple[Occupati
 def state_to_json(state: StateVector, use_symbols: bool = False) -> str:
     """Serialize a state; symbol strings are available for spin one-half.
 
-    A listed sector's records come from its cached table. A larger sector
-    is never listed: its state's own occupations are sorted, which is basis
-    order, since the basis is listed in lexicographic order.
+    A listed sector's records come from its cached table, beside the
+    state's tuple or map entries. A larger sector is never listed: its
+    state's own occupations are sorted, which is basis order, since the
+    basis is listed in lexicographic order.
     """
     sh = state.shape
     if use_symbols and sh.spin_numerator != 1:
@@ -183,10 +188,10 @@ def state_to_json(state: StateVector, use_symbols: bool = False) -> str:
         heads = _record_heads(sh, use_symbols)
     else:
         heads = [(occ, _record_head(occ, use_symbols)) for occ in sorted(state.amplitudes)]
-    amplitudes = state.amplitudes
+    # a (3, 2, 1) state made from its tuple has no map until one is asked for
+    amps = state._amps if state._map is None else [state._map.get(occ, 0) for occ, _ in heads]
     recs = []
-    for occ, head in heads:
-        amp = amplitudes.get(occ, 0)
+    for (occ, head), amp in zip(heads, amps):
         if amp == 0:
             continue
         try:
@@ -274,6 +279,8 @@ def state_from_json(text: str) -> StateVector:
             raise ValueError(f"amplitude record {i} is malformed: {exc}") from None
         if re or im:
             amps[occ] = complex(re, im)
+    if shape == SHAPE_321:
+        return StateVector._from_amplitudes([amps.get(occ, 0j) for occ in enumerate_basis(shape)])
     return StateVector(shape, amps)
 
 

@@ -14,8 +14,9 @@ is level ``1 .. p + 1`` and the last index is the vacancy.
 This module owns two decisions that the other modules share:
 
 * the ray fit, :func:`phase_fit`, which reads the ratio of two states at the
-  reference state's largest amplitude and checks the residual against it;
-  the stabilizer verdicts and the topological phases both go through it;
+  reference state's largest amplitude, the first in basis order on a tie,
+  and checks the residual against it; the stabilizer verdicts and the
+  topological phases both go through it;
 * the normalised-input precondition, :func:`require_normalized`.
 
 It also holds the base of the package's checked value classes,
@@ -32,11 +33,19 @@ hold jointly, are listed here once: ``_AB``, ``_BC`` and ``_AC`` give their
 basis positions, and ``_PAIRS`` adds each block's row, column and vacant
 modes, for the element action of ``operators`` and for the invariants.
 
-A :class:`StateVector` computes its norm, its amplitudes in basis order
-and, through :mod:`modal_ent.invariants`, its pair polynomials or its
-invariant report on first use, and keeps them in private slots, which its
-repr leaves out; the amplitude map must not change after construction, so
-none of them goes stale.
+A (3, 2, 1) state computes on one representation, its twelve amplitudes
+in basis order as Python complex numbers, every zero ``0j``. The states
+that ``apply``, :func:`normalize`, :meth:`StateVector.from_dense`, the
+loader and the canonical form make hold only that tuple
+(``StateVector._from_amplitudes``), and their ``amplitudes`` map is a view
+of its nonzero entries, built on first access. The norm, the reductions,
+by each mode's split ``_SPLITS``, the ray fit, the dense vector and the
+saver read the tuple, so the order of a map changes no result. Other
+sectors keep their map. A :class:`StateVector` computes its norm, its
+tuple from a map and, through :mod:`modal_ent.invariants`, its pair
+polynomials or its invariant report on first use, and keeps them in
+private slots, which its repr leaves out; the amplitudes must not change
+after construction, so none of them goes stale.
 
 Loading this module loads no numpy. States, norms and the single-mode
 reductions are Python numbers; numpy enters only inside the calls that
@@ -200,6 +209,11 @@ _AB, _BC, _AC = (
 # Each pair block with its row mode, its column mode and its vacant third mode.
 _PAIRS = ((_AB, 0, 1, 2), (_BC, 1, 2, 0), (_AC, 0, 2, 1))
 
+# Each mode's split of the (3, 2, 1) basis positions: the four where it holds
+# level up, in basis order, the four where it holds level down, each beside
+# its up partner, then the four where it is vacant.
+_SPLITS = tuple(tuple(j for sym in (1, 2, 0) for occ, j in _IDX.items() if occ[m] == sym) for m in range(3))
+
 
 def _nested_shape(obj) -> Tuple[int, ...]:
     """The shape numpy gives the nested sequences or arrays ``obj``;
@@ -252,20 +266,20 @@ class _Frozen:
 
 
 class StateVector(_Frozen):
-    """Sparse complex amplitudes over the admissible occupation sequences.
+    """Complex amplitudes over the admissible occupation sequences.
 
     The amplitude map is owned by the instance after construction and must
-    not be mutated by the caller. Every key must be an admissible occupation
-    sequence of ``shape``: the right mode count, symbols in ``0 .. p + 1``
-    and the right particle count, else ValueError names what is wrong. In
-    sectors of at most LISTED_DIMENSION a key is accepted by one lookup in
-    the cached :func:`basis_index`, which equal numpy integers also pass;
-    only a miss, and every key of a larger sector, is checked field by field.
+    not be mutated by the caller; a (3, 2, 1) state computes on its tuple.
+    Every key must be an admissible occupation sequence of ``shape``: the
+    right mode count, symbols in ``0 .. p + 1`` and the right particle
+    count, else ValueError names what is wrong. In sectors of at most
+    LISTED_DIMENSION a key is accepted by one lookup in the cached
+    :func:`basis_index`, which equal numpy integers also pass; only a miss,
+    and every key of a larger sector, is checked field by field.
     """
 
-    __slots__ = ("shape", "amplitudes", "_norm", "_basis_amps", "_invariants")
+    __slots__ = ("shape", "_map", "_amps", "_norm", "_invariants")
     shape: SystemShape
-    amplitudes: Dict[Occupation, complex]
 
     def __init__(self, shape: SystemShape, amplitudes: Dict[Occupation, complex]) -> None:
         listed = _listed_index(shape)
@@ -273,10 +287,34 @@ class StateVector(_Frozen):
             if occ not in listed:
                 _check_admissible(shape, occ)
         _set(self, "shape", shape)
-        _set(self, "amplitudes", amplitudes)
+        _set(self, "_map", amplitudes)
+        _set(self, "_amps", None)
         _set(self, "_norm", None)
-        _set(self, "_basis_amps", None)
         _set(self, "_invariants", None)
+
+    @classmethod
+    def _from_amplitudes(cls, amps: Iterable[complex]) -> "StateVector":
+        """The (3, 2, 1) state whose twelve amplitudes in basis order are
+        ``amps``, Python complex numbers; each zero is stored as ``0j``.
+        The producers hand over all twelve positions, so no key is checked."""
+        state = object.__new__(cls)
+        _set(state, "shape", SHAPE_321)
+        _set(state, "_map", None)
+        _set(state, "_amps", tuple([a if a else 0j for a in amps]))
+        _set(state, "_norm", None)
+        _set(state, "_invariants", None)
+        return state
+
+    @property
+    def amplitudes(self) -> Dict[Occupation, complex]:
+        """Occupation -> amplitude: the map the state was built from, or
+        the nonzero entries of its tuple in basis order."""
+        if self._map is None:
+            _set(self, "_map", {occ: a for occ, a in zip(enumerate_basis(SHAPE_321), self._amps) if a})
+        return self._map
+
+    def __repr__(self) -> str:
+        return f"StateVector(shape={self.shape!r}, amplitudes={self.amplitudes!r})"
 
     def amplitude(self, occ: Iterable[int]) -> complex:
         return self.amplitudes.get(tuple(occ), 0j)
@@ -284,22 +322,25 @@ class StateVector(_Frozen):
     def norm(self) -> float:
         """The Euclidean norm, computed on the first call and kept."""
         if self._norm is None:
-            _set(self, "_norm", math.sqrt(_squared_norm(self.amplitudes.values())))
+            amps = self._basis_amplitudes() if self.shape == SHAPE_321 else self.amplitudes.values()
+            _set(self, "_norm", math.sqrt(_squared_norm(amps)))
         return self._norm
 
     def _basis_amplitudes(self) -> Tuple[complex, ...]:
         """Every amplitude as a Python complex number in :func:`enumerate_basis`
         order, built on the first call and kept as a tuple, which no caller
         can change."""
-        if self._basis_amps is None:
-            get = self.amplitudes.get
-            _set(self, "_basis_amps", tuple([complex(get(occ, 0j)) for occ in enumerate_basis(self.shape)]))
-        return self._basis_amps
+        if self._amps is None:
+            get = self._map.get
+            _set(self, "_amps", tuple([complex(get(occ, 0j)) for occ in enumerate_basis(self.shape)]))
+        return self._amps
 
     def dense(self) -> np.ndarray:
         """Dense vector in :func:`enumerate_basis` order."""
         import numpy as np
 
+        if self.shape == SHAPE_321:
+            return np.array(self._basis_amplitudes(), dtype=complex)
         idx = basis_index(self.shape)
         vec = np.zeros(self.shape.dimension, dtype=complex)
         for occ, amp in self.amplitudes.items():
@@ -311,6 +352,8 @@ class StateVector(_Frozen):
         basis = enumerate_basis(shape)
         if len(vec) != len(basis):
             raise ValueError(f"vector length {len(vec)} does not match dimension {len(basis)}")
+        if shape == SHAPE_321:
+            return cls._from_amplitudes(map(complex, vec))
         return cls(shape, {occ: complex(v) for occ, v in zip(basis, vec) if v != 0})
 
 
@@ -344,12 +387,22 @@ def reduced_density_matrix(state: StateVector, mode: int) -> List[List[complex]]
     Returns the ``d x d`` matrix, ``d = p + 2``, as nested lists of Python
     complex numbers: entry ``(i, j)`` sums ``a * conj(b)`` over the pairs of
     amplitudes whose other modes agree and whose own symbols have local
-    indices i and j, levels first and vacancy last. The cost follows the
-    sparse support rather than the sector dimension. The state must be
-    normalized, and a mode outside ``0 .. n - 1`` raises ValueError.
+    indices i and j, levels first and vacancy last: for a (3, 2, 1) state
+    the Gram matrix of the level rows of the mode's split, and the squared
+    norm of its vacant positions. Other sectors group their map, so the
+    cost follows the sparse support rather than the sector dimension. The
+    state must be normalized, and a mode outside ``0 .. n - 1`` raises
+    ValueError.
     """
     shape = state.shape
     _require_mode(mode, shape.modes)
+    if shape == SHAPE_321:
+        require_normalized(state, "reduced_density_matrix")
+        v = state._basis_amplitudes()
+        split = [v[j] for j in _SPLITS[mode]]
+        levels, vacant = (split[:4], split[4:8]), split[8:]
+        rho = [[sum([a * b.conjugate() for a, b in zip(r, c)], 0j) for c in levels] + [0j] for r in levels]
+        return rho + [[0j, 0j, sum([a * a.conjugate() for a in vacant], 0j)]]
     p = shape.spin_numerator
     columns: Dict[Occupation, List[Tuple[int, complex]]] = {}
     for occ, amp in state.amplitudes.items():
@@ -383,16 +436,20 @@ def normalize(state: StateVector) -> StateVector:
         raise ValueError("cannot normalize a zero state vector")
     if not nrm < math.inf:
         raise ValueError(f"cannot normalize a state whose norm is {nrm}")
+    if state.shape == SHAPE_321:
+        return StateVector._from_amplitudes([a / nrm for a in state._basis_amplitudes()])
     return StateVector(state.shape, {occ: amp / nrm for occ, amp in state.amplitudes.items()})
 
 
 def phase_fit(state: StateVector, moved: StateVector, tol: float) -> Tuple[bool, complex]:
     """Ratio c with ``moved ~= c * state``, and whether that fit holds within tol.
 
-    c is read off the largest-modulus amplitude of ``state`` and is not
-    rescaled to unit modulus. The fit holds when the residual
-    ``||moved - c state||`` is at most ``tol * ||state||``. A zero reference
-    state, or one whose norm overflows, raises ValueError.
+    c is read off the largest-modulus amplitude of ``state``, the first in
+    basis order on a tie, and is not rescaled to unit modulus. The fit
+    holds when the residual ``||moved - c state||``, summed in basis order,
+    is at most ``tol * ||state||``; outside (3, 2, 1) the sorted
+    occupations of either map are basis order. A zero reference state, or
+    one whose norm overflows, raises ValueError.
     """
     if state.shape != moved.shape:
         raise ValueError(f"shape mismatch: {state.shape} vs {moved.shape}")
@@ -401,12 +458,15 @@ def phase_fit(state: StateVector, moved: StateVector, tol: float) -> Tuple[bool,
         raise ValueError("cannot compare against the zero state")
     if norm == math.inf:
         raise ValueError("cannot compare against a state whose norm overflows")
-    before, after = state.amplitudes, moved.amplitudes
-    anchor = max(before, key=lambda occ: abs(before[occ]))
-    get_before, get_after = before.get, after.get
-    c = get_after(anchor, 0j) / before[anchor]
-    keys = set(before) | set(after)
-    residual = math.sqrt(sum([abs(get_after(k, 0j) - c * get_before(k, 0j)) ** 2 for k in keys]))
+    if state.shape == SHAPE_321:
+        before, after = state._basis_amplitudes(), moved._basis_amplitudes()
+    else:
+        occs = sorted(state.amplitudes.keys() | moved.amplitudes.keys())
+        before = [state.amplitudes.get(occ, 0j) for occ in occs]
+        after = [moved.amplitudes.get(occ, 0j) for occ in occs]
+    anchor = max(range(len(before)), key=lambda k: abs(before[k]))
+    c = after[anchor] / before[anchor]
+    residual = math.sqrt(sum([abs(a - c * b) ** 2 for a, b in zip(after, before)]))
     return residual <= tol * norm, c
 
 

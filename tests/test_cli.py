@@ -1,6 +1,7 @@
 import hashlib
 import importlib.util
 import io
+import itertools
 import json
 import math
 import os
@@ -235,6 +236,21 @@ def test_verify_stabilizer_exit_codes(tmp_path, capsys):
         "modal-ent: error: stabilizer elements act on shape (3, 2, 1), "
         "got SystemShape(modes=4, particles=2, spin_numerator=1)\n"
     )
+
+
+def test_bare_phase_does_not_depend_on_the_order_of_the_records(tmp_path, capsys):
+    # psi2's three amplitudes tie for the largest modulus; the bare phase is
+    # read at the one that comes first in basis order, in each of the six
+    # orders the file can list them in
+    doc = json.loads(state_to_json(family("psi2")))
+    outputs = set()
+    for k, records in enumerate(itertools.permutations(doc["amplitudes"])):
+        path = tmp_path / f"psi2-{k}.json"
+        path.write_text(json.dumps(dict(doc, amplitudes=list(records))))
+        argv = ["verify-stabilizer", "--name", "psi2_eq26", "--params", "alpha=0.7,beta=-1.3,gamma=0.4,delta=1.9"]
+        assert main([*argv, "--in", str(path)]) == 0
+        outputs.add(capsys.readouterr().out)
+    assert k == 5 and len(outputs) == 1
 
 
 def test_scan_table(capsys):
@@ -528,6 +544,16 @@ _GOLDEN_CSV = {
 @pytest.mark.parametrize("command", sorted(_GOLDEN_CSV))
 def test_csv_reports_are_byte_stable(cli_tree, command):
     assert (cli_tree / f"{command}-csv-dense" / "0.stdout").read_text() == _GOLDEN_CSV[command]
+
+
+def test_permuted_records_give_the_bytes_of_their_basis_ordered_twin(cli_tree):
+    # the permuted file holds psi2's records, the same values in another order
+    records = [json.loads((cli_tree / d / "psi2.json").read_text())["amplitudes"] for d in ("inputs", "inputs-permuted")]
+    values = [{tuple(r["occ"]): (float(r["re"]), float(r["im"])) for r in recs} for recs in records]
+    assert values[0] == values[1] and list(values[0]) != list(values[1])
+    for twin in cli_outputs.PERMUTED_TWINS:
+        outputs = [{path.name: path.read_bytes() for path in (cli_tree / case).iterdir()} for case in (twin, f"{twin}-permuted")]
+        assert outputs[0] == outputs[1], twin
 
 
 def _rerun_tool(tmp_path, prelude, env=None):

@@ -9,8 +9,9 @@ squares past the largest double, and two states whose invariants overflow
 (a cross minor of 1e200, and an AB determinant of 1e400), one file per
 refusal of the state loader, plus the family states that the ``family-*``
 cases write there: psi1, psi2, S1 (plain and in symbols), S2, Eq14, Eq15,
-Eq16 and Eq18. Each case then calls ``modal_ent.cli.main`` in this process,
-not ``python -m modal_ent.cli``, with ``DIR`` (default: the ``src``
+Eq16 and Eq18. ``OUTDIR/inputs-permuted`` holds psi2 with its records in
+reverse basis order. Each case then calls ``modal_ent.cli.main`` in this
+process, not ``python -m modal_ent.cli``, with ``DIR`` (default: the ``src``
 directory beside this script) first on ``sys.path``, in its own directory
 ``OUTDIR/<case>``. A case is one call or a pipeline of calls; stage ``k``
 leaves ``k.stdout``, ``k.stderr`` and ``k.exit`` there, beside any file it
@@ -38,7 +39,10 @@ JSON and CSV, and ``canonical`` plain, with ``--symbols`` and with
 states;
 ``verify-stabilizer`` for each name, each ``psi1_eq23`` variant (variant a
 also with ``k=1,q=1``, exit 2), ``generic_eq13`` on a canonical state from
-a pipeline, and exits 0, 1 and 2; ``monotone-mc`` with ``--records``, with
+a pipeline, and exits 0, 1 and 2; the ``PERMUTED_TWINS`` cases on psi2
+(``invariants``, ``classify`` and ``chsh`` in JSON, ``canonical --params``,
+and ``verify-stabilizer psi2_eq26`` at parameters where psi2's amplitudes
+tie) again on its permuted records; ``monotone-mc`` with ``--records``, with
 ``--state``, on psi1 at strengths 0.5 and 0, and with no trials, and with
 ``--records`` and ``--out`` at ``--seed 7``: 2,000 trials, 500 at strength
 0, and 500 on psi1; ``family`` at extreme parameters; ``theorem3-scan``
@@ -121,6 +125,14 @@ REFUSED_CALLS = {
     "theorem3-scan-malformed-range": ["theorem3-scan", "--n", "abc"],
 }
 
+#: psi2 with its records out of basis order, in a directory of its own
+PERMUTED_PSI2 = "../inputs-permuted/psi2.json"
+
+#: the psi2 cases that are rerun on PERMUTED_PSI2, as ``<case>-permuted``;
+#: the order of the records must change no byte of their output
+PERMUTED_TWINS = ("invariants-json-psi2", "classify-json-psi2", "chsh-json-psi2", "canonical-params-psi2",
+                  "verify-stabilizer-psi2-ties")
+
 REPORT_STATES = ["psi2", "S2", "Eq16", "S1-symbols", "random-1", "random-2", "random-3", "unnormalized",
                  "dense", "psi1", "S1", "Eq14", "Eq15", "Eq18"]
 
@@ -197,6 +209,10 @@ def cases():
     out += [
         ("verify-stabilizer-psi2", [[*stab, "--in", inp("psi2")]]),
         ("verify-stabilizer-psi1", [[*stab, "--in", inp("psi1")]]),
+        # psi2's three amplitudes tie for the largest modulus, so the bare
+        # phase reads the one that comes first in basis order
+        ("verify-stabilizer-psi2-ties", [["verify-stabilizer", "--name", "psi2_eq26", "--params",
+                                          "alpha=0.7,beta=-1.3,gamma=0.4,delta=1.9", "--in", inp("psi2")]]),
         ("verify-stabilizer-four-mode", [[*stab, "--in", inp("four-mode")]]),
         ("verify-stabilizer-generic-canonical", [
             ["canonical", "--in", inp("random-1")],
@@ -253,6 +269,8 @@ def cases():
                                             "--out", "out.csv"]]),
     ]
     out += [(f"invariants-{name}", [["invariants", "--in", inp(name)]]) for name in MALFORMED_STATES]
+    out += [(f"{name}-permuted", [[PERMUTED_PSI2 if a == inp("psi2") else a for a in argv] for argv in stages])
+            for name, stages in out if name in PERMUTED_TWINS]
     return out
 
 
@@ -301,6 +319,9 @@ def write_tree(outdir):
     for name, text in docs.items():
         with open(os.path.join(inputs, f"{name}.json"), "w") as fh:
             fh.write(text)
+    os.makedirs(os.path.join(outdir, "inputs-permuted"))
+    with open(os.path.join(outdir, "inputs-permuted", "psi2.json"), "w") as fh:
+        fh.write(state_doc((3, 2, 1), {occ: (1.0 / math.sqrt(3.0), 0.0) for occ in ((2, 0, 2), (1, 1, 0), (0, 2, 1))}))
     return [name for name, stages in cases() if not run_case(os.path.join(outdir, name), stages)]
 
 
