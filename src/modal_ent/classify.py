@@ -338,7 +338,7 @@ def canonical_form(state: StateVector) -> CanonicalParams:
         element=GroupElement._from_rows(
             tuple(((a, b, 0j), (c, d, 0j), (0j, 0j, vac)) for ((a, b), (c, d)), vac in total)
         ),
-        state=StateVector._from_amplitudes(v),
+        state=StateVector._from_amplitudes(state.shape, v),
     )
 
 

@@ -19,11 +19,9 @@ copies of the state form over mode A, and the result with a third copy
 over modes B and C, gives -trace(W), and trace(W) = i * I2 with the
 conventions fixed below, which the test suite checks on random states,
 and exactly on rational ones. That is why no separate transvection code
-is kept. A :class:`StateVector` enters through ``_amplitude_list``, the
-invariants' check that a state has shape (3, 2, 1), which returns the
-tuple of twelve amplitudes in basis order, the state's one compute
-representation; W, the canonical form and the Monte-Carlo trials start
-from it too.
+is kept. A :class:`StateVector` enters through ``_amplitude_list``, which
+checks its shape and returns its twelve amplitudes in basis order; W, the
+canonical form and the Monte-Carlo trials start from it too.
 A state's five pair polynomials and its :class:`InvariantReport` are
 evaluated once and kept in the state's private ``_invariants`` slot, so
 :func:`invariant_report`, ``classify.membership_report`` and
@@ -66,14 +64,12 @@ _CUT_C_AB = (_rows(range(12), _AC), _rows(range(12), _BC))
 
 
 def _amplitude_list(state: StateVector) -> Tuple[complex, ...]:
-    """The twelve amplitudes as Python complex numbers, in basis order: the
-    tuple the state was made from, or the one it builds once from its map.
+    """The twelve amplitudes as Python complex numbers, in basis order.
 
     This is the check that a state has shape (3, 2, 1) for every pair-block
-    quantity below, the canonical form and the Monte-Carlo code;
-    ``operators.apply`` picks its (3, 2, 1) path by the shape itself.
-    Scalar Python arithmetic keeps single-state results bitwise stable;
-    numpy's vectorised complex products may round differently.
+    quantity below, the canonical form and the Monte-Carlo code. Scalar
+    Python arithmetic keeps single-state results bitwise stable; numpy's
+    vectorised complex products may round differently.
     """
     if state.shape != SHAPE_321:
         raise ValueError(f"pair-block invariants need shape (3, 2, 1), got {state.shape}")

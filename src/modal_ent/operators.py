@@ -13,13 +13,12 @@ code that already holds such a tuple, as :func:`make_slocc_element` and
 
 :func:`apply` is the one action of a compliant element on a state of any
 shape, and :func:`apply_on_mode` the one way to act on a single mode with
-the identity on every other mode. A (3, 2, 1) state moves its tuple of
-twelve amplitudes by its pair blocks, ``_moved``, which also moves the
-canonical form's stages and the invariance sweep's batches, and the
-result is made from the moved tuple, with no map; every other shape moves
-its map amplitude by amplitude, by partial products. :func:`sector_matrix` is only the tests'
-reference for both, kept here because the benchmark's tracer wraps it by
-name.
+the identity on every other mode. Both move a state's layout: in
+(3, 2, 1) its twelve amplitudes by its pair blocks, ``_moved``, which also
+moves the canonical form's stages and the invariance sweep's batches, and
+elsewhere its amplitudes one by one, by partial products.
+:func:`sector_matrix` is only the tests' reference for both, kept here
+because the benchmark's tracer wraps it by name.
 
 The entries that the superselection rule requires to vanish are listed
 once, by ``_leak_positions``. ``_leaking_mode`` reads them from the rows of
@@ -50,6 +49,7 @@ from .states import (
     StateVector,
     SystemShape,
     _Frozen,
+    _layout,
     _nested_shape,
     _require_integer,
     _require_mode,
@@ -267,34 +267,33 @@ def apply(element: GroupElement, state: StateVector) -> StateVector:
     raises ValueError. Compliance keeps each occupation pattern intact, so
     an amplitude moves only over the levels of its occupied modes.
 
-    A (3, 2, 1) state's amplitude tuple moves by ``_moved``, in Python
-    complex numbers, into the result's tuple, with its bits; a zero is
-    stored as ``0j``.
+    A (3, 2, 1) state's twelve amplitudes move by ``_moved``, in Python
+    complex numbers, with their bits; a zero is stored as ``0j``.
 
-    Every other shape takes the partial-product loop: the rows of each
-    operator give a symbol-move table, terms are
+    Every other shape takes the partial-product loop over the state's
+    support: the rows of each operator give a symbol-move table, terms are
     ``((amp * w_0) * w_1) * ...`` in Python complex numbers, which round
     products and sums as numpy's complex scalars do, summed from ``0j`` in
-    input order, and keys come in order of first appearance, the last mode
-    outermost.
+    basis order of the input, and the result's keys come in basis order.
     """
     shape = state.shape
     _require_shape(element, shape)
     leaking = _leaking_mode(element.matrices)
     if leaking is not None:
         raise ValueError(f"operator on mode {leaking} violates the superselection rule")
+    support, amps = state._entries()
     if shape == SHAPE_321:
         block_rows = [((a[:2], b[:2]), c[2]) for a, b, c in element.matrices]
-        return StateVector._from_amplitudes(_moved(state._basis_amplitudes(), block_rows))
+        return StateVector._from_amplitudes(shape, _moved(amps, block_rows), support)
     moves = [_symbol_moves(rows) for rows in element.matrices]
     out: Dict[Tuple[int, ...], complex] = {}
-    for occ, amp in state.amplitudes.items():
+    for occ, amp in zip(support, amps):
         partial = [((), amp)]
         for move, sym in zip(moves, occ):
             partial = [(pre + (new,), val * w) for new, w in move[sym] for pre, val in partial]
         for new_occ, val in partial:
             out[new_occ] = out.get(new_occ, 0j) + val
-    return StateVector(shape, out)
+    return StateVector._from_amplitudes(shape, *_layout(shape, out))
 
 
 def apply_on_mode(op: Sequence[Sequence[complex]], mode: int, state: StateVector) -> StateVector:

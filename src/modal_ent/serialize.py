@@ -13,17 +13,15 @@ place.
 A state file holds exactly two keys, the sector shape and the amplitude
 list; amplitudes are saved in canonical basis order, so saving what was
 just loaded reproduces the bytes, and the order of the records read
-changes no result. For spin one-half sectors the occupation
-may be written as a symbol string over ``u``, ``d`` and ``0`` instead of
-the numeric tuple; both spellings are accepted on input. In a listed sector
+changes no result. For spin one-half sectors the occupation may be
+written as a symbol string over ``u``, ``d`` and ``0`` instead of the
+numeric tuple; both spellings are accepted on input. In a listed sector
 the saver reads the text of each record up to its real part from a table
-built once per shape and spelling; in a larger one it sorts the state's own
-occupations, which is basis order. The loader accepts a record in the form
+built once per shape and spelling. The loader accepts a record in the form
 the saver writes, a numeric occupation of a listed sector with finite float
 parts, by one lookup in :func:`~modal_ent.states.basis_index`; every other
-record goes through the field parsers, which word the refusals. A
-(3, 2, 1) state is made from its tuple of amplitudes in basis order, any
-other from the map of its records.
+record goes through the field parsers, which word the refusals. An
+occupation may appear in one record only, zero or not.
 
 Loading this module loads no numpy: it reads and writes Python numbers,
 and :func:`element_from_json` imports :class:`GroupElement` only when it
@@ -42,15 +40,15 @@ import os
 import stat
 import tempfile
 from functools import lru_cache
-from typing import TYPE_CHECKING, Any, Dict, Iterable, Mapping, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Iterable, Mapping, Sequence
 
 from .states import (
     LISTED_DIMENSION,
-    SHAPE_321,
     Occupation,
     StateVector,
     SystemShape,
     _check_admissible,
+    _layout,
     _listed_index,
     enumerate_basis,
 )
@@ -167,31 +165,24 @@ def _record_head(occ: Occupation, use_symbols: bool) -> str:
 
 
 @lru_cache(maxsize=16)
-def _record_heads(shape: SystemShape, use_symbols: bool) -> Tuple[Tuple[Occupation, str], ...]:
-    """Each basis occupation of a listed sector, in basis order, with its
-    :func:`_record_head`."""
-    return tuple((occ, _record_head(occ, use_symbols)) for occ in enumerate_basis(shape))
+def _record_heads(shape: SystemShape, use_symbols: bool) -> Dict[Occupation, str]:
+    """Each basis occupation of a listed sector with its :func:`_record_head`."""
+    return {occ: _record_head(occ, use_symbols) for occ in enumerate_basis(shape)}
 
 
 def state_to_json(state: StateVector, use_symbols: bool = False) -> str:
     """Serialize a state; symbol strings are available for spin one-half.
 
-    A listed sector's records come from its cached table, beside the
-    state's tuple or map entries. A larger sector is never listed: its
-    state's own occupations are sorted, which is basis order, since the
-    basis is listed in lexicographic order.
+    The records are the nonzero entries of ``amplitudes``, sorted, which is
+    basis order; a listed sector reads the text of each up to its real part
+    from its cached table.
     """
     sh = state.shape
     if use_symbols and sh.spin_numerator != 1:
         raise ValueError("symbol strings are only defined for spin_numerator 1")
-    if sh.dimension <= LISTED_DIMENSION:
-        heads = _record_heads(sh, use_symbols)
-    else:
-        heads = [(occ, _record_head(occ, use_symbols)) for occ in sorted(state.amplitudes)]
-    # a (3, 2, 1) state made from its tuple has no map until one is asked for
-    amps = state._amps if state._map is None else [state._map.get(occ, 0) for occ, _ in heads]
+    heads = _record_heads(sh, use_symbols) if sh.dimension <= LISTED_DIMENSION else {}
     recs = []
-    for (occ, head), amp in zip(heads, amps):
+    for occ, amp in sorted(state.amplitudes.items()):
         if amp == 0:
             continue
         try:
@@ -200,7 +191,7 @@ def state_to_json(state: StateVector, use_symbols: bool = False) -> str:
             raise ValueError(f"amplitude of occupation {occ} is not a number: {amp!r}") from None
         except ValueError:  # _fmt's refusal of an infinite or NaN part
             raise ValueError(f"amplitude of occupation {occ} is not finite: {amp!r}") from None
-        recs.append(f'{head}{re}, "im": {im}}}')
+        recs.append(f'{heads.get(occ) or _record_head(occ, use_symbols)}{re}, "im": {im}}}')
     return (
         '{\n  "shape": {"modes": %d, "particles": %d, "spin_numerator": %d},\n  "amplitudes": [\n%s\n  ]\n}\n'
         % (sh.modes, sh.particles, sh.spin_numerator, ",\n".join(recs))
@@ -273,15 +264,13 @@ def state_from_json(text: str) -> StateVector:
                 re = _parse_number(re)
             if type(im) is not float or not -math.inf < im < math.inf:
                 im = _parse_number(im)
+            # every record read is kept, zero or not, so a repeat is refused in either order
             if occ in amps:
                 raise ValueError(f"occupation {occ} appears twice")
         except (TypeError, ValueError) as exc:
             raise ValueError(f"amplitude record {i} is malformed: {exc}") from None
-        if re or im:
-            amps[occ] = complex(re, im)
-    if shape == SHAPE_321:
-        return StateVector._from_amplitudes([amps.get(occ, 0j) for occ in enumerate_basis(shape)])
-    return StateVector(shape, amps)
+        amps[occ] = complex(re, im)
+    return StateVector._from_amplitudes(shape, *_layout(shape, amps))
 
 
 def element_to_json(element: GroupElement) -> str:

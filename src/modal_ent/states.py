@@ -11,8 +11,14 @@ For ``p = 1`` the two levels are spin-up (``1``) and spin-down (``2``).
 Local matrices act on a mode in level-major order: matrix index ``0 .. p``
 is level ``1 .. p + 1`` and the last index is the vacancy.
 
-This module owns two decisions that the other modules share:
+This module owns three decisions that the other modules share:
 
+* the layout every state computes on, which no other module reads: its
+  support, occupations in basis order, beside its amplitudes there as
+  Python complex numbers. The support is the whole basis in (3, 2, 1),
+  whose pair-block kernels index by position, and the state's own
+  occupations elsewhere (``_layout``), so the order of a map changes no
+  result;
 * the ray fit, :func:`phase_fit`, which reads the ratio of two states at the
   reference state's largest amplitude, the first in basis order on a tie,
   and checks the residual against it; the stabilizer verdicts and the
@@ -33,19 +39,10 @@ hold jointly, are listed here once: ``_AB``, ``_BC`` and ``_AC`` give their
 basis positions, and ``_PAIRS`` adds each block's row, column and vacant
 modes, for the element action of ``operators`` and for the invariants.
 
-A (3, 2, 1) state computes on one representation, its twelve amplitudes
-in basis order as Python complex numbers, every zero ``0j``. The states
-that ``apply``, :func:`normalize`, :meth:`StateVector.from_dense`, the
-loader and the canonical form make hold only that tuple
-(``StateVector._from_amplitudes``), and their ``amplitudes`` map is a view
-of its nonzero entries, built on first access. The norm, the reductions,
-by each mode's split ``_SPLITS``, the ray fit, the dense vector and the
-saver read the tuple, so the order of a map changes no result. Other
-sectors keep their map. A :class:`StateVector` computes its norm, its
-tuple from a map and, through :mod:`modal_ent.invariants`, its pair
-polynomials or its invariant report on first use, and keeps them in
-private slots, which its repr leaves out; the amplitudes must not change
-after construction, so none of them goes stale.
+A state keeps its norm, its layout and, through :mod:`modal_ent.invariants`,
+its pair polynomials or invariant report in private slots, filled on first
+use and left out of its repr; the amplitudes must not change after
+construction, so none of them goes stale.
 
 Loading this module loads no numpy. States, norms and the single-mode
 reductions are Python numbers; numpy enters only inside the calls that
@@ -269,16 +266,16 @@ class StateVector(_Frozen):
     """Complex amplitudes over the admissible occupation sequences.
 
     The amplitude map is owned by the instance after construction and must
-    not be mutated by the caller; a (3, 2, 1) state computes on its tuple.
-    Every key must be an admissible occupation sequence of ``shape``: the
-    right mode count, symbols in ``0 .. p + 1`` and the right particle
-    count, else ValueError names what is wrong. In sectors of at most
-    LISTED_DIMENSION a key is accepted by one lookup in the cached
-    :func:`basis_index`, which equal numpy integers also pass; only a miss,
-    and every key of a larger sector, is checked field by field.
+    not be mutated by the caller; the state computes on its layout,
+    :meth:`_entries`. Every key must be an admissible occupation sequence
+    of ``shape``: the right mode count, symbols in ``0 .. p + 1`` and the
+    right particle count, else ValueError names what is wrong. In sectors
+    of at most LISTED_DIMENSION a key is accepted by one lookup in the
+    cached :func:`basis_index`, which equal numpy integers also pass; only
+    a miss, and every key of a larger sector, is checked field by field.
     """
 
-    __slots__ = ("shape", "_map", "_amps", "_norm", "_invariants")
+    __slots__ = ("shape", "_map", "_support", "_amps", "_norm", "_invariants")
     shape: SystemShape
 
     def __init__(self, shape: SystemShape, amplitudes: Dict[Occupation, complex]) -> None:
@@ -288,18 +285,20 @@ class StateVector(_Frozen):
                 _check_admissible(shape, occ)
         _set(self, "shape", shape)
         _set(self, "_map", amplitudes)
+        _set(self, "_support", None)
         _set(self, "_amps", None)
         _set(self, "_norm", None)
         _set(self, "_invariants", None)
 
     @classmethod
-    def _from_amplitudes(cls, amps: Iterable[complex]) -> "StateVector":
-        """The (3, 2, 1) state whose twelve amplitudes in basis order are
-        ``amps``, Python complex numbers; each zero is stored as ``0j``.
-        The producers hand over all twelve positions, so no key is checked."""
+    def _from_amplitudes(cls, shape: SystemShape, amps: Iterable[complex], support=None) -> "StateVector":
+        """The state of ``shape`` with amplitudes ``amps``, Python complex
+        numbers with each zero stored as ``0j``, on ``support``: unchecked
+        occupations in basis order, or the whole basis when None."""
         state = object.__new__(cls)
-        _set(state, "shape", SHAPE_321)
+        _set(state, "shape", shape)
         _set(state, "_map", None)
+        _set(state, "_support", enumerate_basis(shape) if support is None else support)
         _set(state, "_amps", tuple([a if a else 0j for a in amps]))
         _set(state, "_norm", None)
         _set(state, "_invariants", None)
@@ -308,9 +307,9 @@ class StateVector(_Frozen):
     @property
     def amplitudes(self) -> Dict[Occupation, complex]:
         """Occupation -> amplitude: the map the state was built from, or
-        the nonzero entries of its tuple in basis order."""
+        the nonzero entries of its layout in basis order."""
         if self._map is None:
-            _set(self, "_map", {occ: a for occ, a in zip(enumerate_basis(SHAPE_321), self._amps) if a})
+            _set(self, "_map", {occ: a for occ, a in zip(self._support, self._amps) if a})
         return self._map
 
     def __repr__(self) -> str:
@@ -320,41 +319,57 @@ class StateVector(_Frozen):
         return self.amplitudes.get(tuple(occ), 0j)
 
     def norm(self) -> float:
-        """The Euclidean norm, computed on the first call and kept."""
+        """The Euclidean norm, summed in basis order, computed on the first call and kept."""
         if self._norm is None:
-            amps = self._basis_amplitudes() if self.shape == SHAPE_321 else self.amplitudes.values()
-            _set(self, "_norm", math.sqrt(_squared_norm(amps)))
+            _set(self, "_norm", math.sqrt(_squared_norm(self._basis_amplitudes())))
         return self._norm
 
-    def _basis_amplitudes(self) -> Tuple[complex, ...]:
-        """Every amplitude as a Python complex number in :func:`enumerate_basis`
-        order, built on the first call and kept as a tuple, which no caller
-        can change."""
+    def _entries(self) -> Tuple[Tuple[Occupation, ...], Tuple[complex, ...]]:
+        """The support and the amplitudes on it; a map is laid out on the
+        first call and kept as tuples, which no caller can change."""
         if self._amps is None:
-            get = self._map.get
-            _set(self, "_amps", tuple([complex(get(occ, 0j)) for occ in enumerate_basis(self.shape)]))
-        return self._amps
+            amps, support = _layout(self.shape, self._map)
+            _set(self, "_amps", tuple(map(complex, amps)))
+            _set(self, "_support", support)
+        return self._support, self._amps
+
+    def _basis_amplitudes(self) -> Tuple[complex, ...]:
+        """The amplitudes of :meth:`_entries`; in (3, 2, 1) all twelve, in basis order."""
+        return self._entries()[1]
 
     def dense(self) -> np.ndarray:
         """Dense vector in :func:`enumerate_basis` order."""
         import numpy as np
 
-        if self.shape == SHAPE_321:
-            return np.array(self._basis_amplitudes(), dtype=complex)
-        idx = basis_index(self.shape)
-        vec = np.zeros(self.shape.dimension, dtype=complex)
-        for occ, amp in self.amplitudes.items():
-            vec[idx[occ]] = amp
+        vec = np.zeros(_dense_dimension(self.shape), dtype=complex)
+        support, amps = self._entries()
+        index = basis_index(self.shape)
+        vec[[index[occ] for occ in support]] = amps
         return vec
 
     @classmethod
     def from_dense(cls, shape: SystemShape, vec: np.ndarray) -> "StateVector":
-        basis = enumerate_basis(shape)
-        if len(vec) != len(basis):
-            raise ValueError(f"vector length {len(vec)} does not match dimension {len(basis)}")
-        if shape == SHAPE_321:
-            return cls._from_amplitudes(map(complex, vec))
-        return cls(shape, {occ: complex(v) for occ, v in zip(basis, vec) if v != 0})
+        dim = _dense_dimension(shape)
+        if len(vec) != dim:
+            raise ValueError(f"vector length {len(vec)} does not match dimension {dim}")
+        return cls._from_amplitudes(shape, map(complex, vec))
+
+
+def _layout(shape: SystemShape, mapping: Mapping[Occupation, complex]) -> Tuple[list, Tuple[Occupation, ...]]:
+    """The values of a map on its support: the whole basis in (3, 2, 1),
+    with ``0j`` where the map has no entry, else the map's occupations
+    sorted, which is basis order."""
+    support = enumerate_basis(shape) if shape == SHAPE_321 else tuple(sorted(mapping))
+    get = mapping.get
+    return [get(occ, 0j) for occ in support], support
+
+
+def _dense_dimension(shape: SystemShape) -> int:
+    """The dimension of ``shape``, refused before any listing past LISTED_DIMENSION."""
+    dim = shape.dimension
+    if dim > LISTED_DIMENSION:
+        raise ValueError(f"sector dimension {dim} too large for a dense vector")
+    return dim
 
 
 def _squared_norm(amplitudes: Iterable[complex]) -> float:
@@ -389,25 +404,24 @@ def reduced_density_matrix(state: StateVector, mode: int) -> List[List[complex]]
     amplitudes whose other modes agree and whose own symbols have local
     indices i and j, levels first and vacancy last: for a (3, 2, 1) state
     the Gram matrix of the level rows of the mode's split, and the squared
-    norm of its vacant positions. Other sectors group their map, so the
-    cost follows the sparse support rather than the sector dimension. The
-    state must be normalized, and a mode outside ``0 .. n - 1`` raises
-    ValueError.
+    norm of its vacant positions. Other sectors group their support in
+    basis order, so the cost follows the support rather than the sector
+    dimension. The state must be normalized, and a mode outside
+    ``0 .. n - 1`` raises ValueError.
     """
     shape = state.shape
     _require_mode(mode, shape.modes)
+    require_normalized(state, "reduced_density_matrix")
+    support, amps = state._entries()
     if shape == SHAPE_321:
-        require_normalized(state, "reduced_density_matrix")
-        v = state._basis_amplitudes()
-        split = [v[j] for j in _SPLITS[mode]]
+        split = [amps[j] for j in _SPLITS[mode]]
         levels, vacant = (split[:4], split[4:8]), split[8:]
         rho = [[sum([a * b.conjugate() for a, b in zip(r, c)], 0j) for c in levels] + [0j] for r in levels]
         return rho + [[0j, 0j, sum([a * a.conjugate() for a in vacant], 0j)]]
     p = shape.spin_numerator
     columns: Dict[Occupation, List[Tuple[int, complex]]] = {}
-    for occ, amp in state.amplitudes.items():
-        columns.setdefault(occ[:mode] + occ[mode + 1 :], []).append((local_index(occ[mode], p), complex(amp)))
-    require_normalized(state, "reduced_density_matrix")
+    for occ, amp in zip(support, amps):
+        columns.setdefault(occ[:mode] + occ[mode + 1 :], []).append((local_index(occ[mode], p), amp))
     rho = [[0j] * shape.local_dim for _ in range(shape.local_dim)]
     for entries in columns.values():
         for i, a in entries:
@@ -436,9 +450,8 @@ def normalize(state: StateVector) -> StateVector:
         raise ValueError("cannot normalize a zero state vector")
     if not nrm < math.inf:
         raise ValueError(f"cannot normalize a state whose norm is {nrm}")
-    if state.shape == SHAPE_321:
-        return StateVector._from_amplitudes([a / nrm for a in state._basis_amplitudes()])
-    return StateVector(state.shape, {occ: amp / nrm for occ, amp in state.amplitudes.items()})
+    support, amps = state._entries()
+    return StateVector._from_amplitudes(state.shape, [a / nrm for a in amps], support)
 
 
 def phase_fit(state: StateVector, moved: StateVector, tol: float) -> Tuple[bool, complex]:
@@ -447,9 +460,9 @@ def phase_fit(state: StateVector, moved: StateVector, tol: float) -> Tuple[bool,
     c is read off the largest-modulus amplitude of ``state``, the first in
     basis order on a tie, and is not rescaled to unit modulus. The fit
     holds when the residual ``||moved - c state||``, summed in basis order,
-    is at most ``tol * ||state||``; outside (3, 2, 1) the sorted
-    occupations of either map are basis order. A zero reference state, or
-    one whose norm overflows, raises ValueError.
+    is at most ``tol * ||state||``; two states on different supports are
+    compared on their union, with ``0j`` where a state has no entry. A zero
+    reference state, or one whose norm overflows, raises ValueError.
     """
     if state.shape != moved.shape:
         raise ValueError(f"shape mismatch: {state.shape} vs {moved.shape}")
@@ -458,12 +471,12 @@ def phase_fit(state: StateVector, moved: StateVector, tol: float) -> Tuple[bool,
         raise ValueError("cannot compare against the zero state")
     if norm == math.inf:
         raise ValueError("cannot compare against a state whose norm overflows")
-    if state.shape == SHAPE_321:
-        before, after = state._basis_amplitudes(), moved._basis_amplitudes()
-    else:
-        occs = sorted(state.amplitudes.keys() | moved.amplitudes.keys())
-        before = [state.amplitudes.get(occ, 0j) for occ in occs]
-        after = [moved.amplitudes.get(occ, 0j) for occ in occs]
+    support, before = state._entries()
+    other, after = moved._entries()
+    if support != other:
+        mine, theirs = dict(zip(support, before)), dict(zip(other, after))
+        union = sorted(mine.keys() | theirs.keys())
+        before, after = [mine.get(occ, 0j) for occ in union], [theirs.get(occ, 0j) for occ in union]
     anchor = max(range(len(before)), key=lambda k: abs(before[k]))
     c = after[anchor] / before[anchor]
     residual = math.sqrt(sum([abs(a - c * b) ** 2 for a, b in zip(after, before)]))

@@ -1,10 +1,12 @@
-"""The one representation of (3, 2, 1) states: twelve amplitudes in basis order.
+"""One layout for every state: the support in basis order beside its amplitudes.
 
-Each producer makes the tuple that the map route gives: keep the nonzero
-entries in a map, then read the map back in basis order, with ``0j`` where
-an entry is missing (``_map_route``, the oracle). The ``amplitudes`` view
-is that map in basis order. And since every (3, 2, 1) result reads the
-tuple, the order in which a map lists its entries changes no result bit.
+A (3, 2, 1) state's support is the whole basis, its twelve amplitudes in
+basis order. Each producer makes the tuple that the map route gives: keep
+the nonzero entries in a map, then read the map back in basis order, with
+``0j`` where an entry is missing (``_map_route``, the oracle). The
+``amplitudes`` view is that map in basis order. In every sector, since
+every result reads the layout, the order in which a map lists its entries
+changes no result bit.
 """
 
 import itertools
@@ -13,9 +15,11 @@ import math
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
+from test_operators import _random_compliant_blocks
 
 from modal_ent.classify import canonical_form, family, membership_report
 from modal_ent.invariants import invariant_report
+from modal_ent.maxent import build_psi_sigma
 from modal_ent.operators import GroupElement, _moved, apply, random_element
 from modal_ent.serialize import state_from_json, state_to_json
 from modal_ent.states import (
@@ -138,9 +142,9 @@ def test_canonical_state_holds_the_map_route_of_the_reduced_amplitudes(monkeypat
     seen = []
     made = StateVector._from_amplitudes.__func__
 
-    def recording(cls, amps):
+    def recording(cls, shape, amps, support=None):
         seen.append(list(amps))
-        return made(cls, seen[-1])
+        return made(cls, shape, seen[-1], support)
 
     monkeypatch.setattr(StateVector, "_from_amplitudes", classmethod(recording))
     for psi in _inputs():
@@ -241,3 +245,53 @@ def test_phase_fit_anchors_on_the_first_tie_in_basis_order_on_the_map_path():
         first = min(state.amplitudes)
         assert c == moved.amplitudes.get(first, 0j) / state.amplitudes[first]
     assert len(fits) == 1
+
+
+#: sectors outside (3, 2, 1) whose states keep their occupations as their support
+OTHER_SHAPES = (SystemShape(4, 2, 1), SystemShape(3, 2, 2), SystemShape(5, 3, 1))
+
+
+def _compliant_element(local, shape):
+    return GroupElement(_random_compliant_blocks(local, shape.modes, shape.local_dim))
+
+
+def _items(state):
+    """A state's amplitude map, in its order, with every float spelled by ``float.hex``."""
+    return _hex([[occ, amp] for occ, amp in state.amplitudes.items()])
+
+
+def _results_outside(psi, element):
+    """Every per-state result of a sector outside (3, 2, 1) that the order of a map could reach."""
+    unit = normalize(psi)
+    moved = apply(element, psi)
+    return [
+        psi.norm().hex(),
+        _items(unit),
+        _hex([reduced_density_matrix(unit, mode) for mode in range(psi.shape.modes)]),
+        _items(moved),
+        _hex(phase_fit(psi, moved, 1e-9)),
+        state_to_json(psi),
+    ]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    source=st.sampled_from([*OTHER_SHAPES, "psi_sigma"]),
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+    moved=st.booleans(),
+    order=st.randoms(use_true_random=False),
+)
+def test_map_order_changes_no_result_bit_outside_321(source, seed, moved, order):
+    local = np.random.default_rng(seed)
+    if source == "psi_sigma":
+        psi = build_psi_sigma(1, 2)
+    else:
+        basis = enumerate_basis(source)
+        picked = local.choice(len(basis), size=8, replace=False)
+        psi = StateVector(source, {basis[k]: complex(*local.normal(size=2)) for k in picked})
+    if moved:
+        psi = apply(_compliant_element(local, psi.shape), psi)
+    items = list(psi.amplitudes.items())
+    order.shuffle(items)
+    element = _compliant_element(local, psi.shape)
+    assert _results_outside(StateVector(psi.shape, dict(items)), element) == _results_outside(psi, element)

@@ -125,6 +125,15 @@ def test_state_json_malformed_records():
         state_from_json(dup)
 
 
+def test_state_json_refuses_a_repeated_occupation_in_either_order():
+    # a zero record counts: the repeat is refused whichever record comes first
+    head = '{"shape": {"modes": 3, "particles": 2, "spin_numerator": 1}, "amplitudes": '
+    records = [{"occ": [1, 2, 0], "re": 0.0, "im": 0.0}, {"occ": [1, 2, 0], "re": 1.0, "im": 0.0}]
+    for order in (records, records[::-1]):
+        with pytest.raises(ValueError, match=r"^amplitude record 1 is malformed: occupation \(1, 2, 0\) appears twice$"):
+            state_from_json(head + json.dumps(order) + "}")
+
+
 def test_state_json_accepts_integer_parts():
     head = '{"shape": {"modes": 3, "particles": 2, "spin_numerator": 1}, "amplitudes": '
     loaded = state_from_json(head + '[{"occ": [1, 2, 0], "re": 1, "im": 0}, {"occ": [0, 1, 1], "re": 0, "im": -2}]}')

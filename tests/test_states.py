@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from modal_ent import states
 from modal_ent.classify import canonical_form, family, membership_report
 from modal_ent.invariants import _amplitude_list, invariant_report
-from modal_ent.maxent import pattern_scan
+from modal_ent.maxent import build_psi_sigma, pattern_scan
 from modal_ent.monte_carlo import random_instrument, run_monotone_trials
 from modal_ent.stabilizers import stabilizer
 from modal_ent.states import (
@@ -148,6 +149,21 @@ def test_dense_roundtrip():
         assert abs(np.linalg.norm(vec) - 1.0) < 1e-12
     with pytest.raises(ValueError, match="^vector length 11 does not match dimension 12$"):
         StateVector.from_dense(SHAPE_321, np.ones(11))
+
+
+def test_dense_and_from_dense_refuse_a_sector_past_the_listed_dimension(monkeypatch):
+    # the closed-form dimension decides; a listing of the basis would raise here
+    psi, wide = build_psi_sigma(30, 5), SystemShape(60, 30, 1)
+
+    def listing(shape):
+        raise AssertionError(f"the basis of {shape} was listed")
+
+    monkeypatch.setattr(states, "enumerate_basis", listing)
+    monkeypatch.setattr(states, "basis_index", listing)
+    for shape, call in ((psi.shape, psi.dense), (wide, lambda: StateVector.from_dense(wide, np.ones(1)))):
+        assert shape.dimension > LISTED_DIMENSION
+        with pytest.raises(ValueError, match=f"^sector dimension {shape.dimension} too large for a dense vector$"):
+            call()
 
 
 def test_reduced_density_of_product_like_state():

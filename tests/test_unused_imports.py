@@ -149,6 +149,19 @@ def test_only_operators_reads_the_move_tables(path):
     assert named == (MOVE_TABLE_HELPERS if path.name == "operators.py" else set())
 
 
+#: StateVector's layout slots: the map a caller built it from, its support
+#: in basis order, and the amplitudes on that support
+LAYOUT_SLOTS = {"_map", "_support", "_amps"}
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_only_states_reads_the_layout_slots(path):
+    # other modules read a state through its amplitudes view and its layout
+    # methods, so how a state lays out its amplitudes is decided in one module
+    named = referenced_names(path.read_text(), strings=True) & LAYOUT_SLOTS
+    assert named == set() or path.name == "states.py"
+
+
 #: the dense sector matrix and its index columns, which operators keeps as
 #: the oracle the tests compare the pair-block action and apply against
 DENSE_ORACLE = {"sector_matrix", "_index_columns"}

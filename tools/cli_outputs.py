@@ -10,8 +10,10 @@ squares past the largest double, and two states whose invariants overflow
 refusal of the state loader, plus the family states that the ``family-*``
 cases write there: psi1, psi2, S1 (plain and in symbols), S2, Eq14, Eq15,
 Eq16 and Eq18. ``OUTDIR/inputs-permuted`` holds psi2 with its records in
-reverse basis order. Each case then calls ``modal_ent.cli.main`` in this
-process, not ``python -m modal_ent.cli``, with ``DIR`` (default: the ``src``
+reverse basis order, and ``OUTDIR/inputs-repeated`` two files that repeat
+an occupation, a zero record and then a nonzero one, and the other way
+round. Each case then calls ``modal_ent.cli.main`` in this process, not
+``python -m modal_ent.cli``, with ``DIR`` (default: the ``src``
 directory beside this script) first on ``sys.path``, in its own directory
 ``OUTDIR/<case>``. A case is one call or a pipeline of calls; stage ``k``
 leaves ``k.stdout``, ``k.stderr`` and ``k.exit`` there, beside any file it
@@ -49,8 +51,8 @@ tie) again on its permuted records; ``monotone-mc`` with ``--records``, with
 over ``--n 1..12 --p 1..4`` and ``--n 1..40 --p 1..5``; and the error
 exits on the unnormalized, four-mode and overflowing files,
 ``invariants`` in both formats among them; ``invariants`` on each refused
-state file; the refused family constraints, ``--params`` key and scan
-range; and ``canonical --element-out`` and ``monotone-mc --records``
+state file, the repeated ones included; the refused family constraints,
+``--params`` key and scan range; and ``canonical --element-out`` and ``monotone-mc --records``
 refused when they name the place that ``--out`` names. The script exits 1
 if an exception escapes a call; that stage's stderr holds the traceback.
 It needs only the standard library; the package it runs needs numpy for
@@ -167,6 +169,12 @@ MALFORMED_STATES = {
 }
 
 
+#: state files that repeat an occupation, zero first and zero last, by
+#: input name; the loader refuses both, whatever the order of the records
+_ZERO, _ONE = ({"occ": [1, 2, 0], "re": re, "im": 0.0} for re in (0.0, 1.0))
+REPEATED_RECORDS = {"zero-first": raw_state_doc([_ZERO, _ONE]), "zero-last": raw_state_doc([_ONE, _ZERO])}
+
+
 def random_state_doc(seed):
     gen = random.Random(seed)
     pairs = [(gen.gauss(0.0, 1.0), gen.gauss(0.0, 1.0)) for _ in BASIS_321]
@@ -271,6 +279,8 @@ def cases():
     out += [(f"invariants-{name}", [["invariants", "--in", inp(name)]]) for name in MALFORMED_STATES]
     out += [(f"{name}-permuted", [[PERMUTED_PSI2 if a == inp("psi2") else a for a in argv] for argv in stages])
             for name, stages in out if name in PERMUTED_TWINS]
+    out += [(f"invariants-repeated-{name}", [["invariants", "--in", f"../inputs-repeated/{name}.json"]])
+            for name in REPEATED_RECORDS]
     return out
 
 
@@ -322,6 +332,10 @@ def write_tree(outdir):
     os.makedirs(os.path.join(outdir, "inputs-permuted"))
     with open(os.path.join(outdir, "inputs-permuted", "psi2.json"), "w") as fh:
         fh.write(state_doc((3, 2, 1), {occ: (1.0 / math.sqrt(3.0), 0.0) for occ in ((2, 0, 2), (1, 1, 0), (0, 2, 1))}))
+    os.makedirs(os.path.join(outdir, "inputs-repeated"))
+    for name, text in REPEATED_RECORDS.items():
+        with open(os.path.join(outdir, "inputs-repeated", f"{name}.json"), "w") as fh:
+            fh.write(text)
     return [name for name, stages in cases() if not run_case(os.path.join(outdir, name), stages)]
 
 
