@@ -6,33 +6,24 @@ whether the outcome-averaged entanglement monotones ever exceed their input
 value. Seeds form a splitmix64 tree so that any trial can be replayed in
 isolation from the master seed and its index.
 
-Each trial's state and instrument are drawn from their own streams, those of
-``np.random.default_rng(seed)`` for the trial's seeds, but the streams are
-seeded as one batch: :func:`_seeded_draws` runs numpy's SeedSequence hash
-once for the state and instrument seeds of every trial, and each PCG64 seeds
-itself from its seed's four hashed words through :class:`_SeedWords`, so
-every draw is bit for bit the one ``default_rng`` gives;
-:func:`random_instrument`, which replays a single instrument, draws from
-``default_rng`` itself. The seed tree, too, runs as one uint64 batch,
-the three child seeds of every trial in one broadcast. Everything after the
-draws runs once over the whole run: the instruments are completed in
-closed form as one ``(k, 2, 3, 3)`` Kraus stack, and in :func:`_margins`
-one index gather, :func:`_outcomes`, acts with both outcomes, and one pass
-of the invariant polynomials reads the inputs and both renormalized
-outcomes as a ``(12, 3k)`` column batch in :class:`SplitComplex`
-arithmetic. The completion and the gather round only through IEEE ``+``,
-``-``, ``*``, ``/`` and square roots, and the monotones take libm's
-``pow``, not numpy's array power, so the margins do not depend on the CPU
-features numpy dispatches to. This batch layer lives here, beside its one
-user, and is written for the (3, 2, 1) sector alone: the gather reads each
-column by the per-mode split ``states._SPLITS``, which the single-mode
-reductions read too, as one array built when the module loads.
-:func:`monotonicity_trial` is its one-column call, so replaying a trial
-from its seeds reproduces the record's margins bit for bit; it is also the
-one public path by which a user-built instrument reaches the kernel, and
-checks on the way in that the instrument's dimension and mode fit the
-sector. :class:`LocalInstrument` has already checked, when it was built,
-that its mode is a non-negative integer.
+Each trial draws its state and instrument from the streams of
+``np.random.default_rng(seed)`` for its seeds, seeded as one batch:
+:func:`_seeded_draws` runs numpy's SeedSequence hash once for every seed of
+the run, and each PCG64 seeds itself from its four hashed words through
+:class:`_SeedWords`. From the draws to the margins a run keeps one layout,
+the block rows: the real and imaginary parts of each outcome's level
+entries a, b, c, d and vacancy v, by outcome, entry and trial. The
+closed-form completion writes them, one check reads them, and in
+:func:`_margins` one gather, :func:`_outcomes`, acts with every outcome,
+and one pass of the invariant polynomials reads inputs and renormalized
+outcomes as a ``(12, 3k)`` batch in :class:`SplitComplex` arithmetic.
+Complex Kraus matrices are built only where a user sees them. Every step
+rounds only through IEEE ``+``, ``-``, ``*``, ``/`` and square roots, and
+the monotones take libm's ``pow``, so the margins do not depend on the CPU
+features numpy dispatches to. The gather reads each (3, 2, 1) column by the
+per-mode split ``states._SPLITS``. :func:`monotonicity_trial` reads a
+:class:`LocalInstrument` into block rows and is the kernel's one-column
+call, so replaying a trial from its seeds reproduces its margins bit for bit.
 
 The invariance sweep batches states as dense columns, moves them by every
 element in one pass of the pair-block action that ``operators.apply`` and
@@ -48,6 +39,7 @@ from __future__ import annotations
 
 import math
 import operator
+from functools import partial
 from itertools import chain, repeat
 from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
@@ -119,12 +111,8 @@ def derive_seed(
 
 def _hash_constants(init: int, mult: int, count: int) -> Tuple[np.ndarray, np.ndarray]:
     """The xor and multiply constants of ``count`` SeedSequence hash steps,
-    as two ``(count, 1)`` uint32 columns.
-
-    A step xors its word with the running constant, advances the constant by
-    ``mult`` and multiplies by the advanced value; the constants do not
-    depend on the data, so the whole sequence is fixed.
-    """
+    as two ``(count, 1)`` uint32 columns: a step xors its word with the
+    running constant, advances it by ``mult`` and multiplies by the result."""
     seq = [init]
     for _ in range(count):
         seq.append(seq[-1] * mult & 0xFFFFFFFF)
@@ -140,13 +128,18 @@ _MIX_XOR, _MIX_MULT = _hash_constants(0x43B0D7E5, 0x931E8875, 16)
 _OUT_XOR, _OUT_MULT = _hash_constants(0x8B51F9DD, 0x58F38DED, 8)
 _MIX_L = np.uint32(0xCA01F9DD)
 _MIX_R = np.uint32(0x4973F715)
+_SHIFT = np.uint32(16)
+# each mixing round: its source word, its three destination words and their hash constants
+_ROUNDS = list(zip(range(4), np.array([[i for i in range(4) if i != src] for src in range(4)]),
+                   _MIX_XOR[4:].reshape(4, 3, 1), _MIX_MULT[4:].reshape(4, 3, 1)))
 
 
 def _hashmix(words: np.ndarray, xor: np.ndarray, mult: np.ndarray) -> np.ndarray:
     """SeedSequence hash steps, one per row of the ``(n, 1)`` constant
-    columns, broadcast against ``words``."""
+    columns, broadcast against ``words``, as a new array."""
     words = (words ^ xor) * mult
-    return words ^ (words >> np.uint32(16))
+    words ^= words >> _SHIFT
+    return words
 
 
 def _pcg64_seed_words(seeds: np.ndarray) -> np.ndarray:
@@ -158,27 +151,24 @@ def _pcg64_seed_words(seeds: np.ndarray) -> np.ndarray:
     because the pool is padded with zero words.
     """
     entropy = np.zeros((4, len(seeds)), dtype=np.uint32)
-    entropy[0] = seeds & np.uint64(0xFFFFFFFF)
-    entropy[1] = seeds >> np.uint64(32)
+    entropy[:2] = seeds.astype("<u8", copy=False).view("<u4").reshape(-1, 2).T
     pool = _hashmix(entropy, _MIX_XOR[:4], _MIX_MULT[:4])
-    for src in range(4):
-        dst = [i for i in range(4) if i != src]
-        steps = slice(4 + 3 * src, 7 + 3 * src)
-        mixed = _MIX_L * pool[dst] - _MIX_R * _hashmix(pool[src], _MIX_XOR[steps], _MIX_MULT[steps])
-        pool[dst] = mixed ^ (mixed >> np.uint32(16))
-    out = _hashmix(np.vstack([pool, pool]), _OUT_XOR, _OUT_MULT)
-    return np.ascontiguousarray(out.T, dtype="<u4").view("<u8").astype(np.uint64)
+    for src, dst, xor, mult in _ROUNDS:
+        mixed = _MIX_L * pool[dst]
+        mixed -= _MIX_R * _hashmix(pool[src], xor, mult)
+        mixed ^= mixed >> _SHIFT
+        pool[dst] = mixed
+    out = _hashmix(np.concatenate([pool, pool]), _OUT_XOR, _OUT_MULT)
+    return np.ascontiguousarray(out.T, dtype="<u4").view("<u8").astype(np.uint64, copy=False)
 
 
 class _SeedWords(ISeedSequence):
     """A seed sequence that hands PCG64 one seed's precomputed hash words.
 
-    ``generate_state(4, np.uint64)`` returns the ``(4,)`` uint64 row of
-    :func:`_pcg64_seed_words`, which is what ``SeedSequence(seed)`` gives
-    there; PCG64 asks for exactly that, and reads the returned buffer
-    directly, so the row must be a contiguous uint64 array, as those rows
-    are. Any other request raises ValueError, so a numpy that seeded PCG64
-    from other words would fail, not drift.
+    ``generate_state(4, np.uint64)``, PCG64's one request, returns the
+    contiguous ``(4,)`` uint64 row of :func:`_pcg64_seed_words`, which is
+    what ``SeedSequence(seed)`` gives there. Any other request raises
+    ValueError, so a numpy that seeded PCG64 otherwise would fail, not drift.
     """
 
     __slots__ = ("words",)
@@ -198,175 +188,18 @@ def _seeded_draws(seeds: np.ndarray, widths: Sequence[int]) -> List[np.ndarray]:
     array, one ``(k, widths[i])`` array per row: row ``t`` of array ``i`` is
     bit for bit ``np.random.default_rng(seeds[i, t]).standard_normal(widths[i])``.
 
-    The SeedSequence hashes of all ``g * k`` seeds run as one uint32 batch.
-    Each seed's PCG64 then seeds itself, in numpy's own code, from that
-    seed's four output words through :class:`_SeedWords`, and its Generator
-    draws the row. Seeds must lie in ``0 .. 2^64 - 1``.
+    The SeedSequence hashes of all ``g * k`` seeds run as one uint32 batch;
+    each seed's PCG64 then seeds itself, in numpy's own code, from its four
+    output words through :class:`_SeedWords`. Seeds lie in ``0 .. 2^64 - 1``.
     """
     words = _pcg64_seed_words(seeds.reshape(-1))
     draws = [np.empty((seeds.shape[1], width)) for width in widths]
-    for row, seed_words in zip(chain.from_iterable(draws), words):
-        np.random.Generator(np.random.PCG64(_SeedWords(seed_words))).standard_normal(out=row)
+    # one seed sequence serves every stream, its words set before each PCG64
+    # reads them; the generators are dropped after their draw
+    seq = _SeedWords(words[0])
+    for row, seq.words in zip(chain.from_iterable(draws), words):
+        np.random.Generator(np.random.PCG64(seq)).standard_normal(out=row)
     return draws
-
-
-def _check_instruments(kraus: np.ndarray) -> None:
-    """Raise ValueError unless every instrument of a ``(k, outcomes, d, d)``
-    Kraus stack is trace preserving and superselection compliant.
-
-    Both tests are written so that NaN entries fail them. Each stack is
-    checked once: by :class:`LocalInstrument`, or by
-    :func:`run_monotone_trials` on its whole batch.
-    """
-    d = kraus.shape[-1]
-    # each instrument's outcomes stacked as one (outcomes * d, d) matrix A,
-    # so that sum_o K_o^dagger K_o is the one product A^dagger A
-    stacked = kraus.reshape(len(kraus), -1, d)
-    total = stacked.conj().swapaxes(1, 2) @ stacked
-    total -= np.eye(d)
-    defect = np.abs(total).max()
-    if not defect <= 1e-9:
-        raise ValueError(f"instrument is not trace preserving (defect {defect:.3e})")
-    rows, cols = zip(*_leak_positions(d))
-    # the largest leak modulus of each matrix; NaN entries give NaN
-    leak = np.abs(kraus[..., rows, cols]).max(axis=-1)
-    compliant = (leak <= MEMBER_TOL).all(axis=0)
-    if not compliant.all():
-        raise ValueError(f"outcome {np.argmin(compliant)} violates the superselection rule")
-
-
-class LocalInstrument(_Frozen):
-    """A two-outcome instrument on one mode, its compliant Kraus operators
-    stacked from any pair of equally sized square matrices into the
-    ``(2, d, d)`` complex array ``kraus``, one instrument of the stack that
-    :func:`_margins` reads.
-
-    The mode must be a non-negative integer, numpy's included, and is kept
-    as a Python int: a bool, a float or a string raises TypeError, and a
-    negative mode ValueError.
-    """
-
-    __slots__ = ("mode", "kraus", "seed")
-    mode: int
-    kraus: np.ndarray
-    seed: int
-
-    def __init__(self, mode: int, kraus: np.ndarray, seed: int) -> None:
-        mode = _integer(mode, "instrument mode")
-        if mode < 0:
-            raise ValueError(f"instrument mode must be non-negative, got {mode}")
-        try:
-            kraus = np.asarray(kraus, dtype=complex)
-        except ValueError:
-            raise ValueError("the Kraus operators of an instrument must share one dimension") from None
-        if kraus.ndim != 3 or kraus.shape[0] != 2 or kraus.shape[1] != kraus.shape[2] or kraus.shape[2] < 2:
-            raise ValueError(f"expected a (2, d, d) Kraus stack with d >= 2, got shape {kraus.shape}")
-        _check_instruments(kraus[None])
-        _set(self, "mode", mode)
-        _set(self, "kraus", kraus)
-        _set(self, "seed", seed)
-
-
-#: normal draws per instrument on a spin one-half mode: the real and
-#: imaginary parts of the 2 x 2 level block, then of the vacancy entry
-_INSTRUMENT_WIDTH = 2 * 2 * 2 + 2
-
-
-# positions of the level entries a, b, c, d and the vacancy v in a 3 x 3 matrix
-_ENTRY_ROWS, _ENTRY_COLS = [0, 0, 1, 1, 2], [0, 1, 0, 1, 2]
-
-
-def _kraus_from_normals(z: np.ndarray, strength: float) -> np.ndarray:
-    """Kraus pairs of the random instruments drawn as the rows of ``z``, ``(k, 2, 3, 3)``.
-
-    Each row holds the real and imaginary parts of the level block, then of
-    the vacancy entry. See :func:`random_instrument` for the construction,
-    which runs once over the whole stack in real arithmetic of ``+``, ``-``,
-    ``*``, ``/`` and square roots, entry by entry. IEEE rounds each of those
-    correctly, so the result depends neither on the CPU features numpy
-    dispatches to nor on the rest of the batch: row ``t`` is bit for bit
-    the one-row call on ``z[t]``.
-    """
-    if not 0 <= strength < np.inf:
-        raise ValueError(f"strength must be finite and non-negative, got {strength}")
-    # the real and imaginary parts of a, b, c, d and v in I + strength * G,
-    # one row per entry, scaled by their largest modulus so that no square
-    # overflows; an entry that does overflow turns the norm below into NaN
-    with np.errstate(over="ignore", invalid="ignore"):
-        re = strength * z.T[[0, 1, 2, 3, 8]]
-        im = strength * z.T[[4, 5, 6, 7, 9]]
-        re[[0, 3, 4]] += 1.0
-        largest = np.maximum(abs(re).max(axis=0), abs(im).max(axis=0))
-        re /= largest
-        im /= largest
-        (ar, br, cr, dr, vr), (ai, bi, ci, di, vi) = re, im
-        # the larger eigenvalue of the level block's Gram matrix [[p, x], [x*, q]]
-        p = ar * ar + ai * ai + (br * br + bi * bi)
-        q = cr * cr + ci * ci + (dr * dr + di * di)
-        xr = ar * cr + ai * ci + (br * dr + bi * di)
-        xi = ai * cr - ar * ci + (bi * dr - br * di)
-        sigma_sq = (p + q + np.sqrt((p - q) * (p - q) + 4.0 * (xr * xr + xi * xi))) * 0.5
-        scale = np.sqrt(2.0 * np.maximum(sigma_sq, vr * vr + vi * vi))
-        finite = np.isfinite(scale * largest).all()
-    if not finite:
-        raise ValueError(f"strength {strength} overflows the instrument entries")
-    # a0 in place: ar .. vi are views of the rows of re and im
-    re /= scale
-    im /= scale
-    # the level block of M = I - a0^dagger a0, whose eigenvalues lie in [1/2, 1]
-    m11 = 1.0 - (ar * ar + ai * ai + (cr * cr + ci * ci))
-    m22 = 1.0 - (br * br + bi * bi + (dr * dr + di * di))
-    m12r = -(ar * br + ai * bi + (cr * dr + ci * di))
-    m12i = -(ar * bi - ai * br + (cr * di - ci * dr))
-    # sqrt(M) = (M + sqrt(det M) I) / sqrt(tr M + 2 sqrt(det M))
-    root_det = np.sqrt(m11 * m22 - (m12r * m12r + m12i * m12i))
-    den = np.sqrt(m11 + m22 + 2.0 * root_det)
-    kraus = np.zeros((len(z), 2, 3, 3), dtype=complex)
-    parts = kraus.view(np.float64).reshape(len(z), 2, 3, 3, 2)
-    parts[:, 0, _ENTRY_ROWS, _ENTRY_COLS, 0] = re.T
-    parts[:, 0, _ENTRY_ROWS, _ENTRY_COLS, 1] = im.T
-    a1 = parts[:, 1]
-    a1[:, 0, 0, 0] = (m11 + root_det) / den
-    a1[:, 1, 1, 0] = (m22 + root_det) / den
-    a1[:, 0, 1, 0] = a1[:, 1, 0, 0] = m12r / den
-    a1[:, 0, 1, 1] = m12i / den
-    a1[:, 1, 0, 1] = -a1[:, 0, 1, 1]
-    a1[:, 2, 2, 0] = np.sqrt(np.maximum(1.0 - (vr * vr + vi * vi), 0.0))
-    return kraus
-
-
-def random_instrument(seed: int, mode: int, strength: float) -> LocalInstrument:
-    """Random compliant instrument, a Ginibre perturbation of the identity.
-
-    Outcome zero is ``(I + strength * G) / (sqrt(2) |I + strength * G|)``
-    with G block Ginibre, spectral norm in the denominator; outcome one is
-    the Hermitian square root completing the pair to a trace-preserving
-    instrument. Both are closed forms, taken block by block so compliance is
-    exact: the norm is the larger of the vacancy's modulus and the level
-    block's largest singular value, ``sqrt((p + q + sqrt((p - q)^2 +
-    4|x|^2)) / 2)`` for its Gram matrix ``[[p, x], [x*, q]]``, and the level
-    block M of the second outcome's square, whose eigenvalues lie in
-    [1/2, 1], has the root ``(M + sqrt(det M) I) / sqrt(tr M + 2 sqrt(det M))``.
-    At strength zero both outcomes collapse to ``I / sqrt(2)``. A strength that
-    is negative or not finite raises ValueError, and so does a finite one so
-    large that the entries of ``I + strength * G`` or their scaled spectral
-    norm overflow. The seed seeds ``np.random.default_rng``; it must be an
-    integer and not a bool, else TypeError, and lie in ``0 .. 2^64 - 1``.
-    The instruments are ``3 x 3``, for the (3, 2, 1) sector, so the mode
-    must lie in ``0 .. 2``, else ValueError, and is refused as
-    :class:`LocalInstrument` refuses it when it is not an integer.
-    """
-    if not 0 <= _integer(seed, "instrument seed") <= _MASK64:
-        raise ValueError(f"instrument seed must lie in 0..2^64-1, got {seed}")
-    _require_mode(_integer(mode, "instrument mode"), 3)
-    z = np.random.default_rng(seed).standard_normal(_INSTRUMENT_WIDTH)
-    return LocalInstrument(mode=mode, kraus=_kraus_from_normals(z[None], strength)[0], seed=seed)
-
-
-def _state_column(state: StateVector) -> np.ndarray:
-    """A normalized (3, 2, 1) state as a ``(12, 1)`` dense column."""
-    require_normalized(state, "monotonicity trial")
-    return np.array(_amplitude_list(state))[:, None]
 
 
 class SplitComplex:
@@ -397,12 +230,190 @@ class SplitComplex:
         return SplitComplex(self.re - other.re, self.im - other.im)
 
     def __mul__(self, other: "SplitComplex") -> "SplitComplex":
-        return SplitComplex(
-            self.re * other.re - self.im * other.im, self.re * other.im + self.im * other.re
-        )
+        # each second product is taken into the first in place: same rounding, one array fewer
+        re = self.re * other.re
+        re -= self.im * other.im
+        im = self.re * other.im
+        im += self.im * other.re
+        return SplitComplex(re, im)
 
     def __abs__(self):
         return np.hypot(self.re, self.im)
+
+
+def _block_rows(kraus: np.ndarray) -> SplitComplex:
+    """The block rows of a ``(k, outcomes, d, d)`` complex Kraus stack: the
+    ``(outcomes, (d - 1)^2 + 1, k)`` real and imaginary parts of each
+    outcome's level block, row by row, then of its vacancy."""
+    lv = kraus.shape[-1] - 1
+    rows, cols = [i for i in range(lv) for _ in range(lv)] + [lv], list(range(lv)) * lv + [lv]
+    entries = kraus[..., rows, cols].transpose(1, 2, 0)
+    return SplitComplex(np.ascontiguousarray(entries.real), np.ascontiguousarray(entries.imag))
+
+
+def _check_instruments(blocks: SplitComplex) -> None:
+    """Raise ValueError unless every instrument given by the block rows
+    ``blocks`` is trace preserving: the sum of ``K^dagger K`` over its
+    outcomes K is the identity within 1e-9, NaN and overflowing entries
+    failing without a warning. Block rows hold no leak entries, so their
+    instruments are compliant. Each batch is checked once, by
+    :class:`LocalInstrument` or by :func:`run_monotone_trials`."""
+    n, width, k = blocks.re.shape
+    lv = math.isqrt(width - 1)
+    # entry (j, l) of the level block sums conj(K_o[i, j]) K_o[i, l] over outcomes o and rows i
+    jr, ji = (part[:, :-1].reshape(n, lv, lv, 1, k) for part in (blocks.re, blocks.im))
+    lr, li = jr.swapaxes(2, 3), ji.swapaxes(2, 3)
+    with np.errstate(over="ignore", invalid="ignore"):
+        total_re = (jr * lr + ji * li).sum(axis=(0, 1)) - np.eye(lv)[..., None]
+        total_im = (jr * li - ji * lr).sum(axis=(0, 1))
+        vacancy = (blocks.re[:, -1] * blocks.re[:, -1] + blocks.im[:, -1] * blocks.im[:, -1]).sum(axis=0) - 1.0
+        # np.maximum and max keep a NaN, which fails the test below
+        defect = np.maximum(np.hypot(total_re, total_im).max(axis=(0, 1)), abs(vacancy)).max()
+    if not defect <= 1e-9:
+        raise ValueError(f"instrument is not trace preserving (defect {defect:.3e})")
+
+
+class LocalInstrument(_Frozen):
+    """A two-outcome instrument on one mode, its compliant Kraus operators
+    stacked from any pair of equally sized square matrices into the
+    ``(2, d, d)`` complex array ``kraus``.
+
+    The mode must be a non-negative integer, numpy's included, and is kept
+    as a Python int: a bool, a float or a string raises TypeError, and a
+    negative mode ValueError. A leak entry above ``MEMBER_TOL`` raises
+    ValueError, and then so do block entries that are not trace preserving."""
+
+    __slots__ = ("mode", "kraus", "seed")
+    mode: int
+    kraus: np.ndarray
+    seed: int
+
+    def __init__(self, mode: int, kraus: np.ndarray, seed: int) -> None:
+        mode = _integer(mode, "instrument mode")
+        if mode < 0:
+            raise ValueError(f"instrument mode must be non-negative, got {mode}")
+        try:
+            kraus = np.asarray(kraus, dtype=complex)
+        except ValueError:
+            raise ValueError("the Kraus operators of an instrument must share one dimension") from None
+        if kraus.ndim != 3 or kraus.shape[0] != 2 or kraus.shape[1] != kraus.shape[2] or kraus.shape[2] < 2:
+            raise ValueError(f"expected a (2, d, d) Kraus stack with d >= 2, got shape {kraus.shape}")
+        rows, cols = zip(*_leak_positions(kraus.shape[2]))
+        # the largest leak modulus of each outcome; NaN entries give NaN
+        compliant = np.abs(kraus[:, rows, cols]).max(axis=-1) <= MEMBER_TOL
+        if not compliant.all():
+            raise ValueError(f"outcome {np.argmin(compliant)} violates the superselection rule")
+        _check_instruments(_block_rows(kraus[None]))
+        _set(self, "mode", mode)
+        _set(self, "kraus", kraus)
+        _set(self, "seed", seed)
+
+
+#: normal draws per instrument on a spin one-half mode: the real and
+#: imaginary parts of the 2 x 2 level block, then of the vacancy entry
+_INSTRUMENT_WIDTH = 2 * 2 * 2 + 2
+
+# the draws in block-row order: the real parts of a, b, c, d and v, then their imaginary parts
+_DRAW_ORDER = [0, 1, 2, 3, 8, 4, 5, 6, 7, 9]
+
+
+def _conj_products(parts: np.ndarray, u: slice, w: slice) -> Tuple[np.ndarray, np.ndarray]:
+    """Real and imaginary parts of ``conj(e_u) e_w``, summed over the two
+    entry pairs that ``u`` and ``w`` pick from the ``(2, 5, k)`` parts."""
+    re = parts[:, u] * parts[:, w]
+    re = re[0] + re[1]
+    im = parts[0, u] * parts[1, w] - parts[1, u] * parts[0, w]
+    return re[0] + re[1], im[0] + im[1]
+
+
+def _kraus_from_normals(z: np.ndarray, strength: float) -> SplitComplex:
+    """Block rows of the random instruments drawn as the rows of ``z``, two
+    ``(2, 5, k)`` parts: outcome, entry a, b, c, d or v, and instrument.
+
+    Each row of ``z`` holds the real and imaginary parts of the level block,
+    then of the vacancy. See :func:`random_instrument` for the construction,
+    which runs once over the batch in IEEE ``+``, ``-``, ``*``, ``/`` and
+    square roots, entry by entry, so column ``t`` is bit for bit the one-row
+    call on ``z[t]``, whatever CPU features numpy dispatches to.
+    """
+    if not 0 <= strength < np.inf:
+        raise ValueError(f"strength must be finite and non-negative, got {strength}")
+    k = len(z)
+    blocks = np.empty((2, 2, 5, k))
+    a0, a1 = blocks[:, 0], blocks[:, 1]
+    # the entries of I + strength * G, scaled by their largest modulus so
+    # that no square overflows; one that does overflow makes the norm NaN
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.multiply(strength, z.T[_DRAW_ORDER].reshape(2, 5, k), out=a0)
+        a0[0, [0, 3, 4]] += 1.0
+        largest = abs(a0).max(axis=(0, 1))
+        a0 /= largest
+        # the larger eigenvalue of the level block's Gram matrix [[p, x], [x*, q]]:
+        # p = |a|^2 + |b|^2, q = |c|^2 + |d|^2 and |x| = |a* c + b* d|
+        squares = a0 * a0
+        moduli = squares[0] + squares[1]
+        p, q = moduli[0:4:2] + moduli[1:4:2]
+        xr, xi = _conj_products(a0, slice(0, 2), slice(2, 4))
+        sigma_sq = (p + q + np.sqrt((p - q) * (p - q) + 4.0 * (xr * xr + xi * xi))) * 0.5
+        scale = np.sqrt(2.0 * np.maximum(sigma_sq, moduli[4]))
+        finite = np.isfinite(scale * largest).all()
+    if not finite:
+        raise ValueError(f"strength {strength} overflows the instrument entries")
+    a0 /= scale
+    # the level block of M = I - a0^dagger a0, whose eigenvalues lie in [1/2, 1]:
+    # 1 - (|a|^2 + |c|^2), 1 - (|b|^2 + |d|^2) and -(a* b + c* d)
+    squares = a0 * a0
+    moduli = squares[0] + squares[1]
+    m11, m22 = 1.0 - (moduli[0:2] + moduli[2:4])
+    m12r, m12i = (-part for part in _conj_products(a0, slice(0, 4, 2), slice(1, 4, 2)))
+    # sqrt(M) = (M + sqrt(det M) I) / sqrt(tr M + 2 sqrt(det M))
+    root_det = np.sqrt(m11 * m22 - (m12r * m12r + m12i * m12i))
+    den = np.sqrt(m11 + m22 + 2.0 * root_det)
+    a1[0, :4] = m11 + root_det, m12r, m12r, m22 + root_det
+    a1[0, :4] /= den
+    a1[0, 4] = np.sqrt(np.maximum(1.0 - moduli[4], 0.0))
+    a1[1] = 0.0
+    a1[1, 1] = m12i / den
+    a1[1, 2] = -a1[1, 1]
+    return SplitComplex(blocks[0], blocks[1])
+
+
+def random_instrument(seed: int, mode: int, strength: float) -> LocalInstrument:
+    """Random compliant instrument, a Ginibre perturbation of the identity.
+
+    Outcome zero is ``(I + strength * G) / (sqrt(2) |I + strength * G|)``
+    with G block Ginibre, spectral norm in the denominator; outcome one is
+    the Hermitian square root completing the pair to a trace-preserving
+    instrument. Both are closed forms, taken block by block so compliance is
+    exact: the norm is the larger of the vacancy's modulus and the level
+    block's largest singular value, ``sqrt((p + q + sqrt((p - q)^2 +
+    4|x|^2)) / 2)`` for its Gram matrix ``[[p, x], [x*, q]]``, and the level
+    block M of the second outcome's square, whose eigenvalues lie in
+    [1/2, 1], has the root ``(M + sqrt(det M) I) / sqrt(tr M + 2 sqrt(det M))``.
+    At strength zero both outcomes collapse to ``I / sqrt(2)``. A strength that
+    is negative or not finite raises ValueError, and so does a finite one so
+    large that the entries of ``I + strength * G`` or their scaled spectral
+    norm overflow. The seed seeds ``np.random.default_rng``; it must be an
+    integer and not a bool, else TypeError, and lie in ``0 .. 2^64 - 1``.
+    The instruments are ``3 x 3``, for the (3, 2, 1) sector, so the mode
+    must lie in ``0 .. 2``, else ValueError, and is refused as
+    :class:`LocalInstrument` refuses it when it is not an integer.
+    """
+    if not 0 <= _integer(seed, "instrument seed") <= _MASK64:
+        raise ValueError(f"instrument seed must lie in 0..2^64-1, got {seed}")
+    _require_mode(_integer(mode, "instrument mode"), 3)
+    z = np.random.default_rng(seed).standard_normal(_INSTRUMENT_WIDTH)
+    blocks = _kraus_from_normals(z[None], strength)
+    kraus = np.zeros((2, 3, 3), dtype=complex)
+    rows, cols = [0, 0, 1, 1, 2], [0, 1, 0, 1, 2]
+    kraus.real[:, rows, cols], kraus.imag[:, rows, cols] = blocks.re[..., 0], blocks.im[..., 0]
+    return LocalInstrument(mode=mode, kraus=kraus, seed=seed)
+
+
+def _state_column(state: StateVector) -> np.ndarray:
+    """A normalized (3, 2, 1) state as a ``(12, 1)`` dense column."""
+    require_normalized(state, "monotonicity trial")
+    return np.array(_amplitude_list(state))[:, None]
 
 
 # _outcomes reads a column for mode m in the order of m's split,
@@ -413,61 +424,49 @@ _SPLIT_ROWS = np.array(_SPLITS)
 _PLACE = _SPLIT_ROWS.argsort(axis=1)
 
 
-def _outcomes(ops: np.ndarray, modes: np.ndarray, columns: np.ndarray, out: SplitComplex) -> SplitComplex:
-    """Act on column ``t`` with each operator of ``ops[t]`` on mode ``modes[t]``; not renormalized.
+def _outcomes(blocks: SplitComplex, modes: np.ndarray, batch: SplitComplex) -> None:
+    """Act on column ``t`` of ``batch[:, 0]`` with each outcome of the block
+    rows ``blocks[..., t]`` on mode ``modes[t]``, writing outcome ``o``, not
+    renormalized, into ``batch[:, 1 + o]``.
 
-    ``columns`` holds a ``(12, k)`` complex batch of (3, 2, 1) states,
-    ``ops`` a ``(k, n, 3, 3)`` complex stack of ``n`` compliant local
-    matrices per column (the outcomes of an instrument) and ``modes`` ``k``
-    mode numbers in ``0 .. 2``, which the callers guarantee. The result is
-    written into and returned as ``out``, whose ``(12, n, k)`` parts may be
-    views, such as slots of a larger batch: ``[:, o, t]`` is ``ops[t, o]``
-    acting on column ``t``.
-
-    One flat ``np.take`` reads each column in its mode's order, another
-    puts the results back in basis order, and only the level block and the
-    vacancy entry are read: a level row of the block meets each (up, down)
-    pair, the vacancy each vacant amplitude. Products and sums round as in
-    :func:`~modal_ent.operators.apply`, and a column's result does not
-    depend on the rest of the batch.
+    ``batch`` holds ``(12, 1 + n, k)`` parts and ``modes`` lie in ``0 .. 2``.
+    One flat ``take`` reads each column in its mode's split order, where a
+    level row meets each (up, down) pair and the vacancy each vacant
+    amplitude, and another puts the outcomes back in basis order, rounding
+    as :func:`~modal_ent.operators.apply` does, column by column.
     """
-    k, n = ops.shape[:2]
+    dim, slots, k = batch.re.shape
+    n = slots - 1
     step = np.arange(k)
-    # contiguous real and imaginary parts: the products below run about
-    # twice as fast on them as on the strided parts of complex arrays
-    gathered = columns.T.ravel().take(_SPLIT_ROWS[modes].T + 12 * step)
-    gathered = SplitComplex(gathered.real.copy(), gathered.imag.copy())
-    up, down = gathered[:4], gathered[4:8]
-    # the entries a, b, c, d and v of each outcome, as (n, 5, 1, k)
-    entries = ops[:, :, _ENTRY_ROWS, _ENTRY_COLS].transpose(1, 2, 0)[:, :, None]
-    entries = SplitComplex(np.ascontiguousarray(entries.real), np.ascontiguousarray(entries.imag))
-    # (n, 2, 4, k): the rows where the mode holds level up, then level down
-    levels = entries[:, 0:3:2] * up + entries[:, 1:4:2] * down
-    vacant = entries[:, 4] * gathered[8:]
+    split = _SPLIT_ROWS.take(modes, axis=0).T * (slots * k) + step
+    state = SplitComplex(batch.re.take(split), batch.im.take(split))
+    # entry (o, r, c) of each level block, (n, 2, 2, 1, k), meets pair member c, (2, 4, k)
+    level = SplitComplex(*(part[:, :4].reshape(n, 2, 2, 1, k) for part in (blocks.re, blocks.im)))
+    terms = level * SplitComplex(state.re[:8].reshape(2, 4, k), state.im[:8].reshape(2, 4, k))
+    levels = terms[:, :, 0] + terms[:, :, 1]
+    vacant = blocks[:, 4:] * state[8:]
     # row j, outcome o of column t sits at (o, _PLACE[modes[t], j], t) of the (n, 12, k) result
-    back = _PLACE[modes].T[:, None] * k + step + 12 * k * np.arange(n)[:, None]
-    for part, level, vacancy in ((out.re, levels.re, vacant.re), (out.im, levels.im, vacant.im)):
-        part[...] = np.concatenate([level.reshape(n, 8, k), vacancy], axis=1).take(back)
-    return out
+    back = _PLACE.take(modes, axis=0).T[:, None] * k + step + (12 * k) * np.arange(n)[:, None]
+    for part, level_part, vacant_part in ((batch.re, levels.re, vacant.re), (batch.im, levels.im, vacant.im)):
+        part[:, 1:] = np.concatenate([level_part.reshape(n, 8, k), vacant_part], axis=1).take(back)
 
 
-def _margins(psi: np.ndarray, kraus: np.ndarray, modes: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Monotone margins of a batch: column ``t`` of ``psi`` meets ``kraus[t]`` on ``modes[t]``.
+def _margins(psi: np.ndarray, blocks: SplitComplex, modes: np.ndarray) -> np.ndarray:
+    """Monotone margins of a batch, ``(2, k)``: column ``t`` of ``psi`` meets
+    the instrument of block rows ``blocks[..., t]`` on mode ``modes[t]``.
 
-    The inputs and the outcomes of every instrument fill one ``(12, 1 +
-    outcomes, k)`` batch in :class:`SplitComplex` arithmetic, which rounds as
-    the scalar path does: the gather writes the outcomes into their slots,
-    which are renormalized in place, and one invariant pass reads the whole
-    batch. Every step acts column by column, so a one-column call reproduces
-    its column of a larger batch bit for bit. An outcome is renormalized by
-    the square root of its probability, the sum of squared moduli taken in
-    basis order, and one of negligible probability adds nothing.
+    The inputs and the outcomes fill one ``(12, 1 + outcomes, k)`` batch,
+    the outcomes renormalized in place by the root of their probability,
+    summed in basis order, and one invariant pass reads it. Every step acts
+    column by column, so a one-column call reproduces its column of a larger
+    batch bit for bit. An outcome of negligible probability adds nothing.
     """
     dim, k = psi.shape
-    slots = (dim, 1 + kraus.shape[1], k)
+    slots = (dim, 1 + len(blocks.re), k)
     batch = SplitComplex(np.empty(slots), np.empty(slots))
     batch.re[:, 0], batch.im[:, 0] = psi.real, psi.imag
-    out = _outcomes(kraus, modes, psi, batch[:, 1:])
+    _outcomes(blocks, modes, batch)
+    out = batch[:, 1:]
     # Python's sum adds the rows in basis order whatever the batch size;
     # np.sum may pair the terms of a single column differently.
     prob = sum(out.re * out.re + out.im * out.im)
@@ -476,18 +475,15 @@ def _margins(psi: np.ndarray, kraus: np.ndarray, modes: np.ndarray) -> Tuple[np.
     out.re /= norm
     out.im /= norm
     columns = SplitComplex(batch.re.reshape(dim, -1), batch.im.reshape(dim, -1))
-    i1, i2 = _invariant_polynomials(columns)[3:]
     # raise by MONOTONE_POWERS through libm's pow, as invariant_report's
     # Python floats do; np.power rounds by the CPU features numpy dispatches
     # to, so the margins would depend on the host
-    mono1, mono2 = (
-        np.fromiter(map(math.pow, abs(i).tolist(), repeat(e)), float, i.re.size).reshape(-1, k)
-        for i, e in zip((i1, i2), MONOTONE_POWERS)
-    )
+    mono = np.array([
+        np.fromiter(map(math.pow, abs(i).tolist(), repeat(e)), float, i.re.size)
+        for i, e in zip(_invariant_polynomials(columns)[3:], MONOTONE_POWERS)
+    ]).reshape(2, -1, k)
     # sum adds the outcomes in order; the last bits of the margins depend on it
-    margin1 = sum(np.where(skip, 0.0, prob * mono1[1:])) - mono1[0]
-    margin2 = sum(np.where(skip, 0.0, prob * mono2[1:])) - mono2[0]
-    return margin1, margin2
+    return sum(np.where(skip, 0.0, prob * mono[:, 1:]).swapaxes(0, 1)) - mono[:, 0]
 
 
 def monotonicity_trial(
@@ -506,7 +502,7 @@ def monotonicity_trial(
     if instrument.kraus.shape[1:] != (3, 3):
         raise ValueError(f"operators have shape {instrument.kraus.shape[1:]}, expected dim 3")
     _require_mode(instrument.mode, 3)
-    m1, m2 = _margins(_state_column(state), instrument.kraus[None], np.array([instrument.mode]))
+    m1, m2 = _margins(_state_column(state), _block_rows(instrument.kraus[None]), np.array([instrument.mode]))
     return float(m1[0]), float(m2[0])
 
 
@@ -520,6 +516,10 @@ class TrialRecord(NamedTuple):
     margin2: float
     margin: float
     passed: bool
+
+
+# TrialRecord._make less its length check; each record row has the seven fields
+_record = partial(tuple.__new__, TrialRecord)
 
 
 class MonteCarloSummary(NamedTuple):
@@ -568,10 +568,10 @@ def run_monotone_trials(
     else:
         psi = np.repeat(_state_column(state), trials, axis=1)
         (draws,) = _seeded_draws(children[1:2], [_INSTRUMENT_WIDTH])
-    kraus = _kraus_from_normals(draws, strength)
-    _check_instruments(kraus)
+    blocks = _kraus_from_normals(draws, strength)
+    _check_instruments(blocks)
     modes = (children[2] % np.uint64(3)).astype(np.intp)
-    m1, m2 = _margins(psi, kraus, modes)
+    m1, m2 = _margins(psi, blocks, modes)
     margins = np.maximum(m1, m2)
     worst = margins.tolist()
     passed = (margins <= MARGIN_TOL).tolist()
@@ -580,7 +580,7 @@ def run_monotone_trials(
         trials=trials,
         failures=passed.count(False),
         max_margin=max(worst),
-        records=tuple(map(TrialRecord._make, records)),
+        records=tuple(map(_record, records)),
     )
 
 

@@ -50,6 +50,7 @@ from .states import (
     _check_admissible,
     _layout,
     _listed_index,
+    _number,
     enumerate_basis,
 )
 
@@ -185,10 +186,9 @@ def state_to_json(state: StateVector, use_symbols: bool = False) -> str:
     for occ, amp in sorted(state.amplitudes.items()):
         if amp == 0:
             continue
+        number = amp if type(amp) is complex else _number(occ, amp)
         try:
-            re, im = _fmt(amp.real), _fmt(amp.imag)
-        except (AttributeError, TypeError):
-            raise ValueError(f"amplitude of occupation {occ} is not a number: {amp!r}") from None
+            re, im = _fmt(number.real), _fmt(number.imag)
         except ValueError:  # _fmt's refusal of an infinite or NaN part
             raise ValueError(f"amplitude of occupation {occ} is not finite: {amp!r}") from None
         recs.append(f'{heads.get(occ) or _record_head(occ, use_symbols)}{re}, "im": {im}}}')

@@ -273,6 +273,8 @@ class StateVector(_Frozen):
     of at most LISTED_DIMENSION a key is accepted by one lookup in the
     cached :func:`basis_index`, which equal numpy integers also pass; only
     a miss, and every key of a larger sector, is checked field by field.
+    A value that is not a number, such as ``'0.6'`` or None, is refused
+    by :func:`_number` once the state computes, as the state saver refuses it.
     """
 
     __slots__ = ("shape", "_map", "_support", "_amps", "_norm", "_invariants")
@@ -329,7 +331,8 @@ class StateVector(_Frozen):
         first call and kept as tuples, which no caller can change."""
         if self._amps is None:
             amps, support = _layout(self.shape, self._map)
-            _set(self, "_amps", tuple(map(complex, amps)))
+            amps = [a if type(a) is complex else _number(occ, a) for occ, a in zip(support, amps)]
+            _set(self, "_amps", tuple(amps))
             _set(self, "_support", support)
         return self._support, self._amps
 
@@ -362,6 +365,21 @@ def _layout(shape: SystemShape, mapping: Mapping[Occupation, complex]) -> Tuple[
     support = enumerate_basis(shape) if shape == SHAPE_321 else tuple(sorted(mapping))
     get = mapping.get
     return [get(occ, 0j) for occ in support], support
+
+
+class _NotANumber(ValueError, TypeError):
+    """An amplitude that is not a number: a bad value in a state, and a
+    value of the wrong type for arithmetic."""
+
+
+def _number(occ: Occupation, amp) -> complex:
+    """``amp`` as a Python complex number, the one rule by which the layout
+    and the state saver read an amplitude. A value without float ``real``
+    and ``imag`` parts, such as a string or None, raises :class:`_NotANumber`."""
+    try:
+        return complex(float(amp.real), float(amp.imag))
+    except (AttributeError, TypeError):
+        raise _NotANumber(f"amplitude of occupation {occ} is not a number: {amp!r}") from None
 
 
 def _dense_dimension(shape: SystemShape) -> int:
@@ -497,6 +515,7 @@ def unit_amplitudes(z: np.ndarray) -> np.ndarray:
 
 
 def random_state(shape: SystemShape, rng: np.random.Generator) -> StateVector:
-    """Normalized state with i.i.d. complex Gaussian amplitudes on every slot."""
-    z = rng.standard_normal(2 * shape.dimension)[None]
+    """Normalized state with i.i.d. complex Gaussian amplitudes on every
+    slot; a sector past LISTED_DIMENSION is refused before anything is drawn."""
+    z = rng.standard_normal(2 * _dense_dimension(shape))[None]
     return StateVector.from_dense(shape, unit_amplitudes(z)[0])

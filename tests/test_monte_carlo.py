@@ -13,7 +13,9 @@ from modal_ent.monte_carlo import (
     MARGIN_TOL,
     LocalInstrument,
     SplitComplex,
+    _block_rows,
     _check_instruments,
+    _conj_products,
     _INSTRUMENT_WIDTH,
     _kraus_from_normals,
     _margins,
@@ -138,9 +140,9 @@ def _reference_run(trials, master, strength=0.5, state=None):
     else:
         psi = np.repeat(_state_column(state), trials, axis=1)
     draws = _default_rng_normals([_splitmix_reference(s, 1) for s in seeds], _INSTRUMENT_WIDTH)
-    kraus = _kraus_from_normals(draws, strength)
+    blocks = _kraus_from_normals(draws, strength)
     modes = [_splitmix_reference(s, 2) % 3 for s in seeds]
-    m1, m2 = _margins(psi, kraus, np.array(modes))
+    m1, m2 = _margins(psi, blocks, np.array(modes))
     margins = np.maximum(m1, m2)
     return [
         (i, s, mode, a, b, m, m <= MARGIN_TOL)
@@ -209,6 +211,10 @@ def test_instrument_validation():
     poisoned[0, 1] = np.nan
     with pytest.raises(ValueError, match="not trace preserving"):
         LocalInstrument(0, np.array([ok, poisoned]), seed=0)
+    # an infinite or overflowing entry is refused, not warned about
+    for huge in (np.inf, 1e200):
+        with pytest.raises(ValueError, match="not trace preserving"):
+            LocalInstrument(0, np.array([ok, np.diag([huge, 1.0, 1.0])]), seed=0)
     for seed in (-1, 2**64):
         with pytest.raises(ValueError, match="instrument seed must lie in"):
             random_instrument(seed, mode=0, strength=0.5)
@@ -320,7 +326,7 @@ def test_equality_instruments_meet_the_monotone_bound():
     single = [monotonicity_trial(psi, LocalInstrument(mode, k, seed=0)) for psi, k, mode in zip(states, kraus, modes)]
     assert max(abs(m) for pair in single for m in pair) <= MARGIN_TOL
     columns = np.hstack([_state_column(psi) for psi in states])
-    batched = _margins(columns, kraus, modes)
+    batched = _margins(columns, _block_rows(kraus), modes)
     assert [tuple(pair) for pair in zip(*(m.tolist() for m in batched))] == single
 
 
@@ -353,16 +359,16 @@ def test_many_outcome_instruments_meet_the_identity_and_the_bound(outcomes):
     reports = [invariant_report(psi) for psi in states]
     for strength in (0.1, 0.7):
         kraus = _random_kraus(local, count, outcomes, strength)
-        _check_instruments(kraus)
+        _check_instruments(_block_rows(kraus))
         c = (abs(np.linalg.det(kraus)) ** (2 / 3)).sum(axis=1) - 1.0
         assert (c < 0).all()
-        m1, m2 = _margins(columns, kraus, modes)
+        m1, m2 = _margins(columns, _block_rows(kraus), modes)
         for a, b, rep, c_i in zip(m1.tolist(), m2.tolist(), reports, c.tolist()):
             assert abs(a - rep.monotone1 * c_i) <= IDENTITY_TOL
             assert abs(b - rep.monotone2 * c_i) <= IDENTITY_TOL
     equality = _equality_kraus(local, count, outcomes)
-    _check_instruments(equality)
-    m1, m2 = _margins(columns, equality, modes)
+    _check_instruments(_block_rows(equality))
+    m1, m2 = _margins(columns, _block_rows(equality), modes)
     assert max(abs(m1).max(), abs(m2).max()) <= MARGIN_TOL
 
 
@@ -373,10 +379,19 @@ def test_batch_monotones_equal_the_scalar_report_bit_for_bit():
     local = np.random.default_rng(6060)
     states = [random_state(SHAPE_321, local) for _ in range(400)] + [family("psi1"), family("psi2")]
     columns = np.hstack([_state_column(psi) for psi in states])
-    m1, m2 = _margins(columns, np.zeros((len(states), 1, 3, 3), dtype=complex), local.integers(3, size=len(states)))
+    silent = _block_rows(np.zeros((len(states), 1, 3, 3), dtype=complex))
+    m1, m2 = _margins(columns, silent, local.integers(3, size=len(states)))
     reports = [invariant_report(psi) for psi in states]
     assert (-m1).tolist() == [rep.monotone1 for rep in reports]
     assert (-m2).tolist() == [rep.monotone2 for rep in reports]
+
+
+def _matrix(blocks, o, t):
+    """The complex 3 x 3 matrix of outcome ``o`` of instrument ``t`` in block rows."""
+    m = np.zeros((3, 3), dtype=complex)
+    m.real[[0, 0, 1, 1, 2], [0, 1, 0, 1, 2]] = blocks.re[o, :, t]
+    m.imag[[0, 0, 1, 1, 2], [0, 1, 0, 1, 2]] = blocks.im[o, :, t]
+    return m
 
 
 @pytest.mark.parametrize("strength", [0.0, 0.5, 3.0])
@@ -385,18 +400,20 @@ def test_gather_equals_apply_on_mode_bit_for_bit(strength):
     local = np.random.default_rng(8080)
     cases = [(random_state(SHAPE_321, local), mode) for _ in range(20) for mode in range(3)]
     psi = np.column_stack([s.dense() for s, _ in cases])
-    kraus = _kraus_from_normals(local.standard_normal((len(cases), _INSTRUMENT_WIDTH)), strength)
-    slots = (12, 2, len(cases))
-    out = _outcomes(kraus, np.array([mode for _, mode in cases]), psi, SplitComplex(np.empty(slots), np.empty(slots)))
+    blocks = _kraus_from_normals(local.standard_normal((len(cases), _INSTRUMENT_WIDTH)), strength)
+    slots = (12, 3, len(cases))
+    batch = SplitComplex(np.empty(slots), np.empty(slots))
+    batch.re[:, 0], batch.im[:, 0] = psi.real, psi.imag
+    _outcomes(blocks, np.array([mode for _, mode in cases]), batch)
     for t, (state, mode) in enumerate(cases):
         for o in range(2):
-            want = apply_on_mode(kraus[t, o], mode, state).dense()
-            assert out.re[:, o, t].tobytes() == want.real.tobytes()
-            assert out.im[:, o, t].tobytes() == want.imag.tobytes()
+            want = apply_on_mode(_matrix(blocks, o, t), mode, state).dense()
+            assert batch.re[:, 1 + o, t].tobytes() == want.real.tobytes()
+            assert batch.im[:, 1 + o, t].tobytes() == want.imag.tobytes()
 
 
 def test_leak_entries_inside_the_tolerance_leave_the_margins_in_place():
-    # the gather reads only the level blocks and the vacancies, so entries
+    # block rows hold only the level blocks and the vacancies, so entries
     # that compliance lets through below MEMBER_TOL change no bit
     local = np.random.default_rng(9090)
     rows, cols = zip(*_leak_positions(3))
@@ -412,9 +429,9 @@ def test_leak_entries_inside_the_tolerance_leave_the_margins_in_place():
         assert monotonicity_trial(state, b) == monotonicity_trial(state, a)
     psi = np.column_stack([s.dense() for s in states])
     modes = np.array([inst.mode for inst in clean])
-    want = _margins(psi, np.stack([inst.kraus for inst in clean]), modes)
-    got = _margins(psi, np.stack([inst.kraus for inst in leaky]), modes)
-    assert all(x.tobytes() == y.tobytes() for x, y in zip(got, want))
+    want = _margins(psi, _block_rows(np.stack([inst.kraus for inst in clean])), modes)
+    got = _margins(psi, _block_rows(np.stack([inst.kraus for inst in leaky])), modes)
+    assert got.tobytes() == want.tobytes()
 
 
 def _lapack_kraus(z, strength):
@@ -447,15 +464,41 @@ KRAUS_TOL = 4e-15
 @pytest.mark.parametrize("strength", [0.0, 1e-8, 0.5, 3.0, 1e3, 1e307])
 def test_closed_form_kraus_matches_the_lapack_oracle(strength):
     z = np.random.default_rng(7070).standard_normal((20000, _INSTRUMENT_WIDTH))
-    assert np.abs(_kraus_from_normals(z, strength) - _lapack_kraus(z, strength)).max() <= KRAUS_TOL
+    oracle = _lapack_kraus(z, strength)
+    # the oracle is block diagonal too, so its block rows are all its entries
+    rows, cols = zip(*_leak_positions(3))
+    assert not oracle[..., rows, cols].any()
+    got, want = _kraus_from_normals(z, strength), _block_rows(oracle)
+    assert np.hypot(got.re - want.re, got.im - want.im).max() <= KRAUS_TOL
+
+
+@pytest.mark.parametrize("strength", [0.0, 0.5, 0.9, 1e307])
+def test_batch_rows_are_the_entries_of_the_replayed_instruments(monkeypatch, strength):
+    # the rows a run checks and evaluates are, bit for bit, the level and
+    # vacancy entries of the instruments random_instrument replays, whose
+    # leak entries are exactly zero; master seed 1 is refused at 3e307
+    seen = []
+    check = monte_carlo._check_instruments
+    monkeypatch.setattr(monte_carlo, "_check_instruments", lambda blocks: (seen.append(blocks), check(blocks)))
+    summary = run_monotone_trials(100, 1, strength=strength)
+    (blocks,) = seen
+    rows, cols = [0, 0, 1, 1, 2], [0, 1, 0, 1, 2]
+    leak_rows, leak_cols = zip(*_leak_positions(3))
+    for t, rec in enumerate(summary.records):
+        kraus = random_instrument(derive_seed(rec.seed, 1), rec.mode, strength).kraus
+        assert not kraus[:, leak_rows, leak_cols].any()
+        for got, want in ((blocks.re, kraus.real), (blocks.im, kraus.imag)):
+            assert np.array_equal(got[..., t].view(np.uint64), want[:, rows, cols].view(np.uint64))
 
 
 def test_kraus_rows_equal_their_one_row_calls():
     z = np.random.default_rng(7171).standard_normal((300, _INSTRUMENT_WIDTH))
     for strength in (0.0, 0.5, 3.0, 1e307):
         batch = _kraus_from_normals(z, strength)
-        for row, want in zip(z, batch):
-            assert np.array_equal(_kraus_from_normals(row[None], strength)[0].view(np.uint64), want.view(np.uint64))
+        for t, row in enumerate(z):
+            one = _kraus_from_normals(row[None], strength)
+            for got, want in ((one.re[..., 0], batch.re[..., t]), (one.im[..., 0], batch.im[..., t])):
+                assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 #: the largest margin move allowed between runs with the closed form and with
@@ -469,7 +512,7 @@ VANISHING_MOVE_TOL = 1e-11
 @pytest.mark.parametrize("state", [None, family("psi1")], ids=["random", "psi1"])
 def test_lapack_completion_moves_only_the_last_bits(monkeypatch, state):
     summary = run_monotone_trials(2000, 7, state=state)
-    monkeypatch.setattr(monte_carlo, "_kraus_from_normals", _lapack_kraus)
+    monkeypatch.setattr(monte_carlo, "_kraus_from_normals", lambda z, strength: _block_rows(_lapack_kraus(z, strength)))
     oracle = run_monotone_trials(2000, 7, state=state)
     assert [(r.index, r.seed, r.mode, r.passed) for r in summary.records] == [
         (r.index, r.seed, r.mode, r.passed) for r in oracle.records
@@ -485,25 +528,28 @@ def test_each_path_checks_its_kraus_stack_once(monkeypatch):
     shapes = []
     check = monte_carlo._check_instruments
 
-    def counted(kraus):
-        shapes.append(kraus.shape)
-        check(kraus)
+    def counted(blocks):
+        shapes.append((blocks.re.shape, blocks.im.shape))
+        check(blocks)
 
     monkeypatch.setattr(monte_carlo, "_check_instruments", counted)
     random_instrument(seed=11, mode=1, strength=0.5)
-    assert shapes == [(1, 2, 3, 3)]
+    assert shapes == [((2, 5, 1), (2, 5, 1))]
     shapes.clear()
     run_monotone_trials(25, 3)
-    assert shapes == [(25, 2, 3, 3)]
+    assert shapes == [((2, 5, 25), (2, 5, 25))]
     shapes.clear()
     run_monotone_trials(25, 3, state=family("psi2"))
-    assert shapes == [(25, 2, 3, 3)]
+    assert shapes == [((2, 5, 25), (2, 5, 25))]
 
 
 def test_instrument_path_calls_no_linear_algebra():
     # the completion is closed-form arithmetic whose IEEE results do not
     # depend on the CPU; LAPACK's kernels are chosen by it
-    for code in (_kraus_from_normals, _check_instruments, random_instrument, LocalInstrument):
+    for code in (
+        _kraus_from_normals, _conj_products, _check_instruments, _block_rows, random_instrument, LocalInstrument,
+        _outcomes, _margins,
+    ):
         tree = ast.parse(inspect.getsource(code))
         assert not [node for node in ast.walk(tree) if isinstance(node, ast.Attribute) and node.attr == "linalg"]
 
@@ -614,7 +660,7 @@ def test_zero_probability_outcome_is_skipped():
         ]
         psi = np.column_stack([s.dense() for s, _ in cases])
         kraus = np.stack([np.array([keep, drop])] * len(cases))
-        batch1, batch2 = _margins(psi, kraus, np.array([mode for _, mode in cases]))
+        batch1, batch2 = _margins(psi, _block_rows(kraus), np.array([mode for _, mode in cases]))
     assert singles[:3] == [(0.0, 0.0)] * 3
     assert list(zip(batch1.tolist(), batch2.tolist())) == singles
     with np.errstate(all="raise"), warnings.catch_warnings():

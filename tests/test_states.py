@@ -1,5 +1,7 @@
 import math
 import re
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from modal_ent.classify import canonical_form, family, membership_report
 from modal_ent.invariants import _amplitude_list, invariant_report
 from modal_ent.maxent import build_psi_sigma, pattern_scan
 from modal_ent.monte_carlo import random_instrument, run_monotone_trials
+from modal_ent.serialize import state_to_json
 from modal_ent.stabilizers import stabilizer
 from modal_ent.states import (
     SHAPE_321,
@@ -164,6 +167,51 @@ def test_dense_and_from_dense_refuse_a_sector_past_the_listed_dimension(monkeypa
         assert shape.dimension > LISTED_DIMENSION
         with pytest.raises(ValueError, match=f"^sector dimension {shape.dimension} too large for a dense vector$"):
             call()
+
+
+def test_random_state_refuses_a_sector_past_the_listed_dimension_before_drawing():
+    # the refusal used to come after 2 * 109,824 normal draws
+    wide = SystemShape(13, 6, 1)
+    assert wide.dimension == 109824
+    rng = np.random.default_rng(6161)
+    before = rng.bit_generator.state
+    with pytest.raises(ValueError, match="^sector dimension 109824 too large for a dense vector$"):
+        random_state(wide, rng)
+    assert rng.bit_generator.state == before
+
+
+def _outcome(call):
+    """``(None, None)`` if ``call()`` returns, else its error type and message."""
+    try:
+        call()
+    except (ValueError, TypeError) as exc:
+        return type(exc), str(exc)
+    return None, None
+
+
+@pytest.mark.parametrize("shape, occ, other", [
+    (SHAPE_321, (1, 1, 0), (0, 1, 2)),
+    (SystemShape(4, 2, 1), (1, 1, 0, 0), (0, 0, 1, 2)),
+], ids=["321", "421"])
+def test_the_layout_and_the_saver_refuse_the_same_amplitudes(shape, occ, other):
+    # the layout used to coerce with complex(), which parses numeric strings,
+    # so norm() read '0.6' as 0.6 while state_to_json refused it
+    readers = [lambda s: s.norm(), lambda s: s.dense(), state_to_json]
+    if shape == SHAPE_321:
+        readers.append(invariant_report)
+    for bad in ("0.6", None, "x", [1.0], b"1"):
+        state = lambda: StateVector(shape, {occ: bad, other: 0.8})
+        outcomes = {_outcome(lambda: read(state())) for read in readers}
+        assert len(outcomes) == 1
+        ((kind, message),) = outcomes
+        # a ValueError to state-file callers, a TypeError to arithmetic ones
+        assert issubclass(kind, ValueError) and issubclass(kind, TypeError)
+        assert message == f"amplitude of occupation {occ} is not a number: {bad!r}"
+    # numbers of any Python or numpy type lay out as their complex values
+    for good in (0.6, 3, True, np.float32(0.5), np.complex64(0.25j), Fraction(3, 5), Decimal("0.6")):
+        state = StateVector(shape, {occ: good, other: 0.8})
+        assert [_outcome(lambda: read(state)) for read in readers] == [(None, None)] * len(readers)
+        assert state.dense()[basis_index(shape)[occ]] == complex(good)
 
 
 def test_reduced_density_of_product_like_state():

@@ -1,5 +1,7 @@
-"""The suite's own pytest configuration reports a failing test as a failure."""
+"""The suite's own configuration: pytest reports a failing test as a failure,
+and every source file parses as the oldest Python the package supports."""
 
+import ast
 import pathlib
 import subprocess
 import sys
@@ -35,3 +37,23 @@ def test_failing_given_test_is_reported_not_internal_error(tmp_path):
     assert "INTERNALERROR" not in output, output
     assert run.returncode == 1, output
     assert "1 failed" in run.stdout, output
+
+
+def test_every_source_file_parses_as_python_3_10():
+    """Every ``.py`` file under ``src/``, ``tests/`` and ``tools/`` parses with
+    the Python 3.10 grammar, the oldest that ``requires-python`` admits.
+
+    This check is best effort. It covers grammar only, and only the newer
+    constructs that the running parser checks against ``feature_version``,
+    such as ``except*``; it says nothing of standard-library APIs that 3.10
+    lacks, which only a 3.10 interpreter would find.
+    """
+    files = sorted(path for top in ("src", "tests", "tools") for path in (REPO / top).rglob("*.py"))
+    assert len(files) > 20
+    refused = []
+    for path in files:
+        try:
+            ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))
+        except SyntaxError as exc:
+            refused.append(f"{path.relative_to(REPO)}:{exc.lineno}: {exc.msg}")
+    assert not refused, refused
