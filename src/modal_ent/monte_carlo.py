@@ -17,13 +17,13 @@ closed-form completion writes them, one check reads them, and in
 :func:`_margins` one gather, :func:`_outcomes`, acts with every outcome,
 and one pass of the invariant polynomials reads inputs and renormalized
 outcomes as a ``(12, 3k)`` batch in :class:`SplitComplex` arithmetic.
-Complex Kraus matrices are built only where a user sees them. Every step
-rounds only through IEEE ``+``, ``-``, ``*``, ``/`` and square roots, and
-the monotones take libm's ``pow``, so the margins do not depend on the CPU
-features numpy dispatches to. The gather reads each (3, 2, 1) column by the
-per-mode split ``states._SPLITS``. :func:`monotonicity_trial` reads a
-:class:`LocalInstrument` into block rows and is the kernel's one-column
-call, so replaying a trial from its seeds reproduces its margins bit for bit.
+Every step rounds only through IEEE ``+``, ``-``, ``*``, ``/`` and square
+roots, and the monotones take libm's ``pow``, so the margins do not depend
+on the CPU features numpy dispatches to. The gather reads each (3, 2, 1)
+column by the per-mode split ``states._SPLITS``. A :class:`LocalInstrument`
+is one column of block rows, checked once when it is made;
+:func:`monotonicity_trial` is the kernel's one-column call on those rows,
+so replaying a trial from its seeds reproduces its margins bit for bit.
 
 The invariance sweep batches states as dense columns, moves them by every
 element in one pass of the pair-block action that ``operators.apply`` and
@@ -38,7 +38,6 @@ elements. Ratios of renormalized values stay order one.
 from __future__ import annotations
 
 import math
-import operator
 from functools import partial
 from itertools import chain, repeat
 from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
@@ -47,12 +46,13 @@ import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
 from .invariants import MONOTONE_POWERS, _amplitude_list, _invariant_polynomials
-from .operators import MEMBER_TOL, GroupElement, _leak_positions, _moved, _require_shape
+from .operators import MEMBER_TOL, GroupElement, _leak_positions, _moved, _require_compliant
 from .states import (
     _SPLITS,
     SHAPE_321,
     StateVector,
     _Frozen,
+    _require_integer,
     _require_mode,
     _set,
     require_normalized,
@@ -65,48 +65,32 @@ MARGIN_TOL = 1e-9
 _MASK64 = (1 << 64) - 1
 
 
-def _integer(x: int, what: str) -> int:
-    """x as a Python int; a bool, numpy's included, a float or a string
-    raises TypeError naming ``what``."""
-    if isinstance(x, (bool, np.bool_)):
-        raise TypeError(f"{what} must be an integer, not a bool")
-    try:
-        return operator.index(x)
-    except TypeError:
-        raise TypeError(f"{what} must be an integer, not {type(x).__name__}") from None
-
-
-def _wrapping(x: Union[int, np.ndarray]) -> Union[int, np.ndarray]:
-    """x as a uint64 array if it is a non-scalar array, else as a Python int.
-
-    numpy warns when a scalar wraps around but never when an array does, so
-    the seed arithmetic runs on arrays or on Python ints, never on numpy
-    scalars. A scalar that is not an integer, such as a float or a bool, or
-    an array whose dtype is not an integer type raises TypeError.
-    """
+def _seed_array(x: Union[int, np.ndarray]) -> np.ndarray:
+    """x as a uint64 array, a scalar reduced mod 2^64 into one element: numpy
+    warns when a scalar wraps around but never when an array does. A float
+    or a bool, or an array whose dtype is not an integer type, raises TypeError."""
     if isinstance(x, np.ndarray) and x.ndim:
         if x.dtype.kind not in "iu":
             raise TypeError(f"seed arrays must have an integer dtype, not {x.dtype}")
         return x.astype(np.uint64, copy=False)
-    return _integer(x, "a seed")
+    return np.array([_require_integer(x, "a seed") & _MASK64], dtype=np.uint64)
 
 
-def derive_seed(
-    master: Union[int, np.ndarray], index: Union[int, np.ndarray]
-) -> Union[int, np.ndarray]:
+def derive_seed(master: Union[int, np.ndarray], index: Union[int, np.ndarray]) -> Union[int, np.ndarray]:
     """Child seed from a master seed and an index, splitmix64 style.
 
     The stream for index i is independent of how many other indices are in
     use, so trials can be replayed individually. Either argument may be a
     uint64 array, which gives the broadcast uint64 array of children; two
-    ints give a Python int. Ints of any size and sign are reduced mod 2^64.
-    The masks keep Python ints in 64 bits and leave uint64 arrays unchanged.
+    scalars give a Python int. Ints of any size and sign are reduced mod 2^64.
     """
-    master, index = _wrapping(master), _wrapping(index)
-    z = ((master & _MASK64) + ((index + 1) * 0x9E3779B97F4A7C15 & _MASK64)) & _MASK64
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return z ^ (z >> 31)
+    z = _seed_array(master) + (_seed_array(index) + 1) * 0x9E3779B97F4A7C15
+    z ^= z >> 30
+    z *= 0xBF58476D1CE4E5B9
+    z ^= z >> 27
+    z *= 0x94D049BB133111EB
+    z ^= z >> 31
+    return z if np.ndim(master) or np.ndim(index) else int(z[0])
 
 
 def _hash_constants(init: int, mult: int, count: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -241,13 +225,15 @@ class SplitComplex:
         return np.hypot(self.re, self.im)
 
 
+# the rows and columns of the block entries a, b, c, d and v of a 3 x 3 matrix
+_BLOCK_ROWS, _BLOCK_COLS = [0, 0, 1, 1, 2], [0, 1, 0, 1, 2]
+
+
 def _block_rows(kraus: np.ndarray) -> SplitComplex:
-    """The block rows of a ``(k, outcomes, d, d)`` complex Kraus stack: the
-    ``(outcomes, (d - 1)^2 + 1, k)`` real and imaginary parts of each
-    outcome's level block, row by row, then of its vacancy."""
-    lv = kraus.shape[-1] - 1
-    rows, cols = [i for i in range(lv) for _ in range(lv)] + [lv], list(range(lv)) * lv + [lv]
-    entries = kraus[..., rows, cols].transpose(1, 2, 0)
+    """The block rows of a ``(k, outcomes, 3, 3)`` complex Kraus stack: the
+    ``(outcomes, 5, k)`` real and imaginary parts of each outcome's block
+    entries a, b, c, d and v."""
+    entries = kraus[..., _BLOCK_ROWS, _BLOCK_COLS].transpose(1, 2, 0)
     return SplitComplex(np.ascontiguousarray(entries.real), np.ascontiguousarray(entries.imag))
 
 
@@ -256,17 +242,16 @@ def _check_instruments(blocks: SplitComplex) -> None:
     ``blocks`` is trace preserving: the sum of ``K^dagger K`` over its
     outcomes K is the identity within 1e-9, NaN and overflowing entries
     failing without a warning. Block rows hold no leak entries, so their
-    instruments are compliant. Each batch is checked once, by
-    :class:`LocalInstrument` or by :func:`run_monotone_trials`."""
-    n, width, k = blocks.re.shape
-    lv = math.isqrt(width - 1)
+    instruments are compliant. Each batch is checked once, when a
+    :class:`LocalInstrument` is made or by :func:`run_monotone_trials`."""
+    n, _, k = blocks.re.shape
     # entry (j, l) of the level block sums conj(K_o[i, j]) K_o[i, l] over outcomes o and rows i
-    jr, ji = (part[:, :-1].reshape(n, lv, lv, 1, k) for part in (blocks.re, blocks.im))
+    jr, ji = (part[:, :4].reshape(n, 2, 2, 1, k) for part in (blocks.re, blocks.im))
     lr, li = jr.swapaxes(2, 3), ji.swapaxes(2, 3)
     with np.errstate(over="ignore", invalid="ignore"):
-        total_re = (jr * lr + ji * li).sum(axis=(0, 1)) - np.eye(lv)[..., None]
+        total_re = (jr * lr + ji * li).sum(axis=(0, 1)) - np.eye(2)[..., None]
         total_im = (jr * li - ji * lr).sum(axis=(0, 1))
-        vacancy = (blocks.re[:, -1] * blocks.re[:, -1] + blocks.im[:, -1] * blocks.im[:, -1]).sum(axis=0) - 1.0
+        vacancy = (blocks.re[:, 4] * blocks.re[:, 4] + blocks.im[:, 4] * blocks.im[:, 4]).sum(axis=0) - 1.0
         # np.maximum and max keep a NaN, which fails the test below
         defect = np.maximum(np.hypot(total_re, total_im).max(axis=(0, 1)), abs(vacancy)).max()
     if not defect <= 1e-9:
@@ -274,39 +259,55 @@ def _check_instruments(blocks: SplitComplex) -> None:
 
 
 class LocalInstrument(_Frozen):
-    """A two-outcome instrument on one mode, its compliant Kraus operators
-    stacked from any pair of equally sized square matrices into the
-    ``(2, d, d)`` complex array ``kraus``.
+    """A two-outcome instrument on one mode of the (3, 2, 1) sector, read
+    from a ``(2, 3, 3)`` stack of compliant Kraus operators and kept as
+    their block rows, which the trial kernel reads; ``kraus`` rebuilds the
+    stack, with exact zeros at the leak entries.
 
-    The mode must be a non-negative integer, numpy's included, and is kept
-    as a Python int: a bool, a float or a string raises TypeError, and a
-    negative mode ValueError. A leak entry above ``MEMBER_TOL`` raises
-    ValueError, and then so do block entries that are not trace preserving."""
+    The mode is kept as a Python int: a bool, a float or a string raises
+    TypeError, also a ValueError, and a mode outside ``0 .. 2`` ValueError,
+    as do another shape, a leak entry above ``MEMBER_TOL`` and then block
+    entries that are not trace preserving."""
 
-    __slots__ = ("mode", "kraus", "seed")
+    __slots__ = ("mode", "seed", "_blocks")
     mode: int
-    kraus: np.ndarray
     seed: int
+    _blocks: SplitComplex
 
-    def __init__(self, mode: int, kraus: np.ndarray, seed: int) -> None:
-        mode = _integer(mode, "instrument mode")
-        if mode < 0:
-            raise ValueError(f"instrument mode must be non-negative, got {mode}")
+    def __new__(cls, mode: int, kraus: np.ndarray, seed: int) -> "LocalInstrument":
         try:
             kraus = np.asarray(kraus, dtype=complex)
         except ValueError:
             raise ValueError("the Kraus operators of an instrument must share one dimension") from None
-        if kraus.ndim != 3 or kraus.shape[0] != 2 or kraus.shape[1] != kraus.shape[2] or kraus.shape[2] < 2:
-            raise ValueError(f"expected a (2, d, d) Kraus stack with d >= 2, got shape {kraus.shape}")
-        rows, cols = zip(*_leak_positions(kraus.shape[2]))
+        if kraus.shape != (2, 3, 3):
+            raise ValueError(f"expected a (2, 3, 3) Kraus stack, got shape {kraus.shape}")
+        rows, cols = zip(*_leak_positions(3))
         # the largest leak modulus of each outcome; NaN entries give NaN
         compliant = np.abs(kraus[:, rows, cols]).max(axis=-1) <= MEMBER_TOL
         if not compliant.all():
             raise ValueError(f"outcome {np.argmin(compliant)} violates the superselection rule")
-        _check_instruments(_block_rows(kraus[None]))
-        _set(self, "mode", mode)
-        _set(self, "kraus", kraus)
-        _set(self, "seed", seed)
+        return cls._from_blocks(mode, _block_rows(kraus[None]), seed)
+
+    @classmethod
+    def _from_blocks(cls, mode: int, blocks: SplitComplex, seed: int) -> "LocalInstrument":
+        """The instrument of ``(2, 5, 1)`` block rows, which hold no leak
+        entries: the one place where a mode and its rows are checked."""
+        mode = _require_integer(mode, "instrument mode")
+        _require_mode(mode, 3)
+        _check_instruments(blocks)
+        instrument = object.__new__(cls)
+        _set(instrument, "mode", mode)
+        _set(instrument, "seed", seed)
+        _set(instrument, "_blocks", blocks)
+        return instrument
+
+    @property
+    def kraus(self) -> np.ndarray:
+        """The ``(2, 3, 3)`` complex Kraus stack, a new array on each read."""
+        kraus = np.zeros((2, 3, 3), dtype=complex)
+        kraus.real[:, _BLOCK_ROWS, _BLOCK_COLS] = self._blocks.re[..., 0]
+        kraus.imag[:, _BLOCK_ROWS, _BLOCK_COLS] = self._blocks.im[..., 0]
+        return kraus
 
 
 #: normal draws per instrument on a spin one-half mode: the real and
@@ -395,19 +396,13 @@ def random_instrument(seed: int, mode: int, strength: float) -> LocalInstrument:
     large that the entries of ``I + strength * G`` or their scaled spectral
     norm overflow. The seed seeds ``np.random.default_rng``; it must be an
     integer and not a bool, else TypeError, and lie in ``0 .. 2^64 - 1``.
-    The instruments are ``3 x 3``, for the (3, 2, 1) sector, so the mode
-    must lie in ``0 .. 2``, else ValueError, and is refused as
-    :class:`LocalInstrument` refuses it when it is not an integer.
+    The block rows of the completion become the instrument as they are,
+    and the mode is refused as :class:`LocalInstrument` refuses it.
     """
-    if not 0 <= _integer(seed, "instrument seed") <= _MASK64:
+    if not 0 <= _require_integer(seed, "instrument seed") <= _MASK64:
         raise ValueError(f"instrument seed must lie in 0..2^64-1, got {seed}")
-    _require_mode(_integer(mode, "instrument mode"), 3)
     z = np.random.default_rng(seed).standard_normal(_INSTRUMENT_WIDTH)
-    blocks = _kraus_from_normals(z[None], strength)
-    kraus = np.zeros((2, 3, 3), dtype=complex)
-    rows, cols = [0, 0, 1, 1, 2], [0, 1, 0, 1, 2]
-    kraus.real[:, rows, cols], kraus.imag[:, rows, cols] = blocks.re[..., 0], blocks.im[..., 0]
-    return LocalInstrument(mode=mode, kraus=kraus, seed=seed)
+    return LocalInstrument._from_blocks(mode, _kraus_from_normals(z[None], strength), seed)
 
 
 def _state_column(state: StateVector) -> np.ndarray:
@@ -494,15 +489,12 @@ def monotonicity_trial(
     Returns the margins for the two monotones ``|I1|^(1/3)`` and
     ``|I2|^(2/3)``; non-positive margins (within tolerance) are what the
     monotone property demands. Outcomes with negligible probability are
-    skipped. The state must be normalized and of shape (3, 2, 1), and the
-    instrument must act with ``3 x 3`` operators on a mode in ``0 .. 2``,
-    else ValueError. This is the one-trial call of the kernel behind
-    :func:`run_monotone_trials`, so it replays a recorded trial bit for bit.
+    skipped. The state must be normalized and of shape (3, 2, 1), else
+    ValueError. This is the one-trial call of the kernel behind
+    :func:`run_monotone_trials` on the instrument's block rows, so it
+    replays a recorded trial bit for bit.
     """
-    if instrument.kraus.shape[1:] != (3, 3):
-        raise ValueError(f"operators have shape {instrument.kraus.shape[1:]}, expected dim 3")
-    _require_mode(instrument.mode, 3)
-    m1, m2 = _margins(_state_column(state), _block_rows(instrument.kraus[None]), np.array([instrument.mode]))
+    m1, m2 = _margins(_state_column(state), instrument._blocks, np.array([instrument.mode]))
     return float(m1[0]), float(m2[0])
 
 
@@ -556,7 +548,7 @@ def run_monotone_trials(
     compute the invariants of the actual outcome states, so they check this
     identity rather than assume it.
     """
-    trials = _integer(trials, "trials")
+    trials = _require_integer(trials, "trials")
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
     seeds = derive_seed(master_seed, np.arange(trials, dtype=np.uint64))
@@ -619,9 +611,7 @@ def invariance_sweep(
     if not elements:
         raise ValueError("invariance sweep needs at least one group element")
     for g in elements:
-        _require_shape(g, SHAPE_321)
-        if not g.is_superselection_compliant():
-            raise ValueError("element violates the superselection rule")
+        _require_compliant(g, SHAPE_321)
     n, k = len(elements), psi.shape[1]
     # the level entries a, b, c, d and the vacancy v of each mode, as
     # (5, 3, n k) arrays: each element's entries repeated over its k columns

@@ -22,9 +22,10 @@ because the benchmark's tracer wraps it by name.
 
 The entries that the superselection rule requires to vanish are listed
 once, by ``_leak_positions``. ``_leaking_mode`` reads them from the rows of
-an element, for :meth:`GroupElement.is_superselection_compliant` and
-:func:`apply`; the Monte-Carlo instrument check reads them from its Kraus
-stacks.
+an element, for :meth:`GroupElement.is_superselection_compliant` and for
+``_require_compliant``, the one shape and compliance check of :func:`apply`,
+:func:`sector_matrix` and the invariance sweep; ``monte_carlo.LocalInstrument``
+reads them once, from the Kraus stack it is built from, and keeps the rest.
 
 Loading this module loads no numpy, and neither do building, checking and
 applying elements, or :func:`occupation_scaling`, so
@@ -39,7 +40,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import operator
 from functools import lru_cache
 from typing import TYPE_CHECKING, Dict, Optional, Sequence, Tuple
 
@@ -162,13 +162,18 @@ def _leaking_mode(matrices: _Rows) -> Optional[int]:
     return None
 
 
-def _require_shape(element: GroupElement, shape: SystemShape) -> None:
-    """Raise ValueError unless ``element`` has one ``d x d`` operator per mode of ``shape``."""
+def _require_compliant(element: GroupElement, shape: SystemShape) -> None:
+    """Raise ValueError unless ``element`` has one ``d x d`` operator per mode
+    of ``shape``, each superselection compliant; the message of a leak names
+    its mode. Every reader of an element's action checks it here."""
     mats = element.matrices
     have = (len(mats), len(mats[0]), len(mats[0]))
     want = (shape.modes, shape.local_dim, shape.local_dim)
     if have != want:
         raise ValueError(f"element has shape {have}, expected {want}")
+    leaking = _leaking_mode(mats)
+    if leaking is not None:
+        raise ValueError(f"operator on mode {leaking} violates the superselection rule")
 
 
 def _exp_entries(a: complex, b: complex, c: complex, d: complex, v: complex) -> _Rows:
@@ -277,10 +282,7 @@ def apply(element: GroupElement, state: StateVector) -> StateVector:
     basis order of the input, and the result's keys come in basis order.
     """
     shape = state.shape
-    _require_shape(element, shape)
-    leaking = _leaking_mode(element.matrices)
-    if leaking is not None:
-        raise ValueError(f"operator on mode {leaking} violates the superselection rule")
+    _require_compliant(element, shape)
     support, amps = state._entries()
     if shape == SHAPE_321:
         block_rows = [((a[:2], b[:2]), c[2]) for a, b, c in element.matrices]
@@ -328,9 +330,7 @@ def sector_matrix(element: GroupElement, shape: SystemShape) -> np.ndarray:
     dim = shape.dimension
     if dim > 4096:
         raise ValueError(f"sector dimension {dim} too large for a dense matrix")
-    _require_shape(element, shape)
-    if not element.is_superselection_compliant():
-        raise ValueError("element violates the superselection rule")
+    _require_compliant(element, shape)
     cols = _index_columns(shape)
     mat = np.ones((dim, dim), dtype=complex)
     for op, lk in zip(np.asarray(element.matrices), cols):
@@ -376,22 +376,17 @@ def random_element(kind: str, seed: int, spread: float = 0.5) -> GroupElement:
 
     The seed is checked before the draw: one that is not an integer, such
     as None, which would seed from the operating system, or a bool, raises
-    TypeError, and a negative one ValueError.
+    TypeError, which is also a ValueError, and a negative one ValueError.
     """
     if not 0 < spread < math.inf:
         raise ValueError(f"spread must be finite and positive, got {spread}")
     if kind not in ("SLOCC", "SU"):
         raise ValueError(f"unknown element kind {kind!r}")
-    import numpy as np
-
-    if isinstance(seed, (bool, np.bool_)):
-        raise TypeError("element seed must be an integer, not a bool")
-    try:
-        seed = operator.index(seed)
-    except TypeError:
-        raise TypeError(f"element seed must be an integer, got {seed!r}") from None
+    seed = _require_integer(seed, "element seed")
     if seed < 0:
         raise ValueError(f"element seed must be non-negative, got {seed}")
+    import numpy as np
+
     # One draw in the order of the per-mode draws it replaces: for each mode
     # four imaginary parts, then, for SLOCC, four real parts. The parts are
     # those numpy's complex arithmetic gives 1j * x, (0 x - 1 0, 0 0 + 1 x),

@@ -73,14 +73,23 @@ LISTED_DIMENSION = 4096
 Occupation = Tuple[int, ...]
 
 
+class _WrongType(ValueError, TypeError):
+    """A value of the wrong type where the package needs an integer or a
+    number: a bad value, and a value of the wrong type for arithmetic."""
+
+
 def _require_integer(value: int, what: str) -> int:
-    """``value`` as a Python int; a bool, or anything else not an integer, raises ValueError."""
+    """``value`` as a Python int, the package's one integer rule: a bool,
+    numpy's too (told by its dtype, so numpy is not loaded here), or anything
+    else without ``__index__``, such as a float, raises :class:`_WrongType`."""
+    if type(value) is int:
+        return value
     try:
-        if isinstance(value, bool):
+        if isinstance(value, bool) or getattr(getattr(value, "dtype", None), "kind", None) == "b":
             raise TypeError
         return operator.index(value)
     except TypeError:
-        raise ValueError(f"{what} must be an integer, got {value!r}") from None
+        raise _WrongType(f"{what} must be an integer, got {value!r}") from None
 
 
 class _ShapeFields(NamedTuple):
@@ -367,19 +376,14 @@ def _layout(shape: SystemShape, mapping: Mapping[Occupation, complex]) -> Tuple[
     return [get(occ, 0j) for occ in support], support
 
 
-class _NotANumber(ValueError, TypeError):
-    """An amplitude that is not a number: a bad value in a state, and a
-    value of the wrong type for arithmetic."""
-
-
 def _number(occ: Occupation, amp) -> complex:
     """``amp`` as a Python complex number, the one rule by which the layout
     and the state saver read an amplitude. A value without float ``real``
-    and ``imag`` parts, such as a string or None, raises :class:`_NotANumber`."""
+    and ``imag`` parts, such as a string or None, raises :class:`_WrongType`."""
     try:
         return complex(float(amp.real), float(amp.imag))
     except (AttributeError, TypeError):
-        raise _NotANumber(f"amplitude of occupation {occ} is not a number: {amp!r}") from None
+        raise _WrongType(f"amplitude of occupation {occ} is not a number: {amp!r}") from None
 
 
 def _dense_dimension(shape: SystemShape) -> int:

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -60,8 +61,36 @@ def test_sequence_states():
 
 def test_build_psi_sigma_refuses_counts_below_one():
     for r, p in [(0, 1), (1, 0), (-1, 2), (2, -1)]:
-        with pytest.raises(ValueError, match="^need r >= 1 and p >= 1"):
+        with pytest.raises(ValueError, match=f"^counts must be positive, got r={r}, p={p}$"):
             build_psi_sigma(r, p)
+
+
+def test_feasible_refuses_counts_that_are_not_integers():
+    # 3.0 used to pass as the count it equals
+    for counts, name, value in (((3.0, 2, 1), "n", 3.0), ((3, True, 1), "m", True), ((3, 2, np.False_), "p", np.False_)):
+        with pytest.raises(ValueError, match=rf"^{name} must be an integer, got {re.escape(repr(value))}$"):
+            feasible(*counts)
+    assert feasible(np.int64(3), np.uint8(2), 1) is True
+
+
+def test_build_psi_sigma_refuses_counts_that_are_not_integers():
+    # True used to build the r = 1 state
+    with pytest.raises(TypeError, match="^r must be an integer, got True$"):
+        build_psi_sigma(True, 1)
+    with pytest.raises(ValueError, match="^p must be an integer, got 1.0$"):
+        build_psi_sigma(1, 1.0)
+    assert build_psi_sigma(np.int64(1), 1).shape == SHAPE_321
+
+
+def test_pattern_scan_refuses_counts_that_are_not_integers():
+    # [True] used to give rows with n=True
+    with pytest.raises(ValueError, match="^n must be an integer, got True$"):
+        pattern_scan([True], [1])
+    with pytest.raises(ValueError, match="^p must be an integer, got 1.5$"):
+        pattern_scan([3], [1, 1.5])
+    rows = pattern_scan([np.int64(3)], [np.uint8(1)])
+    assert [(r.n, r.m, r.p) for r in rows] == [(3, 1, 1), (3, 2, 1), (3, 3, 1)]
+    assert all(type(r.n) is int and type(r.p) is int for r in rows)
 
 
 def test_pattern_scan_builds_every_feasible_row():

@@ -1,6 +1,7 @@
 import ast
 import inspect
 import math
+import re
 import warnings
 
 import numpy as np
@@ -89,13 +90,14 @@ def test_vectorised_seed_tree_equals_the_scalar_one():
         random_instrument(1.5, 0, 0.5)
     # a bool seed is refused, not run as seed 0 or 1, and so is a bool array
     for flag in (True, False, np.True_, np.False_):
-        with pytest.raises(TypeError, match="not a bool"):
+        got = re.escape(repr(flag))
+        with pytest.raises(TypeError, match=f"^a seed must be an integer, got {got}$"):
             derive_seed(flag, 0)
-        with pytest.raises(TypeError, match="not a bool"):
+        with pytest.raises(TypeError, match=f"^a seed must be an integer, got {got}$"):
             derive_seed(5, flag)
-        with pytest.raises(TypeError, match="not a bool"):
+        with pytest.raises(TypeError, match=f"^instrument seed must be an integer, got {got}$"):
             random_instrument(flag, 0, 0.5)
-        with pytest.raises(TypeError, match="not a bool"):
+        with pytest.raises(TypeError, match=f"^a seed must be an integer, got {got}$"):
             run_monotone_trials(2, flag)
     with pytest.raises(TypeError, match="integer dtype, not bool"):
         derive_seed(np.array([True, False]), 0)
@@ -222,11 +224,12 @@ def test_instrument_validation():
 
 def test_instrument_refuses_malformed_kraus_stacks():
     ok = np.eye(3) / np.sqrt(2.0)
-    # trace preserving, but a one-dimensional mode has no vacancy to leak to
-    with pytest.raises(ValueError, match=r"\(2, d, d\) Kraus stack with d >= 2, got shape \(2, 1, 1\)"):
-        LocalInstrument(0, np.full((2, 1, 1), np.sqrt(0.5)), seed=0)
-    for shape in ((3, 3, 3), (2, 3, 2), (2, 9)):
-        with pytest.raises(ValueError, match=r"\(2, d, d\) Kraus stack"):
+    # trace preserving, but not on a mode of the (3, 2, 1) sector
+    for d in (1, 2, 4):
+        with pytest.raises(ValueError, match=rf"^expected a \(2, 3, 3\) Kraus stack, got shape \(2, {d}, {d}\)$"):
+            LocalInstrument(0, [np.eye(d) / np.sqrt(2.0)] * 2, seed=0)
+    for shape in ((3, 3, 3), (2, 3, 2), (2, 9), (1, 2, 3, 3)):
+        with pytest.raises(ValueError, match=r"^expected a \(2, 3, 3\) Kraus stack"):
             LocalInstrument(0, np.zeros(shape), seed=0)
     with pytest.raises(ValueError, match="must share one dimension"):
         LocalInstrument(0, [ok, np.eye(2)], seed=0)
@@ -243,27 +246,25 @@ def test_monotonicity_trial_preconditions():
         monotonicity_trial(StateVector(SHAPE_321, {(1, 1, 0): 2.0}), inst)
     with pytest.raises(ValueError):
         monotonicity_trial(random_state(SystemShape(4, 2, 1), rng), inst)
-    wide = LocalInstrument(0, [np.eye(4) / np.sqrt(2.0)] * 2, seed=0)
-    with pytest.raises(ValueError, match=r"operators have shape \(4, 4\), expected dim 3"):
-        monotonicity_trial(random_state(SHAPE_321, rng), wide)
-    # a 3 x 3 instrument may name a fourth mode; the trial's sector has three
-    stray = LocalInstrument(3, inst.kraus, seed=0)
-    with pytest.raises(ValueError, match="out of range for 3 modes"):
-        monotonicity_trial(random_state(SHAPE_321, rng), stray)
+    # an instrument that no (3, 2, 1) trial could read is refused when it is built
+    with pytest.raises(ValueError, match=r"^expected a \(2, 3, 3\) Kraus stack, got shape \(2, 4, 4\)$"):
+        LocalInstrument(0, [np.eye(4) / np.sqrt(2.0)] * 2, seed=0)
+    with pytest.raises(ValueError, match="^mode 3 out of range for 3 modes$"):
+        LocalInstrument(3, inst.kraus, seed=0)
 
 
 def test_instrument_modes_are_checked_when_built():
     inst = random_instrument(0, mode=0, strength=0.5)
-    with pytest.raises(ValueError, match="^instrument mode must be non-negative, got -1$"):
-        LocalInstrument(-1, inst.kraus, seed=0)
     # unchecked, a bool would run as mode 1, and a float or a string fail deep in numpy
-    for mode, kind in ((True, "a bool"), (np.False_, "a bool"), (1.0, "float"), (1.5, "float"), ("1", "str")):
-        with pytest.raises(TypeError, match=f"^instrument mode must be an integer, not {kind}$"):
+    for mode in (True, np.False_, 1.0, 1.5, "1"):
+        with pytest.raises(TypeError, match=f"^instrument mode must be an integer, got {re.escape(repr(mode))}$"):
             LocalInstrument(mode, inst.kraus, seed=0)
-        with pytest.raises(TypeError, match=f"^instrument mode must be an integer, not {kind}$"):
+        with pytest.raises(TypeError, match=f"^instrument mode must be an integer, got {re.escape(repr(mode))}$"):
             random_instrument(0, mode, 0.5)
-    # the random instruments are 3 x 3, for the three modes of the (3, 2, 1) sector
+    # instruments are 3 x 3, for the three modes of the (3, 2, 1) sector
     for mode in (-1, 3, 7):
+        with pytest.raises(ValueError, match=f"^mode {mode} out of range for 3 modes$"):
+            LocalInstrument(mode, inst.kraus, seed=0)
         with pytest.raises(ValueError, match=f"^mode {mode} out of range for 3 modes$"):
             random_instrument(0, mode, 0.5)
     numbered = LocalInstrument(np.int64(2), inst.kraus, seed=0)
@@ -419,18 +420,20 @@ def test_leak_entries_inside_the_tolerance_leave_the_margins_in_place():
     rows, cols = zip(*_leak_positions(3))
     states = [random_state(SHAPE_321, local) for _ in range(30)]
     clean = [random_instrument(t, t % 3, 0.5) for t in range(len(states))]
-    leaky = []
+    # the leaky stacks are kept: an instrument's kraus view has exact zeros there
+    leaky_stacks, leaky = [], []
     for inst in clean:
-        kraus = inst.kraus.copy()
+        kraus = inst.kraus
         signs = local.choice([-1.0, 1.0], size=(2, 2, 4))
         kraus[:, rows, cols] = 1e-11 * (signs[0] + 1j * signs[1])
+        leaky_stacks.append(kraus)
         leaky.append(LocalInstrument(inst.mode, kraus, seed=inst.seed))
     for state, a, b in zip(states, clean, leaky):
         assert monotonicity_trial(state, b) == monotonicity_trial(state, a)
     psi = np.column_stack([s.dense() for s in states])
     modes = np.array([inst.mode for inst in clean])
     want = _margins(psi, _block_rows(np.stack([inst.kraus for inst in clean])), modes)
-    got = _margins(psi, _block_rows(np.stack([inst.kraus for inst in leaky])), modes)
+    got = _margins(psi, _block_rows(np.stack(leaky_stacks)), modes)
     assert got.tobytes() == want.tobytes()
 
 
@@ -489,6 +492,33 @@ def test_batch_rows_are_the_entries_of_the_replayed_instruments(monkeypatch, str
         assert not kraus[:, leak_rows, leak_cols].any()
         for got, want in ((blocks.re, kraus.real), (blocks.im, kraus.imag)):
             assert np.array_equal(got[..., t].view(np.uint64), want[:, rows, cols].view(np.uint64))
+
+
+@pytest.mark.parametrize("strength", [0.0, 0.5, 0.9, 1e307])
+def test_the_kraus_view_is_the_stack_random_instrument_built(strength):
+    # the view is the completion's rows at their block entries and +0.0
+    # everywhere else, bit for bit
+    rows, cols = [0, 0, 1, 1, 2], [0, 1, 0, 1, 2]
+    for seed in range(40):
+        z = np.random.default_rng(seed).standard_normal(_INSTRUMENT_WIDTH)
+        blocks = _kraus_from_normals(z[None], strength)
+        built = np.zeros((2, 3, 3), dtype=complex)
+        built.real[:, rows, cols], built.imag[:, rows, cols] = blocks.re[..., 0], blocks.im[..., 0]
+        assert np.array_equal(random_instrument(seed, seed % 3, strength).kraus.view(np.uint64), built.view(np.uint64))
+
+
+def test_an_instrument_keeps_its_block_entries_and_drops_its_leaks():
+    inst = random_instrument(5, 2, 0.5)
+    stack = inst.kraus
+    stack[:, 0, 2] = 1e-11
+    made = LocalInstrument(2, stack, seed=5)
+    view = made.kraus
+    assert view is not made.kraus
+    assert np.array_equal(view.view(np.uint64), inst.kraus.view(np.uint64))
+    # neither the stack it was read from nor a view it gave changes it
+    stack[:] = view[:] = 0.0
+    assert np.array_equal(made.kraus.view(np.uint64), inst.kraus.view(np.uint64))
+    assert monotonicity_trial(family("psi2"), made) == monotonicity_trial(family("psi2"), inst)
 
 
 def test_kraus_rows_equal_their_one_row_calls():
@@ -582,7 +612,7 @@ def test_fixed_state_run():
     # a float seed would run as its truncation, and trials=True as one trial
     with pytest.raises(TypeError):
         run_monotone_trials(3, 1.5)
-    with pytest.raises(TypeError, match="not a bool"):
+    with pytest.raises(TypeError, match="^trials must be an integer, got True$"):
         run_monotone_trials(True, 1)
     assert run_monotone_trials(np.int64(3), np.uint64(5)) == run_monotone_trials(3, 5)
     nan_state = StateVector(SHAPE_321, {(1, 1, 0): 1.0, (0, 1, 1): complex(math.nan, 0.0)})
@@ -745,9 +775,9 @@ def test_invariance_sweep_input_validation():
     with pytest.raises(ValueError, match="needs at least one group element"):
         invariance_sweep([doomed], iter([]))
     # the pair-block action reads no leak entry, so the sweep refuses
-    # leaking and misshapen elements itself, as the dense matrix did
+    # leaking and misshapen elements by the check of every action
     swap = np.eye(3)[[2, 1, 0]]
-    with pytest.raises(ValueError, match="^element violates the superselection rule$"):
+    with pytest.raises(ValueError, match="^operator on mode 1 violates the superselection rule$"):
         invariance_sweep([doomed], su + [GroupElement([np.eye(3), swap, np.eye(3)])])
     with pytest.raises(ValueError, match=r"^element has shape \(3, 4, 4\), expected \(3, 3, 3\)$"):
         invariance_sweep([doomed], [GroupElement([np.eye(4)] * 3)])

@@ -1,8 +1,10 @@
 """The suite's own configuration: pytest reports a failing test as a failure,
-and every source file parses as the oldest Python the package supports."""
+every source file parses as the oldest Python the package supports, and the
+CI workflow runs scripts that exist and the Tier-1 command of ROADMAP.md."""
 
 import ast
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -57,3 +59,49 @@ def test_every_source_file_parses_as_python_3_10():
         except SyntaxError as exc:
             refused.append(f"{path.relative_to(REPO)}:{exc.lineno}: {exc.msg}")
     assert not refused, refused
+
+
+WORKFLOW = REPO / ".github" / "workflows" / "tier1.yml"
+
+
+def _run_commands(text):
+    """The shell text of each ``run:`` step of a workflow, read as plain
+    text: a one-line value as it is, a ``|`` or ``>`` block as its lines,
+    stripped, up to the first line indented no deeper than the key."""
+    lines = text.splitlines()
+    commands = []
+    for i, line in enumerate(lines):
+        key = line.lstrip(" -")
+        if not key.startswith("run:"):
+            continue
+        value = key[len("run:"):].strip()
+        if value not in ("|", ">"):
+            commands.append(value)
+            continue
+        indent = len(line) - len(line.lstrip())
+        block = []
+        for follow in lines[i + 1:]:
+            if follow.strip() and len(follow) - len(follow.lstrip()) <= indent:
+                break
+            block.append(follow.strip())
+        commands.append("\n".join(block))
+    return commands
+
+
+def test_every_script_the_workflow_runs_exists():
+    scripts = {
+        path
+        for command in _run_commands(WORKFLOW.read_text(encoding="utf-8"))
+        for path in re.findall(r"(?:^|\s)([\w./-]+\.py)(?=\s|$)", command, re.M)
+    }
+    assert "perfbench/run.py" in scripts, scripts
+    missing = sorted(path for path in scripts if not (REPO / path).is_file())
+    assert not missing, missing
+
+
+def test_the_workflow_runs_the_roadmap_tier1_command():
+    (want,) = re.findall(r"^\*\*Tier-1 verify:\*\* `([^`]+)`", (REPO / "ROADMAP.md").read_text(encoding="utf-8"), re.M)
+    (step,) = [command for command in _run_commands(WORKFLOW.read_text(encoding="utf-8")) if "-m pytest" in command]
+    # the step may add two options that select no test: Python's
+    # development mode, which is stricter, and the report of the slowest tests
+    assert re.sub(r" -X dev| --durations=\d+", "", step) == want
