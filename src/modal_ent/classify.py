@@ -26,9 +26,10 @@ compute in Python complex numbers, so ``modal-ent classify`` and
 :func:`canonical_form` computes in Python numbers too: its SVD is the
 closed form ``_svd2`` and its phase fit applies an exact pseudo-inverse
 (``_pseudo_inverse``), so no part of this module imports numpy and its
-output depends only on libm. It imports
-:class:`~modal_ent.operators.GroupElement`, for the element it returns,
-when it runs.
+output depends only on libm. It checks its input once, reads the slots by
+position tables built at import, and hands the element it composes to
+:class:`~modal_ent.operators.GroupElement`, imported when it runs, as
+block rows that need no compliance check.
 """
 
 from __future__ import annotations
@@ -89,6 +90,12 @@ STRUCTURAL_ZEROS: Tuple[Tuple[int, int, int], ...] = ((1, 2, 0), (2, 1, 0), (2, 
 _NO_PHASE_SLOTS = CANONICAL_SLOTS[:4] + CANONICAL_SLOTS[5:7]
 _FREE_SLOTS = CANONICAL_SLOTS[4:5] + CANONICAL_SLOTS[7:]
 
+# The amplitudes of those slots, and of all nine, read from the twelve in
+# basis order by one call each.
+_CANONICAL_AT, _NO_PHASE_AT, _FREE_AT = (
+    operator.itemgetter(*[_IDX[occ] for occ in slots]) for slots in (CANONICAL_SLOTS, _NO_PHASE_SLOTS, _FREE_SLOTS)
+)
+
 # Per-symbol gradients of the two diagonal phase generators. The first
 # entry multiplies the traceless diagonal (up minus down), the second the
 # diagonal that weights the vacancy by -2.
@@ -122,17 +129,7 @@ class CanonicalParams(NamedTuple):
     state: StateVector
 
 
-def _composed(stage, total) -> list:
-    """The per-mode product ``stage @ total`` of two elements given as ``_moved`` takes them."""
-    return [(_product(m, n), x * y) for (m, x), (n, y) in zip(stage, total)]
-
-
-def _diagonal(up: complex, down: complex, vacancy: complex) -> tuple:
-    """A diagonal local matrix as ``_moved`` takes it."""
-    return ((up, 0j), (0j, down)), vacancy
-
-
-_IDENTITY = _diagonal(1.0, 1.0, 1.0)
+_IDENTITY = ((1.0, 0j), (0j, 1.0)), 1.0
 
 
 def _svd2(m) -> tuple:
@@ -236,10 +233,13 @@ def canonical_form(state: StateVector) -> CanonicalParams:
     """Reduce a normalized state to its canonical slot pattern.
 
     The stages move the twelve amplitudes, Python complex numbers in basis
-    order, by ``_moved``; their elements are multiplied per mode and built
-    as one :class:`GroupElement` at the end, and the canonical state is
-    made from the last tuple. Every stage computes in Python
-    numbers, so the output depends on libm only, not on a BLAS kernel.
+    order, by ``_moved``, and the canonical state is made from the last
+    tuple. Their elements are multiplied per mode, the diagonal stages'
+    entrywise, with no identity factor, and handed to :class:`GroupElement`
+    as block rows. The ``0j`` products so left out only set the sign of a
+    zero in the element, whose file keeps its bytes; the amplitudes keep
+    them, since phases of 0 or pi read the signs of their zero parts. Every
+    stage computes in Python numbers, so the output depends on libm only.
 
     Stage 1 is the closed-form SVD ``_svd2`` of the AB block, with its free
     choices pinned: each right singular vector's first nonzero component is
@@ -273,15 +273,12 @@ def canonical_form(state: StateVector) -> CanonicalParams:
 
     require_normalized(state, "canonical form")
     v = _amplitude_list(state)
-    total = [_IDENTITY] * 3
 
-    def act(stage) -> None:
+    def scale(stage) -> None:
+        # a diagonal stage, given per mode as (up, down, vacancy)
         nonlocal v, total
-        v = _moved(v, stage)
-        total = _composed(stage, total)
-
-    def at(occ: Tuple[int, int, int]) -> complex:
-        return v[_IDX[occ]]
+        v = _moved(v, [(((u, 0j), (0j, w)), x) for u, w, x in stage])
+        total = [(((u * a, u * b), (w * c, w * d)), x * y) for (u, w, x), (((a, b), (c, d)), y) in zip(stage, total)]
 
     # Stage 1: singular value decomposition of the AB block. U^H on mode A
     # and V^T on mode B take it to diag(s1, s2); their vacancy entries det U
@@ -289,55 +286,57 @@ def canonical_form(state: StateVector) -> CanonicalParams:
     (u1, u2), _, (v1, v2) = _svd2(_rows(v, _AB))
     det_u, det_v = u1[0] * u2[1] - u2[0] * u1[1], v1[0] * v2[1] - v2[0] * v1[1]
     stage_a = ((u1[0].conjugate(), u1[1].conjugate()), (u2[0].conjugate(), u2[1].conjugate()))
-    act([(stage_a, det_u), ((v1, v2), det_v.conjugate()), _IDENTITY])
+    total = [(stage_a, det_u), ((v1, v2), det_v.conjugate()), _IDENTITY]
+    v = _moved(v, total)
 
     # Stage 2: a determinant-one Givens rotation on mode C zeroes the lower-left
     # AC entry; its vacancy entry is 1, so the AB slots keep phase 0.
-    x, y = at((_D, 0, _U)), at((_D, 0, _D))
+    x, y = v[_IDX[_D, 0, _U]], v[_IDX[_D, 0, _D]]
     t = math.hypot(abs(x), abs(y))
     if t > 1e-14 and abs(x) > 1e-14:
         rotation = ((y / t, -x / t), (x.conjugate() / t, y.conjugate() / t))
-        act([_IDENTITY, _IDENTITY, (rotation, 1.0)])
+        v = _moved(v, [_IDENTITY, _IDENTITY, (rotation, 1.0)])
+        total[2] = _product(rotation, total[2][0]), total[2][1]
 
     # Stage 3: strip phases from the six no-phase slots with the diagonal
     # subgroup. The linear system relates the six generator angles to the
     # slot phases through the per-symbol gradients; its minimum-norm
     # least-squares solution, A+ b, leaves at most a common phase, handled
     # in stage 4.
-    kept = tuple(k for k, occ in enumerate(_NO_PHASE_SLOTS) if abs(at(occ)) > 1e-12)
-    rhs = [-cmath.phase(at(_NO_PHASE_SLOTS[k])) for k in kept]
+    slots = _NO_PHASE_AT(v)
+    kept = tuple([k for k, amp in enumerate(slots) if abs(amp) > 1e-12])
+    rhs = [-cmath.phase(slots[k]) for k in kept]
     sol = [sum(map(operator.mul, row, rhs)) for row in _pseudo_inverse(kept)]
-    act([
-        _diagonal(cmath.exp(1j * (x3 + x8)), cmath.exp(1j * (x8 - x3)), cmath.exp(-2j * x8))
+    scale([
+        (cmath.exp(1j * (x3 + x8)), cmath.exp(1j * (x8 - x3)), cmath.exp(-2j * x8))
         for x3, x8 in zip(sol[::2], sol[1::2])
     ])
 
     # Stage 4: the diagonal subgroup cannot shift all slots by a common
     # phase, so whatever uniform phase remains is absorbed as a scalar on
     # mode A. The result stays unitary, though no longer special.
-    amp = max(map(at, _NO_PHASE_SLOTS), key=abs)
+    amp = max(_NO_PHASE_AT(v), key=abs)
     if abs(amp) > 1e-12 and cmath.phase(amp) != 0.0:
-        scale = cmath.exp(-1j * cmath.phase(amp))
-        act([_diagonal(scale, scale, scale), _IDENTITY, _IDENTITY])
+        common = cmath.exp(-1j * cmath.phase(amp))
+        scale([(common, common, common), (1.0, 1.0, 1.0), (1.0, 1.0, 1.0)])
 
     # The gauge fold of the docstring, by diag(1, -1, 1) on every mode.
-    free = [amp for amp in map(at, _FREE_SLOTS) if abs(amp) > 1e-12]
+    free = [amp for amp in _FREE_AT(v) if abs(amp) > 1e-12]
     if free and not -_FOLD_TOL <= cmath.phase(free[0]) <= math.pi - _FOLD_TOL:
-        act([_diagonal(1.0, -1.0, 1.0)] * 3)
+        scale([(1.0, -1.0, 1.0)] * 3)
 
     for occ in STRUCTURAL_ZEROS:
-        if abs(at(occ)) > 1e-8:
-            raise ArithmeticError(f"canonical reduction left weight {abs(at(occ)):.3e} on structural zero slot {occ}")
+        weight = abs(v[_IDX[occ]])
+        if weight > 1e-8:
+            raise ArithmeticError(f"canonical reduction left weight {weight:.3e} on structural zero slot {occ}")
 
-    phi, phi_prime, theta = (cmath.phase(amp) if abs(amp) > 1e-12 else 0.0 for amp in map(at, _FREE_SLOTS))
+    phi, phi_prime, theta = [cmath.phase(amp) if abs(amp) > 1e-12 else 0.0 for amp in _FREE_AT(v)]
     return CanonicalParams(
-        r=tuple(abs(at(occ)) for occ in CANONICAL_SLOTS),
+        r=tuple(map(abs, _CANONICAL_AT(v))),
         phi=phi,
         phi_prime=phi_prime,
         theta=theta,
-        element=GroupElement._from_rows(
-            tuple(((a, b, 0j), (c, d, 0j), (0j, 0j, vac)) for ((a, b), (c, d)), vac in total)
-        ),
+        element=GroupElement._from_rows(tuple(total)),
         state=StateVector._from_amplitudes(state.shape, v),
     )
 

@@ -270,6 +270,7 @@ class LocalInstrument(_Frozen):
     entries that are not trace preserving."""
 
     __slots__ = ("mode", "seed", "_blocks")
+    _args = ("mode", "kraus", "seed")
     mode: int
     seed: int
     _blocks: SplitComplex
@@ -610,13 +611,12 @@ def invariance_sweep(
     elements = list(elements)
     if not elements:
         raise ValueError("invariance sweep needs at least one group element")
-    for g in elements:
-        _require_compliant(g, SHAPE_321)
+    blocks = [_require_compliant(g, SHAPE_321) for g in elements]
     n, k = len(elements), psi.shape[1]
     # the level entries a, b, c, d and the vacancy v of each mode, as
     # (5, 3, n k) arrays: each element's entries repeated over its k columns
     a, b, c, d, v = np.repeat(
-        np.array([[(x[0], x[1], y[0], y[1], z[2]) for x, y, z in g.matrices] for g in elements]).T, k, axis=2
+        np.array([[(*top, *bottom, w) for (top, bottom), w in rows] for rows in blocks]).T, k, axis=2
     )
     with np.errstate(over="ignore", invalid="ignore"):
         i1_in, i2_in = _invariant_polynomials(psi)[3:]

@@ -4,12 +4,14 @@ A local operator is a ``d x d`` complex matrix acting on a single mode in
 level-major order (levels first, vacancy last). It is superselection
 compliant when it never mixes occupied levels with the vacancy, which makes
 it block diagonal: a ``(p+1) x (p+1)`` block on the levels and a scalar on
-the vacancy. A :class:`GroupElement` holds one such operator per mode as
-the rows of Python complex numbers of a ``(modes, d, d)`` nested tuple,
-applied as a tensor product restricted to the fixed-particle-number sector.
-Its constructor reads any sequence of matrices and coerces every entry;
-code that already holds such a tuple, as :func:`make_slocc_element` and
-``classify.canonical_form`` do, hands it over by ``GroupElement._from_rows``.
+the vacancy. A :class:`GroupElement` holds one such operator per mode,
+applied as a tensor product restricted to the fixed-particle-number sector,
+as ``matrices``, a ``(modes, d, d)`` nested tuple of Python complex numbers,
+and as block rows, per mode the level block's rows and the vacancy entry,
+which every action reads. Its constructor reads any sequence of matrices
+and coerces every entry; :func:`make_slocc_element` and
+``classify.canonical_form`` hold block rows and hand them over by
+``GroupElement._from_rows``, and ``matrices`` is formed from them on first read.
 
 :func:`apply` is the one action of a compliant element on a state of any
 shape, and :func:`apply_on_mode` the one way to act on a single mode with
@@ -21,11 +23,13 @@ elsewhere its amplitudes one by one, by partial products.
 because the benchmark's tracer wraps it by name.
 
 The entries that the superselection rule requires to vanish are listed
-once, by ``_leak_positions``. ``_leaking_mode`` reads them from the rows of
-an element, for :meth:`GroupElement.is_superselection_compliant` and for
-``_require_compliant``, the one shape and compliance check of :func:`apply`,
-:func:`sector_matrix` and the invariance sweep; ``monte_carlo.LocalInstrument``
-reads them once, from the Kraus stack it is built from, and keeps the rest.
+once, by ``_leak_positions``. ``_judged`` reads them from the rows of a
+constructor-made element on its first action, forms the block rows and
+keeps the verdict, which :meth:`GroupElement.is_superselection_compliant`
+and ``_require_compliant``, the one shape and compliance check of
+:func:`apply`, :func:`sector_matrix` and the invariance sweep, read on every
+call; ``monte_carlo.LocalInstrument`` reads them once, from the Kraus stack
+it is built from, and keeps the rest.
 
 Loading this module loads no numpy, and neither do building, checking and
 applying elements, or :func:`occupation_scaling`, so
@@ -41,7 +45,7 @@ from __future__ import annotations
 import cmath
 import math
 from functools import lru_cache
-from typing import TYPE_CHECKING, Dict, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Sequence, Tuple
 
 from .states import (
     _PAIRS,
@@ -85,17 +89,17 @@ def _leak_positions(d: int) -> Tuple[Tuple[int, int], ...]:
     return tuple((i, v) for i in range(v)) + tuple((v, j) for j in range(v))
 
 
-def _symbol_moves(rows: Sequence[Sequence[complex]]) -> list:
-    """Where a compliant local matrix, given as rows, sends each symbol.
+def _symbol_moves(level: Sequence[Sequence[complex]], vacancy: complex) -> list:
+    """Where a compliant local matrix, given by its level block's rows and
+    its vacancy entry, sends each symbol.
 
     Entry ``sym`` lists the (new symbol, weight) pairs with nonzero weight:
     the vacancy, symbol 0, goes to itself, and level ``j`` to every level
     ``i`` with a nonzero entry ``(i, j)``.
     """
-    vacancy = rows[-1][-1]
-    levels = range(1, len(rows))
+    levels = range(1, len(level) + 1)
     return [[(0, vacancy)] if vacancy != 0 else []] + [
-        [(i, rows[i - 1][j - 1]) for i in levels if rows[i - 1][j - 1] != 0] for j in levels
+        [(i, level[i - 1][j - 1]) for i in levels if level[i - 1][j - 1] != 0] for j in levels
     ]
 
 
@@ -109,11 +113,13 @@ class GroupElement(_Frozen):
     of each operator as a ``(modes, d, d)`` nested tuple of Python complex
     numbers.
 
-    The compliance test reads the leak entries of the rows; NaN entries fail it.
+    Actions read its block rows. Compliance is judged on the first action,
+    NaN leak entries failing it, and the verdict kept: the block rows, or
+    the first mode that leaks.
     """
 
-    __slots__ = ("matrices",)
-    matrices: _Rows
+    __slots__ = ("_matrices", "_blocks")
+    _args = ("matrices",)
 
     def __init__(self, matrices) -> None:
         source = matrices
@@ -132,54 +138,64 @@ class GroupElement(_Frozen):
             if len(shape) == 3 and shape[1] == shape[2] >= 2:
                 raise ValueError("the entries of a group element must be numbers")
             raise ValueError(f"expected a (modes, d, d) stack with d >= 2, got shape {shape}")
-        _set(self, "matrices", mats)
+        _set(self, "_matrices", mats)
+        _set(self, "_blocks", None)
 
     @classmethod
-    def _from_rows(cls, rows: _Rows) -> "GroupElement":
-        """The element whose ``matrices`` are ``rows``, taken as they are.
-
-        The caller hands over a ``(modes, d, d)`` nested tuple of Python
-        complex numbers, zeros included as ``0j``, which is what the
-        constructor would make of them, so its coercion and checks are
-        skipped.
-        """
+    def _from_rows(cls, blocks: tuple) -> "GroupElement":
+        """The compliant element whose block rows are ``blocks``, taken as
+        they are: Python complex numbers, which the caller has checked."""
         element = object.__new__(cls)
-        _set(element, "matrices", rows)
+        _set(element, "_matrices", None)
+        _set(element, "_blocks", blocks)
         return element
 
+    @property
+    def matrices(self) -> _Rows:
+        if self._matrices is None:
+            # the block rows with 0j at every leak entry
+            _set(self, "_matrices", tuple([
+                tuple([row + (0j,) for row in level]) + ((0j,) * len(level) + (v,),) for level, v in self._blocks
+            ]))
+        return self._matrices
+
     def is_superselection_compliant(self) -> bool:
-        return _leaking_mode(self.matrices) is None
+        return _judged(self).__class__ is tuple
 
 
-def _leaking_mode(matrices: _Rows) -> Optional[int]:
-    """The first mode whose rows break the superselection rule, or None.
+def _judged(element: GroupElement):
+    """The block rows of a compliant element, or the first mode whose rows
+    break the superselection rule, each leak entry compared on its own so
+    that a NaN fails; judged on the first call and kept with the element."""
+    if element._blocks is None:
+        mats = element._matrices
+        leaking = [
+            k for k, op in enumerate(mats) if not all(abs(op[i][j]) <= MEMBER_TOL for i, j in _leak_positions(len(op)))
+        ]
+        blocks = tuple([(tuple([row[:-1] for row in op[:-1]]), op[-1][-1]) for op in mats])
+        _set(element, "_blocks", leaking[0] if leaking else blocks)
+    return element._blocks
 
-    Each leak entry is compared on its own, so a NaN in any of them fails.
-    """
-    for k, rows in enumerate(matrices):
-        if not all(abs(rows[i][j]) <= MEMBER_TOL for i, j in _leak_positions(len(rows))):
-            return k
-    return None
 
-
-def _require_compliant(element: GroupElement, shape: SystemShape) -> None:
-    """Raise ValueError unless ``element`` has one ``d x d`` operator per mode
-    of ``shape``, each superselection compliant; the message of a leak names
-    its mode. Every reader of an element's action checks it here."""
+def _require_compliant(element: GroupElement, shape: SystemShape) -> tuple:
+    """The block rows of ``element``; ValueError, naming a leak's mode,
+    unless it has one compliant ``d x d`` operator per mode of ``shape``.
+    Every action checks it here, on every call, from ``_judged``'s verdict."""
+    blocks = _judged(element)
+    if blocks.__class__ is tuple and len(blocks) == shape.modes and len(blocks[0][0]) == shape.levels:
+        return blocks
     mats = element.matrices
     have = (len(mats), len(mats[0]), len(mats[0]))
     want = (shape.modes, shape.local_dim, shape.local_dim)
     if have != want:
         raise ValueError(f"element has shape {have}, expected {want}")
-    leaking = _leaking_mode(mats)
-    if leaking is not None:
-        raise ValueError(f"operator on mode {leaking} violates the superselection rule")
+    raise ValueError(f"operator on mode {blocks} violates the superselection rule")
 
 
-def _exp_entries(a: complex, b: complex, c: complex, d: complex, v: complex) -> _Rows:
-    """The rows of ``exp`` of the compliant matrix with level block
-    ``[[a, b], [c, d]]`` and vacancy entry ``v``, in closed form, as a
-    nested tuple of Python complex numbers with ``0j`` off the blocks.
+def _exp_entries(a: complex, b: complex, c: complex, d: complex, v: complex) -> tuple:
+    """The block rows of ``exp`` of the compliant matrix with level block
+    ``[[a, b], [c, d]]`` and vacancy entry ``v``, in closed form, as
+    ``((level row, level row), vacancy entry)`` in Python complex numbers.
 
     The level block ``A`` exponentiates as
     ``e^t (cosh s I + (sinh s / s) (A - t I))`` with ``t = tr(A) / 2`` and
@@ -205,7 +221,7 @@ def _exp_entries(a: complex, b: complex, c: complex, d: complex, v: complex) -> 
             minus = b * c / plus
         top, bottom = (up * plus + down * minus) / (2 * s), (up * minus + down * plus) / (2 * s)
         sh = (up - down) / (2 * s)
-    return (top, sh * b, 0j), (sh * c, bottom, 0j), (0j, 0j, cmath.exp(v))
+    return ((top, sh * b), (sh * c, bottom)), cmath.exp(v)
 
 
 def make_slocc_element(coefficients: Sequence[Sequence[complex]]) -> GroupElement:
@@ -237,7 +253,7 @@ def make_slocc_element(coefficients: Sequence[Sequence[complex]]) -> GroupElemen
                 raise OverflowError
             rows = _exp_entries(a, b, c, d, v)
             # the factor's level block [[a, b], [c, d]] and vacancy entry v
-            (a, b, _), (c, d, _), (_, _, v) = rows
+            ((a, b), (c, d)), v = rows
             if not (isfinite(a) and isfinite(b) and isfinite(c) and isfinite(d) and isfinite(v)):
                 raise OverflowError
         except (OverflowError, ValueError):
@@ -259,8 +275,8 @@ def _moved(v, element) -> list:
     out = [0j] * 12
     for (uu, ud, du, dd), row, col, third in _PAIRS:
         ((a, b), (c, d)), ((e, f), (g, h)), s = element[row][0], element[col][0], element[third][1]
-        p, q = (a * v[uu] + b * v[du]) * s, (a * v[ud] + b * v[dd]) * s
-        r, w = (c * v[uu] + d * v[du]) * s, (c * v[ud] + d * v[dd]) * s
+        x, y, z, t = v[uu], v[ud], v[du], v[dd]
+        p, q, r, w = (a * x + b * z) * s, (a * y + b * t) * s, (c * x + d * z) * s, (c * y + d * t) * s
         out[uu], out[ud], out[du], out[dd] = p * e + q * f, p * g + q * h, r * e + w * f, r * g + w * h
     return out
 
@@ -276,18 +292,17 @@ def apply(element: GroupElement, state: StateVector) -> StateVector:
     complex numbers, with their bits; a zero is stored as ``0j``.
 
     Every other shape takes the partial-product loop over the state's
-    support: the rows of each operator give a symbol-move table, terms are
+    support: the block rows of each operator give a symbol-move table, terms are
     ``((amp * w_0) * w_1) * ...`` in Python complex numbers, which round
     products and sums as numpy's complex scalars do, summed from ``0j`` in
     basis order of the input, and the result's keys come in basis order.
     """
     shape = state.shape
-    _require_compliant(element, shape)
+    blocks = _require_compliant(element, shape)
     support, amps = state._entries()
     if shape == SHAPE_321:
-        block_rows = [((a[:2], b[:2]), c[2]) for a, b, c in element.matrices]
-        return StateVector._from_amplitudes(shape, _moved(amps, block_rows), support)
-    moves = [_symbol_moves(rows) for rows in element.matrices]
+        return StateVector._from_amplitudes(shape, _moved(amps, blocks), support)
+    moves = [_symbol_moves(level, vacancy) for level, vacancy in blocks]
     out: Dict[Tuple[int, ...], complex] = {}
     for occ, amp in zip(support, amps):
         partial = [((), amp)]

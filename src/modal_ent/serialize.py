@@ -15,8 +15,10 @@ list; amplitudes are saved in canonical basis order, so saving what was
 just loaded reproduces the bytes, and the order of the records read
 changes no result. For spin one-half sectors the occupation may be
 written as a symbol string over ``u``, ``d`` and ``0`` instead of the
-numeric tuple; both spellings are accepted on input. In a listed sector
-the saver reads the text of each record up to its real part from a table
+numeric tuple; both spellings are accepted on input. The saver walks the
+state's layout, amplitudes the state has read once as Python complex
+numbers in basis order, and checks and writes each part once; in a listed
+sector it reads the text of each record up to its real part from a table
 built once per shape and spelling. The loader accepts a record in the form
 the saver writes, a numeric occupation of a listed sector with finite float
 parts, by one lookup in :func:`~modal_ent.states.basis_index`; every other
@@ -50,7 +52,6 @@ from .states import (
     _check_admissible,
     _layout,
     _listed_index,
-    _number,
     enumerate_basis,
 )
 
@@ -69,9 +70,12 @@ def _fmt(x: float) -> str:
     x = float(x)
     if not math.isfinite(x):
         raise ValueError("cannot serialize a non-finite number")
-    if x == 0.0:
-        return "0"
-    return format(x, ".17g")
+    return _digits(x)
+
+
+def _digits(x: float) -> str:
+    # a finite float's text: 0 for either zero, else 17 significant digits
+    return format(x, ".17g") if x else "0"
 
 
 def _scalar(x: Any) -> str:
@@ -174,24 +178,23 @@ def _record_heads(shape: SystemShape, use_symbols: bool) -> Dict[Occupation, str
 def state_to_json(state: StateVector, use_symbols: bool = False) -> str:
     """Serialize a state; symbol strings are available for spin one-half.
 
-    The records are the nonzero entries of ``amplitudes``, sorted, which is
-    basis order; a listed sector reads the text of each up to its real part
-    from its cached table.
+    The records are the nonzero entries of the state's layout, Python
+    complex numbers in basis order; a listed sector reads the text of each
+    up to its real part from its cached table. Each part is checked finite
+    and written once, a refusal naming the value the state was given.
     """
     sh = state.shape
     if use_symbols and sh.spin_numerator != 1:
         raise ValueError("symbol strings are only defined for spin_numerator 1")
     heads = _record_heads(sh, use_symbols) if sh.dimension <= LISTED_DIMENSION else {}
     recs = []
-    for occ, amp in sorted(state.amplitudes.items()):
-        if amp == 0:
+    for occ, amp in zip(*state._entries()):
+        if not amp:
             continue
-        number = amp if type(amp) is complex else _number(occ, amp)
-        try:
-            re, im = _fmt(number.real), _fmt(number.imag)
-        except ValueError:  # _fmt's refusal of an infinite or NaN part
-            raise ValueError(f"amplitude of occupation {occ} is not finite: {amp!r}") from None
-        recs.append(f'{heads.get(occ) or _record_head(occ, use_symbols)}{re}, "im": {im}}}')
+        re, im = amp.real, amp.imag
+        if not (-math.inf < re < math.inf and -math.inf < im < math.inf):
+            raise ValueError(f"amplitude of occupation {occ} is not finite: {state.amplitudes.get(occ, amp)!r}")
+        recs.append(f'{heads.get(occ) or _record_head(occ, use_symbols)}{_digits(re)}, "im": {_digits(im)}}}')
     return (
         '{\n  "shape": {"modes": %d, "particles": %d, "spin_numerator": %d},\n  "amplitudes": [\n%s\n  ]\n}\n'
         % (sh.modes, sh.particles, sh.spin_numerator, ",\n".join(recs))
@@ -249,20 +252,20 @@ def state_from_json(text: str) -> StateVector:
     # A record as state_to_json writes it, a numeric occupation of the listed
     # basis with finite float parts, is accepted by one lookup; any other
     # goes through the field parsers, which give every refusal its message.
-    listed = _listed_index(shape)
+    listed, ints, inf = _listed_index(shape), (int,) * shape.modes, math.inf
     amps: Dict[Occupation, complex] = {}
     for i, rec in enumerate(doc["amplitudes"]):
         try:
             if type(rec) is not dict or rec.keys() != _RECORD_KEYS:
                 raise ValueError('record must hold exactly the keys "occ", "re", "im"')
             occ, re, im = rec["occ"], rec["re"], rec["im"]
-            if type(occ) is list and all(type(s) is int for s in occ) and tuple(occ) in listed:
-                occ = tuple(occ)
+            if type(occ) is list and tuple(map(type, occ)) == ints and (key := tuple(occ)) in listed:
+                occ = key
             else:
                 occ = _parse_occ(occ, shape)
-            if type(re) is not float or not -math.inf < re < math.inf:
+            if type(re) is not float or not -inf < re < inf:
                 re = _parse_number(re)
-            if type(im) is not float or not -math.inf < im < math.inf:
+            if type(im) is not float or not -inf < im < inf:
                 im = _parse_number(im)
             # every record read is kept, zero or not, so a repeat is refused in either order
             if occ in amps:

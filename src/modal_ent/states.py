@@ -28,7 +28,8 @@ This module owns three decisions that the other modules share:
 It also holds the base of the package's checked value classes,
 ``_Frozen``: :class:`StateVector`, ``operators.GroupElement`` and
 ``monte_carlo.LocalInstrument`` keep their fields in slots, set once when
-the constructor has checked them, and refuse any later assignment.
+the constructor has checked them, and refuse any later assignment; a copy
+or a pickle calls the public constructor again, so it is checked anew.
 :class:`SystemShape` is a named tuple whose constructor checks it, and the
 records that the library returns are named tuples too. Neither kind of
 class generates code when it is defined or needs ``inspect``, so a command
@@ -56,7 +57,7 @@ from __future__ import annotations
 import math
 import operator
 from functools import lru_cache
-from typing import TYPE_CHECKING, Dict, Iterable, List, Mapping, NamedTuple, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Mapping, NamedTuple, Tuple
 
 if TYPE_CHECKING:
     import numpy as np
@@ -256,9 +257,11 @@ class _Frozen:
     """Base of the checked value classes: each sets its slots once, in
     ``__init__``, and refuses every later assignment; a private cache slot
     starts as None there and is filled once, on first use. The repr shows
-    the public slots only. Equality is identity."""
+    the public constructor's arguments, named by ``_args``, and a copy or a
+    pickle passes them to it again. Equality is identity."""
 
     __slots__ = ()
+    _args: Tuple[str, ...] = ()
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -267,8 +270,11 @@ class _Frozen:
         raise AttributeError(f"cannot delete field {name!r}")
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__ if name[0] != "_")
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._args)
         return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self) -> tuple:
+        return type(self), tuple([getattr(self, name) for name in self._args])
 
 
 class StateVector(_Frozen):
@@ -287,6 +293,7 @@ class StateVector(_Frozen):
     """
 
     __slots__ = ("shape", "_map", "_support", "_amps", "_norm", "_invariants")
+    _args = ("shape", "amplitudes")
     shape: SystemShape
 
     def __init__(self, shape: SystemShape, amplitudes: Dict[Occupation, complex]) -> None:
@@ -310,7 +317,8 @@ class StateVector(_Frozen):
         _set(state, "shape", shape)
         _set(state, "_map", None)
         _set(state, "_support", enumerate_basis(shape) if support is None else support)
-        _set(state, "_amps", tuple([a if a else 0j for a in amps]))
+        amps = tuple(amps)
+        _set(state, "_amps", tuple([a if a else 0j for a in amps]) if 0j in amps else amps)
         _set(state, "_norm", None)
         _set(state, "_invariants", None)
         return state
@@ -322,9 +330,6 @@ class StateVector(_Frozen):
         if self._map is None:
             _set(self, "_map", {occ: a for occ, a in zip(self._support, self._amps) if a})
         return self._map
-
-    def __repr__(self) -> str:
-        return f"StateVector(shape={self.shape!r}, amplitudes={self.amplitudes!r})"
 
     def amplitude(self, occ: Iterable[int]) -> complex:
         return self.amplitudes.get(tuple(occ), 0j)
@@ -436,10 +441,8 @@ def reduced_density_matrix(state: StateVector, mode: int) -> List[List[complex]]
     require_normalized(state, "reduced_density_matrix")
     support, amps = state._entries()
     if shape == SHAPE_321:
-        split = [amps[j] for j in _SPLITS[mode]]
-        levels, vacant = (split[:4], split[4:8]), split[8:]
-        rho = [[sum([a * b.conjugate() for a, b in zip(r, c)], 0j) for c in levels] + [0j] for r in levels]
-        return rho + [[0j, 0j, sum([a * a.conjugate() for a in vacant], 0j)]]
+        uu, ud, du, dd, vacancy = _reduction_321(amps, mode)
+        return [[uu, ud, 0j], [du, dd, 0j], [0j, 0j, vacancy]]
     p = shape.spin_numerator
     columns: Dict[Occupation, List[Tuple[int, complex]]] = {}
     for occ, amp in zip(support, amps):
@@ -452,15 +455,34 @@ def reduced_density_matrix(state: StateVector, mode: int) -> List[List[complex]]
     return rho
 
 
+def _reduction_321(amps: Tuple[complex, ...], mode: int) -> Iterator[complex]:
+    """The nonzero entries of a (3, 2, 1) reduction, each formed when asked
+    for: the Gram matrix of the level rows of the mode's split, row by row,
+    then the squared norm of its vacant positions."""
+    split = [amps[j] for j in _SPLITS[mode]]
+    levels = split[:4], split[4:8]
+    for r in levels:
+        for c in levels:
+            yield sum([a * b.conjugate() for a, b in zip(r, c)], 0j)
+    yield sum([a * a.conjugate() for a in split[8:]], 0j)
+
+
 def is_maximally_entangled(state: StateVector, tol: float = 1e-12) -> bool:
-    """True iff every single-mode reduction is within ``tol`` of I/(p+2)."""
+    """True iff every single-mode reduction of a normalized state is within
+    ``tol`` of I/(p+2), its entries compared row by row. In (3, 2, 1) each
+    is compared as soon as it is formed, and the zeros off the blocks are
+    not formed: any ``tol`` they fail, the first entry has failed."""
     d = state.shape.local_dim
+    require_normalized(state, "reduced_density_matrix")
     for mode in range(state.shape.modes):
-        rho = reduced_density_matrix(state, mode)
-        for i, row in enumerate(rho):
-            for j, entry in enumerate(row):
-                if abs(entry - (1.0 / d if i == j else 0.0)) > tol:
-                    return False
+        if state.shape == SHAPE_321:
+            pairs = zip(_reduction_321(state._entries()[1], mode), (1.0 / d, 0.0, 0.0, 1.0 / d, 1.0 / d))
+        else:
+            rho = reduced_density_matrix(state, mode)
+            pairs = ((entry, 1.0 / d if i == j else 0.0) for i, row in enumerate(rho) for j, entry in enumerate(row))
+        for entry, target in pairs:
+            if abs(entry - target) > tol:
+                return False
     return True
 
 
@@ -499,7 +521,8 @@ def phase_fit(state: StateVector, moved: StateVector, tol: float) -> Tuple[bool,
         mine, theirs = dict(zip(support, before)), dict(zip(other, after))
         union = sorted(mine.keys() | theirs.keys())
         before, after = [mine.get(occ, 0j) for occ in union], [theirs.get(occ, 0j) for occ in union]
-    anchor = max(range(len(before)), key=lambda k: abs(before[k]))
+    moduli = [abs(b) for b in before]
+    anchor = moduli.index(max(moduli))
     c = after[anchor] / before[anchor]
     residual = math.sqrt(sum([abs(a - c * b) ** 2 for a, b in zip(after, before)]))
     return residual <= tol * norm, c

@@ -1,6 +1,7 @@
 import itertools
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,9 +10,18 @@ from modal_ent.classify import family
 from modal_ent.invariants import invariant_report
 from modal_ent.maxent import build_psi_sigma, feasible, pattern_scan
 from modal_ent.operators import GroupElement, apply
-from modal_ent.states import SHAPE_321, StateVector, SystemShape, is_maximally_entangled
+from modal_ent.states import (
+    SHAPE_321,
+    StateVector,
+    SystemShape,
+    enumerate_basis,
+    is_maximally_entangled,
+    random_state,
+    reduced_density_matrix,
+)
 
 rng = np.random.default_rng(55)
+EPS = float(np.finfo(float).eps)
 
 FEASIBLE_ROWS = {(3, 2, 1), (6, 4, 1), (4, 3, 2), (8, 6, 2), (5, 4, 3)}
 
@@ -161,3 +171,75 @@ def test_level_swap_carries_psi2_to_the_sequence_state():
     eye = np.eye(3, dtype=complex)
     moved = apply(GroupElement([eye, swap, swap]), family("psi2"))
     assert np.abs(moved.dense() - build_psi_sigma(1, 1).dense()).max() < 1e-15
+
+
+#: every sector of at most six modes and spin numerator at most three whose
+#: basis is small enough to sweep, the four feasible ones among them
+NECESSITY_SECTORS = [
+    (n, m, p)
+    for n in range(1, 7)
+    for m in range(1, n + 1)
+    for p in range(1, 4)
+    if SystemShape(n, m, p).dimension <= 1300
+]
+
+
+def _vacancy_weights(state):
+    """The vacancy weight v_k of each single-mode reduction, its last diagonal entry."""
+    return [reduced_density_matrix(state, k)[-1][-1].real for k in range(state.shape.modes)]
+
+
+def _necessity_states(shape, local):
+    """Random states of a sector and its first and last basis states."""
+    basis = enumerate_basis(shape)
+    return [random_state(shape, local) for _ in range(3)] + [
+        StateVector(shape, {basis[0]: 1.0}),
+        StateVector(shape, {basis[-1]: 1.0}),
+    ]
+
+
+def _weights_tolerance(shape) -> float:
+    """How far the computed vacancy weights may sum from (n - m) times the
+    exact squared norm S of the stored amplitudes, for S near 1.
+
+    Each v_k sums at most ``dim`` terms ``|a|^2``, each rounded twice, so it
+    lies within ``(dim + 1) u v_k`` of its exact value, u = eps / 2; summing
+    the n weights adds ``n u`` of the total, which is (n - m) S. So the sum
+    is within ``(dim + n + 1) u (n - m) S``; the bound below doubles it.
+    """
+    n, m = shape.modes, shape.particles
+    return (shape.dimension + n + 1) * EPS * (n - m) * 1.01
+
+
+def test_vacancy_weights_sum_to_the_vacant_mode_count():
+    # every basis state leaves exactly n - m modes vacant, so the vacancy
+    # weights of the single-mode reductions sum to (n - m) times the squared
+    # norm, in feasible and infeasible sectors alike
+    local = np.random.default_rng(2020)
+    assert {s for s in NECESSITY_SECTORS if feasible(*s)} == {(3, 2, 1), (4, 3, 2), (5, 4, 3), (6, 4, 1)}
+    for n, m, p in NECESSITY_SECTORS:
+        shape = SystemShape(n, m, p)
+        for psi in _necessity_states(shape, local):
+            exact = sum(Fraction(a.real) ** 2 + Fraction(a.imag) ** 2 for a in psi.amplitudes.values())
+            total = sum(_vacancy_weights(psi))
+            assert abs(Fraction(total) - (n - m) * exact) <= _weights_tolerance(shape)
+
+
+def test_every_infeasible_sector_keeps_a_reduction_away_from_the_maximally_mixed_one():
+    # the weights sum to (n - m) S, while I/(p+2) would give n/(p+2); so some
+    # mode's weight misses 1/(p+2) by at least |(n - m) S - n/(p+2)| / n,
+    # which is positive exactly when the sector is infeasible
+    local = np.random.default_rng(2121)
+    for n, m, p in NECESSITY_SECTORS:
+        shape = SystemShape(n, m, p)
+        gap = abs(Fraction(n - m) - Fraction(n, p + 2)) / n
+        assert (gap == 0) == feasible(n, m, p)
+        for psi in _necessity_states(shape, local):
+            exact = sum(Fraction(a.real) ** 2 + Fraction(a.imag) ** 2 for a in psi.amplitudes.values())
+            # the bound at the state's own squared norm, less the weights'
+            # rounding and that of the float 1/(p+2) in each of the n terms
+            slack = ((n - m) * abs(exact - 1) + Fraction(_weights_tolerance(shape)) + n * EPS) / n
+            worst = max(abs(w - 1.0 / (p + 2)) for w in _vacancy_weights(psi))
+            assert Fraction(worst) >= gap - slack
+            if not feasible(n, m, p):
+                assert not is_maximally_entangled(psi)

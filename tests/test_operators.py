@@ -65,7 +65,8 @@ def matrix_exp(op: np.ndarray) -> np.ndarray:
         raise ValueError("matrix exponential of a non-finite matrix")
     if x or y or p or q:
         raise ValueError("closed-form exponential needs levels and vacancy kept apart")
-    return np.array(_exp_entries(a, b, c, d, v), dtype=complex)
+    ((e, f), (g, h)), w = _exp_entries(a, b, c, d, v)
+    return np.array([[e, f, 0], [g, h, 0], [0, 0, w]], dtype=complex)
 
 
 def test_generator_matrices():
@@ -256,6 +257,72 @@ def test_apply_rejects_bad_elements():
     mix[0, 2] = 0.5
     with pytest.raises(ValueError):
         apply(GroupElement([mix, np.eye(3), np.eye(3)]), psi)
+
+
+def _block_rows_of(rows):
+    """The block rows of a ``(modes, d, d)`` stack: each level block's rows and the vacancy entry."""
+    return tuple((tuple(row[:-1] for row in op[:-1]), op[-1][-1]) for op in rows)
+
+
+def _state_bits(state):
+    return [(occ, z.real.hex(), z.imag.hex()) for occ, z in zip(*state._entries())]
+
+
+def test_apply_reads_the_same_block_rows_however_the_element_was_built():
+    # make_slocc_element and canonical_form hand over block rows, the public
+    # constructor has them formed on the first action; all act alike, bit for bit
+    local = np.random.default_rng(3636)
+    states = [random_state(SHAPE_321, local) for _ in range(8)]
+    states += [family("psi1"), family("psi2"), family("S1", {"r": 0.2})]
+    built = [random_element(kind, seed) for kind in ("SU", "SLOCC") for seed in range(3)]
+    built += [canonical_form(psi).element for psi in states[:4] + states[-3:]]
+    for made in built:
+        forms = [made, GroupElement(made.matrices), GroupElement(np.array(made.matrices)),
+                 GroupElement._from_rows(_block_rows_of(made.matrices))]
+        for psi in states:
+            want = _state_bits(apply(made, psi))
+            for element in forms[1:]:
+                # the first action judges a constructor-made element, the second reads its verdict
+                assert _state_bits(apply(element, psi)) == want
+                assert _state_bits(apply(element, psi)) == want
+    # every other shape reads the block rows through the symbol-move tables
+    for shape, d in ((SystemShape(4, 2, 1), 3), (SystemShape(3, 2, 2), 4)):
+        stack = _random_compliant_blocks(local, shape.modes, d)
+        made = GroupElement(stack)
+        handed = GroupElement._from_rows(_block_rows_of(made.matrices))
+        assert handed.matrices == made.matrices
+        for psi in [random_state(shape, local) for _ in range(4)]:
+            assert _state_bits(apply(handed, psi)) == _state_bits(apply(made, psi))
+
+
+def test_a_leaking_or_misshapen_element_is_refused_on_every_action():
+    psi = random_state(SHAPE_321, rng)
+    leaking = np.eye(3, dtype=complex)
+    leaking[2, 0] = 0.5
+    element = GroupElement([np.eye(3), leaking, np.eye(3)])
+    for _ in range(2):
+        with pytest.raises(ValueError, match=r"^operator on mode 1 violates the superselection rule$"):
+            apply(element, psi)
+        assert not element.is_superselection_compliant()
+    # the shape is checked first, on every call, whatever verdict is kept
+    for wrong in (GroupElement([leaking] * 2), GroupElement([np.eye(3)] * 2), make_slocc_element([(0.1, 0.2, 0.3, 0.4)] * 2)):
+        for _ in range(2):
+            with pytest.raises(ValueError, match=r"^element has shape \(2, 3, 3\), expected \(3, 3, 3\)$"):
+                apply(wrong, psi)
+    wide = SystemShape(3, 2, 2)
+    for _ in range(2):
+        with pytest.raises(ValueError, match=r"^element has shape \(3, 3, 3\), expected \(3, 4, 4\)$"):
+            apply(random_element("SU", 3), random_state(wide, rng))
+
+
+def test_a_two_mode_slocc_element_acts_on_two_modes_only():
+    element = make_slocc_element([(0.1, 0.2, 0.3, 0.4)] * 2)
+    # refused as a ValueError on a (3, 2, 1) state, before any block is read
+    with pytest.raises(ValueError, match=r"^element has shape \(2, 3, 3\), expected \(3, 3, 3\)$"):
+        apply(element, family("psi1"))
+    pair = SystemShape(2, 1, 1)
+    psi = random_state(pair, rng)
+    assert _state_bits(apply(element, psi)) == _state_bits(apply(GroupElement(element.matrices), psi))
 
 
 def test_occupation_scaling_net_factor():

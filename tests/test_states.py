@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import re
 from decimal import Decimal
 from fractions import Fraction
@@ -11,7 +13,8 @@ from modal_ent import states
 from modal_ent.classify import canonical_form, family, membership_report
 from modal_ent.invariants import _amplitude_list, invariant_report
 from modal_ent.maxent import build_psi_sigma, pattern_scan
-from modal_ent.monte_carlo import random_instrument, run_monotone_trials
+from modal_ent.monte_carlo import LocalInstrument, random_instrument, run_monotone_trials
+from modal_ent.operators import GroupElement, apply, make_slocc_element, random_element
 from modal_ent.serialize import state_to_json
 from modal_ent.stabilizers import stabilizer
 from modal_ent.states import (
@@ -394,3 +397,112 @@ def test_large_sector_keys_are_checked_without_listing_the_basis():
     with pytest.raises(ValueError, match="carries symbol 3 outside 0..2"):
         StateVector(shape, {(1, 2, 0, 1, 0, 3, 0, 1, 0, 0, 0): 1.0})
     assert enumerate_basis.cache_info().currsize == listed
+
+
+def _all_entries_verdict(state, tol):
+    """Every entry of every single-mode reduction compared with I/(p+2), the
+    zeros off the blocks included, each refusal written as the verdict's."""
+    d = state.shape.local_dim
+    return not any(
+        abs(entry - (1.0 / d if i == j else 0.0)) > tol
+        for mode in range(state.shape.modes)
+        for i, row in enumerate(reduced_density_matrix(state, mode))
+        for j, entry in enumerate(row)
+    )
+
+
+def test_maximal_entanglement_verdict_equals_the_all_entries_verdict():
+    # the (3, 2, 1) verdict stops at the first entry that fails, and forms
+    # no zero off the blocks; on every state and tolerance it must still be
+    # the verdict of comparing every entry
+    local = np.random.default_rng(4242)
+    params = {
+        "psi1": [{}], "psi2": [{}],
+        "S1": [{"r": 0.0}, {"r": 0.2}], "S2": [{"r": 0.3, "theta": 1.2}, {"r": 0.0}],
+        "Eq14": [{"r1": 0.6, "r2": 0.64, "r3": 0.48}], "Eq15": [{"r1": 0.6, "r2": 0.64, "r3": 0.48}],
+        "Eq16": [{"r1": 0.5, "r2": 0.5, "r3": 0.5, "r4": 0.5, "phi": 0.7}],
+        "Eq18": [{"r1": 0.5, "r2": math.sqrt(0.1875), "r3": 0.3, "r4": 0.3, "r5": 0.6, "theta": 1.1}],
+    }
+    psis = [family(name, p) for name, ps in params.items() for p in ps]
+    psis += [random_state(SHAPE_321, local) for _ in range(40)]
+    # the maximally entangled states moved by local unitaries stay so, to roundoff
+    psis += [normalize(apply(random_element("SU", seed), family(name))) for seed in range(5) for name in ("psi1", "psi2")]
+    scaled = [
+        StateVector._from_amplitudes(SHAPE_321, [a * factor for a in psi._basis_amplitudes()])
+        for psi in psis
+        for factor in (1.0 + 5e-12, 1.0 - 5e-12)
+    ]
+    verdicts = set()
+    for psi in psis + scaled:
+        for tol in (1e-12, 1e-9, 1e-15, 0.0, -1.0, math.nan, math.inf):
+            want = _all_entries_verdict(psi, tol)
+            assert is_maximally_entangled(psi, tol) is want
+            verdicts.add(want)
+    assert verdicts == {True, False}
+    assert is_maximally_entangled(family("psi1")) and is_maximally_entangled(family("psi2"))
+    with pytest.raises(ValueError, match="expects a normalized state"):
+        is_maximally_entangled(StateVector(SHAPE_321, {(1, 1, 0): 2.0}))
+
+
+def _bits(x):
+    """``x`` with every float spelled by ``float.hex``, through complex
+    numbers, tuples and lists, so 0.0 and -0.0 differ."""
+    if isinstance(x, complex):
+        return x.real.hex(), x.imag.hex()
+    if isinstance(x, float):
+        return x.hex()
+    if isinstance(x, (tuple, list)):
+        return [_bits(y) for y in x]
+    return x
+
+
+def test_checked_value_classes_copy_and_pickle_through_their_constructors():
+    local = np.random.default_rng(9001)
+    psis = [family("psi1"), random_state(SHAPE_321, local), StateVector(SHAPE_321, {(1, 1, 0): 0.6, (0, 1, 2): 0.8j})]
+    psis += [random_state(SystemShape(4, 2, 1), local), build_psi_sigma(2, 1)]
+    elements = [random_element("SU", 1), make_slocc_element([(0.1, 0.2, 0.3, 0.4)] * 2), GroupElement(np.eye(4)[None] * 2)]
+    elements.append(canonical_form(psis[1]).element)
+    instruments = [random_instrument(5, 2, 0.5), LocalInstrument(1, np.array([np.eye(3), np.eye(3)]) / math.sqrt(2), 7)]
+    for psi in psis:
+        psi.norm()
+        if psi.shape == SHAPE_321:
+            invariant_report(psi)
+        for twin in (pickle.loads(pickle.dumps(psi)), copy.deepcopy(psi), copy.copy(psi)):
+            assert type(twin) is StateVector and twin is not psi
+            assert twin.shape == psi.shape and _bits(twin._entries()) == _bits(psi._entries())
+            # the caches are recomputed, never carried over
+            assert twin._norm is None and twin._invariants is None
+            assert twin.norm() == psi.norm() and repr(twin) == repr(psi)
+    for element in elements:
+        for twin in (pickle.loads(pickle.dumps(element)), copy.deepcopy(element), copy.copy(element)):
+            assert type(twin) is GroupElement and twin._blocks is None
+            assert _bits(twin.matrices) == _bits(element.matrices)
+            if len(element.matrices) == 3 and len(element.matrices[0]) == 3:
+                assert _bits(apply(twin, psis[1])._entries()) == _bits(apply(element, psis[1])._entries())
+    for inst in instruments:
+        for twin in (pickle.loads(pickle.dumps(inst)), copy.deepcopy(inst), copy.copy(inst)):
+            assert type(twin) is LocalInstrument and (twin.mode, twin.seed) == (inst.mode, inst.seed)
+            assert np.array_equal(twin._blocks.re, inst._blocks.re) and np.array_equal(twin._blocks.im, inst._blocks.im)
+    # a pickle rebuilds through the checked constructor, so what it carries is judged again
+    leaking = np.eye(3, dtype=complex)
+    leaking[0, 2] = 0.5
+    twin = pickle.loads(pickle.dumps(GroupElement([np.eye(3), leaking, np.eye(3)])))
+    for _ in range(2):
+        with pytest.raises(ValueError, match=r"^operator on mode 1 violates the superselection rule$"):
+            apply(twin, psis[0])
+
+    class Forged:
+        # pickles as a call of the class it names, on arguments that its constructor refuses
+        def __init__(self, cls, *args):
+            self.call = cls, args
+
+        def __reduce__(self):
+            return self.call
+
+    with pytest.raises(ValueError, match="outcome 0 violates the superselection rule"):
+        pickle.loads(pickle.dumps(Forged(LocalInstrument, 0, np.array([leaking, np.eye(3)]), 3)))
+    with pytest.raises(ValueError, match="has 4 modes, expected 3"):
+        pickle.loads(pickle.dumps(Forged(StateVector, SHAPE_321, {(1, 1, 0, 0): 1.0})))
+    forged = pickle.loads(pickle.dumps(Forged(GroupElement, [leaking] * 3)))
+    with pytest.raises(ValueError, match=r"^operator on mode 0 violates the superselection rule$"):
+        apply(forged, psis[0])

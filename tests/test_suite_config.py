@@ -1,8 +1,10 @@
 """The suite's own configuration: pytest reports a failing test as a failure,
 every source file parses as the oldest Python the package supports, and the
-CI workflow runs scripts that exist and the Tier-1 command of ROADMAP.md."""
+CI workflow runs scripts that exist, the Tier-1 command of ROADMAP.md and a
+checked smoke run of every benchmark workload."""
 
 import ast
+import json
 import pathlib
 import re
 import subprocess
@@ -105,3 +107,15 @@ def test_the_workflow_runs_the_roadmap_tier1_command():
     # the step may add two options that select no test: Python's
     # development mode, which is stricter, and the report of the slowest tests
     assert re.sub(r" -X dev| --durations=\d+", "", step) == want
+
+
+def test_every_benchmark_workload_has_a_checked_smoke_step():
+    # each workload of BENCHMARK.json is run once in CI, and the step fails
+    # unless the run's last line reports every output check as correct
+    workloads = [w["name"] for w in json.loads((REPO / "BENCHMARK.json").read_text(encoding="utf-8"))["workloads"]]
+    assert workloads
+    commands = _run_commands(WORKFLOW.read_text(encoding="utf-8"))
+    for name in workloads:
+        steps = [c for c in commands if re.search(rf"perfbench/run\.py --workload {re.escape(name)}(?=\s|$)", c)]
+        assert steps, name
+        assert any(re.search(r"\[['\"]correct['\"]\] is True", c) and "sys.exit" in c for c in steps), name
